@@ -19,16 +19,16 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, PatternDistribution, bind_pattern, member_flat_indices
+from .data import Dataset, PatternDistribution, bind_pattern
 from .errors import BudgetError, DataError
-from .inference import DENSE_TABLE_BUDGET, evidence_probability, full_joint_table
+from .inference import EliminationQueries, MemberTable, pattern_table
 from .network import (
     Assignment,
     Network,
     family_counts_from_rows,
-    joint_probability,
     params_from_family_counts,
     smooth,
+    unravel_rows,
     validate_network,
 )
 
@@ -55,26 +55,6 @@ class AimResult:
     score: float                        # terminal KL(P_c || P_theta)
     init_fallbacks: int                 # replicas seeded uniformly on zero evidence
     converged: bool
-
-
-def _log_evaluator(net: Network) -> Callable[[int], float]:
-    """log P(x) by flat joint index, floored away from -inf."""
-    if net.n_assignments <= DENSE_TABLE_BUDGET:
-        table = np.log(
-            np.maximum(full_joint_table(net).reshape(-1), LOG_PROB_FLOOR)
-        )
-        return table.__getitem__
-    cache: dict[int, float] = {}
-
-    def logp(r: int) -> float:
-        v = cache.get(r)
-        if v is None:
-            p = joint_probability(net, net.unravel(r))
-            v = math.log(max(p, LOG_PROB_FLOOR))
-            cache[r] = v
-        return v
-
-    return logp
 
 
 def incremental_kl_delta(
@@ -120,6 +100,7 @@ class AimState:
     case_moves: list[list[tuple[int, int]]]  # per case: (stride, card) of missing axes
     assign: list[int]                    # replica -> flat joint index
     counts: dict[int, int]
+    table: MemberTable | EliminationQueries = field(repr=False)  # the cases' patterns
     logp: Callable[[int], float] = field(repr=False, default=None)
     score: float = float("inf")
     _moves: int = 0
@@ -179,13 +160,10 @@ def m_step(state: AimState) -> tuple[Network, list[np.ndarray]]:
     idx = np.fromiter(state.counts.keys(), dtype=np.int64, count=n)
     cnt = np.fromiter(state.counts.values(), dtype=np.float64, count=n)
     weights = cnt / state.z
-    rows = np.empty((n, len(structure.nodes)), dtype=np.int64)
-    for i in range(len(structure.nodes)):
-        rows[:, i] = (idx // structure.ravel_strides[i]) % structure.cards[i]
-    counts = family_counts_from_rows(structure, rows, weights)
+    counts = family_counts_from_rows(structure, unravel_rows(structure, idx), weights)
     net, row_counts = params_from_family_counts(structure, counts)
     state.net = net
-    state.logp = _log_evaluator(net)
+    state.logp = state.table.log_evaluator(net, LOG_PROB_FLOOR)
     state.score = state.full_score()
     return net, row_counts
 
@@ -213,77 +191,28 @@ def initial_completion(
     groups: dict[tuple, list[int]] = {}
     for j, bound in enumerate(replicated_cases):
         groups.setdefault(tuple(bound), []).append(j)
+    if policy == "posterior_draw":
+        draw = pattern_table(theta0, list(groups)).sampler(theta0)
 
-    dense = theta0.n_assignments <= DENSE_TABLE_BUDGET
-    flat = full_joint_table(theta0).reshape(-1) if dense and policy == "posterior_draw" else None
-
-    for bound, idxs in groups.items():
+    for k, (bound, idxs) in enumerate(groups.items()):
         missing = [i for i, v in enumerate(bound) if v is None]
         if not missing:
-            x = tuple(bound)
             for j in idxs:
+                out[j] = bound
+            continue
+        picks = draw(k, len(idxs), rng) if policy == "posterior_draw" else None
+        if picks is not None:
+            for j, x in zip(idxs, picks):
                 out[j] = x
             continue
-        if policy == "uniform_draw":
-            draws = {i: rng.integers(0, cards[i], size=len(idxs)) for i in missing}
-            for t, j in enumerate(idxs):
-                x = tuple(
-                    bound[i] if bound[i] is not None else int(draws[i][t])
-                    for i in range(len(bound))
-                )
-                out[j] = x
-            continue
-        # posterior_draw
-        if dense:
-            members = member_flat_indices(theta0, bound)
-            p = flat[members]
-            s = float(p.sum())
-            if s <= 0.0:
-                fallbacks.extend(idxs)
-                draws = {i: rng.integers(0, cards[i], size=len(idxs)) for i in missing}
-                for t, j in enumerate(idxs):
-                    out[j] = tuple(
-                        bound[i] if bound[i] is not None else int(draws[i][t])
-                        for i in range(len(bound))
-                    )
-                continue
-            picks = rng.choice(len(members), size=len(idxs), p=p / s)
-            for t, j in enumerate(idxs):
-                out[j] = theta0.unravel(int(members[int(picks[t])]))
-        else:
-            names = [theta0.nodes[i].name for i in range(len(bound))]
-            for j in idxs:
-                ev = {
-                    names[i]: theta0.nodes[i].states[v]
-                    for i, v in enumerate(bound)
-                    if v is not None
-                }
-                x = list(bound)
-                dead = False
-                for i in theta0.topo_order:
-                    if x[i] is not None:
-                        continue
-                    probs = []
-                    for s in range(cards[i]):
-                        probs.append(
-                            evidence_probability(
-                                theta0, {**ev, names[i]: theta0.nodes[i].states[s]}
-                            )
-                        )
-                    total = sum(probs)
-                    if total <= 0.0:
-                        dead = True
-                        break
-                    pick = int(rng.choice(cards[i], p=np.array(probs) / total))
-                    x[i] = pick
-                    ev[names[i]] = theta0.nodes[i].states[pick]
-                if dead:
-                    fallbacks.append(j)
-                    x = [
-                        v if v is not None else int(rng.integers(0, cards[i]))
-                        for i, v in enumerate(bound)
-                    ]
-                out[j] = tuple(x)
+        if policy == "posterior_draw":
+            fallbacks.extend(idxs)
+        draws = {i: rng.integers(0, cards[i], size=len(idxs)) for i in missing}
+        for t, j in enumerate(idxs):
+            out[j] = tuple(
+                bound[i] if bound[i] is not None else int(draws[i][t])
+                for i in range(len(bound))
+            )
     return out, fallbacks
 
 
@@ -351,8 +280,9 @@ def aim_fit(
         case_moves=case_moves,
         assign=assign,
         counts=counts,
+        table=pattern_table(structure, list(dict.fromkeys(case_bounds))),
     )
-    state.logp = _log_evaluator(state.net)
+    state.logp = state.table.log_evaluator(state.net, LOG_PROB_FLOOR)
     state.score = state.full_score()
 
     entropy = PatternDistribution.from_dataset(data).entropy

@@ -34,7 +34,6 @@ from .network import (
     Network,
     randomize_parameters,
     smooth,
-    uniform_cpts,
     validate_network,
 )
 from .util import fmt17, stable_child_seed
@@ -223,10 +222,11 @@ def _cmd_learn(args) -> int:
     structure = _load_net(args.net_structure)
     data = read_dataset(args.data)
 
+    if args.init == "em" and args.method != "aim":
+        raise UsageError("--init em is only meaningful for --method aim")
+    init = _load_net(args.init[4:]) if args.init.startswith("net:") else args.init
+
     if args.method == "em":
-        if args.init == "em":
-            raise UsageError("--init em is only meaningful for --method aim")
-        init = args.init if not args.init.startswith("net:") else _load_net(args.init[4:])
         res = em_mod.em_fit(
             structure,
             data,
@@ -247,15 +247,9 @@ def _cmd_learn(args) -> int:
         return 0
 
     if args.method == "aim":
-        if args.init == "em":
-            em_res = em_mod.em_fit(structure, data, em_mod.EmOptions(init="uniform"))
-            theta0 = em_res.network
-        elif args.init == "uniform":
-            theta0 = uniform_cpts(structure)
-        elif args.init.startswith("net:"):
-            theta0 = _load_net(args.init[4:])
-        else:
-            raise UsageError(f"unknown --init {args.init!r}")
+        if init == "em":
+            init = em_mod.em_fit(structure, data, em_mod.EmOptions(init="uniform")).network
+        theta0 = em_mod._init_network(structure, em_mod.EmOptions(init=init, seed=args.seed))
         res = aim_mod.aim_fit(
             structure,
             theta0,

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, DataError, FormatError, ZeroSupportError
-from .network import Assignment, Network
+from .network import ENUM_BUDGET, Assignment, Network
 from .util import fmt17
 
 CoarsePattern = tuple[Optional[str], ...]
@@ -121,7 +121,7 @@ def member_count(net: Network, bound: Sequence[Optional[int]]) -> int:
 
 
 def member_flat_indices(
-    net: Network, bound: Sequence[Optional[int]], budget: int = 1 << 20
+    net: Network, bound: Sequence[Optional[int]], budget: int = ENUM_BUDGET
 ) -> np.ndarray:
     """Flat (C-order) joint indices of all compatible assignments."""
     if member_count(net, bound) > budget:
@@ -208,17 +208,6 @@ def completion_distribution(
     return out
 
 
-def identity_completion(net: Network, data: Dataset) -> Completion:
-    """Point-mass completion for a dataset without missing values."""
-    per_case = []
-    for pattern, _ in data.cases:
-        bound = bind_pattern(net, data.variables, pattern)
-        if any(v is None for v in bound):
-            raise DataError("dataset has missing values; no identity completion")
-        per_case.append({tuple(bound): 1.0})
-    return Completion(tuple(per_case))
-
-
 @dataclass(frozen=True)
 class CoarseningModel:
     """Explicit missingness parameters lambda[x][pattern] for enumerable spaces.
@@ -270,7 +259,7 @@ def recover_coarsening(
     its own fully observed pattern, so row sums stay testable without
     enumerating every subset of the joint space.
     """
-    if net.n_assignments > 1 << 20:
+    if net.n_assignments > ENUM_BUDGET:
         raise BudgetError("state space too large to recover a coarsening model")
     p_c = completion_distribution(c, data)
     grouped_mass: dict[CoarsePattern, float] = {}

@@ -1,10 +1,10 @@
 """Expectation maximization on the face-value likelihood.
 
 Doubles as the comparison baseline and as the default initializer for the
-adjusting-imputation fitter.  The E step computes posterior family
-marginals per distinct observation pattern; on small joint spaces the
-expected completed-data weights are accumulated over a dense joint table
-instead, which is algebraically the same thing and much faster.
+adjusting-imputation fitter.  The E step takes, per distinct observation
+pattern, its probability and expected family counts from the pattern
+table of `inference`, which enumerates the pattern members or, above its
+budget, runs variable elimination.
 """
 
 from __future__ import annotations
@@ -14,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, bind_pattern, evidence_of, member_flat_indices
+from .data import Dataset, bind_pattern
 from .errors import DataError, ZeroSupportError
-from .inference import (
-    DENSE_TABLE_BUDGET,
-    evidence_probability,
-    full_joint_table,
-    posterior_family_marginals,
-)
+from .inference import pattern_table
 from .network import (
     Network,
     params_from_family_counts,
@@ -66,104 +61,52 @@ def _init_network(structure: Network, opts: EmOptions) -> Network:
     if opts.init == "random":
         rng = np.random.default_rng(opts.seed)
         return randomize_parameters(uniform_cpts(structure), rng)
-    raise DataError(f"unknown EM init {opts.init!r}")
-
-
-def _dense_layout(structure: Network) -> list[np.ndarray]:
-    """Per node, the flattened (row, state) cell index of every joint state."""
-    n = int(structure.n_assignments)
-    idx = np.arange(n, dtype=np.int64)
-    cells = []
-    for i in range(len(structure.nodes)):
-        card = structure.cards[i]
-        state = (idx // structure.ravel_strides[i]) % card
-        row = np.zeros(n, dtype=np.int64)
-        for p, s in zip(structure.parent_index[i], structure.row_strides[i]):
-            row += ((idx // structure.ravel_strides[p]) % structure.cards[p]) * s
-        cells.append(row * card + state)
-    return cells
+    raise DataError(f"unknown init {opts.init!r}")
 
 
 def em_fit(
-    structure: Network,
-    data: Dataset,
-    opts: EmOptions | None = None,
-    dense_budget: int = DENSE_TABLE_BUDGET,
+    structure: Network, data: Dataset, opts: EmOptions | None = None
 ) -> EmResult:
     """Fit parameters by EM; the face-value log-likelihood never decreases.
 
     Observation patterns with zero probability under the current iterate
     are left out of that iteration's expected counts; their total weight is
-    recorded in the trace.  Fractional case weights are fine.
+    recorded in the trace, whose log-likelihood is then -inf.  The fit has
+    converged once the excluded weight stays put and the log-likelihood of
+    the other patterns gains less than tol per unit weight.  Fractional
+    case weights are fine.
     """
     opts = opts or EmOptions()
     net = _init_network(structure, opts)
     grouped = data.grouped()
     total_w = data.total_weight
-    patterns = [
-        (pattern, w, bind_pattern(structure, data.variables, pattern))
-        for pattern, w in grouped.items()
-    ]
-    dense = structure.n_assignments <= dense_budget
-    if dense:
-        cells = _dense_layout(structure)
-        members = [
-            member_flat_indices(structure, bound) for _, _, bound in patterns
-        ]
+    weights = np.array(list(grouped.values()))
+    table = pattern_table(
+        structure, [bind_pattern(structure, data.variables, p) for p in grouped]
+    )
 
     trace: list[tuple[int, float, float]] = []
-    ll_prev: float | None = None
+    prev: tuple[float, float] | None = None
     converged = False
     counts: list[np.ndarray] = []
     for it in range(1, opts.max_iters + 1):
+        p_u, counts = table.expected_counts(net, weights)
         ll = 0.0
         excluded = 0.0
-        if dense:
-            p = full_joint_table(net).reshape(-1)
-            wvec = np.zeros(p.shape[0])
-            for (pattern, w, _), idx in zip(patterns, members):
-                block = p[idx]
-                s = float(block.sum())
-                if s <= 0.0:
-                    excluded += w
-                    continue
-                ll += w * math.log(s)
-                wvec[idx] += block * (w / s)
-            counts = [
-                np.bincount(
-                    cells[i],
-                    weights=wvec,
-                    minlength=structure.n_rows[i] * structure.cards[i],
-                ).reshape(structure.n_rows[i], structure.cards[i])
-                for i in range(len(structure.nodes))
-            ]
-        else:
-            counts = [
-                np.zeros((structure.n_rows[i], structure.cards[i]))
-                for i in range(len(structure.nodes))
-            ]
-            for pattern, w, _ in patterns:
-                ev = evidence_of(pattern, data.variables)
-                try:
-                    fams = posterior_family_marginals(net, ev)
-                except ZeroSupportError:
-                    excluded += w
-                    continue
-                ll += w * math.log(evidence_probability(net, ev))
-                for i, spec in enumerate(structure.nodes):
-                    counts[i] += w * fams[spec.name]
+        for w, p in zip(weights.tolist(), p_u.tolist()):
+            if p > 0.0:
+                ll += w * math.log(p)
+            else:
+                excluded += w
         if excluded >= total_w - 1e-12:
             raise ZeroSupportError("every observation has zero probability")
-        if excluded > 0:
-            ll = float("-inf")
-        trace.append((it, ll / total_w, excluded))
-        if ll_prev is not None and math.isfinite(ll) and math.isfinite(ll_prev):
-            if ll - ll_prev < opts.tol * total_w:
-                converged = True
-                break
+        trace.append((it, ll / total_w if excluded == 0 else float("-inf"), excluded))
+        if prev is not None and excluded == prev[1] and ll - prev[0] < opts.tol * total_w:
+            converged = True
+            break
         if it == opts.max_iters:
             break
-        ll_prev = ll
+        prev = (ll, excluded)
         net, _ = params_from_family_counts(structure, counts)
 
     row_counts = [c.sum(axis=1) for c in counts]

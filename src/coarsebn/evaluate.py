@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DataError
-from .inference import ENUM_BUDGET, full_joint_table, joint_marginal
-from .network import Network, smooth
+from .inference import full_joint_table, joint_marginal
+from .network import ENUM_BUDGET, Network, smooth
 
 
 @dataclass

@@ -1,4 +1,12 @@
-"""Exact inference: variable elimination and dense joint-table helpers.
+"""Exact inference: the pattern member table and variable elimination.
+
+Fitters and solvers need, per observation pattern, only the joint states
+that match it, called the pattern's members.  `pattern_table` is the one
+place that decides how a pattern's probabilities are obtained: when the
+dataset's total member count is within DENSE_TABLE_BUDGET it enumerates the
+members once (`MemberTable`) and answers every query from them; above the
+budget the same queries run variable elimination (`EliminationQueries`),
+the only path for patterns too large to enumerate.
 
 All probabilities are combined in linear space; callers accumulate logs.
 Elimination orderings come from a deterministic min-fill heuristic with
@@ -7,16 +15,27 @@ lexicographic tie-breaking so results are bit-reproducible across runs.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import math
+from functools import cached_property
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .data import member_count, member_flat_indices
 from .errors import BudgetError, DataError, ZeroSupportError
-from .network import Network
+from .network import (
+    ENUM_BUDGET,
+    Assignment,
+    Network,
+    family_counts_from_rows,
+    joint_probability,
+    parent_rows,
+    unravel_rows,
+)
 
 DENSE_TABLE_BUDGET = 1 << 16
-ENUM_BUDGET = 1 << 20
 
+Bound = Sequence[Optional[int]]
 Factor = tuple[tuple[int, ...], np.ndarray]  # sorted node indices, table
 
 
@@ -227,52 +246,195 @@ def full_joint_table(net: Network, budget: int = ENUM_BUDGET) -> np.ndarray:
 
 
 def posterior_family_marginals(
-    net: Network,
-    evidence: Mapping[str, str],
-    dense_budget: int = DENSE_TABLE_BUDGET,
+    net: Network, evidence: Mapping[str, str]
 ) -> dict[str, np.ndarray]:
     """P(node, parents | X in U) per node, shaped like that node's CPT.
 
     Each table is a proper joint distribution over (parent config, state);
     raises ZeroSupportError when the evidence itself has probability zero.
-    Small state spaces marginalize a dense joint table; larger ones run one
-    elimination query per family.
+    Runs one elimination query per family: patterns small enough to
+    enumerate take their posteriors from a `MemberTable` instead.
     """
-    ev = evidence_indices(net, evidence)
-    out: dict[str, np.ndarray] = {}
-    if net.n_assignments <= dense_budget:
-        table = full_joint_table(net)
-        index = tuple(ev.get(i, slice(None)) for i in range(len(net.nodes)))
-        block = table[index]
-        p_ev = float(block.sum())
-        if p_ev <= 0.0:
-            raise ZeroSupportError("evidence has probability zero under the model")
-        free = [i for i in range(len(net.nodes)) if i not in ev]
-        for i, spec in enumerate(net.nodes):
-            fam = list(net.parent_index[i]) + [i]
-            drop = tuple(
-                ax for ax, v in enumerate(free) if v not in fam
-            )
-            sub = block.sum(axis=drop) if drop else block
-            # sub has axes for family members missing in the evidence, in
-            # node-index order; expand to the full family table.
-            fam_free = [v for v in free if v in fam]
-            full_fam = np.zeros(tuple(net.cards[v] for v in fam))
-            idx = tuple(
-                ev[v] if v in ev else slice(None) for v in fam
-            )
-            want = [v for v in fam if v not in ev]
-            cur = sorted(fam_free)
-            sub = np.transpose(sub, [cur.index(v) for v in want]) if want else sub
-            full_fam[idx] = sub
-            out[spec.name] = full_fam.reshape(net.n_rows[i], net.cards[i]) / p_ev
-        return out
-
     p_ev = evidence_probability(net, evidence)
     if p_ev <= 0.0:
         raise ZeroSupportError("evidence has probability zero under the model")
+    out: dict[str, np.ndarray] = {}
     for i, spec in enumerate(net.nodes):
         fam_names = [net.nodes[p].name for p in net.parent_index[i]] + [spec.name]
         marg = joint_marginal(net, fam_names, evidence)
         out[spec.name] = marg.reshape(net.n_rows[i], net.cards[i]) / p_ev
     return out
+
+
+# ----------------------------------------------------------------------
+# Per-pattern queries for the fitters
+
+
+class MemberTable:
+    """The members of each pattern in a list, enumerated once.
+
+    Slots hold the members pattern after pattern, in `member_flat_indices`
+    order: pattern k owns slots starts[k] to stops[k], and pat_of_slot maps
+    a slot back to its pattern.  `uniq` holds the distinct flat joint
+    indices (sorted) and `loc` each slot's position in it.  The table
+    depends only on the structure; every query takes the parameters.
+    """
+
+    def __init__(self, net: Network, bounds: Sequence[Bound], budget: int):
+        sizes = [member_count(net, b) for b in bounds]
+        if sum(sizes) > budget:
+            raise BudgetError(
+                f"{sum(sizes)} pattern members exceed the enumeration budget {budget}"
+            )
+        self.net = net
+        flat = np.concatenate(
+            [member_flat_indices(net, b) for b in bounds] + [np.zeros(0, np.int64)]
+        )
+        ends = np.cumsum([0] + sizes)
+        self.starts, self.stops = ends[:-1], ends[1:]
+        self.pat_of_slot = np.repeat(np.arange(len(sizes)), sizes)
+        self.uniq, self.loc = np.unique(flat, return_inverse=True)
+        self.n_slots = len(flat)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The distinct members as an (n, nodes) array of state indices."""
+        return unravel_rows(self.net, self.uniq)
+
+    def probs(self, net: Network) -> np.ndarray:
+        """P(x) of each distinct member.
+
+        The node-order product of the CPT entries each member selects: the
+        same multiplications `full_joint_table` makes, so the values match
+        it bit for bit.
+        """
+        rows = self.rows
+        p = np.ones(len(self.uniq))
+        for i in range(len(net.nodes)):
+            p = p * net.cpts[i][parent_rows(net, rows, i), rows[:, i]]
+        return p
+
+    def expected_counts(
+        self, net: Network, weights: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """P(U) per pattern and the expected family counts (the E step).
+
+        Pattern k carries weights[k]; patterns of probability zero add
+        nothing to the counts.
+        """
+        p_slot = self.probs(net)[self.loc]
+        p_u = np.add.reduceat(p_slot, self.starts)
+        scale = np.divide(weights, p_u, out=np.zeros_like(p_u), where=p_u > 0)
+        counts = family_counts_from_rows(
+            net, self.rows[self.loc], p_slot * scale[self.pat_of_slot]
+        )
+        return p_u, counts
+
+    def log_evaluator(self, net: Network, floor: float) -> Callable[[int], float]:
+        """log max(P(x), floor) by flat joint index, for members only."""
+        logp = np.log(np.maximum(self.probs(net), floor))
+        return dict(zip(self.uniq.tolist(), logp.tolist())).__getitem__
+
+    def sampler(self, net: Network) -> Callable:
+        """draw(k, size, rng): `size` members of pattern k, each drawn with
+        probability P(x | U); None when P(U) is zero."""
+        p_slot = self.probs(net)[self.loc]
+        flat = self.uniq[self.loc]
+
+        def draw(k: int, size: int, rng: np.random.Generator):
+            p = p_slot[self.starts[k] : self.stops[k]]
+            s = float(p.sum())
+            if s <= 0.0:
+                return None
+            picks = rng.choice(len(p), size=size, p=p / s)
+            return [net.unravel(int(flat[self.starts[k] + t])) for t in picks]
+
+        return draw
+
+
+class EliminationQueries:
+    """The `MemberTable` queries answered by variable elimination, without
+    enumerating members: the path for patterns too large to enumerate."""
+
+    def __init__(self, bounds: Sequence[Bound]):
+        self.bounds = list(bounds)
+
+    @staticmethod
+    def _evidence(net: Network, bound: Bound) -> dict[str, str]:
+        return {
+            net.nodes[i].name: net.nodes[i].states[v]
+            for i, v in enumerate(bound)
+            if v is not None
+        }
+
+    def expected_counts(
+        self, net: Network, weights: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        p_u = np.zeros(len(self.bounds))
+        counts = [np.zeros(c.shape) for c in net.cpts]
+        for k, (bound, w) in enumerate(zip(self.bounds, weights)):
+            ev = self._evidence(net, bound)
+            try:
+                fams = posterior_family_marginals(net, ev)
+            except ZeroSupportError:
+                continue
+            p_u[k] = evidence_probability(net, ev)
+            for i, spec in enumerate(net.nodes):
+                counts[i] += w * fams[spec.name]
+        return p_u, counts
+
+    def log_evaluator(self, net: Network, floor: float) -> Callable[[int], float]:
+        """log max(P(x), floor) by flat joint index, computed on first use."""
+        cache: dict[int, float] = {}
+
+        def logp(r: int) -> float:
+            v = cache.get(r)
+            if v is None:
+                v = math.log(max(joint_probability(net, net.unravel(r)), floor))
+                cache[r] = v
+            return v
+
+        return logp
+
+    def sampler(self, net: Network) -> Callable:
+        """Draw the missing nodes one by one in topological order, each from
+        its conditional given the evidence and the nodes drawn so far."""
+        names = [spec.name for spec in net.nodes]
+
+        def draw(k: int, size: int, rng: np.random.Generator):
+            bound = self.bounds[k]
+            out: list[Assignment] = []
+            for _ in range(size):
+                ev = self._evidence(net, bound)
+                x = list(bound)
+                for i in net.topo_order:
+                    if x[i] is not None:
+                        continue
+                    states = net.nodes[i].states
+                    probs = [
+                        evidence_probability(net, {**ev, names[i]: label})
+                        for label in states
+                    ]
+                    total = sum(probs)
+                    if total <= 0.0:
+                        return None
+                    pick = int(rng.choice(len(states), p=np.array(probs) / total))
+                    x[i] = pick
+                    ev[names[i]] = states[pick]
+                out.append(tuple(x))
+            return out
+
+        return draw
+
+
+def pattern_table(
+    net: Network, bounds: Sequence[Bound]
+) -> MemberTable | EliminationQueries:
+    """Per-pattern queries for `bounds`: from the enumerated members when
+    their total is within DENSE_TABLE_BUDGET, else by variable elimination."""
+    if (
+        sum(member_count(net, b) for b in bounds) <= DENSE_TABLE_BUDGET
+        and net.n_assignments < 1 << 62
+    ):
+        return MemberTable(net, bounds, DENSE_TABLE_BUDGET)
+    return EliminationQueries(bounds)

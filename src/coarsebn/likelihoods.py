@@ -31,14 +31,12 @@ from .data import (
     PatternDistribution,
     bind_pattern,
     evidence_of,
-    member_flat_indices,
 )
 from .errors import BudgetError, DataError, NumericalError
-from .inference import evidence_probability, full_joint_table
-from .network import Network, joint_probability
+from .inference import MemberTable, evidence_probability
+from .network import ENUM_BUDGET, Network
 
 SAT_AMBIGUITY_BUDGET = 100_000
-CAR_STATE_BUDGET = 1 << 20
 CAR_MEMBER_BUDGET = 4 << 20
 
 
@@ -65,51 +63,30 @@ def face_value_loglik(net: Network, data: Dataset) -> LikelihoodReport:
     return LikelihoodReport("face_value", total / weight, total)
 
 
-class SatProfileProblem:
+class SatProfileProblem(MemberTable):
     """Reusable pattern structure for the sat-profile inner minimization.
 
-    Building the member enumeration once lets a caller evaluate the profile
+    Building the member table once lets a caller evaluate the profile
     value at many parameter settings (grids, per-iteration bounds) without
     re-binding the dataset.
     """
 
     def __init__(self, net: Network, data: Dataset):
-        self.net = net
         self.data = data
         grouped = data.grouped()
         total = data.total_weight
         self.patterns = list(grouped)
         self.m = np.array([grouped[p] / total for p in self.patterns])
         self.entropy = PatternDistribution.from_dataset(data).entropy
-
-        members = []
-        sizes = []
-        for pattern in self.patterns:
-            bound = bind_pattern(net, data.variables, pattern)
-            idx = member_flat_indices(net, bound, budget=SAT_AMBIGUITY_BUDGET)
-            members.append(idx)
-            sizes.append(len(idx))
-        if sum(sizes) > SAT_AMBIGUITY_BUDGET:
-            raise BudgetError(
-                f"{sum(sizes)} compatible assignments exceed the "
-                f"sat-profile budget {SAT_AMBIGUITY_BUDGET}"
-            )
-        flat = np.concatenate(members)
-        self.starts = np.cumsum([0] + sizes[:-1])
-        self.pat_of_slot = np.repeat(np.arange(len(sizes)), sizes)
-        self.uniq, self.loc = np.unique(flat, return_inverse=True)
-        self.n_slots = len(flat)
+        bounds = [bind_pattern(net, data.variables, p) for p in self.patterns]
+        super().__init__(net, bounds, SAT_AMBIGUITY_BUDGET)
 
     # ------------------------------------------------------------------
 
     def _member_probs(self, net: Network) -> np.ndarray:
         if tuple(net.cards) != tuple(self.net.cards):
             raise DataError("network does not match the bound dataset")
-        if net.n_assignments <= CAR_STATE_BUDGET:
-            return full_joint_table(net).reshape(-1)[self.uniq]
-        return np.array(
-            [joint_probability(net, net.unravel(int(r))) for r in self.uniq]
-        )
+        return self.probs(net)
 
     def solve(
         self,
@@ -224,7 +201,7 @@ def car_normalizer(
     scaling of a distribution q on the joint space, with lambda_U = m(U)/q(U)
     at the fixed point.  The returned certificate is always feasible.
     """
-    if net.n_assignments > CAR_STATE_BUDGET:
+    if net.n_assignments > ENUM_BUDGET:
         raise BudgetError(
             f"state space {net.n_assignments} exceeds the car budget"
         )
@@ -232,19 +209,11 @@ def car_normalizer(
     total = data.total_weight
     patterns = list(grouped)
     m = np.array([grouped[p] / total for p in patterns])
-
-    members = []
-    sizes = []
-    for pattern in patterns:
-        bound = bind_pattern(net, data.variables, pattern)
-        idx = member_flat_indices(net, bound, budget=CAR_MEMBER_BUDGET)
-        members.append(idx)
-        sizes.append(len(idx))
-    if sum(sizes) > CAR_MEMBER_BUDGET:
-        raise BudgetError("pattern members exceed the car enumeration budget")
-    flat = np.concatenate(members)
-    starts = np.cumsum([0] + sizes[:-1])
-    pat_of_slot = np.repeat(np.arange(len(sizes)), sizes)
+    table = MemberTable(
+        net, [bind_pattern(net, data.variables, p) for p in patterns], CAR_MEMBER_BUDGET
+    )
+    flat = table.uniq[table.loc]
+    starts, pat_of_slot = table.starts, table.pat_of_slot
 
     n = int(net.n_assignments)
     q = np.full(n, 1.0 / n)

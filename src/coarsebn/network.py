@@ -242,15 +242,25 @@ def joint_probability(net: Network, x: Sequence[int]) -> float:
 def log_joint_rows(net: Network, rows: np.ndarray) -> np.ndarray:
     """log P(x) for each assignment row; -inf where some factor is zero."""
     rows = np.asarray(rows)
-    n = rows.shape[0]
-    logp = np.zeros(n)
+    logp = np.zeros(rows.shape[0])
     with np.errstate(divide="ignore"):
         for i in range(len(net.nodes)):
-            ridx = np.zeros(n, dtype=np.int64)
-            for p, s in zip(net.parent_index[i], net.row_strides[i]):
-                ridx += rows[:, p] * s
-            logp += np.log(net.cpts[i][ridx, rows[:, i]])
+            logp += np.log(net.cpts[i][parent_rows(net, rows, i), rows[:, i]])
     return logp
+
+
+def unravel_rows(net: Network, idx: np.ndarray) -> np.ndarray:
+    """Flat joint indices as an (n, nodes) array of state indices."""
+    cols = [(idx // s) % c for s, c in zip(net.ravel_strides, net.cards)]
+    return np.stack(cols, axis=1)
+
+
+def parent_rows(net: Network, rows: np.ndarray, i: int) -> np.ndarray:
+    """CPT row index of node i for each assignment row."""
+    ridx = np.zeros(rows.shape[0], dtype=np.int64)
+    for p, s in zip(net.parent_index[i], net.row_strides[i]):
+        ridx += rows[:, p] * s
+    return ridx
 
 
 def enumerate_assignments(net: Network) -> Iterator[Assignment]:
@@ -272,10 +282,7 @@ def sample(net: Network, n: int, rng: np.random.Generator) -> np.ndarray:
     if n == 0:
         return out
     for i in net.topo_order:
-        ridx = np.zeros(n, dtype=np.int64)
-        for p, s in zip(net.parent_index[i], net.row_strides[i]):
-            ridx += out[:, p] * s
-        cum = np.cumsum(net.cpts[i][ridx], axis=1)
+        cum = np.cumsum(net.cpts[i][parent_rows(net, out, i)], axis=1)
         u = rng.random(n)
         out[:, i] = np.minimum(
             (u[:, None] >= cum).sum(axis=1), len(net.nodes[i].states) - 1
@@ -314,11 +321,8 @@ def family_counts_from_rows(
     counts = []
     for i in range(len(structure.nodes)):
         card = len(structure.nodes[i].states)
-        ridx = np.zeros(rows.shape[0], dtype=np.int64)
-        for p, s in zip(structure.parent_index[i], structure.row_strides[i]):
-            ridx += rows[:, p] * s
         flat = np.bincount(
-            ridx * card + rows[:, i],
+            parent_rows(structure, rows, i) * card + rows[:, i],
             weights=weights,
             minlength=structure.n_rows[i] * card,
         )

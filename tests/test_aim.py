@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coarsebn import inference
 from coarsebn.aim import (
+    LOG_PROB_FLOOR,
     AimOptions,
     AimState,
     ai_sweep,
@@ -137,9 +139,9 @@ class TestIncrementalKlDelta:
         dead = basic_net.with_cpts(
             [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])]
         )
-        from coarsebn.aim import _log_evaluator
-
-        logp = _log_evaluator(dead)
+        logp = inference.pattern_table(dead, [(None, None)]).log_evaluator(
+            dead, LOG_PROB_FLOOR
+        )
         counts = {basic_net.ravel((0, 0)): 10}
         delta = incremental_kl_delta(
             counts, 10, logp, basic_net.ravel((0, 0)), basic_net.ravel((1, 0))
@@ -149,8 +151,6 @@ class TestIncrementalKlDelta:
 
 def build_state(structure, theta0, data, z, seed=0, policy="posterior_draw"):
     """Assemble an AimState the way aim_fit does, for op-level tests."""
-    from coarsebn.aim import _log_evaluator
-
     case_bounds = [
         bind_pattern(structure, data.variables, p) for p, _ in data.cases
     ]
@@ -180,8 +180,9 @@ def build_state(structure, theta0, data, z, seed=0, policy="posterior_draw"):
         ],
         assign=assign,
         counts=counts,
+        table=inference.pattern_table(structure, list(dict.fromkeys(case_bounds))),
     )
-    state.logp = _log_evaluator(state.net)
+    state.logp = state.table.log_evaluator(state.net, LOG_PROB_FLOOR)
     state.score = state.full_score()
     return state
 
@@ -296,22 +297,24 @@ class TestInitialCompletion:
         assert sorted(fb) == [0, 1, 2, 3]
         assert all(x[0] == 1 for x in comp)
 
-    def test_dense_and_sequential_paths_same_distribution(self, asia_net):
+    def test_zero_evidence_falls_back_on_elimination_path(self, basic_net, monkeypatch):
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
+        dead = basic_net.with_cpts([np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])])
+        reps = [(1, None)] * 4 + [(0, None)] * 2
+        comp, fb = initial_completion(dead, reps, "posterior_draw", np.random.default_rng(0))
+        assert sorted(fb) == [0, 1, 2, 3]
+        assert [x[0] for x in comp] == [1, 1, 1, 1, 0, 0]
+
+    def test_dense_and_sequential_paths_same_distribution(self, asia_net, monkeypatch):
         # the sequential eliminator path must target the same posterior
         reps = [(None, None, 0, None, 0, None, 0, 1)] * 4000
         dense, _ = initial_completion(
             asia_net, reps, "posterior_draw", np.random.default_rng(21)
         )
-        from coarsebn import aim as aim_mod
-
-        old = aim_mod.DENSE_TABLE_BUDGET
-        aim_mod.DENSE_TABLE_BUDGET = 0
-        try:
-            seq, _ = initial_completion(
-                asia_net, reps, "posterior_draw", np.random.default_rng(22)
-            )
-        finally:
-            aim_mod.DENSE_TABLE_BUDGET = old
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
+        seq, _ = initial_completion(
+            asia_net, reps, "posterior_draw", np.random.default_rng(22)
+        )
         for i in (0, 1, 3, 5):
             fa = sum(1 for x in dense if x[i] == 0) / len(dense)
             fb = sum(1 for x in seq if x[i] == 0) / len(seq)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coarsebn import inference
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Dataset
 from coarsebn.em import EmOptions, em_fit
@@ -70,11 +71,10 @@ class TestEmFit:
         for a, b in zip(res.network.cpts, again.network.cpts):
             assert np.max(np.abs(a - b)) < 10 * math.sqrt(tol)
 
-    def test_dense_and_ve_paths_agree(self, basic_net, basic_data):
+    def test_dense_and_ve_paths_agree(self, basic_net, basic_data, monkeypatch):
         dense = em_fit(basic_net, basic_data, EmOptions(max_iters=7))
-        sparse = em_fit(
-            basic_net, basic_data, EmOptions(max_iters=7), dense_budget=0
-        )
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
+        sparse = em_fit(basic_net, basic_data, EmOptions(max_iters=7))
         for a, b in zip(dense.network.cpts, sparse.network.cpts):
             assert np.allclose(a, b, atol=1e-12)
         for ta, tb in zip(dense.trace, sparse.trace):
@@ -98,6 +98,25 @@ class TestEmFit:
         data = Dataset(("A", "B"), ((("f", "f"), 1.0),))
         with pytest.raises(ZeroSupportError):
             em_fit(basic_net, data, EmOptions(init=dead))
+
+    def test_converges_with_excluded_weight(self, basic_net):
+        # A=f is impossible from the start and stays so; the other ten
+        # units still converge, and the trace keeps the exclusion visible
+        init = basic_net.with_cpts([np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])])
+        data = Dataset(
+            ("A", "B"),
+            (
+                (("t", None), 6.0),
+                (("t", "t"), 2.0),
+                (("t", "f"), 2.0),
+                (("f", "t"), 1.0),
+            ),
+        )
+        res = em_fit(basic_net, data, EmOptions(init=init))
+        assert res.converged
+        assert len(res.trace) < 200
+        assert all(ll == float("-inf") and ex == 1.0 for _, ll, ex in res.trace)
+        assert res.network.cpts[1][0, 0] == pytest.approx(0.5, abs=1e-5)
 
     def test_random_init_deterministic(self, basic_net, basic_data):
         a = em_fit(basic_net, basic_data, EmOptions(init="random", seed=5))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import brute_evidence_probability, brute_family_posteriors
-from coarsebn.errors import DataError, ZeroSupportError
+from coarsebn.errors import BudgetError, DataError, ZeroSupportError
 from coarsebn.inference import (
+    EliminationQueries,
+    MemberTable,
     evidence_probability,
     full_joint_table,
     joint_marginal,
@@ -92,13 +94,6 @@ class TestPosteriorFamilyMarginals:
         for name in expect:
             assert np.allclose(fams[name], expect[name], atol=1e-12)
 
-    def test_dense_and_ve_paths_agree(self, asia_net):
-        ev = {"smoke": "yes", "dysp": "no"}
-        dense = posterior_family_marginals(asia_net, ev)
-        via_ve = posterior_family_marginals(asia_net, ev, dense_budget=0)
-        for name in dense:
-            assert np.allclose(dense[name], via_ve[name], atol=1e-12)
-
     def test_each_table_is_a_distribution(self, asia_net):
         fams = posterior_family_marginals(asia_net, {"xray": "yes"})
         for table in fams.values():
@@ -137,3 +132,38 @@ class TestJointMarginal:
         out = joint_marginal(asia_net, ["smoke", "lung"], {"smoke": "yes"})
         assert np.all(out[1] == 0)
         assert out[0].sum() == pytest.approx(0.5, abs=1e-12)
+
+
+class TestMemberTable:
+    BOUNDS = [
+        (None, 0, None, 1, None, None, 0, None),
+        (0, None, None, None, None, None, None, 1),
+        (1, 1, 0, 0, 1, 0, 1, 0),
+    ]
+
+    def test_probs_repeat_joint_table_bit_for_bit(self, asia_net):
+        net = randomize_parameters(asia_net, np.random.default_rng(4))
+        table = MemberTable(net, [(None,) * 8] + self.BOUNDS, budget=1000)
+        assert table.n_slots == 256 + 32 + 64 + 1
+        assert np.array_equal(table.uniq, np.arange(256))
+        assert np.array_equal(table.probs(net), full_joint_table(net).reshape(-1))
+
+    def test_elimination_agrees_with_table(self, asia_net):
+        net = randomize_parameters(asia_net, np.random.default_rng(5))
+        weights = np.array([3.0, 1.5, 0.5])
+        table = MemberTable(net, self.BOUNDS, budget=1000)
+        ve = EliminationQueries(self.BOUNDS)
+        p_t, counts_t = table.expected_counts(net, weights)
+        p_v, counts_v = ve.expected_counts(net, weights)
+        assert np.allclose(p_t, p_v, rtol=1e-12, atol=0)
+        for a, b in zip(counts_t, counts_v):
+            assert np.allclose(a, b, atol=1e-12)
+        assert sum(c.sum() for c in counts_t) == pytest.approx(5.0 * len(net.nodes))
+        lt = table.log_evaluator(net, 1e-300)
+        lv = ve.log_evaluator(net, 1e-300)
+        for r in table.uniq.tolist():
+            assert lt(r) == pytest.approx(lv(r), abs=1e-12)
+
+    def test_budget_counts_members_before_enumerating(self, asia_net):
+        with pytest.raises(BudgetError):
+            MemberTable(asia_net, self.BOUNDS, budget=80)
