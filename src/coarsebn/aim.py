@@ -4,17 +4,21 @@ The fitter searches the space of hard data completions instead of the
 exponentially large mechanism space.  Each case is first replicated z
 times so that point completions of replicas can express fractional mass in
 units of 1/z.  One fit iteration is: a sweep that moves single replicas to
-the one-coordinate neighbor minimizing KL(P_c || P_theta) (computed
-incrementally, only the two affected terms are touched), followed by a
+the one-coordinate neighbor minimizing KL(P_c || P_theta), followed by a
 maximum-likelihood refit of theta on the completed counts.  The surrogate
 score KL(P_c, P_theta) never increases across iterations; a terminal score
 of zero certifies a global optimum of the sat-profile likelihood.
+
+`ai_sweep` makes the moves of the per-replica definition, float for float,
+re-making no decision whose inputs are unchanged since the last move.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -112,44 +116,78 @@ class AimState:
             total += q * (math.log(q) - self.logp(r))
         return total
 
+    @cached_property
+    def _sweep_plan(self) -> tuple[list[tuple[int, int]], list[tuple], dict]:
+        """Moving replicas as (replica, move-set id), the move sets (a case's
+        (stride, card) pairs) and a neighbour cache by (id, state), per fit."""
+        ids: dict[tuple, int] = {}
+        case_set = [ids.setdefault(tuple(m), len(ids)) if m else -1 for m in self.case_moves]
+        reps = enumerate(case_set[c] for c in self.rep_case.tolist())
+        return [(j, m) for j, m in reps if m >= 0], list(ids), {}
+
 
 def ai_sweep(state: AimState) -> AimState:
     """One pass over replicas in fixed order, adopting KL-improving moves.
 
-    Exact ties keep the current assignment; the running score is refreshed
-    from scratch every thousand accepted moves to bound float drift.
+    Each replica takes its move of most negative `incremental_kl_delta`
+    (the first on exact ties) or stays put, with that function's floats.
+    The decision reads only `logp` and the counts at the replica's state x
+    and its neighbours, so once a replica at x with move set M stays put,
+    later replicas at (M, x) are skipped until a move is accepted.  The
+    score is recomputed every SCORE_REFRESH_EVERY moves to bound drift.
     """
     counts = state.counts
     zn = state.zn
     logp = state.logp
-    for j in range(zn):
-        moves = state.case_moves[state.rep_case[j]]
-        if not moves:
+    assign = state.assign
+    log = math.log
+    active, move_sets, neighbours = state._sweep_plan
+    settled: set[tuple[int, int]] = set()   # (move set, state) that stay put
+    for j, m in active:
+        cur = assign[j]
+        key = (m, cur)
+        if key in settled:
             continue
-        cur = state.assign[j]
+        nbrs = neighbours.get(key)
+        if nbrs is None:
+            nbrs = neighbours[key] = [
+                cur + (s - d) * stride
+                for stride, card in move_sets[m] for d in [(cur // stride) % card]
+                for s in range(card) if s != d
+            ]
+        # incremental_kl_delta's four terms, summed in its order
+        n_from = counts[cur]
+        lf = logp(cur)
+        q = (n_from - 1) / zn
+        t_left = q * (log(q) - lf) if n_from > 1 else 0.0
+        q = n_from / zn
+        t_from = q * (log(q) - lf)
         best_delta = 0.0
         best_to = -1
-        for stride, card in moves:
-            d = (cur // stride) % card
-            base = cur - d * stride
-            for s in range(card):
-                if s == d:
-                    continue
-                to = base + s * stride
-                delta = incremental_kl_delta(counts, zn, logp, cur, to)
-                if delta < best_delta:
-                    best_delta = delta
-                    best_to = to
-        if best_to >= 0:
-            counts[cur] -= 1
-            if counts[cur] == 0:
-                del counts[cur]
-            counts[best_to] = counts.get(best_to, 0) + 1
-            state.assign[j] = best_to
-            state.score += best_delta
-            state._moves += 1
-            if state._moves % SCORE_REFRESH_EVERY == 0:
-                state.score = state.full_score()
+        for to in nbrs:
+            n_to = counts.get(to, 0)
+            lt = logp(to)
+            q = (n_to + 1) / zn
+            delta = (t_left + q * (log(q) - lt)) - t_from
+            if n_to:
+                q = n_to / zn
+                delta -= q * (log(q) - lt)
+            if delta < best_delta:
+                best_delta = delta
+                best_to = to
+        if best_to < 0:
+            settled.add(key)
+            continue
+        settled.clear()
+        counts[cur] -= 1
+        if counts[cur] == 0:
+            del counts[cur]
+        counts[best_to] = counts.get(best_to, 0) + 1
+        assign[j] = best_to
+        state.score += best_delta
+        state._moves += 1
+        if state._moves % SCORE_REFRESH_EVERY == 0:
+            state.score = state.full_score()
     return state
 
 
@@ -231,12 +269,15 @@ def aim_fit(
     opts = opts or AimOptions()
     if opts.z < 1:
         raise DataError("z must be a positive integer")
+    if opts.max_iters < 1:
+        raise DataError("max_iters must be a positive integer")
     diags = validate_network(theta0)
     if diags:
         raise DataError("theta0 invalid: " + "; ".join(diags))
     if structure.n_assignments >= 1 << 62:
         raise BudgetError("joint space too large to index")
 
+    bound_of = {p: bind_pattern(structure, data.variables, p) for p in data.grouped()}
     case_bounds = []
     case_reps = []
     for pattern, w in data.cases:
@@ -245,31 +286,22 @@ def aim_fit(
                 "replication needs positive integer case weights; "
                 f"got weight {w!r}"
             )
-        case_bounds.append(bind_pattern(structure, data.variables, pattern))
+        case_bounds.append(bound_of[pattern])
         case_reps.append(int(round(w)) * opts.z)
     zn = sum(case_reps)
     rep_case = np.repeat(np.arange(len(case_bounds)), case_reps)
 
     rng = np.random.default_rng(opts.seed)
     rep_patterns = [case_bounds[c] for c in rep_case]
-    completion, fallbacks = initial_completion(
-        theta0, rep_patterns, opts.init_completion, rng
-    )
+    completion, fallbacks = initial_completion(theta0, rep_patterns, opts.init_completion, rng)
 
     assign = [structure.ravel(x) for x in completion]
-    counts: dict[int, int] = {}
-    for r in assign:
-        counts[r] = counts.get(r, 0) + 1
+    counts = dict(Counter(assign))
 
-    case_moves = []
-    for bound in case_bounds:
-        case_moves.append(
-            [
-                (structure.ravel_strides[i], structure.cards[i])
-                for i, v in enumerate(bound)
-                if v is None
-            ]
-        )
+    strides, cards = structure.ravel_strides, structure.cards
+    case_moves = [
+        [(strides[i], cards[i]) for i, v in enumerate(b) if v is None] for b in case_bounds
+    ]
 
     state = AimState(
         structure=structure,

@@ -21,7 +21,7 @@ from . import em as em_mod
 from .coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from .conservative import conservative_ensemble
 from .data import read_dataset, write_dataset
-from .errors import CoarseBNError, FormatError, NumericalError
+from .errors import CoarseBNError, DataError, FormatError, NumericalError
 from .evaluate import evaluate, kl_decomposed, kl_enumerate, mse, same_structure
 from .likelihoods import (
     car_profile_loglik,
@@ -93,6 +93,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """
     if cfg.coarsening is None and cfg.mechanism is None:
         raise FormatError("need a coarsening spec or a fixed mechanism")
+    for name in ("n", "z", "runs"):
+        if getattr(cfg, name) < 1:
+            raise DataError(f"{name} must be a positive integer")
     rows = []
     failures = []
     for r in range(cfg.runs):

@@ -77,6 +77,8 @@ def em_fit(
     case weights are fine.
     """
     opts = opts or EmOptions()
+    if opts.max_iters < 1:
+        raise DataError("max_iters must be a positive integer")
     net = _init_network(structure, opts)
     grouped = data.grouped()
     total_w = data.total_weight

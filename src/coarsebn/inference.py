@@ -255,6 +255,11 @@ def posterior_family_marginals(
     Runs one elimination query per family: patterns small enough to
     enumerate take their posteriors from a `MemberTable` instead.
     """
+    return _family_posteriors(net, evidence)[1]
+
+
+def _family_posteriors(net: Network, evidence: Mapping[str, str]) -> tuple[float, dict]:
+    """P(U) and `posterior_family_marginals`: K+1 eliminations for K nodes."""
     p_ev = evidence_probability(net, evidence)
     if p_ev <= 0.0:
         raise ZeroSupportError("evidence has probability zero under the model")
@@ -263,7 +268,7 @@ def posterior_family_marginals(
         fam_names = [net.nodes[p].name for p in net.parent_index[i]] + [spec.name]
         marg = joint_marginal(net, fam_names, evidence)
         out[spec.name] = marg.reshape(net.n_rows[i], net.cards[i]) / p_ev
-    return out
+    return p_ev, out
 
 
 # ----------------------------------------------------------------------
@@ -373,12 +378,10 @@ class EliminationQueries:
         p_u = np.zeros(len(self.bounds))
         counts = [np.zeros(c.shape) for c in net.cpts]
         for k, (bound, w) in enumerate(zip(self.bounds, weights)):
-            ev = self._evidence(net, bound)
             try:
-                fams = posterior_family_marginals(net, ev)
+                p_u[k], fams = _family_posteriors(net, self._evidence(net, bound))
             except ZeroSupportError:
                 continue
-            p_u[k] = evidence_probability(net, ev)
             for i, spec in enumerate(net.nodes):
                 counts[i] += w * fams[spec.name]
         return p_u, counts

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coarsebn import inference
+from coarsebn import aim, inference
 from coarsebn.aim import (
     LOG_PROB_FLOOR,
     AimOptions,
@@ -21,7 +21,22 @@ from coarsebn.data import Dataset, bind_pattern, empirical_pattern_distribution
 from coarsebn.em import em_fit
 from coarsebn.errors import DataError
 from coarsebn.likelihoods import exact_sat_profile_loglik
-from coarsebn.network import ml_estimate, sample
+from coarsebn.netformat import parse_network
+from coarsebn.network import ml_estimate, sample, uniform_cpts
+
+TRI_NET = """network tri
+node A states a,b,c
+node B states t,f
+node C states t,f
+parents B A
+parents C B
+cpt A : 0.4,0.3,0.3
+cpt B | A=a : 0.5,0.5
+cpt B | A=b : 0.5,0.5
+cpt B | A=c : 0.9,0.1
+cpt C | B=t : 0.7,0.3
+cpt C | B=f : 0.2,0.8
+"""
 
 
 def full_kl(counts, zn, logp):
@@ -242,6 +257,113 @@ class TestAiSweep:
         assert state.case_moves[1] == []  # fully observed cases have none
 
 
+def reference_sweep(state):
+    """The per-replica definition of a sweep: every replica scores each
+    one-coordinate move with incremental_kl_delta and takes the first of the
+    most negative.  Returns how many improving candidates tied with the best
+    one found before them."""
+    counts = state.counts
+    ties = 0
+    for j in range(state.zn):
+        cur = state.assign[j]
+        best_delta = 0.0
+        best_to = -1
+        for stride, card in state.case_moves[state.rep_case[j]]:
+            d = (cur // stride) % card
+            for s in range(card):
+                if s == d:
+                    continue
+                to = cur + (s - d) * stride
+                delta = incremental_kl_delta(counts, state.zn, state.logp, cur, to)
+                if delta < best_delta:
+                    best_delta = delta
+                    best_to = to
+                elif delta == best_delta < 0.0:
+                    ties += 1
+        if best_to >= 0:
+            counts[cur] -= 1
+            if counts[cur] == 0:
+                del counts[cur]
+            counts[best_to] = counts.get(best_to, 0) + 1
+            state.assign[j] = best_to
+            state.score += best_delta
+            state._moves += 1
+            if state._moves % aim.SCORE_REFRESH_EVERY == 0:
+                state.score = state.full_score()
+    return ties
+
+
+def tri_data():
+    return Dataset(
+        ("A", "B", "C"),
+        (
+            ((None, "t", None), 7.0),
+            ((None, None, "f"), 5.0),
+            (("a", None, None), 4.0),
+            (("c", "f", "t"), 3.0),
+            (("b", "t", "t"), 2.0),
+            ((None, None, None), 2.0),
+        ),
+    )
+
+
+def asia_data(asia_net, n=300, seed=41):
+    rng = np.random.default_rng(seed)
+    aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.1, 0.05), rng)
+    return generate_dataset(aug, n, rng)[0]
+
+
+class TestSweepMatchesDefinition:
+    """ai_sweep makes the reference sweep's moves, with the same floats."""
+
+    def run_rounds(self, structure, theta0, data, z, rounds, seed=0):
+        fast = build_state(structure, theta0, data, z=z, seed=seed)
+        ref = build_state(structure, theta0, data, z=z, seed=seed)
+        assert fast.assign == ref.assign
+        ties = 0
+        moves = []
+        for _ in range(rounds):
+            before = ref._moves
+            ai_sweep(fast)
+            ties += reference_sweep(ref)
+            moves.append(ref._moves - before)
+            assert fast.assign == ref.assign
+            assert fast.counts == ref.counts
+            assert fast.score == ref.score
+            assert fast._moves == ref._moves
+            m_step(fast)
+            m_step(ref)
+            assert fast.score == ref.score
+        return ties, moves
+
+    def test_asia_unit_weights(self, asia_net):
+        data = asia_data(asia_net)
+        assert all(w == 1.0 for _, w in data.cases)
+        em = em_fit(asia_net, data)
+        _, moves = self.run_rounds(asia_net, em.network, data, z=5, rounds=6)
+        assert sum(moves) > 0
+
+    def test_integer_weights_above_one(self, basic_net, basic_data_n2000):
+        _, moves = self.run_rounds(
+            basic_net, basic_net, basic_data_n2000, z=3, rounds=4, seed=2
+        )
+        assert sum(moves) > 0
+
+    def test_three_state_node_and_ties(self):
+        net = parse_network(TRI_NET)
+        # uniform parameters make many candidate moves score the same
+        ties, moves = self.run_rounds(net, uniform_cpts(net), tri_data(), z=3, rounds=5)
+        assert ties > 0
+        assert sum(moves) > 0
+
+    def test_refresh_mid_sweep(self, asia_net, monkeypatch):
+        monkeypatch.setattr(aim, "SCORE_REFRESH_EVERY", 7)
+        data = asia_data(asia_net, seed=43)
+        em = em_fit(asia_net, data)
+        _, moves = self.run_rounds(asia_net, em.network, data, z=5, rounds=4)
+        assert max(moves) > 7
+
+
 class TestMStep:
     def test_complete_counts_give_ml(self, basic_net, basic_data_n2000):
         state = build_state(basic_net, basic_net, basic_data_n2000, z=2, seed=4)
@@ -348,6 +470,10 @@ class TestAimFit:
     def test_fractional_weights_rejected(self, basic_net, basic_data):
         with pytest.raises(DataError):
             aim_fit(basic_net, basic_net, basic_data, AimOptions(z=2))
+
+    def test_zero_iterations_rejected(self, basic_net, basic_data_n2000):
+        with pytest.raises(DataError, match="max_iters"):
+            aim_fit(basic_net, basic_net, basic_data_n2000, AimOptions(max_iters=0))
 
     def test_surrogate_monotone_and_deterministic(self, asia_net):
         rng = np.random.default_rng(31)

@@ -220,6 +220,22 @@ class TestLearnAndEval:
         assert texts[0] == texts[1]
 
 
+    @pytest.mark.parametrize("method", ["em", "aim"])
+    def test_zero_iterations_is_data_error(self, tmp_path, method):
+        d = tmp_path / "d.csv"
+        run_cli(
+            "gen-data", "--net", BASIC, "--coarsening", "1:0.2:0.03",
+            "--n", "50", "--seed", "2", "--out", str(d),
+        )
+        out = run_cli(
+            "learn", "--net-structure", BASIC, "--data", str(d), "--method", method,
+            "--max-iters", "0", "--seed", "1", "--out", str(tmp_path / "e.net"),
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "max_iters must be a positive integer" in out.stderr
+
+
 class TestExperiment:
     def test_csv_schema_and_determinism(self, tmp_path):
         outs = []
@@ -283,6 +299,34 @@ class TestExperiment:
             "--runs", "1", "--seed", "0", "--out", str(tmp_path / "z.csv"),
         )
         assert out.returncode == 1
+
+
+    @pytest.mark.parametrize("flag", ["--n", "--z", "--runs"])
+    def test_nonpositive_sizes_are_data_errors(self, tmp_path, flag):
+        sizes = {"--n": "20", "--z": "2", "--runs": "1", flag: "0"}
+        path = tmp_path / "s.csv"
+        out = run_cli(
+            "experiment", "--net", BASIC, "--mechanism", MECH,
+            *[x for kv in sizes.items() for x in kv],
+            "--seed", "3", "--out", str(path),
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert f"{flag[2:]} must be a positive integer" in out.stderr
+        assert not path.exists()
+
+    def test_sizes_checked_before_any_run(self, monkeypatch):
+        from coarsebn import cli
+        from coarsebn.errors import DataError
+
+        monkeypatch.setattr(cli, "generate_dataset", None)  # any run would fail
+        for n, z, runs in ((0, 1, 1), (5, 0, 1), (5, 1, -1)):
+            cfg = cli.ExperimentConfig(
+                net=read_network(BASIC), coarsening=None, n=n, z=z, runs=runs,
+                seed=0, mechanism=read_network(MECH),
+            )
+            with pytest.raises(DataError):
+                cli.run_experiment(cfg)
 
 
 class TestRandomize:

@@ -7,7 +7,7 @@ from coarsebn import inference
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Dataset
 from coarsebn.em import EmOptions, em_fit
-from coarsebn.errors import ZeroSupportError
+from coarsebn.errors import DataError, ZeroSupportError
 from coarsebn.likelihoods import face_value_loglik
 from coarsebn.network import ml_estimate, sample
 
@@ -79,6 +79,60 @@ class TestEmFit:
             assert np.allclose(a, b, atol=1e-12)
         for ta, tb in zip(dense.trace, sparse.trace):
             assert ta[1] == pytest.approx(tb[1], abs=1e-12)
+
+    def test_ve_e_step_runs_k_plus_one_eliminations(self, asia_net, monkeypatch):
+        rng = np.random.default_rng(17)
+        aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.1, 0.05), rng)
+        data, _ = generate_dataset(aug, 80, rng)
+        dense = em_fit(asia_net, data, EmOptions(max_iters=2))
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
+        calls = []
+        run_ve = inference._run_ve
+        monkeypatch.setattr(
+            inference, "_run_ve", lambda *a, **kw: calls.append(1) or run_ve(*a, **kw)
+        )
+        res = em_fit(asia_net, data, EmOptions(max_iters=2))
+        assert len(res.trace) == 2
+        assert len(calls) == 2 * len(data.grouped()) * (len(asia_net.nodes) + 1)
+        for a, b in zip(dense.network.cpts, res.network.cpts):
+            assert np.allclose(a, b, atol=1e-12)
+
+    def test_ve_e_step_matches_its_definition(self, asia_net):
+        # P(U) is evidence_probability's float and the counts are the
+        # weighted sums of posterior_family_marginals, bit for bit;
+        # tub=yes, either=no is impossible and adds nothing
+        from coarsebn.data import bind_pattern
+        from coarsebn.network import randomize_parameters
+
+        cpts = list(randomize_parameters(asia_net, np.random.default_rng(3)).cpts)
+        cpts[asia_net.node_index["either"]] = asia_net.cpts[asia_net.node_index["either"]]
+        net = asia_net.with_cpts(cpts)
+        names = tuple(s.name for s in asia_net.nodes)
+        patterns = [
+            (None, "yes", None, None, None, "no", None, None),
+            (None, None, "no", None, "yes", None, None, "yes"),
+            ("no", None, None, None, None, None, "yes", None),
+        ]
+        bounds = [bind_pattern(net, names, p) for p in patterns]
+        weights = np.array([2.0, 3.5, 1.0])
+        queries = inference.EliminationQueries(bounds)
+        p_u, counts = queries.expected_counts(net, weights)
+        want = [np.zeros(c.shape) for c in net.cpts]
+        for k, bound in enumerate(bounds):
+            ev = queries._evidence(net, bound)
+            assert p_u[k] == inference.evidence_probability(net, ev)
+            if p_u[k] == 0.0:
+                continue
+            fams = inference.posterior_family_marginals(net, ev)
+            for i, spec in enumerate(net.nodes):
+                want[i] += weights[k] * fams[spec.name]
+        assert p_u[0] == 0.0 and p_u[1] > 0.0 and p_u[2] > 0.0
+        for a, b in zip(counts, want):
+            assert np.array_equal(a, b)
+
+    def test_zero_iterations_rejected(self, basic_net, basic_data):
+        with pytest.raises(DataError, match="max_iters"):
+            em_fit(basic_net, basic_data, EmOptions(max_iters=0))
 
     def test_mar_agreement_with_aim(self, basic_net):
         from coarsebn.aim import AimOptions, aim_fit
