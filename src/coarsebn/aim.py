@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .data import Dataset, PatternDistribution, bind_pattern
 from .errors import BudgetError, DataError
 from .inference import EliminationQueries, MemberTable, pattern_table
 from .network import (
-    Assignment,
     Network,
     family_counts_from_rows,
     params_from_family_counts,
@@ -45,8 +44,6 @@ class AimOptions:
     z: int = 5                      # replicas per original case
     tol: float = 1e-6               # stop when surrogate improves less than this
     max_iters: int = 200
-    sweeps_per_ai_step: int = 1
-    init_completion: str = "posterior_draw"   # or "uniform_draw"
     seed: int | None = None
 
 
@@ -208,50 +205,40 @@ def m_step(state: AimState) -> tuple[Network, list[np.ndarray]]:
 
 def initial_completion(
     theta0: Network,
-    replicated_cases: Sequence[Sequence[Optional[int]]],
-    policy: str,
+    table: MemberTable | EliminationQueries,
+    rep_pattern: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[list[Assignment], list[int]]:
-    """Seed one full assignment per replica.
+) -> tuple[list[int], list[int]]:
+    """Seed each replica with the flat joint index of a member of its pattern.
 
-    posterior_draw samples the missing coordinates jointly from the
-    conditional distribution under theta0; replicas of the same case draw
-    independently so replication can express fractional mass immediately.
-    Replicas whose observation has zero probability under theta0 fall back
-    to a uniform draw; their indices are returned alongside.
+    Replica j belongs to pattern rep_pattern[j] of `table`; its missing
+    coordinates are drawn jointly from the conditional distribution under
+    theta0, independently per replica, so replication can express
+    fractional mass immediately.  Replicas whose observation has zero
+    probability under theta0 fall back to a uniform draw; their indices
+    are returned alongside.
     """
-    if policy not in ("posterior_draw", "uniform_draw"):
-        raise DataError(f"unknown completion policy {policy!r}")
-    cards = theta0.cards
-    out: list[Assignment] = [None] * len(replicated_cases)  # type: ignore
+    strides, cards = theta0.ravel_strides, theta0.cards
+    draw = table.sampler(theta0)
+    out = np.zeros(len(rep_pattern), dtype=np.int64)
     fallbacks: list[int] = []
-
-    groups: dict[tuple, list[int]] = {}
-    for j, bound in enumerate(replicated_cases):
-        groups.setdefault(tuple(bound), []).append(j)
-    if policy == "posterior_draw":
-        draw = pattern_table(theta0, list(groups)).sampler(theta0)
-
-    for k, (bound, idxs) in enumerate(groups.items()):
+    order = np.argsort(rep_pattern, kind="stable")
+    sizes = np.bincount(rep_pattern, minlength=len(table.bounds))
+    groups = np.split(order, np.cumsum(sizes)[:-1])
+    for k, (bound, idxs) in enumerate(zip(table.bounds, groups)):
         missing = [i for i, v in enumerate(bound) if v is None]
+        base = sum(strides[i] * v for i, v in enumerate(bound) if v is not None)
         if not missing:
-            for j in idxs:
-                out[j] = bound
+            out[idxs] = base
             continue
-        picks = draw(k, len(idxs), rng) if policy == "posterior_draw" else None
-        if picks is not None:
-            for j, x in zip(idxs, picks):
-                out[j] = x
-            continue
-        if policy == "posterior_draw":
-            fallbacks.extend(idxs)
-        draws = {i: rng.integers(0, cards[i], size=len(idxs)) for i in missing}
-        for t, j in enumerate(idxs):
-            out[j] = tuple(
-                bound[i] if bound[i] is not None else int(draws[i][t])
-                for i in range(len(bound))
+        picks = draw(k, len(idxs), rng)
+        if picks is None:
+            fallbacks.extend(idxs.tolist())
+            picks = base + sum(
+                rng.integers(0, cards[i], size=len(idxs)) * strides[i] for i in missing
             )
-    return out, fallbacks
+        out[idxs] = picks
+    return out.tolist(), fallbacks
 
 
 def aim_fit(
@@ -271,6 +258,8 @@ def aim_fit(
         raise DataError("z must be a positive integer")
     if opts.max_iters < 1:
         raise DataError("max_iters must be a positive integer")
+    if not opts.tol >= 0:
+        raise DataError(f"tol must be a non-negative number; got {opts.tol!r}")
     diags = validate_network(theta0)
     if diags:
         raise DataError("theta0 invalid: " + "; ".join(diags))
@@ -278,7 +267,8 @@ def aim_fit(
         raise BudgetError("joint space too large to index")
 
     bound_of = {p: bind_pattern(structure, data.variables, p) for p in data.grouped()}
-    case_bounds = []
+    pattern_of: dict[tuple, int] = {}   # distinct bound -> pattern id, first seen first
+    case_pattern = []
     case_reps = []
     for pattern, w in data.cases:
         if w <= 0 or abs(w - round(w)) > 1e-9:
@@ -286,22 +276,22 @@ def aim_fit(
                 "replication needs positive integer case weights; "
                 f"got weight {w!r}"
             )
-        case_bounds.append(bound_of[pattern])
+        case_pattern.append(pattern_of.setdefault(bound_of[pattern], len(pattern_of)))
         case_reps.append(int(round(w)) * opts.z)
     zn = sum(case_reps)
-    rep_case = np.repeat(np.arange(len(case_bounds)), case_reps)
+    rep_case = np.repeat(np.arange(len(case_pattern)), case_reps)
+    table = pattern_table(structure, list(pattern_of))
 
     rng = np.random.default_rng(opts.seed)
-    rep_patterns = [case_bounds[c] for c in rep_case]
-    completion, fallbacks = initial_completion(theta0, rep_patterns, opts.init_completion, rng)
-
-    assign = [structure.ravel(x) for x in completion]
+    rep_pattern = np.repeat(case_pattern, case_reps)
+    assign, fallbacks = initial_completion(theta0, table, rep_pattern, rng)
     counts = dict(Counter(assign))
 
     strides, cards = structure.ravel_strides, structure.cards
-    case_moves = [
-        [(strides[i], cards[i]) for i, v in enumerate(b) if v is None] for b in case_bounds
+    moves = [
+        [(strides[i], cards[i]) for i, v in enumerate(b) if v is None] for b in table.bounds
     ]
+    case_moves = [moves[k] for k in case_pattern]
 
     state = AimState(
         structure=structure,
@@ -312,7 +302,7 @@ def aim_fit(
         case_moves=case_moves,
         assign=assign,
         counts=counts,
-        table=pattern_table(structure, list(dict.fromkeys(case_bounds))),
+        table=table,
     )
     state.logp = state.table.log_evaluator(state.net, LOG_PROB_FLOOR)
     state.score = state.full_score()
@@ -324,8 +314,7 @@ def aim_fit(
     net = state.net
     row_counts: list[np.ndarray] = []
     for it in range(1, opts.max_iters + 1):
-        for _ in range(opts.sweeps_per_ai_step):
-            ai_sweep(state)
+        ai_sweep(state)
         net, row_counts = m_step(state)
         score = state.score
         trace.append((it, score, -entropy - score))

@@ -214,10 +214,19 @@ def _read_counts(path: str, net: Network) -> list[np.ndarray]:
         for cells in reader:
             if not cells:
                 continue
+            where = f"{path}, line {reader.line_num}"
+            if len(cells) != 3:
+                raise FormatError(f"{where}: expected node,row,count, got {len(cells)} cells")
             name, row, count = cells
             if name not in by_node:
-                raise FormatError(f"{path}: unknown node {name!r}")
-            by_node[name][int(row)] = float(count)
+                raise FormatError(f"{where}: unknown node {name!r}")
+            try:
+                r, value = int(row), float(count)
+            except ValueError:
+                raise FormatError(f"{where}: row must be an integer, count a number") from None
+            if not 0 <= r < len(by_node[name]):
+                raise FormatError(f"{where}: row {r} out of range for node {name!r}")
+            by_node[name][r] = value
     return [by_node[spec.name] for spec in net.nodes]
 
 

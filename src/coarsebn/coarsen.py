@@ -158,6 +158,8 @@ def generate_dataset(
     Returns the unit-weight dataset over the original variables plus the
     realized fraction of missing cells.
     """
+    if n < 0:
+        raise DataError(f"n must be a non-negative integer; got {n!r}")
     originals = original_variables(augmented)
     obs_pairs = []
     for name in originals:

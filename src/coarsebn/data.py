@@ -64,11 +64,6 @@ class Dataset:
         return out
 
 
-def evidence_of(pattern: CoarsePattern, variables: Sequence[str]) -> dict[str, str]:
-    """The observed part of a case as {variable: label}."""
-    return {v: s for v, s in zip(variables, pattern) if s is not None}
-
-
 def bind_pattern(
     net: Network, variables: Sequence[str], pattern: CoarsePattern
 ) -> tuple[Optional[int], ...]:

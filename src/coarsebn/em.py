@@ -79,6 +79,8 @@ def em_fit(
     opts = opts or EmOptions()
     if opts.max_iters < 1:
         raise DataError("max_iters must be a positive integer")
+    if not opts.tol >= 0:
+        raise DataError(f"tol must be a non-negative number; got {opts.tol!r}")
     net = _init_network(structure, opts)
     grouped = data.grouped()
     total_w = data.total_weight

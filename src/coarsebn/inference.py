@@ -25,7 +25,6 @@ from .data import member_count, member_flat_indices
 from .errors import BudgetError, DataError, ZeroSupportError
 from .network import (
     ENUM_BUDGET,
-    Assignment,
     Network,
     family_counts_from_rows,
     joint_probability,
@@ -292,6 +291,7 @@ class MemberTable:
                 f"{sum(sizes)} pattern members exceed the enumeration budget {budget}"
             )
         self.net = net
+        self.bounds = list(bounds)
         flat = np.concatenate(
             [member_flat_indices(net, b) for b in bounds] + [np.zeros(0, np.int64)]
         )
@@ -319,6 +319,10 @@ class MemberTable:
             p = p * net.cpts[i][parent_rows(net, rows, i), rows[:, i]]
         return p
 
+    def pattern_probs(self, net: Network) -> np.ndarray:
+        """P(U) per pattern: the sum of its members' probabilities."""
+        return np.add.reduceat(self.probs(net)[self.loc], self.starts)
+
     def expected_counts(
         self, net: Network, weights: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -341,18 +345,18 @@ class MemberTable:
         return dict(zip(self.uniq.tolist(), logp.tolist())).__getitem__
 
     def sampler(self, net: Network) -> Callable:
-        """draw(k, size, rng): `size` members of pattern k, each drawn with
-        probability P(x | U); None when P(U) is zero."""
+        """draw(k, size, rng): the flat joint indices of `size` members of
+        pattern k, each drawn with probability P(x | U); None when P(U) is zero."""
         p_slot = self.probs(net)[self.loc]
         flat = self.uniq[self.loc]
 
         def draw(k: int, size: int, rng: np.random.Generator):
-            p = p_slot[self.starts[k] : self.stops[k]]
+            start = self.starts[k]
+            p = p_slot[start : self.stops[k]]
             s = float(p.sum())
             if s <= 0.0:
                 return None
-            picks = rng.choice(len(p), size=size, p=p / s)
-            return [net.unravel(int(flat[self.starts[k] + t])) for t in picks]
+            return flat[start + rng.choice(len(p), size=size, p=p / s)]
 
         return draw
 
@@ -386,6 +390,12 @@ class EliminationQueries:
                 counts[i] += w * fams[spec.name]
         return p_u, counts
 
+    def pattern_probs(self, net: Network) -> np.ndarray:
+        """P(U) per pattern, one elimination query each."""
+        return np.array(
+            [evidence_probability(net, self._evidence(net, b)) for b in self.bounds]
+        )
+
     def log_evaluator(self, net: Network, floor: float) -> Callable[[int], float]:
         """log max(P(x), floor) by flat joint index, computed on first use."""
         cache: dict[int, float] = {}
@@ -401,12 +411,13 @@ class EliminationQueries:
 
     def sampler(self, net: Network) -> Callable:
         """Draw the missing nodes one by one in topological order, each from
-        its conditional given the evidence and the nodes drawn so far."""
+        its conditional given the evidence and the nodes drawn so far; the
+        draws come back as flat joint indices."""
         names = [spec.name for spec in net.nodes]
 
         def draw(k: int, size: int, rng: np.random.Generator):
             bound = self.bounds[k]
-            out: list[Assignment] = []
+            out: list[int] = []
             for _ in range(size):
                 ev = self._evidence(net, bound)
                 x = list(bound)
@@ -424,7 +435,7 @@ class EliminationQueries:
                     pick = int(rng.choice(len(states), p=np.array(probs) / total))
                     x[i] = pick
                     ev[names[i]] = states[pick]
-                out.append(tuple(x))
+                out.append(net.ravel(x))
             return out
 
         return draw

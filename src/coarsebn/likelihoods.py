@@ -30,10 +30,9 @@ from .data import (
     Dataset,
     PatternDistribution,
     bind_pattern,
-    evidence_of,
 )
 from .errors import BudgetError, DataError, NumericalError
-from .inference import MemberTable, evidence_probability
+from .inference import MemberTable, pattern_table
 from .network import ENUM_BUDGET, Network
 
 SAT_AMBIGUITY_BUDGET = 100_000
@@ -50,11 +49,10 @@ class LikelihoodReport:
 
 def face_value_loglik(net: Network, data: Dataset) -> LikelihoodReport:
     """Sum of case weights times log P(X in U); -inf is a value, not an error."""
+    grouped = {p: w for p, w in data.grouped().items() if w != 0}
+    table = pattern_table(net, [bind_pattern(net, data.variables, p) for p in grouped])
     total = 0.0
-    for pattern, w in data.grouped().items():
-        if w == 0:
-            continue
-        p = evidence_probability(net, evidence_of(pattern, data.variables))
+    for w, p in zip(grouped.values(), table.pattern_probs(net).tolist()):
         if p <= 0.0:
             total = float("-inf")
             break
@@ -102,6 +100,8 @@ class SatProfileProblem(MemberTable):
         KL, final gap).  w sums to m within each pattern; the certificate
         completion is w / m.
         """
+        if not tol >= 0:
+            raise DataError(f"tol must be a non-negative number; got {tol!r}")
         p_loc = self._member_probs(net)
         p_slot = p_loc[self.loc]
 

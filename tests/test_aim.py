@@ -22,7 +22,7 @@ from coarsebn.em import em_fit
 from coarsebn.errors import DataError
 from coarsebn.likelihoods import exact_sat_profile_loglik
 from coarsebn.netformat import parse_network
-from coarsebn.network import ml_estimate, sample, uniform_cpts
+from coarsebn.network import ml_estimate, sample, uniform_cpts, unravel_rows
 
 TRI_NET = """network tri
 node A states a,b,c
@@ -164,18 +164,27 @@ class TestIncrementalKlDelta:
         assert delta > 50.0
 
 
-def build_state(structure, theta0, data, z, seed=0, policy="posterior_draw"):
+def seed_completion(theta0, reps, seed):
+    """initial_completion on a list of per-replica bounds, one pattern per
+    distinct bound."""
+    bounds = list(dict.fromkeys(reps))
+    table = inference.pattern_table(theta0, bounds)
+    rep_pattern = np.array([bounds.index(b) for b in reps], dtype=np.int64)
+    return initial_completion(theta0, table, rep_pattern, np.random.default_rng(seed))
+
+
+def build_state(structure, theta0, data, z, seed=0):
     """Assemble an AimState the way aim_fit does, for op-level tests."""
     case_bounds = [
         bind_pattern(structure, data.variables, p) for p, _ in data.cases
     ]
+    bounds = list(dict.fromkeys(case_bounds))
+    case_pattern = np.array([bounds.index(b) for b in case_bounds], dtype=np.int64)
     reps = [int(round(w)) * z for _, w in data.cases]
     rep_case = np.repeat(np.arange(len(case_bounds)), reps)
+    table = inference.pattern_table(structure, bounds)
     rng = np.random.default_rng(seed)
-    completion, _ = initial_completion(
-        theta0, [case_bounds[c] for c in rep_case], policy, rng
-    )
-    assign = [structure.ravel(x) for x in completion]
+    assign, _ = initial_completion(theta0, table, case_pattern[rep_case], rng)
     counts = {}
     for r in assign:
         counts[r] = counts.get(r, 0) + 1
@@ -195,7 +204,7 @@ def build_state(structure, theta0, data, z, seed=0, policy="posterior_draw"):
         ],
         assign=assign,
         counts=counts,
-        table=inference.pattern_table(structure, list(dict.fromkeys(case_bounds))),
+        table=table,
     )
     state.logp = state.table.log_evaluator(state.net, LOG_PROB_FLOOR)
     state.score = state.full_score()
@@ -216,9 +225,7 @@ class TestAiSweep:
         # start with every hidden-B replica completed to (t,f); at the true
         # parameters the optimal split sends 1/9 of them to (t,t)
         z = 10
-        state = build_state(
-            basic_net, basic_net, basic_data_n2000, z=z, policy="uniform_draw"
-        )
+        state = build_state(basic_net, basic_net, basic_data_n2000, z=z)
         # force all U_1 replicas to (t,f)
         tf = basic_net.ravel((0, 1))
         for j in range(state.zn):
@@ -391,55 +398,54 @@ class TestMStep:
 
 class TestInitialCompletion:
     def test_complete_case_identity(self, basic_net):
-        comp, fb = initial_completion(
-            basic_net, [(0, 1)], "posterior_draw", np.random.default_rng(0)
-        )
-        assert comp == [(0, 1)]
+        comp, fb = seed_completion(basic_net, [(0, 1)], seed=0)
+        assert comp == [basic_net.ravel((0, 1))]
         assert fb == []
 
     def test_posterior_fraction_converges(self, basic_net):
         # P(B=t | A=t) = 0.2 under the truth
         reps = [(0, None)] * 20_000
-        comp, _ = initial_completion(
-            basic_net, reps, "posterior_draw", np.random.default_rng(3)
-        )
-        frac = sum(1 for x in comp if x[1] == 0) / len(comp)
+        comp, _ = seed_completion(basic_net, reps, seed=3)
+        rows = unravel_rows(basic_net, np.array(comp))
+        assert (rows[:, 0] == 0).all()
+        frac = float(np.mean(rows[:, 1] == 0))
         assert abs(frac - 0.2) < 0.01
 
     def test_same_seed_identical(self, asia_net):
         reps = [tuple(None for _ in asia_net.nodes)] * 50
-        a, _ = initial_completion(asia_net, reps, "posterior_draw", np.random.default_rng(7))
-        b, _ = initial_completion(asia_net, reps, "posterior_draw", np.random.default_rng(7))
+        a, _ = seed_completion(asia_net, reps, seed=7)
+        b, _ = seed_completion(asia_net, reps, seed=7)
         assert a == b
 
     def test_zero_evidence_falls_back_to_uniform(self, basic_net):
         dead = basic_net.with_cpts([np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])])
         reps = [(1, None)] * 4  # A=f impossible under dead theta
-        comp, fb = initial_completion(dead, reps, "posterior_draw", np.random.default_rng(0))
+        comp, fb = seed_completion(dead, reps, seed=0)
         assert sorted(fb) == [0, 1, 2, 3]
-        assert all(x[0] == 1 for x in comp)
+        assert all(x[0] == 1 for x in unravel_rows(basic_net, np.array(comp)))
 
     def test_zero_evidence_falls_back_on_elimination_path(self, basic_net, monkeypatch):
         monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
         dead = basic_net.with_cpts([np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])])
         reps = [(1, None)] * 4 + [(0, None)] * 2
-        comp, fb = initial_completion(dead, reps, "posterior_draw", np.random.default_rng(0))
+        comp, fb = seed_completion(dead, reps, seed=0)
         assert sorted(fb) == [0, 1, 2, 3]
-        assert [x[0] for x in comp] == [1, 1, 1, 1, 0, 0]
+        assert unravel_rows(basic_net, np.array(comp))[:, 0].tolist() == [1, 1, 1, 1, 0, 0]
 
     def test_dense_and_sequential_paths_same_distribution(self, asia_net, monkeypatch):
         # the sequential eliminator path must target the same posterior
-        reps = [(None, None, 0, None, 0, None, 0, 1)] * 4000
-        dense, _ = initial_completion(
-            asia_net, reps, "posterior_draw", np.random.default_rng(21)
-        )
+        bound = (None, None, 0, None, 0, None, 0, 1)
+        reps = [bound] * 4000
+        dense = unravel_rows(asia_net, np.array(seed_completion(asia_net, reps, seed=21)[0]))
         monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
-        seq, _ = initial_completion(
-            asia_net, reps, "posterior_draw", np.random.default_rng(22)
-        )
+        seq = unravel_rows(asia_net, np.array(seed_completion(asia_net, reps, seed=22)[0]))
+        for rows in (dense, seq):   # every draw keeps the observed coordinates
+            for i, v in enumerate(bound):
+                if v is not None:
+                    assert (rows[:, i] == v).all()
         for i in (0, 1, 3, 5):
-            fa = sum(1 for x in dense if x[i] == 0) / len(dense)
-            fb = sum(1 for x in seq if x[i] == 0) / len(seq)
+            fa = float(np.mean(dense[:, i] == 0))
+            fb = float(np.mean(seq[:, i] == 0))
             assert abs(fa - fb) < 0.04
 
 
@@ -475,6 +481,34 @@ class TestAimFit:
         with pytest.raises(DataError, match="max_iters"):
             aim_fit(basic_net, basic_net, basic_data_n2000, AimOptions(max_iters=0))
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_negative_or_nan_tol_rejected(self, basic_net, basic_data_n2000, tol):
+        with pytest.raises(DataError, match="tol must be a non-negative number"):
+            aim_fit(basic_net, basic_net, basic_data_n2000, AimOptions(tol=tol))
+
+    def test_zero_tol_allowed(self, basic_net, basic_data_n2000):
+        res = aim_fit(
+            basic_net, basic_net, basic_data_n2000,
+            AimOptions(z=1, tol=0.0, max_iters=4, seed=0),
+        )
+        scores = [t[1] for t in res.trace]
+        assert 1 <= len(scores) <= 4
+        for x, y in zip(scores, scores[1:]):
+            assert y <= x + 1e-12
+
+    def test_one_pattern_table_per_fit(self, asia_net, monkeypatch):
+        built = []
+
+        def counting(net, bounds):
+            built.append(len(bounds))
+            return inference.pattern_table(net, bounds)
+
+        monkeypatch.setattr(aim, "pattern_table", counting)
+        data = asia_data(asia_net, n=200, seed=44)
+        res = aim_fit(asia_net, asia_net, data, AimOptions(z=3, seed=1, max_iters=3))
+        assert built == [len(data.grouped())]
+        assert res.init_fallbacks == 0
+
     def test_surrogate_monotone_and_deterministic(self, asia_net):
         rng = np.random.default_rng(31)
         aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.15, 0.05), rng)
@@ -486,21 +520,6 @@ class TestAimFit:
         scores = [t[1] for t in a.trace]
         for x, y in zip(scores, scores[1:]):
             assert y <= x + 1e-9
-
-    def test_extra_sweeps_stay_monotone_and_never_worse(self, asia_net):
-        rng = np.random.default_rng(33)
-        aug = build_coarsening_network(asia_net, CoarseningSpec(1, 0.15, 0.05), rng)
-        data, _ = generate_dataset(aug, 150, rng)
-        em = em_fit(asia_net, data)
-        single = aim_fit(asia_net, em.network, data, AimOptions(z=2, seed=6))
-        double = aim_fit(
-            asia_net, em.network, data,
-            AimOptions(z=2, seed=6, sweeps_per_ai_step=3),
-        )
-        for trace in (single.trace, double.trace):
-            scores = [t[1] for t in trace]
-            for x, y in zip(scores, scores[1:]):
-                assert y <= x + 1e-9
 
     def test_lower_bound_never_exceeds_exact_profile(
         self, basic_net, basic_data_n2000

@@ -59,6 +59,17 @@ class TestLik:
         assert parsed(out.stdout, "lr_statistic") == pytest.approx(0.0720, abs=1e-3)
 
 
+class TestLikTolerance:
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_negative_or_nan_sat_tol_is_data_error(self, tol):
+        out = run_cli(
+            "lik", "--net", BASIC, "--data", COARSE, "--which", "sat", "--tol", tol
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "tol must be a non-negative number" in out.stderr
+
+
 class TestExitCodes:
     def test_missing_required_flag_is_usage(self):
         out = run_cli("lik", "--which", "sat")
@@ -134,6 +145,18 @@ class TestGenData:
             "--n", "10", "--seed", "0", "--out", str(tmp_path / "d.csv"),
         )
         assert out.returncode == 2
+
+
+    def test_negative_n_is_data_error(self, tmp_path):
+        d = tmp_path / "d.csv"
+        out = run_cli(
+            "gen-data", "--net", ASIA, "--coarsening", "2:0.1:0.05",
+            "--n", "-1", "--seed", "0", "--out", str(d),
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "n must be a non-negative integer" in out.stderr
+        assert not d.exists()
 
 
 class TestLearnAndEval:
@@ -234,6 +257,39 @@ class TestLearnAndEval:
         assert out.returncode == 2
         assert "Traceback" not in out.stderr
         assert "max_iters must be a positive integer" in out.stderr
+
+    @pytest.mark.parametrize("method", ["em", "aim"])
+    def test_nan_tol_is_data_error(self, tmp_path, method):
+        d = tmp_path / "d.csv"
+        run_cli(
+            "gen-data", "--net", BASIC, "--coarsening", "1:0.2:0.03",
+            "--n", "50", "--seed", "2", "--out", str(d),
+        )
+        out = run_cli(
+            "learn", "--net-structure", BASIC, "--data", str(d), "--method", method,
+            "--tol", "nan", "--seed", "1", "--out", str(tmp_path / "e.net"),
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "tol must be a non-negative number" in out.stderr
+
+    @pytest.mark.parametrize(
+        "row, what",
+        [
+            ("A,0", "expected node,row,count"),
+            ("A,x,1", "row must be an integer"),
+            ("A,7,1", "row 7 out of range"),
+            ("A,0,lots", "count a number"),
+        ],
+    )
+    def test_eval_malformed_counts_row_is_data_error(self, tmp_path, row, what):
+        counts = tmp_path / "c.csv"
+        counts.write_text(f"node,row,count\nA,0,10\n{row}\n")
+        out = run_cli("eval", "--truth", BASIC, "--estimate", BASIC, "--counts", str(counts))
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert f"{counts}, line 3" in out.stderr
+        assert what in out.stderr
 
 
 class TestExperiment:

@@ -9,7 +9,7 @@ from coarsebn.coarsen import (
     generate_dataset,
     original_variables,
 )
-from coarsebn.errors import FormatError
+from coarsebn.errors import DataError, FormatError
 from coarsebn.network import validate_network
 
 
@@ -128,6 +128,15 @@ class TestGenerateDataset:
         data, frac = generate_dataset(aug, 50, rng)
         assert frac == 1.0
         assert all(all(v is None for v in p) for p, _ in data.cases)
+
+    def test_negative_n_rejected_and_zero_n_empty(self, basic_net):
+        rng = np.random.default_rng(4)
+        aug = build_coarsening_network(basic_net, CoarseningSpec(0, 0.2, 0.0), rng)
+        with pytest.raises(DataError, match="n must be a non-negative integer"):
+            generate_dataset(aug, -1, rng)
+        data, frac = generate_dataset(aug, 0, rng)
+        assert data.cases == ()
+        assert frac == 0.0
 
     def test_realized_missingness_spans_widely(self, asia_net):
         # with mean 0.1 and variance 0.05 the per-mechanism missingness is

@@ -134,6 +134,15 @@ class TestEmFit:
         with pytest.raises(DataError, match="max_iters"):
             em_fit(basic_net, basic_data, EmOptions(max_iters=0))
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_negative_or_nan_tol_rejected(self, basic_net, basic_data, tol):
+        with pytest.raises(DataError, match="tol must be a non-negative number"):
+            em_fit(basic_net, basic_data, EmOptions(tol=tol))
+
+    def test_zero_tol_allowed(self, basic_net, basic_data):
+        res = em_fit(basic_net, basic_data, EmOptions(tol=0.0, max_iters=5))
+        assert len(res.trace) >= 2
+
     def test_mar_agreement_with_aim(self, basic_net):
         from coarsebn.aim import AimOptions, aim_fit
 

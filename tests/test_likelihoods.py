@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from coarsebn import inference
+from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Dataset, completion_distribution, empirical_pattern_distribution
-from coarsebn.errors import BudgetError, NumericalError
+from coarsebn.errors import BudgetError, DataError, NumericalError
 from coarsebn.likelihoods import (
     SatProfileProblem,
     car_normalizer,
@@ -81,6 +83,37 @@ class TestFaceValue:
         rep = face_value_loglik(net, basic_data)
         assert rep.per_case_average == -math.inf
 
+    def test_member_table_matches_elimination(self, asia_net, monkeypatch):
+        rng = np.random.default_rng(12)
+        aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.2, 0.05), rng)
+        data, _ = generate_dataset(aug, 400, rng)
+        # asia=yes is impossible under `dead`; a zero-weight case of it is skipped
+        dead = asia_net.with_cpts([np.array([[0.0, 1.0]])] + list(asia_net.cpts[1:]))
+        col = data.variables.index("asia")
+        kept = tuple(c for c in data.cases if c[0][col] != "yes")
+        impossible = tuple("yes" if v == "asia" else None for v in data.variables)
+        cases = [
+            (asia_net, data),
+            (dead, Dataset(data.variables, kept)),
+            (dead, Dataset(data.variables, kept + ((impossible, 0.0),))),
+            (dead, Dataset(data.variables, kept + ((impossible, 1.0),))),
+        ]
+        eliminations = []
+        run_ve = inference._run_ve
+        monkeypatch.setattr(
+            inference, "_run_ve", lambda *a, **k: eliminations.append(1) or run_ve(*a, **k)
+        )
+        table = [face_value_loglik(net, d).total for net, d in cases]
+        assert eliminations == []  # every asia pattern is enumerable
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
+        ve = [face_value_loglik(net, d).total for net, d in cases]
+        assert eliminations
+        for a, b in zip(table[:3], ve[:3]):
+            assert math.isfinite(a)
+            assert a == pytest.approx(b, rel=1e-12)
+        assert table[2] == table[1] and ve[2] == ve[1]
+        assert table[3] == ve[3] == -math.inf
+
 
 class TestSatProfile:
     def test_example_value_and_certificate(self, basic_net, basic_data):
@@ -131,6 +164,17 @@ class TestSatProfile:
             value, _, _, _ = problem.solve(basic_net, tol=1e-12, rng=rng)
             values.append(value)
         assert max(values) - min(values) < 1e-8
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_negative_or_nan_tol_rejected(self, basic_net, basic_data, tol):
+        problem = SatProfileProblem(basic_net, basic_data)
+        with pytest.raises(DataError, match="tol must be a non-negative number"):
+            problem.solve(basic_net, tol=tol)
+
+    def test_zero_tol_allowed(self, basic_net):
+        d = Dataset(("A", "B"), ((("t", "t"), 1.0), (("f", "f"), 4.0)))
+        _, _, _, gap = SatProfileProblem(basic_net, d).solve(basic_net, tol=0.0)
+        assert gap <= 0.0
 
     def test_ambiguity_budget(self):
         k = 17  # one fully hidden case has 2^17 > 1e5 completions
