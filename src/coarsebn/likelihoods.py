@@ -10,9 +10,14 @@ Three quantities per (network, dataset) pair:
 * sat profile: the maximum over completely unrestricted mechanisms.  Per
   unit weight it equals -H(m) - min_c KL(P_c || P_theta), where m is the
   empirical pattern distribution and c ranges over data completions; the
-  inner minimum is a convex program solved here by multiplicative updates
-  with a Frank-Wolfe gap certificate, so the returned value is always a
-  valid lower bound and is within `tol` of the true value at convergence.
+  inner minimum is a convex program solved here by SQUAREM-accelerated
+  multiplicative updates with a Frank-Wolfe gap certificate, so the
+  returned value is always a valid lower bound and is within `tol` of the
+  true value at convergence.
+
+The sat updates and the car normalizer's iterative scaling are both
+monotone fixed-point maps, accelerated by one shared SQUAREM step
+(Varadhan & Roland 2008); each stops only on its own certificate.
 
 All logarithms are natural.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +55,9 @@ class LikelihoodReport:
 
 def face_value_loglik(net: Network, data: Dataset) -> LikelihoodReport:
     """Sum of case weights times log P(X in U); -inf is a value, not an error."""
+    weight = data.total_weight
+    if not weight > 0:
+        raise DataError("total weight must be positive")
     grouped = {p: w for p, w in data.grouped().items() if w != 0}
     table = pattern_table(net, [bind_pattern(net, data.variables, p) for p in grouped])
     total = 0.0
@@ -57,8 +66,98 @@ def face_value_loglik(net: Network, data: Dataset) -> LikelihoodReport:
             total = float("-inf")
             break
         total += w * math.log(p)
-    weight = data.total_weight
     return LikelihoodReport("face_value", total / weight, total)
+
+
+class _Point(NamedTuple):
+    """One map evaluation at a point: the loss there (which the map never
+    raises), the point's stopping certificate, and the point's image."""
+
+    loss: float
+    gap: float
+    image: np.ndarray
+
+
+_CYCLE_EVALS = 4
+
+
+def _squarem_cycle(
+    evaluate: Callable[[np.ndarray], _Point], x: np.ndarray, at_x: _Point, tol: float
+) -> tuple[np.ndarray, _Point, int]:
+    """One SQUAREM-3 cycle (Varadhan & Roland 2008) from x, at_x = evaluate(x).
+
+    With x1 = F(x), x2 = F(x1), r = x1 - x and v = x2 - x1 - r, the cycle
+    jumps to x - 2a r + a^2 v, where a = min(-|r|/|v|, -1).  While the jump
+    would change the sign of an entry of x2 (make a positive entry
+    non-positive, or an underflowed zero non-zero), a is halved towards -1,
+    down to -2; if even that fails, the cycle ends at x2, the plain double
+    step (a = -1).  Otherwise it evaluates F(jump) and keeps it if its loss
+    is no worse than x2's, so the loss never rises from cycle to cycle.  A
+    rejected F(jump) still ends the solve if its own gap is within tol:
+    every image of the map is a feasible point, so its certificate holds.
+
+    Returns the next point, its evaluation and the number of evaluations
+    made (at most _CYCLE_EVALS), stopping early at x1 or x2 if its gap is
+    within tol.
+    """
+    x1 = at_x.image
+    at_x1 = evaluate(x1)
+    if at_x1.gap <= tol:
+        return x1, at_x1, 1
+    x2 = at_x1.image
+    at_x2 = evaluate(x2)
+    if at_x2.gap <= tol:
+        return x2, at_x2, 2
+    r = x1 - x
+    v = x2 - x1 - r
+    vv = float(v @ v)
+    a = min(-math.sqrt(float(r @ r) / vv), -1.0) if vv > 0 else -1.0
+    sign = np.sign(x2)
+    while a < -1.0:
+        jump = x - 2.0 * a * r + (a * a) * v
+        if np.array_equal(np.sign(jump), sign):
+            break
+        a = (a - 1.0) / 2.0 if a < -2.0 else -1.0
+    else:
+        return x2, at_x2, 2
+    landed = evaluate(jump).image
+    at_landed = evaluate(landed)
+    if at_landed.loss <= at_x2.loss or at_landed.gap <= tol:
+        return landed, at_landed, 4
+    return x2, at_x2, 4
+
+
+def _fixed_point(
+    evaluate: Callable[[np.ndarray], _Point],
+    x: np.ndarray,
+    tol: float,
+    max_evals: int,
+    name: str,
+) -> tuple[np.ndarray, _Point]:
+    """SQUAREM cycles from x until a point's gap is within tol.
+
+    Returns that point and its evaluation.  Raises NumericalError rather
+    than start a cycle that could pass max_evals map evaluations.
+    """
+    at_x = evaluate(x)
+    evals = 1
+    while at_x.gap > tol:
+        if evals + _CYCLE_EVALS > max_evals:
+            raise NumericalError(
+                f"{name} stalled at gap {at_x.gap:.3g} > tol {tol:.3g}"
+            )
+        x, at_x, made = _squarem_cycle(evaluate, x, at_x, tol)
+        evals += made
+    return x, at_x
+
+
+def _pattern_shares(data: Dataset) -> tuple[list[CoarsePattern], np.ndarray]:
+    """The distinct patterns of positive weight and their shares m(U)."""
+    total = data.total_weight
+    if not total > 0:
+        raise DataError("total weight must be positive")
+    grouped = {p: w for p, w in data.grouped().items() if w > 0}
+    return list(grouped), np.array(list(grouped.values())) / total
 
 
 class SatProfileProblem(MemberTable):
@@ -66,15 +165,13 @@ class SatProfileProblem(MemberTable):
 
     Building the member table once lets a caller evaluate the profile
     value at many parameter settings (grids, per-iteration bounds) without
-    re-binding the dataset.
+    re-binding the dataset.  Patterns of zero weight carry no mass and are
+    left out.
     """
 
     def __init__(self, net: Network, data: Dataset):
         self.data = data
-        grouped = data.grouped()
-        total = data.total_weight
-        self.patterns = list(grouped)
-        self.m = np.array([grouped[p] / total for p in self.patterns])
+        self.patterns, self.m = _pattern_shares(data)
         self.entropy = PatternDistribution.from_dataset(data).entropy
         bounds = [bind_pattern(net, data.variables, p) for p in self.patterns]
         super().__init__(net, bounds, SAT_AMBIGUITY_BUDGET)
@@ -98,69 +195,59 @@ class SatProfileProblem(MemberTable):
 
         Returns (per-unit log-likelihood value, per-slot mass w, achieved
         KL, final gap).  w sums to m within each pattern; the certificate
-        completion is w / m.
+        completion is w / m.  max_iters bounds the map evaluations.
         """
         if not tol >= 0:
             raise DataError(f"tol must be a non-negative number; got {tol!r}")
-        p_loc = self._member_probs(net)
-        p_slot = p_loc[self.loc]
-
-        alive = np.add.reduceat((p_slot > 0).astype(float), self.starts)
-        if np.any(alive <= 0):
+        p_slot = self._member_probs(net)[self.loc]
+        live = p_slot > 0
+        n_live = np.add.reduceat(live.astype(np.int64), self.starts)
+        if np.any(n_live <= 0):
             # Some pattern has zero probability under every completion.
             return float("-inf"), np.zeros(self.n_slots), float("inf"), 0.0
 
         if init is not None:
-            w = np.asarray(init, dtype=np.float64).copy()
+            w = np.asarray(init, dtype=np.float64)
             if w.shape != (self.n_slots,):
                 raise DataError("bad initial completion shape")
         elif rng is not None:
             w = rng.random(self.n_slots)
         else:
             w = np.ones(self.n_slots)
-        # Keep a toehold on every state the model allows, so a warm start
-        # whose support was shaped by a different theta cannot lock the
-        # solver out of newly feasible states.
-        w = np.where(p_slot > 0, np.maximum(w, 1e-12), w)
-        sums = np.add.reduceat(w, self.starts)
-        w = w * (self.m / sums)[self.pat_of_slot]
+        # The iteration runs on the slots the model allows.  Each keeps a
+        # toehold, so a warm start whose support was shaped by a different
+        # theta cannot lock the solver out of newly feasible states.
+        slots = np.flatnonzero(live)
+        w = np.maximum(w[slots], 1e-12)
+        loc, p = self.loc[slots], p_slot[slots]
+        log_p = np.log(p)
+        starts = np.cumsum(n_live) - n_live
+        pat = self.pat_of_slot[slots]
+        n_loc = len(self.uniq)
 
-        kl = float("inf")
-        gap = float("inf")
-        for _ in range(max_iters):
-            p_c = np.bincount(self.loc, weights=w, minlength=len(self.uniq))
-            pos = p_c > 0
-            if np.any(pos & (p_loc <= 0)):
-                kl = float("inf")
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    g_loc = np.where(pos, np.log(p_c) - np.log(p_loc), 0.0)
-                kl = float(np.dot(p_c[pos], g_loc[pos]))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g_slot = np.where(
-                    p_slot > 0,
-                    np.log(np.maximum(p_c[self.loc], 1e-300)) - np.log(p_slot),
-                    np.inf,
-                )
-            if math.isfinite(kl):
-                mins = np.minimum.reduceat(g_slot, self.starts)
-                gap = kl - float(np.dot(self.m, mins))
-                if gap <= tol:
-                    break
-            denom = p_c[self.loc]
-            w = np.where(w > 0, w * np.where(denom > 0, p_slot / np.maximum(denom, 1e-300), 0.0), 0.0)
-            sums = np.add.reduceat(w, self.starts)
-            if np.any(sums <= 0):
-                return float("-inf"), w, float("inf"), 0.0
-            w = w * (self.m / sums)[self.pat_of_slot]
-        else:
-            raise NumericalError(
-                f"sat-profile solver stalled at gap {gap:.3g} > tol {tol:.3g}"
-            )
-        return -self.entropy - kl, w, kl, gap
+        def renormalised(w: np.ndarray) -> np.ndarray:
+            return w * (self.m / np.add.reduceat(w, starts))[pat]
+
+        def evaluate(w: np.ndarray) -> _Point:
+            # p_c at each slot's state; KL = sum_x p_c log(p_c / P) = sum of w * g
+            p_c = np.maximum(np.bincount(loc, weights=w, minlength=n_loc)[loc], 1e-300)
+            g = np.log(p_c) - log_p
+            kl = float(w @ g)
+            gap = kl - float(self.m @ np.minimum.reduceat(g, starts))
+            return _Point(kl, gap, renormalised(w * p / p_c))
+
+        w, at_w = _fixed_point(
+            evaluate, renormalised(w), tol, max_iters, "sat-profile solver"
+        )
+        full = np.zeros(self.n_slots)
+        full[slots] = w
+        return -self.entropy - at_w.loss, full, at_w.loss, at_w.gap
 
     def certificate_completion(self, w: np.ndarray) -> Completion:
-        """Per-case completion distributions from a per-slot mass vector."""
+        """Per-case completion distributions from a per-slot mass vector.
+
+        A case of zero weight gets an empty distribution.
+        """
         per_pattern: dict[CoarsePattern, dict] = {}
         for pi, pattern in enumerate(self.patterns):
             sel = self.pat_of_slot == pi
@@ -172,7 +259,7 @@ class SatProfileProblem(MemberTable):
                 if v > 0
             }
         return Completion(
-            tuple(per_pattern[pattern] for pattern, _ in self.data.cases)
+            tuple(per_pattern.get(pattern, {}) for pattern, _ in self.data.cases)
         )
 
 
@@ -198,44 +285,36 @@ def car_normalizer(
     Maximizes sum_U m(U) log lambda_U subject to, for every joint state x,
     sum over observed patterns containing x of lambda_U <= 1 (slack mass
     sits on unobserved self-patterns).  Solved through the dual: iterative
-    scaling of a distribution q on the joint space, with lambda_U = m(U)/q(U)
-    at the fixed point.  The returned certificate is always feasible.
+    scaling of a distribution q on the patterns' members, with
+    lambda_U = m(U)/q(U) at the fixed point.  The returned certificate is
+    always feasible; a pattern of zero weight gets lambda 0.
     """
+    if not tol >= 0:
+        raise DataError(f"tol must be a non-negative number; got {tol!r}")
     if net.n_assignments > ENUM_BUDGET:
         raise BudgetError(
             f"state space {net.n_assignments} exceeds the car budget"
         )
-    grouped = data.grouped()
-    total = data.total_weight
-    patterns = list(grouped)
-    m = np.array([grouped[p] / total for p in patterns])
+    patterns, m = _pattern_shares(data)
     table = MemberTable(
         net, [bind_pattern(net, data.variables, p) for p in patterns], CAR_MEMBER_BUDGET
     )
-    flat = table.uniq[table.loc]
-    starts, pat_of_slot = table.starts, table.pat_of_slot
+    loc, starts, pat_of_slot = table.loc, table.starts, table.pat_of_slot
+    n = len(table.uniq)
 
-    n = int(net.n_assignments)
-    q = np.full(n, 1.0 / n)
-    max_iters = 500_000
-    for _ in range(max_iters):
-        q_u = np.add.reduceat(q[flat], starts)
-        ratio = m / q_u
-        r = np.zeros(n)
-        np.add.at(r, flat, ratio[pat_of_slot])
-        gap = float(r.max()) - 1.0
-        if gap <= tol / 2:
-            break
-        q = q * r
-        q /= q.sum()
-    else:
-        raise NumericalError(f"car normalizer stalled at gap {gap:.3g}")
+    def evaluate(q: np.ndarray) -> _Point:
+        q_u = np.add.reduceat(q[loc], starts)
+        r = np.bincount(loc, weights=(m / q_u)[pat_of_slot], minlength=n)
+        step = q * r
+        return _Point(-float(m @ np.log(q_u)), float(r.max()) - 1.0, step / step.sum())
 
-    lam = m / q_u
-    scale = max(1.0, float(r.max()))
-    lam = np.minimum(lam / scale, 1.0)
+    q, at_q = _fixed_point(
+        evaluate, np.full(n, 1.0 / n), tol / 2, 500_000, "car normalizer"
+    )
+    lam = m / np.add.reduceat(q[loc], starts)
+    lam = np.minimum(lam / max(1.0, 1.0 + at_q.gap), 1.0)
     log_f = float(np.dot(m, np.log(lam)))
-    return log_f, {p: float(l) for p, l in zip(patterns, lam)}
+    return log_f, {p: 0.0 for p in data.grouped()} | dict(zip(patterns, lam.tolist()))
 
 
 def car_profile_loglik(net: Network, data: Dataset) -> LikelihoodReport:
@@ -255,7 +334,7 @@ def lr_statistic(net_sat: Network, net_car: Network, data: Dataset) -> float:
     negative gap means the candidates were not optimal, which is reported
     rather than clamped away.
     """
-    sat = exact_sat_profile_loglik(net_sat, data).per_case_average
+    sat, _, _, _ = SatProfileProblem(net_sat, data).solve(net_sat)
     car = car_profile_loglik(net_car, data).per_case_average
     stat = sat - car
     if stat < -1e-9:

@@ -70,6 +70,21 @@ class TestLikTolerance:
         assert "tol must be a non-negative number" in out.stderr
 
 
+class TestLikEmptyData:
+    @pytest.mark.parametrize("which", ["fv", "car", "sat", "lr"])
+    def test_no_cases_is_data_error(self, tmp_path, which):
+        d = tmp_path / "empty.csv"
+        made = run_cli(
+            "gen-data", "--net", BASIC, "--coarsening", "1:0.2:0.03",
+            "--n", "0", "--seed", "0", "--out", str(d),
+        )
+        assert made.returncode == 0
+        out = run_cli("lik", "--net", BASIC, "--data", str(d), "--which", which)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "total weight must be positive" in out.stderr
+
+
 class TestExitCodes:
     def test_missing_required_flag_is_usage(self):
         out = run_cli("lik", "--which", "sat")

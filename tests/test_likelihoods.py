@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from coarsebn import inference
+from coarsebn import inference, likelihoods
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
-from coarsebn.data import Dataset, completion_distribution, empirical_pattern_distribution
+from coarsebn.data import (
+    Dataset,
+    bind_pattern,
+    completion_distribution,
+    empirical_pattern_distribution,
+)
 from coarsebn.errors import BudgetError, DataError, NumericalError
 from coarsebn.likelihoods import (
     SatProfileProblem,
@@ -56,6 +61,175 @@ def lambda_grid_sat(p1, points=201):
         if terms is not None:
             best = max(best, sum(terms))
     return best
+
+
+def reference_sat(problem, net, tol):
+    """The plain multiplicative-update loop the sat solver accelerates, from
+    the uniform start.  Returns (value, w, kl, gap, map evaluations).
+    """
+    p_loc = problem.probs(net)
+    p_slot = p_loc[problem.loc]
+    w = (problem.m / np.add.reduceat(np.ones(problem.n_slots), problem.starts))[
+        problem.pat_of_slot
+    ]
+    for it in range(1, 200_001):
+        p_c = np.bincount(problem.loc, weights=w, minlength=len(problem.uniq))
+        pos = p_c > 0
+        if np.any(pos & (p_loc <= 0)):
+            kl = gap = math.inf
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g_loc = np.where(pos, np.log(p_c) - np.log(p_loc), 0.0)
+                g_slot = np.where(
+                    p_slot > 0,
+                    np.log(np.maximum(p_c[problem.loc], 1e-300)) - np.log(p_slot),
+                    np.inf,
+                )
+            kl = float(np.dot(p_c[pos], g_loc[pos]))
+            gap = kl - float(np.dot(problem.m, np.minimum.reduceat(g_slot, problem.starts)))
+            if gap <= tol:
+                return -problem.entropy - kl, w, kl, gap, it
+        denom = p_c[problem.loc]
+        w = np.where(w > 0, w * np.where(denom > 0, p_slot / np.maximum(denom, 1e-300), 0.0), 0.0)
+        w = w * (problem.m / np.add.reduceat(w, problem.starts))[problem.pat_of_slot]
+    raise AssertionError("reference sat loop did not converge")
+
+
+def reference_car(net, data, tol=1e-10):
+    """The plain iterative-scaling loop of the car normalizer, on the whole
+    joint space.  Returns (log_f, map evaluations)."""
+    grouped = data.grouped()
+    patterns = list(grouped)
+    m = np.array([grouped[p] / data.total_weight for p in patterns])
+    table = inference.MemberTable(
+        net, [bind_pattern(net, data.variables, p) for p in patterns], 1 << 22
+    )
+    flat = table.uniq[table.loc]
+    n = int(net.n_assignments)
+    q = np.full(n, 1.0 / n)
+    for it in range(1, 500_001):
+        q_u = np.add.reduceat(q[flat], table.starts)
+        ratio = m / q_u
+        r = np.zeros(n)
+        np.add.at(r, flat, ratio[table.pat_of_slot])
+        if float(r.max()) - 1.0 <= tol / 2:
+            lam = np.minimum(ratio / max(1.0, float(r.max())), 1.0)
+            return float(np.dot(m, np.log(lam))), it
+        q = q * r
+        q /= q.sum()
+    raise AssertionError("reference car loop did not converge")
+
+
+@pytest.fixture(scope="module")
+def asia_data(asia_net):
+    rng = np.random.default_rng(31)
+    aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.1, 0.05), rng)
+    data, _ = generate_dataset(aug, 1000, rng)
+    return data
+
+
+def count_bincount(monkeypatch):
+    """Count the np.bincount calls, one per map evaluation of either solver."""
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(
+        likelihoods.np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k)
+    )
+    return calls
+
+
+def cycle_losses(monkeypatch):
+    """The loss at each point a SQUAREM cycle hands on."""
+    losses = []
+    cycle = likelihoods._squarem_cycle
+
+    def spy(*args):
+        out = cycle(*args)
+        losses.append(out[1].loss)
+        return out
+
+    monkeypatch.setattr(likelihoods, "_squarem_cycle", spy)
+    return losses
+
+
+class TestSolverAcceleration:
+    @pytest.mark.parametrize("which", ["basic", "asia"])
+    def test_sat_matches_plain_loop_in_fewer_evaluations(
+        self, which, basic_net, basic_data, asia_net, asia_data, monkeypatch
+    ):
+        net, data = (basic_net, basic_data) if which == "basic" else (asia_net, asia_data)
+        for tol in (1e-8, 1e-11):
+            problem = SatProfileProblem(net, data)
+            ref_value, _, _, ref_gap, ref_evals = reference_sat(problem, net, tol)
+            calls = count_bincount(monkeypatch)
+            value, w, kl, gap = problem.solve(net, tol=tol)
+            monkeypatch.undo()
+            assert gap <= tol and ref_gap <= tol
+            assert abs(value - ref_value) <= tol
+            assert value == -problem.entropy - kl
+            assert np.allclose(np.add.reduceat(w, problem.starts), problem.m, rtol=1e-12)
+            assert len(calls) < ref_evals
+        if which == "asia":
+            assert 3 * len(calls) < ref_evals
+
+    @pytest.mark.parametrize("which", ["basic", "asia"])
+    def test_car_matches_plain_loop_in_fewer_evaluations(
+        self, which, basic_net, basic_data, asia_net, asia_data, monkeypatch
+    ):
+        net, data = (basic_net, basic_data) if which == "basic" else (asia_net, asia_data)
+        for tol in (1e-8, 1e-10):
+            ref_log_f, ref_evals = reference_car(net, data, tol)
+            calls = count_bincount(monkeypatch)
+            log_f, _ = car_normalizer(net, data, tol)
+            monkeypatch.undo()
+            assert abs(log_f - ref_log_f) <= tol
+            assert len(calls) < ref_evals
+
+    def test_loss_never_rises_from_cycle_to_cycle(
+        self, asia_net, asia_data, monkeypatch
+    ):
+        # A cycle hands on a point no worse than where it started; only the
+        # point that ends the solve may be a rejected extrapolation, whose
+        # own gap certifies it within tol.
+        losses = cycle_losses(monkeypatch)
+        problem = SatProfileProblem(asia_net, asia_data)
+        _, _, kl, _ = problem.solve(asia_net, tol=1e-12)
+        assert len(losses) > 10 and losses[-1] == kl
+        assert all(b <= a for a, b in zip(losses[:-1], losses[1:-1]))
+        assert losses[-1] <= losses[-2] + 1e-12
+        losses.clear()
+        log_f, _ = car_normalizer(asia_net, asia_data)
+        assert len(losses) > 10
+        assert all(b <= a for a, b in zip(losses[:-1], losses[1:-1]))
+        assert losses[-1] <= losses[-2] + 1e-10
+
+    def test_warm_start_with_zeros_on_feasible_slots(self, asia_net, asia_data):
+        problem = SatProfileProblem(asia_net, asia_data)
+        cold, w, _, _ = problem.solve(asia_net, tol=1e-10)
+        p_slot = problem.probs(asia_net)[problem.loc]
+        init = w.copy()
+        init[(p_slot > 0) & (np.arange(problem.n_slots) % 2 == 0)] = 0.0
+        warm, w2, _, gap = problem.solve(asia_net, tol=1e-10, init=init)
+        assert gap <= 1e-10
+        assert warm == pytest.approx(cold, abs=1e-10)
+        assert np.all(w2[p_slot > 0] > 0)
+        assert np.all(init[0::2] == 0.0)  # the caller's array is not written to
+
+    def test_too_few_evaluations_raise(self, asia_net, asia_data):
+        problem = SatProfileProblem(asia_net, asia_data)
+        with pytest.raises(NumericalError, match="stalled at gap"):
+            problem.solve(asia_net, tol=1e-12, max_iters=6)
+
+    def test_zero_weight_pattern_changes_nothing(self, basic_net, basic_data):
+        extra = Dataset(basic_data.variables, basic_data.cases + ((("f", None), 0.0),))
+        sat = exact_sat_profile_loglik(basic_net, basic_data, tol=1e-12)
+        sat0 = exact_sat_profile_loglik(basic_net, extra, tol=1e-12)
+        assert sat0.per_case_average == sat.per_case_average
+        assert sat0.certificate.per_case[-1] == {}
+        log_f, lam = car_normalizer(basic_net, basic_data)
+        log_f0, lam0 = car_normalizer(basic_net, extra)
+        assert log_f0 == log_f
+        assert lam0 == {**lam, ("f", None): 0.0}
 
 
 class TestFaceValue:
@@ -217,6 +391,13 @@ class TestCarNormalizer:
         d = Dataset(("A", "B"), ((("t", None), 1.0), (("f", None), 3.0)))
         log_f, _ = car_normalizer(basic_net, d)
         assert log_f == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_negative_or_nan_tol_rejected(self, basic_net, basic_data, monkeypatch, tol):
+        calls = count_bincount(monkeypatch)
+        with pytest.raises(DataError, match="tol must be a non-negative number"):
+            car_normalizer(basic_net, basic_data, tol)
+        assert calls == []
 
     def test_certificate_feasible(self, basic_net, basic_data):
         from coarsebn.data import bind_pattern, member_flat_indices
