@@ -28,10 +28,8 @@ from .errors import BudgetError, DataError
 from .inference import EliminationQueries, MemberTable, pattern_table
 from .network import (
     Network,
-    family_counts_from_rows,
     params_from_family_counts,
     smooth,
-    unravel_rows,
     validate_network,
 )
 
@@ -195,7 +193,7 @@ def m_step(state: AimState) -> tuple[Network, list[np.ndarray]]:
     idx = np.fromiter(state.counts.keys(), dtype=np.int64, count=n)
     cnt = np.fromiter(state.counts.values(), dtype=np.float64, count=n)
     weights = cnt / state.z
-    counts = family_counts_from_rows(structure, unravel_rows(structure, idx), weights)
+    counts = state.table.family_counts(structure, idx, weights)
     net, row_counts = params_from_family_counts(structure, counts)
     state.net = net
     state.logp = state.table.log_evaluator(net, LOG_PROB_FLOOR)

@@ -8,6 +8,11 @@ members once (`MemberTable`) and answers every query from them; above the
 budget the same queries run variable elimination (`EliminationQueries`),
 the only path for patterns too large to enumerate.
 
+A member table is compiled once per dataset: on first use it stores, per
+node, each distinct member's cell in that node's flattened CPT.  P(x) is
+then one gather per node, and the E step's expected counts and the AIM
+refit's completion counts one bincount per node, whatever the parameters.
+
 All probabilities are combined in linear space; callers accumulate logs.
 Elimination orderings come from a deterministic min-fill heuristic with
 lexicographic tie-breaking so results are bit-reproducible across runs.
@@ -282,9 +287,12 @@ class MemberTable:
     a slot back to its pattern.  `uniq` holds the distinct flat joint
     indices (sorted) and `loc` each slot's position in it.  The table
     depends only on the structure; every query takes the parameters.
+    Networks whose joint space cannot be indexed in int64 are refused.
     """
 
     def __init__(self, net: Network, bounds: Sequence[Bound], budget: int):
+        if net.n_assignments >= 1 << 62:
+            raise BudgetError("joint space too large to index")
         sizes = [member_count(net, b) for b in bounds]
         if sum(sizes) > budget:
             raise BudgetError(
@@ -302,9 +310,14 @@ class MemberTable:
         self.n_slots = len(flat)
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """The distinct members as an (n, nodes) array of state indices."""
-        return unravel_rows(self.net, self.uniq)
+    def cells(self) -> list[np.ndarray]:
+        """Per node, each distinct member's cell in that node's flattened CPT
+        (parent row * card + state), built on first use."""
+        rows = unravel_rows(self.net, self.uniq)
+        return [
+            parent_rows(self.net, rows, i) * card + rows[:, i]
+            for i, card in enumerate(self.net.cards)
+        ]
 
     def probs(self, net: Network) -> np.ndarray:
         """P(x) of each distinct member.
@@ -313,15 +326,24 @@ class MemberTable:
         same multiplications `full_joint_table` makes, so the values match
         it bit for bit.
         """
-        rows = self.rows
         p = np.ones(len(self.uniq))
-        for i in range(len(net.nodes)):
-            p = p * net.cpts[i][parent_rows(net, rows, i), rows[:, i]]
+        for cpt, cell in zip(net.cpts, self.cells):
+            p = p * cpt.ravel()[cell]
         return p
 
     def pattern_probs(self, net: Network) -> np.ndarray:
         """P(U) per pattern: the sum of its members' probabilities."""
         return np.add.reduceat(self.probs(net)[self.loc], self.starts)
+
+    def _counts(
+        self, net: Network, pos: np.ndarray, weights: np.ndarray
+    ) -> list[np.ndarray]:
+        """Family count tables of the members at positions `pos` of `uniq`,
+        each table summed in the order given."""
+        return [
+            np.bincount(cell[pos], weights=weights, minlength=cpt.size).reshape(cpt.shape)
+            for cpt, cell in zip(net.cpts, self.cells)
+        ]
 
     def expected_counts(
         self, net: Network, weights: np.ndarray
@@ -334,10 +356,14 @@ class MemberTable:
         p_slot = self.probs(net)[self.loc]
         p_u = np.add.reduceat(p_slot, self.starts)
         scale = np.divide(weights, p_u, out=np.zeros_like(p_u), where=p_u > 0)
-        counts = family_counts_from_rows(
-            net, self.rows[self.loc], p_slot * scale[self.pat_of_slot]
-        )
-        return p_u, counts
+        return p_u, self._counts(net, self.loc, p_slot * scale[self.pat_of_slot])
+
+    def family_counts(
+        self, net: Network, flat_idx: np.ndarray, weights: np.ndarray
+    ) -> list[np.ndarray]:
+        """Weighted family count tables of completions given as flat joint
+        indices, each of which must be a member of some pattern."""
+        return self._counts(net, np.searchsorted(self.uniq, flat_idx), weights)
 
     def log_evaluator(self, net: Network, floor: float) -> Callable[[int], float]:
         """log max(P(x), floor) by flat joint index, for members only."""
@@ -389,6 +415,14 @@ class EliminationQueries:
             for i, spec in enumerate(net.nodes):
                 counts[i] += w * fams[spec.name]
         return p_u, counts
+
+    @staticmethod
+    def family_counts(
+        net: Network, flat_idx: np.ndarray, weights: np.ndarray
+    ) -> list[np.ndarray]:
+        """Weighted family count tables of completions given as flat joint
+        indices."""
+        return family_counts_from_rows(net, unravel_rows(net, flat_idx), weights)
 
     def pattern_probs(self, net: Network) -> np.ndarray:
         """P(U) per pattern, one elimination query each."""

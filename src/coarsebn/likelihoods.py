@@ -37,9 +37,9 @@ from .data import (
     PatternDistribution,
     bind_pattern,
 )
-from .errors import BudgetError, DataError, NumericalError
+from .errors import DataError, NumericalError
 from .inference import MemberTable, pattern_table
-from .network import ENUM_BUDGET, Network
+from .network import Network
 
 SAT_AMBIGUITY_BUDGET = 100_000
 CAR_MEMBER_BUDGET = 4 << 20
@@ -234,7 +234,8 @@ class SatProfileProblem(MemberTable):
             g = np.log(p_c) - log_p
             kl = float(w @ g)
             gap = kl - float(self.m @ np.minimum.reduceat(g, starts))
-            return _Point(kl, gap, renormalised(w * p / p_c))
+            # p / p_c first: w * p can underflow where p is tiny
+            return _Point(kl, gap, renormalised(w * (p / p_c)))
 
         w, at_w = _fixed_point(
             evaluate, renormalised(w), tol, max_iters, "sat-profile solver"
@@ -250,7 +251,7 @@ class SatProfileProblem(MemberTable):
         """
         per_pattern: dict[CoarsePattern, dict] = {}
         for pi, pattern in enumerate(self.patterns):
-            sel = self.pat_of_slot == pi
+            sel = slice(self.starts[pi], self.stops[pi])
             mass = w[sel] / self.m[pi]
             states = self.uniq[self.loc[sel]]
             per_pattern[pattern] = {
@@ -291,10 +292,6 @@ def car_normalizer(
     """
     if not tol >= 0:
         raise DataError(f"tol must be a non-negative number; got {tol!r}")
-    if net.n_assignments > ENUM_BUDGET:
-        raise BudgetError(
-            f"state space {net.n_assignments} exceeds the car budget"
-        )
     patterns, m = _pattern_shares(data)
     table = MemberTable(
         net, [bind_pattern(net, data.variables, p) for p in patterns], CAR_MEMBER_BUDGET

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DataError
+from .errors import DataError
 
 Assignment = tuple[int, ...]
 
@@ -239,16 +239,6 @@ def joint_probability(net: Network, x: Sequence[int]) -> float:
     return float(p)
 
 
-def log_joint_rows(net: Network, rows: np.ndarray) -> np.ndarray:
-    """log P(x) for each assignment row; -inf where some factor is zero."""
-    rows = np.asarray(rows)
-    logp = np.zeros(rows.shape[0])
-    with np.errstate(divide="ignore"):
-        for i in range(len(net.nodes)):
-            logp += np.log(net.cpts[i][parent_rows(net, rows, i), rows[:, i]])
-    return logp
-
-
 def unravel_rows(net: Network, idx: np.ndarray) -> np.ndarray:
     """Flat joint indices as an (n, nodes) array of state indices."""
     cols = [(idx // s) % c for s, c in zip(net.ravel_strides, net.cards)]
@@ -261,15 +251,6 @@ def parent_rows(net: Network, rows: np.ndarray, i: int) -> np.ndarray:
     for p, s in zip(net.parent_index[i], net.row_strides[i]):
         ridx += rows[:, p] * s
     return ridx
-
-
-def enumerate_assignments(net: Network) -> Iterator[Assignment]:
-    """All full assignments in C order (last node varying fastest)."""
-    if net.n_assignments > ENUM_BUDGET:
-        raise BudgetError(
-            f"state space of size {net.n_assignments} exceeds the enumeration budget"
-        )
-    yield from np.ndindex(*net.cards)
 
 
 def sample(net: Network, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -343,12 +324,8 @@ def params_from_family_counts(
     for i in range(len(structure.nodes)):
         table = np.asarray(counts[i], dtype=np.float64)
         k = table.sum(axis=1)
-        card = table.shape[1]
-        out = np.empty_like(table)
-        zero = k <= 0
-        out[zero] = 1.0 / card
-        nz = ~zero
-        out[nz] = table[nz] / k[nz, None]
+        out = np.full_like(table, 1.0 / table.shape[1])
+        np.divide(table, k[:, None], out=out, where=k[:, None] > 0)
         cpts.append(out)
         row_counts.append(k)
     return structure.with_cpts(cpts), row_counts

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Dataset, bind_pattern, compatible_assignments
 from coarsebn.netformat import read_network
 from coarsebn.network import joint_probability
@@ -43,6 +44,13 @@ def basic_data_n2000():
             (("f", "f"), 800.0),
         ),
     )
+
+
+def asia_data(asia_net, n=300, seed=41):
+    """A generated asia dataset at coarsening 2:0.1:0.05."""
+    rng = np.random.default_rng(seed)
+    aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.1, 0.05), rng)
+    return generate_dataset(aug, n, rng)[0]
 
 
 def brute_evidence_probability(net, evidence):

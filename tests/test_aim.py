@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import asia_data
 from coarsebn import aim, inference
 from coarsebn.aim import (
     LOG_PROB_FLOOR,
@@ -312,12 +313,6 @@ def tri_data():
             ((None, None, None), 2.0),
         ),
     )
-
-
-def asia_data(asia_net, n=300, seed=41):
-    rng = np.random.default_rng(seed)
-    aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.1, 0.05), rng)
-    return generate_dataset(aug, n, rng)[0]
 
 
 class TestSweepMatchesDefinition:

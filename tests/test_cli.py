@@ -85,6 +85,47 @@ class TestLikEmptyData:
         assert "total weight must be positive" in out.stderr
 
 
+def binary_chain(tmp_path, k, cases=50):
+    """A k-node binary chain v0 -> v1 -> ... and `cases` cases, each with one
+    missing value; returns the network and dataset paths."""
+    lines = [f"network chain{k}"] + [f"node v{i} states a,b" for i in range(k)]
+    lines += [f"parents v{i} v{i - 1}" for i in range(1, k)]
+    lines.append("cpt v0 : 0.4,0.6")
+    for i in range(1, k):
+        lines += [f"cpt v{i} | v{i - 1}=a : 0.7,0.3", f"cpt v{i} | v{i - 1}=b : 0.2,0.8"]
+    net = tmp_path / f"chain{k}.net"
+    net.write_text("\n".join(lines) + "\n")
+    rng = np.random.default_rng(0)
+    rows = [",".join(f"v{i}" for i in range(k))]
+    for c in range(cases):
+        vals = ["a" if b else "b" for b in rng.integers(0, 2, size=k)]
+        vals[c % k] = "?"
+        rows.append(",".join(vals))
+    data = tmp_path / f"chain{k}.csv"
+    data.write_text("\n".join(rows) + "\n")
+    return str(net), str(data)
+
+
+class TestLikLargeJointSpace:
+    @pytest.mark.parametrize("which", ["sat", "car", "lr"])
+    def test_beyond_int64_is_budget_error(self, tmp_path, which):
+        net, data = binary_chain(tmp_path, 64)
+        out = run_cli("lik", "--net", net, "--data", data, "--which", which)
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr + out.stdout
+        assert "too large to index" in out.stderr
+
+    @pytest.mark.parametrize("which", ["car", "lr"])
+    def test_car_runs_beyond_enum_budget(self, tmp_path, which):
+        net, data = binary_chain(tmp_path, 22)  # 2^22 states, 100 members
+        out = run_cli("lik", "--net", net, "--data", data, "--which", which)
+        assert out.returncode == 0, out.stderr
+        if which == "car":
+            fv = run_cli("lik", "--net", net, "--data", data, "--which", "fv")
+            # every pattern is its own: the car normalizer is log 1
+            assert parsed(out.stdout, "total") == parsed(fv.stdout, "total")
+
+
 class TestExitCodes:
     def test_missing_required_flag_is_usage(self):
         out = run_cli("lik", "--which", "sat")

@@ -3,7 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import brute_evidence_probability, brute_family_posteriors
+from conftest import asia_data, brute_evidence_probability, brute_family_posteriors
+from coarsebn import inference, network
+from coarsebn.aim import AimOptions, aim_fit
+from coarsebn.data import bind_pattern
+from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import BudgetError, DataError, ZeroSupportError
 from coarsebn.inference import (
     EliminationQueries,
@@ -11,9 +15,19 @@ from coarsebn.inference import (
     evidence_probability,
     full_joint_table,
     joint_marginal,
+    pattern_table,
     posterior_family_marginals,
 )
-from coarsebn.network import joint_probability, randomize_parameters
+from coarsebn.likelihoods import car_normalizer
+from coarsebn.network import (
+    Network,
+    NodeSpec,
+    family_counts_from_rows,
+    joint_probability,
+    parent_rows,
+    randomize_parameters,
+    unravel_rows,
+)
 
 
 def all_patterns(net, max_missing):
@@ -167,3 +181,127 @@ class TestMemberTable:
     def test_budget_counts_members_before_enumerating(self, asia_net):
         with pytest.raises(BudgetError):
             MemberTable(asia_net, self.BOUNDS, budget=80)
+
+    def test_joint_space_beyond_int64_refused(self):
+        nodes = tuple(NodeSpec(f"v{i}", ("a", "b")) for i in range(64))
+        net = Network("wide64", nodes, tuple(np.full((1, 2), 0.5) for _ in nodes))
+        bounds = [(None,) + (0,) * 63]
+        with pytest.raises(BudgetError, match="too large to index"):
+            MemberTable(net, bounds, budget=1000)
+        assert isinstance(pattern_table(net, bounds), EliminationQueries)
+
+
+# The member-table queries as they were before the table compiled its CPT
+# cells: every call recomputes the members' rows and parent rows.
+
+
+def reference_probs(table, net):
+    rows = unravel_rows(table.net, table.uniq)
+    p = np.ones(len(table.uniq))
+    for i in range(len(net.nodes)):
+        p = p * net.cpts[i][parent_rows(net, rows, i), rows[:, i]]
+    return p
+
+
+def reference_expected_counts(table, net, weights):
+    p_slot = reference_probs(table, net)[table.loc]
+    p_u = np.add.reduceat(p_slot, table.starts)
+    scale = np.divide(weights, p_u, out=np.zeros_like(p_u), where=p_u > 0)
+    rows = unravel_rows(table.net, table.uniq)
+    counts = family_counts_from_rows(
+        net, rows[table.loc], p_slot * scale[table.pat_of_slot]
+    )
+    return p_u, counts
+
+
+def reference_family_counts(table, net, flat_idx, weights):
+    """aim.m_step's counting: unravel the completions, count their rows."""
+    return family_counts_from_rows(net, unravel_rows(net, flat_idx), weights)
+
+
+def fit_signature(res):
+    """Everything a fit returns, as comparable values."""
+    tables = [res.network.cpts, res.smoothed.cpts, res.row_counts]
+    return (
+        res.trace,
+        [[t.tobytes() for t in ts] for ts in tables],
+        res.converged,
+        getattr(res, "score", None),
+    )
+
+
+def refuse_cells(monkeypatch):
+    monkeypatch.setattr(
+        MemberTable, "cells", property(lambda self: pytest.fail("cells built"))
+    )
+
+
+class TestCompiledTable:
+    """The compiled table answers every query with the reference floats."""
+
+    @pytest.mark.parametrize("which", ["asia", "basic"])
+    def test_queries_equal_reference(self, which, asia_net, basic_net, basic_data):
+        if which == "asia":
+            base, data = asia_net, asia_data(asia_net)
+        else:
+            base, data = basic_net, basic_data
+        net = randomize_parameters(base, np.random.default_rng(6))
+        bounds = [bind_pattern(net, data.variables, p) for p in data.grouped()]
+        table = MemberTable(net, bounds, budget=1 << 16)
+        rng = np.random.default_rng(7)
+        weights = rng.uniform(0.5, 3.0, size=len(bounds))
+        p_ref, counts_ref = reference_expected_counts(table, net, weights)
+        assert np.array_equal(table.probs(net), reference_probs(table, net))
+        assert np.array_equal(table.pattern_probs(net), p_ref)
+        p_u, counts = table.expected_counts(net, weights)
+        assert np.array_equal(p_u, p_ref)
+        for a, b in zip(counts, counts_ref, strict=True):
+            assert np.array_equal(a, b)
+        flat = rng.choice(table.uniq, size=3 * len(table.uniq))
+        w = rng.uniform(0.0, 2.0, size=len(flat))
+        ref = reference_family_counts(table, net, flat, w)
+        for source in (table, EliminationQueries(bounds)):
+            for a, b in zip(source.family_counts(net, flat, w), ref, strict=True):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("budget", [1 << 16, 0])
+    def test_fits_equal_reference_fits(
+        self, budget, asia_net, basic_net, basic_data, basic_data_n2000, monkeypatch
+    ):
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", budget)
+        data = asia_data(asia_net, n=150 if budget else 40, seed=43)
+        runs = [
+            lambda: em_fit(basic_net, basic_data, EmOptions(max_iters=20)),
+            lambda: em_fit(asia_net, data, EmOptions(max_iters=20 if budget else 3)),
+            lambda: aim_fit(basic_net, basic_net, basic_data_n2000, AimOptions(z=3, seed=2)),
+            lambda: aim_fit(asia_net, asia_net, data, AimOptions(z=3, seed=3, max_iters=5)),
+        ]
+        compiled = [fit_signature(run()) for run in runs]
+        monkeypatch.setattr(MemberTable, "probs", reference_probs)
+        monkeypatch.setattr(MemberTable, "expected_counts", reference_expected_counts)
+        monkeypatch.setattr(MemberTable, "family_counts", reference_family_counts)
+        monkeypatch.setattr(EliminationQueries, "family_counts", reference_family_counts)
+        refuse_cells(monkeypatch)
+        assert [fit_signature(run()) for run in runs] == compiled
+
+    def test_parent_rows_once_per_node_per_table(self, asia_net, monkeypatch):
+        data = asia_data(asia_net, n=200, seed=44)
+        calls = []
+
+        def counting(net, rows, i):
+            calls.append(i)
+            return parent_rows(net, rows, i)
+
+        monkeypatch.setattr(inference, "parent_rows", counting)
+        monkeypatch.setattr(network, "parent_rows", counting)
+        em_res = em_fit(asia_net, data, EmOptions(max_iters=10))
+        opts = AimOptions(z=3, seed=1, max_iters=5)
+        aim_res = aim_fit(asia_net, em_res.network, data, opts)
+        assert len(em_res.trace) > 2 and len(aim_res.trace) > 1
+        # one table for EM, one for AIM
+        assert sorted(calls) == sorted(list(range(len(asia_net.nodes))) * 2)
+
+    def test_car_table_builds_no_cells(self, asia_net, monkeypatch):
+        refuse_cells(monkeypatch)
+        log_f, _ = car_normalizer(asia_net, asia_data(asia_net, n=100, seed=45))
+        assert log_f <= 0.0

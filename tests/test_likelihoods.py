@@ -6,6 +6,7 @@ import pytest
 from coarsebn import inference, likelihoods
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import (
+    Completion,
     Dataset,
     bind_pattern,
     completion_distribution,
@@ -21,6 +22,7 @@ from coarsebn.likelihoods import (
     lr_statistic,
 )
 from coarsebn.network import Network, NodeSpec
+from coarsebn.util import stable_child_seed
 
 THETA1 = (0.5, 0.15 / 0.55)  # face-value optimum of the fixture data
 
@@ -118,6 +120,20 @@ def reference_car(net, data, tol=1e-10):
         q = q * r
         q /= q.sum()
     raise AssertionError("reference car loop did not converge")
+
+
+def mask_certificate(problem, w):
+    """certificate_completion selecting each pattern's slots by a mask over
+    every slot, as it did before slicing them."""
+    per_pattern = {}
+    for pi, pattern in enumerate(problem.patterns):
+        sel = problem.pat_of_slot == pi
+        mass = w[sel] / problem.m[pi]
+        states = problem.uniq[problem.loc[sel]]
+        per_pattern[pattern] = {
+            problem.net.unravel(int(r)): float(v) for r, v in zip(states, mass) if v > 0
+        }
+    return Completion(tuple(per_pattern.get(p, {}) for p, _ in problem.data.cases))
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +384,33 @@ class TestSatProfile:
         net = net_theta(basic_net, 1.0, 0.2)
         rep = exact_sat_profile_loglik(net, basic_data)
         assert rep.per_case_average == -math.inf
+
+    def test_tiny_cpt_entries_do_not_underflow(self, asia_net):
+        # The data `experiment` draws for asia, seed 2024, run 0; either's
+        # four structural zeros become eps.  At eps = 1e-160 the update's
+        # w * p underflowed and the solver stalled at gap 37.4.
+        rng = np.random.default_rng(stable_child_seed(2024, 0))
+        mech = build_coarsening_network(asia_net, CoarseningSpec.parse("2:0.1:0.05"), rng)
+        data, _ = generate_dataset(mech, 1000, rng)
+        i = asia_net.node_index["either"]
+        values = []
+        for eps in (1e-150, 1e-160, 1e-200):
+            cpts = list(asia_net.cpts)
+            t = np.where(cpts[i] == 0, eps, cpts[i])
+            cpts[i] = t / t.sum(axis=1, keepdims=True)
+            net = asia_net.with_cpts(cpts)
+            value, _, _, gap = SatProfileProblem(net, data).solve(net)
+            assert gap <= 1e-8
+            values.append(value)
+        assert values[1] == pytest.approx(values[0], abs=1e-8)
+        assert values[2] == pytest.approx(values[0], abs=1e-8)
+
+    def test_certificate_equals_per_pattern_mask(self, asia_net, asia_data):
+        problem = SatProfileProblem(asia_net, asia_data)
+        _, w, _, _ = problem.solve(asia_net, tol=1e-6)
+        expect = mask_certificate(problem, w)
+        assert problem.certificate_completion(w) == expect
+        assert sum(len(d) > 1 for d in expect.per_case) > 0
 
 
 class TestCarNormalizer:

@@ -7,16 +7,29 @@ from coarsebn.errors import DataError
 from coarsebn.network import (
     Network,
     NodeSpec,
-    enumerate_assignments,
     joint_probability,
-    log_joint_rows,
     ml_estimate,
+    parent_rows,
     randomize_parameters,
     sample,
     smooth,
     uniform_cpts,
     validate_network,
 )
+
+
+def enumerate_assignments(net):
+    """All full assignments in C order (last node varying fastest)."""
+    return np.ndindex(*net.cards)
+
+
+def log_joint_rows(net, rows):
+    """log P(x) for each assignment row; -inf where some factor is zero."""
+    logp = np.zeros(rows.shape[0])
+    with np.errstate(divide="ignore"):
+        for i in range(len(net.nodes)):
+            logp += np.log(net.cpts[i][parent_rows(net, rows, i), rows[:, i]])
+    return logp
 
 
 class TestValidate:
