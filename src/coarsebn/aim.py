@@ -19,13 +19,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, PatternDistribution, bind_pattern
+from .data import Dataset
 from .errors import BudgetError, DataError
-from .inference import EliminationQueries, MemberTable, pattern_table
+from .inference import BoundDataset, EliminationQueries, MemberTable, pattern_table
 from .network import (
     Network,
     params_from_family_counts,
@@ -54,37 +54,6 @@ class AimResult:
     score: float                        # terminal KL(P_c || P_theta)
     init_fallbacks: int                 # replicas seeded uniformly on zero evidence
     converged: bool
-
-
-def incremental_kl_delta(
-    counts: Mapping, zn: int, logp: Callable, frm, to
-) -> float:
-    """Change in KL(P_c || P_theta) from moving one replica frm -> to.
-
-    Only the two affected count terms are recomputed.  `counts` maps
-    occupied states to replica counts; `logp` must already be floored.
-    """
-    n_from = counts.get(frm, 0)
-    if n_from < 1:
-        raise DataError("no replica currently occupies the source state")
-    if frm == to:
-        return 0.0
-    n_to = counts.get(to, 0)
-    lf = logp(frm)
-    lt = logp(to)
-
-    def term(n: int, lp: float) -> float:
-        if n == 0:
-            return 0.0
-        q = n / zn
-        return q * (math.log(q) - lp)
-
-    return (
-        term(n_from - 1, lf)
-        + term(n_to + 1, lt)
-        - term(n_from, lf)
-        - term(n_to, lt)
-    )
 
 
 @dataclass
@@ -124,8 +93,10 @@ class AimState:
 def ai_sweep(state: AimState) -> AimState:
     """One pass over replicas in fixed order, adopting KL-improving moves.
 
-    Each replica takes its move of most negative `incremental_kl_delta`
-    (the first on exact ties) or stays put, with that function's floats.
+    Each replica takes the move that lowers KL(P_c || P_theta) the most
+    (the first on exact ties) or stays put.  A move from x to y changes
+    only the count terms of x and y, so its delta is the new terms of both
+    minus the old, summed in that order.
     The decision reads only `logp` and the counts at the replica's state x
     and its neighbours, so once a replica at x with move set M stays put,
     later replicas at (M, x) are skipped until a move is accepted.  The
@@ -150,7 +121,7 @@ def ai_sweep(state: AimState) -> AimState:
                 for stride, card in move_sets[m] for d in [(cur // stride) % card]
                 for s in range(card) if s != d
             ]
-        # incremental_kl_delta's four terms, summed in its order
+        # (left at x) + (arrived at y) - (was at x) - (was at y)
         n_from = counts[cur]
         lf = logp(cur)
         q = (n_from - 1) / zn
@@ -264,8 +235,8 @@ def aim_fit(
     if structure.n_assignments >= 1 << 62:
         raise BudgetError("joint space too large to index")
 
-    bound_of = {p: bind_pattern(structure, data.variables, p) for p in data.grouped()}
-    pattern_of: dict[tuple, int] = {}   # distinct bound -> pattern id, first seen first
+    bound = BoundDataset(structure, data)
+    pattern_id = {p: k for k, p in enumerate(bound.patterns)}
     case_pattern = []
     case_reps = []
     for pattern, w in data.cases:
@@ -274,11 +245,11 @@ def aim_fit(
                 "replication needs positive integer case weights; "
                 f"got weight {w!r}"
             )
-        case_pattern.append(pattern_of.setdefault(bound_of[pattern], len(pattern_of)))
+        case_pattern.append(pattern_id[pattern])
         case_reps.append(int(round(w)) * opts.z)
     zn = sum(case_reps)
     rep_case = np.repeat(np.arange(len(case_pattern)), case_reps)
-    table = pattern_table(structure, list(pattern_of))
+    table = pattern_table(structure, bound.bounds)
 
     rng = np.random.default_rng(opts.seed)
     rep_pattern = np.repeat(case_pattern, case_reps)
@@ -305,7 +276,7 @@ def aim_fit(
     state.logp = state.table.log_evaluator(state.net, LOG_PROB_FLOOR)
     state.score = state.full_score()
 
-    entropy = PatternDistribution.from_dataset(data).entropy
+    entropy = bound.entropy
     trace: list[tuple[int, float, float]] = []
     score_prev = state.score
     converged = False

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, bind_pattern
+from .data import Dataset
 from .errors import DataError
+from .inference import BoundDataset
 from .network import Network, ml_estimate, smooth
 from .util import stable_child_seed
 
@@ -26,15 +27,15 @@ def random_completion(
     if policy != "uniform":
         raise DataError(f"unknown completion policy {policy!r}")
     k = len(net.nodes)
-    rows = np.zeros((len(data.cases), k), dtype=np.int64)
-    missing_mask = np.zeros((len(data.cases), k), dtype=bool)
-    for r, (pattern, _) in enumerate(data.cases):
-        bound = bind_pattern(net, data.variables, pattern)
-        for i, v in enumerate(bound):
-            if v is None:
-                missing_mask[r, i] = True
-            else:
-                rows[r, i] = v
+    bound_of = BoundDataset(net, data).bound_of
+    # one row per distinct pattern, -1 where missing, gathered by case
+    observed = np.array(
+        [[-1 if v is None else v for v in b] for b in bound_of.values()], dtype=np.int64
+    ).reshape(len(bound_of), k)
+    pattern_id = {p: j for j, p in enumerate(bound_of)}
+    rows = observed[[pattern_id[p] for p, _ in data.cases]]
+    missing_mask = rows < 0
+    rows[missing_mask] = 0
     for i in range(k):
         hole = missing_mask[:, i]
         n_hole = int(hole.sum())

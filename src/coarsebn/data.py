@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,11 @@ class Dataset:
                 )
             if not math.isfinite(w) or w < 0:
                 raise DataError(f"bad case weight {w!r}")
-        if self.cases and self.total_weight <= 0:
+        try:
+            total = self.total_weight
+        except OverflowError:
+            raise DataError("total weight overflows") from None
+        if self.cases and total <= 0:
             raise DataError("total weight must be positive")
 
     @property
@@ -64,6 +68,36 @@ class Dataset:
         return out
 
 
+def pattern_binder(
+    net: Network, variables: Sequence[str]
+) -> Callable[[CoarsePattern], tuple[Optional[int], ...]]:
+    """`bind_pattern` for one header: the header is checked and each node's
+    label -> state map built once, for every pattern bound after."""
+    for v in variables:
+        if v not in net.node_index:
+            raise DataError(f"dataset variable {v!r} is not a network node")
+    column = {v: j for j, v in enumerate(variables)}
+    plan = [
+        (column.get(spec.name), {s: spec.states.index(s) for s in spec.states}, spec.name)
+        for spec in net.nodes
+    ]
+
+    def bind(pattern: CoarsePattern) -> tuple[Optional[int], ...]:
+        bound: list[Optional[int]] = []
+        for j, states, name in plan:
+            label = None if j is None else pattern[j]
+            if label is None:
+                bound.append(None)
+                continue
+            s = states.get(label)
+            if s is None:
+                raise DataError(f"state {label!r} not in the domain of node {name!r}")
+            bound.append(s)
+        return tuple(bound)
+
+    return bind
+
+
 def bind_pattern(
     net: Network, variables: Sequence[str], pattern: CoarsePattern
 ) -> tuple[Optional[int], ...]:
@@ -71,40 +105,7 @@ def bind_pattern(
 
     Network nodes absent from the header count as missing.
     """
-    by_var = dict(zip(variables, pattern))
-    for v in variables:
-        if v not in net.node_index:
-            raise DataError(f"dataset variable {v!r} is not a network node")
-    bound: list[Optional[int]] = []
-    for spec in net.nodes:
-        label = by_var.get(spec.name)
-        if label is None:
-            bound.append(None)
-        else:
-            bound.append(net.state_index(spec.name, label))
-    return tuple(bound)
-
-
-def compatible_assignments(
-    net: Network, bound: Sequence[Optional[int]]
-) -> Iterator[Assignment]:
-    """Lazily enumerate the full assignments a case is consistent with."""
-    domains = [
-        (v,) if v is not None else tuple(range(net.cards[i]))
-        for i, v in enumerate(bound)
-    ]
-    idx = [0] * len(domains)
-    while True:
-        yield tuple(dom[i] for dom, i in zip(domains, idx))
-        j = len(domains) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(domains[j]):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
+    return pattern_binder(net, variables)(pattern)
 
 
 def member_count(net: Network, bound: Sequence[Optional[int]]) -> int:
@@ -166,26 +167,6 @@ class Completion:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_case", tuple(dict(d) for d in self.per_case))
-
-
-def check_completion(c: Completion, data: Dataset, net: Network) -> list[str]:
-    """Diagnostics for support compatibility and per-case normalization."""
-    diags = []
-    if len(c.per_case) != len(data.cases):
-        return [f"{len(c.per_case)} case distributions for {len(data.cases)} cases"]
-    for i, ((pattern, _), dist) in enumerate(zip(data.cases, c.per_case)):
-        bound = bind_pattern(net, data.variables, pattern)
-        s = math.fsum(dist.values())
-        if abs(s - 1.0) > 1e-12:
-            diags.append(f"case {i}: distribution sums to {s!r}")
-        for x, p in dist.items():
-            if p < 0:
-                diags.append(f"case {i}: negative mass on {x}")
-            for coord, v in zip(x, bound):
-                if v is not None and coord != v:
-                    diags.append(f"case {i}: support point {x} conflicts with case")
-                    break
-    return diags
 
 
 def completion_distribution(
@@ -303,18 +284,19 @@ def recover_coarsening(
 
 
 def parse_dataset_csv(text: str) -> Dataset:
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("empty dataset file") from None
-    header = [h.strip() for h in header]
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise FormatError(f"malformed dataset CSV: {exc}") from None
+    if not rows:
+        raise FormatError("empty dataset file")
+    header = [h.strip() for h in rows[0]]
     has_weight = bool(header) and header[-1] == WEIGHT_COLUMN
     variables = tuple(header[:-1] if has_weight else header)
     if not variables:
         raise FormatError("dataset needs at least one variable column")
     cases = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, bind_pattern
+from .data import Dataset
 from .errors import DataError, ZeroSupportError
-from .inference import pattern_table
+from .inference import BoundDataset, pattern_table
 from .network import (
     Network,
     params_from_family_counts,
@@ -53,7 +53,7 @@ def _init_network(structure: Network, opts: EmOptions) -> Network:
         diags = validate_network(opts.init)
         if diags:
             raise DataError("initial network invalid: " + "; ".join(diags))
-        if tuple(opts.init.cards) != tuple(structure.cards):
+        if opts.init.nodes != structure.nodes:
             raise DataError("initial network does not match the structure")
         return structure.with_cpts(opts.init.cpts)
     if opts.init == "uniform":
@@ -82,12 +82,10 @@ def em_fit(
     if not opts.tol >= 0:
         raise DataError(f"tol must be a non-negative number; got {opts.tol!r}")
     net = _init_network(structure, opts)
-    grouped = data.grouped()
-    total_w = data.total_weight
-    weights = np.array(list(grouped.values()))
-    table = pattern_table(
-        structure, [bind_pattern(structure, data.variables, p) for p in grouped]
-    )
+    bound = BoundDataset(structure, data)
+    total_w = bound.total
+    weights = bound.weights
+    table = pattern_table(structure, bound.bounds)
 
     trace: list[tuple[int, float, float]] = []
     prev: tuple[float, float] | None = None

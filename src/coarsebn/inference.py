@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .data import member_count, member_flat_indices
+from .data import Dataset, member_count, member_flat_indices, pattern_binder
 from .errors import BudgetError, DataError, ZeroSupportError
 from .network import (
     ENUM_BUDGET,
@@ -309,6 +309,12 @@ class MemberTable:
         self.uniq, self.loc = np.unique(flat, return_inverse=True)
         self.n_slots = len(flat)
 
+    def _cells_for(self, net: Network) -> list[np.ndarray]:
+        """`cells`, for a network of the table's nodes, states and parents."""
+        if net.nodes != self.net.nodes:
+            raise DataError("network structure differs from the member table's")
+        return self.cells
+
     @cached_property
     def cells(self) -> list[np.ndarray]:
         """Per node, each distinct member's cell in that node's flattened CPT
@@ -327,7 +333,7 @@ class MemberTable:
         it bit for bit.
         """
         p = np.ones(len(self.uniq))
-        for cpt, cell in zip(net.cpts, self.cells):
+        for cpt, cell in zip(net.cpts, self._cells_for(net)):
             p = p * cpt.ravel()[cell]
         return p
 
@@ -342,7 +348,7 @@ class MemberTable:
         each table summed in the order given."""
         return [
             np.bincount(cell[pos], weights=weights, minlength=cpt.size).reshape(cpt.shape)
-            for cpt, cell in zip(net.cpts, self.cells)
+            for cpt, cell in zip(net.cpts, self._cells_for(net))
         ]
 
     def expected_counts(
@@ -486,3 +492,37 @@ def pattern_table(
     ):
         return MemberTable(net, bounds, DENSE_TABLE_BUDGET)
     return EliminationQueries(bounds)
+
+
+class BoundDataset:
+    """A dataset bound once to a network's nodes: the one place that groups
+    cases into patterns and binds them.
+
+    `bound_of` maps every distinct pattern, in first-seen order, to its
+    bound, so a malformed case is refused whatever its weight.  `patterns`,
+    `weights` and `bounds` keep those of positive weight, in the same order;
+    `total` is the total weight, `m` the positive patterns' shares of it and
+    `entropy` H(m).  `member_table` builds the patterns' member table on
+    first use and hands the same table to every later caller.
+    """
+
+    def __init__(self, net: Network, data: Dataset):
+        grouped = data.grouped()
+        bind = pattern_binder(net, data.variables)
+        self.net = net
+        self.data = data
+        self.bound_of = {p: bind(p) for p in grouped}
+        self.patterns = [p for p, w in grouped.items() if w > 0]
+        self.weights = np.array([grouped[p] for p in self.patterns])
+        self.bounds = [self.bound_of[p] for p in self.patterns]
+        self.total = data.total_weight
+        self.m = self.weights / self.total
+        self.entropy = -math.fsum(f * math.log(f) for f in self.m.tolist() if f > 0)
+        self._table: MemberTable | None = None
+
+    def member_table(self, budget: int) -> MemberTable:
+        """The member table of `bounds`; BudgetError when their members
+        exceed budget (the table is built again only to raise it)."""
+        if self._table is None or self._table.n_slots > budget:
+            self._table = MemberTable(self.net, self.bounds, budget)
+        return self._table

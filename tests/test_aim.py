@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import asia_data
+from conftest import asia_data, incremental_kl_delta
 from coarsebn import aim, inference
 from coarsebn.aim import (
     LOG_PROB_FLOOR,
@@ -13,7 +13,6 @@ from coarsebn.aim import (
     AimState,
     ai_sweep,
     aim_fit,
-    incremental_kl_delta,
     initial_completion,
     m_step,
 )

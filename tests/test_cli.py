@@ -59,6 +59,28 @@ class TestLik:
         assert parsed(out.stdout, "lr_statistic") == pytest.approx(0.0720, abs=1e-3)
 
 
+class TestLikStructureMismatch:
+    def test_lr_with_other_structure_is_data_error(self, tmp_path):
+        # same nodes and CPT shapes; C's parent is A in one network, B in the other
+        paths = []
+        for parent in "AB":
+            lines = ["network abc"] + [f"node {n} states t,f" for n in "ABC"]
+            lines += [f"parents C {parent}", "cpt A : 0.3,0.7", "cpt B : 0.6,0.4"]
+            lines += [f"cpt C | {parent}=t : 0.9,0.1", f"cpt C | {parent}=f : 0.2,0.8"]
+            path = tmp_path / f"c_of_{parent}.net"
+            path.write_text("\n".join(lines) + "\n")
+            paths.append(str(path))
+        data = tmp_path / "abc.csv"
+        data.write_text("A,B,C,__weight\nt,?,t,3\n?,f,?,2\nf,t,f,1\n")
+        out = run_cli(
+            "lik", "--net", paths[0], "--data", str(data), "--which", "lr",
+            "--net-car", paths[1],
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr + out.stdout
+        assert "share one structure" in out.stderr
+
+
 class TestLikTolerance:
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_negative_or_nan_sat_tol_is_data_error(self, tol):

@@ -1,16 +1,58 @@
 import numpy as np
 import pytest
 
+from conftest import asia_data
+from coarsebn import inference
 from coarsebn.conservative import (
     conservative_ensemble,
     marginal_bounds,
     random_completion,
 )
-from coarsebn.data import Dataset
+from coarsebn.data import Dataset, bind_pattern
 from coarsebn.errors import DataError
 
 
+def per_case_completion(net, data, rng):
+    """Oracle: random_completion binding every case on its own."""
+    k = len(net.nodes)
+    rows = np.zeros((len(data.cases), k), dtype=np.int64)
+    missing_mask = np.zeros((len(data.cases), k), dtype=bool)
+    for r, (pattern, _) in enumerate(data.cases):
+        for i, v in enumerate(bind_pattern(net, data.variables, pattern)):
+            if v is None:
+                missing_mask[r, i] = True
+            else:
+                rows[r, i] = v
+    for i in range(k):
+        hole = missing_mask[:, i]
+        n_hole = int(hole.sum())
+        if n_hole:
+            rows[hole, i] = rng.integers(0, net.cards[i], size=n_hole)
+    return rows
+
+
 class TestRandomCompletion:
+    def test_rows_equal_per_case_binding(self, asia_net, basic_net, basic_data, monkeypatch):
+        asia = asia_data(asia_net, n=1000, seed=46)
+        # a zero-weight case still gets its row; the header lacks node B
+        zero = Dataset(("A",), ((("t",), 1.0), ((None,), 0.0), (("f",), 2.0)))
+        binds = []
+        binder = inference.pattern_binder
+
+        def counting_binder(*args):
+            bind = binder(*args)
+            return lambda pattern: binds.append(pattern) or bind(pattern)
+
+        monkeypatch.setattr(inference, "pattern_binder", counting_binder)
+        for net, data in [(asia_net, asia), (basic_net, basic_data), (basic_net, zero)]:
+            binds.clear()
+            for seed in range(3):
+                got = random_completion(net, data, np.random.default_rng(seed))
+                want = per_case_completion(net, data, np.random.default_rng(seed))
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert len(binds) == 3 * len(data.grouped())
+
+
     def test_complete_data_identity(self, basic_net):
         d = Dataset(("A", "B"), ((("t", "f"), 1.0), (("f", "t"), 1.0)))
         rows = random_completion(basic_net, d, np.random.default_rng(0))

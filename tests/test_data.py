@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import compatible_assignments
 from coarsebn.data import (
     Completion,
     Dataset,
     bind_pattern,
-    check_completion,
-    compatible_assignments,
     completion_distribution,
     empirical_pattern_distribution,
     format_dataset_csv,
@@ -18,7 +17,29 @@ from coarsebn.data import (
     parse_dataset_csv,
     recover_coarsening,
 )
-from coarsebn.errors import DataError
+from coarsebn.errors import CoarseBNError, DataError
+from coarsebn.inference import BoundDataset
+
+
+def check_completion(c, data, net):
+    """Oracle: diagnostics for support compatibility and per-case
+    normalization of a completion."""
+    diags = []
+    if len(c.per_case) != len(data.cases):
+        return [f"{len(c.per_case)} case distributions for {len(data.cases)} cases"]
+    for i, ((pattern, _), dist) in enumerate(zip(data.cases, c.per_case)):
+        bound = bind_pattern(net, data.variables, pattern)
+        s = math.fsum(dist.values())
+        if abs(s - 1.0) > 1e-12:
+            diags.append(f"case {i}: distribution sums to {s!r}")
+        for x, p in dist.items():
+            if p < 0:
+                diags.append(f"case {i}: negative mass on {x}")
+            for coord, v in zip(x, bound):
+                if v is not None and coord != v:
+                    diags.append(f"case {i}: support point {x} conflicts with case")
+                    break
+    return diags
 
 
 def basic_completion(alpha):
@@ -237,3 +258,55 @@ class TestDatasetValidation:
     def test_unknown_variable_binding(self, basic_net):
         with pytest.raises(DataError):
             bind_pattern(basic_net, ("A", "Z"), ("t", "x"))
+
+
+CELLS = ["t", "f", "?", " t ", "x", "", '"', "1", "0", "-1", "nan", "inf", "1e308", "1e-320"]
+
+
+@st.composite
+def dataset_texts(draw):
+    """CSV text shaped like a dataset for basic.net: header names, cells and
+    weights drawn from near-miss values, and arbitrary text mixed in."""
+    cell = st.one_of(st.sampled_from(CELLS), st.text(max_size=3))
+    header = draw(
+        st.lists(st.sampled_from(["A", "B", "Z", "__weight", "", " A"]), max_size=4)
+    )
+    width = draw(st.integers(0, len(header) + 1))
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=6))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(",".join(r) for r in [header] + rows) + newline
+
+
+def parse_and_bind(basic_net, text):
+    """Parse text and bind the dataset to basic.net; only the package's own
+    errors may escape."""
+    try:
+        data = parse_dataset_csv(text)
+        BoundDataset(basic_net, data)
+    except CoarseBNError:
+        pass
+
+
+class TestParserFuzz:
+    @given(text=st.text(max_size=60))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_arbitrary_text(self, basic_net, text):
+        parse_and_bind(basic_net, text)
+
+    @given(text=dataset_texts())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_dataset_shaped_text(self, basic_net, text):
+        parse_and_bind(basic_net, text)
+
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("A,B\nt,\rf\n", "malformed dataset CSV"),
+            ("A\n" + "x" * 200_000 + "\n", "malformed dataset CSV"),
+            ("A,B,__weight\nt,t,1e308\nf,f,1e308\n", "total weight overflows"),
+        ],
+        ids=["carriage-return", "field-limit", "weight-overflow"],
+    )
+    def test_found_inputs_are_package_errors(self, text, what):
+        with pytest.raises(CoarseBNError, match=what):
+            parse_dataset_csv(text)

@@ -9,7 +9,7 @@ from coarsebn.data import Dataset
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import DataError, ZeroSupportError
 from coarsebn.likelihoods import face_value_loglik
-from coarsebn.network import ml_estimate, sample
+from coarsebn.network import Network, NodeSpec, ml_estimate, sample
 
 
 class TestEmFit:
@@ -180,6 +180,13 @@ class TestEmFit:
         assert len(res.trace) < 200
         assert all(ll == float("-inf") and ex == 1.0 for _, ll, ex in res.trace)
         assert res.network.cpts[1][0, 0] == pytest.approx(0.5, abs=1e-5)
+
+    def test_init_of_another_structure_refused(self, basic_net, basic_data):
+        # same nodes and states, but B has a parent: its CPT has two rows
+        nodes = (basic_net.nodes[0], NodeSpec("B", basic_net.nodes[1].states, ("A",)))
+        other = Network("other", nodes, (np.array([[0.5, 0.5]]), np.full((2, 2), 0.5)))
+        with pytest.raises(DataError, match="does not match the structure"):
+            em_fit(basic_net, basic_data, EmOptions(init=other))
 
     def test_random_init_deterministic(self, basic_net, basic_data):
         a = em_fit(basic_net, basic_data, EmOptions(init="random", seed=5))

@@ -190,6 +190,27 @@ class TestMemberTable:
             MemberTable(net, bounds, budget=1000)
         assert isinstance(pattern_table(net, bounds), EliminationQueries)
 
+    def test_queries_refuse_another_structure(self, asia_net):
+        table = MemberTable(asia_net, self.BOUNDS, budget=1000)
+        nodes = list(asia_net.nodes)
+        either = asia_net.node_index["either"]
+        nodes[either] = NodeSpec("either", ("yes", "no"), ("lung", "bronc"))  # was tub
+        rewired = Network("rewired", tuple(nodes), asia_net.cpts)
+        flat, w = table.uniq[:2], np.ones(2)
+        queries = [
+            lambda net: table.probs(net),
+            lambda net: table.pattern_probs(net),
+            lambda net: table.expected_counts(net, np.ones(3)),
+            lambda net: table.family_counts(net, flat, w),
+            lambda net: table.log_evaluator(net, 1e-300),
+            lambda net: table.sampler(net),
+        ]
+        same = randomize_parameters(asia_net, np.random.default_rng(8))
+        for query in queries:
+            query(same)
+            with pytest.raises(DataError, match="structure"):
+                query(rewired)
+
 
 # The member-table queries as they were before the table compiled its CPT
 # cells: every call recomputes the members' rows and parent rows.

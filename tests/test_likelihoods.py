@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from coarsebn import aim as aim_module
+from coarsebn import em as em_module
 from coarsebn import inference, likelihoods
+from coarsebn.aim import AimOptions, aim_fit
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import (
     Completion,
@@ -12,6 +15,7 @@ from coarsebn.data import (
     completion_distribution,
     empirical_pattern_distribution,
 )
+from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import BudgetError, DataError, NumericalError
 from coarsebn.likelihoods import (
     SatProfileProblem,
@@ -69,13 +73,14 @@ def reference_sat(problem, net, tol):
     """The plain multiplicative-update loop the sat solver accelerates, from
     the uniform start.  Returns (value, w, kl, gap, map evaluations).
     """
-    p_loc = problem.probs(net)
-    p_slot = p_loc[problem.loc]
-    w = (problem.m / np.add.reduceat(np.ones(problem.n_slots), problem.starts))[
-        problem.pat_of_slot
+    table, m = problem.table, problem.bound.m
+    p_loc = table.probs(net)
+    p_slot = p_loc[table.loc]
+    w = (m / np.add.reduceat(np.ones(table.n_slots), table.starts))[
+        table.pat_of_slot
     ]
     for it in range(1, 200_001):
-        p_c = np.bincount(problem.loc, weights=w, minlength=len(problem.uniq))
+        p_c = np.bincount(table.loc, weights=w, minlength=len(table.uniq))
         pos = p_c > 0
         if np.any(pos & (p_loc <= 0)):
             kl = gap = math.inf
@@ -84,16 +89,16 @@ def reference_sat(problem, net, tol):
                 g_loc = np.where(pos, np.log(p_c) - np.log(p_loc), 0.0)
                 g_slot = np.where(
                     p_slot > 0,
-                    np.log(np.maximum(p_c[problem.loc], 1e-300)) - np.log(p_slot),
+                    np.log(np.maximum(p_c[table.loc], 1e-300)) - np.log(p_slot),
                     np.inf,
                 )
             kl = float(np.dot(p_c[pos], g_loc[pos]))
-            gap = kl - float(np.dot(problem.m, np.minimum.reduceat(g_slot, problem.starts)))
+            gap = kl - float(np.dot(m, np.minimum.reduceat(g_slot, table.starts)))
             if gap <= tol:
-                return -problem.entropy - kl, w, kl, gap, it
-        denom = p_c[problem.loc]
+                return -problem.bound.entropy - kl, w, kl, gap, it
+        denom = p_c[table.loc]
         w = np.where(w > 0, w * np.where(denom > 0, p_slot / np.maximum(denom, 1e-300), 0.0), 0.0)
-        w = w * (problem.m / np.add.reduceat(w, problem.starts))[problem.pat_of_slot]
+        w = w * (m / np.add.reduceat(w, table.starts))[table.pat_of_slot]
     raise AssertionError("reference sat loop did not converge")
 
 
@@ -125,15 +130,16 @@ def reference_car(net, data, tol=1e-10):
 def mask_certificate(problem, w):
     """certificate_completion selecting each pattern's slots by a mask over
     every slot, as it did before slicing them."""
+    table, bound = problem.table, problem.bound
     per_pattern = {}
-    for pi, pattern in enumerate(problem.patterns):
-        sel = problem.pat_of_slot == pi
-        mass = w[sel] / problem.m[pi]
-        states = problem.uniq[problem.loc[sel]]
+    for pi, pattern in enumerate(bound.patterns):
+        sel = table.pat_of_slot == pi
+        mass = w[sel] / bound.m[pi]
+        states = table.uniq[table.loc[sel]]
         per_pattern[pattern] = {
-            problem.net.unravel(int(r)): float(v) for r, v in zip(states, mass) if v > 0
+            bound.net.unravel(int(r)): float(v) for r, v in zip(states, mass) if v > 0
         }
-    return Completion(tuple(per_pattern.get(p, {}) for p, _ in problem.data.cases))
+    return Completion(tuple(per_pattern.get(p, {}) for p, _ in bound.data.cases))
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +188,8 @@ class TestSolverAcceleration:
             monkeypatch.undo()
             assert gap <= tol and ref_gap <= tol
             assert abs(value - ref_value) <= tol
-            assert value == -problem.entropy - kl
-            assert np.allclose(np.add.reduceat(w, problem.starts), problem.m, rtol=1e-12)
+            assert value == -problem.bound.entropy - kl
+            assert np.allclose(np.add.reduceat(w, problem.table.starts), problem.bound.m, rtol=1e-12)
             assert len(calls) < ref_evals
         if which == "asia":
             assert 3 * len(calls) < ref_evals
@@ -222,9 +228,9 @@ class TestSolverAcceleration:
     def test_warm_start_with_zeros_on_feasible_slots(self, asia_net, asia_data):
         problem = SatProfileProblem(asia_net, asia_data)
         cold, w, _, _ = problem.solve(asia_net, tol=1e-10)
-        p_slot = problem.probs(asia_net)[problem.loc]
+        p_slot = problem.table.probs(asia_net)[problem.table.loc]
         init = w.copy()
-        init[(p_slot > 0) & (np.arange(problem.n_slots) % 2 == 0)] = 0.0
+        init[(p_slot > 0) & (np.arange(problem.table.n_slots) % 2 == 0)] = 0.0
         warm, w2, _, gap = problem.solve(asia_net, tol=1e-10, init=init)
         assert gap <= 1e-10
         assert warm == pytest.approx(cold, abs=1e-10)
@@ -518,3 +524,187 @@ class TestLrStatistic:
         aim = aim_fit(basic_net, em.network, data, AimOptions(z=10, seed=0))
         stat = lr_statistic(aim.network, em.network, data)
         assert stat < 0.02
+
+
+class ParentBound:
+    """The pattern structure as each consumer derived it for itself before a
+    dataset was bound once: grouped and bound on every construction, m as
+    each positive pattern's share of the total, H(m) from
+    PatternDistribution, and a fresh member table for every request."""
+
+    def __init__(self, net, data):
+        grouped = data.grouped()
+        live = {p: w for p, w in grouped.items() if w > 0}
+        self.net, self.data = net, data
+        self.bound_of = {p: bind_pattern(net, data.variables, p) for p in grouped}
+        self.patterns = list(live)
+        self.weights = np.array(list(live.values()))
+        self.bounds = [bind_pattern(net, data.variables, p) for p in live]
+        self.total = data.total_weight
+        self.m = np.array(list(live.values())) / data.total_weight
+        self.entropy = empirical_pattern_distribution(data).entropy
+
+    def member_table(self, budget):
+        return inference.MemberTable(self.net, self.bounds, budget)
+
+
+def reference_lr(net_sat, net_car, data):
+    """lr_statistic as three tables: the sat problem, the face value and the
+    car normalizer each bind the dataset and build their own table."""
+    sat, _, _, _ = SatProfileProblem(net_sat, data).solve(net_sat)
+    car = car_profile_loglik(net_car, data).per_case_average
+    return max(sat - car, 0.0)
+
+
+def report_signature(rep):
+    cert = rep.certificate
+    if isinstance(cert, Completion):
+        cert = cert.per_case
+    return rep.kind, rep.per_case_average, rep.total, cert
+
+
+def fit_signature(res):
+    tables = [res.network.cpts, res.smoothed.cpts, res.row_counts]
+    return (
+        res.trace,
+        [[t.tobytes() for t in ts] for ts in tables],
+        res.converged,
+        getattr(res, "score", None),
+    )
+
+
+@pytest.fixture(scope="module")
+def asia_lr(asia_net):
+    """An asia dataset with its AIM (sat) and EM (car) candidates, as the
+    `lik --which lr` benchmark inputs are made."""
+    data = generate_dataset(
+        build_coarsening_network(
+            asia_net, CoarseningSpec(2, 0.1, 0.05), np.random.default_rng(2024)
+        ),
+        1000,
+        np.random.default_rng(2025),
+    )[0]
+    em = em_fit(asia_net, data)
+    aim = aim_fit(asia_net, em.network, data, AimOptions(seed=1))
+    return asia_net, aim.network, em.network, data
+
+
+def lr_inputs(which, basic_net, basic_data, asia_lr):
+    """(structure, sat candidate, car candidate, dataset)."""
+    if which == "basic":
+        return basic_net, basic_net, net_theta(basic_net, *THETA1), basic_data
+    return asia_lr
+
+
+def three_node_net(parents):
+    """Binary A, B, C with the given parent names per node."""
+    nodes = tuple(NodeSpec(n, ("t", "f"), parents.get(n, ())) for n in "ABC")
+    cpts = tuple(
+        np.tile([[0.3, 0.7]], (2 ** len(spec.parents), 1)) for spec in nodes
+    )
+    return Network("abc", nodes, cpts)
+
+
+THREE_NODE_DATA = Dataset(
+    ("A", "B", "C"),
+    ((("t", None, "t"), 3.0), ((None, "f", None), 2.0), (("f", "t", "f"), 1.0)),
+)
+
+
+class TestBoundOnce:
+    """lr_statistic groups and binds the dataset once and reads one member
+    table; every value stays what the per-consumer derivation gave."""
+
+    def test_fields_equal_parent_derivation(
+        self, basic_net, basic_data, asia_net, asia_data
+    ):
+        zero = Dataset(
+            basic_data.variables, basic_data.cases[:2] + ((("f", None), 0.0),)
+        )
+        for net, data in [
+            (basic_net, basic_data), (basic_net, zero), (asia_net, asia_data)
+        ]:
+            got, want = inference.BoundDataset(net, data), ParentBound(net, data)
+            for name in ["bound_of", "patterns", "bounds", "total", "entropy"]:
+                assert getattr(got, name) == getattr(want, name)
+            assert list(got.bound_of.items()) == list(want.bound_of.items())
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.m.tobytes() == want.m.tobytes()
+
+    @pytest.mark.parametrize("which", ["basic", "asia"])
+    def test_results_equal_parent_derivation(
+        self, which, basic_net, basic_data, asia_lr, monkeypatch
+    ):
+        structure, net_sat, net_car, data = lr_inputs(
+            which, basic_net, basic_data, asia_lr
+        )
+        int_data = Dataset(
+            data.variables, tuple((p, float(round(w * 20))) for p, w in data.cases)
+        )
+
+        def results(lr):
+            return (
+                lr(net_sat, net_car, data),
+                report_signature(face_value_loglik(net_car, data)),
+                report_signature(car_profile_loglik(net_car, data)),
+                report_signature(exact_sat_profile_loglik(net_sat, data)),
+                car_normalizer(net_car, data),
+                fit_signature(em_fit(structure, data, EmOptions(max_iters=30))),
+                fit_signature(
+                    aim_fit(structure, net_car, int_data, AimOptions(z=2, seed=4, max_iters=4))
+                ),
+            )
+
+        once = results(lr_statistic)
+        for module in (likelihoods, em_module, aim_module):
+            monkeypatch.setattr(module, "BoundDataset", ParentBound)
+        assert results(reference_lr) == once
+
+    def test_one_grouping_binding_and_table_per_lr(self, asia_lr, monkeypatch):
+        _, net_sat, net_car, data = asia_lr
+        k = len(data.grouped())
+        calls = {"grouped": 0, "binder": 0, "bind": 0, "members": 0, "tables": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        binder = inference.pattern_binder
+        monkeypatch.setattr(Dataset, "grouped", counted("grouped", Dataset.grouped))
+        monkeypatch.setattr(
+            inference,
+            "pattern_binder",
+            counted("binder", lambda *a: counted("bind", binder(*a))),
+        )
+        monkeypatch.setattr(
+            inference, "member_flat_indices", counted("members", inference.member_flat_indices)
+        )
+        monkeypatch.setattr(
+            inference.MemberTable,
+            "__init__",
+            counted("tables", inference.MemberTable.__init__),
+        )
+        lr_statistic(net_sat, net_car, data)
+        assert calls == {"grouped": 1, "binder": 1, "bind": k, "members": k, "tables": 1}
+
+    def test_other_parents_refused(self):
+        c_of_a = three_node_net({"C": ("A",)})
+        c_of_b = three_node_net({"C": ("B",)})
+        problem = SatProfileProblem(c_of_a, THREE_NODE_DATA)
+        with pytest.raises(DataError, match="structure"):
+            problem.solve(c_of_b)
+        with pytest.raises(DataError, match="structure"):
+            lr_statistic(c_of_a, c_of_b, THREE_NODE_DATA)
+        alone = exact_sat_profile_loglik(c_of_b, THREE_NODE_DATA).per_case_average
+        assert SatProfileProblem(c_of_b, THREE_NODE_DATA).solve(c_of_b)[0] == alone
+
+    def test_reversed_edge_refused(self):
+        a_to_b = three_node_net({"B": ("A",)})
+        b_to_a = three_node_net({"A": ("B",)})
+        with pytest.raises(DataError, match="structure"):
+            SatProfileProblem(a_to_b, THREE_NODE_DATA).solve(b_to_a)
+        with pytest.raises(DataError, match="structure"):
+            lr_statistic(a_to_b, b_to_a, THREE_NODE_DATA)
