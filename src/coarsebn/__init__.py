@@ -27,7 +27,6 @@ from .evaluate import EvalReport, evaluate, kl_decomposed, kl_enumerate, mse
 from .inference import (
     evidence_probability,
     full_joint_table,
-    joint_marginal,
     posterior_family_marginals,
 )
 from .likelihoods import (

@@ -117,10 +117,11 @@ def member_count(net: Network, bound: Sequence[Optional[int]]) -> int:
 
 
 def member_flat_indices(
-    net: Network, bound: Sequence[Optional[int]], budget: int = ENUM_BUDGET
+    net: Network, bound: Sequence[Optional[int]], budget: int | None = ENUM_BUDGET
 ) -> np.ndarray:
-    """Flat (C-order) joint indices of all compatible assignments."""
-    if member_count(net, bound) > budget:
+    """Flat (C-order) joint indices of all compatible assignments; a budget
+    of None skips the count check, for callers that have made it."""
+    if budget is not None and member_count(net, bound) > budget:
         raise BudgetError("case has too many completions to enumerate")
     base = 0
     offsets = np.zeros(1, dtype=np.int64)

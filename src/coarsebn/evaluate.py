@@ -9,13 +9,12 @@ on joint spaces far too large to enumerate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, DataError
-from .inference import full_joint_table, joint_marginal
+from .inference import CliqueTree, full_joint_table
 from .network import ENUM_BUDGET, Network, smooth
 
 
@@ -58,34 +57,26 @@ def kl_enumerate(truth: Network, estimate: Network) -> float:
     return float(np.dot(pt[pos], np.log(pt[pos]) - np.log(pe[pos])))
 
 
-def _row_kl(t: np.ndarray, e: np.ndarray) -> float:
-    pos = t > 0
-    if np.any(e[pos] <= 0):
-        return float("inf")
-    return float(np.dot(t[pos], np.log(t[pos]) - np.log(e[pos])))
-
-
 def kl_decomposed(truth: Network, estimate: Network) -> float:
     """Same divergence, as truth-weighted per-row divergences.
 
-    Valid for identical structures; parent-configuration probabilities come
-    from variable elimination, so no full-space enumeration is needed.
+    Valid for identical structures; parent-configuration probabilities are
+    the truth's family marginals summed over the child, all from one
+    clique-tree calibration, so no full-space enumeration is needed.  Rows
+    of parent weight exactly zero are skipped.
     """
     if not same_structure(truth, estimate):
         raise DataError("networks must share the same structure")
+    _, fams = CliqueTree(truth).calibrate(truth, [None] * len(truth.nodes))
     total = 0.0
-    for i, spec in enumerate(truth.nodes):
-        if spec.parents:
-            w = joint_marginal(truth, list(spec.parents)).reshape(-1)
-        else:
-            w = np.array([1.0])
-        for r in range(truth.cpts[i].shape[0]):
-            if w[r] == 0.0:
-                continue
-            term = _row_kl(truth.cpts[i][r], estimate.cpts[i][r])
-            if math.isinf(term):
-                return float("inf")
-            total += w[r] * term
+    for t, e, fam in zip(truth.cpts, estimate.cpts, fams):
+        w = fam.sum(axis=1)
+        live = (w != 0.0)[:, None] & (t > 0)
+        if np.any(e[live] <= 0):
+            return float("inf")
+        log_t = np.log(t, out=np.zeros_like(t), where=live)
+        log_e = np.log(e, out=np.zeros_like(e), where=live)
+        total += float(w @ (t * (log_t - log_e)).sum(axis=1))
     return total
 
 

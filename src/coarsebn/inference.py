@@ -1,17 +1,24 @@
-"""Exact inference: the pattern member table and variable elimination.
+"""Exact inference: the pattern member table and the clique tree.
 
 Fitters and solvers need, per observation pattern, only the joint states
 that match it, called the pattern's members.  `pattern_table` is the one
 place that decides how a pattern's probabilities are obtained: when the
 dataset's total member count is within DENSE_TABLE_BUDGET it enumerates the
 members once (`MemberTable`) and answers every query from them; above the
-budget the same queries run variable elimination (`EliminationQueries`),
-the only path for patterns too large to enumerate.
+budget the same queries run on a clique tree (`EliminationQueries`), the
+only path for patterns too large to enumerate.
 
 A member table is compiled once per dataset: on first use it stores, per
 node, each distinct member's cell in that node's flattened CPT.  P(x) is
 then one gather per node, and the E step's expected counts and the AIM
 refit's completion counts one bincount per node, whatever the parameters.
+
+A clique tree (`CliqueTree`) is compiled once per structure at each call
+site, from one min-fill elimination ordering; it refuses a clique of more
+than ENUM_BUDGET cells.  One calibration (a collect and a distribute pass)
+gives P(U) and every family's P(family, U); the collect pass alone gives
+P(U).  The E step makes one calibration per pattern, and KL evaluation one
+of the truth.
 
 All probabilities are combined in linear space; callers accumulate logs.
 Elimination orderings come from a deterministic min-fill heuristic with
@@ -21,6 +28,7 @@ lexicographic tie-breaking so results are bit-reproducible across runs.
 from __future__ import annotations
 
 import math
+import string
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -40,7 +48,6 @@ from .network import (
 DENSE_TABLE_BUDGET = 1 << 16
 
 Bound = Sequence[Optional[int]]
-Factor = tuple[tuple[int, ...], np.ndarray]  # sorted node indices, table
 
 
 def evidence_indices(net: Network, evidence: Mapping[str, str]) -> dict[int, int]:
@@ -53,180 +60,195 @@ def evidence_indices(net: Network, evidence: Mapping[str, str]) -> dict[int, int
     return out
 
 
-def _node_factors(net: Network) -> list[Factor]:
-    factors = []
-    for i in range(len(net.nodes)):
-        axes = tuple(net.parent_index[i]) + (i,)
-        shape = tuple(net.cards[a] for a in axes)
-        table = net.cpts[i].reshape(shape)
-        order = tuple(np.argsort(axes))
-        factors.append((tuple(sorted(axes)), np.transpose(table, order)))
-    return factors
-
-
-def _clamp(factor: Factor, ev: Mapping[int, int]) -> Factor:
-    axes, table = factor
-    keep = []
-    index: list[object] = []
-    for a in axes:
-        if a in ev:
-            index.append(ev[a])
-        else:
-            index.append(slice(None))
-            keep.append(a)
-    return tuple(keep), table[tuple(index)]
-
-
-def _multiply(f1: Factor, f2: Factor) -> Factor:
-    a1, t1 = f1
-    a2, t2 = f2
-    axes = tuple(sorted(set(a1) | set(a2)))
-    def expand(a, t):
-        shape = [1] * len(axes)
-        for ax, size in zip(a, t.shape):
-            shape[axes.index(ax)] = size
-        return t.reshape(shape)
-    return axes, expand(a1, t1) * expand(a2, t2)
-
-
-def _sum_out(factor: Factor, v: int) -> Factor:
-    axes, table = factor
-    pos = axes.index(v)
-    return axes[:pos] + axes[pos + 1 :], table.sum(axis=pos)
-
-
 def _min_fill_order(
     net: Network, scopes: Sequence[tuple[int, ...]], eliminate: set[int]
-) -> list[int]:
-    """Greedy min-fill over the interaction graph; ties break on node name."""
-    adj: dict[int, set[int]] = {}
+) -> list[tuple[int, set[int]]]:
+    """Greedy min-fill over the interaction graph; ties break on node name.
+
+    Returns the eliminated nodes in order, each with its neighbours at the
+    moment it is eliminated.
+    """
+    adj: dict[int, set[int]] = {v: set() for v in eliminate}
     for scope in scopes:
         for v in scope:
-            adj.setdefault(v, set())
-        for v in scope:
-            adj[v].update(u for u in scope if u != v)
-    for v in eliminate:
-        adj.setdefault(v, set())
+            adj.setdefault(v, set()).update(scope)
+    for v, nbrs in adj.items():
+        nbrs.discard(v)
+
+    fill: dict[int, int] = {}  # twice the fill-in edges each elimination adds
     order = []
-    todo = set(eliminate)
+    todo = sorted(eliminate, key=lambda i: net.nodes[i].name)
     while todo:
-        best = None
-        for v in sorted(todo, key=lambda i: net.nodes[i].name):
-            nbrs = [u for u in adj[v] if u != v]
-            fill = sum(
-                1
-                for ai in range(len(nbrs))
-                for bi in range(ai + 1, len(nbrs))
-                if nbrs[bi] not in adj[nbrs[ai]]
-            )
-            if best is None or fill < best[0]:
-                best = (fill, v)
-        v = best[1]
-        nbrs = [u for u in adj[v] if u != v]
-        for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    adj[a].add(b)
+        for v in todo:
+            if v not in fill:
+                fill[v] = sum(len(adj[v] - adj[a]) - 1 for a in adj[v])
+        v = min(todo, key=fill.__getitem__)
+        todo.remove(v)
+        nbrs = adj.pop(v)
         for u in nbrs:
-            adj[u].discard(v)
-        del adj[v]
-        todo.discard(v)
-        order.append(v)
+            adj[u] |= nbrs
+            adj[u] -= {u, v}
+        # only nodes next to the new edges can change their fill-in
+        for u in set(nbrs).union(*(adj[u] for u in nbrs)):
+            fill.pop(u, None)
+        order.append((v, nbrs))
     return order
 
 
-def _run_ve(
-    net: Network, ev: Mapping[int, int], keep: set[int]
-) -> tuple[list[Factor], float]:
-    """Clamp evidence, eliminate everything outside `keep`, return remains."""
-    scalar = 1.0
-    factors: list[Factor] = []
-    for f in _node_factors(net):
-        axes, table = _clamp(f, ev)
-        if not axes:
-            scalar *= float(table)
-        else:
-            factors.append((axes, table))
-    eliminate = {
-        v for axes, _ in factors for v in axes if v not in keep and v not in ev
-    }
-    order = _min_fill_order(net, [f[0] for f in factors], eliminate)
-    for v in order:
-        touching = [f for f in factors if v in f[0]]
-        if not touching:
-            continue
-        factors = [f for f in factors if v not in f[0]]
-        prod = touching[0]
-        for f in touching[1:]:
-            prod = _multiply(prod, f)
-        axes, table = _sum_out(prod, v)
-        if not axes:
-            scalar *= float(table)
-        else:
-            factors.append((axes, table))
-    return factors, scalar
+Step = tuple[str, tuple[int, ...]]  # einsum subscripts and input slots
+
+
+class CliqueTree:
+    """A clique tree compiled once per structure (Lauritzen & Spiegelhalter
+    1988; Koller & Friedman 2009, ch. 10).
+
+    The cliques are those of one min-fill elimination of the moral graph:
+    node v's clique is v with its neighbours when it is eliminated, and its
+    parent is the clique of its separator's first-eliminated node.  A clique
+    contained in one of its children is merged with it.  Each family sits in
+    the clique of its first-eliminated node.  A clique table of more than
+    ENUM_BUDGET cells raises BudgetError here, before any query.
+
+    Queries take a network of this structure and a bound (state index or
+    None per node).  Evidence zeroes the inconsistent CPT entries, and the
+    passes are Shafer-Shenoy messages, with no division; components are
+    joined by multiplying in the other components' masses.  So a
+    configuration of probability zero keeps a marginal of exactly 0.0.
+    Every einsum is compiled here, with axis letters of its own.
+    """
+
+    def __init__(self, net: Network):
+        k = len(net.nodes)
+        self.nodes = net.nodes
+        families = [net.parent_index[i] + (i,) for i in range(k)]
+        elimination = _min_fill_order(net, families, set(range(k)))
+        pos = {v: t for t, (v, _) in enumerate(elimination)}
+        scope = {v: {v} | nbrs for v, nbrs in elimination}
+        parent = {v: min(nbrs, key=pos.get, default=None) for v, nbrs in elimination}
+        home = [min(fam, key=pos.get) for fam in families]
+        children: dict[int, list[int]] = {v: [] for v in scope}
+        for v, p in parent.items():
+            if p is not None:
+                children[p].append(v)
+        for v in list(scope):  # a clique inside a child hands the child its place
+            inner = next((c for c in children[v] if scope[c] >= scope[v]), None)
+            if inner is None:
+                continue
+            scope[v] = scope.pop(inner)
+            del parent[inner]
+            children[v].remove(inner)
+            for g in children.pop(inner):
+                parent[g] = v
+                children[v].append(g)
+            home = [v if h == inner else h for h in home]
+        for members in scope.values():
+            cells = math.prod(net.cards[u] for u in members)
+            if cells > ENUM_BUDGET:
+                raise BudgetError(
+                    f"clique of {cells} cells exceeds the budget {ENUM_BUDGET}"
+                )
+
+        self._shapes = [tuple(net.cards[u] for u in fam) for fam in families]
+        eye = {c: np.eye(c) for c in set(net.cards)}
+        self._eyes = [eye[c] for c in net.cards]
+        cliques = list(scope)  # children before parents
+        held: dict[int, list[int]] = {c: [] for c in cliques}
+        for i, h in enumerate(home):
+            held[h].append(i)
+
+        # Slots hold the family tables, then every step's result.  A slot is
+        # read by one clique at most, so it is spelled once, in the letters
+        # of that clique's axes.
+        letters = {c: dict(zip(sorted(scope[c]), string.ascii_letters)) for c in cliques}
+        scopes: list[tuple[int, ...]] = []
+        codes: list[str] = []
+
+        def slot(axes: tuple[int, ...], reader: Optional[int]) -> int:
+            scopes.append(axes)
+            codes.append("" if reader is None else "".join(letters[reader][u] for u in axes))
+            return len(scopes) - 1
+
+        def step(program: list[Step], c: int, ins: list[int], want, reader) -> int:
+            covered = set().union(*[scopes[j] for j in ins])
+            out = tuple(u for u in want if u in covered)
+            subs = ",".join([codes[j] for j in ins]) + "->"
+            program.append((subs + "".join(letters[c][u] for u in out), tuple(ins)))
+            return slot(out, reader)
+
+        def sep(c: int, p: int) -> list[int]:
+            return sorted(scope[c] & scope[p])
+
+        for i, fam in enumerate(families):
+            slot(fam, home[i])
+        up: dict[int, int] = {}
+        component: dict[int, int] = {}
+        self._roots: list[int] = []
+        self._collect_steps: list[Step] = []
+        for c in cliques:
+            ins = held[c] + [up[d] for d in children[c]]
+            p = parent[c]
+            if p is None:
+                component[c] = len(self._roots)
+                self._roots.append(step(self._collect_steps, c, ins, (), None))
+            else:
+                up[c] = step(self._collect_steps, c, ins, sep(c, p), p)
+
+        down: dict[int, int] = {}
+        self._distribute_steps: list[Step] = []
+        self._family_slots = [0] * k
+        self._component = [0] * k
+        for c in reversed(cliques):
+            if parent[c] is not None:
+                component[c] = component[parent[c]]
+            own = held[c] + ([down[c]] if c in down else [])
+            for d in children[c]:
+                ins = own + [up[e] for e in children[c] if e != d]
+                if ins:
+                    down[d] = step(self._distribute_steps, c, ins, sep(d, c), d)
+            for i in held[c]:
+                ins = own + [up[d] for d in children[c]]
+                self._family_slots[i] = step(self._distribute_steps, c, ins, families[i], None)
+                self._component[i] = component[c]
+
+    def _collect(self, net: Network, bound: Bound) -> tuple[list, list[float]]:
+        """The collect pass: every slot so far, and each component's mass."""
+        slots: list = []
+        for cpt, shape, eye, v in zip(net.cpts, self._shapes, self._eyes, bound):
+            table = cpt.reshape(shape)
+            slots.append(table if v is None else table * eye[v])
+        for subs, ins in self._collect_steps:
+            slots.append(np.einsum(subs, *[slots[j] for j in ins]))
+        return slots, [float(slots[j]) for j in self._roots]
+
+    def probability(self, net: Network, bound: Bound) -> float:
+        """P(U), from the collect pass alone."""
+        return math.prod(self._collect(net, bound)[1])
+
+    def calibrate(self, net: Network, bound: Bound) -> tuple[float, list[np.ndarray]]:
+        """P(U) and, per node, P(family, U) shaped like its CPT."""
+        slots, masses = self._collect(net, bound)
+        for subs, ins in self._distribute_steps:
+            slots.append(np.einsum(subs, *[slots[j] for j in ins]))
+        fams = [
+            slots[j].reshape(cpt.shape) for j, cpt in zip(self._family_slots, net.cpts)
+        ]
+        if len(masses) > 1:
+            others = [math.prod(masses[:r] + masses[r + 1 :]) for r in range(len(masses))]
+            fams = [f * others[r] for f, r in zip(fams, self._component)]
+        return math.prod(masses), fams
+
+
+def _bound_of(net: Network, evidence: Mapping[str, str]) -> list[Optional[int]]:
+    ev = evidence_indices(net, evidence)
+    return [ev.get(i) for i in range(len(net.nodes))]
 
 
 def evidence_probability(net: Network, evidence: Mapping[str, str]) -> float:
-    """P(X in U) for a missing-value observation, by variable elimination.
+    """P(X in U) for a missing-value observation: one collect pass.
 
     `evidence` holds the observed variables; everything else is summed out.
     """
-    ev = evidence_indices(net, evidence)
-    factors, scalar = _run_ve(net, ev, keep=set())
-    for axes, table in factors:
-        scalar *= float(table.sum())
-    return scalar
-
-
-def joint_marginal(
-    net: Network, query: Sequence[str], evidence: Mapping[str, str] | None = None
-) -> np.ndarray:
-    """Unnormalized P(query vars, evidence) as an array over the query cards.
-
-    Axes follow the requested query order; observed query variables carry
-    their whole axis with mass only at the observed state.
-    """
-    evidence = evidence or {}
-    qidx = []
-    for n in query:
-        if n not in net.node_index:
-            raise DataError(f"unknown node {n!r}")
-        qidx.append(net.node_index[n])
-    ev = evidence_indices(net, evidence)
-    keep = {i for i in qidx if i not in ev}
-    factors, scalar = _run_ve(net, ev, keep)
-    prod: Factor | None = None
-    for f in factors:
-        prod = f if prod is None else _multiply(prod, f)
-    out_shape = tuple(net.cards[i] for i in qidx)
-    out = np.zeros(out_shape)
-    # Embed the eliminated result into the query axes; observed query
-    # variables become point coordinates.
-    index: list[object] = []
-    free_axes: list[int] = []
-    for i in qidx:
-        if i in ev:
-            index.append(ev[i])
-        else:
-            index.append(slice(None))
-            free_axes.append(i)
-    if prod is None:
-        block = np.array(scalar)
-    else:
-        axes, table = prod
-        extra = [v for v in axes if v not in free_axes]
-        for v in extra:  # query-independent leftovers: sum them away
-            axes, table = _sum_out((axes, table), v)
-        # axes is sorted; rearrange to the order free_axes appear in qidx
-        perm = [axes.index(v) for v in sorted(free_axes)]
-        table = np.transpose(table, perm) if perm else table
-        want = [v for v in qidx if v not in ev]
-        cur = sorted(free_axes)
-        table = np.transpose(table, [cur.index(v) for v in want])
-        block = table * scalar
-    out[tuple(index)] = block
-    return out
+    return CliqueTree(net).probability(net, _bound_of(net, evidence))
 
 
 def full_joint_table(net: Network, budget: int = ENUM_BUDGET) -> np.ndarray:
@@ -256,23 +278,13 @@ def posterior_family_marginals(
 
     Each table is a proper joint distribution over (parent config, state);
     raises ZeroSupportError when the evidence itself has probability zero.
-    Runs one elimination query per family: patterns small enough to
-    enumerate take their posteriors from a `MemberTable` instead.
+    One calibration of a clique tree: patterns small enough to enumerate
+    take their posteriors from a `MemberTable` instead.
     """
-    return _family_posteriors(net, evidence)[1]
-
-
-def _family_posteriors(net: Network, evidence: Mapping[str, str]) -> tuple[float, dict]:
-    """P(U) and `posterior_family_marginals`: K+1 eliminations for K nodes."""
-    p_ev = evidence_probability(net, evidence)
-    if p_ev <= 0.0:
+    p_u, fams = CliqueTree(net).calibrate(net, _bound_of(net, evidence))
+    if p_u <= 0.0:
         raise ZeroSupportError("evidence has probability zero under the model")
-    out: dict[str, np.ndarray] = {}
-    for i, spec in enumerate(net.nodes):
-        fam_names = [net.nodes[p].name for p in net.parent_index[i]] + [spec.name]
-        marg = joint_marginal(net, fam_names, evidence)
-        out[spec.name] = marg.reshape(net.n_rows[i], net.cards[i]) / p_ev
-    return p_ev, out
+    return {spec.name: fam / p_u for spec, fam in zip(net.nodes, fams)}
 
 
 # ----------------------------------------------------------------------
@@ -298,10 +310,12 @@ class MemberTable:
             raise BudgetError(
                 f"{sum(sizes)} pattern members exceed the enumeration budget {budget}"
             )
+        if max(sizes, default=0) > ENUM_BUDGET:
+            raise BudgetError("case has too many completions to enumerate")
         self.net = net
         self.bounds = list(bounds)
         flat = np.concatenate(
-            [member_flat_indices(net, b) for b in bounds] + [np.zeros(0, np.int64)]
+            [member_flat_indices(net, b, budget=None) for b in bounds] + [np.zeros(0, np.int64)]
         )
         ends = np.cumsum([0] + sizes)
         self.starts, self.stops = ends[:-1], ends[1:]
@@ -394,32 +408,36 @@ class MemberTable:
 
 
 class EliminationQueries:
-    """The `MemberTable` queries answered by variable elimination, without
-    enumerating members: the path for patterns too large to enumerate."""
+    """The `MemberTable` queries answered on a clique tree, without
+    enumerating members: the path for patterns too large to enumerate.
+    The tree is compiled on first use, and networks of another structure
+    are refused."""
 
     def __init__(self, bounds: Sequence[Bound]):
         self.bounds = list(bounds)
+        self._compiled: CliqueTree | None = None
 
-    @staticmethod
-    def _evidence(net: Network, bound: Bound) -> dict[str, str]:
-        return {
-            net.nodes[i].name: net.nodes[i].states[v]
-            for i, v in enumerate(bound)
-            if v is not None
-        }
+    def _tree(self, net: Network) -> CliqueTree:
+        if self._compiled is None:
+            self._compiled = CliqueTree(net)
+        elif net.nodes != self._compiled.nodes:
+            raise DataError("network structure differs from the clique tree's")
+        return self._compiled
 
     def expected_counts(
         self, net: Network, weights: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """P(U) per pattern and the expected family counts: one calibration
+        per pattern; patterns of probability zero add nothing."""
+        tree = self._tree(net)
         p_u = np.zeros(len(self.bounds))
         counts = [np.zeros(c.shape) for c in net.cpts]
         for k, (bound, w) in enumerate(zip(self.bounds, weights)):
-            try:
-                p_u[k], fams = _family_posteriors(net, self._evidence(net, bound))
-            except ZeroSupportError:
+            p_u[k], fams = tree.calibrate(net, bound)
+            if p_u[k] <= 0.0:
                 continue
-            for i, spec in enumerate(net.nodes):
-                counts[i] += w * fams[spec.name]
+            for count, fam in zip(counts, fams):
+                count += w * (fam / p_u[k])
         return p_u, counts
 
     @staticmethod
@@ -431,10 +449,9 @@ class EliminationQueries:
         return family_counts_from_rows(net, unravel_rows(net, flat_idx), weights)
 
     def pattern_probs(self, net: Network) -> np.ndarray:
-        """P(U) per pattern, one elimination query each."""
-        return np.array(
-            [evidence_probability(net, self._evidence(net, b)) for b in self.bounds]
-        )
+        """P(U) per pattern, one collect pass each."""
+        tree = self._tree(net)
+        return np.array([tree.probability(net, b) for b in self.bounds])
 
     def log_evaluator(self, net: Network, floor: float) -> Callable[[int], float]:
         """log max(P(x), floor) by flat joint index, computed on first use."""
@@ -451,30 +468,26 @@ class EliminationQueries:
 
     def sampler(self, net: Network) -> Callable:
         """Draw the missing nodes one by one in topological order, each from
-        its conditional given the evidence and the nodes drawn so far; the
-        draws come back as flat joint indices."""
-        names = [spec.name for spec in net.nodes]
+        its conditional given the evidence and the nodes drawn so far (one
+        collect pass per state); the draws come back as flat joint indices."""
+        tree = self._tree(net)
 
         def draw(k: int, size: int, rng: np.random.Generator):
             bound = self.bounds[k]
             out: list[int] = []
             for _ in range(size):
-                ev = self._evidence(net, bound)
                 x = list(bound)
                 for i in net.topo_order:
                     if x[i] is not None:
                         continue
-                    states = net.nodes[i].states
-                    probs = [
-                        evidence_probability(net, {**ev, names[i]: label})
-                        for label in states
-                    ]
+                    probs = []
+                    for s in range(net.cards[i]):
+                        x[i] = s
+                        probs.append(tree.probability(net, x))
                     total = sum(probs)
                     if total <= 0.0:
                         return None
-                    pick = int(rng.choice(len(states), p=np.array(probs) / total))
-                    x[i] = pick
-                    ev[names[i]] = states[pick]
+                    x[i] = int(rng.choice(len(probs), p=np.array(probs) / total))
                 out.append(net.ravel(x))
             return out
 

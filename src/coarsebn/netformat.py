@@ -91,9 +91,11 @@ def parse_network(text: str) -> Network:
                 node_name, config = head, {}
             if node_name not in states:
                 raise fail(f"cpt for undeclared node {node_name!r}")
-            try:
+            try:  # each value and the row sum must be finite
                 row = [float(t) for t in prob_text.split(",")]
-            except ValueError:
+                if not math.isfinite(math.fsum(row)):
+                    raise ValueError
+            except (ValueError, OverflowError):
                 raise fail("bad probability value") from None
             cpt_lines.append((lineno, node_name, config, row))
         else:

@@ -217,13 +217,14 @@ def validate_network(net: Network) -> list[str]:
                 f"node {spec.name}: cpt shape {table.shape} != expected {expect}"
             )
             continue
-        for r in range(table.shape[0]):
-            row = table[r]
-            if np.any(row < -1e-12) or np.any(row > 1 + 1e-12):
+        outside = np.any((table < -1e-12) | (table > 1 + 1e-12), axis=1)
+        sums = table.sum(axis=1)
+        off = np.abs(sums - 1.0) > ROW_SUM_TOL
+        for r in np.flatnonzero(outside | off).tolist():
+            if outside[r]:
                 diags.append(f"node {spec.name}: row {r} has entries outside [0,1]")
-            s = float(row.sum())
-            if abs(s - 1.0) > ROW_SUM_TOL:
-                diags.append(f"node {spec.name}: row {r} sum {s:.12g} != 1")
+            if off[r]:
+                diags.append(f"node {spec.name}: row {r} sum {float(sums[r]):.12g} != 1")
     return diags
 
 

@@ -6,6 +6,7 @@ import pytest
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Dataset, bind_pattern
 from coarsebn.errors import DataError
+from coarsebn.inference import _min_fill_order, evidence_indices
 from coarsebn.netformat import read_network
 from coarsebn.network import joint_probability
 from coarsebn.util import fixture_path
@@ -131,3 +132,142 @@ def brute_family_posteriors(net, evidence):
     return {
         net.nodes[i].name: tables[i] / total for i in range(len(net.nodes))
     }, total
+
+
+# Variable elimination, one query at a time: the oracle for the clique tree.
+
+
+def _node_factors(net):
+    factors = []
+    for i in range(len(net.nodes)):
+        axes = tuple(net.parent_index[i]) + (i,)
+        shape = tuple(net.cards[a] for a in axes)
+        table = net.cpts[i].reshape(shape)
+        order = tuple(np.argsort(axes))
+        factors.append((tuple(sorted(axes)), np.transpose(table, order)))
+    return factors
+
+
+def _clamp(factor, ev):
+    axes, table = factor
+    keep = []
+    index = []
+    for a in axes:
+        if a in ev:
+            index.append(ev[a])
+        else:
+            index.append(slice(None))
+            keep.append(a)
+    return tuple(keep), table[tuple(index)]
+
+
+def _multiply(f1, f2):
+    a1, t1 = f1
+    a2, t2 = f2
+    axes = tuple(sorted(set(a1) | set(a2)))
+
+    def expand(a, t):
+        shape = [1] * len(axes)
+        for ax, size in zip(a, t.shape):
+            shape[axes.index(ax)] = size
+        return t.reshape(shape)
+
+    return axes, expand(a1, t1) * expand(a2, t2)
+
+
+def _sum_out(factor, v):
+    axes, table = factor
+    pos = axes.index(v)
+    return axes[:pos] + axes[pos + 1 :], table.sum(axis=pos)
+
+
+def _run_ve(net, ev, keep):
+    """Clamp evidence, eliminate everything outside `keep`, return remains."""
+    scalar = 1.0
+    factors = []
+    for f in _node_factors(net):
+        axes, table = _clamp(f, ev)
+        if not axes:
+            scalar *= float(table)
+        else:
+            factors.append((axes, table))
+    eliminate = {
+        v for axes, _ in factors for v in axes if v not in keep and v not in ev
+    }
+    order = [v for v, _ in _min_fill_order(net, [f[0] for f in factors], eliminate)]
+    for v in order:
+        touching = [f for f in factors if v in f[0]]
+        if not touching:
+            continue
+        factors = [f for f in factors if v not in f[0]]
+        prod = touching[0]
+        for f in touching[1:]:
+            prod = _multiply(prod, f)
+        axes, table = _sum_out(prod, v)
+        if not axes:
+            scalar *= float(table)
+        else:
+            factors.append((axes, table))
+    return factors, scalar
+
+
+def ve_evidence_probability(net, evidence):
+    """Oracle: P(X in U) by one variable-elimination query."""
+    factors, scalar = _run_ve(net, evidence_indices(net, evidence), keep=set())
+    for axes, table in factors:
+        scalar *= float(table.sum())
+    return scalar
+
+
+def joint_marginal(net, query, evidence=None):
+    """Oracle: unnormalized P(query vars, evidence) as an array over the
+    query cards, by one variable-elimination query.
+
+    Axes follow the requested query order; observed query variables carry
+    their whole axis with mass only at the observed state.
+    """
+    evidence = evidence or {}
+    qidx = []
+    for n in query:
+        if n not in net.node_index:
+            raise DataError(f"unknown node {n!r}")
+        qidx.append(net.node_index[n])
+    ev = evidence_indices(net, evidence)
+    keep = {i for i in qidx if i not in ev}
+    factors, scalar = _run_ve(net, ev, keep)
+    prod = None
+    for f in factors:
+        prod = f if prod is None else _multiply(prod, f)
+    out = np.zeros(tuple(net.cards[i] for i in qidx))
+    # Embed the eliminated result into the query axes; observed query
+    # variables become point coordinates.
+    index = []
+    free_axes = []
+    for i in qidx:
+        if i in ev:
+            index.append(ev[i])
+        else:
+            index.append(slice(None))
+            free_axes.append(i)
+    if prod is None:
+        block = np.array(scalar)
+    else:
+        axes, table = prod
+        for v in [v for v in axes if v not in free_axes]:  # leftovers: sum away
+            axes, table = _sum_out((axes, table), v)
+        want = [v for v in qidx if v not in ev]
+        table = np.transpose(table, [axes.index(v) for v in want])
+        block = table * scalar
+    out[tuple(index)] = block
+    return out
+
+
+def ve_family_posteriors(net, evidence):
+    """Oracle: P(family | X in U) per node, one elimination query each."""
+    p_ev = ve_evidence_probability(net, evidence)
+    out = {}
+    for i, spec in enumerate(net.nodes):
+        fam = [net.nodes[p].name for p in net.parent_index[i]] + [spec.name]
+        marg = joint_marginal(net, fam, evidence)
+        out[spec.name] = marg.reshape(net.n_rows[i], net.cards[i]) / p_ev
+    return out

@@ -148,6 +148,18 @@ class TestLikLargeJointSpace:
             assert parsed(out.stdout, "total") == parsed(fv.stdout, "total")
 
 
+class TestEvalBudget:
+    def test_oversized_clique_exits_3(self, monkeypatch, capsys):
+        from coarsebn import cli, inference
+
+        monkeypatch.setattr(inference, "ENUM_BUDGET", 4)
+        code = cli.main(["eval", "--truth", ASIA, "--estimate", ASIA, "--mode", "decomposed"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert "clique of 8 cells exceeds the budget 4" in err
+
+
 class TestExitCodes:
     def test_missing_required_flag_is_usage(self):
         out = run_cli("lik", "--which", "sat")

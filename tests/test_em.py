@@ -80,20 +80,30 @@ class TestEmFit:
         for ta, tb in zip(dense.trace, sparse.trace):
             assert ta[1] == pytest.approx(tb[1], abs=1e-12)
 
-    def test_ve_e_step_runs_k_plus_one_eliminations(self, asia_net, monkeypatch):
+    def test_tree_e_step_runs_one_calibration_per_pattern(self, asia_net, monkeypatch):
         rng = np.random.default_rng(17)
         aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.1, 0.05), rng)
         data, _ = generate_dataset(aug, 80, rng)
+        calls = {"calibrate": 0, "collect": 0, "compile": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        tree = inference.CliqueTree
+        monkeypatch.setattr(tree, "calibrate", counted("calibrate", tree.calibrate))
+        monkeypatch.setattr(tree, "_collect", counted("collect", tree._collect))
+        monkeypatch.setattr(tree, "__init__", counted("compile", tree.__init__))
         dense = em_fit(asia_net, data, EmOptions(max_iters=2))
+        assert calls == {"calibrate": 0, "collect": 0, "compile": 0}
         monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
-        calls = []
-        run_ve = inference._run_ve
-        monkeypatch.setattr(
-            inference, "_run_ve", lambda *a, **kw: calls.append(1) or run_ve(*a, **kw)
-        )
         res = em_fit(asia_net, data, EmOptions(max_iters=2))
         assert len(res.trace) == 2
-        assert len(calls) == 2 * len(data.grouped()) * (len(asia_net.nodes) + 1)
+        k = len(data.grouped())
+        assert calls == {"calibrate": 2 * k, "collect": 2 * k, "compile": 1}
         for a, b in zip(dense.network.cpts, res.network.cpts):
             assert np.allclose(a, b, atol=1e-12)
 
@@ -118,8 +128,8 @@ class TestEmFit:
         queries = inference.EliminationQueries(bounds)
         p_u, counts = queries.expected_counts(net, weights)
         want = [np.zeros(c.shape) for c in net.cpts]
-        for k, bound in enumerate(bounds):
-            ev = queries._evidence(net, bound)
+        for k, pattern in enumerate(patterns):
+            ev = {n: v for n, v in zip(names, pattern) if v is not None}
             assert p_u[k] == inference.evidence_probability(net, ev)
             if p_u[k] == 0.0:
                 continue

@@ -3,18 +3,27 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import asia_data, brute_evidence_probability, brute_family_posteriors
+from conftest import (
+    asia_data,
+    brute_evidence_probability,
+    brute_family_posteriors,
+    joint_marginal,
+    ve_evidence_probability,
+    ve_family_posteriors,
+)
+from coarsebn import data as data_mod
 from coarsebn import inference, network
 from coarsebn.aim import AimOptions, aim_fit
 from coarsebn.data import bind_pattern
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import BudgetError, DataError, ZeroSupportError
+from coarsebn.evaluate import kl_decomposed, kl_enumerate
 from coarsebn.inference import (
+    CliqueTree,
     EliminationQueries,
     MemberTable,
     evidence_probability,
     full_joint_table,
-    joint_marginal,
     pattern_table,
     posterior_family_marginals,
 )
@@ -148,6 +157,145 @@ class TestJointMarginal:
         assert out[0].sum() == pytest.approx(0.5, abs=1e-12)
 
 
+def random_dag(n, seed, cards=(2, 5), max_parents=3, window=None):
+    """A random DAG with randomized CPTs: per node, up to max_parents parents
+    among the earlier nodes (the last `window` of them, if given), listed in
+    random order; nodes are declared in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    card = rng.integers(*cards, size=n)
+    specs, tables = [], []
+    for i in range(n):
+        pool = np.arange(i) if window is None else np.arange(max(0, i - window), i)
+        k = int(rng.integers(0, min(max_parents, len(pool)) + 1))
+        parents = rng.choice(pool, size=k, replace=False).tolist()
+        states = tuple(f"s{j}" for j in range(card[i]))
+        specs.append(NodeSpec(f"v{i}", states, tuple(f"v{p}" for p in parents)))
+        rows = int(np.prod([card[p] for p in parents]))
+        tables.append(np.full((rows, card[i]), 1.0 / card[i]))
+    order = rng.permutation(n)
+    net = Network(f"dag{seed}", tuple(specs[i] for i in order), tuple(tables[i] for i in order))
+    return randomize_parameters(net, rng)
+
+
+def random_evidence(net, rng, observed):
+    """Evidence on `observed` randomly chosen nodes, at random states."""
+    pick = rng.choice(len(net.nodes), size=observed, replace=False)
+    return {
+        net.nodes[i].name: net.nodes[i].states[int(rng.integers(net.cards[i]))]
+        for i in pick
+    }
+
+
+def assert_tree_matches_oracles(net, evidence, brute=True):
+    p_tree = evidence_probability(net, evidence)
+    assert p_tree == pytest.approx(ve_evidence_probability(net, evidence), abs=1e-12)
+    if brute:
+        assert p_tree == pytest.approx(brute_evidence_probability(net, evidence), abs=1e-12)
+    if p_tree == 0.0:
+        return
+    fams = posterior_family_marginals(net, evidence)
+    oracles = [ve_family_posteriors(net, evidence)]
+    if brute:
+        oracles.append(brute_family_posteriors(net, evidence)[0])
+    for oracle in oracles:
+        assert fams.keys() == oracle.keys()
+        for name, table in fams.items():
+            assert table.shape == oracle[name].shape
+            assert np.allclose(table, oracle[name], atol=1e-12, rtol=0)
+
+
+class TestCliqueTree:
+    def test_asia_patterns(self, asia_net):
+        net = randomize_parameters(asia_net, np.random.default_rng(10))
+        for ev in all_patterns(net, 3):
+            assert_tree_matches_oracles(net, ev)
+
+    def test_two_components(self, basic_net):
+        assert len(CliqueTree(basic_net)._roots) == 2
+        for ev in all_patterns(basic_net, 2):
+            assert_tree_matches_oracles(basic_net, ev)
+        fams = posterior_family_marginals(basic_net, {"B": "f"})
+        assert fams["A"].tolist() == [[0.5, 0.5]]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_dags(self, seed):
+        net = random_dag(7, seed)
+        rng = np.random.default_rng(100 + seed)
+        for observed in (0, 2, 4, 7):
+            assert_tree_matches_oracles(net, random_evidence(net, rng, observed))
+
+    def test_one_node(self):
+        net = Network("one", (NodeSpec("X", ("a", "b", "c")),), (np.array([[0.2, 0.3, 0.5]]),))
+        p, fams = CliqueTree(net).calibrate(net, [None])
+        assert p == 1.0 and fams[0].tolist() == [[0.2, 0.3, 0.5]]
+        assert evidence_probability(net, {"X": "b"}) == 0.3
+        assert posterior_family_marginals(net, {"X": "c"})["X"].tolist() == [[0.0, 0.0, 1.0]]
+
+    def test_evidence_on_every_node(self, asia_net):
+        net = randomize_parameters(asia_net, np.random.default_rng(11))
+        for x in itertools.product(range(2), repeat=len(net.nodes)):
+            ev = {s.name: s.states[v] for s, v in zip(net.nodes, x)}
+            assert evidence_probability(net, ev) == pytest.approx(
+                joint_probability(net, x), rel=1e-12
+            )
+
+    def test_zero_support_in_expected_counts(self, asia_net):
+        # either is tub OR lung in the truth: tub=yes, either=no is impossible
+        # (posterior_family_marginals raises on it: test_zero_evidence_raises)
+        bound = inference._bound_of(asia_net, {"tub": "yes", "either": "no"})
+        p_u, counts = EliminationQueries([bound]).expected_counts(asia_net, np.ones(1))
+        assert p_u.tolist() == [0.0]
+        assert all(not c.any() for c in counts)
+
+    def test_impossible_parent_rows_are_exact_zeros(self):
+        nodes = (
+            NodeSpec("A", ("t", "f")),
+            NodeSpec("B", ("t", "f")),
+            NodeSpec("C", ("t", "f"), ("A", "B")),
+        )
+        c_rows = [[0.2, 0.8], [0.6, 0.4], [0.5, 0.5], [0.9, 0.1]]
+        truth = Network("z", nodes, ([[1.0, 0.0]], [[0.3, 0.7]], c_rows))
+        _, fams = CliqueTree(truth).calibrate(truth, [None] * 3)
+        assert fams[2].sum(axis=1)[2:].tolist() == [0.0, 0.0]
+        # the estimate's zero sits in a row the truth never reaches
+        estimate = truth.with_cpts(truth.cpts[:2] + (np.array(c_rows[:2] + [[1.0, 0.0]] * 2),))
+        assert kl_decomposed(truth, estimate) == pytest.approx(
+            kl_enumerate(truth, estimate), abs=1e-15
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kl_decomposed_matches_enumeration(self, seed):
+        truth = random_dag(8, seed)
+        estimate = randomize_parameters(truth, np.random.default_rng(50 + seed))
+        assert kl_decomposed(truth, estimate) == pytest.approx(
+            kl_enumerate(truth, estimate), rel=1e-10
+        )
+
+    def test_more_nodes_than_einsum_letters(self):
+        net = random_dag(60, 3, cards=(2, 4), max_parents=2, window=4)
+        assert len(net.nodes) > 52
+        rng = np.random.default_rng(4)
+        for observed in (0, 20, 60):
+            assert_tree_matches_oracles(net, random_evidence(net, rng, observed), brute=False)
+
+    def test_clique_over_budget_refused(self, asia_net, monkeypatch):
+        CliqueTree(asia_net)
+        monkeypatch.setattr(inference, "ENUM_BUDGET", 4)  # either | tub, lung has 8 cells
+        with pytest.raises(BudgetError, match="clique of 8 cells exceeds the budget 4"):
+            CliqueTree(asia_net)
+        with pytest.raises(BudgetError, match="clique"):
+            evidence_probability(asia_net, {})
+
+    def test_queries_refuse_another_structure(self, asia_net):
+        queries = EliminationQueries(TestMemberTable.BOUNDS)
+        queries.pattern_probs(asia_net)
+        nodes = list(asia_net.nodes)
+        nodes[asia_net.node_index["either"]] = NodeSpec("either", ("yes", "no"), ("lung", "bronc"))
+        rewired = Network("rewired", tuple(nodes), asia_net.cpts)
+        with pytest.raises(DataError, match="structure"):
+            queries.pattern_probs(rewired)
+
+
 class TestMemberTable:
     BOUNDS = [
         (None, 0, None, 1, None, None, 0, None),
@@ -181,6 +329,32 @@ class TestMemberTable:
     def test_budget_counts_members_before_enumerating(self, asia_net):
         with pytest.raises(BudgetError):
             MemberTable(asia_net, self.BOUNDS, budget=80)
+
+    def test_members_counted_once_per_pattern(self, asia_net, monkeypatch):
+        calls = []
+        member_count = data_mod.member_count
+
+        def counting(net, bound):
+            calls.append(bound)
+            return member_count(net, bound)
+
+        bounds = [(None,) * 8] + self.BOUNDS
+        monkeypatch.setattr(inference, "member_count", counting)
+        monkeypatch.setattr(data_mod, "member_count", counting)
+        table = MemberTable(asia_net, bounds, budget=1000)
+        assert calls == bounds
+        monkeypatch.undo()
+        flat = np.concatenate([data_mod.member_flat_indices(asia_net, b) for b in bounds])
+        uniq, loc = np.unique(flat, return_inverse=True)
+        assert np.array_equal(table.uniq, uniq) and np.array_equal(table.loc, loc)
+        assert table.starts.tolist() == [0, 256, 288, 352]
+        assert table.stops.tolist() == [256, 288, 352, 353]
+
+    def test_pattern_over_enum_budget_refused(self):
+        nodes = tuple(NodeSpec(f"v{i}", ("a", "b")) for i in range(21))
+        net = Network("wide21", nodes, tuple(np.full((1, 2), 0.5) for _ in nodes))
+        with pytest.raises(BudgetError, match="case has too many completions"):
+            MemberTable(net, [(None,) * 21], budget=4 << 20)
 
     def test_joint_space_beyond_int64_refused(self):
         nodes = tuple(NodeSpec(f"v{i}", ("a", "b")) for i in range(64))

@@ -294,16 +294,20 @@ class TestFaceValue:
             (dead, Dataset(data.variables, kept + ((impossible, 0.0),))),
             (dead, Dataset(data.variables, kept + ((impossible, 1.0),))),
         ]
-        eliminations = []
-        run_ve = inference._run_ve
+        passes = []
+        collect = inference.CliqueTree._collect
         monkeypatch.setattr(
-            inference, "_run_ve", lambda *a, **k: eliminations.append(1) or run_ve(*a, **k)
+            inference.CliqueTree,
+            "_collect",
+            lambda *a, **k: passes.append(1) or collect(*a, **k),
         )
         table = [face_value_loglik(net, d).total for net, d in cases]
-        assert eliminations == []  # every asia pattern is enumerable
+        assert passes == []  # every asia pattern is enumerable
         monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
         ve = [face_value_loglik(net, d).total for net, d in cases]
-        assert eliminations
+        # one collect pass per positive-weight pattern
+        positive = [sum(w > 0 for w in d.grouped().values()) for _, d in cases]
+        assert len(passes) == sum(positive)
         for a, b in zip(table[:3], ve[:3]):
             assert math.isfinite(a)
             assert a == pytest.approx(b, rel=1e-12)

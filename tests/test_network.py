@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from coarsebn.errors import DataError
 from coarsebn.network import (
+    ROW_SUM_TOL,
     Network,
     NodeSpec,
     joint_probability,
@@ -66,6 +67,110 @@ class TestValidate:
         diags = validate_network(net)
         assert any("unknown parent" in d for d in diags)
         assert any("at least 2 states" in d for d in diags)
+
+
+def per_row_validate(net):
+    """Oracle: validate_network with every CPT row checked on its own."""
+    diags = []
+    seen = set()
+    for spec in net.nodes:
+        if spec.name in seen:
+            diags.append(f"duplicate node name {spec.name!r}")
+        seen.add(spec.name)
+        if len(spec.states) < 2:
+            diags.append(f"node {spec.name}: needs at least 2 states")
+        if len(set(spec.states)) != len(spec.states):
+            diags.append(f"node {spec.name}: duplicate state labels")
+        for p in spec.parents:
+            if p not in seen and p not in {s.name for s in net.nodes}:
+                diags.append(f"node {spec.name}: unknown parent {p!r}")
+        if spec.name in spec.parents:
+            diags.append(f"node {spec.name}: is its own parent")
+        if len(set(spec.parents)) != len(spec.parents):
+            diags.append(f"node {spec.name}: duplicate parents")
+    names = {s.name for s in net.nodes}
+    pending = {
+        s.name: {p for p in s.parents if p in names and p != s.name} for s in net.nodes
+    }
+    while pending:
+        free = sorted(n for n, ps in pending.items() if not ps)
+        if not free:
+            diags.append("parent relation has a cycle among: " + ", ".join(sorted(pending)))
+            break
+        for n in free:
+            del pending[n]
+        for ps in pending.values():
+            ps.difference_update(free)
+    if len(net.cpts) != len(net.nodes):
+        diags.append(f"{len(net.cpts)} CPTs for {len(net.nodes)} nodes")
+        return diags
+    if diags and any(
+        "cycle" in d or "unknown parent" in d or "duplicate node" in d for d in diags
+    ):
+        return diags
+    for i, spec in enumerate(net.nodes):
+        table = net.cpts[i]
+        expect = (net.n_rows[i], len(spec.states))
+        if table.shape != expect:
+            diags.append(f"node {spec.name}: cpt shape {table.shape} != expected {expect}")
+            continue
+        for r in range(table.shape[0]):
+            row = table[r]
+            if np.any(row < -1e-12) or np.any(row > 1 + 1e-12):
+                diags.append(f"node {spec.name}: row {r} has entries outside [0,1]")
+            s = float(row.sum())
+            if abs(s - 1.0) > ROW_SUM_TOL:
+                diags.append(f"node {spec.name}: row {r} sum {s:.12g} != 1")
+    return diags
+
+
+def two_node_net(a_rows, b_rows, b_parents=("A",), a_parents=()):
+    nodes = (
+        NodeSpec("A", ("t", "f"), a_parents),
+        NodeSpec("B", ("t", "f", "u"), b_parents),
+    )
+    return Network("crafted", nodes, (np.array(a_rows), np.array(b_rows)))
+
+
+GOOD_B = [[0.2, 0.3, 0.5], [0.6, 0.4, 0.0]]
+CRAFTED = {
+    "negative entry": two_node_net([[-0.1, 1.1]], GOOD_B),
+    "entry above 1": two_node_net([[0.5, 0.5]], [[1.2, -0.1, -0.1], [0.6, 0.4, 0.0]]),
+    "bad row sum": two_node_net([[0.3, 0.6]], GOOD_B),
+    "several bad rows": two_node_net(
+        [[0.5, 0.6]], [[-0.5, 0.2, 0.1], [0.6, 0.4, 1.0 + 2e-9]]
+    ),
+    "within tolerance": two_node_net(
+        [[-1e-13, 1.0 + 1e-13]], [[0.2, 0.3, 0.5 + 5e-10], [0.6, 0.4, 0.0]]
+    ),
+    "wrong shape": two_node_net([[0.5, 0.5]], [[0.2, 0.3, 0.5]]),
+    "cycle": two_node_net([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], GOOD_B, a_parents=("B",)),
+}
+
+
+class TestValidateRows:
+    """The vectorised row checks write the per-row diagnostics, in order."""
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    def test_crafted_networks_match_per_row_checks(self, case):
+        net = CRAFTED[case]
+        expect = per_row_validate(net)
+        assert validate_network(net) == expect
+        assert (expect == []) == (case == "within tolerance")
+
+    def test_several_bad_rows_listed_in_order(self):
+        assert validate_network(CRAFTED["several bad rows"]) == [
+            "node A: row 0 sum 1.1 != 1",
+            "node B: row 0 has entries outside [0,1]",
+            "node B: row 0 sum -0.2 != 1",
+            "node B: row 1 has entries outside [0,1]",
+            "node B: row 1 sum 2.000000002 != 1",
+        ]
+
+    def test_clean_networks_match(self, asia_net):
+        for seed in range(3):
+            net = randomize_parameters(asia_net, np.random.default_rng(seed))
+            assert validate_network(net) == per_row_validate(net) == []
 
 
 class TestJointProbability:
