@@ -116,13 +116,8 @@ def member_count(net: Network, bound: Sequence[Optional[int]]) -> int:
     return n
 
 
-def member_flat_indices(
-    net: Network, bound: Sequence[Optional[int]], budget: int | None = ENUM_BUDGET
-) -> np.ndarray:
-    """Flat (C-order) joint indices of all compatible assignments; a budget
-    of None skips the count check, for callers that have made it."""
-    if budget is not None and member_count(net, bound) > budget:
-        raise BudgetError("case has too many completions to enumerate")
+def member_flat_indices(net: Network, bound: Sequence[Optional[int]]) -> np.ndarray:
+    """Flat (C-order) joint indices of all compatible assignments."""
     base = 0
     offsets = np.zeros(1, dtype=np.int64)
     for i, v in enumerate(bound):

@@ -75,27 +75,25 @@ def _min_fill_order(
     for v, nbrs in adj.items():
         nbrs.discard(v)
 
-    fill: dict[int, int] = {}  # twice the fill-in edges each elimination adds
+    def fill_in(v: int) -> int:  # twice the fill-in edges eliminating v adds
+        return sum(len(adj[v] - adj[a]) - 1 for a in adj[v])
+
     order = []
     todo = sorted(eliminate, key=lambda i: net.nodes[i].name)
     while todo:
-        for v in todo:
-            if v not in fill:
-                fill[v] = sum(len(adj[v] - adj[a]) - 1 for a in adj[v])
-        v = min(todo, key=fill.__getitem__)
+        v = min(todo, key=fill_in)
         todo.remove(v)
         nbrs = adj.pop(v)
         for u in nbrs:
             adj[u] |= nbrs
             adj[u] -= {u, v}
-        # only nodes next to the new edges can change their fill-in
-        for u in set(nbrs).union(*(adj[u] for u in nbrs)):
-            fill.pop(u, None)
         order.append((v, nbrs))
     return order
 
 
 Step = tuple[str, tuple[int, ...]]  # einsum subscripts and input slots
+
+EINSUM_OPERANDS = 32  # numpy's einsum takes at most 32 operands (64 from 2.0)
 
 
 class CliqueTree:
@@ -114,7 +112,8 @@ class CliqueTree:
     passes are Shafer-Shenoy messages, with no division; components are
     joined by multiplying in the other components' masses.  So a
     configuration of probability zero keeps a marginal of exactly 0.0.
-    Every einsum is compiled here, with axis letters of its own.
+    Every einsum is compiled here, with axis letters of its own; a clique
+    step of more than EINSUM_OPERANDS inputs is folded into chained steps.
     """
 
     def __init__(self, net: Network):
@@ -169,6 +168,9 @@ class CliqueTree:
             return len(scopes) - 1
 
         def step(program: list[Step], c: int, ins: list[int], want, reader) -> int:
+            while len(ins) > EINSUM_OPERANDS:  # fold the first inputs into one
+                head, ins = ins[:EINSUM_OPERANDS], ins[EINSUM_OPERANDS:]
+                ins = [step(program, c, head, sorted(scope[c]), c)] + ins
             covered = set().union(*[scopes[j] for j in ins])
             out = tuple(u for u in want if u in covered)
             subs = ",".join([codes[j] for j in ins]) + "->"
@@ -315,7 +317,7 @@ class MemberTable:
         self.net = net
         self.bounds = list(bounds)
         flat = np.concatenate(
-            [member_flat_indices(net, b, budget=None) for b in bounds] + [np.zeros(0, np.int64)]
+            [member_flat_indices(net, b) for b in bounds] + [np.zeros(0, np.int64)]
         )
         ends = np.cumsum([0] + sizes)
         self.starts, self.stops = ends[:-1], ends[1:]

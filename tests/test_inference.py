@@ -278,6 +278,27 @@ class TestCliqueTree:
         for observed in (0, 20, 60):
             assert_tree_matches_oracles(net, random_evidence(net, rng, observed), brute=False)
 
+    def test_star_wider_than_one_einsum(self):
+        # the hub's clique holds its family, one leaf's, and 69 leaf messages
+        hub = NodeSpec("hub", ("a", "b", "c"))
+        leaves = tuple(NodeSpec(f"leaf{i:02d}", ("t", "f"), ("hub",)) for i in range(70))
+        tables = (np.full((1, 3), 1 / 3),) + tuple(np.full((3, 2), 0.5) for _ in leaves)
+        net = Network("star", (hub,) + leaves, tables)
+        truth = randomize_parameters(net, np.random.default_rng(5))
+        estimate = randomize_parameters(net, np.random.default_rng(6))
+        tree = CliqueTree(truth)
+        steps = tree._collect_steps + tree._distribute_steps
+        assert max(len(ins) for _, ins in steps) <= inference.EINSUM_OPERANDS
+        rng = np.random.default_rng(7)
+        for observed in (0, 35, 71):
+            assert_tree_matches_oracles(truth, random_evidence(truth, rng, observed), brute=False)
+        weights = [f.sum(axis=1) for f in ve_family_posteriors(truth, {}).values()]
+        expected = sum(
+            w @ (t * np.log(t / e)).sum(axis=1)
+            for w, t, e in zip(weights, truth.cpts, estimate.cpts)
+        )
+        assert kl_decomposed(truth, estimate) == pytest.approx(expected, rel=1e-12)
+
     def test_clique_over_budget_refused(self, asia_net, monkeypatch):
         CliqueTree(asia_net)
         monkeypatch.setattr(inference, "ENUM_BUDGET", 4)  # either | tub, lung has 8 cells
