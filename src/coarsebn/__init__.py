@@ -15,9 +15,7 @@ from .data import (
     CoarseningModel,
     Completion,
     Dataset,
-    PatternDistribution,
     completion_distribution,
-    empirical_pattern_distribution,
     read_dataset,
     recover_coarsening,
     write_dataset,

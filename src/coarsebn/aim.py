@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import BudgetError, DataError
-from .inference import BoundDataset, EliminationQueries, MemberTable, pattern_table
+from .inference import BoundDataset, EliminationQueries, MemberTable
 from .network import (
     Network,
     params_from_family_counts,
@@ -249,7 +249,7 @@ def aim_fit(
         case_reps.append(int(round(w)) * opts.z)
     zn = sum(case_reps)
     rep_case = np.repeat(np.arange(len(case_pattern)), case_reps)
-    table = pattern_table(structure, bound.bounds)
+    table = bound.table
 
     rng = np.random.default_rng(opts.seed)
     rep_pattern = np.repeat(case_pattern, case_reps)

@@ -30,8 +30,6 @@ class CoarseningSpec:
     mp: int
     mu: float
     sigma: float
-    n: int | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.mp < 0:

@@ -21,11 +21,9 @@ from .util import stable_child_seed
 
 
 def random_completion(
-    net: Network, data: Dataset, rng: np.random.Generator, policy: str = "uniform"
+    net: Network, data: Dataset, rng: np.random.Generator
 ) -> np.ndarray:
     """Fill every missing coordinate uniformly; returns one row per case."""
-    if policy != "uniform":
-        raise DataError(f"unknown completion policy {policy!r}")
     k = len(net.nodes)
     bound_of = BoundDataset(net, data).bound_of
     # one row per distinct pattern, -1 where missing, gathered by case

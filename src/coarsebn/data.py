@@ -71,8 +71,9 @@ class Dataset:
 def pattern_binder(
     net: Network, variables: Sequence[str]
 ) -> Callable[[CoarsePattern], tuple[Optional[int], ...]]:
-    """`bind_pattern` for one header: the header is checked and each node's
-    label -> state map built once, for every pattern bound after."""
+    """Bind cases of one header into network node order as state indices
+    (None = missing, as is every node absent from the header).  The header
+    is checked, and each node's label -> state map built, once."""
     for v in variables:
         if v not in net.node_index:
             raise DataError(f"dataset variable {v!r} is not a network node")
@@ -98,16 +99,6 @@ def pattern_binder(
     return bind
 
 
-def bind_pattern(
-    net: Network, variables: Sequence[str], pattern: CoarsePattern
-) -> tuple[Optional[int], ...]:
-    """Reorder a case into network node order as state indices (None=missing).
-
-    Network nodes absent from the header count as missing.
-    """
-    return pattern_binder(net, variables)(pattern)
-
-
 def member_count(net: Network, bound: Sequence[Optional[int]]) -> int:
     n = 1
     for i, v in enumerate(bound):
@@ -128,31 +119,6 @@ def member_flat_indices(net: Network, bound: Sequence[Optional[int]]) -> np.ndar
             step = (np.arange(net.cards[i], dtype=np.int64) * stride)
             offsets = (offsets[:, None] + step[None, :]).reshape(-1)
     return offsets + base
-
-
-@dataclass(frozen=True)
-class PatternDistribution:
-    """Relative frequency of each distinct observation pattern."""
-
-    freqs: tuple[tuple[CoarsePattern, float], ...]
-    entropy: float
-
-    @classmethod
-    def from_dataset(cls, data: Dataset) -> "PatternDistribution":
-        grouped = data.grouped()
-        total = data.total_weight
-        if total <= 0:
-            raise DataError("total weight must be positive")
-        freqs = tuple((p, w / total) for p, w in grouped.items())
-        entropy = -math.fsum(f * math.log(f) for _, f in freqs if f > 0)
-        return cls(freqs, entropy)
-
-    def as_dict(self) -> dict[CoarsePattern, float]:
-        return dict(self.freqs)
-
-
-def empirical_pattern_distribution(data: Dataset) -> PatternDistribution:
-    return PatternDistribution.from_dataset(data)
 
 
 @dataclass(frozen=True)
@@ -221,15 +187,14 @@ class CoarseningModel:
         return diags
 
 
-def recover_coarsening(
-    m: PatternDistribution, c: Completion, data: Dataset, net: Network
-) -> CoarseningModel:
+def recover_coarsening(c: Completion, data: Dataset, net: Network) -> CoarseningModel:
     """Invert a completion into the mechanism that makes it self-consistent.
 
-    lambda[x][U] = m(U) * c(U)(x) / P_c(x); per-pattern completions are the
-    weight-averaged case completions.  Each state's leftover mass goes to
-    its own fully observed pattern, so row sums stay testable without
-    enumerating every subset of the joint space.
+    lambda[x][U] = m(U) * c(U)(x) / P_c(x), with m(U) the pattern's share
+    of the total weight; per-pattern completions are the weight-averaged
+    case completions.  Each state's leftover mass goes to its own fully
+    observed pattern, so row sums stay testable without enumerating every
+    subset of the joint space.
     """
     if net.n_assignments > ENUM_BUDGET:
         raise BudgetError("state space too large to recover a coarsening model")
@@ -241,17 +206,15 @@ def recover_coarsening(
         acc = pattern_dist.setdefault(pattern, {})
         for x, p in dist.items():
             acc[x] = acc.get(x, 0.0) + w * p
-    freqs = m.as_dict()
+    total = data.total_weight
     lam: dict[Assignment, dict[CoarsePattern, float]] = {}
     for pattern, acc in pattern_dist.items():
-        total = grouped_mass[pattern]
-        if total <= 0:
+        weight = grouped_mass[pattern]
+        if weight <= 0:
             continue
-        m_u = freqs.get(pattern)
-        if m_u is None:
-            raise DataError("pattern distribution does not cover the dataset")
+        m_u = weight / total
         for x, mass in acc.items():
-            cx = mass / total
+            cx = mass / weight
             if cx <= 0:
                 continue
             if p_c.get(x, 0.0) <= 0:

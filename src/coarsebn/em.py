@@ -2,9 +2,9 @@
 
 Doubles as the comparison baseline and as the default initializer for the
 adjusting-imputation fitter.  The E step takes, per distinct observation
-pattern, its probability and expected family counts from the pattern
-table of `inference`, which enumerates the pattern members or, above its
-budget, runs variable elimination.
+pattern, its probability and expected family counts from the dataset's
+pattern table (`BoundDataset.table`), which enumerates the pattern members
+or, above its budget, calibrates a clique tree once per pattern.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ZeroSupportError
-from .inference import BoundDataset, pattern_table
+from .inference import BoundDataset
 from .network import (
     Network,
     params_from_family_counts,
@@ -85,7 +85,7 @@ def em_fit(
     bound = BoundDataset(structure, data)
     total_w = bound.total
     weights = bound.weights
-    table = pattern_table(structure, bound.bounds)
+    table = bound.table
 
     trace: list[tuple[int, float, float]] = []
     prev: tuple[float, float] | None = None

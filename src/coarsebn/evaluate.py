@@ -23,7 +23,6 @@ class EvalReport:
     method: str
     ce: float
     mse: float
-    pct_missing: float | None = None
 
 
 def _same_domains(a: Network, b: Network) -> bool:
@@ -97,14 +96,9 @@ def evaluate(
     raw_estimate: Network,
     row_counts,
     method: str = "",
-    pct_missing: float | None = None,
 ) -> EvalReport:
     """Smooth the raw estimate, then score it against the truth."""
     est = smooth(raw_estimate, row_counts)
     if same_structure(truth, est):
-        ce = kl_decomposed(truth, est)
-    else:
-        ce = kl_enumerate(truth, est)
-        est_mse = float("nan")
-        return EvalReport(method, ce, est_mse, pct_missing)
-    return EvalReport(method, ce, mse(truth, est), pct_missing)
+        return EvalReport(method, kl_decomposed(truth, est), mse(truth, est))
+    return EvalReport(method, kl_enumerate(truth, est), float("nan"))

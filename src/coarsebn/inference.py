@@ -1,12 +1,12 @@
 """Exact inference: the pattern member table and the clique tree.
 
 Fitters and solvers need, per observation pattern, only the joint states
-that match it, called the pattern's members.  `pattern_table` is the one
-place that decides how a pattern's probabilities are obtained: when the
-dataset's total member count is within DENSE_TABLE_BUDGET it enumerates the
-members once (`MemberTable`) and answers every query from them; above the
-budget the same queries run on a clique tree (`EliminationQueries`), the
-only path for patterns too large to enumerate.
+that match it, called the pattern's members.  `BoundDataset` is the one
+place that holds a dataset's patterns and decides how their probabilities
+are obtained: when the patterns' members total at most DENSE_TABLE_BUDGET
+it enumerates them once (`MemberTable`) and answers every query from them;
+above the budget the same queries run on a clique tree
+(`EliminationQueries`), the only path for patterns too large to enumerate.
 
 A member table is compiled once per dataset: on first use it stores, per
 node, each distinct member's cell in that node's flattened CPT.  P(x) is
@@ -253,11 +253,11 @@ def evidence_probability(net: Network, evidence: Mapping[str, str]) -> float:
     return CliqueTree(net).probability(net, _bound_of(net, evidence))
 
 
-def full_joint_table(net: Network, budget: int = ENUM_BUDGET) -> np.ndarray:
+def full_joint_table(net: Network) -> np.ndarray:
     """Dense joint distribution over all nodes (C order)."""
-    if net.n_assignments > budget:
+    if net.n_assignments > ENUM_BUDGET:
         raise BudgetError(
-            f"state space {net.n_assignments} exceeds dense budget {budget}"
+            f"state space {net.n_assignments} exceeds dense budget {ENUM_BUDGET}"
         )
     full = np.ones(net.cards)
     k = len(net.nodes)
@@ -301,17 +301,14 @@ class MemberTable:
     a slot back to its pattern.  `uniq` holds the distinct flat joint
     indices (sorted) and `loc` each slot's position in it.  The table
     depends only on the structure; every query takes the parameters.
-    Networks whose joint space cannot be indexed in int64 are refused.
+    `sizes` are the patterns' member counts.  Networks whose joint space
+    cannot be indexed in int64, and patterns of more than ENUM_BUDGET
+    members, are refused.
     """
 
-    def __init__(self, net: Network, bounds: Sequence[Bound], budget: int):
+    def __init__(self, net: Network, bounds: Sequence[Bound], sizes: list[int]):
         if net.n_assignments >= 1 << 62:
             raise BudgetError("joint space too large to index")
-        sizes = [member_count(net, b) for b in bounds]
-        if sum(sizes) > budget:
-            raise BudgetError(
-                f"{sum(sizes)} pattern members exceed the enumeration budget {budget}"
-            )
         if max(sizes, default=0) > ENUM_BUDGET:
             raise BudgetError("case has too many completions to enumerate")
         self.net = net
@@ -496,29 +493,16 @@ class EliminationQueries:
         return draw
 
 
-def pattern_table(
-    net: Network, bounds: Sequence[Bound]
-) -> MemberTable | EliminationQueries:
-    """Per-pattern queries for `bounds`: from the enumerated members when
-    their total is within DENSE_TABLE_BUDGET, else by variable elimination."""
-    if (
-        sum(member_count(net, b) for b in bounds) <= DENSE_TABLE_BUDGET
-        and net.n_assignments < 1 << 62
-    ):
-        return MemberTable(net, bounds, DENSE_TABLE_BUDGET)
-    return EliminationQueries(bounds)
-
-
 class BoundDataset:
     """A dataset bound once to a network's nodes: the one place that groups
-    cases into patterns and binds them.
+    cases into patterns, binds them and answers their queries.
 
     `bound_of` maps every distinct pattern, in first-seen order, to its
     bound, so a malformed case is refused whatever its weight.  `patterns`,
-    `weights` and `bounds` keep those of positive weight, in the same order;
-    `total` is the total weight, `m` the positive patterns' shares of it and
-    `entropy` H(m).  `member_table` builds the patterns' member table on
-    first use and hands the same table to every later caller.
+    `weights`, `bounds` and `sizes` (member counts) keep those of positive
+    weight, in the same order; `total` is the total weight, `m` the positive
+    patterns' shares of it and `entropy` H(m).  `table` answers the
+    patterns' queries, and `member_table` hands out their one member table.
     """
 
     def __init__(self, net: Network, data: Dataset):
@@ -530,14 +514,28 @@ class BoundDataset:
         self.patterns = [p for p, w in grouped.items() if w > 0]
         self.weights = np.array([grouped[p] for p in self.patterns])
         self.bounds = [self.bound_of[p] for p in self.patterns]
+        self.sizes = [member_count(net, b) for b in self.bounds]
         self.total = data.total_weight
         self.m = self.weights / self.total
         self.entropy = -math.fsum(f * math.log(f) for f in self.m.tolist() if f > 0)
-        self._table: MemberTable | None = None
+
+    @cached_property
+    def _members(self) -> MemberTable:
+        return MemberTable(self.net, self.bounds, self.sizes)
 
     def member_table(self, budget: int) -> MemberTable:
-        """The member table of `bounds`; BudgetError when their members
-        exceed budget (the table is built again only to raise it)."""
-        if self._table is None or self._table.n_slots > budget:
-            self._table = MemberTable(self.net, self.bounds, budget)
-        return self._table
+        """The member table of `bounds`, built on first use; BudgetError,
+        before any enumeration, when their members exceed budget."""
+        n = sum(self.sizes)
+        if n > budget:
+            raise BudgetError(f"{n} pattern members exceed the enumeration budget {budget}")
+        return self._members
+
+    @cached_property
+    def table(self) -> MemberTable | EliminationQueries:
+        """The patterns' queries: the member table when their members total
+        at most DENSE_TABLE_BUDGET (and the joint space can be indexed),
+        else a clique tree."""
+        if sum(self.sizes) <= DENSE_TABLE_BUDGET and self.net.n_assignments < 1 << 62:
+            return self._members
+        return EliminationQueries(self.bounds)

@@ -19,10 +19,11 @@ The sat updates and the car normalizer's iterative scaling are both
 monotone fixed-point maps, accelerated by one shared SQUAREM step
 (Varadhan & Roland 2008); each stops only on its own certificate.
 
-Each report groups and binds the dataset once (`BoundDataset`).  The lr
-statistic also builds one member table, within the sat budget, which the
-sat solve, the face value and the car normalizer all read; its two
-candidate networks must therefore share one structure.
+Each report groups and binds the dataset once (`BoundDataset`), counting
+each pattern's members once, and builds at most one member table, which
+the face value, the car normalizer and the sat solve share.  The lr
+statistic holds that table to the sat budget; its two candidate networks
+must therefore share one structure.
 
 All logarithms are natural.
 """
@@ -37,7 +38,7 @@ import numpy as np
 
 from .data import Completion, CoarsePattern, Dataset
 from .errors import DataError, NumericalError
-from .inference import BoundDataset, EliminationQueries, MemberTable, pattern_table
+from .inference import BoundDataset, EliminationQueries, MemberTable
 from .network import Network
 
 SAT_AMBIGUITY_BUDGET = 100_000
@@ -75,7 +76,7 @@ def _face_value(
 def face_value_loglik(net: Network, data: Dataset) -> LikelihoodReport:
     """Sum of case weights times log P(X in U); -inf is a value, not an error."""
     bound = BoundDataset(net, data)
-    return _face_value(net, bound, pattern_table(net, bound.bounds))
+    return _face_value(net, bound, bound.table)
 
 
 class _Point(NamedTuple):
@@ -264,11 +265,10 @@ def exact_sat_profile_loglik(
     net: Network,
     data: Dataset,
     tol: float = 1e-8,
-    rng: np.random.Generator | None = None,
 ) -> LikelihoodReport:
     """Sat-profile log-likelihood with the optimal completion as certificate."""
     problem = SatProfileProblem(net, data)
-    value, w, _, _ = problem.solve(net, tol=tol, rng=rng)
+    value, w, _, _ = problem.solve(net, tol=tol)
     cert = problem.certificate_completion(w) if math.isfinite(value) else None
     return LikelihoodReport("sat_profile", value, value * problem.bound.total, cert)
 
@@ -326,7 +326,7 @@ def _car_profile(
 def car_profile_loglik(net: Network, data: Dataset) -> LikelihoodReport:
     """Face value plus the theta-independent car normalizer."""
     bound = BoundDataset(net, data)
-    return _car_profile(net, bound, pattern_table(net, bound.bounds))
+    return _car_profile(net, bound, bound.table)
 
 
 def lr_statistic(net_sat: Network, net_car: Network, data: Dataset) -> float:

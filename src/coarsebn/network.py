@@ -217,10 +217,14 @@ def validate_network(net: Network) -> list[str]:
                 f"node {spec.name}: cpt shape {table.shape} != expected {expect}"
             )
             continue
+        finite = np.isfinite(table).all(axis=1)
         outside = np.any((table < -1e-12) | (table > 1 + 1e-12), axis=1)
         sums = table.sum(axis=1)
         off = np.abs(sums - 1.0) > ROW_SUM_TOL
-        for r in np.flatnonzero(outside | off).tolist():
+        for r in np.flatnonzero(~finite | outside | off).tolist():
+            if not finite[r]:
+                diags.append(f"node {spec.name}: row {r} has non-finite entries")
+                continue
             if outside[r]:
                 diags.append(f"node {spec.name}: row {r} has entries outside [0,1]")
             if off[r]:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
-from coarsebn.data import Dataset, bind_pattern
+from coarsebn.data import Dataset, member_count, pattern_binder
 from coarsebn.errors import DataError
-from coarsebn.inference import _min_fill_order, evidence_indices
+from coarsebn.inference import MemberTable, _min_fill_order, evidence_indices
 from coarsebn.netformat import read_network
 from coarsebn.network import joint_probability
 from coarsebn.util import fixture_path
@@ -55,6 +55,20 @@ def asia_data(asia_net, n=300, seed=41):
     rng = np.random.default_rng(seed)
     aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.1, 0.05), rng)
     return generate_dataset(aug, n, rng)[0]
+
+
+def member_table(net, bounds):
+    """The MemberTable of `bounds`, each pattern's members counted here."""
+    return MemberTable(net, bounds, [member_count(net, b) for b in bounds])
+
+
+def dataset_of(net, bounds):
+    """A dataset of one unit-weight case per bound, over every node."""
+    cases = tuple(
+        (tuple(None if v is None else s.states[v] for s, v in zip(net.nodes, b)), 1.0)
+        for b in bounds
+    )
+    return Dataset(tuple(s.name for s in net.nodes), cases)
 
 
 def compatible_assignments(net, bound):
@@ -109,7 +123,7 @@ def brute_evidence_probability(net, evidence):
     """Oracle: sum joint probabilities over every compatible assignment."""
     variables = tuple(s.name for s in net.nodes)
     pattern = tuple(evidence.get(v) for v in variables)
-    bound = bind_pattern(net, variables, pattern)
+    bound = pattern_binder(net, variables)(pattern)
     return sum(
         joint_probability(net, x) for x in compatible_assignments(net, bound)
     )
@@ -119,7 +133,7 @@ def brute_family_posteriors(net, evidence):
     """Oracle: posterior family tables by direct enumeration of completions."""
     variables = tuple(s.name for s in net.nodes)
     pattern = tuple(evidence.get(v) for v in variables)
-    bound = bind_pattern(net, variables, pattern)
+    bound = pattern_binder(net, variables)(pattern)
     tables = [
         np.zeros_like(np.asarray(net.cpts[i])) for i in range(len(net.nodes))
     ]

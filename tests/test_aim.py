@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import asia_data, incremental_kl_delta
+from conftest import asia_data, dataset_of, incremental_kl_delta, member_table
 from coarsebn import aim, inference
 from coarsebn.aim import (
     LOG_PROB_FLOOR,
@@ -17,7 +17,7 @@ from coarsebn.aim import (
     m_step,
 )
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
-from coarsebn.data import Dataset, bind_pattern, empirical_pattern_distribution
+from coarsebn.data import Dataset
 from coarsebn.em import em_fit
 from coarsebn.errors import DataError
 from coarsebn.likelihoods import exact_sat_profile_loglik
@@ -154,9 +154,7 @@ class TestIncrementalKlDelta:
         dead = basic_net.with_cpts(
             [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])]
         )
-        logp = inference.pattern_table(dead, [(None, None)]).log_evaluator(
-            dead, LOG_PROB_FLOOR
-        )
+        logp = member_table(dead, [(None, None)]).log_evaluator(dead, LOG_PROB_FLOOR)
         counts = {basic_net.ravel((0, 0)): 10}
         delta = incremental_kl_delta(
             counts, 10, logp, basic_net.ravel((0, 0)), basic_net.ravel((1, 0))
@@ -167,22 +165,19 @@ class TestIncrementalKlDelta:
 def seed_completion(theta0, reps, seed):
     """initial_completion on a list of per-replica bounds, one pattern per
     distinct bound."""
-    bounds = list(dict.fromkeys(reps))
-    table = inference.pattern_table(theta0, bounds)
-    rep_pattern = np.array([bounds.index(b) for b in reps], dtype=np.int64)
-    return initial_completion(theta0, table, rep_pattern, np.random.default_rng(seed))
+    bound = inference.BoundDataset(theta0, dataset_of(theta0, reps))
+    rep_pattern = np.array([bound.bounds.index(b) for b in reps], dtype=np.int64)
+    return initial_completion(theta0, bound.table, rep_pattern, np.random.default_rng(seed))
 
 
 def build_state(structure, theta0, data, z, seed=0):
     """Assemble an AimState the way aim_fit does, for op-level tests."""
-    case_bounds = [
-        bind_pattern(structure, data.variables, p) for p, _ in data.cases
-    ]
-    bounds = list(dict.fromkeys(case_bounds))
-    case_pattern = np.array([bounds.index(b) for b in case_bounds], dtype=np.int64)
+    bound = inference.BoundDataset(structure, data)
+    case_bounds = [bound.bound_of[p] for p, _ in data.cases]
+    case_pattern = np.array([bound.patterns.index(p) for p, _ in data.cases], dtype=np.int64)
     reps = [int(round(w)) * z for _, w in data.cases]
     rep_case = np.repeat(np.arange(len(case_bounds)), reps)
-    table = inference.pattern_table(structure, bounds)
+    table = bound.table
     rng = np.random.default_rng(seed)
     assign, _ = initial_completion(theta0, table, case_pattern[rep_case], rng)
     counts = {}
@@ -492,12 +487,13 @@ class TestAimFit:
 
     def test_one_pattern_table_per_fit(self, asia_net, monkeypatch):
         built = []
+        init = inference.MemberTable.__init__
 
-        def counting(net, bounds):
+        def counting(self, net, bounds, sizes):
             built.append(len(bounds))
-            return inference.pattern_table(net, bounds)
+            init(self, net, bounds, sizes)
 
-        monkeypatch.setattr(aim, "pattern_table", counting)
+        monkeypatch.setattr(inference.MemberTable, "__init__", counting)
         data = asia_data(asia_net, n=200, seed=44)
         res = aim_fit(asia_net, asia_net, data, AimOptions(z=3, seed=1, max_iters=3))
         assert built == [len(data.grouped())]
@@ -522,7 +518,7 @@ class TestAimFit:
         # current theta, at every iteration
         em = em_fit(basic_net, basic_data_n2000)
         state = build_state(basic_net, em.network, basic_data_n2000, z=5, seed=9)
-        h = empirical_pattern_distribution(basic_data_n2000).entropy
+        h = inference.BoundDataset(basic_net, basic_data_n2000).entropy
         for _ in range(6):
             ai_sweep(state)
             net, _ = m_step(state)
@@ -534,7 +530,7 @@ class TestAimFit:
         em = em_fit(basic_net, basic_data_n2000)
         res = aim_fit(basic_net, em.network, basic_data_n2000, AimOptions(z=10, seed=3))
         if res.score < 1e-9:
-            h = empirical_pattern_distribution(basic_data_n2000).entropy
+            h = inference.BoundDataset(basic_net, basic_data_n2000).entropy
             exact = exact_sat_profile_loglik(res.network, basic_data_n2000)
             # -H(m) is the unconditional ceiling of the profile value
             assert exact.per_case_average >= -h - 1e-6
@@ -542,6 +538,6 @@ class TestAimFit:
     def test_trace_reports_sat_lower_bound(self, basic_net, basic_data_n2000):
         em = em_fit(basic_net, basic_data_n2000)
         res = aim_fit(basic_net, em.network, basic_data_n2000, AimOptions(z=5, seed=1))
-        h = empirical_pattern_distribution(basic_data_n2000).entropy
+        h = inference.BoundDataset(basic_net, basic_data_n2000).entropy
         for _, score, bound in res.trace:
             assert bound == pytest.approx(-h - score, abs=1e-12)

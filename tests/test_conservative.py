@@ -8,7 +8,7 @@ from coarsebn.conservative import (
     marginal_bounds,
     random_completion,
 )
-from coarsebn.data import Dataset, bind_pattern
+from coarsebn.data import Dataset, pattern_binder
 from coarsebn.errors import DataError
 
 
@@ -17,8 +17,9 @@ def per_case_completion(net, data, rng):
     k = len(net.nodes)
     rows = np.zeros((len(data.cases), k), dtype=np.int64)
     missing_mask = np.zeros((len(data.cases), k), dtype=bool)
+    bind = pattern_binder(net, data.variables)
     for r, (pattern, _) in enumerate(data.cases):
-        for i, v in enumerate(bind_pattern(net, data.variables, pattern)):
+        for i, v in enumerate(bind(pattern)):
             if v is None:
                 missing_mask[r, i] = True
             else:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,17 +9,17 @@ from conftest import compatible_assignments
 from coarsebn.data import (
     Completion,
     Dataset,
-    bind_pattern,
     completion_distribution,
-    empirical_pattern_distribution,
     format_dataset_csv,
     member_count,
     member_flat_indices,
     parse_dataset_csv,
+    pattern_binder,
     recover_coarsening,
 )
 from coarsebn.errors import CoarseBNError, DataError
 from coarsebn.inference import BoundDataset
+from coarsebn.network import Network, NodeSpec
 
 
 def check_completion(c, data, net):
@@ -27,8 +28,9 @@ def check_completion(c, data, net):
     diags = []
     if len(c.per_case) != len(data.cases):
         return [f"{len(c.per_case)} case distributions for {len(data.cases)} cases"]
+    bind = pattern_binder(net, data.variables)
     for i, ((pattern, _), dist) in enumerate(zip(data.cases, c.per_case)):
-        bound = bind_pattern(net, data.variables, pattern)
+        bound = bind(pattern)
         s = math.fsum(dist.values())
         if abs(s - 1.0) > 1e-12:
             diags.append(f"case {i}: distribution sums to {s!r}")
@@ -55,51 +57,62 @@ def basic_completion(alpha):
     )
 
 
+def pattern_shares(bound):
+    return dict(zip(bound.patterns, bound.m.tolist()))
+
+
+ONE_NODE = Network("x", (NodeSpec("X", ("a", "b")),), (np.array([[0.5, 0.5]]),))
+
+
 class TestPatternDistribution:
-    def test_fixture_frequencies_and_entropy(self, basic_data):
-        m = empirical_pattern_distribution(basic_data)
-        freqs = m.as_dict()
+    """m and H(m) of a dataset bound to a network."""
+
+    def test_fixture_frequencies_and_entropy(self, basic_net, basic_data):
+        bound = BoundDataset(basic_net, basic_data)
+        freqs = pattern_shares(bound)
         assert freqs[("t", None)] == pytest.approx(0.45, abs=1e-15)
         assert freqs[("f", "f")] == pytest.approx(0.4, abs=1e-15)
         # entropy by direct formula, independent accumulation
         expect = -sum(f * math.log(f) for f in freqs.values())
-        assert m.entropy == pytest.approx(expect, abs=1e-15)
-        assert m.entropy == pytest.approx(1.1059, abs=5e-4)
+        assert bound.entropy == pytest.approx(expect, abs=1e-15)
+        assert bound.entropy == pytest.approx(1.1059, abs=5e-4)
 
     def test_single_pattern_zero_entropy(self):
         d = Dataset(("X",), ((("a",), 3.0), (("a",), 2.0)))
-        assert empirical_pattern_distribution(d).entropy == 0.0
+        assert BoundDataset(ONE_NODE, d).entropy == 0.0
 
     def test_two_equal_patterns_log2(self):
         d = Dataset(("X",), ((("a",), 1.0), ((None,), 1.0)))
-        assert empirical_pattern_distribution(d).entropy == pytest.approx(
-            math.log(2), abs=1e-15
-        )
+        bound = BoundDataset(ONE_NODE, d)
+        assert bound.m.tolist() == [0.5, 0.5]
+        assert bound.entropy == pytest.approx(math.log(2), abs=1e-15)
 
     @given(
         scale=st.floats(min_value=1e-3, max_value=1e3),
         order=st.permutations(range(4)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_invariant_under_reorder_and_rescale(self, basic_data, scale, order):
+    def test_invariant_under_reorder_and_rescale(
+        self, basic_net, basic_data, scale, order
+    ):
         cases = [basic_data.cases[i] for i in order]
         scaled = Dataset(
             basic_data.variables,
             tuple((p, w * scale) for p, w in cases),
         )
-        a = empirical_pattern_distribution(basic_data)
-        b = empirical_pattern_distribution(scaled)
-        assert a.as_dict() == pytest.approx(b.as_dict(), abs=1e-12)
+        a = BoundDataset(basic_net, basic_data)
+        b = BoundDataset(basic_net, scaled)
+        assert pattern_shares(a) == pytest.approx(pattern_shares(b), abs=1e-12)
         assert a.entropy == pytest.approx(b.entropy, abs=1e-12)
 
 
 class TestCompatibleAssignments:
     def test_fully_observed_single(self, basic_net, basic_data):
-        bound = bind_pattern(basic_net, basic_data.variables, ("t", "t"))
+        bound = pattern_binder(basic_net, basic_data.variables)(("t", "t"))
         assert list(compatible_assignments(basic_net, bound)) == [(0, 0)]
 
     def test_example_pattern_members(self, basic_net, basic_data):
-        bound = bind_pattern(basic_net, basic_data.variables, ("t", None))
+        bound = pattern_binder(basic_net, basic_data.variables)(("t", None))
         assert sorted(compatible_assignments(basic_net, bound)) == [(0, 0), (0, 1)]
 
     def test_three_missing_binary_count(self, asia_net):
@@ -107,7 +120,7 @@ class TestCompatibleAssignments:
             None if i < 3 else "no" for i in range(len(asia_net.nodes))
         )
         variables = tuple(s.name for s in asia_net.nodes)
-        bound = bind_pattern(asia_net, variables, pattern)
+        bound = pattern_binder(asia_net, variables)(pattern)
         members = list(compatible_assignments(asia_net, bound))
         assert len(members) == 8
         assert member_count(asia_net, bound) == 8
@@ -164,9 +177,8 @@ class TestCompletionDistribution:
 
 class TestRecoverCoarsening:
     def test_example_lambdas(self, basic_net, basic_data):
-        m = empirical_pattern_distribution(basic_data)
         c = basic_completion(1.0 / 9.0)
-        model = recover_coarsening(m, c, basic_data, basic_net)
+        model = recover_coarsening(c, basic_data, basic_net)
         row_tt = model.row((0, 0))
         # 0.45*(1/9)/0.1 = 0.5
         assert row_tt[("t", None)] == pytest.approx(0.5, abs=1e-12)
@@ -178,9 +190,8 @@ class TestRecoverCoarsening:
 
     def test_fully_observed_self_reporting(self, basic_net):
         d = Dataset(("A", "B"), ((("t", "t"), 1.0), (("f", "f"), 3.0)))
-        m = empirical_pattern_distribution(d)
         c = Completion(({(0, 0): 1.0}, {(1, 1): 1.0}))
-        model = recover_coarsening(m, c, d, basic_net)
+        model = recover_coarsening(c, d, basic_net)
         assert model.row((0, 0)) == pytest.approx({("t", "t"): 1.0})
         assert model.row((1, 1)) == pytest.approx({("f", "f"): 1.0})
 
@@ -189,9 +200,8 @@ class TestRecoverCoarsening:
         # must reproduce the observed pattern masses exactly.
         from coarsebn.network import joint_probability
 
-        m = empirical_pattern_distribution(basic_data)
         c = basic_completion(1.0 / 9.0)
-        model = recover_coarsening(m, c, basic_data, basic_net)
+        model = recover_coarsening(c, basic_data, basic_net)
         lam_by_pattern: dict = {}
         for x, lams in model.rows:
             for pattern, l in lams:
@@ -257,7 +267,7 @@ class TestDatasetValidation:
 
     def test_unknown_variable_binding(self, basic_net):
         with pytest.raises(DataError):
-            bind_pattern(basic_net, ("A", "Z"), ("t", "x"))
+            pattern_binder(basic_net, ("A", "Z"))
 
 
 CELLS = ["t", "f", "?", " t ", "x", "", '"', "1", "0", "-1", "nan", "inf", "1e308", "1e-320"]

@@ -111,7 +111,7 @@ class TestEmFit:
         # P(U) is evidence_probability's float and the counts are the
         # weighted sums of posterior_family_marginals, bit for bit;
         # tub=yes, either=no is impossible and adds nothing
-        from coarsebn.data import bind_pattern
+        from coarsebn.data import pattern_binder
         from coarsebn.network import randomize_parameters
 
         cpts = list(randomize_parameters(asia_net, np.random.default_rng(3)).cpts)
@@ -123,7 +123,7 @@ class TestEmFit:
             (None, None, "no", None, "yes", None, None, "yes"),
             ("no", None, None, None, None, None, "yes", None),
         ]
-        bounds = [bind_pattern(net, names, p) for p in patterns]
+        bounds = [pattern_binder(net, names)(p) for p in patterns]
         weights = np.array([2.0, 3.5, 1.0])
         queries = inference.EliminationQueries(bounds)
         p_u, counts = queries.expected_counts(net, weights)

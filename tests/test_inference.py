@@ -7,27 +7,28 @@ from conftest import (
     asia_data,
     brute_evidence_probability,
     brute_family_posteriors,
+    dataset_of,
     joint_marginal,
+    member_table,
     ve_evidence_probability,
     ve_family_posteriors,
 )
 from coarsebn import data as data_mod
 from coarsebn import inference, network
 from coarsebn.aim import AimOptions, aim_fit
-from coarsebn.data import bind_pattern
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import BudgetError, DataError, ZeroSupportError
 from coarsebn.evaluate import kl_decomposed, kl_enumerate
 from coarsebn.inference import (
+    BoundDataset,
     CliqueTree,
     EliminationQueries,
     MemberTable,
     evidence_probability,
     full_joint_table,
-    pattern_table,
     posterior_family_marginals,
 )
-from coarsebn.likelihoods import car_normalizer
+from coarsebn.likelihoods import car_normalizer, car_profile_loglik, face_value_loglik
 from coarsebn.network import (
     Network,
     NodeSpec,
@@ -326,7 +327,7 @@ class TestMemberTable:
 
     def test_probs_repeat_joint_table_bit_for_bit(self, asia_net):
         net = randomize_parameters(asia_net, np.random.default_rng(4))
-        table = MemberTable(net, [(None,) * 8] + self.BOUNDS, budget=1000)
+        table = member_table(net, [(None,) * 8] + self.BOUNDS)
         assert table.n_slots == 256 + 32 + 64 + 1
         assert np.array_equal(table.uniq, np.arange(256))
         assert np.array_equal(table.probs(net), full_joint_table(net).reshape(-1))
@@ -334,7 +335,7 @@ class TestMemberTable:
     def test_elimination_agrees_with_table(self, asia_net):
         net = randomize_parameters(asia_net, np.random.default_rng(5))
         weights = np.array([3.0, 1.5, 0.5])
-        table = MemberTable(net, self.BOUNDS, budget=1000)
+        table = member_table(net, self.BOUNDS)
         ve = EliminationQueries(self.BOUNDS)
         p_t, counts_t = table.expected_counts(net, weights)
         p_v, counts_v = ve.expected_counts(net, weights)
@@ -347,22 +348,47 @@ class TestMemberTable:
         for r in table.uniq.tolist():
             assert lt(r) == pytest.approx(lv(r), abs=1e-12)
 
-    def test_budget_counts_members_before_enumerating(self, asia_net):
-        with pytest.raises(BudgetError):
-            MemberTable(asia_net, self.BOUNDS, budget=80)
+    def test_budget_counts_members_before_enumerating(self, asia_net, monkeypatch):
+        bound = BoundDataset(asia_net, dataset_of(asia_net, self.BOUNDS))
+        monkeypatch.setattr(
+            inference, "member_flat_indices", lambda *a: pytest.fail("enumerated")
+        )
+        with pytest.raises(BudgetError, match="97 pattern members exceed"):
+            bound.member_table(80)
 
     def test_members_counted_once_per_pattern(self, asia_net, monkeypatch):
         calls = []
+        built = []
         member_count = data_mod.member_count
+        init = MemberTable.__init__
 
         def counting(net, bound):
             calls.append(bound)
             return member_count(net, bound)
 
-        bounds = [(None,) * 8] + self.BOUNDS
+        def building(self, *args):
+            built.append(1)
+            init(self, *args)
+
         monkeypatch.setattr(inference, "member_count", counting)
         monkeypatch.setattr(data_mod, "member_count", counting)
-        table = MemberTable(asia_net, bounds, budget=1000)
+        monkeypatch.setattr(MemberTable, "__init__", building)
+        data = asia_data(asia_net, n=1000, seed=31)
+        k = len(data.grouped())
+        runs = [
+            lambda: em_fit(asia_net, data, EmOptions(max_iters=3)),
+            lambda: aim_fit(asia_net, asia_net, data, AimOptions(z=1, seed=0, max_iters=1)),
+            lambda: face_value_loglik(asia_net, data),
+            lambda: car_profile_loglik(asia_net, data),
+        ]
+        for run in runs:
+            calls.clear()
+            built.clear()
+            run()
+            assert len(calls) == k and len(built) == 1
+        bounds = [(None,) * 8] + self.BOUNDS
+        calls.clear()
+        table = BoundDataset(asia_net, dataset_of(asia_net, bounds)).member_table(1000)
         assert calls == bounds
         monkeypatch.undo()
         flat = np.concatenate([data_mod.member_flat_indices(asia_net, b) for b in bounds])
@@ -375,18 +401,18 @@ class TestMemberTable:
         nodes = tuple(NodeSpec(f"v{i}", ("a", "b")) for i in range(21))
         net = Network("wide21", nodes, tuple(np.full((1, 2), 0.5) for _ in nodes))
         with pytest.raises(BudgetError, match="case has too many completions"):
-            MemberTable(net, [(None,) * 21], budget=4 << 20)
+            member_table(net, [(None,) * 21])
 
     def test_joint_space_beyond_int64_refused(self):
         nodes = tuple(NodeSpec(f"v{i}", ("a", "b")) for i in range(64))
         net = Network("wide64", nodes, tuple(np.full((1, 2), 0.5) for _ in nodes))
-        bounds = [(None,) + (0,) * 63]
+        bound = BoundDataset(net, dataset_of(net, [(None,) + (0,) * 63]))
         with pytest.raises(BudgetError, match="too large to index"):
-            MemberTable(net, bounds, budget=1000)
-        assert isinstance(pattern_table(net, bounds), EliminationQueries)
+            bound.member_table(1000)
+        assert isinstance(bound.table, EliminationQueries)
 
     def test_queries_refuse_another_structure(self, asia_net):
-        table = MemberTable(asia_net, self.BOUNDS, budget=1000)
+        table = member_table(asia_net, self.BOUNDS)
         nodes = list(asia_net.nodes)
         either = asia_net.node_index["either"]
         nodes[either] = NodeSpec("either", ("yes", "no"), ("lung", "bronc"))  # was tub
@@ -462,8 +488,8 @@ class TestCompiledTable:
         else:
             base, data = basic_net, basic_data
         net = randomize_parameters(base, np.random.default_rng(6))
-        bounds = [bind_pattern(net, data.variables, p) for p in data.grouped()]
-        table = MemberTable(net, bounds, budget=1 << 16)
+        bounds = BoundDataset(net, data).bounds
+        table = member_table(net, bounds)
         rng = np.random.default_rng(7)
         weights = rng.uniform(0.5, 3.0, size=len(bounds))
         p_ref, counts_ref = reference_expected_counts(table, net, weights)

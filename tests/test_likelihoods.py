@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import member_table
 from coarsebn import aim as aim_module
 from coarsebn import em as em_module
 from coarsebn import inference, likelihoods
@@ -11,9 +12,8 @@ from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_
 from coarsebn.data import (
     Completion,
     Dataset,
-    bind_pattern,
     completion_distribution,
-    empirical_pattern_distribution,
+    pattern_binder,
 )
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import BudgetError, DataError, NumericalError
@@ -108,9 +108,8 @@ def reference_car(net, data, tol=1e-10):
     grouped = data.grouped()
     patterns = list(grouped)
     m = np.array([grouped[p] / data.total_weight for p in patterns])
-    table = inference.MemberTable(
-        net, [bind_pattern(net, data.variables, p) for p in patterns], 1 << 22
-    )
+    bind = pattern_binder(net, data.variables)
+    table = member_table(net, [bind(p) for p in patterns])
     flat = table.uniq[table.loc]
     n = int(net.n_assignments)
     q = np.full(n, 1.0 / n)
@@ -338,7 +337,7 @@ class TestSatProfile:
                 for x, p in p_c.items()
                 if p > 0
             )
-            h = empirical_pattern_distribution(basic_data).entropy
+            h = inference.BoundDataset(net, basic_data).entropy
             assert rep.per_case_average == pytest.approx(-h - kl, abs=1e-9)
 
     def test_complete_dataset_equals_face_value(self, basic_net):
@@ -453,13 +452,13 @@ class TestCarNormalizer:
         assert calls == []
 
     def test_certificate_feasible(self, basic_net, basic_data):
-        from coarsebn.data import bind_pattern, member_flat_indices
+        from coarsebn.data import member_flat_indices
 
         _, lam = car_normalizer(basic_net, basic_data)
         load = np.zeros(basic_net.n_assignments)
+        bind = pattern_binder(basic_net, basic_data.variables)
         for pattern, l in lam.items():
-            bound = bind_pattern(basic_net, basic_data.variables, pattern)
-            load[member_flat_indices(basic_net, bound)] += l
+            load[member_flat_indices(basic_net, bind(pattern))] += l
         assert np.all(load <= 1.0 + 1e-9)
 
 
@@ -533,23 +532,28 @@ class TestLrStatistic:
 class ParentBound:
     """The pattern structure as each consumer derived it for itself before a
     dataset was bound once: grouped and bound on every construction, m as
-    each positive pattern's share of the total, H(m) from
-    PatternDistribution, and a fresh member table for every request."""
+    each positive pattern's share of the total, H(m) over every pattern's
+    share, and a fresh member table for every request."""
 
     def __init__(self, net, data):
         grouped = data.grouped()
         live = {p: w for p, w in grouped.items() if w > 0}
         self.net, self.data = net, data
-        self.bound_of = {p: bind_pattern(net, data.variables, p) for p in grouped}
+        self.bound_of = {p: pattern_binder(net, data.variables)(p) for p in grouped}
         self.patterns = list(live)
         self.weights = np.array(list(live.values()))
-        self.bounds = [bind_pattern(net, data.variables, p) for p in live]
+        self.bounds = [pattern_binder(net, data.variables)(p) for p in live]
         self.total = data.total_weight
         self.m = np.array(list(live.values())) / data.total_weight
-        self.entropy = empirical_pattern_distribution(data).entropy
+        shares = [w / data.total_weight for w in grouped.values()]
+        self.entropy = -math.fsum(f * math.log(f) for f in shares if f > 0)
 
     def member_table(self, budget):
-        return inference.MemberTable(self.net, self.bounds, budget)
+        return member_table(self.net, self.bounds)
+
+    @property
+    def table(self):
+        return member_table(self.net, self.bounds)
 
 
 def reference_lr(net_sat, net_car, data):

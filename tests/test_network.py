@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsebn.aim import aim_fit
+from coarsebn.data import Dataset
+from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import DataError
 from coarsebn.network import (
     ROW_SUM_TOL,
@@ -68,6 +71,16 @@ class TestValidate:
         assert any("unknown parent" in d for d in diags)
         assert any("at least 2 states" in d for d in diags)
 
+    def test_nan_entry_refused_by_the_fitters(self):
+        # every comparison with NaN is False, so the range and sum checks pass it
+        net = Network("x", (NodeSpec("A", ("t", "f")),), ([[float("nan"), 1.0]],))
+        assert validate_network(net) == ["node A: row 0 has non-finite entries"]
+        data = Dataset(("A",), ((("t",), 1.0), ((None,), 1.0)))
+        with pytest.raises(DataError, match="initial network invalid: .*non-finite"):
+            em_fit(net, data, EmOptions(init=net))
+        with pytest.raises(DataError, match="theta0 invalid: .*non-finite"):
+            aim_fit(net, net, data)
+
 
 def per_row_validate(net):
     """Oracle: validate_network with every CPT row checked on its own."""
@@ -116,6 +129,9 @@ def per_row_validate(net):
             continue
         for r in range(table.shape[0]):
             row = table[r]
+            if not np.all(np.isfinite(row)):
+                diags.append(f"node {spec.name}: row {r} has non-finite entries")
+                continue
             if np.any(row < -1e-12) or np.any(row > 1 + 1e-12):
                 diags.append(f"node {spec.name}: row {r} has entries outside [0,1]")
             s = float(row.sum())
@@ -144,6 +160,9 @@ CRAFTED = {
         [[-1e-13, 1.0 + 1e-13]], [[0.2, 0.3, 0.5 + 5e-10], [0.6, 0.4, 0.0]]
     ),
     "wrong shape": two_node_net([[0.5, 0.5]], [[0.2, 0.3, 0.5]]),
+    "non-finite entries": two_node_net(
+        [[float("nan"), 1.0]], [[float("inf"), 0.0, 0.0], [0.6, 0.4, 0.0]]
+    ),
     "cycle": two_node_net([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], GOOD_B, a_parents=("B",)),
 }
 
