@@ -147,17 +147,19 @@ def _summary_cells(rows: list[dict]) -> dict[str, str]:
     return cells
 
 
-def write_experiment_csv(path: str, rows: list[dict]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EXPERIMENT_HEADER)
-        for row in rows:
-            writer.writerow(
-                [row["run"]] + [fmt17(row[c]) for c in EXPERIMENT_HEADER[1:]]
-            )
-        if rows:
-            summary = _summary_cells(rows)
-            writer.writerow([summary[c] for c in EXPERIMENT_HEADER])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_experiment_csv(path: str, rows: list[dict]) -> None:
+    cells = [[row["run"]] + [fmt17(row[c]) for c in EXPERIMENT_HEADER[1:]] for row in rows]
+    if rows:
+        summary = _summary_cells(rows)
+        cells.append([summary[c] for c in EXPERIMENT_HEADER])
+    _write_csv(path, EXPERIMENT_HEADER, cells)
 
 
 # ----------------------------------------------------------------------
@@ -186,22 +188,19 @@ def _cmd_randomize(args) -> int:
 
 
 def _write_trace(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [row[0]] + [fmt17(v) for v in row[1:]]
-            )
+    _write_csv(path, header, ([row[0]] + [fmt17(v) for v in row[1:]] for row in rows))
 
 
 def _write_counts(path: str, net: Network, row_counts) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node", "row", "count"])
-        for spec, counts in zip(net.nodes, row_counts):
-            for r, k in enumerate(counts):
-                writer.writerow([spec.name, r, fmt17(k)])
+    _write_csv(
+        path,
+        ["node", "row", "count"],
+        (
+            [spec.name, r, fmt17(k)]
+            for spec, counts in zip(net.nodes, row_counts)
+            for r, k in enumerate(counts)
+        ),
+    )
 
 
 def _read_counts(path: str, net: Network) -> list[np.ndarray]:
@@ -224,6 +223,8 @@ def _read_counts(path: str, net: Network) -> list[np.ndarray]:
                 r, value = int(row), float(count)
             except ValueError:
                 raise FormatError(f"{where}: row must be an integer, count a number") from None
+            if not 0 <= value < math.inf:
+                raise FormatError(f"{where}: count must be a finite non-negative number")
             if not 0 <= r < len(by_node[name]):
                 raise FormatError(f"{where}: row {r} out of range for node {name!r}")
             by_node[name][r] = value
@@ -290,22 +291,17 @@ def _cmd_learn(args) -> int:
             cpts.append(mid / mid.sum(axis=1, keepdims=True))
         write_network(structure.with_cpts(cpts), args.out)
         if args.trace:
-            with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["node", "row", "state", "low", "mid", "high"])
-                for i, spec in enumerate(structure.nodes):
-                    for r in range(res.lower[i].shape[0]):
-                        for s, label in enumerate(spec.states):
-                            writer.writerow(
-                                [
-                                    spec.name,
-                                    r,
-                                    label,
-                                    fmt17(res.lower[i][r, s]),
-                                    fmt17(res.midpoint[i][r, s]),
-                                    fmt17(res.upper[i][r, s]),
-                                ]
-                            )
+            _write_csv(
+                args.trace,
+                ["node", "row", "state", "low", "mid", "high"],
+                (
+                    [spec.name, r, label]
+                    + [fmt17(t[i][r, s]) for t in (res.lower, res.midpoint, res.upper)]
+                    for i, spec in enumerate(structure.nodes)
+                    for r in range(res.lower[i].shape[0])
+                    for s, label in enumerate(spec.states)
+                ),
+            )
         print(f"method conservative completions {args.restarts}")
         return 0
 
@@ -329,25 +325,21 @@ def _cmd_eval(args) -> int:
     pct = ""
     if args.data:
         data = read_dataset(args.data)
+        if not data.cases:
+            raise DataError("total weight must be positive")
         holes = sum(
             w * sum(1 for v in pattern if v is None) / len(pattern)
             for pattern, w in data.cases
         )
-        pct = holes / data.total_weight
+        pct = fmt17(holes / data.total_weight)
     print(f"ce {ce:.6g}")
     print(f"mse {mse_val:.6g}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["method", "ce", "mse", "pct_missing"])
-            writer.writerow(
-                [
-                    args.method_tag,
-                    fmt17(ce),
-                    fmt17(mse_val),
-                    fmt17(pct) if pct != "" else "",
-                ]
-            )
+        _write_csv(
+            args.out,
+            ["method", "ce", "mse", "pct_missing"],
+            [[args.method_tag, fmt17(ce), fmt17(mse_val), pct]],
+        )
     return 0
 
 
@@ -371,10 +363,11 @@ def _cmd_lik(args) -> int:
     print(f"per_case_average {rep.per_case_average:.6g}")
     print(f"total {rep.total:.6g}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["kind", "per_case_average", "total"])
-            writer.writerow([rep.kind, fmt17(rep.per_case_average), fmt17(rep.total)])
+        _write_csv(
+            args.out,
+            ["kind", "per_case_average", "total"],
+            [[rep.kind, fmt17(rep.per_case_average), fmt17(rep.total)]],
+        )
     return 0
 
 
@@ -484,16 +477,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (FormatError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except CoarseBNError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CoarseBNError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

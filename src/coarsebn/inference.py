@@ -7,6 +7,9 @@ are obtained: when the patterns' members total at most DENSE_TABLE_BUDGET
 it enumerates them once (`MemberTable`) and answers every query from them;
 above the budget the same queries run on a clique tree
 (`EliminationQueries`), the only path for patterns too large to enumerate.
+DENSE_TABLE_BUDGET is the one member-table budget: the fitters, the face
+value and the sat profile all read it.  Only the car normalizer, which
+never builds the compiled cells, asks for a larger table.
 
 A member table is compiled once per dataset: on first use it stores, per
 node, each distinct member's cell in that node's flattened CPT.  P(x) is
@@ -45,7 +48,7 @@ from .network import (
     unravel_rows,
 )
 
-DENSE_TABLE_BUDGET = 1 << 16
+DENSE_TABLE_BUDGET = 100_000
 
 Bound = Sequence[Optional[int]]
 
@@ -500,9 +503,10 @@ class BoundDataset:
     `bound_of` maps every distinct pattern, in first-seen order, to its
     bound, so a malformed case is refused whatever its weight.  `patterns`,
     `weights`, `bounds` and `sizes` (member counts) keep those of positive
-    weight, in the same order; `total` is the total weight, `m` the positive
-    patterns' shares of it and `entropy` H(m).  `table` answers the
-    patterns' queries, and `member_table` hands out their one member table.
+    weight, in the same order; `total` is the total weight, which must be
+    positive, `m` the positive patterns' shares of it and `entropy` H(m).
+    `table` answers the patterns' queries, and `member_table` hands out
+    their one member table.
     """
 
     def __init__(self, net: Network, data: Dataset):
@@ -516,6 +520,8 @@ class BoundDataset:
         self.bounds = [self.bound_of[p] for p in self.patterns]
         self.sizes = [member_count(net, b) for b in self.bounds]
         self.total = data.total_weight
+        if not self.total > 0:
+            raise DataError("total weight must be positive")
         self.m = self.weights / self.total
         self.entropy = -math.fsum(f * math.log(f) for f in self.m.tolist() if f > 0)
 

@@ -19,11 +19,13 @@ The sat updates and the car normalizer's iterative scaling are both
 monotone fixed-point maps, accelerated by one shared SQUAREM step
 (Varadhan & Roland 2008); each stops only on its own certificate.
 
-Each report groups and binds the dataset once (`BoundDataset`), counting
-each pattern's members once, and builds at most one member table, which
-the face value, the car normalizer and the sat solve share.  The lr
-statistic holds that table to the sat budget; its two candidate networks
-must therefore share one structure.
+Each report takes a dataset, or one already bound to a network of the
+same structure (`BoundDataset`), which groups and binds the patterns once
+and builds at most one member table, under the one member-table budget
+`DENSE_TABLE_BUDGET`.  The lr statistic binds once and passes that bound
+dataset to the sat solve and the car profile, so the face value, the car
+normalizer and the sat solve all read one table; its two candidate
+networks must therefore share one structure.
 
 All logarithms are natural.
 """
@@ -38,10 +40,9 @@ import numpy as np
 
 from .data import Completion, CoarsePattern, Dataset
 from .errors import DataError, NumericalError
-from .inference import BoundDataset, EliminationQueries, MemberTable
+from .inference import DENSE_TABLE_BUDGET, BoundDataset
 from .network import Network
 
-SAT_AMBIGUITY_BUDGET = 100_000
 CAR_MEMBER_BUDGET = 4 << 20
 CAR_TOL = 1e-10
 
@@ -54,29 +55,25 @@ class LikelihoodReport:
     certificate: Completion | dict[CoarsePattern, float] | None = None
 
 
-def _total_weight(bound: BoundDataset) -> float:
-    if not bound.total > 0:
-        raise DataError("total weight must be positive")
-    return bound.total
+def _bind(net: Network, data: Dataset | BoundDataset) -> BoundDataset:
+    """`data` bound to net; a dataset bound already must share its structure."""
+    if not isinstance(data, BoundDataset):
+        return BoundDataset(net, data)
+    if data.net.nodes != net.nodes:
+        raise DataError("network structure differs from the bound dataset's")
+    return data
 
 
-def _face_value(
-    net: Network, bound: BoundDataset, table: MemberTable | EliminationQueries
-) -> LikelihoodReport:
-    weight = _total_weight(bound)
+def face_value_loglik(net: Network, data: Dataset | BoundDataset) -> LikelihoodReport:
+    """Sum of case weights times log P(X in U); -inf is a value, not an error."""
+    bound = _bind(net, data)
     total = 0.0
-    for w, p in zip(bound.weights.tolist(), table.pattern_probs(net).tolist()):
+    for w, p in zip(bound.weights.tolist(), bound.table.pattern_probs(net).tolist()):
         if p <= 0.0:
             total = float("-inf")
             break
         total += w * math.log(p)
-    return LikelihoodReport("face_value", total / weight, total)
-
-
-def face_value_loglik(net: Network, data: Dataset) -> LikelihoodReport:
-    """Sum of case weights times log P(X in U); -inf is a value, not an error."""
-    bound = BoundDataset(net, data)
-    return _face_value(net, bound, bound.table)
+    return LikelihoodReport("face_value", total / bound.total, total)
 
 
 class _Point(NamedTuple):
@@ -168,13 +165,13 @@ class SatProfileProblem:
     value at many parameter settings (grids, per-iteration bounds) without
     re-binding the dataset.  Patterns of zero weight carry no mass and are
     left out.  `data` may also be a dataset already bound to `net`, whose
-    member table is then shared.
+    member table is then shared.  Members beyond DENSE_TABLE_BUDGET are
+    refused.
     """
 
     def __init__(self, net: Network, data: Dataset | BoundDataset):
-        self.bound = data if isinstance(data, BoundDataset) else BoundDataset(net, data)
-        _total_weight(self.bound)
-        self.table = self.bound.member_table(SAT_AMBIGUITY_BUDGET)
+        self.bound = _bind(net, data)
+        self.table = self.bound.member_table(DENSE_TABLE_BUDGET)
 
     # ------------------------------------------------------------------
 
@@ -263,7 +260,7 @@ class SatProfileProblem:
 
 def exact_sat_profile_loglik(
     net: Network,
-    data: Dataset,
+    data: Dataset | BoundDataset,
     tol: float = 1e-8,
 ) -> LikelihoodReport:
     """Sat-profile log-likelihood with the optimal completion as certificate."""
@@ -273,10 +270,21 @@ def exact_sat_profile_loglik(
     return LikelihoodReport("sat_profile", value, value * problem.bound.total, cert)
 
 
-def _car_normalizer(
-    bound: BoundDataset, tol: float
+def car_normalizer(
+    net: Network, data: Dataset | BoundDataset, tol: float = CAR_TOL
 ) -> tuple[float, dict[CoarsePattern, float]]:
-    _total_weight(bound)
+    """Per-unit log of the best pattern-lambda product under the car constraint.
+
+    Maximizes sum_U m(U) log lambda_U subject to, for every joint state x,
+    sum over observed patterns containing x of lambda_U <= 1 (slack mass
+    sits on unobserved self-patterns).  Solved through the dual: iterative
+    scaling of a distribution q on the patterns' members, with
+    lambda_U = m(U)/q(U) at the fixed point.  The returned certificate is
+    always feasible; a pattern of zero weight gets lambda 0.
+    """
+    if not tol >= 0:
+        raise DataError(f"tol must be a non-negative number; got {tol!r}")
+    bound = _bind(net, data)
     m = bound.m
     table = bound.member_table(CAR_MEMBER_BUDGET)
     loc, starts, pat_of_slot = table.loc, table.starts, table.pat_of_slot
@@ -297,36 +305,13 @@ def _car_normalizer(
     return log_f, dict.fromkeys(bound.bound_of, 0.0) | dict(zip(bound.patterns, lam.tolist()))
 
 
-def car_normalizer(
-    net: Network, data: Dataset, tol: float = CAR_TOL
-) -> tuple[float, dict[CoarsePattern, float]]:
-    """Per-unit log of the best pattern-lambda product under the car constraint.
-
-    Maximizes sum_U m(U) log lambda_U subject to, for every joint state x,
-    sum over observed patterns containing x of lambda_U <= 1 (slack mass
-    sits on unobserved self-patterns).  Solved through the dual: iterative
-    scaling of a distribution q on the patterns' members, with
-    lambda_U = m(U)/q(U) at the fixed point.  The returned certificate is
-    always feasible; a pattern of zero weight gets lambda 0.
-    """
-    if not tol >= 0:
-        raise DataError(f"tol must be a non-negative number; got {tol!r}")
-    return _car_normalizer(BoundDataset(net, data), tol)
-
-
-def _car_profile(
-    net: Network, bound: BoundDataset, table: MemberTable | EliminationQueries
-) -> LikelihoodReport:
-    fv = _face_value(net, bound, table)
-    log_f, lam = _car_normalizer(bound, CAR_TOL)
+def car_profile_loglik(net: Network, data: Dataset | BoundDataset) -> LikelihoodReport:
+    """Face value plus the theta-independent car normalizer."""
+    bound = _bind(net, data)
+    fv = face_value_loglik(net, bound)
+    log_f, lam = car_normalizer(net, bound)
     per_case = fv.per_case_average + log_f
     return LikelihoodReport("car_profile", per_case, per_case * bound.total, lam)
-
-
-def car_profile_loglik(net: Network, data: Dataset) -> LikelihoodReport:
-    """Face value plus the theta-independent car normalizer."""
-    bound = BoundDataset(net, data)
-    return _car_profile(net, bound, bound.table)
 
 
 def lr_statistic(net_sat: Network, net_car: Network, data: Dataset) -> float:
@@ -342,7 +327,7 @@ def lr_statistic(net_sat: Network, net_car: Network, data: Dataset) -> float:
         raise DataError("the sat and car candidates must share one structure")
     bound = BoundDataset(net_sat, data)
     problem = SatProfileProblem(net_sat, bound)
-    car = _car_profile(net_car, bound, problem.table).per_case_average
+    car = car_profile_loglik(net_car, bound).per_case_average
     sat, _, _, _ = problem.solve(net_sat)
     stat = sat - car
     if stat < -1e-9:

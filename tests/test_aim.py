@@ -475,6 +475,10 @@ class TestAimFit:
         with pytest.raises(DataError, match="tol must be a non-negative number"):
             aim_fit(basic_net, basic_net, basic_data_n2000, AimOptions(tol=tol))
 
+    def test_empty_dataset_rejected(self, basic_net):
+        with pytest.raises(DataError, match="total weight must be positive"):
+            aim_fit(basic_net, basic_net, Dataset(("A", "B"), ()))
+
     def test_zero_tol_allowed(self, basic_net, basic_data_n2000):
         res = aim_fit(
             basic_net, basic_net, basic_data_n2000,

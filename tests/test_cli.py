@@ -107,6 +107,28 @@ class TestLikEmptyData:
         assert "total weight must be positive" in out.stderr
 
 
+class TestEmptyData:
+    @pytest.mark.parametrize("method", ["em", "aim"])
+    def test_learn_is_data_error(self, tmp_path, method):
+        d = tmp_path / "empty.csv"
+        d.write_text("A,B\n")
+        out = run_cli(
+            "learn", "--net-structure", BASIC, "--data", str(d), "--method", method,
+            "--seed", "0", "--out", str(tmp_path / "e.net"),
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "total weight must be positive" in out.stderr
+
+    def test_eval_data_is_data_error(self, tmp_path):
+        d = tmp_path / "empty.csv"
+        d.write_text("A,B\n")
+        out = run_cli("eval", "--truth", BASIC, "--estimate", BASIC, "--data", str(d))
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "total weight must be positive" in out.stderr
+
+
 def binary_chain(tmp_path, k, cases=50):
     """A k-node binary chain v0 -> v1 -> ... and `cases` cases, each with one
     missing value; returns the network and dataset paths."""
@@ -370,6 +392,9 @@ class TestLearnAndEval:
             ("A,x,1", "row must be an integer"),
             ("A,7,1", "row 7 out of range"),
             ("A,0,lots", "count a number"),
+            ("A,0,nan", "count must be a finite non-negative number"),
+            ("A,0,inf", "count must be a finite non-negative number"),
+            ("A,0,-1", "count must be a finite non-negative number"),
         ],
     )
     def test_eval_malformed_counts_row_is_data_error(self, tmp_path, row, what):

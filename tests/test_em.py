@@ -149,6 +149,10 @@ class TestEmFit:
         with pytest.raises(DataError, match="tol must be a non-negative number"):
             em_fit(basic_net, basic_data, EmOptions(tol=tol))
 
+    def test_empty_dataset_rejected(self, basic_net):
+        with pytest.raises(DataError, match="total weight must be positive"):
+            em_fit(basic_net, Dataset(("A", "B"), ()))
+
     def test_zero_tol_allowed(self, basic_net, basic_data):
         res = em_fit(basic_net, basic_data, EmOptions(tol=0.0, max_iters=5))
         assert len(res.trace) >= 2

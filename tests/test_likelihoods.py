@@ -716,3 +716,86 @@ class TestBoundOnce:
             SatProfileProblem(a_to_b, THREE_NODE_DATA).solve(b_to_a)
         with pytest.raises(DataError, match="structure"):
             lr_statistic(a_to_b, b_to_a, THREE_NODE_DATA)
+
+
+def binary_chain_net(k, seed):
+    """Binary v0 -> v1 -> ... -> v{k-1} with random CPT rows."""
+    nodes = tuple(
+        NodeSpec(f"v{i}", ("a", "b"), (f"v{i - 1}",) if i else ()) for i in range(k)
+    )
+    rng = np.random.default_rng(seed)
+    cpts = []
+    for i in range(k):
+        rows = rng.uniform(0.1, 1.0, size=(2 if i else 1, 2))
+        cpts.append(rows / rows.sum(axis=1, keepdims=True))
+    return Network(f"chain{k}", nodes, tuple(cpts))
+
+
+class TestOneBudget:
+    """One member-table budget: the fitters, the face value and the sat
+    profile read `DENSE_TABLE_BUDGET`, and each report takes a dataset or
+    one already bound."""
+
+    def test_mid_range_dataset_takes_the_member_table(self, monkeypatch):
+        net = binary_chain_net(17, seed=5)
+        full = ("a", "b") * 8 + ("a",)
+        cases = (
+            ((None,) * 16 + ("b",), 2.0),  # 2^16 members
+            (full[:7] + (None,) * 10, 3.0),  # 2^10 members
+            (full, 1.0),
+        )
+        data = Dataset(tuple(s.name for s in net.nodes), cases)
+        bound = inference.BoundDataset(net, data)
+        assert sum(bound.sizes) == (1 << 16) + (1 << 10) + 1
+        # 16 binary nodes' states fit the budget, 17 do not (perfbench's large_dag)
+        assert sum(bound.sizes) <= inference.DENSE_TABLE_BUDGET < 1 << 17
+        assert isinstance(bound.table, inference.MemberTable)
+        calls = []
+        tree = inference.CliqueTree
+        for name in ("calibrate", "_collect", "__init__"):
+            fn = getattr(tree, name)
+            monkeypatch.setattr(
+                tree, name, lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k)
+            )
+        res = em_fit(net, data, EmOptions(max_iters=3))
+        assert len(res.trace) == 3 and math.isfinite(res.loglik_per_unit)
+        assert lr_statistic(res.network, res.network, data) >= 0.0
+        assert calls == []
+
+    def test_lr_reaches_the_reports_by_module_name(self, basic_net, basic_data, monkeypatch):
+        seen = []
+
+        def counted(name):
+            fn = getattr(likelihoods, name)
+
+            def wrapper(net, data, *args):
+                seen.append((name, type(data)))
+                return fn(net, data, *args)
+
+            monkeypatch.setattr(likelihoods, name, wrapper)
+
+        counted("face_value_loglik")
+        counted("car_normalizer")
+        lr_statistic(basic_net, net_theta(basic_net, *THETA1), basic_data)
+        bound = inference.BoundDataset
+        assert seen == [("face_value_loglik", bound), ("car_normalizer", bound)]
+
+    @pytest.mark.parametrize(
+        "budget", [inference.DENSE_TABLE_BUDGET, 0], ids=["table", "tree"]
+    )
+    def test_bound_dataset_of_other_structure_refused(self, budget, monkeypatch):
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", budget)
+        c_of_a = three_node_net({"C": ("A",)})
+        c_of_b = three_node_net({"C": ("B",)})
+        for report in (face_value_loglik, car_profile_loglik):
+            with pytest.raises(DataError, match="structure"):
+                report(c_of_b, inference.BoundDataset(c_of_a, THREE_NODE_DATA))
+
+    def test_bound_and_unbound_reports_agree(self, basic_net, basic_data):
+        net = net_theta(basic_net, *THETA1)
+        bound = inference.BoundDataset(net, basic_data)
+        for report in (face_value_loglik, car_profile_loglik, exact_sat_profile_loglik):
+            assert report_signature(report(net, bound)) == report_signature(
+                report(net, basic_data)
+            )
+        assert car_normalizer(net, bound) == car_normalizer(net, basic_data)
