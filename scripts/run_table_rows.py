@@ -29,6 +29,7 @@ ROWS = {
     "asia_z1": ("asia.net", "2:0.1:0.05", None, 1000, 1),
     "asia_z10": ("asia.net", "2:0.1:0.05", None, 1000, 10),
     "asia_mar": ("asia.net", "2:0.1:0.00", None, 1000, 5),
+    "alarm_like": ("alarm_like.net", "2:0.1:0.05", None, 1000, 5),
 }
 
 

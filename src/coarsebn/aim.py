@@ -25,11 +25,13 @@ import numpy as np
 
 from .data import Dataset
 from .errors import BudgetError, DataError
-from .inference import BoundDataset, EliminationQueries, MemberTable
+from .inference import BoundDataset, MemberTable
 from .network import (
     Network,
+    family_counts_from_rows,
     params_from_family_counts,
     smooth,
+    unravel_rows,
     validate_network,
 )
 
@@ -68,7 +70,7 @@ class AimState:
     case_moves: list[list[tuple[int, int]]]  # per case: (stride, card) of missing axes
     assign: list[int]                    # replica -> flat joint index
     counts: dict[int, int]
-    table: MemberTable | EliminationQueries = field(repr=False)  # the cases' patterns
+    table: MemberTable = field(repr=False)  # the cases' patterns
     logp: Callable[[int], float] = field(repr=False, default=None)
     score: float = float("inf")
     _moves: int = 0
@@ -164,7 +166,7 @@ def m_step(state: AimState) -> tuple[Network, list[np.ndarray]]:
     idx = np.fromiter(state.counts.keys(), dtype=np.int64, count=n)
     cnt = np.fromiter(state.counts.values(), dtype=np.float64, count=n)
     weights = cnt / state.z
-    counts = state.table.family_counts(structure, idx, weights)
+    counts = family_counts_from_rows(structure, unravel_rows(structure, idx), weights)
     net, row_counts = params_from_family_counts(structure, counts)
     state.net = net
     state.logp = state.table.log_evaluator(net, LOG_PROB_FLOOR)
@@ -174,7 +176,7 @@ def m_step(state: AimState) -> tuple[Network, list[np.ndarray]]:
 
 def initial_completion(
     theta0: Network,
-    table: MemberTable | EliminationQueries,
+    table: MemberTable,
     rep_pattern: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[list[int], list[int]]:
@@ -229,6 +231,8 @@ def aim_fit(
         raise DataError("max_iters must be a positive integer")
     if not opts.tol >= 0:
         raise DataError(f"tol must be a non-negative number; got {opts.tol!r}")
+    if opts.seed is not None and opts.seed < 0:
+        raise DataError(f"seed must be a non-negative integer; got {opts.seed!r}")
     diags = validate_network(theta0)
     if diags:
         raise DataError("theta0 invalid: " + "; ".join(diags))

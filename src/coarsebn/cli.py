@@ -24,8 +24,9 @@ from .data import read_dataset, write_dataset
 from .errors import CoarseBNError, DataError, FormatError, NumericalError
 from .evaluate import evaluate, kl_decomposed, kl_enumerate, mse, same_structure
 from .likelihoods import (
+    LikelihoodReport,
+    SatProfileProblem,
     car_profile_loglik,
-    exact_sat_profile_loglik,
     face_value_loglik,
     lr_statistic,
 )
@@ -56,6 +57,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise UsageError(message)
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer; got {text!r}")
+    return int(text)
 
 
 def _load_net(path: str) -> Network:
@@ -348,8 +356,10 @@ def _cmd_lik(args) -> int:
     data = read_dataset(args.data)
     if args.which == "fv":
         rep = face_value_loglik(net, data)
-    elif args.which == "sat":
-        rep = exact_sat_profile_loglik(net, data, tol=args.tol)
+    elif args.which == "sat":  # the value alone: the certificate is never printed
+        problem = SatProfileProblem(net, data)
+        value = problem.solve(net, tol=args.tol)[0]
+        rep = LikelihoodReport("sat_profile", value, value * problem.bound.total)
     elif args.which == "car":
         rep = car_profile_loglik(net, data)
     elif args.which == "lr":
@@ -404,7 +414,7 @@ def build_parser() -> _Parser:
     p.add_argument("--net", required=True)
     p.add_argument("--coarsening", required=True, help="mp:mu:sigma")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-mechanism")
     p.set_defaults(func=_cmd_gen_data)
@@ -418,7 +428,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
     p.add_argument("--counts-out")
@@ -458,7 +468,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("randomize", help="replace all CPT rows by random ones")
     p.add_argument("--net", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_randomize)
 

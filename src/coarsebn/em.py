@@ -3,8 +3,9 @@
 Doubles as the comparison baseline and as the default initializer for the
 adjusting-imputation fitter.  The E step takes, per distinct observation
 pattern, its probability and expected family counts from the dataset's
-pattern table (`BoundDataset.table`), which enumerates the pattern members
-or, above its budget, calibrates a clique tree once per pattern.
+pattern table (`BoundDataset.table`): a pattern whose members fit the
+table is summed over them, and each other pattern calibrates the clique
+tree once.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ def em_fit(
         raise DataError("max_iters must be a positive integer")
     if not opts.tol >= 0:
         raise DataError(f"tol must be a non-negative number; got {opts.tol!r}")
+    if opts.seed is not None and opts.seed < 0:
+        raise DataError(f"seed must be a non-negative integer; got {opts.seed!r}")
     net = _init_network(structure, opts)
     bound = BoundDataset(structure, data)
     total_w = bound.total

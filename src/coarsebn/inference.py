@@ -1,35 +1,36 @@
-"""Exact inference: the pattern member table and the clique tree.
+"""Exact inference: the pattern table and the clique tree.
 
 Fitters and solvers need, per observation pattern, only the joint states
 that match it, called the pattern's members.  `BoundDataset` is the one
-place that holds a dataset's patterns and decides how their probabilities
-are obtained: when the patterns' members total at most DENSE_TABLE_BUDGET
-it enumerates them once (`MemberTable`) and answers every query from them;
-above the budget the same queries run on a clique tree
-(`EliminationQueries`), the only path for patterns too large to enumerate.
+place that holds a dataset's patterns, and its `table` (a `MemberTable`)
+answers their queries pattern by pattern: it enumerates the patterns
+smallest first while their members total at most DENSE_TABLE_BUDGET, and
+answers every other pattern on one clique tree.  So one pattern too large
+to enumerate takes the tree alone, and the rest keep their members.
 DENSE_TABLE_BUDGET is the one member-table budget: the fitters, the face
-value and the sat profile all read it.  Only the car normalizer, which
-never builds the compiled cells, asks for a larger table.
+value and the sat profile all read it.  The sat and car profiles need
+every pattern enumerated (`BoundDataset.member_table`), and only the car
+normalizer, which never builds the compiled cells, asks for a larger one.
 
 A member table is compiled once per dataset: on first use it stores, per
 node, each distinct member's cell in that node's flattened CPT.  P(x) is
-then one gather per node, and the E step's expected counts and the AIM
-refit's completion counts one bincount per node, whatever the parameters.
+then one gather per node, and the E step's expected counts one bincount
+per node, whatever the parameters.
 
 A clique tree (`CliqueTree`) is compiled once per structure at each call
 site, from one min-fill elimination ordering; it refuses a clique of more
 than ENUM_BUDGET cells.  One calibration (a collect and a distribute pass)
 gives P(U) and every family's P(family, U); the collect pass alone gives
-P(U).  The E step makes one calibration per pattern, and KL evaluation one
-of the truth.
+P(U).  The E step makes one calibration per tree pattern, and KL
+evaluation one of the truth.
 
 All probabilities are combined in linear space; callers accumulate logs.
 Elimination orderings come from a deterministic min-fill heuristic with
-lexicographic tie-breaking so results are bit-reproducible across runs.
-"""
+lexicographic tie-breaking so results are bit-reproducible across runs."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from functools import cached_property
@@ -42,7 +43,6 @@ from .errors import BudgetError, DataError, ZeroSupportError
 from .network import (
     ENUM_BUDGET,
     Network,
-    family_counts_from_rows,
     joint_probability,
     parent_rows,
     unravel_rows,
@@ -297,39 +297,46 @@ def posterior_family_marginals(
 
 
 class MemberTable:
-    """The members of each pattern in a list, enumerated once.
+    """A dataset's pattern queries, each pattern answered by enumerating its
+    members or on the clique tree.
 
-    Slots hold the members pattern after pattern, in `member_flat_indices`
-    order: pattern k owns slots starts[k] to stops[k], and pat_of_slot maps
-    a slot back to its pattern.  `uniq` holds the distinct flat joint
-    indices (sorted) and `loc` each slot's position in it.  The table
-    depends only on the structure; every query takes the parameters.
-    `sizes` are the patterns' member counts.  Networks whose joint space
-    cannot be indexed in int64, and patterns of more than ENUM_BUDGET
-    members, are refused.
+    Patterns are enumerated smallest first while their members total at
+    most `budget`, and none when the joint space cannot be indexed in
+    int64; `enumerated` lists them and `on_tree` the rest, each in
+    first-seen order.  Slots hold the enumerated patterns' members pattern
+    after pattern, in `member_flat_indices` order: enumerated[j] owns slots
+    starts[j] to stops[j], and pat_of_slot maps a slot back to its pattern
+    (an index into `bounds`).  `uniq` holds the distinct flat joint indices
+    (sorted) and `loc` each slot's position in it.  The table depends only
+    on the structure; every query takes the parameters and refuses a
+    network of another structure.  The tree is compiled on first use.
     """
 
-    def __init__(self, net: Network, bounds: Sequence[Bound], sizes: list[int]):
-        if net.n_assignments >= 1 << 62:
-            raise BudgetError("joint space too large to index")
-        if max(sizes, default=0) > ENUM_BUDGET:
-            raise BudgetError("case has too many completions to enumerate")
+    def __init__(
+        self, net: Network, bounds: Sequence[Bound], sizes: list[int], budget: float
+    ):
         self.net = net
         self.bounds = list(bounds)
+        indexable = net.n_assignments < 1 << 62
+        order = sorted(range(len(sizes)), key=sizes.__getitem__) if indexable else []
+        running = itertools.accumulate(sizes[k] for k in order)
+        fits = {k for k, total in zip(order, running) if total <= budget}
+        self.enumerated = sorted(fits)
+        self.on_tree = sorted(set(range(len(sizes))) - fits)
+        kept = [sizes[k] for k in self.enumerated]
         flat = np.concatenate(
-            [member_flat_indices(net, b) for b in bounds] + [np.zeros(0, np.int64)]
+            [member_flat_indices(net, self.bounds[k]) for k in self.enumerated]
+            + [np.zeros(0, np.int64)]
         )
-        ends = np.cumsum([0] + sizes)
+        ends = np.cumsum([0] + kept)
         self.starts, self.stops = ends[:-1], ends[1:]
-        self.pat_of_slot = np.repeat(np.arange(len(sizes)), sizes)
+        self.pat_of_slot = np.repeat(np.array(self.enumerated, dtype=np.int64), kept)
         self.uniq, self.loc = np.unique(flat, return_inverse=True)
         self.n_slots = len(flat)
 
-    def _cells_for(self, net: Network) -> list[np.ndarray]:
-        """`cells`, for a network of the table's nodes, states and parents."""
+    def _check(self, net: Network) -> None:
         if net.nodes != self.net.nodes:
-            raise DataError("network structure differs from the member table's")
-        return self.cells
+            raise DataError("network structure differs from the pattern table's")
 
     @cached_property
     def cells(self) -> list[np.ndarray]:
@@ -341,6 +348,10 @@ class MemberTable:
             for i, card in enumerate(self.net.cards)
         ]
 
+    @cached_property
+    def _tree(self) -> CliqueTree:
+        return CliqueTree(self.net)
+
     def probs(self, net: Network) -> np.ndarray:
         """P(x) of each distinct member.
 
@@ -348,14 +359,28 @@ class MemberTable:
         same multiplications `full_joint_table` makes, so the values match
         it bit for bit.
         """
+        self._check(net)
         p = np.ones(len(self.uniq))
-        for cpt, cell in zip(net.cpts, self._cells_for(net)):
+        for cpt, cell in zip(net.cpts, self.cells):
             p = p * cpt.ravel()[cell]
         return p
 
+    def _member_probs(self, net: Network) -> tuple[np.ndarray, np.ndarray]:
+        """P(x) per slot, and P(U) per pattern from its members (zero for
+        the tree's patterns)."""
+        self._check(net)
+        p_u = np.zeros(len(self.bounds))
+        p_slot = self.probs(net)[self.loc] if self.enumerated else np.zeros(0)
+        p_u[self.enumerated] = np.add.reduceat(p_slot, self.starts)
+        return p_slot, p_u
+
     def pattern_probs(self, net: Network) -> np.ndarray:
-        """P(U) per pattern: the sum of its members' probabilities."""
-        return np.add.reduceat(self.probs(net)[self.loc], self.starts)
+        """P(U) per pattern: the sum of its members' probabilities, or one
+        collect pass of the tree."""
+        p_u = self._member_probs(net)[1]
+        for k in self.on_tree:
+            p_u[k] = self._tree.probability(net, self.bounds[k])
+        return p_u
 
     def _counts(
         self, net: Network, pos: np.ndarray, weights: np.ndarray
@@ -364,128 +389,67 @@ class MemberTable:
         each table summed in the order given."""
         return [
             np.bincount(cell[pos], weights=weights, minlength=cpt.size).reshape(cpt.shape)
-            for cpt, cell in zip(net.cpts, self._cells_for(net))
+            for cpt, cell in zip(net.cpts, self.cells)
         ]
 
     def expected_counts(
         self, net: Network, weights: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """P(U) per pattern and the expected family counts (the E step).
-
-        Pattern k carries weights[k]; patterns of probability zero add
-        nothing to the counts.
+        """P(U) per pattern and the expected family counts (the E step): the
+        enumerated patterns' counts, then one tree calibration per other
+        pattern added.  Pattern k carries weights[k]; patterns of
+        probability zero add nothing to the counts.
         """
-        p_slot = self.probs(net)[self.loc]
-        p_u = np.add.reduceat(p_slot, self.starts)
+        p_slot, p_u = self._member_probs(net)
         scale = np.divide(weights, p_u, out=np.zeros_like(p_u), where=p_u > 0)
-        return p_u, self._counts(net, self.loc, p_slot * scale[self.pat_of_slot])
-
-    def family_counts(
-        self, net: Network, flat_idx: np.ndarray, weights: np.ndarray
-    ) -> list[np.ndarray]:
-        """Weighted family count tables of completions given as flat joint
-        indices, each of which must be a member of some pattern."""
-        return self._counts(net, np.searchsorted(self.uniq, flat_idx), weights)
+        if self.enumerated:
+            counts = self._counts(net, self.loc, p_slot * scale[self.pat_of_slot])
+        else:
+            counts = [np.zeros(cpt.shape) for cpt in net.cpts]
+        for k in self.on_tree:
+            p_u[k], fams = self._tree.calibrate(net, self.bounds[k])
+            if p_u[k] > 0.0:
+                for count, fam in zip(counts, fams):
+                    count += weights[k] * (fam / p_u[k])
+        return p_u, counts
 
     def log_evaluator(self, net: Network, floor: float) -> Callable[[int], float]:
-        """log max(P(x), floor) by flat joint index, for members only."""
+        """log max(P(x), floor) by flat joint index: the members' values at
+        once, any other state's (a tree pattern's) on first use."""
         logp = np.log(np.maximum(self.probs(net), floor))
-        return dict(zip(self.uniq.tolist(), logp.tolist())).__getitem__
+        known = _LogProbs(zip(self.uniq.tolist(), logp.tolist()))
+        known.net, known.floor = net, floor
+        return known.__getitem__
 
     def sampler(self, net: Network) -> Callable:
         """draw(k, size, rng): the flat joint indices of `size` members of
-        pattern k, each drawn with probability P(x | U); None when P(U) is zero."""
+        pattern k, each drawn with probability P(x | U); None when P(U) is
+        zero.  An enumerated pattern draws from its members; a tree pattern
+        draws its missing nodes one by one in topological order, each from
+        its conditional given the evidence and the nodes drawn so far (one
+        collect pass per state)."""
         p_slot = self.probs(net)[self.loc]
         flat = self.uniq[self.loc]
+        slots = dict(zip(self.enumerated, zip(self.starts.tolist(), self.stops.tolist())))
 
         def draw(k: int, size: int, rng: np.random.Generator):
-            start = self.starts[k]
-            p = p_slot[start : self.stops[k]]
-            s = float(p.sum())
-            if s <= 0.0:
-                return None
-            return flat[start + rng.choice(len(p), size=size, p=p / s)]
-
-        return draw
-
-
-class EliminationQueries:
-    """The `MemberTable` queries answered on a clique tree, without
-    enumerating members: the path for patterns too large to enumerate.
-    The tree is compiled on first use, and networks of another structure
-    are refused."""
-
-    def __init__(self, bounds: Sequence[Bound]):
-        self.bounds = list(bounds)
-        self._compiled: CliqueTree | None = None
-
-    def _tree(self, net: Network) -> CliqueTree:
-        if self._compiled is None:
-            self._compiled = CliqueTree(net)
-        elif net.nodes != self._compiled.nodes:
-            raise DataError("network structure differs from the clique tree's")
-        return self._compiled
-
-    def expected_counts(
-        self, net: Network, weights: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """P(U) per pattern and the expected family counts: one calibration
-        per pattern; patterns of probability zero add nothing."""
-        tree = self._tree(net)
-        p_u = np.zeros(len(self.bounds))
-        counts = [np.zeros(c.shape) for c in net.cpts]
-        for k, (bound, w) in enumerate(zip(self.bounds, weights)):
-            p_u[k], fams = tree.calibrate(net, bound)
-            if p_u[k] <= 0.0:
-                continue
-            for count, fam in zip(counts, fams):
-                count += w * (fam / p_u[k])
-        return p_u, counts
-
-    @staticmethod
-    def family_counts(
-        net: Network, flat_idx: np.ndarray, weights: np.ndarray
-    ) -> list[np.ndarray]:
-        """Weighted family count tables of completions given as flat joint
-        indices."""
-        return family_counts_from_rows(net, unravel_rows(net, flat_idx), weights)
-
-    def pattern_probs(self, net: Network) -> np.ndarray:
-        """P(U) per pattern, one collect pass each."""
-        tree = self._tree(net)
-        return np.array([tree.probability(net, b) for b in self.bounds])
-
-    def log_evaluator(self, net: Network, floor: float) -> Callable[[int], float]:
-        """log max(P(x), floor) by flat joint index, computed on first use."""
-        cache: dict[int, float] = {}
-
-        def logp(r: int) -> float:
-            v = cache.get(r)
-            if v is None:
-                v = math.log(max(joint_probability(net, net.unravel(r)), floor))
-                cache[r] = v
-            return v
-
-        return logp
-
-    def sampler(self, net: Network) -> Callable:
-        """Draw the missing nodes one by one in topological order, each from
-        its conditional given the evidence and the nodes drawn so far (one
-        collect pass per state); the draws come back as flat joint indices."""
-        tree = self._tree(net)
-
-        def draw(k: int, size: int, rng: np.random.Generator):
-            bound = self.bounds[k]
+            if k in slots:
+                start, stop = slots[k]
+                p = p_slot[start:stop]
+                s = float(p.sum())
+                if s <= 0.0:
+                    return None
+                return flat[start + rng.choice(len(p), size=size, p=p / s)]
             out: list[int] = []
             for _ in range(size):
-                x = list(bound)
+                x = list(self.bounds[k])
                 for i in net.topo_order:
                     if x[i] is not None:
                         continue
                     probs = []
                     for s in range(net.cards[i]):
                         x[i] = s
-                        probs.append(tree.probability(net, x))
+                        probs.append(self._tree.probability(net, x))
                     total = sum(probs)
                     if total <= 0.0:
                         return None
@@ -494,6 +458,16 @@ class EliminationQueries:
             return out
 
         return draw
+
+
+class _LogProbs(dict):
+    """log max(P(x), floor) by flat joint index; a state not given is
+    computed on first use."""
+
+    def __missing__(self, r: int) -> float:
+        p = joint_probability(self.net, self.net.unravel(r))
+        v = self[r] = math.log(max(p, self.floor))
+        return v
 
 
 class BoundDataset:
@@ -505,8 +479,8 @@ class BoundDataset:
     `weights`, `bounds` and `sizes` (member counts) keep those of positive
     weight, in the same order; `total` is the total weight, which must be
     positive, `m` the positive patterns' shares of it and `entropy` H(m).
-    `table` answers the patterns' queries, and `member_table` hands out
-    their one member table.
+    `table` answers the patterns' queries, and `member_table` hands out a
+    table that enumerates them all.
     """
 
     def __init__(self, net: Network, data: Dataset):
@@ -526,22 +500,23 @@ class BoundDataset:
         self.entropy = -math.fsum(f * math.log(f) for f in self.m.tolist() if f > 0)
 
     @cached_property
-    def _members(self) -> MemberTable:
-        return MemberTable(self.net, self.bounds, self.sizes)
+    def table(self) -> MemberTable:
+        """The patterns' queries: patterns enumerated smallest first within
+        DENSE_TABLE_BUDGET members, the rest answered on the clique tree."""
+        return MemberTable(self.net, self.bounds, self.sizes, DENSE_TABLE_BUDGET)
 
-    def member_table(self, budget: int) -> MemberTable:
-        """The member table of `bounds`, built on first use; BudgetError,
-        before any enumeration, when their members exceed budget."""
+    def member_table(self, budget: float) -> MemberTable:
+        """A table that enumerates every pattern: `table` within
+        DENSE_TABLE_BUDGET, else one built here.  BudgetError, before any
+        enumeration, when the members exceed budget, one pattern's exceed
+        ENUM_BUDGET, or the joint space cannot be indexed in int64."""
         n = sum(self.sizes)
         if n > budget:
             raise BudgetError(f"{n} pattern members exceed the enumeration budget {budget}")
-        return self._members
-
-    @cached_property
-    def table(self) -> MemberTable | EliminationQueries:
-        """The patterns' queries: the member table when their members total
-        at most DENSE_TABLE_BUDGET (and the joint space can be indexed),
-        else a clique tree."""
-        if sum(self.sizes) <= DENSE_TABLE_BUDGET and self.net.n_assignments < 1 << 62:
-            return self._members
-        return EliminationQueries(self.bounds)
+        if max(self.sizes) > ENUM_BUDGET:
+            raise BudgetError("case has too many completions to enumerate")
+        if self.net.n_assignments >= 1 << 62:
+            raise BudgetError("joint space too large to index")
+        if n <= DENSE_TABLE_BUDGET:
+            return self.table
+        return MemberTable(self.net, self.bounds, self.sizes, n)

@@ -21,11 +21,12 @@ monotone fixed-point maps, accelerated by one shared SQUAREM step
 
 Each report takes a dataset, or one already bound to a network of the
 same structure (`BoundDataset`), which groups and binds the patterns once
-and builds at most one member table, under the one member-table budget
-`DENSE_TABLE_BUDGET`.  The lr statistic binds once and passes that bound
-dataset to the sat solve and the car profile, so the face value, the car
-normalizer and the sat solve all read one table; its two candidate
-networks must therefore share one structure.
+and builds at most one pattern table.  The sat and car profiles need
+every pattern enumerated, and refuse a dataset above their budgets
+(`DENSE_TABLE_BUDGET`, `CAR_MEMBER_BUDGET`).  The lr statistic binds once
+and passes that bound dataset to the sat solve and the car profile, so
+the face value, the car normalizer and the sat solve all read one table;
+its two candidate networks must therefore share one structure.
 
 All logarithms are natural.
 """
@@ -165,8 +166,8 @@ class SatProfileProblem:
     value at many parameter settings (grids, per-iteration bounds) without
     re-binding the dataset.  Patterns of zero weight carry no mass and are
     left out.  `data` may also be a dataset already bound to `net`, whose
-    member table is then shared.  Members beyond DENSE_TABLE_BUDGET are
-    refused.
+    member table is then shared.  A dataset whose members total more than
+    DENSE_TABLE_BUDGET is refused.
     """
 
     def __init__(self, net: Network, data: Dataset | BoundDataset):

@@ -6,7 +6,7 @@ import pytest
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Dataset, member_count, pattern_binder
 from coarsebn.errors import DataError
-from coarsebn.inference import MemberTable, _min_fill_order, evidence_indices
+from coarsebn.inference import BoundDataset, MemberTable, _min_fill_order, evidence_indices
 from coarsebn.netformat import read_network
 from coarsebn.network import joint_probability
 from coarsebn.util import fixture_path
@@ -58,8 +58,14 @@ def asia_data(asia_net, n=300, seed=41):
 
 
 def member_table(net, bounds):
-    """The MemberTable of `bounds`, each pattern's members counted here."""
-    return MemberTable(net, bounds, [member_count(net, b) for b in bounds])
+    """The table of `bounds` that enumerates every pattern, with the
+    refusals of `BoundDataset.member_table`."""
+    return BoundDataset(net, dataset_of(net, bounds)).member_table(math.inf)
+
+
+def tree_table(net, bounds):
+    """The table of `bounds` that answers every pattern on the clique tree."""
+    return MemberTable(net, bounds, [member_count(net, b) for b in bounds], 0)
 
 
 def dataset_of(net, bounds):

@@ -475,6 +475,10 @@ class TestAimFit:
         with pytest.raises(DataError, match="tol must be a non-negative number"):
             aim_fit(basic_net, basic_net, basic_data_n2000, AimOptions(tol=tol))
 
+    def test_negative_seed_rejected(self, basic_net, basic_data_n2000):
+        with pytest.raises(DataError, match="seed must be a non-negative integer"):
+            aim_fit(basic_net, basic_net, basic_data_n2000, AimOptions(seed=-1))
+
     def test_empty_dataset_rejected(self, basic_net):
         with pytest.raises(DataError, match="total weight must be positive"):
             aim_fit(basic_net, basic_net, Dataset(("A", "B"), ()))
@@ -493,9 +497,9 @@ class TestAimFit:
         built = []
         init = inference.MemberTable.__init__
 
-        def counting(self, net, bounds, sizes):
+        def counting(self, net, bounds, sizes, budget):
             built.append(len(bounds))
-            init(self, net, bounds, sizes)
+            init(self, net, bounds, sizes, budget)
 
         monkeypatch.setattr(inference.MemberTable, "__init__", counting)
         data = asia_data(asia_net, n=200, seed=44)

@@ -1,10 +1,19 @@
 import csv
+import io
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_netformat import spliced_networks
+
+from coarsebn import cli
 from coarsebn.netformat import read_network
 from coarsebn.util import fixture_path
 
@@ -510,3 +519,148 @@ class TestRandomize:
         from coarsebn.network import validate_network
 
         assert validate_network(read_network(a)) == []
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--net", ASIA, "--coarsening", "2:0.1:0.05", "--n", "5"],
+            ["randomize", "--net", ASIA],
+            ["learn", "--net-structure", BASIC, "--data", COARSE, "--method", "aim"],
+            ["learn", "--net-structure", BASIC, "--data", COARSE, "--method", "em",
+             "--init", "random"],
+        ],
+        ids=["gen-data", "randomize", "learn-aim", "learn-em-random"],
+    )
+    def test_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer; got '-1'" in err
+        assert not out.exists()
+
+
+class TestSatValueOnly:
+    def test_cli_builds_no_certificate(self, capsys, monkeypatch):
+        from coarsebn import likelihoods
+        from coarsebn.data import read_dataset
+
+        expect = likelihoods.exact_sat_profile_loglik(
+            read_network(BASIC), read_dataset(COARSE)
+        )
+        monkeypatch.setattr(
+            likelihoods.SatProfileProblem,
+            "certificate_completion",
+            lambda *a: pytest.fail("certificate built"),
+        )
+        assert cli.main(["lik", "--net", BASIC, "--data", COARSE, "--which", "sat"]) == 0
+        out = capsys.readouterr().out
+        assert parsed(out, "per_case_average") == float(f"{expect.per_case_average:.6g}")
+        assert parsed(out, "total") == float(f"{expect.total:.6g}")
+
+
+# ----------------------------------------------------------------------
+# cli.main on drawn argument lists: small flags, short malformed files
+
+
+def mostly(good, bad):
+    """Draws from `good` nine times in ten, else from `bad`."""
+    return st.integers(0, 9).flatmap(lambda i: good if i else bad)
+
+
+NET_TEXTS = [Path(BASIC).read_text(), Path(ASIA).read_text(), Path(MECH).read_text()]
+DATA_TEXTS = [
+    Path(COARSE).read_text(),
+    "A,B\nt,?\n?,f\nf,t\nt,t\n",
+    "A,B,__weight\nt,?,2\n?,?,1\nf,f,3\n",
+    "asia,smoke,either\nyes,?,no\n?,no,?\nno,yes,yes\n?,?,?\n",
+]
+CELLS = ["t", "f", "?", "u", "", "yes", "no", "1", "0", "-1", "nan", "2.5"]
+HEADERS = ["A", "B", "C", "asia", "smoke", "either", "Z", "__weight", ""]
+PRINTABLE = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+@st.composite
+def dataset_texts(draw):
+    header = draw(st.lists(st.sampled_from(HEADERS), max_size=3))
+    rows = draw(st.lists(st.lists(st.sampled_from(CELLS), max_size=4), max_size=5))
+    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+
+
+@st.composite
+def counts_texts(draw):
+    cells = st.sampled_from(["A", "B", "Q"] + CELLS)
+    rows = draw(st.lists(st.lists(cells, max_size=4), max_size=3))
+    return "\n".join(",".join(row) for row in [["node", "row", "count"]] + rows) + "\n"
+
+
+FILES = {
+    "net": mostly(st.sampled_from(NET_TEXTS), spliced_networks() | PRINTABLE),
+    "net2": mostly(st.sampled_from(NET_TEXTS), spliced_networks()),
+    "data": mostly(st.sampled_from(DATA_TEXTS), dataset_texts() | PRINTABLE),
+    "counts": counts_texts(),
+}
+SEED = (["0", "3"], ["-1", "x"])
+SMALL = (["1", "2", "3"], ["0", "-1"])
+COARSENING = (["2:0.1:0.05", "1:0.5:0.1", "0:0:0"], ["-1:0.1:0.1", "1:2", "nope"])
+OUT = (["@out.x"], ["@nodir/out.x"])
+# Per subcommand, each flag's (good values, bad values); "@name" is a file
+# in the example's directory, and None marks a flag without a value.
+FLAGS = {
+    "gen-data": {
+        "--net": (["@net"], ["@missing"]), "--coarsening": COARSENING,
+        "--n": SMALL, "--seed": SEED, "--out": OUT, "--emit-mechanism": (["@m.net"], []),
+    },
+    "learn": {
+        "--net-structure": (["@net"], ["@data"]), "--data": (["@data"], ["@net"]),
+        "--method": (["aim", "em", "conservative"], ["other"]),
+        "--init": (["em", "uniform", "random", "net:@net2"], ["net:@missing", "bogus"]),
+        "--z": SMALL, "--tol": (["1e-6", "0"], ["-1", "nan"]), "--max-iters": SMALL,
+        "--restarts": SMALL, "--seed": SEED, "--out": OUT,
+        "--trace": (["@trace.csv"], []), "--counts-out": (["@counts.csv"], []),
+        "--unsmoothed": ([None], []),
+    },
+    "eval": {
+        "--truth": (["@net"], []), "--estimate": (["@net2", "@net"], ["@data"]),
+        "--counts": (["@counts"], []), "--mode": (["enumerate", "decomposed"], ["other"]),
+        "--method-tag": (["m"], []), "--data": (["@data"], []), "--out": OUT,
+    },
+    "lik": {
+        "--net": (["@net"], []), "--data": (["@data"], []),
+        "--which": (["fv", "sat", "car", "lr"], ["x"]), "--net-car": (["@net2"], []),
+        "--tol": (["1e-6"], ["-1", "nan"]), "--out": OUT,
+    },
+    "experiment": {
+        "--net": (["@net"], []), "--coarsening": COARSENING,
+        "--mechanism": (["@net2"], []), "--n": SMALL, "--z": SMALL,
+        "--runs": (["1", "2"], ["0"]), "--seed": SEED, "--out": OUT,
+    },
+    "randomize": {"--net": (["@net"], []), "--seed": SEED, "--out": OUT},
+}
+
+
+@st.composite
+def cli_cases(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag, (good, bad) in FLAGS[command].items():
+        if draw(st.integers(0, 15)):  # a flag, required or not, is left out 1 in 16
+            value = draw(mostly(st.sampled_from(good), st.sampled_from(good + bad)))
+            argv += [flag] if value is None else [flag, value]
+    files = {name: draw(texts) for name, texts in FILES.items()}
+    return argv, files
+
+
+class TestMainFuzz:
+    @given(case=cli_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_every_outcome_is_an_exit_code(self, case):
+        argv, files = case
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                Path(tmp, name).write_text(text, encoding="utf-8")
+            argv = [arg.replace("@", tmp + "/") for arg in argv]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+        assert code in (0, 1, 2, 3)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import tree_table
+
 from coarsebn import inference
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Dataset
@@ -125,7 +127,7 @@ class TestEmFit:
         ]
         bounds = [pattern_binder(net, names)(p) for p in patterns]
         weights = np.array([2.0, 3.5, 1.0])
-        queries = inference.EliminationQueries(bounds)
+        queries = tree_table(net, bounds)
         p_u, counts = queries.expected_counts(net, weights)
         want = [np.zeros(c.shape) for c in net.cpts]
         for k, pattern in enumerate(patterns):
@@ -148,6 +150,11 @@ class TestEmFit:
     def test_negative_or_nan_tol_rejected(self, basic_net, basic_data, tol):
         with pytest.raises(DataError, match="tol must be a non-negative number"):
             em_fit(basic_net, basic_data, EmOptions(tol=tol))
+
+    @pytest.mark.parametrize("init", ["uniform", "random"])
+    def test_negative_seed_rejected(self, basic_net, basic_data, init):
+        with pytest.raises(DataError, match="seed must be a non-negative integer"):
+            em_fit(basic_net, basic_data, EmOptions(init=init, seed=-1))
 
     def test_empty_dataset_rejected(self, basic_net):
         with pytest.raises(DataError, match="total weight must be positive"):

@@ -1,4 +1,6 @@
 import itertools
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,25 +12,27 @@ from conftest import (
     dataset_of,
     joint_marginal,
     member_table,
+    tree_table,
     ve_evidence_probability,
     ve_family_posteriors,
 )
 from coarsebn import data as data_mod
-from coarsebn import inference, network
+from coarsebn import inference
 from coarsebn.aim import AimOptions, aim_fit
+from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import BudgetError, DataError, ZeroSupportError
 from coarsebn.evaluate import kl_decomposed, kl_enumerate
 from coarsebn.inference import (
     BoundDataset,
     CliqueTree,
-    EliminationQueries,
     MemberTable,
     evidence_probability,
     full_joint_table,
     posterior_family_marginals,
 )
 from coarsebn.likelihoods import car_normalizer, car_profile_loglik, face_value_loglik
+from coarsebn.netformat import read_network
 from coarsebn.network import (
     Network,
     NodeSpec,
@@ -38,6 +42,7 @@ from coarsebn.network import (
     randomize_parameters,
     unravel_rows,
 )
+from coarsebn.util import fixture_path
 
 
 def all_patterns(net, max_missing):
@@ -244,7 +249,7 @@ class TestCliqueTree:
         # either is tub OR lung in the truth: tub=yes, either=no is impossible
         # (posterior_family_marginals raises on it: test_zero_evidence_raises)
         bound = inference._bound_of(asia_net, {"tub": "yes", "either": "no"})
-        p_u, counts = EliminationQueries([bound]).expected_counts(asia_net, np.ones(1))
+        p_u, counts = tree_table(asia_net, [bound]).expected_counts(asia_net, np.ones(1))
         assert p_u.tolist() == [0.0]
         assert all(not c.any() for c in counts)
 
@@ -309,7 +314,7 @@ class TestCliqueTree:
             evidence_probability(asia_net, {})
 
     def test_queries_refuse_another_structure(self, asia_net):
-        queries = EliminationQueries(TestMemberTable.BOUNDS)
+        queries = tree_table(asia_net, TestMemberTable.BOUNDS)
         queries.pattern_probs(asia_net)
         nodes = list(asia_net.nodes)
         nodes[asia_net.node_index["either"]] = NodeSpec("either", ("yes", "no"), ("lung", "bronc"))
@@ -336,7 +341,7 @@ class TestMemberTable:
         net = randomize_parameters(asia_net, np.random.default_rng(5))
         weights = np.array([3.0, 1.5, 0.5])
         table = member_table(net, self.BOUNDS)
-        ve = EliminationQueries(self.BOUNDS)
+        ve = tree_table(net, self.BOUNDS)
         p_t, counts_t = table.expected_counts(net, weights)
         p_v, counts_v = ve.expected_counts(net, weights)
         assert np.allclose(p_t, p_v, rtol=1e-12, atol=0)
@@ -409,7 +414,7 @@ class TestMemberTable:
         bound = BoundDataset(net, dataset_of(net, [(None,) + (0,) * 63]))
         with pytest.raises(BudgetError, match="too large to index"):
             bound.member_table(1000)
-        assert isinstance(bound.table, EliminationQueries)
+        assert bound.table.enumerated == [] and bound.table.on_tree == [0]
 
     def test_queries_refuse_another_structure(self, asia_net):
         table = member_table(asia_net, self.BOUNDS)
@@ -417,12 +422,10 @@ class TestMemberTable:
         either = asia_net.node_index["either"]
         nodes[either] = NodeSpec("either", ("yes", "no"), ("lung", "bronc"))  # was tub
         rewired = Network("rewired", tuple(nodes), asia_net.cpts)
-        flat, w = table.uniq[:2], np.ones(2)
         queries = [
             lambda net: table.probs(net),
             lambda net: table.pattern_probs(net),
             lambda net: table.expected_counts(net, np.ones(3)),
-            lambda net: table.family_counts(net, flat, w),
             lambda net: table.log_evaluator(net, 1e-300),
             lambda net: table.sampler(net),
         ]
@@ -454,11 +457,6 @@ def reference_expected_counts(table, net, weights):
         net, rows[table.loc], p_slot * scale[table.pat_of_slot]
     )
     return p_u, counts
-
-
-def reference_family_counts(table, net, flat_idx, weights):
-    """aim.m_step's counting: unravel the completions, count their rows."""
-    return family_counts_from_rows(net, unravel_rows(net, flat_idx), weights)
 
 
 def fit_signature(res):
@@ -499,12 +497,6 @@ class TestCompiledTable:
         assert np.array_equal(p_u, p_ref)
         for a, b in zip(counts, counts_ref, strict=True):
             assert np.array_equal(a, b)
-        flat = rng.choice(table.uniq, size=3 * len(table.uniq))
-        w = rng.uniform(0.0, 2.0, size=len(flat))
-        ref = reference_family_counts(table, net, flat, w)
-        for source in (table, EliminationQueries(bounds)):
-            for a, b in zip(source.family_counts(net, flat, w), ref, strict=True):
-                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("budget", [1 << 16, 0])
     def test_fits_equal_reference_fits(
@@ -520,9 +512,8 @@ class TestCompiledTable:
         ]
         compiled = [fit_signature(run()) for run in runs]
         monkeypatch.setattr(MemberTable, "probs", reference_probs)
-        monkeypatch.setattr(MemberTable, "expected_counts", reference_expected_counts)
-        monkeypatch.setattr(MemberTable, "family_counts", reference_family_counts)
-        monkeypatch.setattr(EliminationQueries, "family_counts", reference_family_counts)
+        if budget:  # the reference enumerates every pattern
+            monkeypatch.setattr(MemberTable, "expected_counts", reference_expected_counts)
         refuse_cells(monkeypatch)
         assert [fit_signature(run()) for run in runs] == compiled
 
@@ -535,7 +526,6 @@ class TestCompiledTable:
             return parent_rows(net, rows, i)
 
         monkeypatch.setattr(inference, "parent_rows", counting)
-        monkeypatch.setattr(network, "parent_rows", counting)
         em_res = em_fit(asia_net, data, EmOptions(max_iters=10))
         opts = AimOptions(z=3, seed=1, max_iters=5)
         aim_res = aim_fit(asia_net, em_res.network, data, opts)
@@ -547,3 +537,96 @@ class TestCompiledTable:
         refuse_cells(monkeypatch)
         log_f, _ = car_normalizer(asia_net, asia_data(asia_net, n=100, seed=45))
         assert log_f <= 0.0
+
+
+MAKE_ALARM_LIKE = Path(__file__).parents[1] / "scripts" / "make_alarm_like.py"
+
+
+class TestMixedSplit:
+    """One table, each pattern enumerated or answered on the clique tree."""
+
+    BOUNDS = [(None,) * 8] + TestMemberTable.BOUNDS
+    SIZES = [256, 32, 64, 1]
+
+    def test_smallest_patterns_enumerated_in_first_seen_order(self, asia_net):
+        table = MemberTable(asia_net, self.BOUNDS, self.SIZES, 97)  # 1 + 32 + 64
+        assert table.enumerated == [1, 2, 3] and table.on_tree == [0]
+        assert table.starts.tolist() == [0, 32, 96] and table.n_slots == 97
+        assert table.pat_of_slot[[0, 31, 32, 95, 96]].tolist() == [1, 1, 2, 2, 3]
+        table = MemberTable(asia_net, self.BOUNDS, self.SIZES, 96)
+        assert table.enumerated == [1, 3] and table.on_tree == [0, 2]
+
+    def test_split_answers_like_either_path(self, asia_net):
+        net = randomize_parameters(asia_net, np.random.default_rng(9))
+        weights = np.array([1.0, 3.0, 1.5, 0.5])
+        split = MemberTable(net, self.BOUNDS, self.SIZES, 40)
+        assert split.enumerated == [1, 3]
+        for other in (member_table(net, self.BOUNDS), tree_table(net, self.BOUNDS)):
+            assert np.allclose(split.pattern_probs(net), other.pattern_probs(net), rtol=1e-12)
+            p_s, counts_s = split.expected_counts(net, weights)
+            p_o, counts_o = other.expected_counts(net, weights)
+            assert np.allclose(p_s, p_o, rtol=1e-12, atol=0)
+            for a, b in zip(counts_s, counts_o, strict=True):
+                assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+        logp = split.log_evaluator(net, 1e-300)
+        assert len(logp.__self__) == 33  # the tree patterns' states come on first use
+        full = full_joint_table(net).reshape(-1)
+        assert [logp(r) for r in range(256)] == pytest.approx(np.log(full), rel=1e-12)
+        draw = split.sampler(net)
+        for k, bound in enumerate(self.BOUNDS):
+            rows = unravel_rows(net, np.array(draw(k, 20, np.random.default_rng(k))))
+            for i, v in enumerate(bound):
+                assert v is None or (rows[:, i] == v).all()
+
+    def fits(self, asia_net, data, budget, monkeypatch):
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", budget)
+        net = randomize_parameters(asia_net, np.random.default_rng(10))
+        em = em_fit(asia_net, data, EmOptions(max_iters=6, init=net))
+        table = BoundDataset(asia_net, data).table
+        return table, face_value_loglik(net, data).total, em
+
+    def test_face_value_and_em_match_both_paths(self, asia_net, monkeypatch):
+        data = asia_data(asia_net, n=150, seed=48)
+        half = sum(BoundDataset(asia_net, data).sizes) // 2
+        split, fv, em = self.fits(asia_net, data, half, monkeypatch)
+        assert split.enumerated and split.on_tree
+        for budget in (1 << 16, 0):
+            table, fv_o, em_o = self.fits(asia_net, data, budget, monkeypatch)
+            assert len(table.on_tree) == (0 if budget else len(table.bounds))
+            assert fv == pytest.approx(fv_o, rel=1e-9)
+            assert len(em.trace) == len(em_o.trace) == 6
+            for (_, ll, ex), (_, ll_o, ex_o) in zip(em.trace, em_o.trace):
+                assert ll == pytest.approx(ll_o, rel=1e-9) and ex == ex_o == 0.0
+            for a, b in zip(em.network.cpts, em_o.network.cpts):
+                assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
+
+    def test_aim_surrogate_never_increases(self, asia_net, monkeypatch):
+        data = asia_data(asia_net, n=150, seed=49)
+        bound = BoundDataset(asia_net, data)
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", sum(bound.sizes) // 2)
+        table = BoundDataset(asia_net, data).table
+        assert table.enumerated and table.on_tree
+        em = em_fit(asia_net, data, EmOptions(max_iters=20))
+        res = aim_fit(asia_net, em.network, data, AimOptions(z=3, seed=4, max_iters=8))
+        scores = [s for _, s, _ in res.trace]
+        assert len(scores) > 1 and res.init_fallbacks == 0
+        assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
+
+    def test_alarm_like_sends_few_patterns_to_the_tree(self):
+        # the 37-node dataset: default_rng(7) carries on from building the
+        # network to its mechanism and cases
+        net = read_network(fixture_path("alarm_like.net"))
+        rng = np.random.default_rng(7)
+        rebuilt = runpy.run_path(str(MAKE_ALARM_LIKE))["alarm_like"](rng)
+        assert rebuilt.nodes == net.nodes
+        assert all(np.array_equal(a, b) for a, b in zip(net.cpts, rebuilt.cpts))
+        mech = build_coarsening_network(net, CoarseningSpec(2, 0.1, 0.05), rng)
+        bound = BoundDataset(net, generate_dataset(mech, 1000, rng)[0])
+        table = bound.table
+        assert len(bound.sizes) == 1000 and sum(bound.sizes) == 144_662
+        assert [bound.sizes[k] for k in table.on_tree] == [9216, 36864]
+        p_u, counts = table.expected_counts(net, bound.weights)
+        p_t, counts_t = tree_table(net, bound.bounds).expected_counts(net, bound.weights)
+        assert np.allclose(p_u, p_t, rtol=1e-9, atol=0)
+        for a, b in zip(counts, counts_t, strict=True):
+            assert np.allclose(a, b, rtol=1e-9, atol=1e-9)

@@ -749,7 +749,7 @@ class TestOneBudget:
         assert sum(bound.sizes) == (1 << 16) + (1 << 10) + 1
         # 16 binary nodes' states fit the budget, 17 do not (perfbench's large_dag)
         assert sum(bound.sizes) <= inference.DENSE_TABLE_BUDGET < 1 << 17
-        assert isinstance(bound.table, inference.MemberTable)
+        assert bound.table.on_tree == []  # every pattern enumerated
         calls = []
         tree = inference.CliqueTree
         for name in ("calibrate", "_collect", "__init__"):
