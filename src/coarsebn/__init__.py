@@ -11,15 +11,7 @@ evaluation metrics (`evaluate`), and a CLI harness (`cli`).
 from .aim import AimOptions, AimResult, aim_fit
 from .coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from .conservative import conservative_ensemble, marginal_bounds, random_completion
-from .data import (
-    CoarseningModel,
-    Completion,
-    Dataset,
-    completion_distribution,
-    read_dataset,
-    recover_coarsening,
-    write_dataset,
-)
+from .data import Completion, Dataset, read_dataset, write_dataset
 from .em import EmOptions, EmResult, em_fit
 from .evaluate import EvalReport, evaluate, kl_decomposed, kl_enumerate, mse
 from .inference import (

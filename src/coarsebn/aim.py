@@ -10,15 +10,19 @@ score KL(P_c, P_theta) never increases across iterations; a terminal score
 of zero certifies a global optimum of the sat-profile likelihood.
 
 `ai_sweep` makes the moves of the per-replica definition, float for float,
-re-making no decision whose inputs are unchanged since the last move.
+deciding once per (move set, completion) key and again only when an
+accepted move has changed a count that key's decision reads.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -34,6 +38,7 @@ from .network import (
     unravel_rows,
     validate_network,
 )
+from .util import check_int
 
 LOG_PROB_FLOOR = 1e-300
 SCORE_REFRESH_EVERY = 1000
@@ -83,13 +88,58 @@ class AimState:
         return total
 
     @cached_property
-    def _sweep_plan(self) -> tuple[list[tuple[int, int]], list[tuple], dict]:
-        """Moving replicas as (replica, move-set id), the move sets (a case's
-        (stride, card) pairs) and a neighbour cache by (id, state), per fit."""
+    def _keys(self) -> SweepKeys:
+        return SweepKeys(self)
+
+
+class SweepKeys:
+    """The moving replicas grouped by key (move set, state), per fit.
+
+    A replica's decision reads only the counts at its state and at that
+    state's neighbours under its move set, so replicas of one key decide
+    alike until one of those counts changes.  `members[k]` lists key k's
+    replicas in ascending order and `readers[x]` the keys whose decision
+    reads the count at state x.  Built from `assign` on the first sweep;
+    after that `ai_sweep` keeps both in step with the moves it makes.
+    """
+
+    def __init__(self, state: AimState):
         ids: dict[tuple, int] = {}
-        case_set = [ids.setdefault(tuple(m), len(ids)) if m else -1 for m in self.case_moves]
-        reps = enumerate(case_set[c] for c in self.rep_case.tolist())
-        return [(j, m) for j, m in reps if m >= 0], list(ids), {}
+        case_set = np.array(
+            [ids.setdefault(tuple(m), len(ids)) if m else -1 for m in state.case_moves],
+            dtype=np.int64,
+        )
+        self.move_sets = list(ids)          # per id, a case's (stride, card) pairs
+        self.key: list[tuple[int, int]] = []     # per key id, (move set id, state)
+        self.of: dict[tuple[int, int], int] = {}
+        self.nbrs: list[list[int]] = []
+        self.members: list[list[int]] = []
+        self.readers: dict[int, list[int]] = {}
+        rep_set = case_set[state.rep_case]
+        reps = np.flatnonzero(rep_set >= 0)
+        sets = rep_set[reps]
+        xs = np.asarray(state.assign, dtype=np.int64)[reps]
+        order = np.lexsort((xs, sets))      # stable, so replicas ascend within a key
+        reps, sets, xs = reps[order], sets[order], xs[order]
+        starts = np.flatnonzero((np.diff(sets, prepend=-1) != 0) | (np.diff(xs, prepend=-1) != 0))
+        cuts = starts.tolist() + [len(reps)]
+        flat = reps.tolist()
+        for m, x, a, b in zip(sets[starts].tolist(), xs[starts].tolist(), cuts, cuts[1:]):
+            self.add(m, x, flat[a:b])
+
+    def add(self, m: int, x: int, members: list[int]) -> None:
+        """Register key (m, x) holding `members`."""
+        k = self.of[m, x] = len(self.key)
+        self.key.append((m, x))
+        self.members.append(members)
+        nbrs = [
+            x + (s - d) * stride
+            for stride, card in self.move_sets[m] for d in [(x // stride) % card]
+            for s in range(card) if s != d
+        ]
+        self.nbrs.append(nbrs)
+        for y in [x, *nbrs]:
+            self.readers.setdefault(y, []).append(k)
 
 
 def ai_sweep(state: AimState) -> AimState:
@@ -99,30 +149,30 @@ def ai_sweep(state: AimState) -> AimState:
     (the first on exact ties) or stays put.  A move from x to y changes
     only the count terms of x and y, so its delta is the new terms of both
     minus the old, summed in that order.
-    The decision reads only `logp` and the counts at the replica's state x
-    and its neighbours, so once a replica at x with move set M stays put,
-    later replicas at (M, x) are skipped until a move is accepted.  The
-    score is recomputed every SCORE_REFRESH_EVERY moves to bound drift.
+
+    The decisions are made per key (move set, state), in replica order:
+    each key is queued at its first replica, and a key that stays put is
+    not decided again until a move changes a count it reads.  A move x -> y
+    queues each reader of x and y at its first replica after the mover (a
+    key still queued already waits there).  So every decision sees the
+    counts the replica loop would show it, and the moves, counts and score
+    are that loop's, float for float.  The score is recomputed every
+    SCORE_REFRESH_EVERY moves to bound drift.
     """
+    keys = state._keys
     counts = state.counts
     zn = state.zn
     logp = state.logp
     assign = state.assign
     log = math.log
-    active, move_sets, neighbours = state._sweep_plan
-    settled: set[tuple[int, int]] = set()   # (move set, state) that stay put
-    for j, m in active:
-        cur = assign[j]
-        key = (m, cur)
-        if key in settled:
-            continue
-        nbrs = neighbours.get(key)
-        if nbrs is None:
-            nbrs = neighbours[key] = [
-                cur + (s - d) * stride
-                for stride, card in move_sets[m] for d in [(cur // stride) % card]
-                for s in range(card) if s != d
-            ]
+    members, readers = keys.members, keys.readers
+    queue = [(reps[0], k) for k, reps in enumerate(members) if reps]
+    queued = [bool(reps) for reps in members]
+    heapq.heapify(queue)
+    while queue:
+        j, k = heapq.heappop(queue)
+        queued[k] = False
+        m, cur = keys.key[k]
         # (left at x) + (arrived at y) - (was at x) - (was at y)
         n_from = counts[cur]
         lf = logp(cur)
@@ -132,7 +182,7 @@ def ai_sweep(state: AimState) -> AimState:
         t_from = q * (log(q) - lf)
         best_delta = 0.0
         best_to = -1
-        for to in nbrs:
+        for to in keys.nbrs[k]:
             n_to = counts.get(to, 0)
             lt = logp(to)
             q = (n_to + 1) / zn
@@ -144,9 +194,15 @@ def ai_sweep(state: AimState) -> AimState:
                 best_delta = delta
                 best_to = to
         if best_to < 0:
-            settled.add(key)
             continue
-        settled.clear()
+        reps = members[k]
+        del reps[bisect_left(reps, j)]
+        to_key = keys.of.get((m, best_to))
+        if to_key is None:
+            keys.add(m, best_to, [j])
+            queued.append(False)
+        else:
+            insort(members[to_key], j)
         counts[cur] -= 1
         if counts[cur] == 0:
             del counts[cur]
@@ -156,6 +212,11 @@ def ai_sweep(state: AimState) -> AimState:
         state._moves += 1
         if state._moves % SCORE_REFRESH_EVERY == 0:
             state.score = state.full_score()
+        for r in chain(readers[cur], readers[best_to]):
+            reps = members[r]
+            if not queued[r] and reps and reps[-1] > j:
+                queued[r] = True
+                heapq.heappush(queue, (reps[bisect_right(reps, j)], r))
     return state
 
 
@@ -225,14 +286,12 @@ def aim_fit(
     per-iteration surrogate trace, and the terminal score.
     """
     opts = opts or AimOptions()
-    if opts.z < 1:
-        raise DataError("z must be a positive integer")
-    if opts.max_iters < 1:
-        raise DataError("max_iters must be a positive integer")
+    check_int("z", opts.z, 1)
+    check_int("max_iters", opts.max_iters, 1)
     if not opts.tol >= 0:
         raise DataError(f"tol must be a non-negative number; got {opts.tol!r}")
-    if opts.seed is not None and opts.seed < 0:
-        raise DataError(f"seed must be a non-negative integer; got {opts.seed!r}")
+    if opts.seed is not None:
+        check_int("seed", opts.seed, 0)
     diags = validate_network(theta0)
     if diags:
         raise DataError("theta0 invalid: " + "; ".join(diags))

@@ -37,7 +37,7 @@ from .network import (
     smooth,
     validate_network,
 )
-from .util import fmt17, stable_child_seed
+from .util import check_int, fmt17, stable_child_seed
 
 EXPERIMENT_HEADER = [
     "run",
@@ -102,8 +102,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     if cfg.coarsening is None and cfg.mechanism is None:
         raise FormatError("need a coarsening spec or a fixed mechanism")
     for name in ("n", "z", "runs"):
-        if getattr(cfg, name) < 1:
-            raise DataError(f"{name} must be a positive integer")
+        check_int(name, getattr(cfg, name), 1)
     rows = []
     failures = []
     for r in range(cfg.runs):

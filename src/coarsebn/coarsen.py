@@ -18,6 +18,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, FormatError
 from .network import Network, NodeSpec, sample, validate_network
+from .util import check_int
 
 OBS_PREFIX = "obs"
 BETA_EDGE = 1e-9
@@ -156,8 +157,7 @@ def generate_dataset(
     Returns the unit-weight dataset over the original variables plus the
     realized fraction of missing cells.
     """
-    if n < 0:
-        raise DataError(f"n must be a non-negative integer; got {n!r}")
+    check_int("n", n, 0)
     originals = original_variables(augmented)
     obs_pairs = []
     for name in originals:

@@ -1,5 +1,4 @@
-"""Incomplete observations, weighted datasets, completions, and the
-recovery of missingness mechanisms from completions.
+"""Incomplete observations, weighted datasets and completions.
 
 A case is a tuple of state labels with None marking a missing value,
 aligned with the dataset's variable header.  Weights are first-class and
@@ -18,8 +17,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DataError, FormatError, ZeroSupportError
-from .network import ENUM_BUDGET, Assignment, Network
+from .errors import DataError, FormatError
+from .network import Assignment, Network
 from .util import fmt17
 
 CoarsePattern = tuple[Optional[str], ...]
@@ -129,113 +128,6 @@ class Completion:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_case", tuple(dict(d) for d in self.per_case))
-
-
-def completion_distribution(
-    c: Completion, data: Dataset
-) -> dict[Assignment, float]:
-    """The weighted mixture of per-case completion distributions."""
-    if len(c.per_case) != len(data.cases):
-        raise DataError("completion does not match the dataset")
-    total = data.total_weight
-    out: dict[Assignment, float] = {}
-    for (pattern, w), dist in zip(data.cases, c.per_case):
-        for x, p in dist.items():
-            if p:
-                out[x] = out.get(x, 0.0) + w * p / total
-    return out
-
-
-@dataclass(frozen=True)
-class CoarseningModel:
-    """Explicit missingness parameters lambda[x][pattern] for enumerable spaces.
-
-    Rows are stored for states that appear in some completion support; any
-    other state implicitly reports itself (its fully observed pattern) with
-    probability one.  `car` marks mechanisms whose lambda does not depend
-    on x within a pattern.
-    """
-
-    n_states: int
-    rows: tuple[tuple[Assignment, tuple[tuple[CoarsePattern, float], ...]], ...]
-    car: bool = False
-
-    def row(self, x: Assignment) -> dict[CoarsePattern, float]:
-        for key, lams in self.rows:
-            if key == x:
-                return dict(lams)
-        return {}
-
-    def check(self) -> list[str]:
-        diags = []
-        by_pattern: dict[CoarsePattern, list[float]] = {}
-        for x, lams in self.rows:
-            s = math.fsum(l for _, l in lams)
-            if abs(s - 1.0) > 1e-9:
-                diags.append(f"state {x}: lambda mass {s!r} != 1")
-            for pattern, l in lams:
-                if l < -1e-15 or l > 1 + 1e-12:
-                    diags.append(f"state {x}: lambda {l!r} outside [0,1]")
-                if any(v is None for v in pattern):
-                    by_pattern.setdefault(pattern, []).append(l)
-        if self.car:
-            for pattern, values in by_pattern.items():
-                if max(values) - min(values) > 1e-9:
-                    diags.append(
-                        f"pattern {pattern}: lambda varies across states under car"
-                    )
-        return diags
-
-
-def recover_coarsening(c: Completion, data: Dataset, net: Network) -> CoarseningModel:
-    """Invert a completion into the mechanism that makes it self-consistent.
-
-    lambda[x][U] = m(U) * c(U)(x) / P_c(x), with m(U) the pattern's share
-    of the total weight; per-pattern completions are the weight-averaged
-    case completions.  Each state's leftover mass goes to its own fully
-    observed pattern, so row sums stay testable without enumerating every
-    subset of the joint space.
-    """
-    if net.n_assignments > ENUM_BUDGET:
-        raise BudgetError("state space too large to recover a coarsening model")
-    p_c = completion_distribution(c, data)
-    grouped_mass: dict[CoarsePattern, float] = {}
-    pattern_dist: dict[CoarsePattern, dict[Assignment, float]] = {}
-    for (pattern, w), dist in zip(data.cases, c.per_case):
-        grouped_mass[pattern] = grouped_mass.get(pattern, 0.0) + w
-        acc = pattern_dist.setdefault(pattern, {})
-        for x, p in dist.items():
-            acc[x] = acc.get(x, 0.0) + w * p
-    total = data.total_weight
-    lam: dict[Assignment, dict[CoarsePattern, float]] = {}
-    for pattern, acc in pattern_dist.items():
-        weight = grouped_mass[pattern]
-        if weight <= 0:
-            continue
-        m_u = weight / total
-        for x, mass in acc.items():
-            cx = mass / weight
-            if cx <= 0:
-                continue
-            if p_c.get(x, 0.0) <= 0:
-                raise ZeroSupportError(
-                    f"completion puts mass on {x} but P_c({x}) = 0"
-                )
-            lam.setdefault(x, {})[pattern] = m_u * cx / p_c[x]
-    rows = []
-    for x in sorted(lam):
-        entries = lam[x]
-        used = math.fsum(entries.values())
-        residual = 1.0 - used
-        if residual > 1e-12:
-            self_pattern = tuple(
-                net.nodes[net.node_index[v]].states[x[net.node_index[v]]]
-                for v in data.variables
-            )
-            entries[self_pattern] = entries.get(self_pattern, 0.0) + residual
-        pattern_key = lambda kv: tuple((v is None, v or "") for v in kv[0])
-        rows.append((x, tuple(sorted(entries.items(), key=pattern_key))))
-    return CoarseningModel(net.n_assignments, tuple(rows), car=False)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .network import (
     uniform_cpts,
     validate_network,
 )
+from .util import check_int
 
 
 @dataclass
@@ -78,12 +79,11 @@ def em_fit(
     case weights are fine.
     """
     opts = opts or EmOptions()
-    if opts.max_iters < 1:
-        raise DataError("max_iters must be a positive integer")
+    check_int("max_iters", opts.max_iters, 1)
     if not opts.tol >= 0:
         raise DataError(f"tol must be a non-negative number; got {opts.tol!r}")
-    if opts.seed is not None and opts.seed < 0:
-        raise DataError(f"seed must be a non-negative integer; got {opts.seed!r}")
+    if opts.seed is not None:
+        check_int("seed", opts.seed, 0)
     net = _init_network(structure, opts)
     bound = BoundDataset(structure, data)
     total_w = bound.total

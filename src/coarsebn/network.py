@@ -108,6 +108,27 @@ class Network:
         return tuple(reversed(strides))
 
     @cached_property
+    def family_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """A (nodes, nodes) matrix taking an assignment row to each node's
+        flat (parent row, state) cell, and each node's offset in one array
+        of all the family tables (one more entry: their total size)."""
+        coef = np.zeros((len(self.nodes), len(self.nodes)))
+        for i, card in enumerate(self.cards):
+            coef[i, i] = 1
+            for p, s in zip(self.parent_index[i], self.row_strides[i]):
+                coef[p, i] = s * card
+        sizes = [r * c for r, c in zip(self.n_rows, self.cards)]
+        return coef, np.cumsum([0] + sizes)
+
+    @cached_property
+    def card_groups(self) -> dict[int, list[int]]:
+        """Node indices by cardinality, in node order."""
+        groups: dict[int, list[int]] = {}
+        for i, card in enumerate(self.cards):
+            groups.setdefault(card, []).append(i)
+        return groups
+
+    @cached_property
     def topo_order(self) -> tuple[int, ...]:
         """Topological order of node indices, stable by declaration order."""
         remaining = set(range(len(self.nodes)))
@@ -301,19 +322,25 @@ def uniform_cpts(structure: Network) -> Network:
 def family_counts_from_rows(
     structure: Network, rows: np.ndarray, weights: np.ndarray
 ) -> list[np.ndarray]:
-    """Weighted (parent-config, state) count tables, one per node."""
-    rows = np.asarray(rows, dtype=np.int64)
+    """Weighted (parent-config, state) count tables, one per node.
+
+    One bincount over every family's cells, row by row, so each cell sums
+    its rows' weights in row order.  The cells are exact integers, well
+    below 2^53, so the float matrix product computes them exactly.
+    """
     weights = np.asarray(weights, dtype=np.float64)
-    counts = []
-    for i in range(len(structure.nodes)):
-        card = len(structure.nodes[i].states)
-        flat = np.bincount(
-            parent_rows(structure, rows, i) * card + rows[:, i],
-            weights=weights,
-            minlength=structure.n_rows[i] * card,
-        )
-        counts.append(flat.reshape(structure.n_rows[i], card))
-    return counts
+    coef, offsets = structure.family_cells
+    cells = np.asarray(rows, dtype=np.float64) @ coef
+    cells += offsets[:-1]
+    flat = np.bincount(
+        cells.astype(np.int64).ravel(),
+        weights=np.repeat(weights, len(coef)),
+        minlength=int(offsets[-1]),
+    )
+    return [
+        flat[a:b].reshape(r, -1)
+        for a, b, r in zip(offsets.tolist(), offsets[1:].tolist(), structure.n_rows)
+    ]
 
 
 def params_from_family_counts(
@@ -322,17 +349,21 @@ def params_from_family_counts(
     """Normalize family counts into CPTs; zero-count rows become uniform.
 
     Also returns the per-row parent-configuration totals k (fractional
-    allowed), which later feed the smoothing map.
+    allowed), which later feed the smoothing map.  Nodes of one
+    cardinality are normalized together, row by row as each alone.
     """
-    cpts = []
-    row_counts = []
-    for i in range(len(structure.nodes)):
-        table = np.asarray(counts[i], dtype=np.float64)
+    cpts: list[np.ndarray] = [None] * len(structure.nodes)
+    row_counts: list[np.ndarray] = [None] * len(structure.nodes)
+    for card, group in structure.card_groups.items():
+        table = np.concatenate([counts[i] for i in group], dtype=np.float64)
         k = table.sum(axis=1)
-        out = np.full_like(table, 1.0 / table.shape[1])
+        out = np.full_like(table, 1.0 / card)
         np.divide(table, k[:, None], out=out, where=k[:, None] > 0)
-        cpts.append(out)
-        row_counts.append(k)
+        stop = 0
+        for i in group:
+            start, stop = stop, stop + structure.n_rows[i]
+            cpts[i] = out[start:stop]
+            row_counts[i] = k[start:stop]
     return structure.with_cpts(cpts), row_counts
 
 

@@ -1,9 +1,19 @@
-"""Small shared helpers: seeding, formatting, bundled fixture paths."""
+"""Small shared helpers: option checks, seeding, formatting, bundled fixture paths."""
 
 from __future__ import annotations
 
 import hashlib
+import numbers
 from pathlib import Path
+
+from .errors import DataError
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Refuse anything but an integer (a bool counts) of at least low, 0 or 1."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        kind = "positive" if low else "non-negative"
+        raise DataError(f"{name} must be a {kind} integer; got {value!r}")
 
 
 def stable_child_seed(*parts) -> int:

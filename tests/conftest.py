@@ -8,8 +8,23 @@ from coarsebn.data import Dataset, member_count, pattern_binder
 from coarsebn.errors import DataError
 from coarsebn.inference import BoundDataset, MemberTable, _min_fill_order, evidence_indices
 from coarsebn.netformat import read_network
-from coarsebn.network import joint_probability
+from coarsebn.network import Network, NodeSpec, joint_probability, randomize_parameters
 from coarsebn.util import fixture_path
+
+
+TRI_NET = """network tri
+node A states a,b,c
+node B states t,f
+node C states t,f
+parents B A
+parents C B
+cpt A : 0.4,0.3,0.3
+cpt B | A=a : 0.5,0.5
+cpt B | A=b : 0.5,0.5
+cpt B | A=c : 0.9,0.1
+cpt C | B=t : 0.7,0.3
+cpt C | B=f : 0.2,0.8
+"""
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +138,18 @@ def incremental_kl_delta(counts, zn, logp, frm, to):
         - term(n_from, lf)
         - term(n_to, lt)
     )
+
+
+def completion_distribution(c, data):
+    """Oracle: the weighted mixture P_c of a completion's per-case
+    distributions."""
+    total = data.total_weight
+    out = {}
+    for (_, w), dist in zip(data.cases, c.per_case):
+        for x, p in dist.items():
+            if p:
+                out[x] = out.get(x, 0.0) + w * p / total
+    return out
 
 
 def brute_evidence_probability(net, evidence):
@@ -291,3 +318,23 @@ def ve_family_posteriors(net, evidence):
         marg = joint_marginal(net, fam, evidence)
         out[spec.name] = marg.reshape(net.n_rows[i], net.cards[i]) / p_ev
     return out
+
+
+def random_dag(n, seed, cards=(2, 5), max_parents=3, window=None):
+    """A random DAG with randomized CPTs: per node, up to max_parents parents
+    among the earlier nodes (the last `window` of them, if given), listed in
+    random order; nodes are declared in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    card = rng.integers(*cards, size=n)
+    specs, tables = [], []
+    for i in range(n):
+        pool = np.arange(i) if window is None else np.arange(max(0, i - window), i)
+        k = int(rng.integers(0, min(max_parents, len(pool)) + 1))
+        parents = rng.choice(pool, size=k, replace=False).tolist()
+        states = tuple(f"s{j}" for j in range(card[i]))
+        specs.append(NodeSpec(f"v{i}", states, tuple(f"v{p}" for p in parents)))
+        rows = int(np.prod([card[p] for p in parents]))
+        tables.append(np.full((rows, card[i]), 1.0 / card[i]))
+    order = rng.permutation(n)
+    net = Network(f"dag{seed}", tuple(specs[i] for i in order), tuple(tables[i] for i in order))
+    return randomize_parameters(net, rng)

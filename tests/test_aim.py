@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import asia_data, dataset_of, incremental_kl_delta, member_table
+from conftest import TRI_NET, asia_data, dataset_of, incremental_kl_delta, member_table
 from coarsebn import aim, inference
 from coarsebn.aim import (
     LOG_PROB_FLOOR,
@@ -23,20 +23,6 @@ from coarsebn.errors import DataError
 from coarsebn.likelihoods import exact_sat_profile_loglik
 from coarsebn.netformat import parse_network
 from coarsebn.network import ml_estimate, sample, uniform_cpts, unravel_rows
-
-TRI_NET = """network tri
-node A states a,b,c
-node B states t,f
-node C states t,f
-parents B A
-parents C B
-cpt A : 0.4,0.3,0.3
-cpt B | A=a : 0.5,0.5
-cpt B | A=b : 0.5,0.5
-cpt B | A=c : 0.9,0.1
-cpt C | B=t : 0.7,0.3
-cpt C | B=f : 0.2,0.8
-"""
 
 
 def full_kl(counts, zn, logp):
@@ -352,12 +338,86 @@ class TestSweepMatchesDefinition:
         assert ties > 0
         assert sum(moves) > 0
 
+    def test_asia_one_replica_per_case(self, asia_net):
+        # at z=1 many keys (move set, state) hold a single replica
+        data = asia_data(asia_net)
+        em = em_fit(asia_net, data)
+        _, moves = self.run_rounds(asia_net, em.network, data, z=1, rounds=6)
+        assert sum(moves) > 0
+
+    def test_split_table_fills_logp_lazily(self, asia_net, monkeypatch):
+        # half the members enumerated, the other patterns' states looked up
+        # on the clique tree as the sweep first reads them
+        data = asia_data(asia_net, n=150, seed=48)
+        half = sum(inference.BoundDataset(asia_net, data).sizes) // 2
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", half)
+        table = inference.BoundDataset(asia_net, data).table
+        assert table.enumerated and table.on_tree
+        em = em_fit(asia_net, data)
+        _, moves = self.run_rounds(asia_net, em.network, data, z=5, rounds=4)
+        assert sum(moves) > 0
+
     def test_refresh_mid_sweep(self, asia_net, monkeypatch):
         monkeypatch.setattr(aim, "SCORE_REFRESH_EVERY", 7)
         data = asia_data(asia_net, seed=43)
         em = em_fit(asia_net, data)
         _, moves = self.run_rounds(asia_net, em.network, data, z=5, rounds=4)
         assert max(moves) > 7
+
+
+class TestSweepWork:
+    def test_still_sweep_decides_each_key_once(self, asia_net):
+        # a sweep that moves nothing reads logp once per key (move set,
+        # state) and once per neighbour of it, however many replicas share it
+        data = asia_data(asia_net)
+        state = build_state(asia_net, em_fit(asia_net, data).network, data, z=5)
+        logp = state.logp
+        calls = 0
+
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return logp(x)
+
+        state.logp = counting
+        for _ in range(50):
+            before, calls = state._moves, 0
+            ai_sweep(state)
+            if state._moves == before:
+                break
+        assert state._moves == before
+        moving = [
+            (tuple(state.case_moves[c]), x)
+            for c, x in zip(state.rep_case.tolist(), state.assign)
+            if state.case_moves[c]
+        ]
+
+        def reads(key):
+            return 1 + sum(card - 1 for _, card in key[0])
+
+        assert calls == sum(reads(key) for key in set(moving))
+        assert calls * 10 < sum(reads(key) for key in moving)
+
+    def test_keys_track_the_moves(self, asia_net):
+        # after sweeps that created keys, each key lists exactly its
+        # replicas, and reads the counts at its state and its neighbours
+        data = asia_data(asia_net)
+        state = build_state(asia_net, em_fit(asia_net, data).network, data, z=5)
+        keys = state._keys
+        built = len(keys.key)
+        for _ in range(3):
+            ai_sweep(state)
+            m_step(state)
+        assert len(keys.key) > built
+        held = {}
+        for j, (c, x) in enumerate(zip(state.rep_case.tolist(), state.assign)):
+            if state.case_moves[c]:
+                m = keys.move_sets.index(tuple(state.case_moves[c]))
+                held.setdefault((m, x), []).append(j)
+        assert {key: reps for key, reps in zip(keys.key, keys.members) if reps} == held
+        for k, (_, x) in enumerate(keys.key):
+            for y in [x, *keys.nbrs[k]]:
+                assert keys.readers[y].count(k) == 1
 
 
 class TestMStep:
@@ -478,6 +538,18 @@ class TestAimFit:
     def test_negative_seed_rejected(self, basic_net, basic_data_n2000):
         with pytest.raises(DataError, match="seed must be a non-negative integer"):
             aim_fit(basic_net, basic_net, basic_data_n2000, AimOptions(seed=-1))
+
+    @pytest.mark.parametrize("option", ["z", "max_iters", "seed"])
+    def test_non_integer_option_rejected(self, asia_net, option):
+        # three cases, one value missing each: z=2.5 used to give each case
+        # 2 replicas but a denominator of 2.5 apiece, and a negative score
+        names = tuple(s.name for s in asia_net.nodes)
+        first = [s.states[0] for s in asia_net.nodes]
+        data = Dataset(names, tuple(
+            (tuple(None if i == k else v for i, v in enumerate(first)), 1.0) for k in range(3)
+        ))
+        with pytest.raises(DataError, match=f"{option} must be a .*integer; got 2.5"):
+            aim_fit(asia_net, asia_net, data, AimOptions(**{option: 2.5}))
 
     def test_empty_dataset_rejected(self, basic_net):
         with pytest.raises(DataError, match="total weight must be positive"):

@@ -156,6 +156,11 @@ class TestEmFit:
         with pytest.raises(DataError, match="seed must be a non-negative integer"):
             em_fit(basic_net, basic_data, EmOptions(init=init, seed=-1))
 
+    @pytest.mark.parametrize("option", ["max_iters", "seed"])
+    def test_non_integer_option_rejected(self, basic_net, basic_data, option):
+        with pytest.raises(DataError, match=f"{option} must be a .*integer; got 2.5"):
+            em_fit(basic_net, basic_data, EmOptions(init="random", **{option: 2.5}))
+
     def test_empty_dataset_rejected(self, basic_net):
         with pytest.raises(DataError, match="total weight must be positive"):
             em_fit(basic_net, Dataset(("A", "B"), ()))

@@ -12,6 +12,7 @@ from conftest import (
     dataset_of,
     joint_marginal,
     member_table,
+    random_dag,
     tree_table,
     ve_evidence_probability,
     ve_family_posteriors,
@@ -161,26 +162,6 @@ class TestJointMarginal:
         out = joint_marginal(asia_net, ["smoke", "lung"], {"smoke": "yes"})
         assert np.all(out[1] == 0)
         assert out[0].sum() == pytest.approx(0.5, abs=1e-12)
-
-
-def random_dag(n, seed, cards=(2, 5), max_parents=3, window=None):
-    """A random DAG with randomized CPTs: per node, up to max_parents parents
-    among the earlier nodes (the last `window` of them, if given), listed in
-    random order; nodes are declared in a shuffled order."""
-    rng = np.random.default_rng(seed)
-    card = rng.integers(*cards, size=n)
-    specs, tables = [], []
-    for i in range(n):
-        pool = np.arange(i) if window is None else np.arange(max(0, i - window), i)
-        k = int(rng.integers(0, min(max_parents, len(pool)) + 1))
-        parents = rng.choice(pool, size=k, replace=False).tolist()
-        states = tuple(f"s{j}" for j in range(card[i]))
-        specs.append(NodeSpec(f"v{i}", states, tuple(f"v{p}" for p in parents)))
-        rows = int(np.prod([card[p] for p in parents]))
-        tables.append(np.full((rows, card[i]), 1.0 / card[i]))
-    order = rng.permutation(n)
-    net = Network(f"dag{seed}", tuple(specs[i] for i in order), tuple(tables[i] for i in order))
-    return randomize_parameters(net, rng)
 
 
 def random_evidence(net, rng, observed):

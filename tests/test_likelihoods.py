@@ -3,18 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import member_table
+from conftest import completion_distribution, member_table
 from coarsebn import aim as aim_module
 from coarsebn import em as em_module
 from coarsebn import inference, likelihoods
 from coarsebn.aim import AimOptions, aim_fit
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
-from coarsebn.data import (
-    Completion,
-    Dataset,
-    completion_distribution,
-    pattern_binder,
-)
+from coarsebn.data import Completion, Dataset, pattern_binder
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import BudgetError, DataError, NumericalError
 from coarsebn.likelihoods import (

@@ -3,16 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TRI_NET, random_dag
 from coarsebn.aim import aim_fit
 from coarsebn.data import Dataset
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import DataError
+from coarsebn.netformat import parse_network
 from coarsebn.network import (
     ROW_SUM_TOL,
     Network,
     NodeSpec,
+    family_counts_from_rows,
     joint_probability,
     ml_estimate,
+    params_from_family_counts,
     parent_rows,
     randomize_parameters,
     sample,
@@ -306,6 +310,57 @@ class TestMlEstimate:
                         pert = fitted.with_cpts(cpts)
                         val = float(weights @ log_joint_rows(pert, rows))
                         assert val <= base + 1e-12
+
+
+def per_node_family_counts(structure, rows, weights):
+    """Oracle: one bincount per node over its (parent row, state) cells."""
+    return [
+        np.bincount(
+            parent_rows(structure, rows, i) * card + rows[:, i],
+            weights=weights,
+            minlength=structure.n_rows[i] * card,
+        ).reshape(structure.n_rows[i], card)
+        for i, card in enumerate(structure.cards)
+    ]
+
+
+def per_node_params(structure, counts):
+    """Oracle: each node's table normalized on its own."""
+    cpts, row_counts = [], []
+    for table in counts:
+        k = table.sum(axis=1)
+        out = np.full_like(table, 1.0 / table.shape[1])
+        np.divide(table, k[:, None], out=out, where=k[:, None] > 0)
+        cpts.append(out)
+        row_counts.append(k)
+    return cpts, row_counts
+
+
+class TestFamilyCounts:
+    """The M step's one bincount and grouped normalization give the
+    per-node results bit for bit."""
+
+    @pytest.mark.parametrize("which", ["asia", "tri", "dag17"])
+    def test_matches_per_node_oracle(self, which, asia_net):
+        net = {
+            "asia": asia_net,
+            "tri": parse_network(TRI_NET),
+            "dag17": random_dag(17, 3, cards=(2, 5)),
+        }[which]
+        rng = np.random.default_rng(12)
+        rows = sample(net, 400, rng)    # repeated rows: cells sum in row order
+        parent = next(p for ps in net.parent_index for p in ps)
+        rows = rows[rows[:, parent] != 0]   # some parent rows left empty
+        weights = rng.random(len(rows)) * rng.integers(0, 4, size=len(rows))
+        counts = family_counts_from_rows(net, rows, weights)
+        want = per_node_family_counts(net, rows, weights)
+        assert [c.tobytes() for c in counts] == [c.tobytes() for c in want]
+        assert [c.shape for c in counts] == [c.shape for c in want]
+        fitted, row_counts = params_from_family_counts(net, counts)
+        cpts, want_rows = per_node_params(net, want)
+        assert any((k == 0).any() for k in want_rows)   # some rows go uniform
+        assert [c.tobytes() for c in fitted.cpts] == [c.tobytes() for c in cpts]
+        assert [k.tobytes() for k in row_counts] == [k.tobytes() for k in want_rows]
 
 
 class TestSmooth:
