@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""One SHA-256 over every AIM sweep and every fit of the benchmark's inputs.
+
+Runs `run_experiment` on each input of the asia_rows and large_dag tables
+(perfbench/workloads.py, imported by path as perfbench/run.py does) and
+hashes, in order:
+  - after every `ai_sweep`: the replica completions `assign`, the counts
+    in their dict order, the running score (as float hex) and the move count;
+  - every EM and AIM result: the CPT bytes of its raw and smoothed network,
+    and the AIM trace;
+  - every summary row.
+Two versions of the package that print the same digest make the same
+moves, counts, scores and estimates, bit for bit.
+
+    python3 scripts/fit_digest.py
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+from coarsebn import aim, cli, em  # noqa: E402
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    sweeps = fits = 0
+
+    def put(*parts) -> None:
+        for part in parts:
+            digest.update(part if isinstance(part, bytes) else repr(part).encode())
+
+    def put_networks(res) -> None:
+        for net in (res.network, res.smoothed):
+            for cpt in net.cpts:
+                put(np.ascontiguousarray(cpt, dtype=np.float64).tobytes())
+
+    sweep, em_fit, aim_fit = aim.ai_sweep, em.em_fit, aim.aim_fit
+
+    def traced_sweep(state):
+        nonlocal sweeps
+        sweep(state)
+        sweeps += 1
+        put(np.asarray(state.assign, dtype=np.int64).tobytes(),
+            list(state.counts.items()), state.score.hex(), state._moves)
+        return state
+
+    def traced_em(*args, **kwargs):
+        nonlocal fits
+        res = em_fit(*args, **kwargs)
+        fits += 1
+        put_networks(res)
+        put([(it, ll.hex(), ex.hex()) for it, ll, ex in res.trace])
+        return res
+
+    def traced_aim(*args, **kwargs):
+        nonlocal fits
+        res = aim_fit(*args, **kwargs)
+        fits += 1
+        put_networks(res)
+        put([(it, s.hex(), b.hex()) for it, s, b in res.trace])
+        return res
+
+    aim.ai_sweep, em.em_fit, aim.aim_fit = traced_sweep, traced_em, traced_aim
+    try:
+        sizes = workloads.Sizes()
+        for cfg in workloads.asia_table(sizes) + workloads.dag_table(sizes):
+            rows, failures = cli.run_experiment(cfg)
+            if failures:
+                print("; ".join(failures), file=sys.stderr)
+                return 1
+            put([(k, v.hex() if isinstance(v, float) else v) for k, v in rows[0].items()])
+    finally:
+        aim.ai_sweep, em.em_fit, aim.aim_fit = sweep, em_fit, aim_fit
+    print(f"{digest.hexdigest()}  ({sweeps} sweeps, {fits} fits)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

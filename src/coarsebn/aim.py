@@ -10,8 +10,12 @@ score KL(P_c, P_theta) never increases across iterations; a terminal score
 of zero certifies a global optimum of the sat-profile likelihood.
 
 `ai_sweep` makes the moves of the per-replica definition, float for float,
-deciding once per (move set, completion) key and again only when an
-accepted move has changed a count that key's decision reads.
+per (move set, completion) key and in two tiers.  Tier 1 scores every
+occupied key's candidate moves at once in numpy, from each state's count
+terms, and queues only the keys with an improving move.  Tier 2 decides
+the queued keys in Python, in replica order, from the cached terms, and
+decides a key again only when an accepted move has changed a count its
+decision reads; a move recomputes the terms of its two states only.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import BudgetError, DataError
-from .inference import BoundDataset, MemberTable
+from .inference import BoundDataset, MemberTable, bind
 from .network import (
     Network,
     family_counts_from_rows,
@@ -97,10 +101,21 @@ class SweepKeys:
 
     A replica's decision reads only the counts at its state and at that
     state's neighbours under its move set, so replicas of one key decide
-    alike until one of those counts changes.  `members[k]` lists key k's
-    replicas in ascending order and `readers[x]` the keys whose decision
-    reads the count at state x.  Built from `assign` on the first sweep;
-    after that `ai_sweep` keeps both in step with the moves it makes.
+    alike until one of those counts changes.  Each state a key reads has a
+    row: `states[r]` is its flat index and `readers[r]` the keys whose
+    decision reads its count.  `members[k]` lists key k's replicas in
+    ascending order, `key_row[k]` the row of its state and `nbr_rows[k]`
+    those of its neighbours; `pair_key` and `pair_row` list every (key,
+    neighbour) pair.  Built from `assign` on the first sweep; after that
+    `ai_sweep` keeps them in step with the moves it makes, and `add`
+    appends the keys, rows and pairs it first reaches.
+
+    Per sweep, `lp[r]` holds log P of row r's state and `left[r]`, `was[r]`
+    and `arrived[r]` its count terms T(n-1), T(n) and T(n+1), where n is
+    the state's count and T(c) = (c/zn)(log(c/zn) - log P), T(0) = 0.0.
+    They are filled for the rows the occupied keys read; a key empty at the
+    start of a sweep holds only replicas that sweep has decided already, so
+    it is not decided again in that sweep and no other row is read.
     """
 
     def __init__(self, state: AimState):
@@ -110,11 +125,26 @@ class SweepKeys:
             dtype=np.int64,
         )
         self.move_sets = list(ids)          # per id, a case's (stride, card) pairs
+        self.zn = state.zn
+        self.log_q = [0.0]                  # per count c > 0, math.log(c / zn)
+        self.log_q_array = np.zeros(1)
+        self.states: list[int] = []
+        self.row: dict[int, int] = {}
+        self.readers: list[list[int]] = []
         self.key: list[tuple[int, int]] = []     # per key id, (move set id, state)
         self.of: dict[tuple[int, int], int] = {}
-        self.nbrs: list[list[int]] = []
         self.members: list[list[int]] = []
-        self.readers: dict[int, list[int]] = {}
+        self.key_row: list[int] = []
+        self.nbr_rows: list[list[int]] = []
+        self.pair_key: list[int] = []
+        self.pair_row: list[int] = []
+        # key_row, pair_key, pair_row and each pair's key row, as numpy
+        self.arrays = (np.zeros(0, dtype=np.int64),) * 4
+        self.queued: list[bool] = []
+        self.lp: list[float] = []
+        self.left: list[float] = []
+        self.was: list[float] = []
+        self.arrived: list[float] = []
         rep_set = case_set[state.rep_case]
         reps = np.flatnonzero(rep_set >= 0)
         sets = rep_set[reps]
@@ -127,19 +157,99 @@ class SweepKeys:
         for m, x, a, b in zip(sets[starts].tolist(), xs[starts].tolist(), cuts, cuts[1:]):
             self.add(m, x, flat[a:b])
 
+    def _row_of(self, x: int) -> int:
+        r = self.row.get(x)
+        if r is None:
+            r = self.row[x] = len(self.states)
+            self.states.append(x)
+            self.readers.append([])
+        return r
+
     def add(self, m: int, x: int, members: list[int]) -> None:
         """Register key (m, x) holding `members`."""
         k = self.of[m, x] = len(self.key)
         self.key.append((m, x))
         self.members.append(members)
+        self.queued.append(False)
         nbrs = [
-            x + (s - d) * stride
+            self._row_of(x + (s - d) * stride)
             for stride, card in self.move_sets[m] for d in [(x // stride) % card]
             for s in range(card) if s != d
         ]
-        self.nbrs.append(nbrs)
-        for y in [x, *nbrs]:
-            self.readers.setdefault(y, []).append(k)
+        self.key_row.append(self._row_of(x))
+        self.nbr_rows.append(nbrs)
+        self.pair_key += [k] * len(nbrs)
+        self.pair_row += nbrs
+        for r in [self.key_row[k], *nbrs]:
+            self.readers[r].append(k)
+
+    def _grow(self, n: int) -> None:
+        """Extend log_q to count n with the floats the scalar definition
+        makes: math.log, never numpy's vectorised log, which may round
+        differently."""
+        zn = self.zn
+        self.log_q += [math.log(c / zn) for c in range(len(self.log_q), n + 1)]
+
+    def set_terms(self, r: int, n: int) -> None:
+        """Row r's terms once its state holds n replicas.  c / zn is the
+        float numpy's int64 division makes too."""
+        if n + 1 >= len(self.log_q):
+            self._grow(n + 1)
+        log_q, zn, lp = self.log_q, self.zn, self.lp[r]
+        self.left[r] = (n - 1) / zn * (log_q[n - 1] - lp) if n > 1 else 0.0
+        self.was[r] = n / zn * (log_q[n] - lp) if n else 0.0
+        self.arrived[r] = (n + 1) / zn * (log_q[n + 1] - lp)
+
+    def first_queue(
+        self, counts: dict[int, int], logp: Callable[[int], float]
+    ) -> list[tuple[int, int]]:
+        """Tier 1 of a sweep: the terms of every row an occupied key reads,
+        and a heap of the keys that can move, each at its first replica.
+
+        log P is read once per such row.  Every (key, neighbour) pair is
+        scored at once as ((T(n-1)@x + T(n+1)@y) - T(n)@x) - T(n)@y.
+        numpy's `/`, `-`, `*` and `+` round as Python's do, log(c/zn) comes
+        from `log_q`, and subtracting T(0) = 0.0 leaves a delta as it is,
+        so each delta is the float the scalar decision makes.
+        """
+        self.queued = [False] * len(self.key)
+        occupied = np.array([bool(reps) for reps in self.members], dtype=bool)
+        if not occupied.any():
+            return []
+        if len(self.arrays[0]) != len(self.key):
+            key_row, pair_key = np.array(self.key_row), np.array(self.pair_key, dtype=np.int64)
+            self.arrays = key_row, pair_key, np.array(self.pair_row, dtype=np.int64), key_row[pair_key]
+        key_row, pair_key, pair_y, pair_x = self.arrays
+        live = occupied[pair_key]
+        pair_key, pair_x, pair_y = pair_key[live], pair_x[live], pair_y[live]
+        n_rows = len(self.states)
+        read = np.zeros(n_rows, dtype=bool)
+        read[key_row[occupied]] = True
+        read[pair_y] = True
+        rows = np.flatnonzero(read)
+        xs = [self.states[r] for r in rows.tolist()]
+        lp = np.array([logp(x) for x in xs])
+        n = np.array([counts.get(x, 0) for x in xs], dtype=np.int64)
+        self._grow(int(n.max()) + 1)
+        if len(self.log_q_array) != len(self.log_q):
+            self.log_q_array = np.array(self.log_q)
+        c = n + np.array([[-1], [0], [1]])
+        table = np.zeros((4, n_rows))
+        table[0, rows] = lp
+        table[1:, rows] = np.where(
+            c > 0, c / self.zn * (self.log_q_array[np.maximum(c, 0)] - lp), 0.0
+        )
+        self.lp, self.left, self.was, self.arrived = table.tolist()
+        _, left, was, arrived = table
+        delta = ((left[pair_x] + arrived[pair_y]) - was[pair_x]) - was[pair_y]
+        can = np.zeros(len(self.key), dtype=bool)
+        can[pair_key[delta < 0.0]] = True
+        moving = np.flatnonzero(can).tolist()
+        for k in moving:
+            self.queued[k] = True
+        queue = [(self.members[k][0], k) for k in moving]
+        heapq.heapify(queue)
+        return queue
 
 
 def ai_sweep(state: AimState) -> AimState:
@@ -150,69 +260,63 @@ def ai_sweep(state: AimState) -> AimState:
     only the count terms of x and y, so its delta is the new terms of both
     minus the old, summed in that order.
 
-    The decisions are made per key (move set, state), in replica order:
-    each key is queued at its first replica, and a key that stays put is
-    not decided again until a move changes a count it reads.  A move x -> y
-    queues each reader of x and y at its first replica after the mover (a
-    key still queued already waits there).  So every decision sees the
-    counts the replica loop would show it, and the moves, counts and score
-    are that loop's, float for float.  The score is recomputed every
-    SCORE_REFRESH_EVERY moves to bound drift.
+    The decisions are made per key (move set, state), in replica order, in
+    two tiers.  Tier 1 (`SweepKeys.first_queue`) scores every occupied
+    key's moves at once in numpy, from the counts at the start of the
+    sweep, and queues only the keys that can move, each at its first
+    replica.  Tier 2 pops the queue in replica order and decides each key
+    in Python from the cached count terms.  A key that stays put is not
+    decided again until a move changes a count it reads: a move x -> y
+    recomputes the terms of x and y only and queues each reader of x and y
+    at its first replica after the mover (a key still queued already waits
+    there).  So every decision sees the counts the replica loop would show
+    it, and the moves, counts and score are that loop's, float for float.
+    The score is recomputed every SCORE_REFRESH_EVERY moves to bound drift.
     """
     keys = state._keys
     counts = state.counts
-    zn = state.zn
-    logp = state.logp
     assign = state.assign
-    log = math.log
-    members, readers = keys.members, keys.readers
-    queue = [(reps[0], k) for k, reps in enumerate(members) if reps]
-    queued = [bool(reps) for reps in members]
-    heapq.heapify(queue)
+    queue = keys.first_queue(counts, state.logp)
+    left, was, arrived = keys.left, keys.was, keys.arrived
+    states, readers, members, queued = keys.states, keys.readers, keys.members, keys.queued
+    key_row, nbr_rows = keys.key_row, keys.nbr_rows
     while queue:
         j, k = heapq.heappop(queue)
         queued[k] = False
-        m, cur = keys.key[k]
-        # (left at x) + (arrived at y) - (was at x) - (was at y)
-        n_from = counts[cur]
-        lf = logp(cur)
-        q = (n_from - 1) / zn
-        t_left = q * (log(q) - lf) if n_from > 1 else 0.0
-        q = n_from / zn
-        t_from = q * (log(q) - lf)
+        x = key_row[k]
+        t_left = left[x]
+        t_from = was[x]
         best_delta = 0.0
-        best_to = -1
-        for to in keys.nbrs[k]:
-            n_to = counts.get(to, 0)
-            lt = logp(to)
-            q = (n_to + 1) / zn
-            delta = (t_left + q * (log(q) - lt)) - t_from
-            if n_to:
-                q = n_to / zn
-                delta -= q * (log(q) - lt)
+        best = -1
+        for y in nbr_rows[k]:
+            # (left at x) + (arrived at y) - (was at x) - (was at y)
+            delta = ((t_left + arrived[y]) - t_from) - was[y]
             if delta < best_delta:
                 best_delta = delta
-                best_to = to
-        if best_to < 0:
+                best = y
+        if best < 0:
             continue
+        m, cur = keys.key[k]
+        to = states[best]
         reps = members[k]
         del reps[bisect_left(reps, j)]
-        to_key = keys.of.get((m, best_to))
+        to_key = keys.of.get((m, to))
         if to_key is None:
-            keys.add(m, best_to, [j])
-            queued.append(False)
+            keys.add(m, to, [j])
         else:
             insort(members[to_key], j)
         counts[cur] -= 1
         if counts[cur] == 0:
             del counts[cur]
-        counts[best_to] = counts.get(best_to, 0) + 1
-        assign[j] = best_to
+        counts[to] = counts.get(to, 0) + 1
+        keys.set_terms(x, counts.get(cur, 0))
+        keys.set_terms(best, counts[to])
+        assign[j] = to
         state.score += best_delta
         state._moves += 1
         if state._moves % SCORE_REFRESH_EVERY == 0:
             state.score = state.full_score()
-        for r in chain(readers[cur], readers[best_to]):
+        for r in chain(readers[x], readers[best]):
             reps = members[r]
             if not queued[r] and reps and reps[-1] > j:
                 queued[r] = True
@@ -276,13 +380,14 @@ def initial_completion(
 def aim_fit(
     structure: Network,
     theta0: Network,
-    data: Dataset,
+    data: Dataset | BoundDataset,
     opts: AimOptions | None = None,
 ) -> AimResult:
     """Run the alternating fit until the surrogate improvement drops below tol.
 
     Case weights must be positive integers (replication needs unit cases).
-    Returns both the raw final parameters and their smoothed version, the
+    `data` may come bound already (`inference.bind`), as an experiment
+    run binds it once for EM and this fit.  Returns both the raw final parameters and their smoothed version, the
     per-iteration surrogate trace, and the terminal score.
     """
     opts = opts or AimOptions()
@@ -298,11 +403,11 @@ def aim_fit(
     if structure.n_assignments >= 1 << 62:
         raise BudgetError("joint space too large to index")
 
-    bound = BoundDataset(structure, data)
+    bound = bind(structure, data)
     pattern_id = {p: k for k, p in enumerate(bound.patterns)}
     case_pattern = []
     case_reps = []
-    for pattern, w in data.cases:
+    for pattern, w in bound.data.cases:
         if w <= 0 or abs(w - round(w)) > 1e-9:
             raise DataError(
                 "replication needs positive integer case weights; "

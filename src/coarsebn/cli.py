@@ -23,6 +23,7 @@ from .conservative import conservative_ensemble
 from .data import read_dataset, write_dataset
 from .errors import CoarseBNError, DataError, FormatError, NumericalError
 from .evaluate import evaluate, kl_decomposed, kl_enumerate, mse, same_structure
+from .inference import BoundDataset
 from .likelihoods import (
     LikelihoodReport,
     SatProfileProblem,
@@ -94,10 +95,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """Generate, fit, and score `runs` incomplete datasets.
 
     Per run: derive a child seed; build a coarsening mechanism (or use the
-    fixed one); sample n cases; fit EM from uniform rows; fit the adjusting
-    imputation procedure initialized at the EM estimate; evaluate both
-    smoothed estimates against the truth.  Failures are recorded and the
-    remaining runs continue.
+    fixed one); sample n cases and bind them to the network once; fit EM
+    from uniform rows; fit the adjusting imputation procedure initialized
+    at the EM estimate; evaluate both smoothed estimates against the truth.
+    Failures are recorded and the remaining runs continue.
     """
     if cfg.coarsening is None and cfg.mechanism is None:
         raise FormatError("need a coarsening spec or a fixed mechanism")
@@ -114,13 +115,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
                 else build_coarsening_network(cfg.net, cfg.coarsening, rng)
             )
             data, pct_missing = generate_dataset(mech, cfg.n, rng)
+            bound = BoundDataset(cfg.net, data)
             em_res = em_mod.em_fit(
-                cfg.net, data, cfg.em_opts or em_mod.EmOptions(init="uniform")
+                cfg.net, bound, cfg.em_opts or em_mod.EmOptions(init="uniform")
             )
             aim_res = aim_mod.aim_fit(
                 cfg.net,
                 em_res.network,
-                data,
+                bound,
                 aim_mod.AimOptions(z=cfg.z, seed=stable_child_seed(cfg.seed, r, "aim")),
             )
             rep_em = evaluate(cfg.net, em_res.network, em_res.row_counts, "em")

@@ -15,23 +15,24 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .inference import BoundDataset
+from .inference import BoundDataset, bind
 from .network import Network, ml_estimate, smooth
-from .util import stable_child_seed
+from .util import check_int, stable_child_seed
 
 
 def random_completion(
-    net: Network, data: Dataset, rng: np.random.Generator
+    net: Network, data: Dataset | BoundDataset, rng: np.random.Generator
 ) -> np.ndarray:
     """Fill every missing coordinate uniformly; returns one row per case."""
     k = len(net.nodes)
-    bound_of = BoundDataset(net, data).bound_of
+    bound = bind(net, data)
+    bound_of = bound.bound_of
     # one row per distinct pattern, -1 where missing, gathered by case
     observed = np.array(
         [[-1 if v is None else v for v in b] for b in bound_of.values()], dtype=np.int64
     ).reshape(len(bound_of), k)
     pattern_id = {p: j for j, p in enumerate(bound_of)}
-    rows = observed[[pattern_id[p] for p, _ in data.cases]]
+    rows = observed[[pattern_id[p] for p, _ in bound.data.cases]]
     missing_mask = rows < 0
     rows[missing_mask] = 0
     for i in range(k):
@@ -60,13 +61,13 @@ def conservative_ensemble(
     intervals are component-wise minima and maxima over the sampled
     estimates: an inner approximation of the true set estimate.
     """
-    if n_completions < 1:
-        raise DataError("need at least one completion")
+    check_int("n_completions", n_completions, 1)
+    bound = BoundDataset(structure, data)
     weights = np.array([w for _, w in data.cases])
     estimates = []
     for r in range(n_completions):
         rng = np.random.default_rng(stable_child_seed(seed, r))
-        rows = random_completion(structure, data, rng)
+        rows = random_completion(structure, bound, rng)
         raw, row_counts = ml_estimate(structure, (rows, weights))
         estimates.append(smooth(raw, row_counts))
     lower = []

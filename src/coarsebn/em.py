@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ZeroSupportError
-from .inference import BoundDataset
+from .inference import BoundDataset, bind
 from .network import (
     Network,
     params_from_family_counts,
@@ -67,7 +67,7 @@ def _init_network(structure: Network, opts: EmOptions) -> Network:
 
 
 def em_fit(
-    structure: Network, data: Dataset, opts: EmOptions | None = None
+    structure: Network, data: Dataset | BoundDataset, opts: EmOptions | None = None
 ) -> EmResult:
     """Fit parameters by EM; the face-value log-likelihood never decreases.
 
@@ -76,7 +76,8 @@ def em_fit(
     recorded in the trace, whose log-likelihood is then -inf.  The fit has
     converged once the excluded weight stays put and the log-likelihood of
     the other patterns gains less than tol per unit weight.  Fractional
-    case weights are fine.
+    case weights are fine, and `data` may come bound already
+    (`inference.bind`).
     """
     opts = opts or EmOptions()
     check_int("max_iters", opts.max_iters, 1)
@@ -85,7 +86,7 @@ def em_fit(
     if opts.seed is not None:
         check_int("seed", opts.seed, 0)
     net = _init_network(structure, opts)
-    bound = BoundDataset(structure, data)
+    bound = bind(structure, data)
     total_w = bound.total
     weights = bound.weights
     table = bound.table

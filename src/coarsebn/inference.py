@@ -520,3 +520,13 @@ class BoundDataset:
         if n <= DENSE_TABLE_BUDGET:
             return self.table
         return MemberTable(self.net, self.bounds, self.sizes, n)
+
+
+def bind(net: Network, data: Dataset | BoundDataset) -> BoundDataset:
+    """`data` bound to net: a dataset is bound here, and one bound already
+    is used as it is if it shares net's structure (DataError if not)."""
+    if not isinstance(data, BoundDataset):
+        return BoundDataset(net, data)
+    if data.net.nodes != net.nodes:
+        raise DataError("network structure differs from the bound dataset's")
+    return data

@@ -41,7 +41,7 @@ import numpy as np
 
 from .data import Completion, CoarsePattern, Dataset
 from .errors import DataError, NumericalError
-from .inference import DENSE_TABLE_BUDGET, BoundDataset
+from .inference import DENSE_TABLE_BUDGET, BoundDataset, bind
 from .network import Network
 
 CAR_MEMBER_BUDGET = 4 << 20
@@ -56,18 +56,9 @@ class LikelihoodReport:
     certificate: Completion | dict[CoarsePattern, float] | None = None
 
 
-def _bind(net: Network, data: Dataset | BoundDataset) -> BoundDataset:
-    """`data` bound to net; a dataset bound already must share its structure."""
-    if not isinstance(data, BoundDataset):
-        return BoundDataset(net, data)
-    if data.net.nodes != net.nodes:
-        raise DataError("network structure differs from the bound dataset's")
-    return data
-
-
 def face_value_loglik(net: Network, data: Dataset | BoundDataset) -> LikelihoodReport:
     """Sum of case weights times log P(X in U); -inf is a value, not an error."""
-    bound = _bind(net, data)
+    bound = bind(net, data)
     total = 0.0
     for w, p in zip(bound.weights.tolist(), bound.table.pattern_probs(net).tolist()):
         if p <= 0.0:
@@ -171,7 +162,7 @@ class SatProfileProblem:
     """
 
     def __init__(self, net: Network, data: Dataset | BoundDataset):
-        self.bound = _bind(net, data)
+        self.bound = bind(net, data)
         self.table = self.bound.member_table(DENSE_TABLE_BUDGET)
 
     # ------------------------------------------------------------------
@@ -285,7 +276,7 @@ def car_normalizer(
     """
     if not tol >= 0:
         raise DataError(f"tol must be a non-negative number; got {tol!r}")
-    bound = _bind(net, data)
+    bound = bind(net, data)
     m = bound.m
     table = bound.member_table(CAR_MEMBER_BUDGET)
     loc, starts, pat_of_slot = table.loc, table.starts, table.pat_of_slot
@@ -308,7 +299,7 @@ def car_normalizer(
 
 def car_profile_loglik(net: Network, data: Dataset | BoundDataset) -> LikelihoodReport:
     """Face value plus the theta-independent car normalizer."""
-    bound = _bind(net, data)
+    bound = bind(net, data)
     fv = face_value_loglik(net, bound)
     log_f, lam = car_normalizer(net, bound)
     per_case = fv.per_case_average + log_f

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -366,48 +367,110 @@ class TestSweepMatchesDefinition:
 
 
 class TestSweepWork:
-    def test_still_sweep_decides_each_key_once(self, asia_net):
-        # a sweep that moves nothing reads logp once per key (move set,
-        # state) and once per neighbour of it, however many replicas share it
-        data = asia_data(asia_net)
-        state = build_state(asia_net, em_fit(asia_net, data).network, data, z=5)
-        logp = state.logp
-        calls = 0
-
-        def counting(x):
-            nonlocal calls
-            calls += 1
-            return logp(x)
-
-        state.logp = counting
+    @staticmethod
+    def still_state(structure, data):
+        """A state that a sweep at its current parameters leaves as it is."""
+        state = build_state(structure, em_fit(structure, data).network, data, z=5)
         for _ in range(50):
-            before, calls = state._moves, 0
+            before = state._moves
             ai_sweep(state)
             if state._moves == before:
-                break
+                return state
+        raise AssertionError("no still sweep within 50")
+
+    @staticmethod
+    def reads(state):
+        """The states whose counts the occupied keys read: each moving
+        replica's state and its one-coordinate neighbours."""
+        out = set()
+        for c, x in zip(state.rep_case.tolist(), state.assign):
+            for stride, card in state.case_moves[c]:
+                d = (x // stride) % card
+                out.update(x + (s - d) * stride for s in range(card))
+        return out
+
+    @staticmethod
+    def count_pops(monkeypatch):
+        """Count the heap pops, one per key decided in Python."""
+        pops = []
+        pop = heapq.heappop
+        monkeypatch.setattr(heapq, "heappop", lambda queue: pops.append(1) or pop(queue))
+        return pops
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_still_sweep_reads_each_state_once(self, asia_net, monkeypatch, split):
+        # a sweep that moves nothing reads log P once per state an occupied
+        # key reads, however many keys and replicas read it, and decides no
+        # key in Python; on a table split between members and the clique
+        # tree, each tree state not yet read costs one joint_probability
+        data = asia_data(asia_net, n=150, seed=48) if split else asia_data(asia_net)
+        if split:
+            half = sum(inference.BoundDataset(asia_net, data).sizes) // 2
+            monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", half)
+        state = self.still_state(asia_net, data)
+        assert bool(state.table.on_tree) == split
+        state.logp = state.table.log_evaluator(state.net, LOG_PROB_FLOOR)
+        known = set(state.logp.__self__)
+        logp = state.logp
+        calls = []
+        state.logp = lambda x: calls.append(x) or logp(x)
+        lookups = []
+        joint = inference.joint_probability
+        monkeypatch.setattr(
+            inference, "joint_probability", lambda net, x: lookups.append(1) or joint(net, x)
+        )
+        pops = self.count_pops(monkeypatch)
+        before = state._moves
+        ai_sweep(state)
         assert state._moves == before
-        moving = [
-            (tuple(state.case_moves[c]), x)
-            for c, x in zip(state.rep_case.tolist(), state.assign)
-            if state.case_moves[c]
-        ]
+        reads = self.reads(state)
+        assert sorted(calls) == sorted(reads)
+        assert pops == []
+        assert len(lookups) == len(reads - known)
+        assert (len(lookups) > 0) == split
 
-        def reads(key):
-            return 1 + sum(card - 1 for _, card in key[0])
+    def test_tied_moves_decide_no_key(self, basic_net, monkeypatch):
+        # under uniform parameters a lone replica's move to an empty state
+        # scores exactly 0.0, which is no gain: no key is queued
+        d = Dataset(("A", "B"), ((("t", None), 1.0), (("f", None), 1.0)))
+        state = build_state(basic_net, uniform_cpts(basic_net), d, z=1)
+        pops = self.count_pops(monkeypatch)
+        ai_sweep(state)
+        assert state._moves == 0
+        assert pops == []
 
-        assert calls == sum(reads(key) for key in set(moving))
-        assert calls * 10 < sum(reads(key) for key in moving)
+    def test_terms_are_the_scalar_floats_at_every_count(self, basic_net):
+        # tier 1's terms at each count c of zn = 5000 replicas are the floats
+        # of (c/zn)(math.log(c/zn) - log P); numpy's vectorised log differs
+        # from math.log at some of these counts
+        d = Dataset(("A", "B"), ((("t", None), 5000.0),))
+        state = build_state(basic_net, basic_net, d, z=1)
+        keys, zn = state._keys, state.zn
+        tt, tf = basic_net.ravel((0, 0)), basic_net.ravel((0, 1))
+        for c in range(1, zn):
+            keys.first_queue({tt: c, tf: zn - c}, state.logp)
+            for x, n in ((tt, c), (tf, zn - c)):
+                r, lp = keys.row[x], state.logp(x)
+
+                def term(c):
+                    return c / zn * (math.log(c / zn) - lp) if c > 0 else 0.0
+
+                assert (keys.left[r], keys.was[r], keys.arrived[r]) == (
+                    term(n - 1), term(n), term(n + 1)
+                )
 
     def test_keys_track_the_moves(self, asia_net):
         # after sweeps that created keys, each key lists exactly its
-        # replicas, and reads the counts at its state and its neighbours
+        # replicas, reads the counts at its state and its neighbours, and
+        # every row read in the last sweep holds the terms of its count now
         data = asia_data(asia_net)
         state = build_state(asia_net, em_fit(asia_net, data).network, data, z=5)
         keys = state._keys
         built = len(keys.key)
         for _ in range(3):
-            ai_sweep(state)
             m_step(state)
+            occupied = [k for k, reps in enumerate(keys.members) if reps]
+            ai_sweep(state)
         assert len(keys.key) > built
         held = {}
         for j, (c, x) in enumerate(zip(state.rep_case.tolist(), state.assign)):
@@ -415,9 +478,29 @@ class TestSweepWork:
                 m = keys.move_sets.index(tuple(state.case_moves[c]))
                 held.setdefault((m, x), []).append(j)
         assert {key: reps for key, reps in zip(keys.key, keys.members) if reps} == held
-        for k, (_, x) in enumerate(keys.key):
-            for y in [x, *keys.nbrs[k]]:
-                assert keys.readers[y].count(k) == 1
+        for k, (m, x) in enumerate(keys.key):
+            nbrs = [
+                x + (s - d) * stride
+                for stride, card in keys.move_sets[m] for d in [(x // stride) % card]
+                for s in range(card) if s != d
+            ]
+            assert keys.states[keys.key_row[k]] == x
+            assert [keys.states[r] for r in keys.nbr_rows[k]] == nbrs
+            for r in [keys.key_row[k], *keys.nbr_rows[k]]:
+                assert keys.readers[r].count(k) == 1
+        assert list(zip(keys.pair_key, keys.pair_row)) == [
+            (k, r) for k, rows in enumerate(keys.nbr_rows) for r in rows
+        ]
+        zn = state.zn
+        for r in {r for k in occupied for r in [keys.key_row[k], *keys.nbr_rows[k]]}:
+            x = keys.states[r]
+            n, lp = state.counts.get(x, 0), state.logp(x)
+
+            def term(c):
+                return c / zn * (math.log(c / zn) - lp) if c > 0 else 0.0
+
+            assert keys.lp[r] == lp
+            assert (keys.left[r], keys.was[r], keys.arrived[r]) == (term(n - 1), term(n), term(n + 1))
 
 
 class TestMStep:
@@ -554,6 +637,20 @@ class TestAimFit:
     def test_empty_dataset_rejected(self, basic_net):
         with pytest.raises(DataError, match="total weight must be positive"):
             aim_fit(basic_net, basic_net, Dataset(("A", "B"), ()))
+
+    def test_dataset_bound_to_another_structure_refused(self, asia_net, basic_net, basic_data):
+        bound = inference.BoundDataset(basic_net, basic_data)
+        with pytest.raises(DataError, match="structure differs"):
+            aim_fit(asia_net, asia_net, bound)
+
+    def test_bound_dataset_fits_as_the_dataset(self, asia_net):
+        data = asia_data(asia_net, n=200, seed=45)
+        opts = AimOptions(z=3, seed=2)
+        a = aim_fit(asia_net, asia_net, data, opts)
+        b = aim_fit(asia_net, asia_net, inference.BoundDataset(asia_net, data), opts)
+        assert (a.trace, a.score, a.init_fallbacks) == (b.trace, b.score, b.init_fallbacks)
+        for x, y in zip(a.network.cpts + a.smoothed.cpts, b.network.cpts + b.smoothed.cpts):
+            assert np.array_equal(x, y)
 
     def test_zero_tol_allowed(self, basic_net, basic_data_n2000):
         res = aim_fit(

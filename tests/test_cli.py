@@ -495,6 +495,24 @@ class TestExperiment:
         assert f"{flag[2:]} must be a positive integer" in out.stderr
         assert not path.exists()
 
+    def test_one_member_table_per_run(self, monkeypatch):
+        # EM and AIM share the run's one bound dataset and its table
+        from coarsebn import inference
+        from coarsebn.coarsen import CoarseningSpec
+
+        built = []
+        init = inference.MemberTable.__init__
+        monkeypatch.setattr(
+            inference.MemberTable, "__init__", lambda self, *args: built.append(1) or init(self, *args)
+        )
+        cfg = cli.ExperimentConfig(
+            net=read_network(fixture_path("asia.net")), coarsening=CoarseningSpec(2, 0.1, 0.05),
+            n=200, z=2, runs=1, seed=4,
+        )
+        rows, failures = cli.run_experiment(cfg)
+        assert len(rows) == 1 and not failures
+        assert len(built) == 1
+
     def test_sizes_checked_before_any_run(self, monkeypatch):
         from coarsebn import cli
         from coarsebn.errors import DataError

@@ -10,6 +10,8 @@ from coarsebn.conservative import (
 )
 from coarsebn.data import Dataset, pattern_binder
 from coarsebn.errors import DataError
+from coarsebn.network import ml_estimate, smooth
+from coarsebn.util import stable_child_seed
 
 
 def per_case_completion(net, data, rng):
@@ -111,6 +113,31 @@ class TestConservativeEnsemble:
         res = conservative_ensemble(basic_net, basic_data_n2000, 5, seed=2)
         for lo, hi, mid in zip(res.lower, res.upper, res.midpoint):
             assert np.allclose(mid, (lo + hi) / 2)
+
+    @pytest.mark.parametrize("n_completions", [2.5, 0])
+    def test_non_integer_or_zero_completions_rejected(self, basic_net, basic_data, n_completions):
+        with pytest.raises(DataError, match="n_completions must be a positive integer"):
+            conservative_ensemble(basic_net, basic_data, n_completions, 1)
+
+    def test_one_binding_per_ensemble(self, asia_net, monkeypatch):
+        # every completion reads one bound dataset, with the estimates each
+        # completion bound on its own gives
+        data = asia_data(asia_net, n=200, seed=45)
+        weights = np.array([w for _, w in data.cases])
+        want = []
+        for r in range(5):
+            rows = random_completion(asia_net, data, np.random.default_rng(stable_child_seed(7, r)))
+            want.append(smooth(*ml_estimate(asia_net, (rows, weights))))
+        built = []
+        init = inference.BoundDataset.__init__
+        monkeypatch.setattr(
+            inference.BoundDataset, "__init__", lambda self, *args: built.append(1) or init(self, *args)
+        )
+        res = conservative_ensemble(asia_net, data, 5, 7)
+        assert len(built) == 1
+        for got, est in zip(res.estimates, want, strict=True):
+            for a, b in zip(got.cpts, est.cpts):
+                assert np.array_equal(a, b)
 
 
 class TestMarginalBounds:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tree_table
+from conftest import asia_data, tree_table
 
 from coarsebn import inference
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
@@ -164,6 +164,19 @@ class TestEmFit:
     def test_empty_dataset_rejected(self, basic_net):
         with pytest.raises(DataError, match="total weight must be positive"):
             em_fit(basic_net, Dataset(("A", "B"), ()))
+
+    def test_dataset_bound_to_another_structure_refused(self, asia_net, basic_net, basic_data):
+        bound = inference.BoundDataset(basic_net, basic_data)
+        with pytest.raises(DataError, match="structure differs"):
+            em_fit(asia_net, bound)
+
+    def test_bound_dataset_fits_as_the_dataset(self, asia_net):
+        data = asia_data(asia_net, n=200, seed=45)
+        a = em_fit(asia_net, data)
+        b = em_fit(asia_net, inference.BoundDataset(asia_net, data))
+        assert a.trace == b.trace
+        for x, y in zip(a.network.cpts + a.smoothed.cpts, b.network.cpts + b.smoothed.cpts):
+            assert np.array_equal(x, y)
 
     def test_zero_tol_allowed(self, basic_net, basic_data):
         res = em_fit(basic_net, basic_data, EmOptions(tol=0.0, max_iters=5))
