@@ -10,12 +10,13 @@ score KL(P_c, P_theta) never increases across iterations; a terminal score
 of zero certifies a global optimum of the sat-profile likelihood.
 
 `ai_sweep` makes the moves of the per-replica definition, float for float,
-per (move set, completion) key and in two tiers.  Tier 1 scores every
-occupied key's candidate moves at once in numpy, from each state's count
-terms, and queues only the keys with an improving move.  Tier 2 decides
-the queued keys in Python, in replica order, from the cached terms, and
-decides a key again only when an accepted move has changed a count its
-decision reads; a move recomputes the terms of its two states only.
+per (move set, completion) key and in two tiers.  Tier 1 reads log P once
+per state the occupied keys read, caches each such state's count terms,
+scores every occupied key's moves from them and queues only the keys with
+an improving move.  Tier 2 decides the queued keys in replica order from
+the cached terms, and decides a key again only when an accepted move has
+changed a count its decision reads; a move recomputes the terms of its two
+states only.
 """
 
 from __future__ import annotations
@@ -105,10 +106,9 @@ class SweepKeys:
     row: `states[r]` is its flat index and `readers[r]` the keys whose
     decision reads its count.  `members[k]` lists key k's replicas in
     ascending order, `key_row[k]` the row of its state and `nbr_rows[k]`
-    those of its neighbours; `pair_key` and `pair_row` list every (key,
-    neighbour) pair.  Built from `assign` on the first sweep; after that
-    `ai_sweep` keeps them in step with the moves it makes, and `add`
-    appends the keys, rows and pairs it first reaches.
+    those of its neighbours.  Built from `assign` on the first sweep; after
+    that `ai_sweep` keeps them in step with the moves it makes, and `add`
+    appends the keys and rows it first reaches.
 
     Per sweep, `lp[r]` holds log P of row r's state and `left[r]`, `was[r]`
     and `arrived[r]` its count terms T(n-1), T(n) and T(n+1), where n is
@@ -127,7 +127,6 @@ class SweepKeys:
         self.move_sets = list(ids)          # per id, a case's (stride, card) pairs
         self.zn = state.zn
         self.log_q = [0.0]                  # per count c > 0, math.log(c / zn)
-        self.log_q_array = np.zeros(1)
         self.states: list[int] = []
         self.row: dict[int, int] = {}
         self.readers: list[list[int]] = []
@@ -136,12 +135,8 @@ class SweepKeys:
         self.members: list[list[int]] = []
         self.key_row: list[int] = []
         self.nbr_rows: list[list[int]] = []
-        self.pair_key: list[int] = []
-        self.pair_row: list[int] = []
-        # key_row, pair_key, pair_row and each pair's key row, as numpy
-        self.arrays = (np.zeros(0, dtype=np.int64),) * 4
         self.queued: list[bool] = []
-        self.lp: list[float] = []
+        self.lp: list[float | None] = []
         self.left: list[float] = []
         self.was: list[float] = []
         self.arrived: list[float] = []
@@ -178,21 +173,17 @@ class SweepKeys:
         ]
         self.key_row.append(self._row_of(x))
         self.nbr_rows.append(nbrs)
-        self.pair_key += [k] * len(nbrs)
-        self.pair_row += nbrs
         for r in [self.key_row[k], *nbrs]:
             self.readers[r].append(k)
 
     def _grow(self, n: int) -> None:
-        """Extend log_q to count n with the floats the scalar definition
-        makes: math.log, never numpy's vectorised log, which may round
-        differently."""
+        """Extend log_q to count n with math.log, as the scalar definition
+        computes it."""
         zn = self.zn
         self.log_q += [math.log(c / zn) for c in range(len(self.log_q), n + 1)]
 
     def set_terms(self, r: int, n: int) -> None:
-        """Row r's terms once its state holds n replicas.  c / zn is the
-        float numpy's int64 division makes too."""
+        """Row r's terms once its state holds n replicas."""
         if n + 1 >= len(self.log_q):
             self._grow(n + 1)
         log_q, zn, lp = self.log_q, self.zn, self.lp[r]
@@ -206,48 +197,28 @@ class SweepKeys:
         """Tier 1 of a sweep: the terms of every row an occupied key reads,
         and a heap of the keys that can move, each at its first replica.
 
-        log P is read once per such row.  Every (key, neighbour) pair is
-        scored at once as ((T(n-1)@x + T(n+1)@y) - T(n)@x) - T(n)@y.
-        numpy's `/`, `-`, `*` and `+` round as Python's do, log(c/zn) comes
-        from `log_q`, and subtracting T(0) = 0.0 leaves a delta as it is,
-        so each delta is the float the scalar decision makes.
+        log P is read once per such row, and each key's moves are scored
+        from the cached terms as tier 2 scores them, against the counts at
+        the start of the sweep.
         """
-        self.queued = [False] * len(self.key)
-        occupied = np.array([bool(reps) for reps in self.members], dtype=bool)
-        if not occupied.any():
-            return []
-        if len(self.arrays[0]) != len(self.key):
-            key_row, pair_key = np.array(self.key_row), np.array(self.pair_key, dtype=np.int64)
-            self.arrays = key_row, pair_key, np.array(self.pair_row, dtype=np.int64), key_row[pair_key]
-        key_row, pair_key, pair_y, pair_x = self.arrays
-        live = occupied[pair_key]
-        pair_key, pair_x, pair_y = pair_key[live], pair_x[live], pair_y[live]
         n_rows = len(self.states)
-        read = np.zeros(n_rows, dtype=bool)
-        read[key_row[occupied]] = True
-        read[pair_y] = True
-        rows = np.flatnonzero(read)
-        xs = [self.states[r] for r in rows.tolist()]
-        lp = np.array([logp(x) for x in xs])
-        n = np.array([counts.get(x, 0) for x in xs], dtype=np.int64)
-        self._grow(int(n.max()) + 1)
-        if len(self.log_q_array) != len(self.log_q):
-            self.log_q_array = np.array(self.log_q)
-        c = n + np.array([[-1], [0], [1]])
-        table = np.zeros((4, n_rows))
-        table[0, rows] = lp
-        table[1:, rows] = np.where(
-            c > 0, c / self.zn * (self.log_q_array[np.maximum(c, 0)] - lp), 0.0
-        )
-        self.lp, self.left, self.was, self.arrived = table.tolist()
-        _, left, was, arrived = table
-        delta = ((left[pair_x] + arrived[pair_y]) - was[pair_x]) - was[pair_y]
-        can = np.zeros(len(self.key), dtype=bool)
-        can[pair_key[delta < 0.0]] = True
-        moving = np.flatnonzero(can).tolist()
-        for k in moving:
-            self.queued[k] = True
-        queue = [(self.members[k][0], k) for k in moving]
+        self.queued = queued = [False] * len(self.key)
+        self.lp = lp = [None] * n_rows
+        self.left, self.was, self.arrived = [0.0] * n_rows, [0.0] * n_rows, [0.0] * n_rows
+        left, was, arrived, states = self.left, self.was, self.arrived, self.states
+        queue = []
+        for k, reps in enumerate(self.members):
+            if not reps:
+                continue
+            x, nbrs = self.key_row[k], self.nbr_rows[k]
+            for r in (x, *nbrs):
+                if lp[r] is None:
+                    lp[r] = logp(states[r])
+                    self.set_terms(r, counts.get(states[r], 0))
+            t_left, t_from = left[x], was[x]
+            if any(((t_left + arrived[y]) - t_from) - was[y] < 0.0 for y in nbrs):
+                queued[k] = True
+                queue.append((reps[0], k))
         heapq.heapify(queue)
         return queue
 
@@ -261,10 +232,10 @@ def ai_sweep(state: AimState) -> AimState:
     minus the old, summed in that order.
 
     The decisions are made per key (move set, state), in replica order, in
-    two tiers.  Tier 1 (`SweepKeys.first_queue`) scores every occupied
-    key's moves at once in numpy, from the counts at the start of the
-    sweep, and queues only the keys that can move, each at its first
-    replica.  Tier 2 pops the queue in replica order and decides each key
+    two tiers.  Tier 1 (`SweepKeys.first_queue`) caches the count terms of
+    every state an occupied key reads, scores each occupied key's moves from
+    them against the counts at the start of the sweep, and queues only the
+    keys that can move, each at its first replica.  Tier 2 pops the queue in replica order and decides each key
     in Python from the cached count terms.  A key that stays put is not
     decided again until a move changes a count it reads: a move x -> y
     recomputes the terms of x and y only and queues each reader of x and y
@@ -386,9 +357,10 @@ def aim_fit(
     """Run the alternating fit until the surrogate improvement drops below tol.
 
     Case weights must be positive integers (replication needs unit cases).
-    `data` may come bound already (`inference.bind`), as an experiment
-    run binds it once for EM and this fit.  Returns both the raw final parameters and their smoothed version, the
-    per-iteration surrogate trace, and the terminal score.
+    `data` may come bound already (`inference.bind`), as an experiment run
+    binds it once for EM and this fit.  Returns both the raw final
+    parameters and their smoothed version, the per-iteration surrogate
+    trace, and the terminal score.
     """
     opts = opts or AimOptions()
     check_int("z", opts.z, 1)

@@ -441,8 +441,8 @@ class TestSweepWork:
 
     def test_terms_are_the_scalar_floats_at_every_count(self, basic_net):
         # tier 1's terms at each count c of zn = 5000 replicas are the floats
-        # of (c/zn)(math.log(c/zn) - log P); numpy's vectorised log differs
-        # from math.log at some of these counts
+        # of (c/zn)(math.log(c/zn) - log P); numpy's vectorised log would
+        # differ from math.log at some of these counts
         d = Dataset(("A", "B"), ((("t", None), 5000.0),))
         state = build_state(basic_net, basic_net, d, z=1)
         keys, zn = state._keys, state.zn
@@ -488,9 +488,6 @@ class TestSweepWork:
             assert [keys.states[r] for r in keys.nbr_rows[k]] == nbrs
             for r in [keys.key_row[k], *keys.nbr_rows[k]]:
                 assert keys.readers[r].count(k) == 1
-        assert list(zip(keys.pair_key, keys.pair_row)) == [
-            (k, r) for k, rows in enumerate(keys.nbr_rows) for r in rows
-        ]
         zn = state.zn
         for r in {r for k in occupied for r in [keys.key_row[k], *keys.nbr_rows[k]]}:
             x = keys.states[r]

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import completion_distribution, member_table
-from coarsebn import aim as aim_module
-from coarsebn import em as em_module
 from coarsebn import inference, likelihoods
 from coarsebn.aim import AimOptions, aim_fit
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
@@ -659,9 +657,18 @@ class TestBoundOnce:
             )
 
         once = results(lr_statistic)
-        for module in (likelihoods, em_module, aim_module):
-            monkeypatch.setattr(module, "BoundDataset", ParentBound)
+        built = []
+
+        class Counted(ParentBound):
+            def __init__(self, net, data):
+                built.append(1)
+                super().__init__(net, data)
+
+        # inference.bind builds every fitter's and report's binding
+        for module in (inference, likelihoods):
+            monkeypatch.setattr(module, "BoundDataset", Counted)
         assert results(reference_lr) == once
+        assert built
 
     def test_one_grouping_binding_and_table_per_lr(self, asia_lr, monkeypatch):
         _, net_sat, net_car, data = asia_lr
