@@ -9,14 +9,17 @@ maximum-likelihood refit of theta on the completed counts.  The surrogate
 score KL(P_c, P_theta) never increases across iterations; a terminal score
 of zero certifies a global optimum of the sat-profile likelihood.
 
+AIM needs log P(x) only at the states replicas occupy or can move to, and
+reads it per use as one `network.joint_probs` batch over those states.
+
 `ai_sweep` makes the moves of the per-replica definition, float for float,
-per (move set, completion) key and in two tiers.  Tier 1 reads log P once
-per state the occupied keys read, caches each such state's count terms,
-scores every occupied key's moves from them and queues only the keys with
-an improving move.  Tier 2 decides the queued keys in replica order from
-the cached terms, and decides a key again only when an accepted move has
-changed a count its decision reads; a move recomputes the terms of its two
-states only.
+per (move set, completion) key and in two tiers.  Tier 1 takes log P of
+every state the keys read as one batch (`log_probs`), caches each such
+state's count terms, scores every occupied key's moves from them and queues
+only the keys with an improving move.  Tier 2 decides the queued keys in
+replica order from the cached terms, and decides a key again only when an
+accepted move has changed a count its decision reads; a move recomputes
+the terms of its two states only.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Callable
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .inference import BoundDataset, MemberTable, bind
 from .network import (
     Network,
     family_counts_from_rows,
+    joint_probs,
     params_from_family_counts,
     smooth,
     unravel_rows,
@@ -47,6 +50,11 @@ from .util import check_int
 
 LOG_PROB_FLOOR = 1e-300
 SCORE_REFRESH_EVERY = 1000
+
+
+def log_probs(net: Network, idx) -> np.ndarray:
+    """log max(P(x), LOG_PROB_FLOOR) for each flat joint index, as one batch."""
+    return np.log(np.maximum(joint_probs(net, idx), LOG_PROB_FLOOR))
 
 
 @dataclass
@@ -80,16 +88,15 @@ class AimState:
     case_moves: list[list[tuple[int, int]]]  # per case: (stride, card) of missing axes
     assign: list[int]                    # replica -> flat joint index
     counts: dict[int, int]
-    table: MemberTable = field(repr=False)  # the cases' patterns
-    logp: Callable[[int], float] = field(repr=False, default=None)
     score: float = float("inf")
     _moves: int = 0
 
     def full_score(self) -> float:
         total = 0.0
-        for r, n in self.counts.items():
+        lp = log_probs(self.net, list(self.counts)).tolist()
+        for n, lp_x in zip(self.counts.values(), lp):
             q = n / self.zn
-            total += q * (math.log(q) - self.logp(r))
+            total += q * (math.log(q) - lp_x)
         return total
 
     @cached_property
@@ -113,9 +120,9 @@ class SweepKeys:
     Per sweep, `lp[r]` holds log P of row r's state and `left[r]`, `was[r]`
     and `arrived[r]` its count terms T(n-1), T(n) and T(n+1), where n is
     the state's count and T(c) = (c/zn)(log(c/zn) - log P), T(0) = 0.0.
-    They are filled for the rows the occupied keys read; a key empty at the
-    start of a sweep holds only replicas that sweep has decided already, so
-    it is not decided again in that sweep and no other row is read.
+    They are filled for every row at the start of a sweep; a key empty then
+    holds only replicas that sweep has decided already, so it is not
+    decided again in that sweep, and the rows `add` appends are not read.
     """
 
     def __init__(self, state: AimState):
@@ -127,6 +134,7 @@ class SweepKeys:
         self.move_sets = list(ids)          # per id, a case's (stride, card) pairs
         self.zn = state.zn
         self.log_q = [0.0]                  # per count c > 0, math.log(c / zn)
+        self.log_q_array = np.zeros(1)      # log_q as an array, for tier 1
         self.states: list[int] = []
         self.row: dict[int, int] = {}
         self.readers: list[list[int]] = []
@@ -136,7 +144,7 @@ class SweepKeys:
         self.key_row: list[int] = []
         self.nbr_rows: list[list[int]] = []
         self.queued: list[bool] = []
-        self.lp: list[float | None] = []
+        self.lp: list[float] = []
         self.left: list[float] = []
         self.was: list[float] = []
         self.arrived: list[float] = []
@@ -179,42 +187,42 @@ class SweepKeys:
     def _grow(self, n: int) -> None:
         """Extend log_q to count n with math.log, as the scalar definition
         computes it."""
-        zn = self.zn
-        self.log_q += [math.log(c / zn) for c in range(len(self.log_q), n + 1)]
+        if n >= len(self.log_q):
+            zn = self.zn
+            self.log_q += [math.log(c / zn) for c in range(len(self.log_q), n + 1)]
+            self.log_q_array = np.array(self.log_q)
 
     def set_terms(self, r: int, n: int) -> None:
         """Row r's terms once its state holds n replicas."""
-        if n + 1 >= len(self.log_q):
-            self._grow(n + 1)
+        self._grow(n + 1)
         log_q, zn, lp = self.log_q, self.zn, self.lp[r]
         self.left[r] = (n - 1) / zn * (log_q[n - 1] - lp) if n > 1 else 0.0
         self.was[r] = n / zn * (log_q[n] - lp) if n else 0.0
         self.arrived[r] = (n + 1) / zn * (log_q[n + 1] - lp)
 
-    def first_queue(
-        self, counts: dict[int, int], logp: Callable[[int], float]
-    ) -> list[tuple[int, int]]:
-        """Tier 1 of a sweep: the terms of every row an occupied key reads,
-        and a heap of the keys that can move, each at its first replica.
-
-        log P is read once per such row, and each key's moves are scored
-        from the cached terms as tier 2 scores them, against the counts at
-        the start of the sweep.
+    def first_queue(self, counts: dict[int, int], lp: np.ndarray) -> list[tuple[int, int]]:
+        """Tier 1 of a sweep: every row's terms, from `lp[r]`, log P of row
+        r's state, and a heap of the keys that can move, each at its first
+        replica.  The terms are `set_terms`' operations on the same floats,
+        in one batch; each occupied key's moves are scored from them as tier
+        2 scores them, against the counts at the start of the sweep.
         """
-        n_rows = len(self.states)
+        n = np.fromiter(map(counts.get, self.states, repeat(0)), np.int64, len(self.states))
+        self._grow(int(n.max(initial=0)) + 1)
+        log_q, zn = self.log_q_array, self.zn
+
+        def terms(c: np.ndarray) -> list[float]:
+            return np.where(c > 0, c / zn * (log_q[c] - lp), 0.0).tolist()
+
         self.queued = queued = [False] * len(self.key)
-        self.lp = lp = [None] * n_rows
-        self.left, self.was, self.arrived = [0.0] * n_rows, [0.0] * n_rows, [0.0] * n_rows
-        left, was, arrived, states = self.left, self.was, self.arrived, self.states
+        self.lp = lp.tolist()
+        self.left, self.was, self.arrived = terms(n - 1), terms(n), terms(n + 1)
+        left, was, arrived = self.left, self.was, self.arrived
         queue = []
         for k, reps in enumerate(self.members):
             if not reps:
                 continue
             x, nbrs = self.key_row[k], self.nbr_rows[k]
-            for r in (x, *nbrs):
-                if lp[r] is None:
-                    lp[r] = logp(states[r])
-                    self.set_terms(r, counts.get(states[r], 0))
             t_left, t_from = left[x], was[x]
             if any(((t_left + arrived[y]) - t_from) - was[y] < 0.0 for y in nbrs):
                 queued[k] = True
@@ -233,9 +241,10 @@ def ai_sweep(state: AimState) -> AimState:
 
     The decisions are made per key (move set, state), in replica order, in
     two tiers.  Tier 1 (`SweepKeys.first_queue`) caches the count terms of
-    every state an occupied key reads, scores each occupied key's moves from
-    them against the counts at the start of the sweep, and queues only the
-    keys that can move, each at its first replica.  Tier 2 pops the queue in replica order and decides each key
+    every state the keys read, from one `log_probs` batch, scores each
+    occupied key's moves from them against the counts at the start of the
+    sweep, and queues only the keys that can move, each at its first
+    replica.  Tier 2 pops the queue in replica order and decides each key
     in Python from the cached count terms.  A key that stays put is not
     decided again until a move changes a count it reads: a move x -> y
     recomputes the terms of x and y only and queues each reader of x and y
@@ -247,7 +256,7 @@ def ai_sweep(state: AimState) -> AimState:
     keys = state._keys
     counts = state.counts
     assign = state.assign
-    queue = keys.first_queue(counts, state.logp)
+    queue = keys.first_queue(counts, log_probs(state.net, keys.states))
     left, was, arrived = keys.left, keys.was, keys.arrived
     states, readers, members, queued = keys.states, keys.readers, keys.members, keys.queued
     key_row, nbr_rows = keys.key_row, keys.nbr_rows
@@ -305,7 +314,6 @@ def m_step(state: AimState) -> tuple[Network, list[np.ndarray]]:
     counts = family_counts_from_rows(structure, unravel_rows(structure, idx), weights)
     net, row_counts = params_from_family_counts(structure, counts)
     state.net = net
-    state.logp = state.table.log_evaluator(net, LOG_PROB_FLOOR)
     state.score = state.full_score()
     return net, row_counts
 
@@ -411,9 +419,7 @@ def aim_fit(
         case_moves=case_moves,
         assign=assign,
         counts=counts,
-        table=table,
     )
-    state.logp = state.table.log_evaluator(state.net, LOG_PROB_FLOOR)
     state.score = state.full_score()
 
     entropy = bound.entropy

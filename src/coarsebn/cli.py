@@ -248,49 +248,6 @@ def _cmd_learn(args) -> int:
         raise UsageError("--init em is only meaningful for --method aim")
     init = _load_net(args.init[4:]) if args.init.startswith("net:") else args.init
 
-    if args.method == "em":
-        res = em_mod.em_fit(
-            structure,
-            data,
-            em_mod.EmOptions(
-                tol=args.tol, max_iters=args.max_iters, init=init, seed=args.seed
-            ),
-        )
-        out_net = res.network if args.unsmoothed else res.smoothed
-        write_network(out_net, args.out)
-        if args.trace:
-            _write_trace(
-                args.trace, ["iteration", "loglik_per_unit", "excluded_weight"], res.trace
-            )
-        if args.counts_out:
-            _write_counts(args.counts_out, res.network, res.row_counts)
-        print(f"method em iterations {len(res.trace)} "
-              f"loglik_per_unit {res.loglik_per_unit:.6g}")
-        return 0
-
-    if args.method == "aim":
-        if init == "em":
-            init = em_mod.em_fit(structure, data, em_mod.EmOptions(init="uniform")).network
-        theta0 = em_mod._init_network(structure, em_mod.EmOptions(init=init, seed=args.seed))
-        res = aim_mod.aim_fit(
-            structure,
-            theta0,
-            data,
-            aim_mod.AimOptions(
-                z=args.z, tol=args.tol, max_iters=args.max_iters, seed=args.seed
-            ),
-        )
-        out_net = res.network if args.unsmoothed else res.smoothed
-        write_network(out_net, args.out)
-        if args.trace:
-            _write_trace(
-                args.trace, ["iteration", "score", "sat_lower_bound"], res.trace
-            )
-        if args.counts_out:
-            _write_counts(args.counts_out, res.network, res.row_counts)
-        print(f"method aim iterations {len(res.trace)} score {res.score:.6g}")
-        return 0
-
     if args.method == "conservative":
         res = conservative_ensemble(structure, data, args.restarts, args.seed)
         # Midpoints of the envelope, renormalized into valid rows (exact
@@ -314,7 +271,40 @@ def _cmd_learn(args) -> int:
         print(f"method conservative completions {args.restarts}")
         return 0
 
-    raise UsageError(f"unknown method {args.method!r}")
+    if args.method == "em":
+        res = em_mod.em_fit(
+            structure,
+            data,
+            em_mod.EmOptions(
+                tol=args.tol, max_iters=args.max_iters, init=init, seed=args.seed
+            ),
+        )
+        header = ["iteration", "loglik_per_unit", "excluded_weight"]
+        summary = f"loglik_per_unit {res.loglik_per_unit:.6g}"
+    elif args.method == "aim":
+        if init == "em":
+            init = em_mod.em_fit(structure, data, em_mod.EmOptions(init="uniform")).network
+        theta0 = em_mod._init_network(structure, em_mod.EmOptions(init=init, seed=args.seed))
+        res = aim_mod.aim_fit(
+            structure,
+            theta0,
+            data,
+            aim_mod.AimOptions(
+                z=args.z, tol=args.tol, max_iters=args.max_iters, seed=args.seed
+            ),
+        )
+        header = ["iteration", "score", "sat_lower_bound"]
+        summary = f"score {res.score:.6g}"
+    else:
+        raise UsageError(f"unknown method {args.method!r}")
+
+    write_network(res.network if args.unsmoothed else res.smoothed, args.out)
+    if args.trace:
+        _write_trace(args.trace, header, res.trace)
+    if args.counts_out:
+        _write_counts(args.counts_out, res.network, res.row_counts)
+    print(f"method {args.method} iterations {len(res.trace)} {summary}")
+    return 0
 
 
 def _cmd_eval(args) -> int:

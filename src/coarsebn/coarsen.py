@@ -166,20 +166,14 @@ def generate_dataset(
             raise DataError(f"no observation node for variable {name!r}")
         obs_pairs.append((augmented.node_index[name], augmented.node_index[obs_name]))
     rows = sample(augmented, n, rng)
-    false_idx = [
-        augmented.nodes[oi].states.index("false") for _, oi in obs_pairs
-    ]
-    labels = [augmented.nodes[vi].states for vi, _ in obs_pairs]
-    cases = []
-    missing_cells = 0
-    for r in range(n):
-        pattern = []
-        for j, (vi, oi) in enumerate(obs_pairs):
-            if rows[r, oi] == false_idx[j]:
-                pattern.append(None)
-                missing_cells += 1
-            else:
-                pattern.append(labels[j][rows[r, vi]])
-        cases.append((tuple(pattern), 1.0))
-    frac = missing_cells / (n * len(originals)) if n else 0.0
-    return Dataset(tuple(originals), tuple(cases)), frac
+    var_cols = [vi for vi, _ in obs_pairs]
+    obs_cols = [oi for _, oi in obs_pairs]
+    false_idx = [augmented.nodes[oi].states.index("false") for oi in obs_cols]
+    labels = [augmented.nodes[vi].states for vi in var_cols]
+    hidden = rows[:, obs_cols] == false_idx
+    cases = tuple(
+        (tuple(None if h else states[v] for h, v, states in zip(hid, vals, labels)), 1.0)
+        for hid, vals in zip(hidden.tolist(), rows[:, var_cols].tolist())
+    )
+    frac = int(hidden.sum()) / (n * len(originals)) if n else 0.0
+    return Dataset(tuple(originals), cases), frac

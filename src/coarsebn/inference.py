@@ -15,7 +15,9 @@ normalizer, which never builds the compiled cells, asks for a larger one.
 A member table is compiled once per dataset: on first use it stores, per
 node, each distinct member's cell in that node's flattened CPT.  P(x) is
 then one gather per node, and the E step's expected counts one bincount
-per node, whatever the parameters.
+per node, whatever the parameters.  AIM, which needs P(x) only at the
+states its replicas occupy or can move to, takes them from
+`network.joint_probs` instead, so a tree pattern's states need no table.
 
 A clique tree (`CliqueTree`) is compiled once per structure at each call
 site, from one min-fill elimination ordering; it refuses a clique of more
@@ -43,7 +45,6 @@ from .errors import BudgetError, DataError, ZeroSupportError
 from .network import (
     ENUM_BUDGET,
     Network,
-    joint_probability,
     parent_rows,
     unravel_rows,
 )
@@ -413,14 +414,6 @@ class MemberTable:
                     count += weights[k] * (fam / p_u[k])
         return p_u, counts
 
-    def log_evaluator(self, net: Network, floor: float) -> Callable[[int], float]:
-        """log max(P(x), floor) by flat joint index: the members' values at
-        once, any other state's (a tree pattern's) on first use."""
-        logp = np.log(np.maximum(self.probs(net), floor))
-        known = _LogProbs(zip(self.uniq.tolist(), logp.tolist()))
-        known.net, known.floor = net, floor
-        return known.__getitem__
-
     def sampler(self, net: Network) -> Callable:
         """draw(k, size, rng): the flat joint indices of `size` members of
         pattern k, each drawn with probability P(x | U); None when P(U) is
@@ -458,16 +451,6 @@ class MemberTable:
             return out
 
         return draw
-
-
-class _LogProbs(dict):
-    """log max(P(x), floor) by flat joint index; a state not given is
-    computed on first use."""
-
-    def __missing__(self, r: int) -> float:
-        p = joint_probability(self.net, self.net.unravel(r))
-        v = self[r] = math.log(max(p, self.floor))
-        return v
 
 
 class BoundDataset:

@@ -172,7 +172,6 @@ class SatProfileProblem:
         net: Network,
         tol: float = 1e-8,
         init: np.ndarray | None = None,
-        rng: np.random.Generator | None = None,
         max_iters: int = 200_000,
     ) -> tuple[float, np.ndarray, float, float]:
         """Minimize KL(P_c || P_theta) over completions.
@@ -195,8 +194,6 @@ class SatProfileProblem:
             w = np.asarray(init, dtype=np.float64)
             if w.shape != (table.n_slots,):
                 raise DataError("bad initial completion shape")
-        elif rng is not None:
-            w = rng.random(table.n_slots)
         else:
             w = np.ones(table.n_slots)
         # The iteration runs on the slots the model allows.  Each keeps a

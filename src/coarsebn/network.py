@@ -57,7 +57,8 @@ class Network:
         object.__setattr__(self, "cpts", tuple(tables))
 
     # ------------------------------------------------------------------
-    # structure lookups (cached; the instance is immutable)
+    # structure lookups (cached; the instance is immutable).  Each depends on
+    # the nodes alone, so `with_cpts` hands the ones computed so far on.
 
     @cached_property
     def node_index(self) -> dict[str, int]:
@@ -180,7 +181,14 @@ class Network:
         return tuple(reversed(out))
 
     def with_cpts(self, cpts: Sequence[np.ndarray], name: str | None = None) -> "Network":
-        return Network(name if name is not None else self.name, self.nodes, tuple(cpts))
+        out = Network(name if name is not None else self.name, self.nodes, tuple(cpts))
+        out.__dict__.update({k: v for k, v in vars(self).items() if k in _STRUCTURE_LOOKUPS})
+        return out
+
+
+_STRUCTURE_LOOKUPS = frozenset(
+    k for k, v in vars(Network).items() if isinstance(v, cached_property)
+)
 
 
 def validate_network(net: Network) -> list[str]:
@@ -267,8 +275,23 @@ def joint_probability(net: Network, x: Sequence[int]) -> float:
 
 def unravel_rows(net: Network, idx: np.ndarray) -> np.ndarray:
     """Flat joint indices as an (n, nodes) array of state indices."""
-    cols = [(idx // s) % c for s, c in zip(net.ravel_strides, net.cards)]
-    return np.stack(cols, axis=1)
+    return np.asarray(idx, dtype=np.int64)[:, None] // net.ravel_strides % net.cards
+
+
+def joint_probs(net: Network, idx: np.ndarray) -> np.ndarray:
+    """P(x) for each flat joint index, as one batch.
+
+    The node-order product of the CPT entries each state selects: the
+    multiplications `joint_probability` makes, so the values match it bit
+    for bit.
+    """
+    coef, offsets = net.family_cells
+    cells = (unravel_rows(net, idx) @ coef).astype(np.int64) + offsets[:-1]
+    entries = np.concatenate([cpt.ravel() for cpt in net.cpts])[cells.T]
+    p = np.ones(len(cells))
+    for column in entries:
+        p = p * column
+    return p
 
 
 def parent_rows(net: Network, rows: np.ndarray, i: int) -> np.ndarray:

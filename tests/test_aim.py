@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import TRI_NET, asia_data, dataset_of, incremental_kl_delta, member_table
+from conftest import TRI_NET, asia_data, dataset_of, incremental_kl_delta
 from coarsebn import aim, inference
 from coarsebn.aim import (
     LOG_PROB_FLOOR,
@@ -15,15 +15,23 @@ from coarsebn.aim import (
     ai_sweep,
     aim_fit,
     initial_completion,
+    log_probs,
     m_step,
 )
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
-from coarsebn.data import Dataset
+from coarsebn.data import Dataset, member_flat_indices
 from coarsebn.em import em_fit
 from coarsebn.errors import DataError
 from coarsebn.likelihoods import exact_sat_profile_loglik
 from coarsebn.netformat import parse_network
-from coarsebn.network import ml_estimate, sample, uniform_cpts, unravel_rows
+from coarsebn.network import (
+    joint_probability,
+    joint_probs,
+    ml_estimate,
+    sample,
+    uniform_cpts,
+    unravel_rows,
+)
 
 
 def full_kl(counts, zn, logp):
@@ -33,6 +41,19 @@ def full_kl(counts, zn, logp):
         q = n / zn
         total += q * (math.log(q) - logp(x))
     return total
+
+
+def logp_of(net):
+    """log max(P(x), floor) by flat joint index under net, one state at a
+    time, each computed once."""
+    cache = {}
+
+    def logp(x):
+        if x not in cache:
+            cache[x] = float(log_probs(net, [x])[0])
+        return cache[x]
+
+    return logp
 
 
 def complete_dataset(net, n, seed):
@@ -72,7 +93,7 @@ class TestIncrementalKlDelta:
     def test_chained_updates_track_full_recompute(self, asia_net):
         # 1e4 random moves with periodic refresh every 1e3: the running sum
         # of deltas stays within 1e-12 of the scratch value
-        from coarsebn.network import joint_probability, randomize_parameters
+        from coarsebn.network import randomize_parameters
 
         rng = np.random.default_rng(13)
         net = randomize_parameters(asia_net, rng)  # strictly positive states
@@ -137,16 +158,20 @@ class TestIncrementalKlDelta:
         )
 
     def test_floor_keeps_impossible_states_unattractive(self, basic_net):
-        # moving into a zero-probability state costs ~log(1e-300)
+        # moving into a zero-probability state costs ~log(1e-300), a finite
+        # penalty: log P is floored, not -inf
         dead = basic_net.with_cpts(
             [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])]
         )
-        logp = member_table(dead, [(None, None)]).log_evaluator(dead, LOG_PROB_FLOOR)
+        idx = [basic_net.ravel(x) for x in [(0, 0), (0, 1), (1, 0), (1, 1)]]
+        assert log_probs(dead, idx).tolist() == [
+            math.log(0.5), math.log(0.5), math.log(LOG_PROB_FLOOR), math.log(LOG_PROB_FLOOR)
+        ]
         counts = {basic_net.ravel((0, 0)): 10}
         delta = incremental_kl_delta(
-            counts, 10, logp, basic_net.ravel((0, 0)), basic_net.ravel((1, 0))
+            counts, 10, logp_of(dead), basic_net.ravel((0, 0)), basic_net.ravel((1, 0))
         )
-        assert delta > 50.0
+        assert 50.0 < delta < math.inf
 
 
 def seed_completion(theta0, reps, seed):
@@ -186,9 +211,7 @@ def build_state(structure, theta0, data, z, seed=0):
         ],
         assign=assign,
         counts=counts,
-        table=table,
     )
-    state.logp = state.table.log_evaluator(state.net, LOG_PROB_FLOOR)
     state.score = state.full_score()
     return state
 
@@ -200,7 +223,7 @@ class TestAiSweep:
         ai_sweep(state)
         assert state.score <= before + 1e-12
         assert state.score == pytest.approx(
-            full_kl(state.counts, state.zn, state.logp), abs=1e-10
+            full_kl(state.counts, state.zn, logp_of(state.net)), abs=1e-10
         )
 
     def test_migration_toward_optimal_split(self, basic_net, basic_data_n2000):
@@ -252,6 +275,7 @@ def reference_sweep(state):
     most negative.  Returns how many improving candidates tied with the best
     one found before them."""
     counts = state.counts
+    logp = logp_of(state.net)
     ties = 0
     for j in range(state.zn):
         cur = state.assign[j]
@@ -263,7 +287,7 @@ def reference_sweep(state):
                 if s == d:
                     continue
                 to = cur + (s - d) * stride
-                delta = incremental_kl_delta(counts, state.zn, state.logp, cur, to)
+                delta = incremental_kl_delta(counts, state.zn, logp, cur, to)
                 if delta < best_delta:
                     best_delta = delta
                     best_to = to
@@ -346,15 +370,22 @@ class TestSweepMatchesDefinition:
         _, moves = self.run_rounds(asia_net, em.network, data, z=1, rounds=6)
         assert sum(moves) > 0
 
-    def test_split_table_fills_logp_lazily(self, asia_net, monkeypatch):
-        # half the members enumerated, the other patterns' states looked up
-        # on the clique tree as the sweep first reads them
+    def test_split_table_reads_tree_states_in_the_batch(self, asia_net, monkeypatch):
+        # half the members enumerated: the other patterns' states take log P
+        # from the same joint_probs batch, as joint_probability computes it
         data = asia_data(asia_net, n=150, seed=48)
         half = sum(inference.BoundDataset(asia_net, data).sizes) // 2
         monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", half)
         table = inference.BoundDataset(asia_net, data).table
         assert table.enumerated and table.on_tree
         em = em_fit(asia_net, data)
+        tree_states = np.concatenate(
+            [member_flat_indices(asia_net, table.bounds[k]) for k in table.on_tree]
+        )
+        assert not np.isin(tree_states, table.uniq).all()
+        assert joint_probs(em.network, tree_states).tolist() == [
+            joint_probability(em.network, asia_net.unravel(x)) for x in tree_states.tolist()
+        ]
         _, moves = self.run_rounds(asia_net, em.network, data, z=5, rounds=4)
         assert sum(moves) > 0
 
@@ -399,35 +430,37 @@ class TestSweepWork:
 
     @pytest.mark.parametrize("split", [False, True])
     def test_still_sweep_reads_each_state_once(self, asia_net, monkeypatch, split):
-        # a sweep that moves nothing reads log P once per state an occupied
-        # key reads, however many keys and replicas read it, and decides no
-        # key in Python; on a table split between members and the clique
-        # tree, each tree state not yet read costs one joint_probability
+        # a sweep that moves nothing reads log P in one joint_probs batch,
+        # once per state the keys read, however many keys and replicas read
+        # it, and decides no key in Python; on a table split between
+        # members and the clique tree, the tree's states are in that batch
         data = asia_data(asia_net, n=150, seed=48) if split else asia_data(asia_net)
         if split:
             half = sum(inference.BoundDataset(asia_net, data).sizes) // 2
             monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", half)
         state = self.still_state(asia_net, data)
-        assert bool(state.table.on_tree) == split
-        state.logp = state.table.log_evaluator(state.net, LOG_PROB_FLOOR)
-        known = set(state.logp.__self__)
-        logp = state.logp
-        calls = []
-        state.logp = lambda x: calls.append(x) or logp(x)
-        lookups = []
-        joint = inference.joint_probability
+        table = inference.BoundDataset(asia_net, data).table
+        assert bool(table.on_tree) == split
+        tree_states = {
+            x
+            for k in table.on_tree
+            for x in member_flat_indices(asia_net, table.bounds[k]).tolist()
+        }
+        batches = []
+        joint = aim.joint_probs
         monkeypatch.setattr(
-            inference, "joint_probability", lambda net, x: lookups.append(1) or joint(net, x)
+            aim, "joint_probs", lambda net, idx: batches.append(list(idx)) or joint(net, idx)
         )
         pops = self.count_pops(monkeypatch)
         before = state._moves
         ai_sweep(state)
         assert state._moves == before
-        reads = self.reads(state)
-        assert sorted(calls) == sorted(reads)
         assert pops == []
-        assert len(lookups) == len(reads - known)
-        assert (len(lookups) > 0) == split
+        [batch] = batches
+        reads = self.reads(state)
+        assert batch == state._keys.states and len(set(batch)) == len(batch)
+        assert reads <= set(batch)
+        assert bool(reads & tree_states) == split
 
     def test_tied_moves_decide_no_key(self, basic_net, monkeypatch):
         # under uniform parameters a lone replica's move to an empty state
@@ -447,10 +480,12 @@ class TestSweepWork:
         state = build_state(basic_net, basic_net, d, z=1)
         keys, zn = state._keys, state.zn
         tt, tf = basic_net.ravel((0, 0)), basic_net.ravel((0, 1))
+        batch = log_probs(state.net, keys.states)
         for c in range(1, zn):
-            keys.first_queue({tt: c, tf: zn - c}, state.logp)
+            keys.first_queue({tt: c, tf: zn - c}, batch)
             for x, n in ((tt, c), (tf, zn - c)):
-                r, lp = keys.row[x], state.logp(x)
+                r = keys.row[x]
+                lp = float(batch[r])
 
                 def term(c):
                     return c / zn * (math.log(c / zn) - lp) if c > 0 else 0.0
@@ -489,9 +524,10 @@ class TestSweepWork:
             for r in [keys.key_row[k], *keys.nbr_rows[k]]:
                 assert keys.readers[r].count(k) == 1
         zn = state.zn
+        logp = logp_of(state.net)
         for r in {r for k in occupied for r in [keys.key_row[k], *keys.nbr_rows[k]]}:
             x = keys.states[r]
-            n, lp = state.counts.get(x, 0), state.logp(x)
+            n, lp = state.counts.get(x, 0), logp(x)
 
             def term(c):
                 return c / zn * (math.log(c / zn) - lp) if c > 0 else 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coarsebn.coarsen import (
+    OBS_PREFIX,
     CoarseningSpec,
     beta_from_mean_variance,
     build_coarsening_network,
@@ -10,7 +11,30 @@ from coarsebn.coarsen import (
     original_variables,
 )
 from coarsebn.errors import DataError, FormatError
-from coarsebn.network import validate_network
+from coarsebn.data import Dataset
+from coarsebn.network import sample, validate_network
+
+
+def reference_dataset(augmented, n, rng):
+    """generate_dataset cell by cell: one sample call, then each case's
+    value or None read from the sampled matrix one cell at a time."""
+    originals = original_variables(augmented)
+    index = augmented.node_index
+    pairs = [(index[v], index[OBS_PREFIX + v]) for v in originals]
+    rows = sample(augmented, n, rng)
+    cases = []
+    missing = 0
+    for r in range(n):
+        pattern = []
+        for vi, oi in pairs:
+            if augmented.nodes[oi].states[rows[r, oi]] == "false":
+                pattern.append(None)
+                missing += 1
+            else:
+                pattern.append(augmented.nodes[vi].states[rows[r, vi]])
+        cases.append((tuple(pattern), 1.0))
+    frac = missing / (n * len(originals)) if n else 0.0
+    return Dataset(tuple(originals), tuple(cases)), frac
 
 
 class TestBetaFromMeanVariance:
@@ -107,6 +131,21 @@ class TestBuildCoarseningNetwork:
 
 
 class TestGenerateDataset:
+    @pytest.mark.parametrize("fixture", ["asia_net", "basic_net"])
+    @pytest.mark.parametrize("n", [0, 1, 300])
+    def test_matches_cell_by_cell_reference(self, request, fixture, n):
+        net = request.getfixturevalue(fixture)
+        for seed in range(4):
+            aug = build_coarsening_network(
+                net, CoarseningSpec(2, 0.3, 0.05), np.random.default_rng(seed)
+            )
+            rng, ref_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+            data, frac = generate_dataset(aug, n, rng)
+            ref, ref_frac = reference_dataset(aug, n, ref_rng)
+            assert data == ref
+            assert frac == ref_frac
+            assert rng.random() == ref_rng.random()  # the same draws were taken
+
     def test_mar_missing_fraction(self, asia_net):
         rng = np.random.default_rng(2)
         aug = build_coarsening_network(asia_net, CoarseningSpec(0, 0.1, 0.0), rng)

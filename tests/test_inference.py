@@ -39,6 +39,7 @@ from coarsebn.network import (
     NodeSpec,
     family_counts_from_rows,
     joint_probability,
+    joint_probs,
     parent_rows,
     randomize_parameters,
     unravel_rows,
@@ -329,10 +330,7 @@ class TestMemberTable:
         for a, b in zip(counts_t, counts_v):
             assert np.allclose(a, b, atol=1e-12)
         assert sum(c.sum() for c in counts_t) == pytest.approx(5.0 * len(net.nodes))
-        lt = table.log_evaluator(net, 1e-300)
-        lv = ve.log_evaluator(net, 1e-300)
-        for r in table.uniq.tolist():
-            assert lt(r) == pytest.approx(lv(r), abs=1e-12)
+        assert np.array_equal(joint_probs(net, table.uniq), table.probs(net))
 
     def test_budget_counts_members_before_enumerating(self, asia_net, monkeypatch):
         bound = BoundDataset(asia_net, dataset_of(asia_net, self.BOUNDS))
@@ -407,7 +405,6 @@ class TestMemberTable:
             lambda net: table.probs(net),
             lambda net: table.pattern_probs(net),
             lambda net: table.expected_counts(net, np.ones(3)),
-            lambda net: table.log_evaluator(net, 1e-300),
             lambda net: table.sampler(net),
         ]
         same = randomize_parameters(asia_net, np.random.default_rng(8))
@@ -549,10 +546,10 @@ class TestMixedSplit:
             assert np.allclose(p_s, p_o, rtol=1e-12, atol=0)
             for a, b in zip(counts_s, counts_o, strict=True):
                 assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
-        logp = split.log_evaluator(net, 1e-300)
-        assert len(logp.__self__) == 33  # the tree patterns' states come on first use
+        assert np.array_equal(split.probs(net), joint_probs(net, split.uniq))
+        assert len(split.uniq) == 33  # the tree patterns' states are not members
         full = full_joint_table(net).reshape(-1)
-        assert [logp(r) for r in range(256)] == pytest.approx(np.log(full), rel=1e-12)
+        assert np.array_equal(joint_probs(net, np.arange(256)), full)
         draw = split.sampler(net)
         for k, bound in enumerate(self.BOUNDS):
             rows = unravel_rows(net, np.array(draw(k, 20, np.random.default_rng(k))))

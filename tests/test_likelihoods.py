@@ -353,7 +353,8 @@ class TestSatProfile:
         values = []
         for r in range(5):
             rng = np.random.default_rng(100 + r)
-            value, _, _, _ = problem.solve(basic_net, tol=1e-12, rng=rng)
+            init = rng.random(problem.table.n_slots)
+            value, _, _, _ = problem.solve(basic_net, tol=1e-12, init=init)
             values.append(value)
         assert max(values) - min(values) < 1e-8
 

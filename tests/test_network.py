@@ -4,17 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TRI_NET, random_dag
+from coarsebn import network as network_mod
 from coarsebn.aim import aim_fit
 from coarsebn.data import Dataset
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import DataError
-from coarsebn.netformat import parse_network
+from coarsebn.inference import full_joint_table
+from coarsebn.netformat import parse_network, read_network
 from coarsebn.network import (
     ROW_SUM_TOL,
     Network,
     NodeSpec,
     family_counts_from_rows,
     joint_probability,
+    joint_probs,
     ml_estimate,
     params_from_family_counts,
     parent_rows,
@@ -22,8 +25,10 @@ from coarsebn.network import (
     sample,
     smooth,
     uniform_cpts,
+    unravel_rows,
     validate_network,
 )
+from coarsebn.util import fixture_path
 
 
 def enumerate_assignments(net):
@@ -223,6 +228,55 @@ class TestJointProbability:
     def test_dimension_mismatch(self, basic_net):
         with pytest.raises(DataError):
             joint_probability(basic_net, (0, 0, 0))
+
+
+class TestJointProbs:
+    def test_every_asia_state_bit_for_bit(self, asia_net):
+        # the batch multiplies in node order, as joint_probability and the
+        # dense joint table do, so every value is the same float
+        for net in (asia_net, randomize_parameters(asia_net, np.random.default_rng(6))):
+            p = joint_probs(net, np.arange(256))
+            assert p.tolist() == [joint_probability(net, net.unravel(r)) for r in range(256)]
+            assert np.array_equal(p, full_joint_table(net).reshape(-1))
+
+    def test_empty_batch(self, asia_net):
+        assert joint_probs(asia_net, []).shape == (0,)
+
+
+class TestWithCpts:
+    def test_structure_lookups_carry_over(self, asia_net):
+        # every cached lookup depends on the nodes alone: the new network
+        # holds the same objects, equal to those a fresh network computes
+        names = ["node_index", "cards", "parent_index", "row_strides", "n_rows",
+                 "n_assignments", "ravel_strides", "family_cells", "card_groups",
+                 "topo_order"]
+        # a new cached property must be added here, and must not read the CPTs
+        assert network_mod._STRUCTURE_LOOKUPS == set(names)
+        before = {k: getattr(asia_net, k) for k in names}
+        net = asia_net.with_cpts(randomize_parameters(asia_net, np.random.default_rng(3)).cpts)
+        fresh = Network("fresh", asia_net.nodes, net.cpts)
+        for k in names:
+            assert getattr(net, k) is before[k]
+            a, b = getattr(net, k), getattr(fresh, k)
+            if k == "family_cells":
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
+            else:
+                assert a == b
+        assert [np.array_equal(a, b) for a, b in zip(net.cpts, asia_net.cpts)] == [False] * 8
+
+
+class TestUnravelRows:
+    def test_every_asia_state(self, asia_net):
+        rows = unravel_rows(asia_net, np.arange(256))
+        assert rows.dtype == np.int64 and rows.shape == (256, 8)
+        assert rows.tolist() == [list(asia_net.unravel(r)) for r in range(256)]
+
+    def test_largest_alarm_like_index(self):
+        net = read_network(fixture_path("alarm_like.net"))
+        last = net.n_assignments - 1
+        rows = unravel_rows(net, [last, last // 3, 0])
+        assert rows.tolist() == [list(net.unravel(r)) for r in (last, last // 3, 0)]
+        assert rows[0].tolist() == [c - 1 for c in net.cards]
 
 
 class TestSample:
