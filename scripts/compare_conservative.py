@@ -21,7 +21,7 @@ from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_
 from coarsebn.conservative import random_completion
 from coarsebn.evaluate import evaluate
 from coarsebn.netformat import read_network
-from coarsebn.network import ml_estimate
+from coarsebn.network import ml_estimate, smooth
 from coarsebn.util import fixture_path, stable_child_seed
 
 
@@ -52,14 +52,14 @@ def main(argv=None) -> int:
             crng = np.random.default_rng(stable_child_seed(args.seed, d, r))
             completed = random_completion(truth, data, crng)
             start_raw, start_counts = ml_estimate(truth, (completed, weights))
-            ce_start = evaluate(truth, start_raw, start_counts, "cons").ce
+            ce_start = evaluate(truth, smooth(start_raw, start_counts)).ce
             refit = aim_fit(
                 truth,
                 start_raw,
                 data,
                 AimOptions(z=args.z, seed=stable_child_seed(args.seed, d, r, "aim")),
             )
-            ce_refit = evaluate(truth, refit.network, refit.row_counts, "aim").ce
+            ce_refit = evaluate(truth, refit.smoothed).ce
             rows.append(
                 {
                     "dataset": d,

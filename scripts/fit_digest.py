@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""One SHA-256 over every AIM sweep and every fit of the benchmark's inputs.
+"""SHA-256 digests of every AIM sweep and fit of the benchmark's inputs,
+and of the likelihood solvers on the lik_reports inputs.
 
 Runs `run_experiment` on each input of the asia_rows and large_dag tables
 (perfbench/workloads.py, imported by path as perfbench/run.py does) and
@@ -9,8 +10,12 @@ hashes, in order:
   - every EM and AIM result: the CPT bytes of its raw and smoothed network,
     and the AIM trace;
   - every summary row.
-Two versions of the package that print the same digest make the same
-moves, counts, scores and estimates, bit for bit.
+A second line hashes, for each lik_reports input (the first
+`Sizes.lik_datasets` asia_rows inputs), the sat value and gap of
+`SatProfileProblem(aim.network, data).solve(aim.network, tol=1e-8)` and
+`lr_statistic(aim.network, em.network, data)`, as float hex.
+Two versions of the package that print the same digests make the same
+moves, counts, scores, estimates and solver values, bit for bit.
 
     python3 scripts/fit_digest.py
 """
@@ -25,12 +30,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from coarsebn import aim, cli, em  # noqa: E402
+from coarsebn import aim, cli, em, likelihoods  # noqa: E402
 
 
 def main() -> int:
-    digest = hashlib.sha256()
+    digest, lik_digest = hashlib.sha256(), hashlib.sha256()
     sweeps = fits = 0
+    last = {}
 
     def put(*parts) -> None:
         for part in parts:
@@ -55,6 +61,7 @@ def main() -> int:
         nonlocal fits
         res = em_fit(*args, **kwargs)
         fits += 1
+        last["em"], last["data"] = res, args[1].data
         put_networks(res)
         put([(it, ll.hex(), ex.hex()) for it, ll, ex in res.trace])
         return res
@@ -63,6 +70,7 @@ def main() -> int:
         nonlocal fits
         res = aim_fit(*args, **kwargs)
         fits += 1
+        last["aim"] = res
         put_networks(res)
         put([(it, s.hex(), b.hex()) for it, s, b in res.trace])
         return res
@@ -70,15 +78,21 @@ def main() -> int:
     aim.ai_sweep, em.em_fit, aim.aim_fit = traced_sweep, traced_em, traced_aim
     try:
         sizes = workloads.Sizes()
-        for cfg in workloads.asia_table(sizes) + workloads.dag_table(sizes):
+        for i, cfg in enumerate(workloads.asia_table(sizes) + workloads.dag_table(sizes)):
             rows, failures = cli.run_experiment(cfg)
             if failures:
                 print("; ".join(failures), file=sys.stderr)
                 return 1
             put([(k, v.hex() if isinstance(v, float) else v) for k, v in rows[0].items()])
+            if i < sizes.lik_datasets:
+                net, data = last["aim"].network, last["data"]
+                value, _, _, gap = likelihoods.SatProfileProblem(net, data).solve(net, tol=1e-8)
+                lr = likelihoods.lr_statistic(net, last["em"].network, data)
+                lik_digest.update(repr((value.hex(), gap.hex(), lr.hex())).encode())
     finally:
         aim.ai_sweep, em.em_fit, aim.aim_fit = sweep, em_fit, aim_fit
     print(f"{digest.hexdigest()}  ({sweeps} sweeps, {fits} fits)")
+    print(f"{lik_digest.hexdigest()}  ({sizes.lik_datasets} lik inputs)")
     return 0
 
 

@@ -13,13 +13,11 @@ AIM needs log P(x) only at the states replicas occupy or can move to, and
 reads it per use as one `network.joint_probs` batch over those states.
 
 `ai_sweep` makes the moves of the per-replica definition, float for float,
-per (move set, completion) key and in two tiers.  Tier 1 takes log P of
-every state the keys read as one batch (`log_probs`), caches each such
-state's count terms, scores every occupied key's moves from them and queues
-only the keys with an improving move.  Tier 2 decides the queued keys in
-replica order from the cached terms, and decides a key again only when an
-accepted move has changed a count its decision reads; a move recomputes
-the terms of its two states only.
+per (move set, completion) key.  At the start of a sweep it caches each
+state's count terms from one `log_probs` batch and queues every occupied
+key.  It decides the keys in replica order from the cached terms, and
+decides a key again only when an accepted move has changed a count its
+decision reads; a move recomputes the terms of its two states only.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -94,10 +92,16 @@ class AimState:
     def full_score(self) -> float:
         total = 0.0
         lp = log_probs(self.net, list(self.counts)).tolist()
+        log_q, zn = self.log_q, self.zn
         for n, lp_x in zip(self.counts.values(), lp):
-            q = n / self.zn
-            total += q * (math.log(q) - lp_x)
+            total += n / zn * (log_q[n] - lp_x)
         return total
+
+    @cached_property
+    def log_q(self) -> list[float]:
+        """math.log(c / zn) per count c = 1..zn+1; entry 0 is never read."""
+        zn = self.zn
+        return [0.0] + [math.log(c / zn) for c in range(1, zn + 2)]
 
     @cached_property
     def _keys(self) -> SweepKeys:
@@ -133,8 +137,7 @@ class SweepKeys:
         )
         self.move_sets = list(ids)          # per id, a case's (stride, card) pairs
         self.zn = state.zn
-        self.log_q = [0.0]                  # per count c > 0, math.log(c / zn)
-        self.log_q_array = np.zeros(1)      # log_q as an array, for tier 1
+        self.log_q = state.log_q
         self.states: list[int] = []
         self.row: dict[int, int] = {}
         self.readers: list[list[int]] = []
@@ -184,49 +187,23 @@ class SweepKeys:
         for r in [self.key_row[k], *nbrs]:
             self.readers[r].append(k)
 
-    def _grow(self, n: int) -> None:
-        """Extend log_q to count n with math.log, as the scalar definition
-        computes it."""
-        if n >= len(self.log_q):
-            zn = self.zn
-            self.log_q += [math.log(c / zn) for c in range(len(self.log_q), n + 1)]
-            self.log_q_array = np.array(self.log_q)
-
     def set_terms(self, r: int, n: int) -> None:
         """Row r's terms once its state holds n replicas."""
-        self._grow(n + 1)
         log_q, zn, lp = self.log_q, self.zn, self.lp[r]
         self.left[r] = (n - 1) / zn * (log_q[n - 1] - lp) if n > 1 else 0.0
         self.was[r] = n / zn * (log_q[n] - lp) if n else 0.0
         self.arrived[r] = (n + 1) / zn * (log_q[n + 1] - lp)
 
     def first_queue(self, counts: dict[int, int], lp: np.ndarray) -> list[tuple[int, int]]:
-        """Tier 1 of a sweep: every row's terms, from `lp[r]`, log P of row
-        r's state, and a heap of the keys that can move, each at its first
-        replica.  The terms are `set_terms`' operations on the same floats,
-        in one batch; each occupied key's moves are scored from them as tier
-        2 scores them, against the counts at the start of the sweep.
-        """
-        n = np.fromiter(map(counts.get, self.states, repeat(0)), np.int64, len(self.states))
-        self._grow(int(n.max(initial=0)) + 1)
-        log_q, zn = self.log_q_array, self.zn
-
-        def terms(c: np.ndarray) -> list[float]:
-            return np.where(c > 0, c / zn * (log_q[c] - lp), 0.0).tolist()
-
-        self.queued = queued = [False] * len(self.key)
+        """Every row's terms, from `lp[r]`, log P of row r's state, and a
+        heap of every occupied key at its first replica."""
+        rows = len(self.states)
         self.lp = lp.tolist()
-        self.left, self.was, self.arrived = terms(n - 1), terms(n), terms(n + 1)
-        left, was, arrived = self.left, self.was, self.arrived
-        queue = []
-        for k, reps in enumerate(self.members):
-            if not reps:
-                continue
-            x, nbrs = self.key_row[k], self.nbr_rows[k]
-            t_left, t_from = left[x], was[x]
-            if any(((t_left + arrived[y]) - t_from) - was[y] < 0.0 for y in nbrs):
-                queued[k] = True
-                queue.append((reps[0], k))
+        self.left, self.was, self.arrived = [0.0] * rows, [0.0] * rows, [0.0] * rows
+        for r, x in enumerate(self.states):
+            self.set_terms(r, counts.get(x, 0))
+        self.queued = [bool(reps) for reps in self.members]
+        queue = [(reps[0], k) for k, reps in enumerate(self.members) if reps]
         heapq.heapify(queue)
         return queue
 
@@ -239,13 +216,11 @@ def ai_sweep(state: AimState) -> AimState:
     only the count terms of x and y, so its delta is the new terms of both
     minus the old, summed in that order.
 
-    The decisions are made per key (move set, state), in replica order, in
-    two tiers.  Tier 1 (`SweepKeys.first_queue`) caches the count terms of
-    every state the keys read, from one `log_probs` batch, scores each
-    occupied key's moves from them against the counts at the start of the
-    sweep, and queues only the keys that can move, each at its first
-    replica.  Tier 2 pops the queue in replica order and decides each key
-    in Python from the cached count terms.  A key that stays put is not
+    The decisions are made per key (move set, state), in replica order.
+    `SweepKeys.first_queue` caches the count terms of every state the keys
+    read, from one `log_probs` batch, and queues every occupied key at its
+    first replica.  The loop pops the queue in replica order and decides
+    each key from the cached count terms.  A key that stays put is not
     decided again until a move changes a count it reads: a move x -> y
     recomputes the terms of x and y only and queues each reader of x and y
     at its first replica after the mover (a key still queued already waits

@@ -125,8 +125,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
                 bound,
                 aim_mod.AimOptions(z=cfg.z, seed=stable_child_seed(cfg.seed, r, "aim")),
             )
-            rep_em = evaluate(cfg.net, em_res.network, em_res.row_counts, "em")
-            rep_aim = evaluate(cfg.net, aim_res.network, aim_res.row_counts, "aim")
+            rep_em = evaluate(cfg.net, em_res.smoothed)
+            rep_aim = evaluate(cfg.net, aim_res.smoothed)
             rows.append(
                 {
                     "run": r,

@@ -37,8 +37,8 @@ class CoarseningSpec:
             raise FormatError("mp must be nonnegative")
         if not 0.0 <= self.mu <= 1.0:
             raise FormatError("mu must lie in [0, 1]")
-        if self.sigma < 0:
-            raise FormatError("sigma must be nonnegative")
+        if not self.sigma >= 0:
+            raise FormatError(f"sigma must be a nonnegative number; got {self.sigma!r}")
         if self.sigma > 0 and self.sigma >= self.mu * (1.0 - self.mu):
             raise FormatError("sigma must be < mu*(1-mu) (or exactly 0)")
 

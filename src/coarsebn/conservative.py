@@ -105,6 +105,8 @@ def marginal_bounds(
         elif v == state:
             known += w
     total = data.total_weight
+    if total <= 0:
+        raise DataError("total weight must be positive")
     low = known / total
     high = (known + missing) / total
     return low, high, (low + high) / 2.0

@@ -15,12 +15,11 @@ import numpy as np
 
 from .errors import BudgetError, DataError
 from .inference import CliqueTree, full_joint_table
-from .network import ENUM_BUDGET, Network, smooth
+from .network import ENUM_BUDGET, Network
 
 
 @dataclass
 class EvalReport:
-    method: str
     ce: float
     mse: float
 
@@ -91,14 +90,8 @@ def mse(truth: Network, estimate: Network) -> float:
     return num / den
 
 
-def evaluate(
-    truth: Network,
-    raw_estimate: Network,
-    row_counts,
-    method: str = "",
-) -> EvalReport:
-    """Smooth the raw estimate, then score it against the truth."""
-    est = smooth(raw_estimate, row_counts)
-    if same_structure(truth, est):
-        return EvalReport(method, kl_decomposed(truth, est), mse(truth, est))
-    return EvalReport(method, kl_enumerate(truth, est), float("nan"))
+def evaluate(truth: Network, estimate: Network) -> EvalReport:
+    """Score a (smoothed) estimate against the truth."""
+    if same_structure(truth, estimate):
+        return EvalReport(kl_decomposed(truth, estimate), mse(truth, estimate))
+    return EvalReport(kl_enumerate(truth, estimate), float("nan"))

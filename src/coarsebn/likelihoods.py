@@ -135,12 +135,15 @@ def _fixed_point(
 ) -> tuple[np.ndarray, _Point]:
     """SQUAREM cycles from x until a point's gap is within tol.
 
-    Returns that point and its evaluation.  Raises NumericalError rather
-    than start a cycle that could pass max_evals map evaluations.
+    Returns that point and its evaluation.  Raises NumericalError at a NaN
+    gap, which is not convergence, and rather than start a cycle that could
+    pass max_evals map evaluations.
     """
     at_x = evaluate(x)
     evals = 1
-    while at_x.gap > tol:
+    while not at_x.gap <= tol:
+        if math.isnan(at_x.gap):
+            raise NumericalError(f"{name} reached a NaN gap")
         if evals + _CYCLE_EVALS > max_evals:
             raise NumericalError(
                 f"{name} stalled at gap {at_x.gap:.3g} > tol {tol:.3g}"
@@ -194,6 +197,8 @@ class SatProfileProblem:
             w = np.asarray(init, dtype=np.float64)
             if w.shape != (table.n_slots,):
                 raise DataError("bad initial completion shape")
+            if not np.isfinite(w).all():
+                raise DataError("initial completion has non-finite entries")
         else:
             w = np.ones(table.n_slots)
         # The iteration runs on the slots the model allows.  Each keeps a

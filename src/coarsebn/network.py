@@ -180,8 +180,8 @@ class Network:
             r //= c
         return tuple(reversed(out))
 
-    def with_cpts(self, cpts: Sequence[np.ndarray], name: str | None = None) -> "Network":
-        out = Network(name if name is not None else self.name, self.nodes, tuple(cpts))
+    def with_cpts(self, cpts: Sequence[np.ndarray]) -> "Network":
+        out = Network(self.name, self.nodes, tuple(cpts))
         out.__dict__.update({k: v for k, v in vars(self).items() if k in _STRUCTURE_LOOKUPS})
         return out
 

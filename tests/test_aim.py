@@ -421,18 +421,24 @@ class TestSweepWork:
         return out
 
     @staticmethod
-    def count_pops(monkeypatch):
-        """Count the heap pops, one per key decided in Python."""
+    def record_pops(monkeypatch):
+        """Record the keys popped from the heap, one pop per decision."""
         pops = []
         pop = heapq.heappop
-        monkeypatch.setattr(heapq, "heappop", lambda queue: pops.append(1) or pop(queue))
+
+        def recorded(queue):
+            j, k = pop(queue)
+            pops.append(k)
+            return j, k
+
+        monkeypatch.setattr(heapq, "heappop", recorded)
         return pops
 
     @pytest.mark.parametrize("split", [False, True])
     def test_still_sweep_reads_each_state_once(self, asia_net, monkeypatch, split):
         # a sweep that moves nothing reads log P in one joint_probs batch,
         # once per state the keys read, however many keys and replicas read
-        # it, and decides no key in Python; on a table split between
+        # it, and decides each occupied key once; on a table split between
         # members and the clique tree, the tree's states are in that batch
         data = asia_data(asia_net, n=150, seed=48) if split else asia_data(asia_net)
         if split:
@@ -451,11 +457,12 @@ class TestSweepWork:
         monkeypatch.setattr(
             aim, "joint_probs", lambda net, idx: batches.append(list(idx)) or joint(net, idx)
         )
-        pops = self.count_pops(monkeypatch)
+        pops = self.record_pops(monkeypatch)
+        occupied = [k for k, reps in enumerate(state._keys.members) if reps]
         before = state._moves
         ai_sweep(state)
         assert state._moves == before
-        assert pops == []
+        assert sorted(pops) == occupied
         [batch] = batches
         reads = self.reads(state)
         assert batch == state._keys.states and len(set(batch)) == len(batch)
@@ -464,18 +471,20 @@ class TestSweepWork:
 
     def test_tied_moves_decide_no_key(self, basic_net, monkeypatch):
         # under uniform parameters a lone replica's move to an empty state
-        # scores exactly 0.0, which is no gain: no key is queued
+        # scores exactly 0.0, which is no gain: each key is decided once and
+        # none moves
         d = Dataset(("A", "B"), ((("t", None), 1.0), (("f", None), 1.0)))
         state = build_state(basic_net, uniform_cpts(basic_net), d, z=1)
-        pops = self.count_pops(monkeypatch)
+        pops = self.record_pops(monkeypatch)
         ai_sweep(state)
         assert state._moves == 0
-        assert pops == []
+        assert sorted(pops) == [0, 1]
+        assert state._keys.members == [[0], [1]]
 
     def test_terms_are_the_scalar_floats_at_every_count(self, basic_net):
-        # tier 1's terms at each count c of zn = 5000 replicas are the floats
-        # of (c/zn)(math.log(c/zn) - log P); numpy's vectorised log would
-        # differ from math.log at some of these counts
+        # the terms at each count c of zn = 5000 replicas are the floats of
+        # (c/zn)(math.log(c/zn) - log P), read from the fit's one log table;
+        # numpy's vectorised log would differ from math.log at some counts
         d = Dataset(("A", "B"), ((("t", None), 5000.0),))
         state = build_state(basic_net, basic_net, d, z=1)
         keys, zn = state._keys, state.zn

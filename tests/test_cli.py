@@ -267,6 +267,18 @@ class TestGenData:
         )
         assert out.returncode == 2
 
+    def test_nan_sigma_is_one_format_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code = cli.main([
+            "gen-data", "--net", ASIA, "--coarsening", "2:0.1:nan",
+            "--n", "10", "--seed", "0", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "sigma must be a nonnegative number; got nan" in err
+        assert "augmentation" not in err
+        assert not out.exists()
+
 
     def test_negative_n_is_data_error(self, tmp_path):
         d = tmp_path / "d.csv"

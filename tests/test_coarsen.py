@@ -75,6 +75,14 @@ class TestSpecParsing:
             with pytest.raises(FormatError):
                 CoarseningSpec.parse(text)
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [("2:nan:0.05", "mu"), ("2:inf:0.05", "mu"), ("2:0.1:nan", "sigma"), ("2:0.1:inf", "sigma")],
+    )
+    def test_non_finite_knobs_refused(self, text, field):
+        with pytest.raises(FormatError, match=f"^{field} must"):
+            CoarseningSpec.parse(text)
+
 
 class TestBuildCoarseningNetwork:
     def test_mp0_single_parent(self, asia_net):

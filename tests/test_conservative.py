@@ -166,6 +166,10 @@ class TestMarginalBounds:
         with pytest.raises(DataError):
             marginal_bounds(basic_data, "Z", "t")
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(DataError, match="total weight must be positive"):
+            marginal_bounds(Dataset(("A",), ()), "A", "a")
+
     def test_unknown_state_rejected_with_net(self, basic_net, basic_data):
         with pytest.raises(DataError):
             marginal_bounds(basic_data, "B", "zzz", net=basic_net)

@@ -234,6 +234,21 @@ class TestSolverAcceleration:
         with pytest.raises(NumericalError, match="stalled at gap"):
             problem.solve(asia_net, tol=1e-12, max_iters=6)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_init_refused(self, basic_net, basic_data, bad):
+        problem = SatProfileProblem(basic_net, basic_data)
+        init = np.ones(problem.table.n_slots)
+        init[-1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            problem.solve(basic_net, init=init)
+
+    def test_nan_gap_is_not_convergence(self):
+        def evaluate(x):
+            return likelihoods._Point(0.0, math.nan, x)
+
+        with pytest.raises(NumericalError, match="NaN gap"):
+            likelihoods._fixed_point(evaluate, np.ones(3), 1e-8, 100, "solver")
+
     def test_zero_weight_pattern_changes_nothing(self, basic_net, basic_data):
         extra = Dataset(basic_data.variables, basic_data.cases + ((("f", None), 0.0),))
         sat = exact_sat_profile_loglik(basic_net, basic_data, tol=1e-12)
