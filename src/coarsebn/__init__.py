@@ -31,7 +31,6 @@ from .netformat import format_network, parse_network, read_network, write_networ
 from .network import (
     Network,
     NodeSpec,
-    joint_probability,
     ml_estimate,
     randomize_parameters,
     sample,

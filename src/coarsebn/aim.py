@@ -9,15 +9,19 @@ maximum-likelihood refit of theta on the completed counts.  The surrogate
 score KL(P_c, P_theta) never increases across iterations; a terminal score
 of zero certifies a global optimum of the sat-profile likelihood.
 
-AIM needs log P(x) only at the states replicas occupy or can move to, and
-reads it per use as one `network.joint_probs` batch over those states.
+AIM needs log P(x) only at the states replicas occupy or can move to.
+`SweepKeys` gives each such state a row and caches the row's CPT cells
+(`network.state_cells`) when it is first read, so one gather per theta
+gives log P for every row; the M step counts the completion with one
+bincount over the occupied rows' cells, and its score reads the same
+gather as the next sweep.
 
 `ai_sweep` makes the moves of the per-replica definition, float for float,
 per (move set, completion) key.  At the start of a sweep it caches each
-state's count terms from one `log_probs` batch and queues every occupied
-key.  It decides the keys in replica order from the cached terms, and
-decides a key again only when an accepted move has changed a count its
-decision reads; a move recomputes the terms of its two states only.
+row's count terms and queues every occupied key.  It decides the keys in
+replica order from the cached terms, and decides a key again only when an
+accepted move has changed a count its decision reads; a move recomputes
+the terms of its two states only.
 """
 
 from __future__ import annotations
@@ -37,10 +41,11 @@ from .errors import BudgetError, DataError
 from .inference import BoundDataset, MemberTable, bind
 from .network import (
     Network,
-    family_counts_from_rows,
-    joint_probs,
+    cell_probs,
+    family_counts,
     params_from_family_counts,
     smooth,
+    state_cells,
     unravel_rows,
     validate_network,
 )
@@ -50,9 +55,9 @@ LOG_PROB_FLOOR = 1e-300
 SCORE_REFRESH_EVERY = 1000
 
 
-def log_probs(net: Network, idx) -> np.ndarray:
-    """log max(P(x), LOG_PROB_FLOOR) for each flat joint index, as one batch."""
-    return np.log(np.maximum(joint_probs(net, idx), LOG_PROB_FLOOR))
+def log_probs(net: Network, cells: np.ndarray) -> np.ndarray:
+    """log max(P(x), LOG_PROB_FLOOR) for each row of `state_cells`."""
+    return np.log(np.maximum(cell_probs(net, cells), LOG_PROB_FLOOR))
 
 
 @dataclass
@@ -90,18 +95,21 @@ class AimState:
     _moves: int = 0
 
     def full_score(self) -> float:
-        total = 0.0
-        lp = log_probs(self.net, list(self.counts)).tolist()
+        """KL(P_c || P_theta) from scratch, summed in the counts' order."""
+        keys = self._keys
+        rows = keys.rows_of(self.counts)
+        lp = keys.log_probs(self.net)
         log_q, zn = self.log_q, self.zn
-        for n, lp_x in zip(self.counts.values(), lp):
-            total += n / zn * (log_q[n] - lp_x)
+        total = 0.0
+        for n, r in zip(self.counts.values(), rows):
+            total += n / zn * (log_q[n] - lp[r])
         return total
 
     @cached_property
     def log_q(self) -> list[float]:
-        """math.log(c / zn) per count c = 1..zn+1; entry 0 is never read."""
-        zn = self.zn
-        return [0.0] + [math.log(c / zn) for c in range(1, zn + 2)]
+        """math.log(c / zn) per count c = 1..zn+1; entry 0 is never read.
+        numpy's quotients are the IEEE floats of Python's c / zn."""
+        return [0.0, *map(math.log, (np.arange(1, self.zn + 2) / self.zn).tolist())]
 
     @cached_property
     def _keys(self) -> SweepKeys:
@@ -109,48 +117,96 @@ class AimState:
 
 
 class SweepKeys:
-    """The moving replicas grouped by key (move set, state), per fit.
+    """The states a fit reads, and its moving replicas grouped by key
+    (move set, state).
+
+    Every state a fit reads has a row: `states[r]` is its flat index,
+    `cells[r]` its `state_cells` row (built when the row is first read)
+    and, per sweep, `lp[r]` its log P under the current theta.  Rows are
+    added for the occupied states, complete cases' included, and for the
+    states the keys read.
 
     A replica's decision reads only the counts at its state and at that
     state's neighbours under its move set, so replicas of one key decide
-    alike until one of those counts changes.  Each state a key reads has a
-    row: `states[r]` is its flat index and `readers[r]` the keys whose
-    decision reads its count.  `members[k]` lists key k's replicas in
+    alike until one of those counts changes.  `readers[r]` lists the keys
+    whose decision reads row r's count, `members[k]` key k's replicas in
     ascending order, `key_row[k]` the row of its state and `nbr_rows[k]`
-    those of its neighbours.  Built from `assign` on the first sweep; after
-    that `ai_sweep` keeps them in step with the moves it makes, and `add`
-    appends the keys and rows it first reaches.
+    those of its neighbours.  The keys are grouped from `assign` on the
+    first sweep, so a state assembled by hand and edited before sweeping
+    is grouped as edited; after that `ai_sweep` keeps them in step with
+    the moves it makes, and `add` appends the keys and rows it first
+    reaches.
 
-    Per sweep, `lp[r]` holds log P of row r's state and `left[r]`, `was[r]`
-    and `arrived[r]` its count terms T(n-1), T(n) and T(n+1), where n is
-    the state's count and T(c) = (c/zn)(log(c/zn) - log P), T(0) = 0.0.
-    They are filled for every row at the start of a sweep; a key empty then
-    holds only replicas that sweep has decided already, so it is not
-    decided again in that sweep, and the rows `add` appends are not read.
+    `left[r]`, `was[r]` and `arrived[r]` hold row r's count terms T(n-1),
+    T(n) and T(n+1), where n is the state's count and T(c) = (c/zn)(log(c/zn)
+    - log P), T(0) = 0.0.  They are filled for every row at the start of a
+    sweep; a key empty then holds only replicas that sweep has decided
+    already, so it is not decided again in that sweep, and the rows `add`
+    appends are not read.
     """
 
     def __init__(self, state: AimState):
-        ids: dict[tuple, int] = {}
-        case_set = np.array(
-            [ids.setdefault(tuple(m), len(ids)) if m else -1 for m in state.case_moves],
-            dtype=np.int64,
-        )
-        self.move_sets = list(ids)          # per id, a case's (stride, card) pairs
+        self.structure = state.structure
         self.zn = state.zn
         self.log_q = state.log_q
         self.states: list[int] = []
         self.row: dict[int, int] = {}
+        self.cells = np.zeros((0, len(self.structure.nodes)), dtype=np.int64)
+        self.lp_net: Network | None = None      # the theta `lp` was read at
+        self.lp: list[float] = []
         self.readers: list[list[int]] = []
+        self.grouped = False
+        self.move_sets: list[tuple] = []          # per id, a case's (stride, card) pairs
         self.key: list[tuple[int, int]] = []     # per key id, (move set id, state)
         self.of: dict[tuple[int, int], int] = {}
         self.members: list[list[int]] = []
         self.key_row: list[int] = []
         self.nbr_rows: list[list[int]] = []
         self.queued: list[bool] = []
-        self.lp: list[float] = []
         self.left: list[float] = []
         self.was: list[float] = []
         self.arrived: list[float] = []
+
+    def _row_of(self, x: int) -> int:
+        r = self.row.get(x)
+        if r is None:
+            r = self.row[x] = len(self.states)
+            self.states.append(x)
+            self.readers.append([])
+        return r
+
+    def rows_of(self, states) -> list[int]:
+        """The row of each state, added where it has none."""
+        row = self.row
+        return [row[x] if x in row else self._row_of(x) for x in states]
+
+    def row_cells(self) -> np.ndarray:
+        """Every row's `state_cells` row, each built once."""
+        done = len(self.cells)
+        if done < len(self.states):
+            structure = self.structure
+            new = state_cells(structure, unravel_rows(structure, self.states[done:]))
+            self.cells = np.concatenate([self.cells, new])
+        return self.cells
+
+    def log_probs(self, net: Network) -> list[float]:
+        """log P of every row's state under net: one gather per theta, and
+        one more for the rows added since it was read."""
+        if net is not self.lp_net:
+            self.lp_net, self.lp = net, []
+        done = len(self.lp)
+        if done < len(self.states):
+            self.lp += log_probs(net, self.row_cells()[done:]).tolist()
+        return self.lp
+
+    def group(self, state: AimState) -> None:
+        """Register a key per (move set, state) of the moving replicas."""
+        ids: dict[tuple, int] = {}
+        case_set = np.array(
+            [ids.setdefault(tuple(m), len(ids)) if m else -1 for m in state.case_moves],
+            dtype=np.int64,
+        )
+        self.move_sets = list(ids)
         rep_set = case_set[state.rep_case]
         reps = np.flatnonzero(rep_set >= 0)
         sets = rep_set[reps]
@@ -162,14 +218,7 @@ class SweepKeys:
         flat = reps.tolist()
         for m, x, a, b in zip(sets[starts].tolist(), xs[starts].tolist(), cuts, cuts[1:]):
             self.add(m, x, flat[a:b])
-
-    def _row_of(self, x: int) -> int:
-        r = self.row.get(x)
-        if r is None:
-            r = self.row[x] = len(self.states)
-            self.states.append(x)
-            self.readers.append([])
-        return r
+        self.grouped = True
 
     def add(self, m: int, x: int, members: list[int]) -> None:
         """Register key (m, x) holding `members`."""
@@ -194,11 +243,15 @@ class SweepKeys:
         self.was[r] = n / zn * (log_q[n] - lp) if n else 0.0
         self.arrived[r] = (n + 1) / zn * (log_q[n + 1] - lp)
 
-    def first_queue(self, counts: dict[int, int], lp: np.ndarray) -> list[tuple[int, int]]:
-        """Every row's terms, from `lp[r]`, log P of row r's state, and a
-        heap of every occupied key at its first replica."""
+    def first_queue(self, state: AimState) -> list[tuple[int, int]]:
+        """Every row's terms under the state's counts and theta, and a heap
+        of every occupied key at its first replica; the keys are grouped
+        first if this is the state's first sweep."""
+        if not self.grouped:
+            self.group(state)
+        self.log_probs(state.net)
+        counts = state.counts
         rows = len(self.states)
-        self.lp = lp.tolist()
         self.left, self.was, self.arrived = [0.0] * rows, [0.0] * rows, [0.0] * rows
         for r, x in enumerate(self.states):
             self.set_terms(r, counts.get(x, 0))
@@ -217,11 +270,11 @@ def ai_sweep(state: AimState) -> AimState:
     minus the old, summed in that order.
 
     The decisions are made per key (move set, state), in replica order.
-    `SweepKeys.first_queue` caches the count terms of every state the keys
-    read, from one `log_probs` batch, and queues every occupied key at its
-    first replica.  The loop pops the queue in replica order and decides
-    each key from the cached count terms.  A key that stays put is not
-    decided again until a move changes a count it reads: a move x -> y
+    `SweepKeys.first_queue` caches the count terms of every row, from the
+    rows' log P under the current theta, and queues every occupied key at
+    its first replica.  The loop pops the queue in replica order and
+    decides each key from the cached count terms.  A key that stays put is
+    not decided again until a move changes a count it reads: a move x -> y
     recomputes the terms of x and y only and queues each reader of x and y
     at its first replica after the mover (a key still queued already waits
     there).  So every decision sees the counts the replica loop would show
@@ -231,7 +284,7 @@ def ai_sweep(state: AimState) -> AimState:
     keys = state._keys
     counts = state.counts
     assign = state.assign
-    queue = keys.first_queue(counts, log_probs(state.net, keys.states))
+    queue = keys.first_queue(state)
     left, was, arrived = keys.left, keys.was, keys.arrived
     states, readers, members, queued = keys.states, keys.readers, keys.members, keys.queued
     key_row, nbr_rows = keys.key_row, keys.nbr_rows
@@ -280,13 +333,13 @@ def ai_sweep(state: AimState) -> AimState:
 
 
 def m_step(state: AimState) -> tuple[Network, list[np.ndarray]]:
-    """Refit theta by ML on the completed counts (in original-case units)."""
+    """Refit theta by ML on the completed counts (in original-case units):
+    one bincount over the occupied rows' cells, in the counts' order."""
     structure = state.structure
-    n = len(state.counts)
-    idx = np.fromiter(state.counts.keys(), dtype=np.int64, count=n)
-    cnt = np.fromiter(state.counts.values(), dtype=np.float64, count=n)
-    weights = cnt / state.z
-    counts = family_counts_from_rows(structure, unravel_rows(structure, idx), weights)
+    keys = state._keys
+    rows = keys.rows_of(state.counts)
+    cnt = np.fromiter(state.counts.values(), dtype=np.float64, count=len(rows))
+    counts = family_counts(structure, keys.row_cells()[rows], cnt / state.z)
     net, row_counts = params_from_family_counts(structure, counts)
     state.net = net
     state.score = state.full_score()

@@ -22,7 +22,7 @@ from .coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from .conservative import conservative_ensemble
 from .data import read_dataset, write_dataset
 from .errors import CoarseBNError, DataError, FormatError, NumericalError
-from .evaluate import evaluate, kl_decomposed, kl_enumerate, mse, same_structure
+from .evaluate import Truth, evaluate, kl_decomposed, kl_enumerate, mse, same_structure
 from .inference import BoundDataset
 from .likelihoods import (
     LikelihoodReport,
@@ -97,7 +97,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     Per run: derive a child seed; build a coarsening mechanism (or use the
     fixed one); sample n cases and bind them to the network once; fit EM
     from uniform rows; fit the adjusting imputation procedure initialized
-    at the EM estimate; evaluate both smoothed estimates against the truth.
+    at the EM estimate; evaluate both smoothed estimates against the truth,
+    whose parent-configuration weights are calibrated once per call.
     Failures are recorded and the remaining runs continue.
     """
     if cfg.coarsening is None and cfg.mechanism is None:
@@ -106,6 +107,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
         check_int(name, getattr(cfg, name), 1)
     rows = []
     failures = []
+    truth = Truth(cfg.net)
     for r in range(cfg.runs):
         rng = np.random.default_rng(stable_child_seed(cfg.seed, r))
         try:
@@ -125,8 +127,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
                 bound,
                 aim_mod.AimOptions(z=cfg.z, seed=stable_child_seed(cfg.seed, r, "aim")),
             )
-            rep_em = evaluate(cfg.net, em_res.smoothed)
-            rep_aim = evaluate(cfg.net, aim_res.smoothed)
+            rep_em = evaluate(truth, em_res.smoothed)
+            rep_aim = evaluate(truth, aim_res.smoothed)
             rows.append(
                 {
                     "run": r,

@@ -171,9 +171,15 @@ def generate_dataset(
     false_idx = [augmented.nodes[oi].states.index("false") for oi in obs_cols]
     labels = [augmented.nodes[vi].states for vi in var_cols]
     hidden = rows[:, obs_cols] == false_idx
-    cases = tuple(
-        (tuple(None if h else states[v] for h, v, states in zip(hid, vals, labels)), 1.0)
-        for hid, vals in zip(hidden.tolist(), rows[:, var_cols].tolist())
-    )
+    seen: dict[tuple, tuple] = {}   # one case per distinct observed row
+    cases = []
+    for shown in map(tuple, np.where(hidden, -1, rows[:, var_cols]).tolist()):
+        case = seen.get(shown)
+        if case is None:
+            case = seen[shown] = (
+                tuple(None if v < 0 else states[v] for v, states in zip(shown, labels)),
+                1.0,
+            )
+        cases.append(case)
     frac = int(hidden.sum()) / (n * len(originals)) if n else 0.0
-    return Dataset(tuple(originals), cases), frac
+    return Dataset(tuple(originals), tuple(cases)), frac

@@ -10,6 +10,7 @@ on joint spaces far too large to enumerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,25 @@ from .network import ENUM_BUDGET, Network
 class EvalReport:
     ce: float
     mse: float
+
+
+class Truth:
+    """A ground-truth network and its parent-configuration weights, from
+    one clique-tree calibration made on first use, so that every estimate
+    scored against one `Truth` shares it."""
+
+    def __init__(self, net: Network):
+        self.net = net
+
+    @cached_property
+    def parent_weights(self) -> list[np.ndarray]:
+        """Per node, P(parent configuration) of each CPT row."""
+        _, fams = CliqueTree(self.net).calibrate(self.net, [None] * len(self.net.nodes))
+        return [fam.sum(axis=1) for fam in fams]
+
+
+def _truth(truth: Network | Truth) -> Truth:
+    return truth if isinstance(truth, Truth) else Truth(truth)
 
 
 def _same_domains(a: Network, b: Network) -> bool:
@@ -55,20 +75,19 @@ def kl_enumerate(truth: Network, estimate: Network) -> float:
     return float(np.dot(pt[pos], np.log(pt[pos]) - np.log(pe[pos])))
 
 
-def kl_decomposed(truth: Network, estimate: Network) -> float:
+def kl_decomposed(truth: Network | Truth, estimate: Network) -> float:
     """Same divergence, as truth-weighted per-row divergences.
 
     Valid for identical structures; parent-configuration probabilities are
     the truth's family marginals summed over the child, all from one
-    clique-tree calibration, so no full-space enumeration is needed.  Rows
-    of parent weight exactly zero are skipped.
+    clique-tree calibration (`Truth.parent_weights`), so no full-space
+    enumeration is needed.  Rows of parent weight exactly zero are skipped.
     """
-    if not same_structure(truth, estimate):
+    truth = _truth(truth)
+    if not same_structure(truth.net, estimate):
         raise DataError("networks must share the same structure")
-    _, fams = CliqueTree(truth).calibrate(truth, [None] * len(truth.nodes))
     total = 0.0
-    for t, e, fam in zip(truth.cpts, estimate.cpts, fams):
-        w = fam.sum(axis=1)
+    for t, e, w in zip(truth.net.cpts, estimate.cpts, truth.parent_weights):
         live = (w != 0.0)[:, None] & (t > 0)
         if np.any(e[live] <= 0):
             return float("inf")
@@ -90,8 +109,10 @@ def mse(truth: Network, estimate: Network) -> float:
     return num / den
 
 
-def evaluate(truth: Network, estimate: Network) -> EvalReport:
-    """Score a (smoothed) estimate against the truth."""
-    if same_structure(truth, estimate):
-        return EvalReport(kl_decomposed(truth, estimate), mse(truth, estimate))
-    return EvalReport(kl_enumerate(truth, estimate), float("nan"))
+def evaluate(truth: Network | Truth, estimate: Network) -> EvalReport:
+    """Score a (smoothed) estimate against the truth; pass a `Truth` to
+    score several estimates from one calibration."""
+    truth = _truth(truth)
+    if same_structure(truth.net, estimate):
+        return EvalReport(kl_decomposed(truth, estimate), mse(truth.net, estimate))
+    return EvalReport(kl_enumerate(truth.net, estimate), float("nan"))

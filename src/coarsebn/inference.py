@@ -12,12 +12,13 @@ value and the sat profile all read it.  The sat and car profiles need
 every pattern enumerated (`BoundDataset.member_table`), and only the car
 normalizer, which never builds the compiled cells, asks for a larger one.
 
-A member table is compiled once per dataset: on first use it stores, per
-node, each distinct member's cell in that node's flattened CPT.  P(x) is
-then one gather per node, and the E step's expected counts one bincount
-per node, whatever the parameters.  AIM, which needs P(x) only at the
-states its replicas occupy or can move to, takes them from
-`network.joint_probs` instead, so a tree pattern's states need no table.
+A member table is compiled once per dataset: on first use it stores each
+distinct member's `network.state_cells` row, its cell per node in the
+concatenated CPTs.  P(x) is then one gather and a node-order product, and
+the E step's expected counts one bincount, whatever the parameters.  AIM,
+which needs P(x) only at the states its replicas occupy or can move to,
+caches those states' cells itself, so a tree pattern's states need no
+table.
 
 A clique tree (`CliqueTree`) is compiled once per structure at each call
 site, from one min-fill elimination ordering; it refuses a clique of more
@@ -45,7 +46,9 @@ from .errors import BudgetError, DataError, ZeroSupportError
 from .network import (
     ENUM_BUDGET,
     Network,
-    parent_rows,
+    cell_probs,
+    family_counts,
+    state_cells,
     unravel_rows,
 )
 
@@ -340,31 +343,19 @@ class MemberTable:
             raise DataError("network structure differs from the pattern table's")
 
     @cached_property
-    def cells(self) -> list[np.ndarray]:
-        """Per node, each distinct member's cell in that node's flattened CPT
-        (parent row * card + state), built on first use."""
-        rows = unravel_rows(self.net, self.uniq)
-        return [
-            parent_rows(self.net, rows, i) * card + rows[:, i]
-            for i, card in enumerate(self.net.cards)
-        ]
+    def cells(self) -> np.ndarray:
+        """Each distinct member's `network.state_cells` row, built on first
+        use."""
+        return state_cells(self.net, unravel_rows(self.net, self.uniq))
 
     @cached_property
     def _tree(self) -> CliqueTree:
         return CliqueTree(self.net)
 
     def probs(self, net: Network) -> np.ndarray:
-        """P(x) of each distinct member.
-
-        The node-order product of the CPT entries each member selects: the
-        same multiplications `full_joint_table` makes, so the values match
-        it bit for bit.
-        """
+        """P(x) of each distinct member, as `network.cell_probs` gives it."""
         self._check(net)
-        p = np.ones(len(self.uniq))
-        for cpt, cell in zip(net.cpts, self.cells):
-            p = p * cpt.ravel()[cell]
-        return p
+        return cell_probs(net, self.cells)
 
     def _member_probs(self, net: Network) -> tuple[np.ndarray, np.ndarray]:
         """P(x) per slot, and P(U) per pattern from its members (zero for
@@ -383,16 +374,6 @@ class MemberTable:
             p_u[k] = self._tree.probability(net, self.bounds[k])
         return p_u
 
-    def _counts(
-        self, net: Network, pos: np.ndarray, weights: np.ndarray
-    ) -> list[np.ndarray]:
-        """Family count tables of the members at positions `pos` of `uniq`,
-        each table summed in the order given."""
-        return [
-            np.bincount(cell[pos], weights=weights, minlength=cpt.size).reshape(cpt.shape)
-            for cpt, cell in zip(net.cpts, self.cells)
-        ]
-
     def expected_counts(
         self, net: Network, weights: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -404,7 +385,8 @@ class MemberTable:
         p_slot, p_u = self._member_probs(net)
         scale = np.divide(weights, p_u, out=np.zeros_like(p_u), where=p_u > 0)
         if self.enumerated:
-            counts = self._counts(net, self.loc, p_slot * scale[self.pat_of_slot])
+            weights_of_slot = p_slot * scale[self.pat_of_slot]
+            counts = family_counts(net, self.cells[self.loc], weights_of_slot)
         else:
             counts = [np.zeros(cpt.shape) for cpt in net.cpts]
         for k in self.on_tree:
@@ -432,7 +414,9 @@ class MemberTable:
                 s = float(p.sum())
                 if s <= 0.0:
                     return None
-                return flat[start + rng.choice(len(p), size=size, p=p / s)]
+                cdf = (p / s).cumsum()  # rng.choice's inverse CDF, unchecked
+                cdf /= cdf[-1]
+                return flat[start + cdf.searchsorted(rng.random(size), side="right")]
             out: list[int] = []
             for _ in range(size):
                 x = list(self.bounds[k])

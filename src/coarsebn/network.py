@@ -160,13 +160,6 @@ class Network:
                 f"state {label!r} not in the domain of node {node!r}"
             ) from None
 
-    def parent_row(self, i: int, x: Sequence[int]) -> int:
-        """CPT row index of node i selected by a full assignment."""
-        row = 0
-        for p, s in zip(self.parent_index[i], self.row_strides[i]):
-            row += x[p] * s
-        return row
-
     def ravel(self, x: Sequence[int]) -> int:
         r = 0
         for s, v in zip(self.ravel_strides, x):
@@ -261,37 +254,30 @@ def validate_network(net: Network) -> list[str]:
     return diags
 
 
-def joint_probability(net: Network, x: Sequence[int]) -> float:
-    """P(x) as the chain-rule product of CPT entries selected by x."""
-    if len(x) != len(net.nodes):
-        raise DataError(
-            f"assignment has {len(x)} coordinates for {len(net.nodes)} nodes"
-        )
-    p = 1.0
-    for i in range(len(net.nodes)):
-        p *= net.cpts[i][net.parent_row(i, x), x[i]]
-    return float(p)
-
-
 def unravel_rows(net: Network, idx: np.ndarray) -> np.ndarray:
     """Flat joint indices as an (n, nodes) array of state indices."""
     return np.asarray(idx, dtype=np.int64)[:, None] // net.ravel_strides % net.cards
 
 
-def joint_probs(net: Network, idx: np.ndarray) -> np.ndarray:
-    """P(x) for each flat joint index, as one batch.
+def state_cells(net: Network, rows: np.ndarray) -> np.ndarray:
+    """Each assignment row's cell per node in the concatenation of the
+    flattened CPTs, as a (rows, nodes) int64 matrix.
 
-    The node-order product of the CPT entries each state selects: the
-    multiplications `joint_probability` makes, so the values match it bit
-    for bit.
+    The cells are exact integers, well below 2^53, so the float matrix
+    product computes them exactly.
     """
     coef, offsets = net.family_cells
-    cells = (unravel_rows(net, idx) @ coef).astype(np.int64) + offsets[:-1]
-    entries = np.concatenate([cpt.ravel() for cpt in net.cpts])[cells.T]
-    p = np.ones(len(cells))
-    for column in entries:
-        p = p * column
-    return p
+    cells = np.asarray(rows, dtype=np.float64) @ coef
+    cells += offsets[:-1]
+    return cells.astype(np.int64)
+
+
+def cell_probs(net: Network, cells: np.ndarray) -> np.ndarray:
+    """P(x) of each row of `state_cells`: one gather, then the product of
+    the CPT entries each state selects, multiplied in node order (a
+    multiply reduction runs in order), so the values match the chain rule
+    and `inference.full_joint_table` bit for bit."""
+    return np.concatenate([cpt.ravel() for cpt in net.cpts])[cells].prod(axis=1)
 
 
 def parent_rows(net: Network, rows: np.ndarray, i: int) -> np.ndarray:
@@ -342,22 +328,20 @@ def uniform_cpts(structure: Network) -> Network:
 # Maximum likelihood from weighted complete data
 
 
-def family_counts_from_rows(
-    structure: Network, rows: np.ndarray, weights: np.ndarray
+def family_counts(
+    structure: Network, cells: np.ndarray, weights: np.ndarray
 ) -> list[np.ndarray]:
-    """Weighted (parent-config, state) count tables, one per node.
+    """Weighted (parent-config, state) count tables, one per node, from
+    each state's `state_cells` row.
 
     One bincount over every family's cells, row by row, so each cell sums
-    its rows' weights in row order.  The cells are exact integers, well
-    below 2^53, so the float matrix product computes them exactly.
+    its rows' weights in row order.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    coef, offsets = structure.family_cells
-    cells = np.asarray(rows, dtype=np.float64) @ coef
-    cells += offsets[:-1]
+    offsets = structure.family_cells[1]
     flat = np.bincount(
-        cells.astype(np.int64).ravel(),
-        weights=np.repeat(weights, len(coef)),
+        cells.ravel(),
+        weights=np.repeat(weights, cells.shape[1]),
         minlength=int(offsets[-1]),
     )
     return [
@@ -416,7 +400,7 @@ def ml_estimate(
         raise DataError("weights must be nonnegative")
     if float(weights.sum()) <= 0:
         raise DataError("total weight must be positive")
-    counts = family_counts_from_rows(structure, rows, weights)
+    counts = family_counts(structure, state_cells(structure, rows), weights)
     return params_from_family_counts(structure, counts)
 
 

@@ -8,7 +8,8 @@ from coarsebn.data import Dataset, member_count, pattern_binder
 from coarsebn.errors import DataError
 from coarsebn.inference import BoundDataset, MemberTable, _min_fill_order, evidence_indices
 from coarsebn.netformat import read_network
-from coarsebn.network import Network, NodeSpec, joint_probability, randomize_parameters
+from coarsebn.aim import LOG_PROB_FLOOR
+from coarsebn.network import Network, NodeSpec, randomize_parameters, unravel_rows
 from coarsebn.util import fixture_path
 
 
@@ -70,6 +71,41 @@ def asia_data(asia_net, n=300, seed=41):
     rng = np.random.default_rng(seed)
     aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.1, 0.05), rng)
     return generate_dataset(aug, n, rng)[0]
+
+
+def parent_row(net, i, x):
+    """Oracle: CPT row index of node i selected by a full assignment."""
+    return sum(x[p] * s for p, s in zip(net.parent_index[i], net.row_strides[i]))
+
+
+def joint_probability(net, x):
+    """Oracle: P(x) as the chain-rule product of CPT entries selected by x."""
+    if len(x) != len(net.nodes):
+        raise DataError(
+            f"assignment has {len(x)} coordinates for {len(net.nodes)} nodes"
+        )
+    p = 1.0
+    for i in range(len(net.nodes)):
+        p *= net.cpts[i][parent_row(net, i, x), x[i]]
+    return float(p)
+
+
+def joint_probs(net, idx):
+    """Oracle: P(x) for each flat joint index, as one batch: the node-order
+    product of the CPT entries each state selects, as `joint_probability`
+    multiplies them."""
+    coef, offsets = net.family_cells
+    cells = (unravel_rows(net, idx) @ coef).astype(np.int64) + offsets[:-1]
+    entries = np.concatenate([cpt.ravel() for cpt in net.cpts])[cells.T]
+    p = np.ones(len(cells))
+    for column in entries:
+        p = p * column
+    return p
+
+
+def log_probs(net, idx):
+    """Oracle: log max(P(x), LOG_PROB_FLOOR) for each flat joint index."""
+    return np.log(np.maximum(joint_probs(net, idx), LOG_PROB_FLOOR))
 
 
 def member_table(net, bounds):
@@ -175,7 +211,7 @@ def brute_family_posteriors(net, evidence):
         p = joint_probability(net, x)
         total += p
         for i in range(len(net.nodes)):
-            tables[i][net.parent_row(i, x), x[i]] += p
+            tables[i][parent_row(net, i, x), x[i]] += p
     return {
         net.nodes[i].name: tables[i] / total for i in range(len(net.nodes))
     }, total

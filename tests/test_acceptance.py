@@ -182,7 +182,7 @@ def test_criterion_7_oracle_equivalences(basic_net, asia_net):
 
     # (c) incremental KL deltas vs full recomputation over 1e4 chained moves
     from conftest import incremental_kl_delta
-    from coarsebn.network import joint_probability
+    from conftest import joint_probability
     from test_aim import full_kl
 
     rng = np.random.default_rng(17)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import TRI_NET, asia_data, dataset_of, incremental_kl_delta
+from conftest import (
+    TRI_NET,
+    asia_data,
+    dataset_of,
+    incremental_kl_delta,
+    joint_probability,
+    log_probs,
+)
 from coarsebn import aim, inference
 from coarsebn.aim import (
     LOG_PROB_FLOOR,
@@ -15,7 +22,6 @@ from coarsebn.aim import (
     ai_sweep,
     aim_fit,
     initial_completion,
-    log_probs,
     m_step,
 )
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
@@ -25,10 +31,10 @@ from coarsebn.errors import DataError
 from coarsebn.likelihoods import exact_sat_profile_loglik
 from coarsebn.netformat import parse_network
 from coarsebn.network import (
-    joint_probability,
-    joint_probs,
+    cell_probs,
     ml_estimate,
     sample,
+    state_cells,
     uniform_cpts,
     unravel_rows,
 )
@@ -164,9 +170,12 @@ class TestIncrementalKlDelta:
             [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])]
         )
         idx = [basic_net.ravel(x) for x in [(0, 0), (0, 1), (1, 0), (1, 1)]]
-        assert log_probs(dead, idx).tolist() == [
+        floored = [
             math.log(0.5), math.log(0.5), math.log(LOG_PROB_FLOOR), math.log(LOG_PROB_FLOOR)
         ]
+        cells = state_cells(dead, unravel_rows(dead, idx))
+        assert aim.log_probs(dead, cells).tolist() == floored
+        assert log_probs(dead, idx).tolist() == floored
         counts = {basic_net.ravel((0, 0)): 10}
         delta = incremental_kl_delta(
             counts, 10, logp_of(dead), basic_net.ravel((0, 0)), basic_net.ravel((1, 0))
@@ -371,8 +380,8 @@ class TestSweepMatchesDefinition:
         assert sum(moves) > 0
 
     def test_split_table_reads_tree_states_in_the_batch(self, asia_net, monkeypatch):
-        # half the members enumerated: the other patterns' states take log P
-        # from the same joint_probs batch, as joint_probability computes it
+        # half the members enumerated: the other patterns' states take P
+        # from their own cells, as joint_probability computes it
         data = asia_data(asia_net, n=150, seed=48)
         half = sum(inference.BoundDataset(asia_net, data).sizes) // 2
         monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", half)
@@ -383,7 +392,8 @@ class TestSweepMatchesDefinition:
             [member_flat_indices(asia_net, table.bounds[k]) for k in table.on_tree]
         )
         assert not np.isin(tree_states, table.uniq).all()
-        assert joint_probs(em.network, tree_states).tolist() == [
+        cells = state_cells(asia_net, unravel_rows(asia_net, tree_states))
+        assert cell_probs(em.network, cells).tolist() == [
             joint_probability(em.network, asia_net.unravel(x)) for x in tree_states.tolist()
         ]
         _, moves = self.run_rounds(asia_net, em.network, data, z=5, rounds=4)
@@ -434,12 +444,27 @@ class TestSweepWork:
         monkeypatch.setattr(heapq, "heappop", recorded)
         return pops
 
+    @staticmethod
+    def record_gathers(monkeypatch):
+        """Record the cells of every log P gather the fit makes."""
+        gathers = []
+        probs = aim.cell_probs
+
+        def recorded(net, cells):
+            gathers.append(cells.tolist())
+            return probs(net, cells)
+
+        monkeypatch.setattr(aim, "cell_probs", recorded)
+        return gathers
+
     @pytest.mark.parametrize("split", [False, True])
     def test_still_sweep_reads_each_state_once(self, asia_net, monkeypatch, split):
-        # a sweep that moves nothing reads log P in one joint_probs batch,
-        # once per state the keys read, however many keys and replicas read
-        # it, and decides each occupied key once; on a table split between
-        # members and the clique tree, the tree's states are in that batch
+        # a sweep at a theta not read before that moves nothing reads log P
+        # in one gather of the cached cells of every row, one row per state
+        # whatever number of keys and replicas read it, and decides each
+        # occupied key once; every occupied state and every state the keys
+        # read has a row, and on a table split between members and the
+        # clique tree the tree's states are among them
         data = asia_data(asia_net, n=150, seed=48) if split else asia_data(asia_net)
         if split:
             half = sum(inference.BoundDataset(asia_net, data).sizes) // 2
@@ -452,22 +477,58 @@ class TestSweepWork:
             for k in table.on_tree
             for x in member_flat_indices(asia_net, table.bounds[k]).tolist()
         }
-        batches = []
-        joint = aim.joint_probs
-        monkeypatch.setattr(
-            aim, "joint_probs", lambda net, idx: batches.append(list(idx)) or joint(net, idx)
-        )
+        state.net = asia_net.with_cpts(state.net.cpts)  # the same theta, not yet read
+        gathers = self.record_gathers(monkeypatch)
+        built = []
+        monkeypatch.setattr(aim, "state_cells", lambda *args: built.append(args))
         pops = self.record_pops(monkeypatch)
-        occupied = [k for k, reps in enumerate(state._keys.members) if reps]
+        keys = state._keys
+        occupied = [k for k, reps in enumerate(keys.members) if reps]
         before = state._moves
         ai_sweep(state)
         assert state._moves == before
         assert sorted(pops) == occupied
-        [batch] = batches
+        assert not built
+        [cells] = gathers
+        assert cells == state_cells(asia_net, unravel_rows(asia_net, keys.states)).tolist()
+        assert len(set(keys.states)) == len(keys.states)
+        assert keys.lp == log_probs(state.net, keys.states).tolist()
         reads = self.reads(state)
-        assert batch == state._keys.states and len(set(batch)) == len(batch)
-        assert reads <= set(batch)
+        assert reads | set(state.counts) <= set(keys.states)
         assert bool(reads & tree_states) == split
+
+    def test_rows_added_in_a_sweep_are_read_at_the_next(self, asia_net, monkeypatch):
+        # two sweeps at one theta: the rows the first sweep added (the
+        # neighbours of states it first moved replicas to) take log P in
+        # one gather of those rows alone before the second sweep reads them,
+        # and both sweeps make the per-replica definition's moves
+        data = asia_data(asia_net)
+        theta = em_fit(asia_net, data).network
+        state = build_state(asia_net, theta, data, z=5)
+        ref = build_state(asia_net, theta, data, z=5)
+        keys = state._keys
+        ai_sweep(state)
+        reference_sweep(ref)
+        assert state._moves > 0 and state.assign == ref.assign
+        added = len(keys.states) - len(keys.lp)
+        assert added > 0
+        gathers = self.record_gathers(monkeypatch)
+        ai_sweep(state)
+        reference_sweep(ref)
+        assert [len(cells) for cells in gathers] == [added]
+        assert keys.lp == log_probs(state.net, keys.states).tolist()
+        assert (state.assign, state.counts, state.score) == (ref.assign, ref.counts, ref.score)
+
+    def test_one_gather_per_iteration(self, asia_net, monkeypatch):
+        # log P at theta0 takes a gather for the occupied states and one for
+        # the states the keys first read; after that each M step's score and
+        # the next sweep share one gather at the new theta
+        data = asia_data(asia_net)
+        theta = em_fit(asia_net, data).network
+        gathers = self.record_gathers(monkeypatch)
+        res = aim_fit(asia_net, theta, data, AimOptions(z=5, seed=3))
+        assert len(res.trace) > 2
+        assert len(gathers) == 2 + len(res.trace)
 
     def test_tied_moves_decide_no_key(self, basic_net, monkeypatch):
         # under uniform parameters a lone replica's move to an empty state
@@ -489,16 +550,18 @@ class TestSweepWork:
         state = build_state(basic_net, basic_net, d, z=1)
         keys, zn = state._keys, state.zn
         tt, tf = basic_net.ravel((0, 0)), basic_net.ravel((0, 1))
-        batch = log_probs(state.net, keys.states)
+        logp = logp_of(state.net)
         for c in range(1, zn):
-            keys.first_queue({tt: c, tf: zn - c}, batch)
+            state.counts = {tt: c, tf: zn - c}
+            keys.first_queue(state)
             for x, n in ((tt, c), (tf, zn - c)):
                 r = keys.row[x]
-                lp = float(batch[r])
+                lp = logp(x)
 
                 def term(c):
                     return c / zn * (math.log(c / zn) - lp) if c > 0 else 0.0
 
+                assert keys.lp[r] == lp
                 assert (keys.left[r], keys.was[r], keys.arrived[r]) == (
                     term(n - 1), term(n), term(n + 1)
                 )
@@ -510,7 +573,10 @@ class TestSweepWork:
         data = asia_data(asia_net)
         state = build_state(asia_net, em_fit(asia_net, data).network, data, z=5)
         keys = state._keys
-        built = len(keys.key)
+        built = len({
+            (tuple(state.case_moves[c]), x)
+            for c, x in zip(state.rep_case.tolist(), state.assign) if state.case_moves[c]
+        })
         for _ in range(3):
             m_step(state)
             occupied = [k for k, reps in enumerate(keys.members) if reps]

@@ -243,7 +243,7 @@ class TestRecoverCoarsening:
     def test_reproduces_pattern_probabilities(self, basic_net, basic_data):
         # P_c equals the model distribution here, so the recovered mechanism
         # must reproduce the observed pattern masses exactly.
-        from coarsebn.network import joint_probability
+        from conftest import joint_probability
 
         c = basic_completion(1.0 / 9.0)
         model = recover_coarsening(c, basic_data, basic_net)

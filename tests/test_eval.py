@@ -137,3 +137,43 @@ class TestEvaluate:
         assert not failures
         mean_em_ce = float(np.mean([r["ce_final_em"] for r in rows]))
         assert abs(mean_em_ce - binary_kl(0.2, THETA1_B)) < 0.004
+
+    def test_experiment_calibrates_the_truth_once(self, asia_net, monkeypatch):
+        # both estimates of every run are scored from one calibration of the
+        # truth, and each score is the float evaluate gives the estimate alone
+        import importlib
+
+        from coarsebn import aim, cli, em
+        from coarsebn.coarsen import CoarseningSpec
+
+        evaluate_mod = importlib.import_module("coarsebn.evaluate")
+
+        fits = []
+        for mod, name in ((em, "em_fit"), (aim, "aim_fit")):
+            fit = getattr(mod, name)
+            monkeypatch.setattr(
+                mod, name, lambda *a, fit=fit, **k: fits.append(fit(*a, **k)) or fits[-1]
+            )
+        calibrations = []
+        tree = evaluate_mod.CliqueTree
+
+        class CountingTree(tree):
+            def calibrate(self, net, bound):
+                calibrations.append(net)
+                return super().calibrate(net, bound)
+
+        monkeypatch.setattr(evaluate_mod, "CliqueTree", CountingTree)
+        cfg = cli.ExperimentConfig(
+            net=asia_net, coarsening=CoarseningSpec.parse("2:0.1:0.05"),
+            n=300, z=3, runs=3, seed=5,
+        )
+        rows, failures = cli.run_experiment(cfg)
+        assert not failures and len(rows) == 3
+        assert calibrations == [asia_net]
+        monkeypatch.undo()
+        for row, em_res, aim_res in zip(rows, fits[::2], fits[1::2]):
+            rep_em = evaluate(asia_net, em_res.smoothed)
+            rep_aim = evaluate(asia_net, aim_res.smoothed)
+            assert row["ce_final_em"] == rep_em.ce and row["ce_final_aim"] == rep_aim.ce
+            assert row["ce_diff"] == rep_aim.ce - rep_em.ce
+            assert row["mse_diff"] == rep_aim.mse - rep_em.mse

@@ -11,7 +11,10 @@ from conftest import (
     brute_family_posteriors,
     dataset_of,
     joint_marginal,
+    joint_probability,
+    joint_probs,
     member_table,
+    parent_row,
     random_dag,
     tree_table,
     ve_evidence_probability,
@@ -37,11 +40,10 @@ from coarsebn.netformat import read_network
 from coarsebn.network import (
     Network,
     NodeSpec,
-    family_counts_from_rows,
-    joint_probability,
-    joint_probs,
+    family_counts,
     parent_rows,
     randomize_parameters,
+    state_cells,
     unravel_rows,
 )
 from coarsebn.util import fixture_path
@@ -103,7 +105,7 @@ class TestPosteriorFamilyMarginals:
         fams = posterior_family_marginals(asia_net, ev)
         for i, spec in enumerate(asia_net.nodes):
             expect = np.zeros_like(np.asarray(asia_net.cpts[i]))
-            expect[asia_net.parent_row(i, x), 0] = 1.0
+            expect[parent_row(asia_net, i, x), 0] = 1.0
             assert np.allclose(fams[spec.name], expect)
 
     def test_basic_independent_posterior(self, basic_net):
@@ -431,8 +433,8 @@ def reference_expected_counts(table, net, weights):
     p_u = np.add.reduceat(p_slot, table.starts)
     scale = np.divide(weights, p_u, out=np.zeros_like(p_u), where=p_u > 0)
     rows = unravel_rows(table.net, table.uniq)
-    counts = family_counts_from_rows(
-        net, rows[table.loc], p_slot * scale[table.pat_of_slot]
+    counts = family_counts(
+        net, state_cells(net, rows[table.loc]), p_slot * scale[table.pat_of_slot]
     )
     return p_u, counts
 
@@ -495,21 +497,24 @@ class TestCompiledTable:
         refuse_cells(monkeypatch)
         assert [fit_signature(run()) for run in runs] == compiled
 
-    def test_parent_rows_once_per_node_per_table(self, asia_net, monkeypatch):
+    def test_cells_once_per_table(self, asia_net, monkeypatch):
+        # each table builds its members' cells once, over every member, and
+        # every query after that reads them
         data = asia_data(asia_net, n=200, seed=44)
         calls = []
 
-        def counting(net, rows, i):
-            calls.append(i)
-            return parent_rows(net, rows, i)
+        def counting(net, rows):
+            calls.append(len(rows))
+            return state_cells(net, rows)
 
-        monkeypatch.setattr(inference, "parent_rows", counting)
+        monkeypatch.setattr(inference, "state_cells", counting)
         em_res = em_fit(asia_net, data, EmOptions(max_iters=10))
         opts = AimOptions(z=3, seed=1, max_iters=5)
         aim_res = aim_fit(asia_net, em_res.network, data, opts)
         assert len(em_res.trace) > 2 and len(aim_res.trace) > 1
         # one table for EM, one for AIM
-        assert sorted(calls) == sorted(list(range(len(asia_net.nodes))) * 2)
+        members = len(BoundDataset(asia_net, data).table.uniq)
+        assert calls == [members, members]
 
     def test_car_table_builds_no_cells(self, asia_net, monkeypatch):
         refuse_cells(monkeypatch)

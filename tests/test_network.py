@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TRI_NET, random_dag
+from conftest import TRI_NET, joint_probability, joint_probs, parent_row, random_dag
 from coarsebn import network as network_mod
 from coarsebn.aim import aim_fit
 from coarsebn.data import Dataset
@@ -15,15 +15,15 @@ from coarsebn.network import (
     ROW_SUM_TOL,
     Network,
     NodeSpec,
-    family_counts_from_rows,
-    joint_probability,
-    joint_probs,
+    cell_probs,
+    family_counts,
     ml_estimate,
     params_from_family_counts,
     parent_rows,
     randomize_parameters,
     sample,
     smooth,
+    state_cells,
     uniform_cpts,
     unravel_rows,
     validate_network,
@@ -232,15 +232,21 @@ class TestJointProbability:
 
 class TestJointProbs:
     def test_every_asia_state_bit_for_bit(self, asia_net):
-        # the batch multiplies in node order, as joint_probability and the
-        # dense joint table do, so every value is the same float
+        # one gather of the states' cells, multiplied in node order as
+        # joint_probability and the dense joint table do, so every value is
+        # the same float
+        cells = state_cells(asia_net, unravel_rows(asia_net, np.arange(256)))
+        assert cells.dtype == np.int64 and cells.shape == (256, 8)
         for net in (asia_net, randomize_parameters(asia_net, np.random.default_rng(6))):
-            p = joint_probs(net, np.arange(256))
+            p = cell_probs(net, cells)
             assert p.tolist() == [joint_probability(net, net.unravel(r)) for r in range(256)]
             assert np.array_equal(p, full_joint_table(net).reshape(-1))
+            assert np.array_equal(p, joint_probs(net, np.arange(256)))
 
     def test_empty_batch(self, asia_net):
-        assert joint_probs(asia_net, []).shape == (0,)
+        cells = state_cells(asia_net, unravel_rows(asia_net, []))
+        assert cells.shape == (0, 8)
+        assert cell_probs(asia_net, cells).shape == (0,)
 
 
 class TestWithCpts:
@@ -331,7 +337,7 @@ class TestMlEstimate:
         x = tuple(0 for _ in asia_net.nodes)
         fitted, _ = ml_estimate(asia_net, [(x, 1.0)])
         for i, spec in enumerate(asia_net.nodes):
-            seen_row = asia_net.parent_row(i, x)
+            seen_row = parent_row(asia_net, i, x)
             assert fitted.cpts[i][seen_row, 0] == 1.0
             for r in range(fitted.cpts[i].shape[0]):
                 if r != seen_row:
@@ -406,7 +412,7 @@ class TestFamilyCounts:
         parent = next(p for ps in net.parent_index for p in ps)
         rows = rows[rows[:, parent] != 0]   # some parent rows left empty
         weights = rng.random(len(rows)) * rng.integers(0, 4, size=len(rows))
-        counts = family_counts_from_rows(net, rows, weights)
+        counts = family_counts(net, state_cells(net, rows), weights)
         want = per_node_family_counts(net, rows, weights)
         assert [c.tobytes() for c in counts] == [c.tobytes() for c in want]
         assert [c.shape for c in counts] == [c.shape for c in want]
