@@ -14,8 +14,12 @@ A second line hashes, for each lik_reports input (the first
 `Sizes.lik_datasets` asia_rows inputs), the sat value and gap of
 `SatProfileProblem(aim.network, data).solve(aim.network, tol=1e-8)` and
 `lr_statistic(aim.network, em.network, data)`, as float hex.
+A third line hashes every dataset `generate_dataset` makes for those
+inputs: its cases, its missing fraction (as float hex) and the generator's
+`bit_generator.state` after the call.
 Two versions of the package that print the same digests make the same
-moves, counts, scores, estimates and solver values, bit for bit.
+datasets, draws, moves, counts, scores, estimates and solver values, bit
+for bit.
 
     python3 scripts/fit_digest.py
 """
@@ -34,8 +38,8 @@ from coarsebn import aim, cli, em, likelihoods  # noqa: E402
 
 
 def main() -> int:
-    digest, lik_digest = hashlib.sha256(), hashlib.sha256()
-    sweeps = fits = 0
+    digest, lik_digest, data_digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    sweeps = fits = datasets = 0
     last = {}
 
     def put(*parts) -> None:
@@ -47,7 +51,15 @@ def main() -> int:
             for cpt in net.cpts:
                 put(np.ascontiguousarray(cpt, dtype=np.float64).tobytes())
 
-    sweep, em_fit, aim_fit = aim.ai_sweep, em.em_fit, aim.aim_fit
+    sweep, em_fit, aim_fit, generate = aim.ai_sweep, em.em_fit, aim.aim_fit, cli.generate_dataset
+
+    def traced_generate(augmented, n, rng):
+        nonlocal datasets
+        data, pct_missing = generate(augmented, n, rng)
+        datasets += 1
+        state = rng.bit_generator.state
+        data_digest.update(repr((data.cases, pct_missing.hex(), state)).encode())
+        return data, pct_missing
 
     def traced_sweep(state):
         nonlocal sweeps
@@ -76,6 +88,7 @@ def main() -> int:
         return res
 
     aim.ai_sweep, em.em_fit, aim.aim_fit = traced_sweep, traced_em, traced_aim
+    cli.generate_dataset = traced_generate
     try:
         sizes = workloads.Sizes()
         for i, cfg in enumerate(workloads.asia_table(sizes) + workloads.dag_table(sizes)):
@@ -91,8 +104,10 @@ def main() -> int:
                 lik_digest.update(repr((value.hex(), gap.hex(), lr.hex())).encode())
     finally:
         aim.ai_sweep, em.em_fit, aim.aim_fit = sweep, em_fit, aim_fit
+        cli.generate_dataset = generate
     print(f"{digest.hexdigest()}  ({sweeps} sweeps, {fits} fits)")
     print(f"{lik_digest.hexdigest()}  ({sizes.lik_datasets} lik inputs)")
+    print(f"{data_digest.hexdigest()}  ({datasets} datasets)")
     return 0
 
 

@@ -14,14 +14,14 @@ AIM needs log P(x) only at the states replicas occupy or can move to.
 (`network.state_cells`) when it is first read, so one gather per theta
 gives log P for every row; the M step counts the completion with one
 bincount over the occupied rows' cells, and its score reads the same
-gather as the next sweep.
+gather as the next sweep.  log(c/zn) is computed at a count c when a fit
+first reads it (`AimState.log_q`), as most counts up to zn are never read.
 
 `ai_sweep` makes the moves of the per-replica definition, float for float,
 per (move set, completion) key.  At the start of a sweep it caches each
 row's count terms and queues every occupied key.  It decides the keys in
-replica order from the cached terms, and decides a key again only when an
-accepted move has changed a count its decision reads; a move recomputes
-the terms of its two states only.
+replica order from the cached terms, and again only when an accepted move
+has changed a count its decision reads; a move recomputes two states' terms.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -106,14 +107,23 @@ class AimState:
         return total
 
     @cached_property
-    def log_q(self) -> list[float]:
-        """math.log(c / zn) per count c = 1..zn+1; entry 0 is never read.
-        numpy's quotients are the IEEE floats of Python's c / zn."""
-        return [0.0, *map(math.log, (np.arange(1, self.zn + 2) / self.zn).tolist())]
+    def log_q(self) -> LogQ:
+        return LogQ(self.zn)
 
     @cached_property
     def _keys(self) -> SweepKeys:
         return SweepKeys(self)
+
+
+class LogQ(dict):
+    """math.log(c / zn) at each count c, computed when a fit first reads it."""
+
+    def __init__(self, zn: int):
+        self.zn = zn
+
+    def __missing__(self, c: int) -> float:
+        value = self[c] = math.log(c / self.zn)
+        return value
 
 
 class SweepKeys:
@@ -412,39 +422,32 @@ def aim_fit(
         raise BudgetError("joint space too large to index")
 
     bound = bind(structure, data)
-    pattern_id = {p: k for k, p in enumerate(bound.patterns)}
-    case_pattern = []
-    case_reps = []
-    for pattern, w in bound.data.cases:
-        if w <= 0 or abs(w - round(w)) > 1e-9:
-            raise DataError(
-                "replication needs positive integer case weights; "
-                f"got weight {w!r}"
-            )
-        case_pattern.append(pattern_id[pattern])
-        case_reps.append(int(round(w)) * opts.z)
-    zn = sum(case_reps)
-    rep_case = np.repeat(np.arange(len(case_pattern)), case_reps)
+    w = np.fromiter(map(itemgetter(1), bound.data.cases), np.float64, len(bound.data.cases))
+    bad = np.flatnonzero((w <= 0) | (np.abs(w - np.round(w)) > 1e-9))
+    if len(bad):
+        raise DataError(
+            "replication needs positive integer case weights; "
+            f"got weight {float(w[bad[0]])!r}"
+        )
+    case_pattern = bound.case_pattern  # every weight > 0: indexes `patterns` too
+    case_reps = np.round(w).astype(np.int64) * opts.z
+    rep_case = np.repeat(np.arange(len(w)), case_reps)
     table = bound.table
 
     rng = np.random.default_rng(opts.seed)
-    rep_pattern = np.repeat(case_pattern, case_reps)
-    assign, fallbacks = initial_completion(theta0, table, rep_pattern, rng)
+    assign, fallbacks = initial_completion(theta0, table, case_pattern[rep_case], rng)
     counts = dict(Counter(assign))
 
     strides, cards = structure.ravel_strides, structure.cards
-    moves = [
-        [(strides[i], cards[i]) for i, v in enumerate(b) if v is None] for b in table.bounds
-    ]
-    case_moves = [moves[k] for k in case_pattern]
+    moves = [[(strides[i], cards[i]) for i, v in enumerate(b) if v is None] for b in table.bounds]
 
     state = AimState(
         structure=structure,
-        net=structure.with_cpts(theta0.cpts),
+        net=structure.with_theta(theta0.theta),
         z=opts.z,
-        zn=zn,
+        zn=int(case_reps.sum()),
         rep_case=rep_case,
-        case_moves=case_moves,
+        case_moves=list(map(moves.__getitem__, case_pattern.tolist())),
         assign=assign,
         counts=counts,
     )

@@ -254,9 +254,7 @@ def _cmd_learn(args) -> int:
         res = conservative_ensemble(structure, data, args.restarts, args.seed)
         # Midpoints of the envelope, renormalized into valid rows (exact
         # already for binary rows).
-        cpts = []
-        for mid in res.midpoint:
-            cpts.append(mid / mid.sum(axis=1, keepdims=True))
+        cpts = [mid / mid.sum(axis=1, keepdims=True) for mid in res.midpoint]
         write_network(structure.with_cpts(cpts), args.out)
         if args.trace:
             _write_csv(

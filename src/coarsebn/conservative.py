@@ -31,8 +31,7 @@ def random_completion(
     observed = np.array(
         [[-1 if v is None else v for v in b] for b in bound_of.values()], dtype=np.int64
     ).reshape(len(bound_of), k)
-    pattern_id = {p: j for j, p in enumerate(bound_of)}
-    rows = observed[[pattern_id[p] for p, _ in bound.data.cases]]
+    rows = observed[bound.case_pattern]
     missing_mask = rows < 0
     rows[missing_mask] = 0
     for i in range(k):
@@ -70,17 +69,10 @@ def conservative_ensemble(
         rows = random_completion(structure, bound, rng)
         raw, row_counts = ml_estimate(structure, (rows, weights))
         estimates.append(smooth(raw, row_counts))
-    lower = []
-    upper = []
-    midpoint = []
-    for i in range(len(structure.nodes)):
-        stack = np.stack([est.cpts[i] for est in estimates])
-        lo = stack.min(axis=0)
-        hi = stack.max(axis=0)
-        lower.append(lo)
-        upper.append(hi)
-        midpoint.append((lo + hi) / 2.0)
-    return ConservativeResult(estimates, lower, upper, midpoint)
+    stack = np.stack([est.theta for est in estimates])
+    lo, hi = stack.min(axis=0), stack.max(axis=0)
+    envelope = [list(structure.with_theta(v).cpts) for v in (lo, hi, (lo + hi) / 2.0)]
+    return ConservativeResult(estimates, *envelope)
 
 
 def marginal_bounds(

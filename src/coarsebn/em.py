@@ -57,7 +57,7 @@ def _init_network(structure: Network, opts: EmOptions) -> Network:
             raise DataError("initial network invalid: " + "; ".join(diags))
         if opts.init.nodes != structure.nodes:
             raise DataError("initial network does not match the structure")
-        return structure.with_cpts(opts.init.cpts)
+        return structure.with_theta(opts.init.theta)
     if opts.init == "uniform":
         return uniform_cpts(structure)
     if opts.init == "random":
@@ -94,7 +94,6 @@ def em_fit(
     trace: list[tuple[int, float, float]] = []
     prev: tuple[float, float] | None = None
     converged = False
-    counts: list[np.ndarray] = []
     for it in range(1, opts.max_iters + 1):
         p_u, counts = table.expected_counts(net, weights)
         ll = 0.0
@@ -115,5 +114,5 @@ def em_fit(
         prev = (ll, excluded)
         net, _ = params_from_family_counts(structure, counts)
 
-    row_counts = [c.sum(axis=1) for c in counts]
+    row_counts = params_from_family_counts(structure, counts)[1]
     return EmResult(net, smooth(net, row_counts), row_counts, trace, converged)

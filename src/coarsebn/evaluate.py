@@ -34,10 +34,10 @@ class Truth:
         self.net = net
 
     @cached_property
-    def parent_weights(self) -> list[np.ndarray]:
-        """Per node, P(parent configuration) of each CPT row."""
+    def parent_weights(self) -> np.ndarray:
+        """P(parent configuration) of each CPT row, node after node."""
         _, fams = CliqueTree(self.net).calibrate(self.net, [None] * len(self.net.nodes))
-        return [fam.sum(axis=1) for fam in fams]
+        return np.concatenate([fam.sum(axis=1) for fam in fams])
 
 
 def _truth(truth: Network | Truth) -> Truth:
@@ -82,18 +82,24 @@ def kl_decomposed(truth: Network | Truth, estimate: Network) -> float:
     the truth's family marginals summed over the child, all from one
     clique-tree calibration (`Truth.parent_weights`), so no full-space
     enumeration is needed.  Rows of parent weight exactly zero are skipped.
+    The rows take one pass over theta; each node's is one dot, in node order.
     """
     truth = _truth(truth)
     if not same_structure(truth.net, estimate):
         raise DataError("networks must share the same structure")
-    total = 0.0
-    for t, e, w in zip(truth.net.cpts, estimate.cpts, truth.parent_weights):
-        live = (w != 0.0)[:, None] & (t > 0)
+    w = truth.parent_weights
+    row_kl = np.empty(len(w))
+    for rows, cells in truth.net.card_rows.values():
+        t, e = truth.net.theta[cells], estimate.theta[cells]
+        live = (w[rows] != 0.0)[:, None] & (t > 0)
         if np.any(e[live] <= 0):
             return float("inf")
         log_t = np.log(t, out=np.zeros_like(t), where=live)
         log_e = np.log(e, out=np.zeros_like(e), where=live)
-        total += float(w @ (t * (log_t - log_e)).sum(axis=1))
+        row_kl[rows] = (t * (log_t - log_e)).sum(axis=1)
+    total = 0.0
+    for rows in truth.net.node_rows:
+        total += float(w[rows] @ row_kl[rows])
     return total
 
 

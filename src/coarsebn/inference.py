@@ -37,6 +37,7 @@ import itertools
 import math
 import string
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -374,13 +375,11 @@ class MemberTable:
             p_u[k] = self._tree.probability(net, self.bounds[k])
         return p_u
 
-    def expected_counts(
-        self, net: Network, weights: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """P(U) per pattern and the expected family counts (the E step): the
-        enumerated patterns' counts, then one tree calibration per other
-        pattern added.  Pattern k carries weights[k]; patterns of
-        probability zero add nothing to the counts.
+    def expected_counts(self, net: Network, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P(U) per pattern and the expected family counts, laid out as
+        `Network.theta` (the E step): the enumerated patterns' counts, then
+        one tree calibration per other pattern added.  Pattern k carries
+        weights[k]; patterns of probability zero add nothing to the counts.
         """
         p_slot, p_u = self._member_probs(net)
         scale = np.divide(weights, p_u, out=np.zeros_like(p_u), where=p_u > 0)
@@ -388,12 +387,11 @@ class MemberTable:
             weights_of_slot = p_slot * scale[self.pat_of_slot]
             counts = family_counts(net, self.cells[self.loc], weights_of_slot)
         else:
-            counts = [np.zeros(cpt.shape) for cpt in net.cpts]
+            counts = np.zeros(len(net.theta))
         for k in self.on_tree:
             p_u[k], fams = self._tree.calibrate(net, self.bounds[k])
             if p_u[k] > 0.0:
-                for count, fam in zip(counts, fams):
-                    count += weights[k] * (fam / p_u[k])
+                counts += weights[k] * (np.concatenate([f.ravel() for f in fams]) / p_u[k])
         return p_u, counts
 
     def sampler(self, net: Network) -> Callable:
@@ -442,7 +440,8 @@ class BoundDataset:
     cases into patterns, binds them and answers their queries.
 
     `bound_of` maps every distinct pattern, in first-seen order, to its
-    bound, so a malformed case is refused whatever its weight.  `patterns`,
+    bound, so a malformed case is refused whatever its weight, and
+    `case_pattern` gives each case's pattern as an index in that order.  `patterns`,
     `weights`, `bounds` and `sizes` (member counts) keep those of positive
     weight, in the same order; `total` is the total weight, which must be
     positive, `m` the positive patterns' shares of it and `entropy` H(m).
@@ -465,6 +464,11 @@ class BoundDataset:
             raise DataError("total weight must be positive")
         self.m = self.weights / self.total
         self.entropy = -math.fsum(f * math.log(f) for f in self.m.tolist() if f > 0)
+
+    @cached_property
+    def case_pattern(self) -> np.ndarray:
+        ids = dict(zip(self.bound_of, itertools.count()))
+        return np.fromiter(map(ids.__getitem__, map(itemgetter(0), self.data.cases)), np.int64)
 
     @cached_property
     def table(self) -> MemberTable:

@@ -114,11 +114,8 @@ def parse_network(text: str) -> Network:
         specs.append(NodeSpec(n, states[n], parents.get(n, ())))
     shell = Network(name, tuple(specs), tuple(np.ones((1, len(states[n]))) for n in order))
     # Shapes above are placeholders; rebuild the real tables from cpt lines.
-    filled: dict[str, np.ndarray] = {}
+    filled = {n: np.full((r, len(states[n])), np.nan) for n, r in zip(order, shell.n_rows)}
     seen_rows: dict[str, set[int]] = {n: set() for n in order}
-    for n in order:
-        i = shell.node_index[n]
-        filled[n] = np.full((shell.n_rows[i], len(states[n])), np.nan)
 
     for lineno, node_name, config, row in cpt_lines:
         i = shell.node_index[node_name]

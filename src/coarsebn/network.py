@@ -1,10 +1,13 @@
 """Discrete Bayesian networks: representation, validation, sampling, ML fitting.
 
-A network is immutable after construction.  Conditional probability tables
-are stored per node as a read-only float64 array with one row per parent
-configuration and one column per node state.  Parent configurations are
-enumerated in mixed-radix order with the last declared parent varying
-fastest, which fixes the row order bit-exactly for the file format.
+A network is immutable after construction.  Its parameters are one
+read-only float64 vector, `Network.theta`: the conditional probability
+tables node after node in C order, one row per parent configuration and
+one column per node state, of which `cpts[i]` is a read-only 2-D view.
+Parent configurations are enumerated in mixed-radix order with the last
+declared parent varying fastest, which fixes the row order bit-exactly for
+the file format.  Refits, smoothing and the row checks each make one pass
+over theta, a cardinality at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +43,8 @@ class NodeSpec:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """A named DAG of NodeSpecs plus one CPT per node."""
+    """A named DAG of NodeSpecs plus one CPT per node (copied into `theta`;
+    a 1-D table is one row)."""
 
     name: str
     nodes: tuple[NodeSpec, ...]
@@ -47,14 +52,17 @@ class Network:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        tables = []
-        for table in self.cpts:
-            arr = np.array(table, dtype=np.float64)
-            if arr.ndim == 1:
-                arr = arr.reshape(1, -1)
-            arr.setflags(write=False)
-            tables.append(arr)
-        object.__setattr__(self, "cpts", tuple(tables))
+        tables = [np.asarray(t, dtype=np.float64) for t in self.cpts]
+        shapes = [(1, t.size) if t.ndim == 1 else t.shape for t in tables]
+        self._hold(np.concatenate([np.zeros(0), *(t.ravel() for t in tables)]), shapes)
+
+    def _hold(self, theta: np.ndarray, shapes) -> None:
+        """Make theta this network's read-only parameters, viewed per node."""
+        theta.setflags(write=False)
+        ends = [0, *accumulate(map(math.prod, shapes))]
+        views = tuple(theta[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "cpts", views)
 
     # ------------------------------------------------------------------
     # structure lookups (cached; the instance is immutable).  Each depends on
@@ -76,16 +84,10 @@ class Network:
     @cached_property
     def row_strides(self) -> tuple[tuple[int, ...], ...]:
         """Per node, the stride of each parent in the CPT row index."""
-        out = []
-        for parents in self.parent_index:
-            cards = [self.cards[p] for p in parents]
-            strides = []
-            acc = 1
-            for c in reversed(cards):
-                strides.append(acc)
-                acc *= c
-            out.append(tuple(reversed(strides)))
-        return tuple(out)
+        return tuple(
+            tuple(math.prod(self.cards[q] for q in ps[j + 1:]) for j in range(len(ps)))
+            for ps in self.parent_index
+        )
 
     @cached_property
     def n_rows(self) -> tuple[int, ...]:
@@ -101,12 +103,7 @@ class Network:
     @cached_property
     def ravel_strides(self) -> tuple[int, ...]:
         """C-order strides mapping a full assignment to a flat index."""
-        strides = []
-        acc = 1
-        for c in reversed(self.cards):
-            strides.append(acc)
-            acc *= c
-        return tuple(reversed(strides))
+        return tuple(math.prod(self.cards[i + 1:]) for i in range(len(self.cards)))
 
     @cached_property
     def family_cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -122,12 +119,21 @@ class Network:
         return coef, np.cumsum([0] + sizes)
 
     @cached_property
-    def card_groups(self) -> dict[int, list[int]]:
-        """Node indices by cardinality, in node order."""
-        groups: dict[int, list[int]] = {}
-        for i, card in enumerate(self.cards):
-            groups.setdefault(card, []).append(i)
-        return groups
+    def node_rows(self) -> tuple[slice, ...]:
+        """Each node's CPT rows in the rows of all CPTs, node after node."""
+        return tuple(map(slice, [0, *accumulate(self.n_rows)], accumulate(self.n_rows)))
+
+    @cached_property
+    def card_rows(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per cardinality, the rows of its nodes' CPTs in node order, and
+        their entries in theta as a (rows, card) index matrix."""
+        row_card = np.repeat(np.array(self.cards, dtype=np.int64), self.n_rows)
+        first = np.cumsum(row_card) - row_card
+        out = {}
+        for card in dict.fromkeys(self.cards):
+            rows = np.flatnonzero(row_card == card)
+            out[card] = rows, first[rows, None] + np.arange(card)
+        return out
 
     @cached_property
     def topo_order(self) -> tuple[int, ...]:
@@ -178,10 +184,22 @@ class Network:
         out.__dict__.update({k: v for k, v in vars(self).items() if k in _STRUCTURE_LOOKUPS})
         return out
 
+    def with_theta(self, theta: np.ndarray) -> "Network":
+        """This structure with parameters theta (copied), laid out as
+        `theta` is: no table is copied on its own."""
+        theta = np.array(theta, dtype=np.float64)
+        if theta.shape != (self.family_cells[1][-1],):
+            raise DataError(f"theta of shape {theta.shape} for {self.family_cells[1][-1]} cells")
+        out = object.__new__(Network)
+        out.__dict__.update({k: v for k, v in vars(self).items() if k in _KEPT})
+        out._hold(theta, list(zip(self.n_rows, self.cards)))
+        return out
+
 
 _STRUCTURE_LOOKUPS = frozenset(
     k for k, v in vars(Network).items() if isinstance(v, cached_property)
 )
+_KEPT = _STRUCTURE_LOOKUPS | {"name", "nodes"}
 
 
 def validate_network(net: Network) -> list[str]:
@@ -231,27 +249,38 @@ def validate_network(net: Network) -> list[str]:
         # CPT shapes are meaningless until the structure itself resolves.
         return diags
 
-    for i, spec in enumerate(net.nodes):
-        table = net.cpts[i]
+    misshapen = {}
+    for i, (spec, table) in enumerate(zip(net.nodes, net.cpts)):
         expect = (net.n_rows[i], len(spec.states))
         if table.shape != expect:
-            diags.append(
-                f"node {spec.name}: cpt shape {table.shape} != expected {expect}"
-            )
+            misshapen[i] = f"node {spec.name}: cpt shape {table.shape} != expected {expect}"
+    theta = net.theta
+    if misshapen:  # zeros stand in for a misshapen table; its rows go unchecked
+        theta = np.concatenate([np.zeros(0), *(
+            np.zeros(r * c) if i in misshapen else t.ravel()
+            for i, (t, r, c) in enumerate(zip(net.cpts, net.n_rows, net.cards)))])
+    row_node = np.repeat(np.arange(len(net.nodes)), net.n_rows)
+    finite, outside = np.empty((2, len(row_node)), dtype=bool)
+    sums = np.empty(len(row_node))
+    for rows, cells in net.card_rows.values():
+        table = theta[cells]
+        finite[rows] = np.isfinite(table).all(axis=1)
+        outside[rows] = np.any((table < -1e-12) | (table > 1 + 1e-12), axis=1)
+        sums[rows] = table.sum(axis=1)
+    off = np.abs(sums - 1.0) > ROW_SUM_TOL
+    flagged = (~finite | outside | off) & ~np.isin(row_node, list(misshapen))
+    found = list(misshapen.items())
+    for r in np.flatnonzero(flagged).tolist():
+        i = int(row_node[r])
+        where = f"node {net.nodes[i].name}: row {r - net.node_rows[i].start}"
+        if not finite[r]:
+            found.append((i, f"{where} has non-finite entries"))
             continue
-        finite = np.isfinite(table).all(axis=1)
-        outside = np.any((table < -1e-12) | (table > 1 + 1e-12), axis=1)
-        sums = table.sum(axis=1)
-        off = np.abs(sums - 1.0) > ROW_SUM_TOL
-        for r in np.flatnonzero(~finite | outside | off).tolist():
-            if not finite[r]:
-                diags.append(f"node {spec.name}: row {r} has non-finite entries")
-                continue
-            if outside[r]:
-                diags.append(f"node {spec.name}: row {r} has entries outside [0,1]")
-            if off[r]:
-                diags.append(f"node {spec.name}: row {r} sum {float(sums[r]):.12g} != 1")
-    return diags
+        if outside[r]:
+            found.append((i, f"{where} has entries outside [0,1]"))
+        if off[r]:
+            found.append((i, f"{where} sum {float(sums[r]):.12g} != 1"))
+    return diags + [d for _, d in sorted(found, key=lambda f: f[0])]
 
 
 def unravel_rows(net: Network, idx: np.ndarray) -> np.ndarray:
@@ -277,7 +306,7 @@ def cell_probs(net: Network, cells: np.ndarray) -> np.ndarray:
     the CPT entries each state selects, multiplied in node order (a
     multiply reduction runs in order), so the values match the chain rule
     and `inference.full_joint_table` bit for bit."""
-    return np.concatenate([cpt.ravel() for cpt in net.cpts])[cells].prod(axis=1)
+    return net.theta[cells].prod(axis=1)
 
 
 def parent_rows(net: Network, rows: np.ndarray, i: int) -> np.ndarray:
@@ -292,17 +321,17 @@ def sample(net: Network, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n full assignments by ancestral sampling in topological order.
 
     Returns an (n, k) int array of state indices, deterministic per seed.
+    The uniforms are drawn at once, row t for the t-th node in topological
+    order, so the draws are those of one `rng.random(n)` per node.
     """
     k = len(net.nodes)
     out = np.zeros((n, k), dtype=np.int64)
     if n == 0:
         return out
-    for i in net.topo_order:
-        cum = np.cumsum(net.cpts[i][parent_rows(net, out, i)], axis=1)
-        u = rng.random(n)
-        out[:, i] = np.minimum(
-            (u[:, None] >= cum).sum(axis=1), len(net.nodes[i].states) - 1
-        )
+    u = rng.random((k, n))
+    for t, i in enumerate(net.topo_order):
+        cum = np.cumsum(net.cpts[i], axis=1)[parent_rows(net, out, i)]
+        out[:, i] = np.minimum((u[t, :, None] >= cum).sum(axis=1), net.cards[i] - 1)
     return out
 
 
@@ -317,85 +346,59 @@ def randomize_parameters(net: Network, rng: np.random.Generator) -> Network:
 
 def uniform_cpts(structure: Network) -> Network:
     """Same structure with every CPT row uniform."""
-    cpts = []
-    for i in range(len(structure.nodes)):
-        card = len(structure.nodes[i].states)
-        cpts.append(np.full((structure.n_rows[i], card), 1.0 / card))
-    return structure.with_cpts(cpts)
+    sizes = np.multiply(structure.n_rows, structure.cards)
+    return structure.with_theta(1.0 / np.repeat(np.array(structure.cards, dtype=np.float64), sizes))
 
 
 # ----------------------------------------------------------------------
 # Maximum likelihood from weighted complete data
 
 
-def family_counts(
-    structure: Network, cells: np.ndarray, weights: np.ndarray
-) -> list[np.ndarray]:
-    """Weighted (parent-config, state) count tables, one per node, from
+def family_counts(structure: Network, cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted (parent-config, state) counts laid out as `theta`, from
     each state's `state_cells` row.
 
     One bincount over every family's cells, row by row, so each cell sums
     its rows' weights in row order.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    offsets = structure.family_cells[1]
-    flat = np.bincount(
+    return np.bincount(
         cells.ravel(),
         weights=np.repeat(weights, cells.shape[1]),
-        minlength=int(offsets[-1]),
+        minlength=int(structure.family_cells[1][-1]),
     )
-    return [
-        flat[a:b].reshape(r, -1)
-        for a, b, r in zip(offsets.tolist(), offsets[1:].tolist(), structure.n_rows)
-    ]
 
 
 def params_from_family_counts(
-    structure: Network, counts: Sequence[np.ndarray]
+    structure: Network, counts: np.ndarray
 ) -> tuple[Network, list[np.ndarray]]:
-    """Normalize family counts into CPTs; zero-count rows become uniform.
+    """Normalize family counts (laid out as `theta`) into CPTs; zero-count
+    rows become uniform.
 
     Also returns the per-row parent-configuration totals k (fractional
-    allowed), which later feed the smoothing map.  Nodes of one
-    cardinality are normalized together, row by row as each alone.
+    allowed), one array per node, which later feed the smoothing map.  The
+    rows of one cardinality are normalized together, each as on its own.
     """
-    cpts: list[np.ndarray] = [None] * len(structure.nodes)
-    row_counts: list[np.ndarray] = [None] * len(structure.nodes)
-    for card, group in structure.card_groups.items():
-        table = np.concatenate([counts[i] for i in group], dtype=np.float64)
-        k = table.sum(axis=1)
-        out = np.full_like(table, 1.0 / card)
-        np.divide(table, k[:, None], out=out, where=k[:, None] > 0)
-        stop = 0
-        for i in group:
-            start, stop = stop, stop + structure.n_rows[i]
-            cpts[i] = out[start:stop]
-            row_counts[i] = k[start:stop]
-    return structure.with_cpts(cpts), row_counts
+    theta = np.empty(len(counts))
+    k = np.empty(sum(structure.n_rows))
+    for card, (rows, cells) in structure.card_rows.items():
+        table = counts[cells]
+        k[rows] = totals = table.sum(axis=1)
+        out = np.full(table.shape, 1.0 / card)
+        np.divide(table, totals[:, None], out=out, where=totals[:, None] > 0)
+        theta[cells] = out
+    return structure.with_theta(theta), list(map(k.__getitem__, structure.node_rows))
 
 
 def ml_estimate(
-    structure: Network,
-    weighted_data: Iterable[tuple[Assignment, float]] | tuple[np.ndarray, np.ndarray],
+    structure: Network, weighted_data: tuple[np.ndarray, np.ndarray]
 ) -> tuple[Network, list[np.ndarray]]:
-    """Fit CPTs by weighted relative frequencies of complete assignments.
-
-    Accepts either an iterable of (assignment, weight) pairs or a pair of
-    arrays (rows, weights).  Returns the fitted network and the per-row
-    parent-config counts.
+    """Fit CPTs by weighted relative frequencies of complete assignments,
+    given as arrays (rows of state indices, weights).  Returns the fitted
+    network and the per-row parent-config counts.
     """
-    if (
-        isinstance(weighted_data, tuple)
-        and len(weighted_data) == 2
-        and isinstance(weighted_data[0], np.ndarray)
-    ):
-        rows, weights = weighted_data
-    else:
-        pairs = list(weighted_data)
-        if not pairs:
-            raise DataError("cannot estimate from an empty dataset")
-        rows = np.array([x for x, _ in pairs], dtype=np.int64)
-        weights = np.array([w for _, w in pairs], dtype=np.float64)
+    rows, weights = weighted_data
+    weights = np.asarray(weights, dtype=np.float64)
     if np.any(weights < 0):
         raise DataError("weights must be nonnegative")
     if float(weights.sum()) <= 0:
@@ -407,20 +410,18 @@ def ml_estimate(
 def smooth(net: Network, row_counts: Sequence[np.ndarray]) -> Network:
     """Add one pseudo-count per CPT cell: entry -> (entry*k + 1) / (k + m).
 
-    k is that row's data count and m the row length, so row sums are
-    preserved exactly and every entry lands strictly inside (0, 1).
+    k is that row's data count (one array per node) and m the row length,
+    so row sums are preserved exactly and every entry lands strictly inside
+    (0, 1).  One pass over theta, a cardinality at a time.
     """
-    cpts = []
-    for i in range(len(net.nodes)):
-        table = net.cpts[i]
-        k = np.asarray(row_counts[i], dtype=np.float64).reshape(-1, 1)
-        if k.shape[0] != table.shape[0]:
-            raise DataError(
-                f"node {net.nodes[i].name}: {k.shape[0]} row counts for "
-                f"{table.shape[0]} rows"
-            )
-        if np.any(k < 0):
-            raise DataError("row counts must be nonnegative")
-        m = table.shape[1]
-        cpts.append((table * k + 1.0) / (k + m))
-    return net.with_cpts(cpts)
+    sizes = tuple(map(np.size, row_counts))
+    if sizes != net.n_rows:
+        raise DataError(f"row counts per node {sizes} for CPT rows per node {net.n_rows}")
+    k = np.concatenate([np.zeros(0), *map(np.ravel, row_counts)])
+    if np.any(k < 0):
+        raise DataError("row counts must be nonnegative")
+    theta = np.empty_like(net.theta)
+    for card, (rows, cells) in net.card_rows.items():
+        kr = k[rows, None]
+        theta[cells] = (net.theta[cells] * kr + 1.0) / (kr + card)
+    return net.with_theta(theta)

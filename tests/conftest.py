@@ -6,10 +6,16 @@ import pytest
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Dataset, member_count, pattern_binder
 from coarsebn.errors import DataError
-from coarsebn.inference import BoundDataset, MemberTable, _min_fill_order, evidence_indices
+from coarsebn.inference import (
+    BoundDataset,
+    CliqueTree,
+    MemberTable,
+    _min_fill_order,
+    evidence_indices,
+)
 from coarsebn.netformat import read_network
 from coarsebn.aim import LOG_PROB_FLOOR
-from coarsebn.network import Network, NodeSpec, randomize_parameters, unravel_rows
+from coarsebn.network import Network, NodeSpec, parent_rows, randomize_parameters, unravel_rows
 from coarsebn.util import fixture_path
 
 
@@ -101,6 +107,73 @@ def joint_probs(net, idx):
     for column in entries:
         p = p * column
     return p
+
+
+# Per-node oracles: the parameter passes as they ran one node at a time.
+
+
+def per_node_family_counts(structure, rows, weights):
+    """Oracle: one bincount per node over its (parent row, state) cells."""
+    return [
+        np.bincount(
+            parent_rows(structure, rows, i) * card + rows[:, i],
+            weights=weights,
+            minlength=structure.n_rows[i] * card,
+        ).reshape(structure.n_rows[i], card)
+        for i, card in enumerate(structure.cards)
+    ]
+
+
+def per_node_params(counts):
+    """Oracle: each node's count table normalized on its own; returns the
+    tables and their row totals."""
+    cpts, row_counts = [], []
+    for table in counts:
+        k = table.sum(axis=1)
+        out = np.full_like(table, 1.0 / table.shape[1])
+        np.divide(table, k[:, None], out=out, where=k[:, None] > 0)
+        cpts.append(out)
+        row_counts.append(k)
+    return cpts, row_counts
+
+
+def per_node_smooth(net, row_counts):
+    """Oracle: each node's table smoothed on its own."""
+    out = []
+    for table, k in zip(net.cpts, row_counts):
+        k = np.asarray(k, dtype=np.float64).reshape(-1, 1)
+        out.append((table * k + 1.0) / (k + table.shape[1]))
+    return out
+
+
+def per_node_kl(truth, estimate):
+    """Oracle: the decomposed divergence node by node, each node's parent
+    weights from one calibration of the truth."""
+    _, fams = CliqueTree(truth).calibrate(truth, [None] * len(truth.nodes))
+    total = 0.0
+    for t, e, fam in zip(truth.cpts, estimate.cpts, fams):
+        w = fam.sum(axis=1)
+        live = (w != 0.0)[:, None] & (t > 0)
+        if np.any(e[live] <= 0):
+            return float("inf")
+        log_t = np.log(t, out=np.zeros_like(t), where=live)
+        log_e = np.log(e, out=np.zeros_like(e), where=live)
+        total += float(w @ (t * (log_t - log_e)).sum(axis=1))
+    return total
+
+
+def per_node_sample(net, n, rng):
+    """Oracle: ancestral sampling with one `rng.random(n)` per node in
+    topological order, each sample comparing its draw with the cumulative
+    sums of the CPT row it selects."""
+    out = np.zeros((n, len(net.nodes)), dtype=np.int64)
+    if n == 0:
+        return out
+    for i in net.topo_order:
+        cum = np.cumsum(net.cpts[i][parent_rows(net, out, i)], axis=1)
+        u = rng.random(n)
+        out[:, i] = np.minimum((u[:, None] >= cum).sum(axis=1), net.cards[i] - 1)
+    return out
 
 
 def log_probs(net, idx):

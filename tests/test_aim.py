@@ -1,5 +1,6 @@
 import heapq
 import math
+import re
 
 import numpy as np
 import pytest
@@ -687,6 +688,71 @@ class TestInitialCompletion:
             fa = float(np.mean(dense[:, i] == 0))
             fb = float(np.mean(seq[:, i] == 0))
             assert abs(fa - fb) < 0.04
+
+
+class TestAimStart:
+    """The fit's start: case weights checked, and replicas laid out, from
+    arrays."""
+
+    CASES = ((("t", None), 1.0), (("t", "t"), 2.0), (("f", "t"), 1.0), (("t", None), 3.0))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 2.5])
+    def test_first_bad_weight_named_as_a_python_float(self, basic_net, bad):
+        data = Dataset(("A", "B"), self.CASES)
+        cases = list(data.cases)
+        cases[2], cases[3] = (cases[2][0], bad), (cases[3][0], 0.5)
+        object.__setattr__(data, "cases", tuple(cases))  # Dataset refuses -1 itself
+        want = f"replication needs positive integer case weights; got weight {bad!r}"
+        with pytest.raises(DataError, match=re.escape(want) + "$"):
+            aim_fit(basic_net, basic_net, data, AimOptions(z=2, seed=0))
+
+    def first_state(self, monkeypatch, net, data, z):
+        states = []
+        monkeypatch.setattr(aim, "ai_sweep", lambda state: states.append(state) or ai_sweep(state))
+        res = aim_fit(net, net, data, AimOptions(z=z, seed=0, max_iters=2))
+        return states[0], res
+
+    def test_near_integer_weight_accepted(self, basic_net, monkeypatch):
+        near = Dataset(("A", "B"), ((("t", None), 3.0000000001), (("f", "t"), 1.0)))
+        exact = Dataset(("A", "B"), ((("t", None), 3.0), (("f", "t"), 1.0)))
+        state, res = self.first_state(monkeypatch, basic_net, near, 2)
+        assert state.rep_case.tolist() == [0] * 6 + [1] * 2 and state.zn == 8
+        assert state.case_moves == [[(1, 2)], []]
+        _, ref = self.first_state(monkeypatch, basic_net, exact, 2)
+        assert res.score == ref.score and res.network.theta.tobytes() == ref.network.theta.tobytes()
+
+    def test_replicas_laid_out_per_case(self, asia_net, monkeypatch):
+        data = asia_data(asia_net, n=120, seed=47)
+        rng = np.random.default_rng(8)
+        data = Dataset(data.variables, tuple((p, float(rng.integers(1, 4))) for p, _ in data.cases))
+        state, _ = self.first_state(monkeypatch, asia_net, data, 3)
+        bound = inference.BoundDataset(asia_net, data)
+        reps = [int(w) * 3 for _, w in data.cases]
+        assert state.rep_case.tolist() == np.repeat(np.arange(len(reps)), reps).tolist()
+        assert state.zn == sum(reps)
+        strides, cards = asia_net.ravel_strides, asia_net.cards
+        assert state.case_moves == [
+            [(strides[i], cards[i]) for i, v in enumerate(bound.bound_of[p]) if v is None]
+            for p, _ in data.cases
+        ]
+
+    def test_case_pattern_in_bound_of_order(self, basic_net):
+        data = Dataset(("A", "B"), (
+            (("t", None), 1.0), (("f", "f"), 0.0), (("t", None), 2.0), (("f", "t"), 1.0)
+        ))
+        bound = inference.BoundDataset(basic_net, data)
+        assert list(bound.bound_of) == [("t", None), ("f", "f"), ("f", "t")]
+        assert bound.patterns == [("t", None), ("f", "t")]
+        assert bound.case_pattern.dtype == np.int64
+        assert bound.case_pattern.tolist() == [0, 1, 0, 2]
+
+    def test_log_q_is_computed_per_count_read(self):
+        log_q = aim.LogQ(5000)
+        assert len(log_q) == 0
+        for c in (1, 2200, 5001, 37):
+            assert log_q[c] == math.log(c / 5000)
+            assert log_q[c].hex() == math.log(float(np.float64(c) / 5000)).hex()
+        assert sorted(log_q) == [1, 37, 2200, 5001]
 
 
 class TestAimFit:

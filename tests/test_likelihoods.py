@@ -561,6 +561,11 @@ class ParentBound:
         return member_table(self.net, self.bounds)
 
     @property
+    def case_pattern(self):
+        ids = {p: j for j, p in enumerate(self.bound_of)}
+        return np.array([ids[p] for p, _ in self.data.cases], dtype=np.int64)
+
+    @property
     def table(self):
         return member_table(self.net, self.bounds)
 

@@ -3,12 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TRI_NET, joint_probability, joint_probs, parent_row, random_dag
+from conftest import (
+    TRI_NET,
+    joint_probability,
+    joint_probs,
+    parent_row,
+    per_node_family_counts,
+    per_node_kl,
+    per_node_params,
+    per_node_sample,
+    per_node_smooth,
+    random_dag,
+)
 from coarsebn import network as network_mod
 from coarsebn.aim import aim_fit
 from coarsebn.data import Dataset
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import DataError
+from coarsebn.evaluate import kl_decomposed
 from coarsebn.inference import full_joint_table
 from coarsebn.netformat import parse_network, read_network
 from coarsebn.network import (
@@ -254,8 +266,8 @@ class TestWithCpts:
         # every cached lookup depends on the nodes alone: the new network
         # holds the same objects, equal to those a fresh network computes
         names = ["node_index", "cards", "parent_index", "row_strides", "n_rows",
-                 "n_assignments", "ravel_strides", "family_cells", "card_groups",
-                 "topo_order"]
+                 "n_assignments", "ravel_strides", "family_cells", "node_rows",
+                 "card_rows", "topo_order"]
         # a new cached property must be added here, and must not read the CPTs
         assert network_mod._STRUCTURE_LOOKUPS == set(names)
         before = {k: getattr(asia_net, k) for k in names}
@@ -266,6 +278,9 @@ class TestWithCpts:
             a, b = getattr(net, k), getattr(fresh, k)
             if k == "family_cells":
                 assert all(np.array_equal(x, y) for x, y in zip(a, b))
+            elif k == "card_rows":
+                assert a.keys() == b.keys()
+                assert all(np.array_equal(x, y) for c in a for x, y in zip(a[c], b[c]))
             else:
                 assert a == b
         assert [np.array_equal(a, b) for a, b in zip(net.cpts, asia_net.cpts)] == [False] * 8
@@ -322,20 +337,15 @@ class TestRandomize:
 
 class TestMlEstimate:
     def test_exact_weights_recover_basic(self, basic_net):
-        data = [
-            ((0, 0), 0.1),
-            ((0, 1), 0.4),
-            ((1, 0), 0.1),
-            ((1, 1), 0.4),
-        ]
-        fitted, counts = ml_estimate(basic_net, data)
+        rows = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
+        fitted, counts = ml_estimate(basic_net, (rows, np.array([0.1, 0.4, 0.1, 0.4])))
         assert fitted.cpts[0][0, 0] == pytest.approx(0.5, abs=1e-15)
         assert fitted.cpts[1][0, 0] == pytest.approx(0.2, abs=1e-15)
         assert counts[0][0] == pytest.approx(1.0)
 
     def test_single_case_point_mass_and_uniform_elsewhere(self, asia_net):
         x = tuple(0 for _ in asia_net.nodes)
-        fitted, _ = ml_estimate(asia_net, [(x, 1.0)])
+        fitted, _ = ml_estimate(asia_net, (np.array([x]), np.ones(1)))
         for i, spec in enumerate(asia_net.nodes):
             seen_row = parent_row(asia_net, i, x)
             assert fitted.cpts[i][seen_row, 0] == 1.0
@@ -372,41 +382,31 @@ class TestMlEstimate:
                         assert val <= base + 1e-12
 
 
-def per_node_family_counts(structure, rows, weights):
-    """Oracle: one bincount per node over its (parent row, state) cells."""
-    return [
-        np.bincount(
-            parent_rows(structure, rows, i) * card + rows[:, i],
-            weights=weights,
-            minlength=structure.n_rows[i] * card,
-        ).reshape(structure.n_rows[i], card)
-        for i, card in enumerate(structure.cards)
-    ]
+def oracle_net(which, asia_net):
+    if which == "asia":
+        return asia_net
+    if which == "tri":
+        return parse_network(TRI_NET)
+    if which == "dag17":
+        return random_dag(17, 3, cards=(2, 5))
+    return read_network(fixture_path("alarm_like.net"))
 
 
-def per_node_params(structure, counts):
-    """Oracle: each node's table normalized on its own."""
-    cpts, row_counts = [], []
-    for table in counts:
-        k = table.sum(axis=1)
-        out = np.full_like(table, 1.0 / table.shape[1])
-        np.divide(table, k[:, None], out=out, where=k[:, None] > 0)
-        cpts.append(out)
-        row_counts.append(k)
-    return cpts, row_counts
+ORACLE_NETS = ["asia", "tri", "dag17", "alarm_like"]
+
+
+def flat(tables):
+    return np.concatenate([np.ravel(t) for t in tables]).tobytes()
 
 
 class TestFamilyCounts:
-    """The M step's one bincount and grouped normalization give the
-    per-node results bit for bit."""
+    """The M step's one bincount and its refit over theta give the per-node
+    results bit for bit; alarm_like's cards 2, 3 and 4 make three
+    cardinality groups."""
 
-    @pytest.mark.parametrize("which", ["asia", "tri", "dag17"])
+    @pytest.mark.parametrize("which", ORACLE_NETS)
     def test_matches_per_node_oracle(self, which, asia_net):
-        net = {
-            "asia": asia_net,
-            "tri": parse_network(TRI_NET),
-            "dag17": random_dag(17, 3, cards=(2, 5)),
-        }[which]
+        net = oracle_net(which, asia_net)
         rng = np.random.default_rng(12)
         rows = sample(net, 400, rng)    # repeated rows: cells sum in row order
         parent = next(p for ps in net.parent_index for p in ps)
@@ -414,13 +414,84 @@ class TestFamilyCounts:
         weights = rng.random(len(rows)) * rng.integers(0, 4, size=len(rows))
         counts = family_counts(net, state_cells(net, rows), weights)
         want = per_node_family_counts(net, rows, weights)
-        assert [c.tobytes() for c in counts] == [c.tobytes() for c in want]
-        assert [c.shape for c in counts] == [c.shape for c in want]
+        assert counts.tobytes() == flat(want)
         fitted, row_counts = params_from_family_counts(net, counts)
-        cpts, want_rows = per_node_params(net, want)
+        cpts, want_rows = per_node_params(want)
         assert any((k == 0).any() for k in want_rows)   # some rows go uniform
+        assert fitted.theta.tobytes() == flat(cpts)
         assert [c.tobytes() for c in fitted.cpts] == [c.tobytes() for c in cpts]
         assert [k.tobytes() for k in row_counts] == [k.tobytes() for k in want_rows]
+
+
+class TestPerNodeOracles:
+    """Smoothing, the decomposed divergence and sampling give what the
+    per-node code gave, bit for bit."""
+
+    @pytest.mark.parametrize("which", ORACLE_NETS)
+    def test_smooth(self, which, asia_net):
+        net = randomize_parameters(oracle_net(which, asia_net), np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        row_counts = [rng.integers(0, 3, size=r) * rng.random(r) * 50 for r in net.n_rows]
+        assert smooth(net, row_counts).theta.tobytes() == flat(per_node_smooth(net, row_counts))
+
+    @pytest.mark.parametrize("which", ORACLE_NETS)
+    def test_kl_decomposed(self, which, asia_net):
+        truth = oracle_net(which, asia_net)
+        rng = np.random.default_rng(6)
+        rows = sample(truth, 300, rng)
+        raw, row_counts = ml_estimate(truth, (rows, np.ones(len(rows))))
+        estimates = [randomize_parameters(truth, rng), smooth(raw, row_counts), raw]
+        cpts = [c.copy() for c in truth.cpts]
+        parent = next(p for ps in truth.parent_index for p in ps)
+        cpts[parent][:, 0] = 0.0    # its children's rows at state 0 weigh 0
+        cpts[parent] /= cpts[parent].sum(axis=1, keepdims=True)
+        for t in (truth, truth.with_cpts(cpts)):
+            for est in estimates:
+                assert kl_decomposed(t, est).hex() == per_node_kl(t, est).hex()
+        assert kl_decomposed(truth, truth) == per_node_kl(truth, truth) == 0.0
+        assert np.isfinite(kl_decomposed(truth, estimates[1]))
+
+    @pytest.mark.parametrize("which", ORACLE_NETS)
+    @pytest.mark.parametrize("n", [0, 1, 250])
+    def test_sample(self, which, n, asia_net):
+        net = oracle_net(which, asia_net)
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        assert sample(net, n, got_rng).tobytes() == per_node_sample(net, n, want_rng).tobytes()
+        assert got_rng.random() == want_rng.random()
+
+
+class TestTheta:
+    """One read-only parameter vector per network, every CPT a view of it."""
+
+    def test_theta_and_views_are_read_only(self, asia_net):
+        net = randomize_parameters(asia_net, np.random.default_rng(1))
+        for one in (asia_net, net, smooth(net, [np.ones(r) for r in net.n_rows])):
+            assert not one.theta.flags.writeable
+            assert one.theta.tobytes() == flat(one.cpts)
+            for cpt in one.cpts:
+                assert np.shares_memory(cpt, one.theta) and not cpt.flags.writeable
+            with pytest.raises(ValueError):
+                one.theta[0] = 0.5
+            with pytest.raises(ValueError):
+                one.cpts[0][0, 0] = 0.5
+
+    def test_constructor_copies_its_tables(self):
+        a, b = np.array([[0.3, 0.7]]), np.array([0.6, 0.4])
+        net = Network("two", (NodeSpec("A", ("t", "f")), NodeSpec("B", ("t", "f"))), (a, b))
+        a[0, 0], b[0] = 0.9, 0.1
+        assert net.theta.tolist() == [0.3, 0.7, 0.6, 0.4]
+        assert net.cpts[1].shape == (1, 2)
+        assert validate_network(net) == []
+
+    def test_with_cpts_and_with_theta_build_a_new_theta(self, asia_net):
+        other = randomize_parameters(asia_net, np.random.default_rng(2))
+        for net in (asia_net.with_cpts(other.cpts), asia_net.with_theta(other.theta)):
+            assert net.theta is not other.theta and net.theta is not asia_net.theta
+            assert not np.shares_memory(net.theta, other.theta)
+            assert net.theta.tobytes() == other.theta.tobytes()
+            assert [c.shape for c in net.cpts] == [c.shape for c in asia_net.cpts]
+        with pytest.raises(DataError):
+            asia_net.with_theta(other.theta[1:])
 
 
 class TestSmooth:
