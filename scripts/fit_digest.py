@@ -17,9 +17,16 @@ A second line hashes, for each lik_reports input (the first
 A third line hashes every dataset `generate_dataset` makes for those
 inputs: its cases, its missing fraction (as float hex) and the generator's
 `bit_generator.state` after the call.
+A fourth line covers the clique-tree path, which the fits above reach only
+through `Truth`: for each input, the dataset is bound to the network with
+`inference.DENSE_TABLE_BUDGET` patched to 0, so every pattern takes the
+tree, and at the EM estimate it hashes the table's `pattern_probs`, its
+`expected_counts`, the `initial_completion` draws of one replica per case
+(seeded by the input's position) with the generator's `bit_generator.state`
+after them, and `Truth(EM estimate).parent_weights`.
 Two versions of the package that print the same digests make the same
-datasets, draws, moves, counts, scores, estimates and solver values, bit
-for bit.
+datasets, draws, moves, counts, scores, estimates, solver values and tree
+answers, bit for bit.
 
     python3 scripts/fit_digest.py
 """
@@ -34,11 +41,33 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from coarsebn import aim, cli, em, likelihoods  # noqa: E402
+from coarsebn import aim, cli, em, inference, likelihoods  # noqa: E402
+from coarsebn.evaluate import Truth  # noqa: E402
+
+
+def tree_parts(net, data, seed: int):
+    """The tree path's answers for `data` at `net`, as bytes."""
+    budget = inference.DENSE_TABLE_BUDGET
+    inference.DENSE_TABLE_BUDGET = 0  # read when the table is built
+    try:
+        bound = inference.BoundDataset(net, data)
+        table = bound.table
+    finally:
+        inference.DENSE_TABLE_BUDGET = budget
+    assert not table.enumerated and len(bound.patterns) == len(bound.bound_of)
+    p_u, counts = table.expected_counts(net, bound.weights)
+    rng = np.random.default_rng(seed)
+    assign, fallbacks = aim.initial_completion(net, table, bound.case_pattern, rng)
+    return (
+        table.pattern_probs(net).tobytes(), p_u.tobytes(), counts.tobytes(),
+        np.asarray(assign, dtype=np.int64).tobytes(), repr((fallbacks, rng.bit_generator.state)),
+        Truth(net).parent_weights.tobytes(),
+    )
 
 
 def main() -> int:
     digest, lik_digest, data_digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    tree_digest = hashlib.sha256()
     sweeps = fits = datasets = 0
     last = {}
 
@@ -97,6 +126,8 @@ def main() -> int:
                 print("; ".join(failures), file=sys.stderr)
                 return 1
             put([(k, v.hex() if isinstance(v, float) else v) for k, v in rows[0].items()])
+            for part in tree_parts(last["em"].network, last["data"], i):
+                tree_digest.update(part if isinstance(part, bytes) else part.encode())
             if i < sizes.lik_datasets:
                 net, data = last["aim"].network, last["data"]
                 value, _, _, gap = likelihoods.SatProfileProblem(net, data).solve(net, tol=1e-8)
@@ -108,6 +139,7 @@ def main() -> int:
     print(f"{digest.hexdigest()}  ({sweeps} sweeps, {fits} fits)")
     print(f"{lik_digest.hexdigest()}  ({sizes.lik_datasets} lik inputs)")
     print(f"{data_digest.hexdigest()}  ({datasets} datasets)")
+    print(f"{tree_digest.hexdigest()}  ({i + 1} tree inputs)")
     return 0
 
 

@@ -33,7 +33,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -422,7 +421,7 @@ def aim_fit(
         raise BudgetError("joint space too large to index")
 
     bound = bind(structure, data)
-    w = np.fromiter(map(itemgetter(1), bound.data.cases), np.float64, len(bound.data.cases))
+    w = bound.case_weights
     bad = np.flatnonzero((w <= 0) | (np.abs(w - np.round(w)) > 1e-9))
     if len(bad):
         raise DataError(

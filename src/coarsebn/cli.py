@@ -303,6 +303,8 @@ def _cmd_learn(args) -> int:
         _write_trace(args.trace, header, res.trace)
     if args.counts_out:
         _write_counts(args.counts_out, res.network, res.row_counts)
+    if not res.converged:
+        print(f"{args.method} did not converge in --max-iters {args.max_iters}", file=sys.stderr)
     print(f"method {args.method} iterations {len(res.trace)} {summary}")
     return 0
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .inference import BoundDataset, bind
+from .inference import BoundDataset, bind, bound_rows
 from .network import Network, ml_estimate, smooth
 from .util import check_int, stable_child_seed
 
@@ -24,17 +24,11 @@ def random_completion(
     net: Network, data: Dataset | BoundDataset, rng: np.random.Generator
 ) -> np.ndarray:
     """Fill every missing coordinate uniformly; returns one row per case."""
-    k = len(net.nodes)
     bound = bind(net, data)
-    bound_of = bound.bound_of
-    # one row per distinct pattern, -1 where missing, gathered by case
-    observed = np.array(
-        [[-1 if v is None else v for v in b] for b in bound_of.values()], dtype=np.int64
-    ).reshape(len(bound_of), k)
-    rows = observed[bound.case_pattern]
+    rows = bound_rows(bound.bound_of.values())[bound.case_pattern]
     missing_mask = rows < 0
     rows[missing_mask] = 0
-    for i in range(k):
+    for i in range(len(net.nodes)):
         hole = missing_mask[:, i]
         n_hole = int(hole.sum())
         if n_hole:
@@ -62,12 +56,11 @@ def conservative_ensemble(
     """
     check_int("n_completions", n_completions, 1)
     bound = BoundDataset(structure, data)
-    weights = np.array([w for _, w in data.cases])
     estimates = []
     for r in range(n_completions):
         rng = np.random.default_rng(stable_child_seed(seed, r))
         rows = random_completion(structure, bound, rng)
-        raw, row_counts = ml_estimate(structure, (rows, weights))
+        raw, row_counts = ml_estimate(structure, (rows, bound.case_weights))
         estimates.append(smooth(raw, row_counts))
     stack = np.stack([est.theta for est in estimates])
     lo, hi = stack.min(axis=0), stack.max(axis=0)

@@ -59,13 +59,6 @@ class Dataset:
     def total_weight(self) -> float:
         return math.fsum(w for _, w in self.cases)
 
-    def grouped(self) -> dict[CoarsePattern, float]:
-        """Distinct patterns with accumulated weight, in first-seen order."""
-        out: dict[CoarsePattern, float] = {}
-        for pattern, w in self.cases:
-            out[pattern] = out.get(pattern, 0.0) + w
-        return out
-
 
 def pattern_binder(
     net: Network, variables: Sequence[str]

@@ -4,8 +4,8 @@ Doubles as the comparison baseline and as the default initializer for the
 adjusting-imputation fitter.  The E step takes, per distinct observation
 pattern, its probability and expected family counts from the dataset's
 pattern table (`BoundDataset.table`): a pattern whose members fit the
-table is summed over them, and each other pattern calibrates the clique
-tree once.
+table is summed over them, and the other patterns share one batched
+calibration of the clique tree.
 """
 
 from __future__ import annotations

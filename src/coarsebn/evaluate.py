@@ -36,8 +36,8 @@ class Truth:
     @cached_property
     def parent_weights(self) -> np.ndarray:
         """P(parent configuration) of each CPT row, node after node."""
-        _, fams = CliqueTree(self.net).calibrate(self.net, [None] * len(self.net.nodes))
-        return np.concatenate([fam.sum(axis=1) for fam in fams])
+        _, fams = CliqueTree(self.net).calibrate(self.net, np.full((1, len(self.net.nodes)), -1))
+        return np.concatenate([fam[0].sum(axis=1) for fam in fams])
 
 
 def _truth(truth: Network | Truth) -> Truth:

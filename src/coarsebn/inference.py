@@ -3,29 +3,26 @@
 Fitters and solvers need, per observation pattern, only the joint states
 that match it, called the pattern's members.  `BoundDataset` is the one
 place that holds a dataset's patterns, and its `table` (a `MemberTable`)
-answers their queries pattern by pattern: it enumerates the patterns
-smallest first while their members total at most DENSE_TABLE_BUDGET, and
-answers every other pattern on one clique tree.  So one pattern too large
-to enumerate takes the tree alone, and the rest keep their members.
-DENSE_TABLE_BUDGET is the one member-table budget: the fitters, the face
-value and the sat profile all read it.  The sat and car profiles need
-every pattern enumerated (`BoundDataset.member_table`), and only the car
-normalizer, which never builds the compiled cells, asks for a larger one.
+answers their queries: it enumerates the patterns smallest first while
+their members total at most DENSE_TABLE_BUDGET, and answers every other
+pattern on one clique tree.  DENSE_TABLE_BUDGET is the one member-table
+budget, read by the fitters, the face value and the sat profile.  The sat
+and car profiles need every pattern enumerated (`member_table`); only the
+car normalizer, which never builds the compiled cells, asks for more.
 
 A member table is compiled once per dataset: on first use it stores each
 distinct member's `network.state_cells` row, its cell per node in the
 concatenated CPTs.  P(x) is then one gather and a node-order product, and
-the E step's expected counts one bincount, whatever the parameters.  AIM,
-which needs P(x) only at the states its replicas occupy or can move to,
-caches those states' cells itself, so a tree pattern's states need no
-table.
+the E step's expected counts one bincount, whatever the parameters.
 
 A clique tree (`CliqueTree`) is compiled once per structure at each call
 site, from one min-fill elimination ordering; it refuses a clique of more
-than ENUM_BUDGET cells.  One calibration (a collect and a distribute pass)
-gives P(U) and every family's P(family, U); the collect pass alone gives
-P(U).  The E step makes one calibration per tree pattern, and KL
-evaluation one of the truth.
+than ENUM_BUDGET cells.  A query takes a batch of bounds and makes one
+pass over all of them: one calibration (a collect and a distribute pass)
+gives each bound's P(U) and every family's P(family, U), and the collect
+pass alone gives P(U).  So the E step makes one calibration for all of
+its tree patterns, the initial draws one collect pass per missing node of
+a tree pattern, and KL evaluation one calibration of the truth.
 
 All probabilities are combined in linear space; callers accumulate logs.
 Elimination orderings come from a deterministic min-fill heuristic with
@@ -115,13 +112,17 @@ class CliqueTree:
     the clique of its first-eliminated node.  A clique table of more than
     ENUM_BUDGET cells raises BudgetError here, before any query.
 
-    Queries take a network of this structure and a bound (state index or
-    None per node).  Evidence zeroes the inconsistent CPT entries, and the
-    passes are Shafer-Shenoy messages, with no division; components are
-    joined by multiplying in the other components' masses.  So a
-    configuration of probability zero keeps a marginal of exactly 0.0.
-    Every einsum is compiled here, with axis letters of its own; a clique
-    step of more than EINSUM_OPERANDS inputs is folded into chained steps.
+    Queries take a network of this structure and a batch of bounds (a state
+    index per node, -1 where it is missing: `bound_rows`), in chunks whose
+    slots hold at most ENUM_BUDGET cells.  Evidence zeroes the inconsistent
+    CPT entries, and the passes are Shafer-Shenoy messages, with no
+    division; components are joined by multiplying in the other components'
+    masses.  So a configuration of probability zero keeps a marginal of
+    exactly 0.0.  Every einsum is compiled here, with a leading batch axis
+    and axis letters of its own; a clique step of more than EINSUM_OPERANDS
+    inputs is folded into chained steps.  A batch of one bound runs each
+    einsum as an unbatched query would; in a larger batch numpy may order a
+    reduction's sums otherwise, which moves a float by a few ulps at most.
     """
 
     def __init__(self, net: Network):
@@ -156,8 +157,9 @@ class CliqueTree:
                 )
 
         self._shapes = [tuple(net.cards[u] for u in fam) for fam in families]
-        eye = {c: np.eye(c) for c in set(net.cards)}
-        self._eyes = [eye[c] for c in net.cards]
+        # row v of a node's evidence mask keeps its state v; row -1 keeps all
+        masks = {c: np.vstack([np.eye(c), np.ones(c)]) for c in set(net.cards)}
+        self._masks = [masks[c] for c in net.cards]
         cliques = list(scope)  # children before parents
         held: dict[int, list[int]] = {c: [] for c in cliques}
         for i, h in enumerate(home):
@@ -181,7 +183,7 @@ class CliqueTree:
                 ins = [step(program, c, head, sorted(scope[c]), c)] + ins
             covered = set().union(*[scopes[j] for j in ins])
             out = tuple(u for u in want if u in covered)
-            subs = ",".join([codes[j] for j in ins]) + "->"
+            subs = ",".join(["..." + codes[j] for j in ins]) + "->..."
             program.append((subs + "".join(letters[c][u] for u in out), tuple(ins)))
             return slot(out, reader)
 
@@ -219,46 +221,63 @@ class CliqueTree:
                 ins = own + [up[d] for d in children[c]]
                 self._family_slots[i] = step(self._distribute_steps, c, ins, families[i], None)
                 self._component[i] = component[c]
+        cells = sum(math.prod(map(net.cards.__getitem__, axes)) for axes in scopes)
+        self._chunk = max(1, ENUM_BUDGET // cells)  # bounds per pass
 
-    def _collect(self, net: Network, bound: Bound) -> tuple[list, list[float]]:
-        """The collect pass: every slot so far, and each component's mass."""
+    def _collect(self, net: Network, bounds: np.ndarray) -> tuple[list, list[np.ndarray]]:
+        """The collect pass over one chunk of bounds: every slot so far, and
+        each component's mass per bound.  A batch of one bound leaves the
+        nodes it misses unmasked, with no batch axis."""
         slots: list = []
-        for cpt, shape, eye, v in zip(net.cpts, self._shapes, self._eyes, bound):
-            table = cpt.reshape(shape)
-            slots.append(table if v is None else table * eye[v])
+        for cpt, shape, ev, v in zip(net.cpts, self._shapes, self._masks, bounds.T):
+            if len(v) == 1 and v[0] < 0:
+                slots.append(cpt.reshape(shape))
+            else:
+                slots.append((cpt * ev[v][:, None]).reshape(-1, *shape))
         for subs, ins in self._collect_steps:
             slots.append(np.einsum(subs, *[slots[j] for j in ins]))
-        return slots, [float(slots[j]) for j in self._roots]
+        return slots, [slots[j].reshape(-1) for j in self._roots]
 
-    def probability(self, net: Network, bound: Bound) -> float:
-        """P(U), from the collect pass alone."""
-        return math.prod(self._collect(net, bound)[1])
+    def _chunks(self, bounds: np.ndarray) -> list[np.ndarray]:
+        return [bounds[s : s + self._chunk] for s in range(0, max(len(bounds), 1), self._chunk)]
 
-    def calibrate(self, net: Network, bound: Bound) -> tuple[float, list[np.ndarray]]:
-        """P(U) and, per node, P(family, U) shaped like its CPT."""
-        slots, masses = self._collect(net, bound)
-        for subs, ins in self._distribute_steps:
-            slots.append(np.einsum(subs, *[slots[j] for j in ins]))
-        fams = [
-            slots[j].reshape(cpt.shape) for j, cpt in zip(self._family_slots, net.cpts)
-        ]
-        if len(masses) > 1:
-            others = [math.prod(masses[:r] + masses[r + 1 :]) for r in range(len(masses))]
-            fams = [f * others[r] for f, r in zip(fams, self._component)]
-        return math.prod(masses), fams
+    def probability(self, net: Network, bounds: np.ndarray) -> np.ndarray:
+        """P(U) per bound, from the collect pass alone."""
+        return np.concatenate([math.prod(self._collect(net, c)[1]) for c in self._chunks(bounds)])
+
+    def calibrate(self, net: Network, bounds: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """P(U) per bound and, per node, P(family, U) per bound: an array of
+        the bounds x its CPT's shape."""
+        p_u, fams = [], []
+        for chunk in self._chunks(bounds):
+            slots, masses = self._collect(net, chunk)
+            for subs, ins in self._distribute_steps:
+                slots.append(np.einsum(subs, *[slots[j] for j in ins]))
+            fam = [slots[j].reshape(-1, *cpt.shape) for j, cpt in zip(self._family_slots, net.cpts)]
+            if len(masses) > 1:
+                others = [math.prod(masses[:r] + masses[r + 1 :]) for r in range(len(masses))]
+                fam = [f * others[r][:, None, None] for f, r in zip(fam, self._component)]
+            p_u.append(math.prod(masses))
+            fams.append(fam)
+        if len(p_u) == 1:
+            return p_u[0], fams[0]
+        return np.concatenate(p_u), [np.concatenate(f) for f in zip(*fams)]
 
 
-def _bound_of(net: Network, evidence: Mapping[str, str]) -> list[Optional[int]]:
+def bound_rows(bounds: Sequence[Bound]) -> np.ndarray:
+    """Bounds as a `CliqueTree` batch: an int array, -1 where a node is missing."""
+    return np.array([[-1 if v is None else v for v in b] for b in bounds], dtype=np.int64)
+
+
+def _bound_of(net: Network, evidence: Mapping[str, str]) -> np.ndarray:
     ev = evidence_indices(net, evidence)
-    return [ev.get(i) for i in range(len(net.nodes))]
+    return bound_rows([[ev.get(i) for i in range(len(net.nodes))]])
 
 
 def evidence_probability(net: Network, evidence: Mapping[str, str]) -> float:
     """P(X in U) for a missing-value observation: one collect pass.
-
-    `evidence` holds the observed variables; everything else is summed out.
-    """
-    return CliqueTree(net).probability(net, _bound_of(net, evidence))
+    `evidence` holds the observed variables; everything else is summed out."""
+    return float(CliqueTree(net).probability(net, _bound_of(net, evidence))[0])
 
 
 def full_joint_table(net: Network) -> np.ndarray:
@@ -292,9 +311,9 @@ def posterior_family_marginals(
     take their posteriors from a `MemberTable` instead.
     """
     p_u, fams = CliqueTree(net).calibrate(net, _bound_of(net, evidence))
-    if p_u <= 0.0:
+    if p_u[0] <= 0.0:
         raise ZeroSupportError("evidence has probability zero under the model")
-    return {spec.name: fam / p_u for spec, fam in zip(net.nodes, fams)}
+    return {spec.name: fam[0] / p_u[0] for spec, fam in zip(net.nodes, fams)}
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +347,7 @@ class MemberTable:
         fits = {k for k, total in zip(order, running) if total <= budget}
         self.enumerated = sorted(fits)
         self.on_tree = sorted(set(range(len(sizes))) - fits)
+        self._tree_rows = bound_rows([self.bounds[k] for k in self.on_tree])
         kept = [sizes[k] for k in self.enumerated]
         flat = np.concatenate(
             [member_flat_indices(net, self.bounds[k]) for k in self.enumerated]
@@ -369,17 +389,18 @@ class MemberTable:
 
     def pattern_probs(self, net: Network) -> np.ndarray:
         """P(U) per pattern: the sum of its members' probabilities, or one
-        collect pass of the tree."""
+        batched collect pass of the tree."""
         p_u = self._member_probs(net)[1]
-        for k in self.on_tree:
-            p_u[k] = self._tree.probability(net, self.bounds[k])
+        if self.on_tree:
+            p_u[self.on_tree] = self._tree.probability(net, self._tree_rows)
         return p_u
 
     def expected_counts(self, net: Network, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """P(U) per pattern and the expected family counts, laid out as
         `Network.theta` (the E step): the enumerated patterns' counts, then
-        one tree calibration per other pattern added.  Pattern k carries
-        weights[k]; patterns of probability zero add nothing to the counts.
+        each tree pattern's added in turn, all from one batched calibration.
+        Pattern k carries weights[k]; patterns of probability zero add
+        nothing to the counts.
         """
         p_slot, p_u = self._member_probs(net)
         scale = np.divide(weights, p_u, out=np.zeros_like(p_u), where=p_u > 0)
@@ -388,19 +409,26 @@ class MemberTable:
             counts = family_counts(net, self.cells[self.loc], weights_of_slot)
         else:
             counts = np.zeros(len(net.theta))
-        for k in self.on_tree:
-            p_u[k], fams = self._tree.calibrate(net, self.bounds[k])
-            if p_u[k] > 0.0:
-                counts += weights[k] * (np.concatenate([f.ravel() for f in fams]) / p_u[k])
+        if self.on_tree:
+            p_tree, fams = self._tree.calibrate(net, self._tree_rows)
+            p_u[self.on_tree] = p_tree
+            live = p_tree > 0.0
+            joint = np.concatenate([f.reshape(len(p_tree), -1) for f in fams], axis=1)[live]
+            terms = weights[self.on_tree][live, None] * (joint / p_tree[live, None])
+            counts = np.vstack([counts, terms]).sum(axis=0)  # row after row, in order
         return p_u, counts
 
     def sampler(self, net: Network) -> Callable:
         """draw(k, size, rng): the flat joint indices of `size` members of
         pattern k, each drawn with probability P(x | U); None when P(U) is
-        zero.  An enumerated pattern draws from its members; a tree pattern
-        draws its missing nodes one by one in topological order, each from
-        its conditional given the evidence and the nodes drawn so far (one
-        collect pass per state)."""
+        zero.  An enumerated pattern draws from its members.  A tree pattern
+        draws its missing nodes in topological order, each from its
+        conditional given the evidence and the nodes drawn so far: one
+        collect pass per node over every replica and state, then
+        `rng.choice`'s inverse CDF on uniforms drawn up front, replica after
+        replica: on the same probabilities, the draws of one `rng.choice`
+        per replica and node.  Except when a later node's total underflows
+        to 0.0 while P(U) > 0: the draw is None, having taken all uniforms."""
         p_slot = self.probs(net)[self.loc]
         flat = self.uniq[self.loc]
         slots = dict(zip(self.enumerated, zip(self.starts.tolist(), self.stops.tolist())))
@@ -415,22 +443,23 @@ class MemberTable:
                 cdf = (p / s).cumsum()  # rng.choice's inverse CDF, unchecked
                 cdf /= cdf[-1]
                 return flat[start + cdf.searchsorted(rng.random(size), side="right")]
-            out: list[int] = []
-            for _ in range(size):
-                x = list(self.bounds[k])
-                for i in net.topo_order:
-                    if x[i] is not None:
-                        continue
-                    probs = []
-                    for s in range(net.cards[i]):
-                        x[i] = s
-                        probs.append(self._tree.probability(net, x))
-                    total = sum(probs)
-                    if total <= 0.0:
-                        return None
-                    x[i] = int(rng.choice(len(probs), p=np.array(probs) / total))
-                out.append(net.ravel(x))
-            return out
+            row = self._tree_rows[self.on_tree.index(k)]
+            missing = [i for i in net.topo_order if row[i] < 0]
+            x = np.repeat(row[None], size, axis=0)
+            for j, i in enumerate(missing):
+                card = net.cards[i]
+                batch = np.repeat(x, card, axis=0)
+                batch[:, i] = np.tile(np.arange(card), size)
+                p = self._tree.probability(net, batch).reshape(size, card)
+                total = p.cumsum(axis=1)[:, -1:]  # Python's sum: state after state
+                if (total <= 0.0).any():
+                    return None
+                if j == 0:  # P(U) > 0
+                    u = rng.random((size, len(missing)))
+                cdf = (p / total).cumsum(axis=1)
+                cdf /= cdf[:, -1:]
+                x[:, i] = (cdf <= u[:, j : j + 1]).sum(axis=1)  # searchsorted, side="right"
+            return x @ np.array(net.ravel_strides, dtype=np.int64)
 
         return draw
 
@@ -440,23 +469,28 @@ class BoundDataset:
     cases into patterns, binds them and answers their queries.
 
     `bound_of` maps every distinct pattern, in first-seen order, to its
-    bound, so a malformed case is refused whatever its weight, and
-    `case_pattern` gives each case's pattern as an index in that order.  `patterns`,
-    `weights`, `bounds` and `sizes` (member counts) keep those of positive
-    weight, in the same order; `total` is the total weight, which must be
-    positive, `m` the positive patterns' shares of it and `entropy` H(m).
-    `table` answers the patterns' queries, and `member_table` hands out a
-    table that enumerates them all.
+    bound, so a malformed case is refused whatever its weight;
+    `case_pattern` gives each case's pattern as an index in that order and
+    `case_weights` each case's weight.  `patterns`, `weights`, `bounds` and
+    `sizes` (member counts) keep the patterns of positive weight, in the
+    same order; `total` is the total weight, which must be positive, `m`
+    the positive patterns' shares of it and `entropy` H(m).  `table`
+    answers the patterns' queries, and `member_table` hands out a table
+    that enumerates them all.
     """
 
     def __init__(self, net: Network, data: Dataset):
-        grouped = data.grouped()
         bind = pattern_binder(net, data.variables)
         self.net = net
         self.data = data
-        self.bound_of = {p: bind(p) for p in grouped}
-        self.patterns = [p for p, w in grouped.items() if w > 0]
-        self.weights = np.array([grouped[p] for p in self.patterns])
+        ids: dict = {}
+        pattern_id = (ids.setdefault(p, len(ids)) for p, _ in data.cases)
+        self.case_pattern = np.fromiter(pattern_id, np.int64, len(data.cases))
+        self.case_weights = np.fromiter(map(itemgetter(1), data.cases), np.float64, len(data.cases))
+        self.bound_of = {p: bind(p) for p in ids}
+        grouped = np.bincount(self.case_pattern, self.case_weights, len(ids))  # in case order
+        self.patterns = [p for p, w in zip(ids, grouped.tolist()) if w > 0]
+        self.weights = grouped[grouped > 0]
         self.bounds = [self.bound_of[p] for p in self.patterns]
         self.sizes = [member_count(net, b) for b in self.bounds]
         self.total = data.total_weight
@@ -464,11 +498,6 @@ class BoundDataset:
             raise DataError("total weight must be positive")
         self.m = self.weights / self.total
         self.entropy = -math.fsum(f * math.log(f) for f in self.m.tolist() if f > 0)
-
-    @cached_property
-    def case_pattern(self) -> np.ndarray:
-        ids = dict(zip(self.bound_of, itertools.count()))
-        return np.fromiter(map(ids.__getitem__, map(itemgetter(0), self.data.cases)), np.int64)
 
     @cached_property
     def table(self) -> MemberTable:

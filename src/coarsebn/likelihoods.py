@@ -42,7 +42,7 @@ import numpy as np
 from .data import Completion, CoarsePattern, Dataset
 from .errors import DataError, NumericalError
 from .inference import DENSE_TABLE_BUDGET, BoundDataset, bind
-from .network import Network
+from .network import Network, unravel_rows
 
 CAR_MEMBER_BUDGET = 4 << 20
 CAR_TOL = 1e-10
@@ -241,12 +241,9 @@ class SatProfileProblem:
         for pi, pattern in enumerate(bound.patterns):
             sel = slice(table.starts[pi], table.stops[pi])
             mass = w[sel] / bound.m[pi]
-            states = table.uniq[table.loc[sel]]
-            per_pattern[pattern] = {
-                bound.net.unravel(int(r)): float(v)
-                for r, v in zip(states, mass)
-                if v > 0
-            }
+            live = mass > 0
+            rows = unravel_rows(bound.net, table.uniq[table.loc[sel]][live]).tolist()
+            per_pattern[pattern] = dict(zip(map(tuple, rows), mass[live].tolist()))
         return Completion(
             tuple(per_pattern.get(pattern, {}) for pattern, _ in bound.data.cases)
         )

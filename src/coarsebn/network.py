@@ -166,19 +166,6 @@ class Network:
                 f"state {label!r} not in the domain of node {node!r}"
             ) from None
 
-    def ravel(self, x: Sequence[int]) -> int:
-        r = 0
-        for s, v in zip(self.ravel_strides, x):
-            r += s * v
-        return r
-
-    def unravel(self, r: int) -> Assignment:
-        out = []
-        for c in reversed(self.cards):
-            out.append(r % c)
-            r //= c
-        return tuple(reversed(out))
-
     def with_cpts(self, cpts: Sequence[np.ndarray]) -> "Network":
         out = Network(self.name, self.nodes, tuple(cpts))
         out.__dict__.update({k: v for k, v in vars(self).items() if k in _STRUCTURE_LOOKUPS})

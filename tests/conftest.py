@@ -149,7 +149,7 @@ def per_node_smooth(net, row_counts):
 def per_node_kl(truth, estimate):
     """Oracle: the decomposed divergence node by node, each node's parent
     weights from one calibration of the truth."""
-    _, fams = CliqueTree(truth).calibrate(truth, [None] * len(truth.nodes))
+    _, fams = PerBoundTree(truth).calibrate(truth, [None] * len(truth.nodes))
     total = 0.0
     for t, e, fam in zip(truth.cpts, estimate.cpts, fams):
         w = fam.sum(axis=1)
@@ -176,6 +176,20 @@ def per_node_sample(net, n, rng):
     return out
 
 
+def ravel(net, x):
+    """Oracle: the flat (C-order) joint index of assignment x."""
+    return sum(s * v for s, v in zip(net.ravel_strides, x))
+
+
+def unravel(net, r):
+    """Oracle: the assignment of flat (C-order) joint index r."""
+    out = []
+    for c in reversed(net.cards):
+        out.append(r % c)
+        r //= c
+    return tuple(reversed(out))
+
+
 def log_probs(net, idx):
     """Oracle: log max(P(x), LOG_PROB_FLOOR) for each flat joint index."""
     return np.log(np.maximum(joint_probs(net, idx), LOG_PROB_FLOOR))
@@ -185,6 +199,78 @@ def member_table(net, bounds):
     """The table of `bounds` that enumerates every pattern, with the
     refusals of `BoundDataset.member_table`."""
     return BoundDataset(net, dataset_of(net, bounds)).member_table(math.inf)
+
+
+def grouped(data):
+    """Oracle: distinct patterns with accumulated weight, in first-seen order."""
+    out = {}
+    for pattern, w in data.cases:
+        out[pattern] = out.get(pattern, 0.0) + w
+    return out
+
+
+class PerBoundTree:
+    """Oracle: the clique-tree queries one bound (state index or None per
+    node) at a time, running the compiled tree's einsums without the batch
+    axis, as every query did before the tree took a batch of bounds."""
+
+    def __init__(self, net):
+        self.tree = CliqueTree(net)
+
+    def _run(self, slots, steps):
+        for subs, ins in steps:
+            slots.append(np.einsum(subs.replace("...", ""), *[slots[j] for j in ins]))
+
+    def _collect(self, net, bound):
+        slots = []
+        for cpt, shape, v in zip(net.cpts, self.tree._shapes, bound):
+            table = cpt.reshape(shape)
+            slots.append(table if v is None else table * np.eye(shape[-1])[v])
+        self._run(slots, self.tree._collect_steps)
+        return slots, [float(slots[j]) for j in self.tree._roots]
+
+    def probability(self, net, bound):
+        return math.prod(self._collect(net, bound)[1])
+
+    def calibrate(self, net, bound):
+        slots, masses = self._collect(net, bound)
+        self._run(slots, self.tree._distribute_steps)
+        fams = [slots[j].reshape(cpt.shape) for j, cpt in zip(self.tree._family_slots, net.cpts)]
+        if len(masses) > 1:
+            others = [math.prod(masses[:r] + masses[r + 1 :]) for r in range(len(masses))]
+            fams = [f * others[r] for f, r in zip(fams, self.tree._component)]
+        return math.prod(masses), fams
+
+    def expected_counts(self, net, bounds, weights, counts=None):
+        """Oracle: the E step's tree counts, added pattern after pattern to
+        `counts` (zeros by default)."""
+        p_u = np.zeros(len(bounds))
+        counts = np.zeros(len(net.theta)) if counts is None else counts.copy()
+        for k, bound in enumerate(bounds):
+            p_u[k], fams = self.calibrate(net, bound)
+            if p_u[k] > 0.0:
+                counts += weights[k] * (np.concatenate([f.ravel() for f in fams]) / p_u[k])
+        return p_u, counts
+
+    def draw(self, net, bound, size, rng):
+        """Oracle: the tree sampler, one `rng.choice` per replica and missing
+        node, each state's weight from one collect pass."""
+        out = []
+        for _ in range(size):
+            x = list(bound)
+            for i in net.topo_order:
+                if x[i] is not None:
+                    continue
+                probs = []
+                for s in range(net.cards[i]):
+                    x[i] = s
+                    probs.append(self.probability(net, x))
+                total = sum(probs)
+                if total <= 0.0:
+                    return None
+                x[i] = int(rng.choice(len(probs), p=np.array(probs) / total))
+            out.append(ravel(net, x))
+        return out
 
 
 def tree_table(net, bounds):

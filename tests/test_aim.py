@@ -11,9 +11,12 @@ from conftest import (
     TRI_NET,
     asia_data,
     dataset_of,
+    grouped,
     incremental_kl_delta,
     joint_probability,
     log_probs,
+    ravel,
+    unravel,
 )
 from coarsebn import aim, inference
 from coarsebn.aim import (
@@ -170,16 +173,16 @@ class TestIncrementalKlDelta:
         dead = basic_net.with_cpts(
             [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])]
         )
-        idx = [basic_net.ravel(x) for x in [(0, 0), (0, 1), (1, 0), (1, 1)]]
+        idx = [ravel(basic_net, x) for x in [(0, 0), (0, 1), (1, 0), (1, 1)]]
         floored = [
             math.log(0.5), math.log(0.5), math.log(LOG_PROB_FLOOR), math.log(LOG_PROB_FLOOR)
         ]
         cells = state_cells(dead, unravel_rows(dead, idx))
         assert aim.log_probs(dead, cells).tolist() == floored
         assert log_probs(dead, idx).tolist() == floored
-        counts = {basic_net.ravel((0, 0)): 10}
+        counts = {ravel(basic_net, (0, 0)): 10}
         delta = incremental_kl_delta(
-            counts, 10, logp_of(dead), basic_net.ravel((0, 0)), basic_net.ravel((1, 0))
+            counts, 10, logp_of(dead), ravel(basic_net, (0, 0)), ravel(basic_net, (1, 0))
         )
         assert 50.0 < delta < math.inf
 
@@ -242,7 +245,7 @@ class TestAiSweep:
         z = 10
         state = build_state(basic_net, basic_net, basic_data_n2000, z=z)
         # force all U_1 replicas to (t,f)
-        tf = basic_net.ravel((0, 1))
+        tf = ravel(basic_net, (0, 1))
         for j in range(state.zn):
             if state.case_moves[state.rep_case[j]]:
                 old = state.assign[j]
@@ -258,7 +261,7 @@ class TestAiSweep:
             assert state.score <= before + 1e-12
             if before - state.score < 1e-15:
                 break
-        tt = basic_net.ravel((0, 0))
+        tt = ravel(basic_net, (0, 0))
         # counts: 100*z from observed (t,t) plus migrated replicas; optimum
         # total is 2000*z*0.1
         assert state.counts[tt] == pytest.approx(2000 * z * 0.1, rel=0.02)
@@ -395,7 +398,7 @@ class TestSweepMatchesDefinition:
         assert not np.isin(tree_states, table.uniq).all()
         cells = state_cells(asia_net, unravel_rows(asia_net, tree_states))
         assert cell_probs(em.network, cells).tolist() == [
-            joint_probability(em.network, asia_net.unravel(x)) for x in tree_states.tolist()
+            joint_probability(em.network, unravel(asia_net, x)) for x in tree_states.tolist()
         ]
         _, moves = self.run_rounds(asia_net, em.network, data, z=5, rounds=4)
         assert sum(moves) > 0
@@ -550,7 +553,7 @@ class TestSweepWork:
         d = Dataset(("A", "B"), ((("t", None), 5000.0),))
         state = build_state(basic_net, basic_net, d, z=1)
         keys, zn = state._keys, state.zn
-        tt, tf = basic_net.ravel((0, 0)), basic_net.ravel((0, 1))
+        tt, tf = ravel(basic_net, (0, 0)), ravel(basic_net, (0, 1))
         logp = logp_of(state.net)
         for c in range(1, zn):
             state.counts = {tt: c, tf: zn - c}
@@ -618,10 +621,10 @@ class TestMStep:
         # overwrite with the optimal completion counts 0.1/0.4/0.1/0.4
         zn = state.zn
         state.counts = {
-            basic_net.ravel((0, 0)): zn // 10,
-            basic_net.ravel((0, 1)): 4 * zn // 10,
-            basic_net.ravel((1, 0)): zn // 10,
-            basic_net.ravel((1, 1)): 4 * zn // 10,
+            ravel(basic_net, (0, 0)): zn // 10,
+            ravel(basic_net, (0, 1)): 4 * zn // 10,
+            ravel(basic_net, (1, 0)): zn // 10,
+            ravel(basic_net, (1, 1)): 4 * zn // 10,
         }
         net, row_counts = m_step(state)
         assert net.cpts[0][0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -640,7 +643,7 @@ class TestMStep:
 class TestInitialCompletion:
     def test_complete_case_identity(self, basic_net):
         comp, fb = seed_completion(basic_net, [(0, 1)], seed=0)
-        assert comp == [basic_net.ravel((0, 1))]
+        assert comp == [ravel(basic_net, (0, 1))]
         assert fb == []
 
     def test_posterior_fraction_converges(self, basic_net):
@@ -847,7 +850,7 @@ class TestAimFit:
         monkeypatch.setattr(inference.MemberTable, "__init__", counting)
         data = asia_data(asia_net, n=200, seed=44)
         res = aim_fit(asia_net, asia_net, data, AimOptions(z=3, seed=1, max_iters=3))
-        assert built == [len(data.grouped())]
+        assert built == [len(grouped(data))]
         assert res.init_fallbacks == 0
 
     def test_surrogate_monotone_and_deterministic(self, asia_net):

@@ -392,6 +392,25 @@ class TestLearnAndEval:
         assert "max_iters must be a positive integer" in out.stderr
 
     @pytest.mark.parametrize("method", ["em", "aim"])
+    def test_unconverged_fit_warns_on_stderr(self, tmp_path, method):
+        d = tmp_path / "d.csv"
+        run_cli(
+            "gen-data", "--net", ASIA, "--coarsening", "2:0.1:0.05",
+            "--n", "200", "--seed", "3", "--out", str(d),
+        )
+        out = {}
+        for iters in ("1", "200"):
+            out[iters] = run_cli(
+                "learn", "--net-structure", ASIA, "--data", str(d), "--method", method,
+                "--max-iters", iters, "--seed", "1", "--out", str(tmp_path / f"{iters}.net"),
+            )
+            assert out[iters].returncode == 0, out[iters].stderr
+        assert out["1"].stderr == f"{method} did not converge in --max-iters 1\n"
+        assert out["1"].stdout.startswith(f"method {method} iterations 1 ")
+        assert out["200"].stderr == ""  # converged: no warning
+        assert int(out["200"].stdout.split()[3]) > 1
+
+    @pytest.mark.parametrize("method", ["em", "aim"])
     def test_nan_tol_is_data_error(self, tmp_path, method):
         d = tmp_path / "d.csv"
         run_cli(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import asia_data
+from conftest import asia_data, grouped
 from coarsebn import inference
 from coarsebn.conservative import (
     conservative_ensemble,
@@ -53,7 +53,7 @@ class TestRandomCompletion:
                 got = random_completion(net, data, np.random.default_rng(seed))
                 want = per_case_completion(net, data, np.random.default_rng(seed))
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert len(binds) == 3 * len(data.grouped())
+            assert len(binds) == 3 * len(grouped(data))
 
 
     def test_complete_data_identity(self, basic_net):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compatible_assignments, completion_distribution
+from conftest import compatible_assignments, completion_distribution, grouped, ravel
 from coarsebn.data import (
     Completion,
     Dataset,
@@ -170,7 +170,7 @@ class TestCompatibleAssignments:
         assert len(members) == 8
         assert member_count(asia_net, bound) == 8
         flat = member_flat_indices(asia_net, bound)
-        assert sorted(flat) == sorted(asia_net.ravel(x) for x in members)
+        assert sorted(flat) == sorted(ravel(asia_net, x) for x in members)
 
 
 class TestCompletionDistribution:
@@ -251,7 +251,7 @@ class TestRecoverCoarsening:
         for x, lams in model.rows.items():
             for pattern, l in lams.items():
                 lam_by_pattern.setdefault(pattern, {})[x] = l
-        for pattern, weight in basic_data.grouped().items():
+        for pattern, weight in grouped(basic_data).items():
             prob = sum(
                 joint_probability(basic_net, x) * l
                 for x, l in lam_by_pattern[pattern].items()

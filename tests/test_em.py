@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import asia_data, tree_table
+from conftest import asia_data, grouped, tree_table
 
 from coarsebn import inference
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
@@ -82,15 +82,18 @@ class TestEmFit:
         for ta, tb in zip(dense.trace, sparse.trace):
             assert ta[1] == pytest.approx(tb[1], abs=1e-12)
 
-    def test_tree_e_step_runs_one_calibration_per_pattern(self, asia_net, monkeypatch):
+    def test_tree_e_step_runs_one_calibration_per_step(self, asia_net, monkeypatch):
         rng = np.random.default_rng(17)
         aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.1, 0.05), rng)
         data, _ = generate_dataset(aug, 80, rng)
         calls = {"calibrate": 0, "collect": 0, "compile": 0}
+        batches = []
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
                 calls[key] += 1
+                if key == "calibrate":
+                    batches.append(len(args[2]))
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -104,8 +107,10 @@ class TestEmFit:
         monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
         res = em_fit(asia_net, data, EmOptions(max_iters=2))
         assert len(res.trace) == 2
-        k = len(data.grouped())
-        assert calls == {"calibrate": 2 * k, "collect": 2 * k, "compile": 1}
+        k = len(grouped(data))
+        # one calibration per E step, of every pattern at once
+        assert calls == {"calibrate": 2, "collect": 2, "compile": 1}
+        assert batches == [k, k]
         for a, b in zip(dense.network.cpts, res.network.cpts):
             assert np.allclose(a, b, atol=1e-12)
 

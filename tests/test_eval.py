@@ -158,9 +158,9 @@ class TestEvaluate:
         tree = evaluate_mod.CliqueTree
 
         class CountingTree(tree):
-            def calibrate(self, net, bound):
+            def calibrate(self, net, bounds):
                 calibrations.append(net)
-                return super().calibrate(net, bound)
+                return super().calibrate(net, bounds)
 
         monkeypatch.setattr(evaluate_mod, "CliqueTree", CountingTree)
         cfg = cli.ExperimentConfig(

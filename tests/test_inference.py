@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PerBoundTree,
     asia_data,
     brute_evidence_probability,
     brute_family_posteriors,
     dataset_of,
+    grouped,
     joint_marginal,
     joint_probability,
     joint_probs,
@@ -216,8 +218,8 @@ class TestCliqueTree:
 
     def test_one_node(self):
         net = Network("one", (NodeSpec("X", ("a", "b", "c")),), (np.array([[0.2, 0.3, 0.5]]),))
-        p, fams = CliqueTree(net).calibrate(net, [None])
-        assert p == 1.0 and fams[0].tolist() == [[0.2, 0.3, 0.5]]
+        p, fams = CliqueTree(net).calibrate(net, np.array([[-1]]))
+        assert p.tolist() == [1.0] and fams[0].tolist() == [[[0.2, 0.3, 0.5]]]
         assert evidence_probability(net, {"X": "b"}) == 0.3
         assert posterior_family_marginals(net, {"X": "c"})["X"].tolist() == [[0.0, 0.0, 1.0]]
 
@@ -232,7 +234,8 @@ class TestCliqueTree:
     def test_zero_support_in_expected_counts(self, asia_net):
         # either is tub OR lung in the truth: tub=yes, either=no is impossible
         # (posterior_family_marginals raises on it: test_zero_evidence_raises)
-        bound = inference._bound_of(asia_net, {"tub": "yes", "either": "no"})
+        ev = inference.evidence_indices(asia_net, {"tub": "yes", "either": "no"})
+        bound = tuple(ev.get(i) for i in range(len(asia_net.nodes)))
         p_u, counts = tree_table(asia_net, [bound]).expected_counts(asia_net, np.ones(1))
         assert p_u.tolist() == [0.0]
         assert all(not c.any() for c in counts)
@@ -245,8 +248,8 @@ class TestCliqueTree:
         )
         c_rows = [[0.2, 0.8], [0.6, 0.4], [0.5, 0.5], [0.9, 0.1]]
         truth = Network("z", nodes, ([[1.0, 0.0]], [[0.3, 0.7]], c_rows))
-        _, fams = CliqueTree(truth).calibrate(truth, [None] * 3)
-        assert fams[2].sum(axis=1)[2:].tolist() == [0.0, 0.0]
+        _, fams = CliqueTree(truth).calibrate(truth, np.full((1, 3), -1))
+        assert fams[2][0].sum(axis=1)[2:].tolist() == [0.0, 0.0]
         # the estimate's zero sits in a row the truth never reaches
         estimate = truth.with_cpts(truth.cpts[:2] + (np.array(c_rows[:2] + [[1.0, 0.0]] * 2),))
         assert kl_decomposed(truth, estimate) == pytest.approx(
@@ -307,6 +310,143 @@ class TestCliqueTree:
             queries.pattern_probs(rewired)
 
 
+def batch_case(which, asia_net, basic_net):
+    """A network with state 0 of its first root made impossible, and bounds
+    over it: no evidence, random evidence (or a dataset's patterns), and a
+    bound of probability zero."""
+    if which in ("asia", "asia_data"):
+        net = randomize_parameters(asia_net, np.random.default_rng(20))
+    elif which == "dag17":  # six roots
+        net = random_dag(17, 0, cards=(2, 4), max_parents=2)
+    elif which == "basic":  # two components
+        net = basic_net
+    else:  # nine components
+        net = read_network(fixture_path("alarm_like.net"))
+    root = net.topo_order[0]
+    card = net.cards[root]
+    cpts = list(net.cpts)
+    cpts[root] = np.array([[0.0] + [1.0 / (card - 1)] * (card - 1)])
+    net = net.with_cpts(cpts)
+    rng = np.random.default_rng(21)
+    bounds = [(None,) * len(net.nodes)]
+    for observed in (0.2, 0.4, 0.6, 0.7, 0.8, 0.9):
+        bounds.append(tuple(
+            int(rng.integers(c)) if rng.random() < observed else None for c in net.cards
+        ))
+    if which == "asia_data":
+        bounds += BoundDataset(net, asia_data(asia_net)).bounds
+    zero = list(bounds[1])
+    zero[root] = 0
+    bounds.insert(3, tuple(zero))
+    return net, bounds
+
+
+def chunk_budget(monkeypatch, net, chunk):
+    """Patch ENUM_BUDGET so that the tree takes `chunk` bounds per pass."""
+    cells = inference.ENUM_BUDGET // CliqueTree(net)._chunk
+    monkeypatch.setattr(inference, "ENUM_BUDGET", chunk * cells + cells // 2)
+    assert CliqueTree(net)._chunk == chunk
+
+
+BATCH_NETS = ["asia", "dag17", "basic", "alarm_like", "asia_data"]
+
+
+def assert_ulps(got, want):
+    """Equal to within a few ulps, and exactly zero where `want` is: numpy's
+    einsum may sum a reduction in another order when its operands carry a
+    batch axis of more than one bound."""
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+class TestBatchedTree:
+    """Each batched tree query gives, bound for bound, the floats of the
+    per-bound oracle (bit for bit in a batch of one, within a few ulps in a
+    larger one) and its draws, in one chunk or across several."""
+
+    @pytest.mark.parametrize("chunk", [None, 3])
+    @pytest.mark.parametrize("which", BATCH_NETS)
+    def test_queries_equal_per_bound(self, which, chunk, asia_net, basic_net, monkeypatch):
+        net, bounds = batch_case(which, asia_net, basic_net)
+        oracle = PerBoundTree(net)
+        if chunk:
+            chunk_budget(monkeypatch, net, chunk)
+        tree = CliqueTree(net)
+        passes = []
+        collect = CliqueTree._collect
+        monkeypatch.setattr(
+            CliqueTree, "_collect", lambda *a: passes.append(len(a[2])) or collect(*a)
+        )
+        rows = inference.bound_rows(bounds)
+        p = tree.probability(net, rows)
+        p_c, fams = tree.calibrate(net, rows)
+        n = len(bounds)
+        chunks = [n] if chunk is None else [3] * (n // 3) + [n % 3] * (n % 3 > 0)
+        assert passes == chunks * 2  # probability, then calibrate
+        assert np.array_equal(p, p_c) and p[3] == 0.0 and p[0] > 0.0
+        for k, bound in enumerate(bounds):
+            p_k, fams_k = oracle.calibrate(net, bound)
+            p_one, fams_one = tree.calibrate(net, rows[k : k + 1])
+            assert tree.probability(net, rows[k : k + 1])[0] == p_one[0] == p_k
+            assert oracle.probability(net, bound) == p_k
+            assert_ulps(p[k], p_k)
+            for f, f_one, f_k in zip(fams, fams_one, fams_k, strict=True):
+                assert f[k].shape == f_k.shape and np.array_equal(f_one[0], f_k)
+                assert_ulps(f[k], f_k)
+
+    @pytest.mark.parametrize("chunk", [None, 3])
+    @pytest.mark.parametrize("which", BATCH_NETS)
+    def test_e_step_equals_per_pattern_sum(self, which, chunk, asia_net, basic_net, monkeypatch):
+        net, bounds = batch_case(which, asia_net, basic_net)
+        weights = np.random.default_rng(22).uniform(0.5, 3.0, size=len(bounds))
+        want_p, want = PerBoundTree(net).expected_counts(net, bounds, weights)
+        if chunk:
+            chunk_budget(monkeypatch, net, chunk)
+        p_u, counts = tree_table(net, bounds).expected_counts(net, weights)
+        assert p_u[3] == 0.0  # its counts are skipped
+        assert_ulps(p_u, want_p)
+        assert_ulps(counts, want)
+
+    def test_split_e_step_adds_tree_patterns_to_member_counts(self, asia_net, basic_net):
+        net, bounds = batch_case("asia", asia_net, basic_net)
+        weights = np.random.default_rng(23).uniform(0.5, 3.0, size=len(bounds))
+        sizes = [data_mod.member_count(net, b) for b in bounds]
+        split = MemberTable(net, bounds, sizes, 46)  # the 2 + 4 + 4 + 4 + 32 smallest
+        assert split.enumerated == [2, 4, 5, 6, 7] and split.on_tree == [0, 1, 3]
+        enum = split.enumerated
+        members = member_table(net, [bounds[k] for k in enum])
+        p_m, counts = members.expected_counts(net, weights[enum])
+        tree = [bounds[k] for k in split.on_tree]
+        p_t, want = PerBoundTree(net).expected_counts(net, tree, weights[split.on_tree], counts)
+        p_u, got = split.expected_counts(net, weights)
+        assert np.array_equal(p_u[enum], p_m)
+        assert_ulps(p_u[split.on_tree], p_t)
+        assert_ulps(got, want)
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    @pytest.mark.parametrize("which", BATCH_NETS)
+    def test_draws_equal_per_state_sampler(self, which, chunk, asia_net, basic_net, monkeypatch):
+        net, bounds = batch_case(which, asia_net, basic_net)
+        oracle = PerBoundTree(net)
+        size = 2 if which == "alarm_like" else 4
+        want = []
+        for k, bound in enumerate(bounds):
+            rng = np.random.default_rng(30 + k)
+            want.append((oracle.draw(net, bound, size, rng), rng.bit_generator.state))
+        if chunk:
+            chunk_budget(monkeypatch, net, chunk)
+        draw = tree_table(net, bounds).sampler(net)
+        for k, (picks, state) in enumerate(want):
+            rng = np.random.default_rng(30 + k)
+            got = draw(k, size, rng)
+            assert rng.bit_generator.state == state
+            if picks is None:
+                assert got is None
+            else:
+                assert got.dtype == np.int64 and got.tolist() == picks
+        # P(U) = 0: no draw, and no uniform taken
+        assert want[3] == (None, np.random.default_rng(33).bit_generator.state)
+
+
 class TestMemberTable:
     BOUNDS = [
         (None, 0, None, 1, None, None, 0, None),
@@ -360,7 +500,7 @@ class TestMemberTable:
         monkeypatch.setattr(data_mod, "member_count", counting)
         monkeypatch.setattr(MemberTable, "__init__", building)
         data = asia_data(asia_net, n=1000, seed=31)
-        k = len(data.grouped())
+        k = len(grouped(data))
         runs = [
             lambda: em_fit(asia_net, data, EmOptions(max_iters=3)),
             lambda: aim_fit(asia_net, asia_net, data, AimOptions(z=1, seed=0, max_iters=1)),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import completion_distribution, member_table
+from conftest import completion_distribution, grouped, member_table, unravel
 from coarsebn import inference, likelihoods
 from coarsebn.aim import AimOptions, aim_fit
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
@@ -98,9 +98,9 @@ def reference_sat(problem, net, tol):
 def reference_car(net, data, tol=1e-10):
     """The plain iterative-scaling loop of the car normalizer, on the whole
     joint space.  Returns (log_f, map evaluations)."""
-    grouped = data.grouped()
-    patterns = list(grouped)
-    m = np.array([grouped[p] / data.total_weight for p in patterns])
+    weights = grouped(data)
+    patterns = list(weights)
+    m = np.array([weights[p] / data.total_weight for p in patterns])
     bind = pattern_binder(net, data.variables)
     table = member_table(net, [bind(p) for p in patterns])
     flat = table.uniq[table.loc]
@@ -129,7 +129,7 @@ def mask_certificate(problem, w):
         mass = w[sel] / bound.m[pi]
         states = table.uniq[table.loc[sel]]
         per_pattern[pattern] = {
-            bound.net.unravel(int(r)): float(v) for r, v in zip(states, mass) if v > 0
+            unravel(bound.net, int(r)): float(v) for r, v in zip(states, mass) if v > 0
         }
     return Completion(tuple(per_pattern.get(p, {}) for p, _ in bound.data.cases))
 
@@ -306,15 +306,15 @@ class TestFaceValue:
         monkeypatch.setattr(
             inference.CliqueTree,
             "_collect",
-            lambda *a, **k: passes.append(1) or collect(*a, **k),
+            lambda self, net, bounds: passes.append(len(bounds)) or collect(self, net, bounds),
         )
         table = [face_value_loglik(net, d).total for net, d in cases]
         assert passes == []  # every asia pattern is enumerable
         monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
         ve = [face_value_loglik(net, d).total for net, d in cases]
-        # one collect pass per positive-weight pattern
-        positive = [sum(w > 0 for w in d.grouped().values()) for _, d in cases]
-        assert len(passes) == sum(positive)
+        # one collect pass per dataset, over its positive-weight patterns
+        positive = [sum(w > 0 for w in grouped(d).values()) for _, d in cases]
+        assert passes == positive
         for a, b in zip(table[:3], ve[:3]):
             assert math.isfinite(a)
             assert a == pytest.approx(b, rel=1e-12)
@@ -545,16 +545,16 @@ class ParentBound:
     share, and a fresh member table for every request."""
 
     def __init__(self, net, data):
-        grouped = data.grouped()
-        live = {p: w for p, w in grouped.items() if w > 0}
+        weights = grouped(data)
+        live = {p: w for p, w in weights.items() if w > 0}
         self.net, self.data = net, data
-        self.bound_of = {p: pattern_binder(net, data.variables)(p) for p in grouped}
+        self.bound_of = {p: pattern_binder(net, data.variables)(p) for p in weights}
         self.patterns = list(live)
         self.weights = np.array(list(live.values()))
         self.bounds = [pattern_binder(net, data.variables)(p) for p in live]
         self.total = data.total_weight
         self.m = np.array(list(live.values())) / data.total_weight
-        shares = [w / data.total_weight for w in grouped.values()]
+        shares = [w / data.total_weight for w in weights.values()]
         self.entropy = -math.fsum(f * math.log(f) for f in shares if f > 0)
 
     def member_table(self, budget):
@@ -564,6 +564,10 @@ class ParentBound:
     def case_pattern(self):
         ids = {p: j for j, p in enumerate(self.bound_of)}
         return np.array([ids[p] for p, _ in self.data.cases], dtype=np.int64)
+
+    @property
+    def case_weights(self):
+        return np.array([w for _, w in self.data.cases])
 
     @property
     def table(self):
@@ -652,6 +656,9 @@ class TestBoundOnce:
             assert list(got.bound_of.items()) == list(want.bound_of.items())
             assert got.weights.tobytes() == want.weights.tobytes()
             assert got.m.tobytes() == want.m.tobytes()
+            assert got.case_pattern.dtype == np.int64
+            assert got.case_pattern.tobytes() == want.case_pattern.tobytes()
+            assert got.case_weights.tobytes() == want.case_weights.tobytes()
 
     @pytest.mark.parametrize("which", ["basic", "asia"])
     def test_results_equal_parent_derivation(
@@ -693,8 +700,8 @@ class TestBoundOnce:
 
     def test_one_grouping_binding_and_table_per_lr(self, asia_lr, monkeypatch):
         _, net_sat, net_car, data = asia_lr
-        k = len(data.grouped())
-        calls = {"grouped": 0, "binder": 0, "bind": 0, "members": 0, "tables": 0}
+        k = len(grouped(data))
+        calls = {"grouping": 0, "binder": 0, "bind": 0, "members": 0, "tables": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -704,7 +711,12 @@ class TestBoundOnce:
             return wrapper
 
         binder = inference.pattern_binder
-        monkeypatch.setattr(Dataset, "grouped", counted("grouped", Dataset.grouped))
+        # the cases are grouped only where a dataset is bound
+        monkeypatch.setattr(
+            inference.BoundDataset,
+            "__init__",
+            counted("grouping", inference.BoundDataset.__init__),
+        )
         monkeypatch.setattr(
             inference,
             "pattern_binder",
@@ -719,7 +731,7 @@ class TestBoundOnce:
             counted("tables", inference.MemberTable.__init__),
         )
         lr_statistic(net_sat, net_car, data)
-        assert calls == {"grouped": 1, "binder": 1, "bind": k, "members": k, "tables": 1}
+        assert calls == {"grouping": 1, "binder": 1, "bind": k, "members": k, "tables": 1}
 
     def test_other_parents_refused(self):
         c_of_a = three_node_net({"C": ("A",)})

@@ -14,6 +14,7 @@ from conftest import (
     per_node_sample,
     per_node_smooth,
     random_dag,
+    unravel,
 )
 from coarsebn import network as network_mod
 from coarsebn.aim import aim_fit
@@ -251,7 +252,7 @@ class TestJointProbs:
         assert cells.dtype == np.int64 and cells.shape == (256, 8)
         for net in (asia_net, randomize_parameters(asia_net, np.random.default_rng(6))):
             p = cell_probs(net, cells)
-            assert p.tolist() == [joint_probability(net, net.unravel(r)) for r in range(256)]
+            assert p.tolist() == [joint_probability(net, unravel(net, r)) for r in range(256)]
             assert np.array_equal(p, full_joint_table(net).reshape(-1))
             assert np.array_equal(p, joint_probs(net, np.arange(256)))
 
@@ -290,13 +291,13 @@ class TestUnravelRows:
     def test_every_asia_state(self, asia_net):
         rows = unravel_rows(asia_net, np.arange(256))
         assert rows.dtype == np.int64 and rows.shape == (256, 8)
-        assert rows.tolist() == [list(asia_net.unravel(r)) for r in range(256)]
+        assert rows.tolist() == [list(unravel(asia_net, r)) for r in range(256)]
 
     def test_largest_alarm_like_index(self):
         net = read_network(fixture_path("alarm_like.net"))
         last = net.n_assignments - 1
         rows = unravel_rows(net, [last, last // 3, 0])
-        assert rows.tolist() == [list(net.unravel(r)) for r in (last, last // 3, 0)]
+        assert rows.tolist() == [list(unravel(net, r)) for r in (last, last // 3, 0)]
         assert rows[0].tolist() == [c - 1 for c in net.cards]
 
 
