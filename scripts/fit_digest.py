@@ -26,7 +26,10 @@ tree, and at the EM estimate it hashes the table's `pattern_probs`, its
 after them, and `Truth(EM estimate).parent_weights`.
 Two versions of the package that print the same digests make the same
 datasets, draws, moves, counts, scores, estimates, solver values and tree
-answers, bit for bit.
+answers, bit for bit.  `fit_digest.expected`, beside this script, holds the
+four lines of the current package: the script compares its lines with
+those, names each line that differs on stderr, and exits 1 if any does.
+A change that alters the digests on purpose updates that file.
 
     python3 scripts/fit_digest.py
 """
@@ -36,6 +39,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = Path(__file__).resolve().with_name("fit_digest.expected")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
@@ -136,11 +140,21 @@ def main() -> int:
     finally:
         aim.ai_sweep, em.em_fit, aim.aim_fit = sweep, em_fit, aim_fit
         cli.generate_dataset = generate
-    print(f"{digest.hexdigest()}  ({sweeps} sweeps, {fits} fits)")
-    print(f"{lik_digest.hexdigest()}  ({sizes.lik_datasets} lik inputs)")
-    print(f"{data_digest.hexdigest()}  ({datasets} datasets)")
-    print(f"{tree_digest.hexdigest()}  ({i + 1} tree inputs)")
-    return 0
+    lines = [
+        f"{digest.hexdigest()}  ({sweeps} sweeps, {fits} fits)",
+        f"{lik_digest.hexdigest()}  ({sizes.lik_datasets} lik inputs)",
+        f"{data_digest.hexdigest()}  ({datasets} datasets)",
+        f"{tree_digest.hexdigest()}  ({i + 1} tree inputs)",
+    ]
+    print("\n".join(lines))
+    expected = EXPECTED.read_text(encoding="utf-8").splitlines()
+    differs = [n for n in range(max(len(lines), len(expected)))
+               if lines[n : n + 1] != expected[n : n + 1]]
+    for n in differs:
+        got = lines[n] if n < len(lines) else "(none)"
+        want = expected[n] if n < len(expected) else "(none)"
+        print(f"line {n + 1} differs: expected {want}, got {got}", file=sys.stderr)
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

@@ -369,27 +369,54 @@ def initial_completion(
     fractional mass immediately.  Replicas whose observation has zero
     probability under theta0 fall back to a uniform draw; their indices
     are returned alongside.
+
+    The draws are those of one `rng.choice` per pattern, in order, bit for
+    bit.  Tree patterns (`table.tree_sample`) and fallbacks draw one at a
+    time; the enumerated patterns between two share one `rng.random` (a
+    double is one 64-bit draw) and pick in one block per member count,
+    each row the inverse CDF `rng.choice` builds from the pattern's P(x).
     """
-    strides, cards = theta0.ravel_strides, theta0.cards
-    draw = table.sampler(theta0)
-    out = np.zeros(len(rep_pattern), dtype=np.int64)
+    missing = table.rows < 0
+    sizes = np.bincount(rep_pattern, minlength=len(missing))
+    strides = np.array(theta0.ravel_strides, dtype=np.int64)
+    out = (np.maximum(table.rows, 0) @ strides)[rep_pattern]
+    members = np.zeros(len(sizes), dtype=np.int64)
+    members[table.enumerated] = table.stops - table.starts
+    p_slot, p_u = table.member_probs(theta0)
+    batched = missing.any(axis=1) & (members > 0) & (p_u > 0)
+    taken = np.cumsum(np.where(batched, sizes, 0)).tolist()  # batched replicas so far
+    order = np.argsort(rep_pattern, kind="stable")  # replicas pattern after pattern
+    ends = np.cumsum(sizes)
+    u, done = np.empty(int(sizes[batched].sum())), 0
     fallbacks: list[int] = []
-    order = np.argsort(rep_pattern, kind="stable")
-    sizes = np.bincount(rep_pattern, minlength=len(table.bounds))
-    groups = np.split(order, np.cumsum(sizes)[:-1])
-    for k, (bound, idxs) in enumerate(zip(table.bounds, groups)):
-        missing = [i for i, v in enumerate(bound) if v is None]
-        base = sum(strides[i] * v for i, v in enumerate(bound) if v is not None)
-        if not missing:
-            out[idxs] = base
-            continue
-        picks = draw(k, len(idxs), rng)
+    for k in np.flatnonzero(missing.any(axis=1) & ~batched).tolist():
+        u[done : taken[k]] = rng.random(taken[k] - done)
+        done, idxs = taken[k], order[ends[k] - sizes[k] : ends[k]]
+        picks = None if members[k] else table.tree_sample(theta0, k, len(idxs), rng)
         if picks is None:
             fallbacks.extend(idxs.tolist())
-            picks = base + sum(
-                rng.integers(0, cards[i], size=len(idxs)) * strides[i] for i in missing
+            picks = out[idxs] + sum(
+                rng.integers(0, theta0.cards[i], size=len(idxs)) * strides[i]
+                for i in np.flatnonzero(missing[k]).tolist()
             )
         out[idxs] = picks
+    u[done:] = rng.random(len(u) - done)
+    at = order[batched[rep_pattern[order]]]  # in the uniforms' order
+    del order  # a replica-sized array fewer during the compares
+    first = np.cumsum(members) - members  # each enumerated pattern's first slot
+    of = rep_pattern[at]
+    slot = first[of]
+    for m in sorted(set(members[batched].tolist())):
+        ks = np.flatnonzero(batched & (members == m))
+        block = p_slot[first[ks, None] + np.arange(m)]
+        cdf = (block / block.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        mine = np.flatnonzero(members[of] == m)
+        row, step = np.searchsorted(ks, of[mine]), max(1, len(u) // (m - 1))
+        for c in range(0, len(mine), step):  # no more cells than uniforms per compare
+            part = slice(c, c + step)
+            slot[mine[part]] += (cdf[row[part], :-1] <= u[mine[part], None]).sum(axis=1)
+    out[at] = table.uniq[table.loc[slot]]
     return out.tolist(), fallbacks
 
 

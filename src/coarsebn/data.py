@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .errors import DataError, FormatError
 from .network import Assignment, Network
 from .util import fmt17
@@ -97,20 +95,6 @@ def member_count(net: Network, bound: Sequence[Optional[int]]) -> int:
         if v is None:
             n *= net.cards[i]
     return n
-
-
-def member_flat_indices(net: Network, bound: Sequence[Optional[int]]) -> np.ndarray:
-    """Flat (C-order) joint indices of all compatible assignments."""
-    base = 0
-    offsets = np.zeros(1, dtype=np.int64)
-    for i, v in enumerate(bound):
-        stride = net.ravel_strides[i]
-        if v is not None:
-            base += stride * v
-        else:
-            step = (np.arange(net.cards[i], dtype=np.int64) * stride)
-            offsets = (offsets[:, None] + step[None, :]).reshape(-1)
-    return offsets + base
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetError, DataError
-from .inference import CliqueTree, full_joint_table
+from .inference import full_joint_table
 from .network import ENUM_BUDGET, Network
 
 
@@ -27,8 +27,8 @@ class EvalReport:
 
 class Truth:
     """A ground-truth network and its parent-configuration weights, from
-    one clique-tree calibration made on first use, so that every estimate
-    scored against one `Truth` shares it."""
+    one calibration of its structure's clique tree made on first use, so
+    that every estimate scored against one `Truth` shares it."""
 
     def __init__(self, net: Network):
         self.net = net
@@ -36,7 +36,7 @@ class Truth:
     @cached_property
     def parent_weights(self) -> np.ndarray:
         """P(parent configuration) of each CPT row, node after node."""
-        _, fams = CliqueTree(self.net).calibrate(self.net, np.full((1, len(self.net.nodes)), -1))
+        _, fams = self.net.clique_tree.calibrate(self.net, np.full((1, len(self.net.nodes)), -1))
         return np.concatenate([fam[0].sum(axis=1) for fam in fams])
 
 

@@ -15,14 +15,15 @@ distinct member's `network.state_cells` row, its cell per node in the
 concatenated CPTs.  P(x) is then one gather and a node-order product, and
 the E step's expected counts one bincount, whatever the parameters.
 
-A clique tree (`CliqueTree`) is compiled once per structure at each call
-site, from one min-fill elimination ordering; it refuses a clique of more
-than ENUM_BUDGET cells.  A query takes a batch of bounds and makes one
-pass over all of them: one calibration (a collect and a distribute pass)
-gives each bound's P(U) and every family's P(family, U), and the collect
-pass alone gives P(U).  So the E step makes one calibration for all of
-its tree patterns, the initial draws one collect pass per missing node of
-a tree pattern, and KL evaluation one calibration of the truth.
+A clique tree (`CliqueTree`) is compiled once per structure, as the
+network's `clique_tree`, from one min-fill elimination ordering; it
+refuses a clique of more than ENUM_BUDGET cells.  A query takes a batch
+of bounds and makes one pass over all of them: one calibration (a collect
+and a distribute pass) gives each bound's P(U) and every family's
+P(family, U), and the collect pass alone gives P(U).  So the E step makes
+one calibration for all of its tree patterns, the initial draws one
+collect pass per missing node of a tree pattern, and KL evaluation one
+calibration of the truth.
 
 All probabilities are combined in linear space; callers accumulate logs.
 Elimination orderings come from a deterministic min-fill heuristic with
@@ -35,11 +36,11 @@ import math
 import string
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, member_count, member_flat_indices, pattern_binder
+from .data import Dataset, member_count, pattern_binder
 from .errors import BudgetError, DataError, ZeroSupportError
 from .network import (
     ENUM_BUDGET,
@@ -269,6 +270,22 @@ def bound_rows(bounds: Sequence[Bound]) -> np.ndarray:
     return np.array([[-1 if v is None else v for v in b] for b in bounds], dtype=np.int64)
 
 
+def member_indices(net: Network, rows: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """The flat joint indices of the `sizes` members of each bound row, row
+    after row in C order: member r of a row takes state (r // after) % card
+    at a missing node, where after is the product of its later missing
+    nodes' cards."""
+    strides = np.array(net.ravel_strides, dtype=np.int64)
+    radix = np.where(rows < 0, net.cards, 1)
+    after = np.asarray(sizes, dtype=np.int64)[:, None] // np.cumprod(radix, axis=1)
+    of_row = np.repeat(np.arange(len(rows)), sizes)
+    r = np.arange(len(of_row)) - (np.cumsum(sizes) - sizes)[of_row]
+    flat = (np.maximum(rows, 0) @ strides)[of_row]
+    for i in np.flatnonzero((rows < 0).any(axis=0)).tolist():
+        flat += r // after[of_row, i] % radix[of_row, i] * strides[i]
+    return flat
+
+
 def _bound_of(net: Network, evidence: Mapping[str, str]) -> np.ndarray:
     ev = evidence_indices(net, evidence)
     return bound_rows([[ev.get(i) for i in range(len(net.nodes))]])
@@ -277,7 +294,7 @@ def _bound_of(net: Network, evidence: Mapping[str, str]) -> np.ndarray:
 def evidence_probability(net: Network, evidence: Mapping[str, str]) -> float:
     """P(X in U) for a missing-value observation: one collect pass.
     `evidence` holds the observed variables; everything else is summed out."""
-    return float(CliqueTree(net).probability(net, _bound_of(net, evidence))[0])
+    return float(net.clique_tree.probability(net, _bound_of(net, evidence))[0])
 
 
 def full_joint_table(net: Network) -> np.ndarray:
@@ -310,7 +327,7 @@ def posterior_family_marginals(
     One calibration of a clique tree: patterns small enough to enumerate
     take their posteriors from a `MemberTable` instead.
     """
-    p_u, fams = CliqueTree(net).calibrate(net, _bound_of(net, evidence))
+    p_u, fams = net.clique_tree.calibrate(net, _bound_of(net, evidence))
     if p_u[0] <= 0.0:
         raise ZeroSupportError("evidence has probability zero under the model")
     return {spec.name: fam[0] / p_u[0] for spec, fam in zip(net.nodes, fams)}
@@ -327,13 +344,14 @@ class MemberTable:
     Patterns are enumerated smallest first while their members total at
     most `budget`, and none when the joint space cannot be indexed in
     int64; `enumerated` lists them and `on_tree` the rest, each in
-    first-seen order.  Slots hold the enumerated patterns' members pattern
-    after pattern, in `member_flat_indices` order: enumerated[j] owns slots
-    starts[j] to stops[j], and pat_of_slot maps a slot back to its pattern
-    (an index into `bounds`).  `uniq` holds the distinct flat joint indices
-    (sorted) and `loc` each slot's position in it.  The table depends only
-    on the structure; every query takes the parameters and refuses a
-    network of another structure.  The tree is compiled on first use.
+    first-seen order; `rows` holds the bounds as `bound_rows`.  Slots hold
+    the enumerated patterns' members, listed by one `member_indices` pass:
+    enumerated[j] owns slots starts[j] to stops[j], and pat_of_slot maps a
+    slot back to its pattern (an index into `bounds`).  `uniq` holds the
+    distinct flat joint indices (sorted) and `loc` each slot's position in
+    it.  The table depends only on the structure, whose `clique_tree`
+    answers the other patterns; every query takes the parameters and
+    refuses a network of another structure.
     """
 
     def __init__(
@@ -347,12 +365,9 @@ class MemberTable:
         fits = {k for k, total in zip(order, running) if total <= budget}
         self.enumerated = sorted(fits)
         self.on_tree = sorted(set(range(len(sizes))) - fits)
-        self._tree_rows = bound_rows([self.bounds[k] for k in self.on_tree])
+        self.rows = bound_rows(self.bounds).reshape(len(self.bounds), len(net.nodes))
         kept = [sizes[k] for k in self.enumerated]
-        flat = np.concatenate(
-            [member_flat_indices(net, self.bounds[k]) for k in self.enumerated]
-            + [np.zeros(0, np.int64)]
-        )
+        flat = member_indices(net, self.rows[self.enumerated], kept) if kept else np.zeros(0, int)
         ends = np.cumsum([0] + kept)
         self.starts, self.stops = ends[:-1], ends[1:]
         self.pat_of_slot = np.repeat(np.array(self.enumerated, dtype=np.int64), kept)
@@ -369,16 +384,12 @@ class MemberTable:
         use."""
         return state_cells(self.net, unravel_rows(self.net, self.uniq))
 
-    @cached_property
-    def _tree(self) -> CliqueTree:
-        return CliqueTree(self.net)
-
     def probs(self, net: Network) -> np.ndarray:
         """P(x) of each distinct member, as `network.cell_probs` gives it."""
         self._check(net)
         return cell_probs(net, self.cells)
 
-    def _member_probs(self, net: Network) -> tuple[np.ndarray, np.ndarray]:
+    def member_probs(self, net: Network) -> tuple[np.ndarray, np.ndarray]:
         """P(x) per slot, and P(U) per pattern from its members (zero for
         the tree's patterns)."""
         self._check(net)
@@ -390,9 +401,9 @@ class MemberTable:
     def pattern_probs(self, net: Network) -> np.ndarray:
         """P(U) per pattern: the sum of its members' probabilities, or one
         batched collect pass of the tree."""
-        p_u = self._member_probs(net)[1]
+        p_u = self.member_probs(net)[1]
         if self.on_tree:
-            p_u[self.on_tree] = self._tree.probability(net, self._tree_rows)
+            p_u[self.on_tree] = self.net.clique_tree.probability(net, self.rows[self.on_tree])
         return p_u
 
     def expected_counts(self, net: Network, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,7 +413,7 @@ class MemberTable:
         Pattern k carries weights[k]; patterns of probability zero add
         nothing to the counts.
         """
-        p_slot, p_u = self._member_probs(net)
+        p_slot, p_u = self.member_probs(net)
         scale = np.divide(weights, p_u, out=np.zeros_like(p_u), where=p_u > 0)
         if self.enumerated:
             weights_of_slot = p_slot * scale[self.pat_of_slot]
@@ -410,7 +421,7 @@ class MemberTable:
         else:
             counts = np.zeros(len(net.theta))
         if self.on_tree:
-            p_tree, fams = self._tree.calibrate(net, self._tree_rows)
+            p_tree, fams = self.net.clique_tree.calibrate(net, self.rows[self.on_tree])
             p_u[self.on_tree] = p_tree
             live = p_tree > 0.0
             joint = np.concatenate([f.reshape(len(p_tree), -1) for f in fams], axis=1)[live]
@@ -418,50 +429,34 @@ class MemberTable:
             counts = np.vstack([counts, terms]).sum(axis=0)  # row after row, in order
         return p_u, counts
 
-    def sampler(self, net: Network) -> Callable:
-        """draw(k, size, rng): the flat joint indices of `size` members of
-        pattern k, each drawn with probability P(x | U); None when P(U) is
-        zero.  An enumerated pattern draws from its members.  A tree pattern
-        draws its missing nodes in topological order, each from its
+    def tree_sample(self, net: Network, k: int, size: int, rng: np.random.Generator):
+        """The flat joint indices of `size` members of pattern k drawn on the
+        clique tree, each with probability P(x | U); None when P(U) is zero.
+        The missing nodes are drawn in topological order, each from its
         conditional given the evidence and the nodes drawn so far: one
         collect pass per node over every replica and state, then
         `rng.choice`'s inverse CDF on uniforms drawn up front, replica after
         replica: on the same probabilities, the draws of one `rng.choice`
         per replica and node.  Except when a later node's total underflows
         to 0.0 while P(U) > 0: the draw is None, having taken all uniforms."""
-        p_slot = self.probs(net)[self.loc]
-        flat = self.uniq[self.loc]
-        slots = dict(zip(self.enumerated, zip(self.starts.tolist(), self.stops.tolist())))
-
-        def draw(k: int, size: int, rng: np.random.Generator):
-            if k in slots:
-                start, stop = slots[k]
-                p = p_slot[start:stop]
-                s = float(p.sum())
-                if s <= 0.0:
-                    return None
-                cdf = (p / s).cumsum()  # rng.choice's inverse CDF, unchecked
-                cdf /= cdf[-1]
-                return flat[start + cdf.searchsorted(rng.random(size), side="right")]
-            row = self._tree_rows[self.on_tree.index(k)]
-            missing = [i for i in net.topo_order if row[i] < 0]
-            x = np.repeat(row[None], size, axis=0)
-            for j, i in enumerate(missing):
-                card = net.cards[i]
-                batch = np.repeat(x, card, axis=0)
-                batch[:, i] = np.tile(np.arange(card), size)
-                p = self._tree.probability(net, batch).reshape(size, card)
-                total = p.cumsum(axis=1)[:, -1:]  # Python's sum: state after state
-                if (total <= 0.0).any():
-                    return None
-                if j == 0:  # P(U) > 0
-                    u = rng.random((size, len(missing)))
-                cdf = (p / total).cumsum(axis=1)
-                cdf /= cdf[:, -1:]
-                x[:, i] = (cdf <= u[:, j : j + 1]).sum(axis=1)  # searchsorted, side="right"
-            return x @ np.array(net.ravel_strides, dtype=np.int64)
-
-        return draw
+        self._check(net)
+        row = self.rows[k]
+        missing = [i for i in net.topo_order if row[i] < 0]
+        x = np.repeat(row[None], size, axis=0)
+        for j, i in enumerate(missing):
+            card = net.cards[i]
+            batch = np.repeat(x, card, axis=0)
+            batch[:, i] = np.tile(np.arange(card), size)
+            p = self.net.clique_tree.probability(net, batch).reshape(size, card)
+            total = p.cumsum(axis=1)[:, -1:]  # Python's sum: state after state
+            if (total <= 0.0).any():
+                return None
+            if j == 0:  # P(U) > 0
+                u = rng.random((size, len(missing)))
+            cdf = (p / total).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            x[:, i] = (cdf <= u[:, j : j + 1]).sum(axis=1)  # searchsorted, side="right"
+        return x @ np.array(net.ravel_strides, dtype=np.int64)
 
 
 class BoundDataset:
@@ -493,7 +488,7 @@ class BoundDataset:
         self.weights = grouped[grouped > 0]
         self.bounds = [self.bound_of[p] for p in self.patterns]
         self.sizes = [member_count(net, b) for b in self.bounds]
-        self.total = data.total_weight
+        self.total = math.fsum(self.case_weights.tolist())
         if not self.total > 0:
             raise DataError("total weight must be positive")
         self.m = self.weights / self.total

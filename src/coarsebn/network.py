@@ -136,6 +136,12 @@ class Network:
         return out
 
     @cached_property
+    def clique_tree(self):
+        """This structure's `inference.CliqueTree`, compiled on first use."""
+        from .inference import CliqueTree
+        return CliqueTree(self)
+
+    @cached_property
     def topo_order(self) -> tuple[int, ...]:
         """Topological order of node indices, stable by declaration order."""
         remaining = set(range(len(self.nodes)))
@@ -307,19 +313,19 @@ def parent_rows(net: Network, rows: np.ndarray, i: int) -> np.ndarray:
 def sample(net: Network, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n full assignments by ancestral sampling in topological order.
 
-    Returns an (n, k) int array of state indices, deterministic per seed.
-    The uniforms are drawn at once, row t for the t-th node in topological
-    order, so the draws are those of one `rng.random(n)` per node.
+    Returns an (n, k) int array of state indices, deterministic per seed:
+    the transpose of a node-major array.  The uniforms are drawn at once,
+    row t for the t-th node in topological order, so the draws are those of
+    one `rng.random(n)` per node.  A state counts its CPT row's first
+    card - 1 cumulative sums at or below its uniform: the inverse CDF.
     """
-    k = len(net.nodes)
-    out = np.zeros((n, k), dtype=np.int64)
-    if n == 0:
-        return out
-    u = rng.random((k, n))
+    out = np.zeros((len(net.nodes), n), dtype=np.int64)
+    u = rng.random((len(net.nodes), n))
     for t, i in enumerate(net.topo_order):
-        cum = np.cumsum(net.cpts[i], axis=1)[parent_rows(net, out, i)]
-        out[:, i] = np.minimum((u[t, :, None] >= cum).sum(axis=1), net.cards[i] - 1)
-    return out
+        ridx = parent_rows(net, out.T, i)
+        for column in np.cumsum(net.cpts[i][:, :-1], axis=1).T:
+            out[i] += u[t] >= column[ridx]
+    return out.T
 
 
 def randomize_parameters(net: Network, rng: np.random.Generator) -> Network:

@@ -176,6 +176,76 @@ def per_node_sample(net, n, rng):
     return out
 
 
+def row_major_sample(net, n, rng):
+    """Oracle: ancestral sampling into an (n, k) array, as `sample` ran
+    before it went node-major: all uniforms at once, each node's states the
+    capped count of its rows' cumulative sums at or below its uniforms."""
+    k = len(net.nodes)
+    out = np.zeros((n, k), dtype=np.int64)
+    if n == 0:
+        return out
+    u = rng.random((k, n))
+    for t, i in enumerate(net.topo_order):
+        cum = np.cumsum(net.cpts[i], axis=1)[parent_rows(net, out, i)]
+        out[:, i] = np.minimum((u[t, :, None] >= cum).sum(axis=1), net.cards[i] - 1)
+    return out
+
+
+def member_flat_indices(net, bound):
+    """Oracle: flat (C-order) joint indices of all compatible assignments,
+    one pattern at a time, the last missing node varying fastest."""
+    base = 0
+    offsets = np.zeros(1, dtype=np.int64)
+    for i, v in enumerate(bound):
+        stride = net.ravel_strides[i]
+        if v is not None:
+            base += stride * v
+        else:
+            step = np.arange(net.cards[i], dtype=np.int64) * stride
+            offsets = (offsets[:, None] + step[None, :]).reshape(-1)
+    return offsets + base
+
+
+def per_pattern_completion(theta0, table, rep_pattern, rng):
+    """Oracle: `aim.initial_completion` one pattern at a time, each
+    enumerated pattern drawn by its own `rng.choice`-style inverse CDF."""
+    strides, cards = theta0.ravel_strides, theta0.cards
+    p_slot = table.probs(theta0)[table.loc]
+    flat = table.uniq[table.loc]
+    slots = dict(zip(table.enumerated, zip(table.starts.tolist(), table.stops.tolist())))
+    def draw(k, size):
+        if k not in slots:
+            return table.tree_sample(theta0, k, size, rng)
+        start, stop = slots[k]
+        p = p_slot[start:stop]
+        s = float(p.sum())
+        if s <= 0.0:
+            return None
+        cdf = (p / s).cumsum()  # rng.choice's inverse CDF, unchecked
+        cdf /= cdf[-1]
+        return flat[start + cdf.searchsorted(rng.random(size), side="right")]
+
+    out = np.zeros(len(rep_pattern), dtype=np.int64)
+    fallbacks = []
+    order = np.argsort(rep_pattern, kind="stable")
+    sizes = np.bincount(rep_pattern, minlength=len(table.bounds))
+    groups = np.split(order, np.cumsum(sizes)[:-1])
+    for k, (bound, idxs) in enumerate(zip(table.bounds, groups)):
+        missing = [i for i, v in enumerate(bound) if v is None]
+        base = sum(strides[i] * v for i, v in enumerate(bound) if v is not None)
+        if not missing:
+            out[idxs] = base
+            continue
+        picks = draw(k, len(idxs))
+        if picks is None:
+            fallbacks.extend(idxs.tolist())
+            picks = base + sum(
+                rng.integers(0, cards[i], size=len(idxs)) * strides[i] for i in missing
+            )
+        out[idxs] = picks
+    return out.tolist(), fallbacks
+
+
 def ravel(net, x):
     """Oracle: the flat (C-order) joint index of assignment x."""
     return sum(s * v for s, v in zip(net.ravel_strides, x))

@@ -15,6 +15,8 @@ from conftest import (
     incremental_kl_delta,
     joint_probability,
     log_probs,
+    member_flat_indices,
+    per_pattern_completion,
     ravel,
     unravel,
 )
@@ -29,13 +31,14 @@ from coarsebn.aim import (
     m_step,
 )
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
-from coarsebn.data import Dataset, member_flat_indices
+from coarsebn.data import Dataset
 from coarsebn.em import em_fit
 from coarsebn.errors import DataError
 from coarsebn.likelihoods import exact_sat_profile_loglik
 from coarsebn.netformat import parse_network
 from coarsebn.network import (
     cell_probs,
+    randomize_parameters,
     ml_estimate,
     sample,
     state_cells,
@@ -193,6 +196,16 @@ def seed_completion(theta0, reps, seed):
     bound = inference.BoundDataset(theta0, dataset_of(theta0, reps))
     rep_pattern = np.array([bound.bounds.index(b) for b in reps], dtype=np.int64)
     return initial_completion(theta0, bound.table, rep_pattern, np.random.default_rng(seed))
+
+
+def assert_draws_per_pattern(theta0, table, rep_pattern, seed):
+    """initial_completion and the per-pattern oracle draw the same members
+    and fallbacks from one seed, and leave the generator in one state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = initial_completion(theta0, table, rep_pattern, rng)
+    assert got == per_pattern_completion(theta0, table, rep_pattern, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return got
 
 
 def build_state(structure, theta0, data, z, seed=0):
@@ -675,6 +688,67 @@ class TestInitialCompletion:
         comp, fb = seed_completion(dead, reps, seed=0)
         assert sorted(fb) == [0, 1, 2, 3]
         assert unravel_rows(basic_net, np.array(comp))[:, 0].tolist() == [1, 1, 1, 1, 0, 0]
+
+    @pytest.mark.parametrize("budget", ["dense", "half", "tree"])
+    def test_draws_equal_per_pattern(self, budget, asia_net, monkeypatch):
+        # an asia dataset's patterns of 1 to 8 members, all enumerated,
+        # half of the members enumerated (tree patterns split the runs of
+        # uniforms), or all on the tree
+        data = asia_data(asia_net, n=300, seed=61)
+        sizes = inference.BoundDataset(asia_net, data).sizes
+        if budget != "dense":
+            half = sum(sizes) // 2
+            monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", half if budget == "half" else 0)
+        bound = inference.BoundDataset(asia_net, data)
+        table = bound.table
+        assert bool(table.on_tree) == (budget != "dense")
+        assert bool(table.enumerated) == (budget != "tree")
+        members = (table.stops - table.starts).tolist()
+        assert budget != "dense" or set(members) == {1, 2, 4, 8}
+        theta0 = randomize_parameters(asia_net, np.random.default_rng(62))
+        assert_draws_per_pattern(theta0, table, np.repeat(bound.case_pattern, 3), seed=63)
+        # 12 replicas for each case of 4 or more members, 1 for the others:
+        # the 4-member patterns' compare (3 cells a replica) has more cells
+        # than there are uniforms, so it is cut into chunks
+        case_members = np.array(bound.sizes)[bound.case_pattern]
+        reps = np.where(case_members >= 4, 12, 1)
+        assert 3 * reps[case_members == 4].sum() > reps[case_members > 1].sum()
+        rep_pattern = np.repeat(bound.case_pattern, reps)
+        assert_draws_per_pattern(theta0, table, rep_pattern, seed=64)
+
+    @pytest.mark.parametrize("budget", [inference.DENSE_TABLE_BUDGET, 0])
+    def test_zero_probability_and_empty_patterns(self, budget, asia_net, monkeypatch):
+        # asia's either is tub or lung, so tub=yes, either=no has probability
+        # zero: its replicas fall back to uniform draws between the runs of
+        # the enumerated patterns on either side.  A case of weight zero
+        # leaves its pattern out of the table, and table patterns given no
+        # replica (enumerated, impossible or on the tree) take no uniform.
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", budget)
+        none = (None,) * 8
+        dead = (None, 0, None, None, None, 1, None, None)
+        patterns = [
+            (0, None, None, None, 1, None, None, 0), dead, (None, 1, 0, None, None, None, 1, 1),
+            none, (1, 1, 1, 1, 1, 1, 1, 1), (None, None, 0, 0, None, None, None, None),
+        ]
+        spare = (0, 0, None, None, None, None, None, None)  # weight zero
+        cases = tuple(
+            (tuple(None if v is None else s.states[v] for s, v in zip(asia_net.nodes, b)), w)
+            for b, w in [(b, 1.0) for b in patterns] + [(spare, 0.0)] + [(patterns[1], 1.0)]
+        )
+        data = Dataset(tuple(s.name for s in asia_net.nodes), cases)
+        bound = inference.BoundDataset(asia_net, data)
+        table = bound.table
+        assert bound.bounds == patterns and bool(table.on_tree) == (budget == 0)
+        assert table.pattern_probs(asia_net)[1] == 0.0
+        reps = [4, 3, 5, 0, 2, 0]  # none and one complete pattern get no replica
+        rep_pattern = np.repeat(np.arange(len(patterns)), reps)
+        # 9 uniforms: the 32- and 16-member patterns' compares (4 * 31 and
+        # 5 * 15 cells) are cut into chunks of one replica
+        comp, fallbacks = assert_draws_per_pattern(asia_net, table, rep_pattern, seed=65)
+        assert fallbacks == [4, 5, 6]
+        rows = unravel_rows(asia_net, np.array(comp))
+        for k, row in zip(rep_pattern, rows):
+            assert all(v is None or row[i] == v for i, v in enumerate(patterns[k]))
 
     def test_dense_and_sequential_paths_same_distribution(self, asia_net, monkeypatch):
         # the sequential eliminator path must target the same posterior

@@ -12,7 +12,48 @@ from coarsebn.coarsen import (
 )
 from coarsebn.errors import DataError, FormatError
 from coarsebn.data import Dataset
-from coarsebn.network import sample, validate_network
+from coarsebn.netformat import read_network
+from coarsebn.network import Network, NodeSpec, sample, validate_network
+from coarsebn.util import fixture_path
+
+
+@pytest.fixture(scope="module")
+def alarm_like_net():
+    return read_network(fixture_path("alarm_like.net"))
+
+
+def balanced_ternary(value, width):
+    """Digits in {-1, 0, 1}, least significant first, that sum to value."""
+    digits = []
+    for _ in range(width):
+        d = (value + 1) % 3 - 1
+        digits.append(d)
+        value = (value - d) // 3
+    assert value == 0
+    return digits
+
+
+def wide_mechanism():
+    """An augmented network whose hidden 4-state switch S sets 42 binary
+    variables and their observation nodes, so each switch state gives one
+    fixed observed row.  With a missing value as one more digit, rows 0
+    and 1 differ by 2^64 in the mixed-radix key read first column first,
+    and rows 2 and 3 in the key read last column first."""
+    width = 42
+    first = balanced_ternary(1 << 64, width)[::-1]  # most significant first
+    last = balanced_ternary(1 << 64, width)
+    digits = [[1 + d for d in first], [1] * width, [1 + d for d in last], [1] * width]
+    names = [f"V{j:02d}" for j in range(width)]
+    specs = [NodeSpec("S", ("a", "b", "c", "d"))]
+    specs += [NodeSpec(v, ("s0", "s1"), ("S",)) for v in names]
+    specs += [NodeSpec("obsS", ("true", "false"))]
+    specs += [NodeSpec("obs" + v, ("true", "false"), ("S",)) for v in names]
+    one_hot = np.eye(2)
+    cpts = [np.full((1, 4), 0.25)]
+    cpts += [one_hot[[int(row[j] == 2) for row in digits]] for j in range(width)]
+    cpts += [np.array([[0.0, 1.0]])]
+    cpts += [one_hot[[int(row[j] == 0) for row in digits]] for j in range(width)]
+    return Network("wide", tuple(specs), tuple(cpts)), digits
 
 
 def reference_dataset(augmented, n, rng):
@@ -139,8 +180,8 @@ class TestBuildCoarseningNetwork:
 
 
 class TestGenerateDataset:
-    @pytest.mark.parametrize("fixture", ["asia_net", "basic_net"])
-    @pytest.mark.parametrize("n", [0, 1, 300])
+    @pytest.mark.parametrize("fixture", ["asia_net", "basic_net", "alarm_like_net"])
+    @pytest.mark.parametrize("n", [0, 1, 300, 2000])
     def test_matches_cell_by_cell_reference(self, request, fixture, n):
         net = request.getfixturevalue(fixture)
         for seed in range(4):
@@ -152,7 +193,24 @@ class TestGenerateDataset:
             ref, ref_frac = reference_dataset(aug, n, ref_rng)
             assert data == ref
             assert frac == ref_frac
-            assert rng.random() == ref_rng.random()  # the same draws were taken
+            assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
+
+    def test_wide_header_keeps_rows_apart(self):
+        # 43 columns: 5 * 3^42 keys pass 2^63, and a key that wraps modulo
+        # 2^64 in either reading order merges two of the three rows
+        aug, digits = wide_mechanism()
+        radix = [5] + [3] * 42
+        for order in (1, -1):
+            keys = np.zeros(4, dtype=np.int64)
+            for column, r in list(zip(np.array([[0] + d for d in digits]).T, radix))[::order]:
+                keys = keys * r + column  # wraps silently
+            assert keys[0] == keys[1] if order == 1 else keys[2] == keys[3]
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        data, frac = generate_dataset(aug, 200, rng)
+        ref, ref_frac = reference_dataset(aug, 200, ref_rng)
+        assert data == ref and frac == ref_frac
+        assert len(set(data.cases)) == 3  # rows 1 and 3 are one case
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_mar_missing_fraction(self, asia_net):
         rng = np.random.default_rng(2)

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compatible_assignments, completion_distribution, grouped, ravel
+from conftest import (
+    compatible_assignments,
+    completion_distribution,
+    grouped,
+    member_flat_indices,
+    ravel,
+)
 from coarsebn.data import (
     Completion,
     Dataset,
     format_dataset_csv,
     member_count,
-    member_flat_indices,
     parse_dataset_csv,
     pattern_binder,
 )

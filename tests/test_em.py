@@ -11,7 +11,9 @@ from coarsebn.data import Dataset
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import DataError, ZeroSupportError
 from coarsebn.likelihoods import face_value_loglik
+from coarsebn.netformat import read_network
 from coarsebn.network import Network, NodeSpec, ml_estimate, sample
+from coarsebn.util import fixture_path
 
 
 class TestEmFit:
@@ -82,7 +84,9 @@ class TestEmFit:
         for ta, tb in zip(dense.trace, sparse.trace):
             assert ta[1] == pytest.approx(tb[1], abs=1e-12)
 
-    def test_tree_e_step_runs_one_calibration_per_step(self, asia_net, monkeypatch):
+    def test_tree_e_step_runs_one_calibration_per_step(self, monkeypatch):
+        # a structure read here, whose clique tree no other test compiled
+        asia_net = read_network(fixture_path("asia.net"))
         rng = np.random.default_rng(17)
         aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.1, 0.05), rng)
         data, _ = generate_dataset(aug, 80, rng)
@@ -111,6 +115,9 @@ class TestEmFit:
         # one calibration per E step, of every pattern at once
         assert calls == {"calibrate": 2, "collect": 2, "compile": 1}
         assert batches == [k, k]
+        # the structure's tree is compiled once, whatever fits use it
+        em_fit(asia_net, data, EmOptions(max_iters=1))
+        assert calls == {"calibrate": 3, "collect": 3, "compile": 1}
         for a, b in zip(dense.network.cpts, res.network.cpts):
             assert np.allclose(a, b, atol=1e-12)
 

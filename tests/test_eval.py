@@ -141,12 +141,8 @@ class TestEvaluate:
     def test_experiment_calibrates_the_truth_once(self, asia_net, monkeypatch):
         # both estimates of every run are scored from one calibration of the
         # truth, and each score is the float evaluate gives the estimate alone
-        import importlib
-
-        from coarsebn import aim, cli, em
+        from coarsebn import aim, cli, em, inference
         from coarsebn.coarsen import CoarseningSpec
-
-        evaluate_mod = importlib.import_module("coarsebn.evaluate")
 
         fits = []
         for mod, name in ((em, "em_fit"), (aim, "aim_fit")):
@@ -155,14 +151,13 @@ class TestEvaluate:
                 mod, name, lambda *a, fit=fit, **k: fits.append(fit(*a, **k)) or fits[-1]
             )
         calibrations = []
-        tree = evaluate_mod.CliqueTree
+        calibrate = inference.CliqueTree.calibrate
 
-        class CountingTree(tree):
-            def calibrate(self, net, bounds):
-                calibrations.append(net)
-                return super().calibrate(net, bounds)
+        def counting(self, net, bounds):
+            calibrations.append(net)
+            return calibrate(self, net, bounds)
 
-        monkeypatch.setattr(evaluate_mod, "CliqueTree", CountingTree)
+        monkeypatch.setattr(inference.CliqueTree, "calibrate", counting)
         cfg = cli.ExperimentConfig(
             net=asia_net, coarsening=CoarseningSpec.parse("2:0.1:0.05"),
             n=300, z=3, runs=3, seed=5,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import runpy
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from conftest import (
     joint_marginal,
     joint_probability,
     joint_probs,
+    member_flat_indices,
     member_table,
     parent_row,
     random_dag,
@@ -24,7 +26,7 @@ from conftest import (
 )
 from coarsebn import data as data_mod
 from coarsebn import inference
-from coarsebn.aim import AimOptions, aim_fit
+from coarsebn.aim import AimOptions, aim_fit, initial_completion
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import BudgetError, DataError, ZeroSupportError
@@ -297,8 +299,9 @@ class TestCliqueTree:
         monkeypatch.setattr(inference, "ENUM_BUDGET", 4)  # either | tub, lung has 8 cells
         with pytest.raises(BudgetError, match="clique of 8 cells exceeds the budget 4"):
             CliqueTree(asia_net)
+        fresh = read_network(fixture_path("asia.net"))  # its tree compiles under the patch
         with pytest.raises(BudgetError, match="clique"):
-            evidence_probability(asia_net, {})
+            evidence_probability(fresh, {})
 
     def test_queries_refuse_another_structure(self, asia_net):
         queries = tree_table(asia_net, TestMemberTable.BOUNDS)
@@ -326,7 +329,7 @@ def batch_case(which, asia_net, basic_net):
     card = net.cards[root]
     cpts = list(net.cpts)
     cpts[root] = np.array([[0.0] + [1.0 / (card - 1)] * (card - 1)])
-    net = net.with_cpts(cpts)
+    net = Network(net.name, net.nodes, tuple(cpts))  # no clique tree compiled yet
     rng = np.random.default_rng(21)
     bounds = [(None,) * len(net.nodes)]
     for observed in (0.2, 0.4, 0.6, 0.7, 0.8, 0.9):
@@ -342,10 +345,11 @@ def batch_case(which, asia_net, basic_net):
 
 
 def chunk_budget(monkeypatch, net, chunk):
-    """Patch ENUM_BUDGET so that the tree takes `chunk` bounds per pass."""
+    """Patch ENUM_BUDGET so that the tree takes `chunk` bounds per pass,
+    and compile net's own tree under it."""
     cells = inference.ENUM_BUDGET // CliqueTree(net)._chunk
     monkeypatch.setattr(inference, "ENUM_BUDGET", chunk * cells + cells // 2)
-    assert CliqueTree(net)._chunk == chunk
+    assert CliqueTree(net)._chunk == net.clique_tree._chunk == chunk
 
 
 BATCH_NETS = ["asia", "dag17", "basic", "alarm_like", "asia_data"]
@@ -434,10 +438,10 @@ class TestBatchedTree:
             want.append((oracle.draw(net, bound, size, rng), rng.bit_generator.state))
         if chunk:
             chunk_budget(monkeypatch, net, chunk)
-        draw = tree_table(net, bounds).sampler(net)
+        table = tree_table(net, bounds)
         for k, (picks, state) in enumerate(want):
             rng = np.random.default_rng(30 + k)
-            got = draw(k, size, rng)
+            got = table.tree_sample(net, k, size, rng)
             assert rng.bit_generator.state == state
             if picks is None:
                 assert got is None
@@ -477,7 +481,7 @@ class TestMemberTable:
     def test_budget_counts_members_before_enumerating(self, asia_net, monkeypatch):
         bound = BoundDataset(asia_net, dataset_of(asia_net, self.BOUNDS))
         monkeypatch.setattr(
-            inference, "member_flat_indices", lambda *a: pytest.fail("enumerated")
+            inference, "member_indices", lambda *a: pytest.fail("enumerated")
         )
         with pytest.raises(BudgetError, match="97 pattern members exceed"):
             bound.member_table(80)
@@ -517,11 +521,37 @@ class TestMemberTable:
         table = BoundDataset(asia_net, dataset_of(asia_net, bounds)).member_table(1000)
         assert calls == bounds
         monkeypatch.undo()
-        flat = np.concatenate([data_mod.member_flat_indices(asia_net, b) for b in bounds])
+        flat = np.concatenate([member_flat_indices(asia_net, b) for b in bounds])
         uniq, loc = np.unique(flat, return_inverse=True)
         assert np.array_equal(table.uniq, uniq) and np.array_equal(table.loc, loc)
         assert table.starts.tolist() == [0, 256, 288, 352]
         assert table.stops.tolist() == [256, 288, 352, 353]
+
+    @pytest.mark.parametrize("which", ["asia", "basic", "alarm_like", "dag17"])
+    def test_member_pass_equals_per_pattern_enumeration(self, which, asia_net, basic_net):
+        # one pass over every bound row lists each pattern's members in the
+        # order of enumerating them one pattern at a time
+        if which in ("asia", "basic"):
+            net = asia_net if which == "asia" else basic_net
+        elif which == "alarm_like":
+            net = read_network(fixture_path("alarm_like.net"))
+        else:
+            net = random_dag(17, 0, cards=(2, 4), max_parents=2)
+        rng = np.random.default_rng(51)
+        k = len(net.nodes)
+        bounds = []
+        for n_missing in sorted({0, 1, min(3, k), min(6, k), k if k < 10 else 7}):
+            hidden = set(rng.choice(k, size=n_missing, replace=False).tolist())
+            bounds.append(tuple(
+                None if i in hidden else int(rng.integers(c)) for i, c in enumerate(net.cards)
+            ))
+        sizes = [data_mod.member_count(net, b) for b in bounds]
+        want = np.concatenate([member_flat_indices(net, b) for b in bounds])
+        got = inference.member_indices(net, inference.bound_rows(bounds), sizes)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        table = MemberTable(net, bounds, sizes, math.inf)  # its slots, pattern after pattern
+        assert table.enumerated == list(range(len(bounds)))
+        assert np.array_equal(table.uniq[table.loc], want)
 
     def test_pattern_over_enum_budget_refused(self):
         nodes = tuple(NodeSpec(f"v{i}", ("a", "b")) for i in range(21))
@@ -547,7 +577,7 @@ class TestMemberTable:
             lambda net: table.probs(net),
             lambda net: table.pattern_probs(net),
             lambda net: table.expected_counts(net, np.ones(3)),
-            lambda net: table.sampler(net),
+            lambda net: table.tree_sample(net, 0, 2, np.random.default_rng(0)),
         ]
         same = randomize_parameters(asia_net, np.random.default_rng(8))
         for query in queries:
@@ -695,11 +725,13 @@ class TestMixedSplit:
         assert len(split.uniq) == 33  # the tree patterns' states are not members
         full = full_joint_table(net).reshape(-1)
         assert np.array_equal(joint_probs(net, np.arange(256)), full)
-        draw = split.sampler(net)
+        rep_pattern = np.repeat(np.arange(len(self.BOUNDS)), 20)
+        assign, fallbacks = initial_completion(net, split, rep_pattern, np.random.default_rng(0))
+        rows = unravel_rows(net, np.array(assign))
+        assert fallbacks == []
         for k, bound in enumerate(self.BOUNDS):
-            rows = unravel_rows(net, np.array(draw(k, 20, np.random.default_rng(k))))
             for i, v in enumerate(bound):
-                assert v is None or (rows[:, i] == v).all()
+                assert v is None or (rows[rep_pattern == k, i] == v).all()
 
     def fits(self, asia_net, data, budget, monkeypatch):
         monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", budget)

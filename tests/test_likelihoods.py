@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import completion_distribution, grouped, member_table, unravel
+from conftest import (
+    completion_distribution,
+    grouped,
+    member_flat_indices,
+    member_table,
+    unravel,
+)
 from coarsebn import inference, likelihoods
 from coarsebn.aim import AimOptions, aim_fit
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
@@ -461,8 +467,6 @@ class TestCarNormalizer:
         assert calls == []
 
     def test_certificate_feasible(self, basic_net, basic_data):
-        from coarsebn.data import member_flat_indices
-
         _, lam = car_normalizer(basic_net, basic_data)
         load = np.zeros(basic_net.n_assignments)
         bind = pattern_binder(basic_net, basic_data.variables)
@@ -723,7 +727,7 @@ class TestBoundOnce:
             counted("binder", lambda *a: counted("bind", binder(*a))),
         )
         monkeypatch.setattr(
-            inference, "member_flat_indices", counted("members", inference.member_flat_indices)
+            inference, "member_indices", counted("members", inference.member_indices)
         )
         monkeypatch.setattr(
             inference.MemberTable,
@@ -731,7 +735,8 @@ class TestBoundOnce:
             counted("tables", inference.MemberTable.__init__),
         )
         lr_statistic(net_sat, net_car, data)
-        assert calls == {"grouping": 1, "binder": 1, "bind": k, "members": k, "tables": 1}
+        # one member pass for every pattern
+        assert calls == {"grouping": 1, "binder": 1, "bind": k, "members": 1, "tables": 1}
 
     def test_other_parents_refused(self):
         c_of_a = three_node_net({"C": ("A",)})

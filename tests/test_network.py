@@ -14,6 +14,7 @@ from conftest import (
     per_node_sample,
     per_node_smooth,
     random_dag,
+    row_major_sample,
     unravel,
 )
 from coarsebn import network as network_mod
@@ -268,7 +269,7 @@ class TestWithCpts:
         # holds the same objects, equal to those a fresh network computes
         names = ["node_index", "cards", "parent_index", "row_strides", "n_rows",
                  "n_assignments", "ravel_strides", "family_cells", "node_rows",
-                 "card_rows", "topo_order"]
+                 "card_rows", "topo_order", "clique_tree"]
         # a new cached property must be added here, and must not read the CPTs
         assert network_mod._STRUCTURE_LOOKUPS == set(names)
         before = {k: getattr(asia_net, k) for k in names}
@@ -279,6 +280,11 @@ class TestWithCpts:
             a, b = getattr(net, k), getattr(fresh, k)
             if k == "family_cells":
                 assert all(np.array_equal(x, y) for x, y in zip(a, b))
+            elif k == "clique_tree":  # the same compiled steps and slots
+                kept = ("_shapes", "_roots", "_collect_steps", "_distribute_steps",
+                        "_family_slots", "_component", "_chunk")
+                assert all(getattr(a, f) == getattr(b, f) for f in kept)
+                assert all(np.array_equal(x, y) for x, y in zip(a._masks, b._masks))
             elif k == "card_rows":
                 assert a.keys() == b.keys()
                 assert all(np.array_equal(x, y) for c in a for x, y in zip(a[c], b[c]))
@@ -314,6 +320,26 @@ class TestSample:
         a = sample(asia_net, 500, np.random.default_rng(9))
         b = sample(asia_net, 500, np.random.default_rng(9))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("which", ["asia", "alarm_like", "short_rows"])
+    @pytest.mark.parametrize("n", [0, 1, 2000])
+    def test_equals_row_major_sampling(self, which, n, asia_net):
+        # node-major sampling draws the states of the row-major loop and
+        # leaves the generator where it did; on rows summing to 0.7 about a
+        # third of the uniforms pass every cumulative sum and take the last
+        # state, as the old capped count gave it
+        if which == "alarm_like":
+            net = read_network(fixture_path("alarm_like.net"))
+        else:
+            net = asia_net
+        if which == "short_rows":
+            net = Network("short", net.nodes, tuple(0.7 * cpt for cpt in net.cpts))
+        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = sample(net, n, got_rng)
+        want = row_major_sample(net, n, want_rng)
+        assert got.shape == want.shape == (n, len(net.nodes))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestRandomize:
