@@ -58,7 +58,7 @@ def tree_parts(net, data, seed: int):
         table = bound.table
     finally:
         inference.DENSE_TABLE_BUDGET = budget
-    assert not table.enumerated and len(bound.patterns) == len(bound.bound_of)
+    assert not table.enumerated and len(bound.patterns) == len(bound.distinct)
     p_u, counts = table.expected_counts(net, bound.weights)
     rng = np.random.default_rng(seed)
     assign, fallbacks = aim.initial_completion(net, table, bound.case_pattern, rng)

@@ -465,7 +465,8 @@ def aim_fit(
     counts = dict(Counter(assign))
 
     strides, cards = structure.ravel_strides, structure.cards
-    moves = [[(strides[i], cards[i]) for i, v in enumerate(b) if v is None] for b in table.bounds]
+    holes = (table.rows < 0).tolist()
+    moves = [[(strides[i], cards[i]) for i, hole in enumerate(h) if hole] for h in holes]
 
     state = AimState(
         structure=structure,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .inference import BoundDataset, bind, bound_rows
+from .inference import BoundDataset, bind
 from .network import Network, ml_estimate, smooth
 from .util import check_int, stable_child_seed
 
@@ -25,14 +25,11 @@ def random_completion(
 ) -> np.ndarray:
     """Fill every missing coordinate uniformly; returns one row per case."""
     bound = bind(net, data)
-    rows = bound_rows(bound.bound_of.values())[bound.case_pattern]
-    missing_mask = rows < 0
-    rows[missing_mask] = 0
+    rows = bound.distinct_rows[bound.case_pattern]
     for i in range(len(net.nodes)):
-        hole = missing_mask[:, i]
-        n_hole = int(hole.sum())
-        if n_hole:
-            rows[hole, i] = rng.integers(0, net.cards[i], size=n_hole)
+        hole = rows[:, i] < 0
+        if hole.any():
+            rows[hole, i] = rng.integers(0, net.cards[i], size=int(hole.sum()))
     return rows
 
 
@@ -45,7 +42,7 @@ class ConservativeResult:
 
 
 def conservative_ensemble(
-    structure: Network, data: Dataset, n_completions: int, seed: int
+    structure: Network, data: Dataset | BoundDataset, n_completions: int, seed: int
 ) -> ConservativeResult:
     """Fit one smoothed estimate per random completion and envelope them.
 
@@ -55,7 +52,7 @@ def conservative_ensemble(
     estimates: an inner approximation of the true set estimate.
     """
     check_int("n_completions", n_completions, 1)
-    bound = BoundDataset(structure, data)
+    bound = bind(structure, data)
     estimates = []
     for r in range(n_completions):
         rng = np.random.default_rng(stable_child_seed(seed, r))

@@ -13,10 +13,10 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import DataError, FormatError
-from .network import Assignment, Network
+from .network import Assignment
 from .util import fmt17
 
 CoarsePattern = tuple[Optional[str], ...]
@@ -56,45 +56,6 @@ class Dataset:
     @property
     def total_weight(self) -> float:
         return math.fsum(w for _, w in self.cases)
-
-
-def pattern_binder(
-    net: Network, variables: Sequence[str]
-) -> Callable[[CoarsePattern], tuple[Optional[int], ...]]:
-    """Bind cases of one header into network node order as state indices
-    (None = missing, as is every node absent from the header).  The header
-    is checked, and each node's label -> state map built, once."""
-    for v in variables:
-        if v not in net.node_index:
-            raise DataError(f"dataset variable {v!r} is not a network node")
-    column = {v: j for j, v in enumerate(variables)}
-    plan = [
-        (column.get(spec.name), {s: spec.states.index(s) for s in spec.states}, spec.name)
-        for spec in net.nodes
-    ]
-
-    def bind(pattern: CoarsePattern) -> tuple[Optional[int], ...]:
-        bound: list[Optional[int]] = []
-        for j, states, name in plan:
-            label = None if j is None else pattern[j]
-            if label is None:
-                bound.append(None)
-                continue
-            s = states.get(label)
-            if s is None:
-                raise DataError(f"state {label!r} not in the domain of node {name!r}")
-            bound.append(s)
-        return tuple(bound)
-
-    return bind
-
-
-def member_count(net: Network, bound: Sequence[Optional[int]]) -> int:
-    n = 1
-    for i, v in enumerate(bound):
-        if v is None:
-            n *= net.cards[i]
-    return n
 
 
 @dataclass(frozen=True)

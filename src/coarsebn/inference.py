@@ -10,6 +10,13 @@ budget, read by the fitters, the face value and the sat profile.  The sat
 and car profiles need every pattern enumerated (`member_table`); only the
 car normalizer, which never builds the compiled cells, asks for more.
 
+A pattern's bound is the one data format every layer reads: an int64 row
+of state indices in node order, -1 where the node is missing or not in
+the dataset's header, so a completion fills exactly its -1 entries.
+`BoundDataset` binds a dataset's distinct patterns once into one array of
+such rows; the member lists, the clique tree's batches, AIM's moves and
+the random completions all read that array.
+
 A member table is compiled once per dataset: on first use it stores each
 distinct member's `network.state_cells` row, its cell per node in the
 concatenated CPTs.  P(x) is then one gather and a node-order product, and
@@ -40,7 +47,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, member_count, pattern_binder
+from .data import Dataset
 from .errors import BudgetError, DataError, ZeroSupportError
 from .network import (
     ENUM_BUDGET,
@@ -52,8 +59,6 @@ from .network import (
 )
 
 DENSE_TABLE_BUDGET = 100_000
-
-Bound = Sequence[Optional[int]]
 
 
 def evidence_indices(net: Network, evidence: Mapping[str, str]) -> dict[int, int]:
@@ -113,12 +118,11 @@ class CliqueTree:
     the clique of its first-eliminated node.  A clique table of more than
     ENUM_BUDGET cells raises BudgetError here, before any query.
 
-    Queries take a network of this structure and a batch of bounds (a state
-    index per node, -1 where it is missing: `bound_rows`), in chunks whose
-    slots hold at most ENUM_BUDGET cells.  Evidence zeroes the inconsistent
-    CPT entries, and the passes are Shafer-Shenoy messages, with no
-    division; components are joined by multiplying in the other components'
-    masses.  So a configuration of probability zero keeps a marginal of
+    Queries take a network of this structure and a batch of bound rows, in
+    chunks whose slots hold at most ENUM_BUDGET cells.  Evidence zeroes the
+    inconsistent CPT entries, and the passes are Shafer-Shenoy messages,
+    with no division; components are joined by multiplying in the other
+    components' masses.  So a configuration of probability zero keeps a marginal of
     exactly 0.0.  Every einsum is compiled here, with a leading batch axis
     and axis letters of its own; a clique step of more than EINSUM_OPERANDS
     inputs is folded into chained steps.  A batch of one bound runs each
@@ -265,11 +269,6 @@ class CliqueTree:
         return np.concatenate(p_u), [np.concatenate(f) for f in zip(*fams)]
 
 
-def bound_rows(bounds: Sequence[Bound]) -> np.ndarray:
-    """Bounds as a `CliqueTree` batch: an int array, -1 where a node is missing."""
-    return np.array([[-1 if v is None else v for v in b] for b in bounds], dtype=np.int64)
-
-
 def member_indices(net: Network, rows: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """The flat joint indices of the `sizes` members of each bound row, row
     after row in C order: member r of a row takes state (r // after) % card
@@ -286,15 +285,38 @@ def member_indices(net: Network, rows: np.ndarray, sizes: Sequence[int]) -> np.n
     return flat
 
 
-def _bound_of(net: Network, evidence: Mapping[str, str]) -> np.ndarray:
-    ev = evidence_indices(net, evidence)
-    return bound_rows([[ev.get(i) for i in range(len(net.nodes))]])
+def _bind(net: Network, variables: Sequence[str], patterns: list) -> np.ndarray:
+    """The bound rows of `patterns`, cases of one header, in one pass per
+    header column.  DataError names the first label out of its node's
+    domain, pattern after pattern in node order."""
+    rows = np.full((len(patterns), len(net.nodes)), -1, dtype=np.int64)
+    for j, name in enumerate(variables):
+        if name not in net.node_index:
+            raise DataError(f"dataset variable {name!r} is not a network node")
+        i = net.node_index[name]
+        state = {s: k for k, s in enumerate(net.nodes[i].states)} | {None: -1}
+        rows[:, i] = [state.get(p[j], -2) for p in patterns]
+    bad = np.argwhere(rows == -2)  # pattern-major
+    if len(bad):
+        k, i = bad[0].tolist()
+        name = net.nodes[i].name
+        label = patterns[k][variables.index(name)]
+        raise DataError(f"state {label!r} not in the domain of node {name!r}")
+    return rows
+
+
+def _evidence_row(net: Network, evidence: Mapping[str, str]) -> np.ndarray:
+    """The evidence as a batch of one bound row."""
+    row = np.full((1, len(net.nodes)), -1, dtype=np.int64)
+    for i, s in evidence_indices(net, evidence).items():
+        row[0, i] = s
+    return row
 
 
 def evidence_probability(net: Network, evidence: Mapping[str, str]) -> float:
     """P(X in U) for a missing-value observation: one collect pass.
     `evidence` holds the observed variables; everything else is summed out."""
-    return float(net.clique_tree.probability(net, _bound_of(net, evidence))[0])
+    return float(net.clique_tree.probability(net, _evidence_row(net, evidence))[0])
 
 
 def full_joint_table(net: Network) -> np.ndarray:
@@ -327,7 +349,7 @@ def posterior_family_marginals(
     One calibration of a clique tree: patterns small enough to enumerate
     take their posteriors from a `MemberTable` instead.
     """
-    p_u, fams = net.clique_tree.calibrate(net, _bound_of(net, evidence))
+    p_u, fams = net.clique_tree.calibrate(net, _evidence_row(net, evidence))
     if p_u[0] <= 0.0:
         raise ZeroSupportError("evidence has probability zero under the model")
     return {spec.name: fam[0] / p_u[0] for spec, fam in zip(net.nodes, fams)}
@@ -344,28 +366,25 @@ class MemberTable:
     Patterns are enumerated smallest first while their members total at
     most `budget`, and none when the joint space cannot be indexed in
     int64; `enumerated` lists them and `on_tree` the rest, each in
-    first-seen order; `rows` holds the bounds as `bound_rows`.  Slots hold
+    first-seen order; `rows` holds the patterns' bound rows.  Slots hold
     the enumerated patterns' members, listed by one `member_indices` pass:
     enumerated[j] owns slots starts[j] to stops[j], and pat_of_slot maps a
-    slot back to its pattern (an index into `bounds`).  `uniq` holds the
+    slot back to its pattern (an index into `rows`).  `uniq` holds the
     distinct flat joint indices (sorted) and `loc` each slot's position in
     it.  The table depends only on the structure, whose `clique_tree`
     answers the other patterns; every query takes the parameters and
     refuses a network of another structure.
     """
 
-    def __init__(
-        self, net: Network, bounds: Sequence[Bound], sizes: list[int], budget: float
-    ):
+    def __init__(self, net: Network, rows: np.ndarray, sizes: list[int], budget: float):
         self.net = net
-        self.bounds = list(bounds)
+        self.rows = rows
         indexable = net.n_assignments < 1 << 62
         order = sorted(range(len(sizes)), key=sizes.__getitem__) if indexable else []
         running = itertools.accumulate(sizes[k] for k in order)
         fits = {k for k, total in zip(order, running) if total <= budget}
         self.enumerated = sorted(fits)
         self.on_tree = sorted(set(range(len(sizes))) - fits)
-        self.rows = bound_rows(self.bounds).reshape(len(self.bounds), len(net.nodes))
         kept = [sizes[k] for k in self.enumerated]
         flat = member_indices(net, self.rows[self.enumerated], kept) if kept else np.zeros(0, int)
         ends = np.cumsum([0] + kept)
@@ -393,7 +412,7 @@ class MemberTable:
         """P(x) per slot, and P(U) per pattern from its members (zero for
         the tree's patterns)."""
         self._check(net)
-        p_u = np.zeros(len(self.bounds))
+        p_u = np.zeros(len(self.rows))
         p_slot = self.probs(net)[self.loc] if self.enumerated else np.zeros(0)
         p_u[self.enumerated] = np.add.reduceat(p_slot, self.starts)
         return p_slot, p_u
@@ -463,31 +482,34 @@ class BoundDataset:
     """A dataset bound once to a network's nodes: the one place that groups
     cases into patterns, binds them and answers their queries.
 
-    `bound_of` maps every distinct pattern, in first-seen order, to its
-    bound, so a malformed case is refused whatever its weight;
-    `case_pattern` gives each case's pattern as an index in that order and
-    `case_weights` each case's weight.  `patterns`, `weights`, `bounds` and
-    `sizes` (member counts) keep the patterns of positive weight, in the
-    same order; `total` is the total weight, which must be positive, `m`
-    the positive patterns' shares of it and `entropy` H(m).  `table`
-    answers the patterns' queries, and `member_table` hands out a table
-    that enumerates them all.
+    `distinct` lists every distinct pattern in first-seen order and
+    `distinct_rows` their bound rows, bound in one pass, so a malformed
+    case is refused whatever its weight; `case_pattern` gives each case's
+    pattern as an index in that order and `case_weights` each case's
+    weight.  `patterns`, `rows`, `weights` and `sizes` (member counts, as
+    exact ints) keep the patterns of positive weight, in the same order;
+    `total` is the total weight, which must be positive, `m` the positive
+    patterns' shares of it and `entropy` H(m).  `table` answers the
+    patterns' queries, and `member_table` hands out a table that
+    enumerates them all.
     """
 
     def __init__(self, net: Network, data: Dataset):
-        bind = pattern_binder(net, data.variables)
         self.net = net
         self.data = data
         ids: dict = {}
         pattern_id = (ids.setdefault(p, len(ids)) for p, _ in data.cases)
         self.case_pattern = np.fromiter(pattern_id, np.int64, len(data.cases))
         self.case_weights = np.fromiter(map(itemgetter(1), data.cases), np.float64, len(data.cases))
-        self.bound_of = {p: bind(p) for p in ids}
+        self.distinct = list(ids)
+        self.distinct_rows = _bind(net, data.variables, self.distinct)
         grouped = np.bincount(self.case_pattern, self.case_weights, len(ids))  # in case order
-        self.patterns = [p for p, w in zip(ids, grouped.tolist()) if w > 0]
-        self.weights = grouped[grouped > 0]
-        self.bounds = [self.bound_of[p] for p in self.patterns]
-        self.sizes = [member_count(net, b) for b in self.bounds]
+        live = grouped > 0
+        self.patterns = [p for p, keep in zip(self.distinct, live.tolist()) if keep]
+        self.rows = self.distinct_rows[live]
+        self.weights = grouped[live]
+        radix = np.where(self.rows < 0, net.cards, 1)
+        self.sizes = [math.prod(r) for r in radix.tolist()]  # no int64 wrap
         self.total = math.fsum(self.case_weights.tolist())
         if not self.total > 0:
             raise DataError("total weight must be positive")
@@ -498,7 +520,7 @@ class BoundDataset:
     def table(self) -> MemberTable:
         """The patterns' queries: patterns enumerated smallest first within
         DENSE_TABLE_BUDGET members, the rest answered on the clique tree."""
-        return MemberTable(self.net, self.bounds, self.sizes, DENSE_TABLE_BUDGET)
+        return MemberTable(self.net, self.rows, self.sizes, DENSE_TABLE_BUDGET)
 
     def member_table(self, budget: float) -> MemberTable:
         """A table that enumerates every pattern: `table` within
@@ -514,7 +536,7 @@ class BoundDataset:
             raise BudgetError("joint space too large to index")
         if n <= DENSE_TABLE_BUDGET:
             return self.table
-        return MemberTable(self.net, self.bounds, self.sizes, n)
+        return MemberTable(self.net, self.rows, self.sizes, n)
 
 
 def bind(net: Network, data: Dataset | BoundDataset) -> BoundDataset:

@@ -293,7 +293,7 @@ def car_normalizer(
     lam = m / np.add.reduceat(q[loc], starts)
     lam = np.minimum(lam / max(1.0, 1.0 + at_q.gap), 1.0)
     log_f = float(np.dot(m, np.log(lam)))
-    return log_f, dict.fromkeys(bound.bound_of, 0.0) | dict(zip(bound.patterns, lam.tolist()))
+    return log_f, dict.fromkeys(bound.distinct, 0.0) | dict(zip(bound.patterns, lam.tolist()))
 
 
 def car_profile_loglik(net: Network, data: Dataset | BoundDataset) -> LikelihoodReport:
@@ -305,7 +305,7 @@ def car_profile_loglik(net: Network, data: Dataset | BoundDataset) -> Likelihood
     return LikelihoodReport("car_profile", per_case, per_case * bound.total, lam)
 
 
-def lr_statistic(net_sat: Network, net_car: Network, data: Dataset) -> float:
+def lr_statistic(net_sat: Network, net_car: Network, data: Dataset | BoundDataset) -> float:
     """Per-unit gap between the sat optimum and the car optimum.
 
     The caller supplies candidate optimizers for each side, which must share
@@ -316,7 +316,7 @@ def lr_statistic(net_sat: Network, net_car: Network, data: Dataset) -> float:
     """
     if net_car.nodes != net_sat.nodes:
         raise DataError("the sat and car candidates must share one structure")
-    bound = BoundDataset(net_sat, data)
+    bound = bind(net_sat, data)
     problem = SatProfileProblem(net_sat, bound)
     car = car_profile_loglik(net_car, bound).per_case_average
     sat, _, _, _ = problem.solve(net_sat)

@@ -13,6 +13,7 @@ renormalized only if they are off by more than 1e-12.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
@@ -173,29 +174,13 @@ def format_network(net: Network) -> str:
     for spec in net.nodes:
         if spec.parents:
             lines.append(f"parents {spec.name} {','.join(spec.parents)}")
-    for i, spec in enumerate(net.nodes):
-        table = net.cpts[i]
-        if not spec.parents:
-            lines.append(
-                f"cpt {spec.name} : " + ",".join(fmt17(v) for v in table[0])
-            )
-            continue
-        pcards = [len(net.nodes[net.node_index[p]].states) for p in spec.parents]
-        for ridx in range(table.shape[0]):
-            digits = []
-            r = ridx
-            for c in reversed(pcards):
-                digits.append(r % c)
-                r //= c
-            digits.reverse()
-            cond = ",".join(
-                f"{p}={net.nodes[net.node_index[p]].states[d]}"
-                for p, d in zip(spec.parents, digits)
-            )
-            lines.append(
-                f"cpt {spec.name} | {cond} : "
-                + ",".join(fmt17(v) for v in table[ridx])
-            )
+    for spec, table in zip(net.nodes, net.cpts):
+        parent_states = [net.nodes[net.node_index[p]].states for p in spec.parents]
+        # one row per parent configuration, the last parent varying fastest
+        for config, row in zip(itertools.product(*parent_states), table):
+            cond = ",".join(f"{p}={v}" for p, v in zip(spec.parents, config))
+            head = f"cpt {spec.name} | {cond}" if cond else f"cpt {spec.name}"
+            lines.append(f"{head} : " + ",".join(fmt17(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
-from coarsebn.data import Dataset, member_count, pattern_binder
+from coarsebn.data import Dataset
 from coarsebn.errors import DataError
 from coarsebn.inference import (
     BoundDataset,
@@ -191,6 +191,37 @@ def row_major_sample(net, n, rng):
     return out
 
 
+def bind_pattern(net, variables, pattern):
+    """Oracle: one case of header `variables` as a tuple bound in node
+    order, a state index per node and None where it is missing or not in
+    the header; DataError for a label out of its node's domain."""
+    for v in variables:
+        if v not in net.node_index:
+            raise DataError(f"dataset variable {v!r} is not a network node")
+    out = []
+    for spec in net.nodes:
+        label = pattern[variables.index(spec.name)] if spec.name in variables else None
+        if label is not None and label not in spec.states:
+            raise DataError(f"state {label!r} not in the domain of node {spec.name!r}")
+        out.append(None if label is None else spec.states.index(label))
+    return tuple(out)
+
+
+def n_members(net, bound):
+    """Oracle: the member count of a tuple bound, as an exact int."""
+    return math.prod(c for c, v in zip(net.cards, bound) if v is None)
+
+
+def rows_of(bounds):
+    """Tuple bounds as bound rows: an int64 array, -1 where a node is missing."""
+    return np.array([[-1 if v is None else v for v in b] for b in bounds], dtype=np.int64)
+
+
+def tuple_bounds(rows):
+    """Bound rows as tuple bounds, None where a node is missing."""
+    return [tuple(None if v < 0 else v for v in r) for r in rows.tolist()]
+
+
 def member_flat_indices(net, bound):
     """Oracle: flat (C-order) joint indices of all compatible assignments,
     one pattern at a time, the last missing node varying fastest."""
@@ -228,11 +259,11 @@ def per_pattern_completion(theta0, table, rep_pattern, rng):
     out = np.zeros(len(rep_pattern), dtype=np.int64)
     fallbacks = []
     order = np.argsort(rep_pattern, kind="stable")
-    sizes = np.bincount(rep_pattern, minlength=len(table.bounds))
+    sizes = np.bincount(rep_pattern, minlength=len(table.rows))
     groups = np.split(order, np.cumsum(sizes)[:-1])
-    for k, (bound, idxs) in enumerate(zip(table.bounds, groups)):
-        missing = [i for i, v in enumerate(bound) if v is None]
-        base = sum(strides[i] * v for i, v in enumerate(bound) if v is not None)
+    for k, (row, idxs) in enumerate(zip(table.rows.tolist(), groups)):
+        missing = [i for i, v in enumerate(row) if v < 0]
+        base = sum(strides[i] * v for i, v in enumerate(row) if v >= 0)
         if not missing:
             out[idxs] = base
             continue
@@ -345,7 +376,7 @@ class PerBoundTree:
 
 def tree_table(net, bounds):
     """The table of `bounds` that answers every pattern on the clique tree."""
-    return MemberTable(net, bounds, [member_count(net, b) for b in bounds], 0)
+    return MemberTable(net, rows_of(bounds), [n_members(net, b) for b in bounds], 0)
 
 
 def dataset_of(net, bounds):
@@ -421,7 +452,7 @@ def brute_evidence_probability(net, evidence):
     """Oracle: sum joint probabilities over every compatible assignment."""
     variables = tuple(s.name for s in net.nodes)
     pattern = tuple(evidence.get(v) for v in variables)
-    bound = pattern_binder(net, variables)(pattern)
+    bound = bind_pattern(net, variables, pattern)
     return sum(
         joint_probability(net, x) for x in compatible_assignments(net, bound)
     )
@@ -431,7 +462,7 @@ def brute_family_posteriors(net, evidence):
     """Oracle: posterior family tables by direct enumeration of completions."""
     variables = tuple(s.name for s in net.nodes)
     pattern = tuple(evidence.get(v) for v in variables)
-    bound = pattern_binder(net, variables)(pattern)
+    bound = bind_pattern(net, variables, pattern)
     tables = [
         np.zeros_like(np.asarray(net.cpts[i])) for i in range(len(net.nodes))
     ]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     TRI_NET,
     asia_data,
+    bind_pattern,
     dataset_of,
     grouped,
     incremental_kl_delta,
@@ -18,6 +19,7 @@ from conftest import (
     member_flat_indices,
     per_pattern_completion,
     ravel,
+    tuple_bounds,
     unravel,
 )
 from coarsebn import aim, inference
@@ -194,7 +196,7 @@ def seed_completion(theta0, reps, seed):
     """initial_completion on a list of per-replica bounds, one pattern per
     distinct bound."""
     bound = inference.BoundDataset(theta0, dataset_of(theta0, reps))
-    rep_pattern = np.array([bound.bounds.index(b) for b in reps], dtype=np.int64)
+    rep_pattern = np.array([tuple_bounds(bound.rows).index(b) for b in reps], dtype=np.int64)
     return initial_completion(theta0, bound.table, rep_pattern, np.random.default_rng(seed))
 
 
@@ -211,7 +213,7 @@ def assert_draws_per_pattern(theta0, table, rep_pattern, seed):
 def build_state(structure, theta0, data, z, seed=0):
     """Assemble an AimState the way aim_fit does, for op-level tests."""
     bound = inference.BoundDataset(structure, data)
-    case_bounds = [bound.bound_of[p] for p, _ in data.cases]
+    case_bounds = [bind_pattern(structure, data.variables, p) for p, _ in data.cases]
     case_pattern = np.array([bound.patterns.index(p) for p, _ in data.cases], dtype=np.int64)
     reps = [int(round(w)) * z for _, w in data.cases]
     rep_case = np.repeat(np.arange(len(case_bounds)), reps)
@@ -405,8 +407,9 @@ class TestSweepMatchesDefinition:
         table = inference.BoundDataset(asia_net, data).table
         assert table.enumerated and table.on_tree
         em = em_fit(asia_net, data)
+        bounds = tuple_bounds(table.rows)
         tree_states = np.concatenate(
-            [member_flat_indices(asia_net, table.bounds[k]) for k in table.on_tree]
+            [member_flat_indices(asia_net, bounds[k]) for k in table.on_tree]
         )
         assert not np.isin(tree_states, table.uniq).all()
         cells = state_cells(asia_net, unravel_rows(asia_net, tree_states))
@@ -489,10 +492,11 @@ class TestSweepWork:
         state = self.still_state(asia_net, data)
         table = inference.BoundDataset(asia_net, data).table
         assert bool(table.on_tree) == split
+        bounds = tuple_bounds(table.rows)
         tree_states = {
             x
             for k in table.on_tree
-            for x in member_flat_indices(asia_net, table.bounds[k]).tolist()
+            for x in member_flat_indices(asia_net, bounds[k]).tolist()
         }
         state.net = asia_net.with_cpts(state.net.cpts)  # the same theta, not yet read
         gathers = self.record_gathers(monkeypatch)
@@ -738,7 +742,7 @@ class TestInitialCompletion:
         data = Dataset(tuple(s.name for s in asia_net.nodes), cases)
         bound = inference.BoundDataset(asia_net, data)
         table = bound.table
-        assert bound.bounds == patterns and bool(table.on_tree) == (budget == 0)
+        assert tuple_bounds(bound.rows) == patterns and bool(table.on_tree) == (budget == 0)
         assert table.pattern_probs(asia_net)[1] == 0.0
         reps = [4, 3, 5, 0, 2, 0]  # none and one complete pattern get no replica
         rep_pattern = np.repeat(np.arange(len(patterns)), reps)
@@ -803,23 +807,25 @@ class TestAimStart:
         rng = np.random.default_rng(8)
         data = Dataset(data.variables, tuple((p, float(rng.integers(1, 4))) for p, _ in data.cases))
         state, _ = self.first_state(monkeypatch, asia_net, data, 3)
-        bound = inference.BoundDataset(asia_net, data)
         reps = [int(w) * 3 for _, w in data.cases]
         assert state.rep_case.tolist() == np.repeat(np.arange(len(reps)), reps).tolist()
         assert state.zn == sum(reps)
         strides, cards = asia_net.ravel_strides, asia_net.cards
         assert state.case_moves == [
-            [(strides[i], cards[i]) for i, v in enumerate(bound.bound_of[p]) if v is None]
+            [(strides[i], cards[i]) for i, v in enumerate(bind_pattern(asia_net, data.variables, p))
+             if v is None]
             for p, _ in data.cases
         ]
 
-    def test_case_pattern_in_bound_of_order(self, basic_net):
+    def test_case_pattern_in_first_seen_order(self, basic_net):
         data = Dataset(("A", "B"), (
             (("t", None), 1.0), (("f", "f"), 0.0), (("t", None), 2.0), (("f", "t"), 1.0)
         ))
         bound = inference.BoundDataset(basic_net, data)
-        assert list(bound.bound_of) == [("t", None), ("f", "f"), ("f", "t")]
+        assert bound.distinct == [("t", None), ("f", "f"), ("f", "t")]
+        assert bound.distinct_rows.tolist() == [[0, -1], [1, 1], [1, 0]]
         assert bound.patterns == [("t", None), ("f", "t")]
+        assert bound.rows.tolist() == [[0, -1], [1, 0]]
         assert bound.case_pattern.dtype == np.int64
         assert bound.case_pattern.tolist() == [0, 1, 0, 2]
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import asia_data, grouped
+from conftest import asia_data, bind_pattern, grouped
 from coarsebn import inference
 from coarsebn.conservative import (
     conservative_ensemble,
     marginal_bounds,
     random_completion,
 )
-from coarsebn.data import Dataset, pattern_binder
+from coarsebn.data import Dataset
 from coarsebn.errors import DataError
 from coarsebn.network import ml_estimate, smooth
 from coarsebn.util import stable_child_seed
@@ -19,9 +19,8 @@ def per_case_completion(net, data, rng):
     k = len(net.nodes)
     rows = np.zeros((len(data.cases), k), dtype=np.int64)
     missing_mask = np.zeros((len(data.cases), k), dtype=bool)
-    bind = pattern_binder(net, data.variables)
     for r, (pattern, _) in enumerate(data.cases):
-        for i, v in enumerate(bind(pattern)):
+        for i, v in enumerate(bind_pattern(net, data.variables, pattern)):
             if v is None:
                 missing_mask[r, i] = True
             else:
@@ -40,20 +39,21 @@ class TestRandomCompletion:
         # a zero-weight case still gets its row; the header lacks node B
         zero = Dataset(("A",), ((("t",), 1.0), ((None,), 0.0), (("f",), 2.0)))
         binds = []
-        binder = inference.pattern_binder
+        binder = inference._bind
 
-        def counting_binder(*args):
-            bind = binder(*args)
-            return lambda pattern: binds.append(pattern) or bind(pattern)
+        def counting_binder(net, variables, patterns):
+            binds.append(list(patterns))
+            return binder(net, variables, patterns)
 
-        monkeypatch.setattr(inference, "pattern_binder", counting_binder)
+        monkeypatch.setattr(inference, "_bind", counting_binder)
         for net, data in [(asia_net, asia), (basic_net, basic_data), (basic_net, zero)]:
             binds.clear()
             for seed in range(3):
                 got = random_completion(net, data, np.random.default_rng(seed))
                 want = per_case_completion(net, data, np.random.default_rng(seed))
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert len(binds) == 3 * len(grouped(data))
+            # one binding per call, of each distinct pattern once
+            assert binds == 3 * [list(grouped(data))]
 
 
     def test_complete_data_identity(self, basic_net):
@@ -137,6 +137,16 @@ class TestConservativeEnsemble:
         assert len(built) == 1
         for got, est in zip(res.estimates, want, strict=True):
             for a, b in zip(got.cpts, est.cpts):
+                assert np.array_equal(a, b)
+
+    def test_bound_dataset_gives_the_plain_datasets_ensemble(self, asia_net):
+        data = asia_data(asia_net, n=200, seed=45)
+        plain = conservative_ensemble(asia_net, data, 3, 7)
+        bound = conservative_ensemble(asia_net, inference.BoundDataset(asia_net, data), 3, 7)
+        for got, want in zip(bound.estimates, plain.estimates, strict=True):
+            assert np.array_equal(got.theta, want.theta)
+        for field in ("lower", "upper", "midpoint"):
+            for a, b in zip(getattr(bound, field), getattr(plain, field), strict=True):
                 assert np.array_equal(a, b)
 
 

@@ -6,19 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bind_pattern,
     compatible_assignments,
     completion_distribution,
     grouped,
     member_flat_indices,
     ravel,
+    tuple_bounds,
 )
 from coarsebn.data import (
     Completion,
     Dataset,
     format_dataset_csv,
-    member_count,
     parse_dataset_csv,
-    pattern_binder,
 )
 from coarsebn.errors import CoarseBNError, DataError
 from coarsebn.inference import BoundDataset
@@ -31,9 +31,8 @@ def check_completion(c, data, net):
     diags = []
     if len(c.per_case) != len(data.cases):
         return [f"{len(c.per_case)} case distributions for {len(data.cases)} cases"]
-    bind = pattern_binder(net, data.variables)
     for i, ((pattern, _), dist) in enumerate(zip(data.cases, c.per_case)):
-        bound = bind(pattern)
+        bound = bind_pattern(net, data.variables, pattern)
         s = math.fsum(dist.values())
         if abs(s - 1.0) > 1e-12:
             diags.append(f"case {i}: distribution sums to {s!r}")
@@ -156,13 +155,76 @@ class TestPatternDistribution:
         assert a.entropy == pytest.approx(b.entropy, abs=1e-12)
 
 
+def first_bind_error(net, data):
+    """Oracle: the error of binding the distinct patterns one at a time, in
+    first-seen order, or None."""
+    for pattern in grouped(data):
+        try:
+            bind_pattern(net, data.variables, pattern)
+        except DataError as exc:
+            return str(exc)
+    return None
+
+
+class TestBinding:
+    """BoundDataset binds every distinct pattern, of any weight, in one pass."""
+
+    def test_bad_label_in_zero_weight_case_refused(self, basic_net):
+        data = Dataset(("A", "B"), ((("t", "t"), 1.0), (("t", "x"), 0.0)))
+        with pytest.raises(DataError, match="state 'x' not in the domain of node 'B'"):
+            BoundDataset(basic_net, data)
+
+    def test_first_bad_label_in_first_seen_order(self, basic_net):
+        # node A's bad label comes first in node order but in a later
+        # pattern than node B's
+        cases = ((("t", "t"), 1.0), (("t", "x"), 0.0), (("y", "f"), 1.0), (("t", "x"), 1.0))
+        data = Dataset(("A", "B"), cases)
+        assert first_bind_error(basic_net, data) == "state 'x' not in the domain of node 'B'"
+        with pytest.raises(DataError) as err:
+            BoundDataset(basic_net, data)
+        assert str(err.value) == first_bind_error(basic_net, data)
+
+    @given(
+        cases=st.lists(
+            st.tuples(
+                st.tuples(*[st.sampled_from(["t", "f", None, "x", "y"])] * 2),
+                st.sampled_from([0.0, 1.0, 2.5]),
+            ),
+            max_size=8,
+        ),
+        header=st.sampled_from([("A", "B"), ("B", "A"), ("B",)]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_binding_equals_per_pattern_oracle(self, basic_net, cases, header):
+        cases = [(p[: len(header)], w) for p, w in [(("t", "t"), 1.0)] + cases]
+        data = Dataset(header, tuple(cases))
+        want = first_bind_error(basic_net, data)
+        if want is not None:
+            with pytest.raises(DataError) as err:
+                BoundDataset(basic_net, data)
+            assert str(err.value) == want
+            return
+        bound = BoundDataset(basic_net, data)
+        patterns = list(grouped(data))
+        assert bound.distinct == patterns
+        assert tuple_bounds(bound.distinct_rows) == [
+            bind_pattern(basic_net, header, p) for p in patterns
+        ]
+        assert bound.distinct_rows.dtype == np.int64
+        live = [k for k, w in enumerate(grouped(data).values()) if w > 0]
+        assert bound.patterns == [patterns[k] for k in live]
+        assert np.array_equal(bound.rows, bound.distinct_rows[live])
+        assert bound.sizes == [2 ** int((r < 0).sum()) for r in bound.rows]
+        assert all(type(n) is int for n in bound.sizes)
+
+
 class TestCompatibleAssignments:
     def test_fully_observed_single(self, basic_net, basic_data):
-        bound = pattern_binder(basic_net, basic_data.variables)(("t", "t"))
+        bound = bind_pattern(basic_net, basic_data.variables, ("t", "t"))
         assert list(compatible_assignments(basic_net, bound)) == [(0, 0)]
 
     def test_example_pattern_members(self, basic_net, basic_data):
-        bound = pattern_binder(basic_net, basic_data.variables)(("t", None))
+        bound = bind_pattern(basic_net, basic_data.variables, ("t", None))
         assert sorted(compatible_assignments(basic_net, bound)) == [(0, 0), (0, 1)]
 
     def test_three_missing_binary_count(self, asia_net):
@@ -170,10 +232,11 @@ class TestCompatibleAssignments:
             None if i < 3 else "no" for i in range(len(asia_net.nodes))
         )
         variables = tuple(s.name for s in asia_net.nodes)
-        bound = pattern_binder(asia_net, variables)(pattern)
+        bound = bind_pattern(asia_net, variables, pattern)
         members = list(compatible_assignments(asia_net, bound))
         assert len(members) == 8
-        assert member_count(asia_net, bound) == 8
+        bound_data = BoundDataset(asia_net, Dataset(variables, ((pattern, 1.0),)))
+        assert tuple_bounds(bound_data.rows) == [bound] and bound_data.sizes == [8]
         flat = member_flat_indices(asia_net, bound)
         assert sorted(flat) == sorted(ravel(asia_net, x) for x in members)
 
@@ -316,8 +379,8 @@ class TestDatasetValidation:
             Dataset(("X", "X"), ((("a", "b"), 1.0),))
 
     def test_unknown_variable_binding(self, basic_net):
-        with pytest.raises(DataError):
-            pattern_binder(basic_net, ("A", "Z"))
+        with pytest.raises(DataError, match="'Z' is not a network node"):
+            BoundDataset(basic_net, Dataset(("A", "Z"), ((("t", "t"), 1.0),)))
 
 
 CELLS = ["t", "f", "?", " t ", "x", "", '"', "1", "0", "-1", "nan", "inf", "1e308", "1e-320"]

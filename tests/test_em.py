@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import asia_data, grouped, tree_table
+from conftest import asia_data, bind_pattern, grouped, tree_table
 
 from coarsebn import inference
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
@@ -125,7 +125,6 @@ class TestEmFit:
         # P(U) is evidence_probability's float and the counts are the
         # weighted sums of posterior_family_marginals, bit for bit;
         # tub=yes, either=no is impossible and adds nothing
-        from coarsebn.data import pattern_binder
         from coarsebn.network import randomize_parameters
 
         cpts = list(randomize_parameters(asia_net, np.random.default_rng(3)).cpts)
@@ -137,7 +136,7 @@ class TestEmFit:
             (None, None, "no", None, "yes", None, None, "yes"),
             ("no", None, None, None, None, None, "yes", None),
         ]
-        bounds = [pattern_binder(net, names)(p) for p in patterns]
+        bounds = [bind_pattern(net, names, p) for p in patterns]
         weights = np.array([2.0, 3.5, 1.0])
         queries = tree_table(net, bounds)
         p_u, counts = queries.expected_counts(net, weights)

@@ -18,13 +18,15 @@ from conftest import (
     joint_probs,
     member_flat_indices,
     member_table,
+    n_members,
     parent_row,
     random_dag,
+    rows_of,
     tree_table,
+    tuple_bounds,
     ve_evidence_probability,
     ve_family_posteriors,
 )
-from coarsebn import data as data_mod
 from coarsebn import inference
 from coarsebn.aim import AimOptions, aim_fit, initial_completion
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
@@ -337,7 +339,7 @@ def batch_case(which, asia_net, basic_net):
             int(rng.integers(c)) if rng.random() < observed else None for c in net.cards
         ))
     if which == "asia_data":
-        bounds += BoundDataset(net, asia_data(asia_net)).bounds
+        bounds += tuple_bounds(BoundDataset(net, asia_data(asia_net)).rows)
     zero = list(bounds[1])
     zero[root] = 0
     bounds.insert(3, tuple(zero))
@@ -380,7 +382,7 @@ class TestBatchedTree:
         monkeypatch.setattr(
             CliqueTree, "_collect", lambda *a: passes.append(len(a[2])) or collect(*a)
         )
-        rows = inference.bound_rows(bounds)
+        rows = rows_of(bounds)
         p = tree.probability(net, rows)
         p_c, fams = tree.calibrate(net, rows)
         n = len(bounds)
@@ -413,8 +415,8 @@ class TestBatchedTree:
     def test_split_e_step_adds_tree_patterns_to_member_counts(self, asia_net, basic_net):
         net, bounds = batch_case("asia", asia_net, basic_net)
         weights = np.random.default_rng(23).uniform(0.5, 3.0, size=len(bounds))
-        sizes = [data_mod.member_count(net, b) for b in bounds]
-        split = MemberTable(net, bounds, sizes, 46)  # the 2 + 4 + 4 + 4 + 32 smallest
+        sizes = [n_members(net, b) for b in bounds]
+        split = MemberTable(net, rows_of(bounds), sizes, 46)  # the 2 + 4 + 4 + 4 + 32 smallest
         assert split.enumerated == [2, 4, 5, 6, 7] and split.on_tree == [0, 1, 3]
         enum = split.enumerated
         members = member_table(net, [bounds[k] for k in enum])
@@ -487,24 +489,24 @@ class TestMemberTable:
             bound.member_table(80)
 
     def test_members_counted_once_per_pattern(self, asia_net, monkeypatch):
+        # each run binds the dataset once, every distinct pattern in one
+        # pass that also counts its members, and builds one table
         calls = []
         built = []
-        member_count = data_mod.member_count
+        bind = inference._bind
         init = MemberTable.__init__
 
-        def counting(net, bound):
-            calls.append(bound)
-            return member_count(net, bound)
+        def counting(net, variables, patterns):
+            calls.append(list(patterns))
+            return bind(net, variables, patterns)
 
         def building(self, *args):
             built.append(1)
             init(self, *args)
 
-        monkeypatch.setattr(inference, "member_count", counting)
-        monkeypatch.setattr(data_mod, "member_count", counting)
+        monkeypatch.setattr(inference, "_bind", counting)
         monkeypatch.setattr(MemberTable, "__init__", building)
         data = asia_data(asia_net, n=1000, seed=31)
-        k = len(grouped(data))
         runs = [
             lambda: em_fit(asia_net, data, EmOptions(max_iters=3)),
             lambda: aim_fit(asia_net, asia_net, data, AimOptions(z=1, seed=0, max_iters=1)),
@@ -515,11 +517,13 @@ class TestMemberTable:
             calls.clear()
             built.clear()
             run()
-            assert len(calls) == k and len(built) == 1
+            assert calls == [list(grouped(data))] and len(built) == 1
         bounds = [(None,) * 8] + self.BOUNDS
         calls.clear()
-        table = BoundDataset(asia_net, dataset_of(asia_net, bounds)).member_table(1000)
-        assert calls == bounds
+        bound = BoundDataset(asia_net, dataset_of(asia_net, bounds))
+        table = bound.member_table(1000)
+        assert len(calls) == 1 and tuple_bounds(table.rows) == bounds
+        assert bound.sizes == [n_members(asia_net, b) for b in bounds] == [256, 32, 64, 1]
         monkeypatch.undo()
         flat = np.concatenate([member_flat_indices(asia_net, b) for b in bounds])
         uniq, loc = np.unique(flat, return_inverse=True)
@@ -545,11 +549,12 @@ class TestMemberTable:
             bounds.append(tuple(
                 None if i in hidden else int(rng.integers(c)) for i, c in enumerate(net.cards)
             ))
-        sizes = [data_mod.member_count(net, b) for b in bounds]
+        sizes = [n_members(net, b) for b in bounds]
         want = np.concatenate([member_flat_indices(net, b) for b in bounds])
-        got = inference.member_indices(net, inference.bound_rows(bounds), sizes)
+        rows = rows_of(bounds)
+        got = inference.member_indices(net, rows, sizes)
         assert got.dtype == np.int64 and np.array_equal(got, want)
-        table = MemberTable(net, bounds, sizes, math.inf)  # its slots, pattern after pattern
+        table = MemberTable(net, rows, sizes, math.inf)  # its slots, pattern after pattern
         assert table.enumerated == list(range(len(bounds)))
         assert np.array_equal(table.uniq[table.loc], want)
 
@@ -566,6 +571,18 @@ class TestMemberTable:
         with pytest.raises(BudgetError, match="too large to index"):
             bound.member_table(1000)
         assert bound.table.enumerated == [] and bound.table.on_tree == [0]
+
+    def test_sizes_exact_beyond_int64(self):
+        # 64 missing binary nodes: 1 << 64 members, where an int64 product wraps to 0
+        nodes = tuple(NodeSpec(f"v{i}", ("a", "b")) for i in range(64))
+        net = Network("wide64", nodes, tuple(np.full((1, 2), 0.5) for _ in nodes))
+        bound = BoundDataset(net, dataset_of(net, [(None,) * 64, (0,) * 64]))
+        assert np.prod(np.where(bound.rows < 0, 2, 1), axis=1).tolist() == [0, 1]
+        assert bound.sizes == [1 << 64, 1]
+        assert bound.table.enumerated == [] and bound.table.on_tree == [0, 1]
+        assert bound.table.pattern_probs(net).tolist() == [1.0, 0.5**64]
+        with pytest.raises(BudgetError, match="case has too many completions"):
+            bound.member_table(math.inf)
 
     def test_queries_refuse_another_structure(self, asia_net):
         table = member_table(asia_net, self.BOUNDS)
@@ -636,7 +653,7 @@ class TestCompiledTable:
         else:
             base, data = basic_net, basic_data
         net = randomize_parameters(base, np.random.default_rng(6))
-        bounds = BoundDataset(net, data).bounds
+        bounds = tuple_bounds(BoundDataset(net, data).rows)
         table = member_table(net, bounds)
         rng = np.random.default_rng(7)
         weights = rng.uniform(0.5, 3.0, size=len(bounds))
@@ -699,20 +716,21 @@ class TestMixedSplit:
     """One table, each pattern enumerated or answered on the clique tree."""
 
     BOUNDS = [(None,) * 8] + TestMemberTable.BOUNDS
+    ROWS = rows_of(BOUNDS)
     SIZES = [256, 32, 64, 1]
 
     def test_smallest_patterns_enumerated_in_first_seen_order(self, asia_net):
-        table = MemberTable(asia_net, self.BOUNDS, self.SIZES, 97)  # 1 + 32 + 64
+        table = MemberTable(asia_net, self.ROWS, self.SIZES, 97)  # 1 + 32 + 64
         assert table.enumerated == [1, 2, 3] and table.on_tree == [0]
         assert table.starts.tolist() == [0, 32, 96] and table.n_slots == 97
         assert table.pat_of_slot[[0, 31, 32, 95, 96]].tolist() == [1, 1, 2, 2, 3]
-        table = MemberTable(asia_net, self.BOUNDS, self.SIZES, 96)
+        table = MemberTable(asia_net, self.ROWS, self.SIZES, 96)
         assert table.enumerated == [1, 3] and table.on_tree == [0, 2]
 
     def test_split_answers_like_either_path(self, asia_net):
         net = randomize_parameters(asia_net, np.random.default_rng(9))
         weights = np.array([1.0, 3.0, 1.5, 0.5])
-        split = MemberTable(net, self.BOUNDS, self.SIZES, 40)
+        split = MemberTable(net, self.ROWS, self.SIZES, 40)
         assert split.enumerated == [1, 3]
         for other in (member_table(net, self.BOUNDS), tree_table(net, self.BOUNDS)):
             assert np.allclose(split.pattern_probs(net), other.pattern_probs(net), rtol=1e-12)
@@ -747,7 +765,7 @@ class TestMixedSplit:
         assert split.enumerated and split.on_tree
         for budget in (1 << 16, 0):
             table, fv_o, em_o = self.fits(asia_net, data, budget, monkeypatch)
-            assert len(table.on_tree) == (0 if budget else len(table.bounds))
+            assert len(table.on_tree) == (0 if budget else len(table.rows))
             assert fv == pytest.approx(fv_o, rel=1e-9)
             assert len(em.trace) == len(em_o.trace) == 6
             for (_, ll, ex), (_, ll_o, ex_o) in zip(em.trace, em_o.trace):
@@ -781,7 +799,7 @@ class TestMixedSplit:
         assert len(bound.sizes) == 1000 and sum(bound.sizes) == 144_662
         assert [bound.sizes[k] for k in table.on_tree] == [9216, 36864]
         p_u, counts = table.expected_counts(net, bound.weights)
-        p_t, counts_t = tree_table(net, bound.bounds).expected_counts(net, bound.weights)
+        p_t, counts_t = tree_table(net, tuple_bounds(bound.rows)).expected_counts(net, bound.weights)
         assert np.allclose(p_u, p_t, rtol=1e-9, atol=0)
         for a, b in zip(counts, counts_t, strict=True):
             assert np.allclose(a, b, rtol=1e-9, atol=1e-9)

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bind_pattern,
     completion_distribution,
     grouped,
     member_flat_indices,
     member_table,
+    n_members,
+    rows_of,
     unravel,
 )
 from coarsebn import inference, likelihoods
 from coarsebn.aim import AimOptions, aim_fit
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
-from coarsebn.data import Completion, Dataset, pattern_binder
+from coarsebn.data import Completion, Dataset
 from coarsebn.em import EmOptions, em_fit
 from coarsebn.errors import BudgetError, DataError, NumericalError
 from coarsebn.likelihoods import (
@@ -107,8 +110,7 @@ def reference_car(net, data, tol=1e-10):
     weights = grouped(data)
     patterns = list(weights)
     m = np.array([weights[p] / data.total_weight for p in patterns])
-    bind = pattern_binder(net, data.variables)
-    table = member_table(net, [bind(p) for p in patterns])
+    table = member_table(net, [bind_pattern(net, data.variables, p) for p in patterns])
     flat = table.uniq[table.loc]
     n = int(net.n_assignments)
     q = np.full(n, 1.0 / n)
@@ -469,9 +471,9 @@ class TestCarNormalizer:
     def test_certificate_feasible(self, basic_net, basic_data):
         _, lam = car_normalizer(basic_net, basic_data)
         load = np.zeros(basic_net.n_assignments)
-        bind = pattern_binder(basic_net, basic_data.variables)
         for pattern, l in lam.items():
-            load[member_flat_indices(basic_net, bind(pattern))] += l
+            bound = bind_pattern(basic_net, basic_data.variables, pattern)
+            load[member_flat_indices(basic_net, bound)] += l
         assert np.all(load <= 1.0 + 1e-9)
 
 
@@ -552,21 +554,24 @@ class ParentBound:
         weights = grouped(data)
         live = {p: w for p, w in weights.items() if w > 0}
         self.net, self.data = net, data
-        self.bound_of = {p: pattern_binder(net, data.variables)(p) for p in weights}
+        self.distinct = list(weights)
+        self.distinct_rows = rows_of([bind_pattern(net, data.variables, p) for p in weights])
         self.patterns = list(live)
         self.weights = np.array(list(live.values()))
-        self.bounds = [pattern_binder(net, data.variables)(p) for p in live]
+        self._bounds = [bind_pattern(net, data.variables, p) for p in live]
+        self.rows = rows_of(self._bounds)
+        self.sizes = [n_members(net, b) for b in self._bounds]
         self.total = data.total_weight
         self.m = np.array(list(live.values())) / data.total_weight
         shares = [w / data.total_weight for w in weights.values()]
         self.entropy = -math.fsum(f * math.log(f) for f in shares if f > 0)
 
     def member_table(self, budget):
-        return member_table(self.net, self.bounds)
+        return member_table(self.net, self._bounds)
 
     @property
     def case_pattern(self):
-        ids = {p: j for j, p in enumerate(self.bound_of)}
+        ids = {p: j for j, p in enumerate(self.distinct)}
         return np.array([ids[p] for p, _ in self.data.cases], dtype=np.int64)
 
     @property
@@ -575,7 +580,7 @@ class ParentBound:
 
     @property
     def table(self):
-        return member_table(self.net, self.bounds)
+        return member_table(self.net, self._bounds)
 
 
 def reference_lr(net_sat, net_car, data):
@@ -655,9 +660,11 @@ class TestBoundOnce:
             (basic_net, basic_data), (basic_net, zero), (asia_net, asia_data)
         ]:
             got, want = inference.BoundDataset(net, data), ParentBound(net, data)
-            for name in ["bound_of", "patterns", "bounds", "total", "entropy"]:
+            for name in ["distinct", "patterns", "sizes", "total", "entropy"]:
                 assert getattr(got, name) == getattr(want, name)
-            assert list(got.bound_of.items()) == list(want.bound_of.items())
+            for name in ["distinct_rows", "rows"]:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
             assert got.weights.tobytes() == want.weights.tobytes()
             assert got.m.tobytes() == want.m.tobytes()
             assert got.case_pattern.dtype == np.int64
@@ -704,8 +711,7 @@ class TestBoundOnce:
 
     def test_one_grouping_binding_and_table_per_lr(self, asia_lr, monkeypatch):
         _, net_sat, net_car, data = asia_lr
-        k = len(grouped(data))
-        calls = {"grouping": 0, "binder": 0, "bind": 0, "members": 0, "tables": 0}
+        calls = {"grouping": 0, "members": 0, "tables": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -714,18 +720,20 @@ class TestBoundOnce:
 
             return wrapper
 
-        binder = inference.pattern_binder
+        binds = []
+        bind = inference._bind
+
+        def binding(net, variables, patterns):
+            binds.append(list(patterns))
+            return bind(net, variables, patterns)
+
         # the cases are grouped only where a dataset is bound
         monkeypatch.setattr(
             inference.BoundDataset,
             "__init__",
             counted("grouping", inference.BoundDataset.__init__),
         )
-        monkeypatch.setattr(
-            inference,
-            "pattern_binder",
-            counted("binder", lambda *a: counted("bind", binder(*a))),
-        )
+        monkeypatch.setattr(inference, "_bind", binding)
         monkeypatch.setattr(
             inference, "member_indices", counted("members", inference.member_indices)
         )
@@ -735,8 +743,17 @@ class TestBoundOnce:
             counted("tables", inference.MemberTable.__init__),
         )
         lr_statistic(net_sat, net_car, data)
-        # one member pass for every pattern
-        assert calls == {"grouping": 1, "binder": 1, "bind": k, "members": 1, "tables": 1}
+        # one binding of every pattern, and one member pass for them all
+        assert binds == [list(grouped(data))]
+        assert calls == {"grouping": 1, "members": 1, "tables": 1}
+
+    @pytest.mark.parametrize("which", ["basic", "asia"])
+    def test_bound_dataset_gives_the_plain_datasets_value(
+        self, which, basic_net, basic_data, asia_lr
+    ):
+        structure, net_sat, net_car, data = lr_inputs(which, basic_net, basic_data, asia_lr)
+        bound = inference.BoundDataset(structure, data)
+        assert lr_statistic(net_sat, net_car, bound) == lr_statistic(net_sat, net_car, data)
 
     def test_other_parents_refused(self):
         c_of_a = three_node_net({"C": ("A",)})

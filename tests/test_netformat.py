@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsebn.errors import CoarseBNError, FormatError
-from coarsebn.netformat import format_network, parse_network
+from coarsebn.netformat import format_network, parse_network, read_network
 from coarsebn.network import randomize_parameters, validate_network
+from coarsebn.util import fixture_path
 
 
 def test_round_trip_basic(basic_net):
@@ -159,3 +161,26 @@ class TestParserFuzz:
     def test_non_finite_rows_refused(self, row):
         with pytest.raises(FormatError, match="bad probability value"):
             parse_network(f"network t\nnode X states a,b\ncpt X : {row}\n")
+
+
+FORMAT_SHA256 = {  # format_network output: as read, then randomize_parameters(seed)
+    ("asia.net", 0): ("f576021383c708a1ff8133725e7088ab3ad237962a7056396b753d43514b4877",
+                      "3f25938e9fbb30ab01715a48d0a9d4c9212dfe0d3e4c34647e4d4870e4718fa4"),
+    ("basic.net", 1): ("0974c6f873d962cb865fc8c65df078793280ef0e29d75f1a9c8c8f3b5ff47257",
+                       "3b3d3ad5cc6a8c25fda0cc06137036dddc6399acf418d6f6071e9a1ea29e718f"),
+    ("basic_mech.net", 2): ("f97d7574f02f604ffaa8ed8d977ee74ee23d2d27fefc07a2cd59d9c81c646b46",
+                            "b15df0431b4ec1ed165763f488037f1091f5ee3aef4fb0b01ed412494e4e159e"),
+    ("alarm_like.net", 3): ("8ed232e5cf5047a17b56a4ef2a1648658aae1ab4291a70f01044897022da5a08",
+                            "9b50b998ce5e645791220bd63094c6b23522ae958829e48d480aff8fced8b16f"),
+}
+
+
+@pytest.mark.parametrize("name,seed", list(FORMAT_SHA256))
+def test_format_network_output_is_pinned(name, seed):
+    """The committed fixtures are not format_network output, so the written
+    text is pinned by hash: line order, parent-configuration order and every
+    digit, for the fixture and one random parameterisation of it."""
+    net = read_network(fixture_path(name))
+    nets = (net, randomize_parameters(net, np.random.default_rng(seed)))
+    got = tuple(hashlib.sha256(format_network(n).encode()).hexdigest() for n in nets)
+    assert got == FORMAT_SHA256[name, seed]
