@@ -24,11 +24,16 @@ tree, and at the EM estimate it hashes the table's `pattern_probs`, its
 `expected_counts`, the `initial_completion` draws of one replica per case
 (seeded by the input's position) with the generator's `bit_generator.state`
 after them, and `Truth(EM estimate).parent_weights`.
+A fifth line lists, for each lik_reports input, the map evaluations
+that `lr_statistic` makes in the sat solver and in the car normalizer, as
+plain integers, so a change in solver work shows as plainly as a changed
+result.
 Two versions of the package that print the same digests make the same
 datasets, draws, moves, counts, scores, estimates, solver values and tree
-answers, bit for bit.  `fit_digest.expected`, beside this script, holds the
-four lines of the current package: the script compares its lines with
-those, names each line that differs on stderr, and exits 1 if any does.
+answers, bit for bit, with the same solver work.  `fit_digest.expected`,
+beside this script, holds the five lines of the current package: the
+script compares its lines with those, names each line that differs on
+stderr, and exits 1 if any does.
 A change that alters the digests on purpose updates that file.
 
     python3 scripts/fit_digest.py
@@ -85,6 +90,18 @@ def main() -> int:
                 put(np.ascontiguousarray(cpt, dtype=np.float64).tobytes())
 
     sweep, em_fit, aim_fit, generate = aim.ai_sweep, em.em_fit, aim.aim_fit, cli.generate_dataset
+    fixed_point = likelihoods._fixed_point
+    solver_evals = {"sat": [], "car": []}
+
+    def counted_fixed_point(evaluate, x, tol, max_evals, name, support=None):
+        evals = solver_evals[name[:3]]
+        evals.append(0)
+
+        def counted(x):
+            evals[-1] += 1
+            return evaluate(x)
+
+        return fixed_point(counted, x, tol, max_evals, name, support)
 
     def traced_generate(augmented, n, rng):
         nonlocal datasets
@@ -135,7 +152,11 @@ def main() -> int:
             if i < sizes.lik_datasets:
                 net, data = last["aim"].network, last["data"]
                 value, _, _, gap = likelihoods.SatProfileProblem(net, data).solve(net, tol=1e-8)
-                lr = likelihoods.lr_statistic(net, last["em"].network, data)
+                likelihoods._fixed_point = counted_fixed_point
+                try:
+                    lr = likelihoods.lr_statistic(net, last["em"].network, data)
+                finally:
+                    likelihoods._fixed_point = fixed_point
                 lik_digest.update(repr((value.hex(), gap.hex(), lr.hex())).encode())
     finally:
         aim.ai_sweep, em.em_fit, aim.aim_fit = sweep, em_fit, aim_fit
@@ -145,6 +166,8 @@ def main() -> int:
         f"{lik_digest.hexdigest()}  ({sizes.lik_datasets} lik inputs)",
         f"{data_digest.hexdigest()}  ({datasets} datasets)",
         f"{tree_digest.hexdigest()}  ({i + 1} tree inputs)",
+        "  ".join(f"{name} {' '.join(map(str, evals))}" for name, evals in solver_evals.items())
+        + f"  ({sum(map(sum, solver_evals.values()))} lr map evaluations)",
     ]
     print("\n".join(lines))
     expected = EXPECTED.read_text(encoding="utf-8").splitlines()

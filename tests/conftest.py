@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Dataset
-from coarsebn.errors import DataError
+from coarsebn.errors import DataError, NumericalError
 from coarsebn.inference import (
     BoundDataset,
     CliqueTree,
@@ -13,6 +14,7 @@ from coarsebn.inference import (
     _min_fill_order,
     evidence_indices,
 )
+from coarsebn import likelihoods
 from coarsebn.netformat import read_network
 from coarsebn.aim import LOG_PROB_FLOOR
 from coarsebn.network import Network, NodeSpec, parent_rows, randomize_parameters, unravel_rows
@@ -634,3 +636,28 @@ def random_dag(n, seed, cards=(2, 5), max_parents=3, window=None):
     order = rng.permutation(n)
     net = Network(f"dag{seed}", tuple(specs[i] for i in order), tuple(tables[i] for i in order))
     return randomize_parameters(net, rng)
+
+
+def fixed_point_without_support(evaluate, x, tol, max_evals, name, support=None):
+    """Oracle: the solvers' SQUAREM loop as it ran before the support step,
+    ignoring `support`."""
+    at_x = evaluate(x)
+    evals = 1
+    while not at_x.gap <= tol:
+        if math.isnan(at_x.gap):
+            raise NumericalError(f"{name} reached a NaN gap")
+        if evals + likelihoods._CYCLE_EVALS > max_evals:
+            raise NumericalError(
+                f"{name} stalled at gap {at_x.gap:.3g} > tol {tol:.3g}"
+            )
+        x, at_x, made = likelihoods._squarem_cycle(evaluate, x, at_x, tol)
+        evals += made
+    return x, at_x
+
+
+@contextlib.contextmanager
+def without_support():
+    """Run the sat and car solvers on the oracle loop, with no support step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(likelihoods, "_fixed_point", fixed_point_without_support)
+        yield
