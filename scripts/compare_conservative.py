@@ -47,11 +47,10 @@ def main(argv=None) -> int:
         rng = np.random.default_rng(stable_child_seed(args.seed, d))
         mech = build_coarsening_network(truth, spec, rng)
         data, pct = generate_dataset(mech, args.n, rng)
-        weights = np.array([w for _, w in data.cases])
         for r in range(args.completions):
             crng = np.random.default_rng(stable_child_seed(args.seed, d, r))
             completed = random_completion(truth, data, crng)
-            start_raw, start_counts = ml_estimate(truth, (completed, weights))
+            start_raw, start_counts = ml_estimate(truth, (completed, data.case_weights))
             ce_start = evaluate(truth, smooth(start_raw, start_counts)).ce
             refit = aim_fit(
                 truth,

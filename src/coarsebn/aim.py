@@ -18,7 +18,7 @@ gather as the next sweep.  log(c/zn) is computed at a count c when a fit
 first reads it (`AimState.log_q`), as most counts up to zn are never read.
 
 `ai_sweep` makes the moves of the per-replica definition, float for float,
-per (move set, completion) key.  At the start of a sweep it caches each
+per (pattern, completion) key.  At the start of a sweep it caches each
 row's count terms and queues every occupied key.  It decides the keys in
 replica order from the cached terms, and again only when an accepted move
 has changed a count its decision reads; a move recomputes two states' terms.
@@ -40,6 +40,7 @@ from .data import Dataset
 from .errors import BudgetError, DataError
 from .inference import BoundDataset, MemberTable, bind
 from .network import (
+    ENUM_BUDGET,
     Network,
     cell_probs,
     family_counts,
@@ -88,11 +89,16 @@ class AimState:
     z: int
     zn: int
     rep_case: np.ndarray                 # replica -> case id
-    case_moves: list[list[tuple[int, int]]]  # per case: (stride, card) of missing axes
+    case_pattern: np.ndarray             # case -> pattern id (`Dataset.case_pattern`)
+    moves: list[list[tuple[int, int]]]   # per pattern: (stride, card) of missing axes
     assign: list[int]                    # replica -> flat joint index
     counts: dict[int, int]
     score: float = float("inf")
     _moves: int = 0
+
+    @cached_property
+    def case_moves(self) -> list[list[tuple[int, int]]]:  # per case, its pattern's moves
+        return list(map(self.moves.__getitem__, self.case_pattern.tolist()))
 
     def full_score(self) -> float:
         """KL(P_c || P_theta) from scratch, summed in the counts' order."""
@@ -127,7 +133,7 @@ class LogQ(dict):
 
 class SweepKeys:
     """The states a fit reads, and its moving replicas grouped by key
-    (move set, state).
+    (pattern, state).
 
     Every state a fit reads has a row: `states[r]` is its flat index,
     `cells[r]` its `state_cells` row (built when the row is first read)
@@ -136,15 +142,15 @@ class SweepKeys:
     states the keys read.
 
     A replica's decision reads only the counts at its state and at that
-    state's neighbours under its move set, so replicas of one key decide
-    alike until one of those counts changes.  `readers[r]` lists the keys
-    whose decision reads row r's count, `members[k]` key k's replicas in
-    ascending order, `key_row[k]` the row of its state and `nbr_rows[k]`
-    those of its neighbours.  The keys are grouped from `assign` on the
-    first sweep, so a state assembled by hand and edited before sweeping
-    is grouped as edited; after that `ai_sweep` keeps them in step with
-    the moves it makes, and `add` appends the keys and rows it first
-    reaches.
+    state's neighbours under its pattern's `moves`, so replicas of one key
+    decide alike until one of those counts changes.  `readers[r]` lists the
+    keys whose decision reads row r's count, `members[k]` key k's replicas
+    in ascending order, `key_row[k]` the row of its state and `nbr_rows[k]`
+    those of its neighbours.  The keys are grouped on the first sweep, from
+    `case_pattern[rep_case]` and `assign`, so a state assembled by hand and
+    edited before sweeping is grouped as edited; after that `ai_sweep`
+    keeps them in step with the moves it makes, and `add` appends the keys
+    and rows it first reaches.
 
     `left[r]`, `was[r]` and `arrived[r]` hold row r's count terms T(n-1),
     T(n) and T(n+1), where n is the state's count and T(c) = (c/zn)(log(c/zn)
@@ -156,6 +162,7 @@ class SweepKeys:
 
     def __init__(self, state: AimState):
         self.structure = state.structure
+        self.moves = state.moves
         self.zn = state.zn
         self.log_q = state.log_q
         self.states: list[int] = []
@@ -165,8 +172,7 @@ class SweepKeys:
         self.lp: list[float] = []
         self.readers: list[list[int]] = []
         self.grouped = False
-        self.move_sets: list[tuple] = []          # per id, a case's (stride, card) pairs
-        self.key: list[tuple[int, int]] = []     # per key id, (move set id, state)
+        self.key: list[tuple[int, int]] = []     # per key id, (pattern, state)
         self.of: dict[tuple[int, int], int] = {}
         self.members: list[list[int]] = []
         self.key_row: list[int] = []
@@ -209,23 +215,18 @@ class SweepKeys:
         return self.lp
 
     def group(self, state: AimState) -> None:
-        """Register a key per (move set, state) of the moving replicas."""
-        ids: dict[tuple, int] = {}
-        case_set = np.array(
-            [ids.setdefault(tuple(m), len(ids)) if m else -1 for m in state.case_moves],
-            dtype=np.int64,
-        )
-        self.move_sets = list(ids)
-        rep_set = case_set[state.rep_case]
-        reps = np.flatnonzero(rep_set >= 0)
-        sets = rep_set[reps]
+        """Register a key per (pattern, state) of the moving replicas."""
+        moving = np.array([bool(m) for m in self.moves], dtype=bool)
+        rep_pattern = state.case_pattern[state.rep_case]
+        reps = np.flatnonzero(moving[rep_pattern])
+        pats = rep_pattern[reps]
         xs = np.asarray(state.assign, dtype=np.int64)[reps]
-        order = np.lexsort((xs, sets))      # stable, so replicas ascend within a key
-        reps, sets, xs = reps[order], sets[order], xs[order]
-        starts = np.flatnonzero((np.diff(sets, prepend=-1) != 0) | (np.diff(xs, prepend=-1) != 0))
+        order = np.lexsort((xs, pats))      # stable, so replicas ascend within a key
+        reps, pats, xs = reps[order], pats[order], xs[order]
+        starts = np.flatnonzero((np.diff(pats, prepend=-1) != 0) | (np.diff(xs, prepend=-1) != 0))
         cuts = starts.tolist() + [len(reps)]
         flat = reps.tolist()
-        for m, x, a, b in zip(sets[starts].tolist(), xs[starts].tolist(), cuts, cuts[1:]):
+        for m, x, a, b in zip(pats[starts].tolist(), xs[starts].tolist(), cuts, cuts[1:]):
             self.add(m, x, flat[a:b])
         self.grouped = True
 
@@ -237,7 +238,7 @@ class SweepKeys:
         self.queued.append(False)
         nbrs = [
             self._row_of(x + (s - d) * stride)
-            for stride, card in self.move_sets[m] for d in [(x // stride) % card]
+            for stride, card in self.moves[m] for d in [(x // stride) % card]
             for s in range(card) if s != d
         ]
         self.key_row.append(self._row_of(x))
@@ -278,7 +279,7 @@ def ai_sweep(state: AimState) -> AimState:
     only the count terms of x and y, so its delta is the new terms of both
     minus the old, summed in that order.
 
-    The decisions are made per key (move set, state), in replica order.
+    The decisions are made per key (pattern, state), in replica order.
     `SweepKeys.first_queue` caches the count terms of every row, from the
     rows' log P under the current theta, and queues every occupied key at
     its first replica.  The loop pops the queue in replica order and
@@ -428,7 +429,8 @@ def aim_fit(
 ) -> AimResult:
     """Run the alternating fit until the surrogate improvement drops below tol.
 
-    Case weights must be positive integers (replication needs unit cases).
+    Case weights must be positive integers (replication needs unit cases),
+    and z times their total at most ENUM_BUDGET replicas.
     `data` may come bound already (`inference.bind`), as an experiment run
     binds it once for EM and this fit.  Returns both the raw final
     parameters and their smoothed version, the per-iteration surrogate
@@ -455,6 +457,8 @@ def aim_fit(
             "replication needs positive integer case weights; "
             f"got weight {float(w[bad[0]])!r}"
         )
+    if opts.z * bound.total > ENUM_BUDGET:
+        raise BudgetError(f"{opts.z * bound.total:g} replicas exceed the budget {ENUM_BUDGET}")
     case_pattern = bound.case_pattern  # every weight > 0: indexes `patterns` too
     case_reps = np.round(w).astype(np.int64) * opts.z
     rep_case = np.repeat(np.arange(len(w)), case_reps)
@@ -469,14 +473,9 @@ def aim_fit(
     moves = [[(strides[i], cards[i]) for i, hole in enumerate(h) if hole] for h in holes]
 
     state = AimState(
-        structure=structure,
-        net=structure.with_theta(theta0.theta),
-        z=opts.z,
-        zn=int(case_reps.sum()),
-        rep_case=rep_case,
-        case_moves=list(map(moves.__getitem__, case_pattern.tolist())),
-        assign=assign,
-        counts=counts,
+        structure=structure, net=structure.with_theta(theta0.theta), z=opts.z,
+        zn=int(case_reps.sum()), rep_case=rep_case, case_pattern=case_pattern, moves=moves,
+        assign=assign, counts=counts,
     )
     state.score = state.full_score()
 

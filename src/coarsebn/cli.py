@@ -328,11 +328,9 @@ def _cmd_eval(args) -> int:
         data = read_dataset(args.data)
         if not data.cases:
             raise DataError("total weight must be positive")
-        holes = sum(
-            w * sum(1 for v in pattern if v is None) / len(pattern)
-            for pattern, w in data.cases
-        )
-        pct = fmt17(holes / data.total_weight)
+        holes = np.array([p.count(None) for p in data.distinct])[data.case_pattern]
+        share = data.case_weights * holes / len(data.variables)
+        pct = fmt17(np.cumsum(share)[-1] / data.total_weight)  # added in case order
     print(f"ce {ce:.6g}")
     print(f"mse {mse_val:.6g}")
     if args.out:

@@ -78,17 +78,12 @@ def marginal_bounds(
     if net is not None:
         net.state_index(variable, state)  # validates the label
     col = data.variables.index(variable)
-    known = 0.0
-    missing = 0.0
-    for pattern, w in data.cases:
-        v = pattern[col]
-        if v is None:
-            missing += w
-        elif v == state:
-            known += w
     total = data.total_weight
     if total <= 0:
         raise DataError("total weight must be positive")
+    # per pattern: observed at the state (0), missing (1) or neither; added in case order
+    kind = np.array([0 if p[col] == state else 1 if p[col] is None else 2 for p in data.distinct])
+    known, missing, _ = np.bincount(kind[data.case_pattern], data.case_weights, 3).tolist()
     low = known / total
     high = (known + missing) / total
     return low, high, (low + high) / 2.0

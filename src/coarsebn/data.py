@@ -3,7 +3,8 @@
 A case is a tuple of state labels with None marking a missing value,
 aligned with the dataset's variable header.  Weights are first-class and
 may be fractional, so an exact large-sample pattern distribution can be
-written down directly instead of approximated by sampling.
+written down directly instead of approximated by sampling.  A dataset
+groups its cases into patterns once, and every consumer reads that index.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
+
+import numpy as np
 
 from .errors import DataError, FormatError
 from .network import Assignment
@@ -27,35 +30,44 @@ WEIGHT_COLUMN = "__weight"
 
 @dataclass(frozen=True)
 class Dataset:
-    """Weighted incomplete observations sharing one variable header."""
+    """Weighted incomplete observations sharing one variable header, the
+    one place that decides which cases share a pattern.
+
+    The cases are grouped as they are checked: `distinct` lists the distinct
+    patterns in first-seen order, `case_pattern` each case's index into it
+    and `case_weights` the weights (read-only int64 and float64 arrays);
+    `total_weight` is their fsum.  A malformed dataset names its first
+    offending case, whose width is checked before its weight.
+    """
 
     variables: tuple[str, ...]
     cases: tuple[tuple[CoarsePattern, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(
-            self, "cases", tuple((tuple(p), float(w)) for p, w in self.cases)
-        )
-        if len(set(self.variables)) != len(self.variables):
+        variables = tuple(self.variables)
+        cases = tuple((tuple(p), float(w)) for p, w in self.cases)
+        ids: dict[CoarsePattern, int] = {}
+        case_pattern = np.fromiter((ids.setdefault(p, len(ids)) for p, _ in cases), np.int64)
+        weights = [w for _, w in cases]
+        case_weights = np.array(weights, dtype=np.float64)
+        case_pattern.flags.writeable = case_weights.flags.writeable = False
+        vars(self).update(variables=variables, cases=cases, distinct=list(ids),
+                          case_pattern=case_pattern, case_weights=case_weights)
+        if len(set(variables)) != len(variables):
             raise DataError("duplicate variable names in header")
-        for pattern, w in self.cases:
-            if len(pattern) != len(self.variables):
-                raise DataError(
-                    f"case width {len(pattern)} != header width {len(self.variables)}"
-                )
-            if not math.isfinite(w) or w < 0:
-                raise DataError(f"bad case weight {w!r}")
+        wide = np.array([len(p) != len(variables) for p in ids], dtype=bool)[case_pattern]
+        bad = np.flatnonzero(wide | ~np.isfinite(case_weights) | (case_weights < 0))
+        if len(bad):
+            i = int(bad[0])
+            if wide[i]:
+                raise DataError(f"case width {len(cases[i][0])} != header width {len(variables)}")
+            raise DataError(f"bad case weight {weights[i]!r}")
         try:
-            total = self.total_weight
+            vars(self)["total_weight"] = math.fsum(weights)
         except OverflowError:
             raise DataError("total weight overflows") from None
-        if self.cases and total <= 0:
+        if cases and self.total_weight <= 0:
             raise DataError("total weight must be positive")
-
-    @property
-    def total_weight(self) -> float:
-        return math.fsum(w for _, w in self.cases)
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ def em_fit(
                 ll += w * math.log(p)
             else:
                 excluded += w
-        if excluded >= total_w - 1e-12:
+        if not (p_u > 0.0).any():
             raise ZeroSupportError("every observation has zero probability")
         trace.append((it, ll / total_w if excluded == 0 else float("-inf"), excluded))
         if prev is not None and excluded == prev[1] and ll - prev[0] < opts.tol * total_w:

@@ -1,14 +1,15 @@
 """Exact inference: the pattern table and the clique tree.
 
 Fitters and solvers need, per observation pattern, only the joint states
-that match it, called the pattern's members.  `BoundDataset` is the one
-place that holds a dataset's patterns, and its `table` (a `MemberTable`)
-answers their queries: it enumerates the patterns smallest first while
-their members total at most DENSE_TABLE_BUDGET, and answers every other
-pattern on one clique tree.  DENSE_TABLE_BUDGET is the one member-table
-budget, read by the fitters, the face value and the sat profile.  The sat
-and car profiles need every pattern enumerated (`member_table`); only the
-car normalizer, which never builds the compiled cells, asks for more.
+that match it, called the pattern's members.  A `Dataset` groups its
+cases into patterns; `BoundDataset` binds them to a network, and its
+`table` (a `MemberTable`) answers their queries: it enumerates the
+patterns smallest first while their members total at most
+DENSE_TABLE_BUDGET, and answers every other pattern on one clique tree.
+DENSE_TABLE_BUDGET is the one member-table budget, read by the fitters,
+the face value and the sat profile.  The sat and car profiles need every
+pattern enumerated (`member_table`); only the car normalizer, which never
+builds the compiled cells, asks for more.
 
 A pattern's bound is the one data format every layer reads: an int64 row
 of state indices in node order, -1 where the node is missing or not in
@@ -42,7 +43,6 @@ import itertools
 import math
 import string
 from functools import cached_property
-from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -479,38 +479,35 @@ class MemberTable:
 
 
 class BoundDataset:
-    """A dataset bound once to a network's nodes: the one place that groups
-    cases into patterns, binds them and answers their queries.
+    """A dataset bound once to a network's nodes: the one place that binds
+    its patterns and answers their queries.
 
-    `distinct` lists every distinct pattern in first-seen order and
-    `distinct_rows` their bound rows, bound in one pass, so a malformed
-    case is refused whatever its weight; `case_pattern` gives each case's
-    pattern as an index in that order and `case_weights` each case's
-    weight.  `patterns`, `rows`, `weights` and `sizes` (member counts, as
-    exact ints) keep the patterns of positive weight, in the same order;
-    `total` is the total weight, which must be positive, `m` the positive
-    patterns' shares of it and `entropy` H(m).  `table` answers the
-    patterns' queries, and `member_table` hands out a table that
-    enumerates them all.
+    `distinct`, `case_pattern` and `case_weights` are the dataset's own
+    grouping (`data.Dataset`), shared, not copied.  `distinct_rows` holds
+    the distinct patterns' bound rows, bound in one pass, so a malformed
+    case is refused whatever its weight.  `patterns`, `rows`, `weights`
+    and `sizes` (member counts, as exact ints) keep the patterns of
+    positive weight, in the same order; `total` is the total weight, which
+    must be positive, `m` the positive patterns' shares of it and
+    `entropy` H(m).  `table` answers the patterns' queries, and
+    `member_table` hands out a table that enumerates them all.
     """
 
     def __init__(self, net: Network, data: Dataset):
         self.net = net
         self.data = data
-        ids: dict = {}
-        pattern_id = (ids.setdefault(p, len(ids)) for p, _ in data.cases)
-        self.case_pattern = np.fromiter(pattern_id, np.int64, len(data.cases))
-        self.case_weights = np.fromiter(map(itemgetter(1), data.cases), np.float64, len(data.cases))
-        self.distinct = list(ids)
+        self.distinct = data.distinct
+        self.case_pattern = data.case_pattern
+        self.case_weights = data.case_weights
         self.distinct_rows = _bind(net, data.variables, self.distinct)
-        grouped = np.bincount(self.case_pattern, self.case_weights, len(ids))  # in case order
+        grouped = np.bincount(data.case_pattern, data.case_weights)  # in case order
         live = grouped > 0
         self.patterns = [p for p, keep in zip(self.distinct, live.tolist()) if keep]
         self.rows = self.distinct_rows[live]
         self.weights = grouped[live]
         radix = np.where(self.rows < 0, net.cards, 1)
         self.sizes = [math.prod(r) for r in radix.tolist()]  # no int64 wrap
-        self.total = math.fsum(self.case_weights.tolist())
+        self.total = data.total_weight
         if not self.total > 0:
             raise DataError("total weight must be positive")
         self.m = self.weights / self.total

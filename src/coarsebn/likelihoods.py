@@ -322,9 +322,8 @@ class SatProfileProblem:
             live = mass > 0
             rows = unravel_rows(bound.net, table.uniq[table.loc[sel]][live]).tolist()
             per_pattern[pattern] = dict(zip(map(tuple, rows), mass[live].tolist()))
-        return Completion(
-            tuple(per_pattern.get(pattern, {}) for pattern, _ in bound.data.cases)
-        )
+        dists = [per_pattern.get(pattern, {}) for pattern in bound.distinct]
+        return Completion(tuple(map(dists.__getitem__, bound.case_pattern.tolist())))
 
 
 def exact_sat_profile_loglik(

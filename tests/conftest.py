@@ -304,6 +304,31 @@ def member_table(net, bounds):
     return BoundDataset(net, dataset_of(net, bounds)).member_table(math.inf)
 
 
+def dataset_grouping(variables, cases):
+    """Oracle: a dataset's checks made one case at a time, then its cases
+    grouped with one dict lookup each.  Returns (distinct, case_pattern,
+    case_weights, total_weight) as lists and a float, or raises the error
+    the checks name."""
+    variables = tuple(variables)
+    cases = tuple((tuple(p), float(w)) for p, w in cases)
+    if len(set(variables)) != len(variables):
+        raise DataError("duplicate variable names in header")
+    for pattern, w in cases:
+        if len(pattern) != len(variables):
+            raise DataError(f"case width {len(pattern)} != header width {len(variables)}")
+        if not math.isfinite(w) or w < 0:
+            raise DataError(f"bad case weight {w!r}")
+    try:
+        total = math.fsum(w for _, w in cases)
+    except OverflowError:
+        raise DataError("total weight overflows") from None
+    if cases and total <= 0:
+        raise DataError("total weight must be positive")
+    ids = {}
+    case_pattern = [ids.setdefault(p, len(ids)) for p, _ in cases]
+    return list(ids), case_pattern, [w for _, w in cases], total
+
+
 def grouped(data):
     """Oracle: distinct patterns with accumulated weight, in first-seen order."""
     out = {}

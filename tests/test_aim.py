@@ -213,10 +213,10 @@ def assert_draws_per_pattern(theta0, table, rep_pattern, seed):
 def build_state(structure, theta0, data, z, seed=0):
     """Assemble an AimState the way aim_fit does, for op-level tests."""
     bound = inference.BoundDataset(structure, data)
-    case_bounds = [bind_pattern(structure, data.variables, p) for p, _ in data.cases]
+    pattern_bounds = [bind_pattern(structure, data.variables, p) for p in bound.patterns]
     case_pattern = np.array([bound.patterns.index(p) for p, _ in data.cases], dtype=np.int64)
     reps = [int(round(w)) * z for _, w in data.cases]
-    rep_case = np.repeat(np.arange(len(case_bounds)), reps)
+    rep_case = np.repeat(np.arange(len(data.cases)), reps)
     table = bound.table
     rng = np.random.default_rng(seed)
     assign, _ = initial_completion(theta0, table, case_pattern[rep_case], rng)
@@ -229,13 +229,14 @@ def build_state(structure, theta0, data, z, seed=0):
         z=z,
         zn=len(assign),
         rep_case=rep_case,
-        case_moves=[
+        case_pattern=case_pattern,
+        moves=[
             [
                 (structure.ravel_strides[i], structure.cards[i])
                 for i, v in enumerate(bound)
                 if v is None
             ]
-            for bound in case_bounds
+            for bound in pattern_bounds
         ],
         assign=assign,
         counts=counts,
@@ -606,13 +607,12 @@ class TestSweepWork:
         held = {}
         for j, (c, x) in enumerate(zip(state.rep_case.tolist(), state.assign)):
             if state.case_moves[c]:
-                m = keys.move_sets.index(tuple(state.case_moves[c]))
-                held.setdefault((m, x), []).append(j)
+                held.setdefault((int(state.case_pattern[c]), x), []).append(j)
         assert {key: reps for key, reps in zip(keys.key, keys.members) if reps} == held
         for k, (m, x) in enumerate(keys.key):
             nbrs = [
                 x + (s - d) * stride
-                for stride, card in keys.move_sets[m] for d in [(x // stride) % card]
+                for stride, card in state.moves[m] for d in [(x // stride) % card]
                 for s in range(card) if s != d
             ]
             assert keys.states[keys.key_row[k]] == x
@@ -782,7 +782,12 @@ class TestAimStart:
         data = Dataset(("A", "B"), self.CASES)
         cases = list(data.cases)
         cases[2], cases[3] = (cases[2][0], bad), (cases[3][0], 0.5)
-        object.__setattr__(data, "cases", tuple(cases))  # Dataset refuses -1 itself
+        weights = np.array([w for _, w in cases])
+        weights.flags.writeable = False
+        # Dataset refuses -1 itself, so the cases and the weights read
+        # from them are both rewritten after construction
+        object.__setattr__(data, "cases", tuple(cases))
+        object.__setattr__(data, "case_weights", weights)
         want = f"replication needs positive integer case weights; got weight {bad!r}"
         with pytest.raises(DataError, match=re.escape(want) + "$"):
             aim_fit(basic_net, basic_net, data, AimOptions(z=2, seed=0))

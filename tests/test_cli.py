@@ -425,6 +425,20 @@ class TestLearnAndEval:
         assert "Traceback" not in out.stderr
         assert "tol must be a non-negative number" in out.stderr
 
+    @pytest.mark.parametrize("weight", ["1e13", "1e300"])
+    def test_aim_replicas_over_budget_exit_3(self, tmp_path, weight):
+        # integer weights, so only the replica budget refuses them, before
+        # the replicas are laid out
+        d = tmp_path / "d.csv"
+        d.write_text(f"A,B,__weight\nt,?,{weight}\nf,f,3\n")
+        out = run_cli(
+            "learn", "--method", "aim", "--init", "uniform", "--net-structure", BASIC,
+            "--data", str(d), "--seed", "1", "--out", str(tmp_path / "e.net"),
+        )
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr
+        assert "replicas exceed the budget 1048576" in out.stderr
+
     @pytest.mark.parametrize(
         "row, what",
         [

@@ -9,6 +9,7 @@ from conftest import (
     bind_pattern,
     compatible_assignments,
     completion_distribution,
+    dataset_grouping,
     grouped,
     member_flat_indices,
     ravel,
@@ -381,6 +382,66 @@ class TestDatasetValidation:
     def test_unknown_variable_binding(self, basic_net):
         with pytest.raises(DataError, match="'Z' is not a network node"):
             BoundDataset(basic_net, Dataset(("A", "Z"), ((("t", "t"), 1.0),)))
+
+
+LABELS = st.sampled_from(["t", "f", None])
+# mostly valid weights, so that many lists get through to the grouping;
+# 10**400 is an int too large for a float, 1e308 twice overflows the total
+WEIGHTS = st.sampled_from(
+    [1.0, 2.0, 0.5, 3, 0.0, 1.0, 2.0, 0.5, 3, -0.0, -1.0, math.nan, math.inf, -math.inf,
+     1e308, 10**400]
+)
+CASE_LISTS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(LABELS, LABELS),
+            st.lists(LABELS, min_size=2, max_size=2),
+            st.lists(LABELS, min_size=1, max_size=3),
+        ),
+        WEIGHTS,
+    ),
+    max_size=8,
+)
+
+
+class TestGrouping:
+    """Dataset groups its cases into patterns as it checks them, with the
+    per-case checks' errors, and BoundDataset shares that grouping."""
+
+    @given(cases=CASE_LISTS, header=st.sampled_from([("A", "B"), ("A", "A")]))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_grouping_equals_per_case_oracle(self, cases, header):
+        try:
+            distinct, case_pattern, case_weights, total = dataset_grouping(header, cases)
+        except (DataError, OverflowError) as exc:
+            with pytest.raises(type(exc)) as err:
+                Dataset(header, tuple(cases))
+            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            return
+        data = Dataset(header, tuple(cases))
+        assert data.distinct == distinct
+        assert data.case_pattern.dtype == np.int64
+        assert data.case_pattern.tolist() == case_pattern
+        assert data.case_weights.dtype == np.float64
+        assert [w.hex() for w in data.case_weights.tolist()] == [w.hex() for w in case_weights]
+        assert data.total_weight.hex() == total.hex()
+
+    def test_first_offending_case_named_width_before_weight(self):
+        cases = [(("t", "t"), 1.0), (("t",), -1.0), (("t", "t", "t"), 1.0)]
+        with pytest.raises(DataError, match=r"^case width 1 != header width 2$"):
+            Dataset(("A", "B"), tuple(cases))
+        cases[1] = (("t", "f"), -1.0)
+        with pytest.raises(DataError, match=r"^bad case weight -1.0$"):
+            Dataset(("A", "B"), tuple(cases))
+
+    def test_bound_dataset_shares_the_read_only_grouping(self, basic_net, basic_data):
+        bound = BoundDataset(basic_net, basic_data)
+        for name in ["distinct", "case_pattern", "case_weights"]:
+            assert getattr(bound, name) is getattr(basic_data, name)
+        for arr in [basic_data.case_pattern, basic_data.case_weights]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 CELLS = ["t", "f", "?", " t ", "x", "", '"', "1", "0", "-1", "nan", "inf", "1e308", "1e-320"]

@@ -211,6 +211,16 @@ class TestEmFit:
         with pytest.raises(ZeroSupportError):
             em_fit(basic_net, data, EmOptions(init=dead))
 
+    def test_tiny_total_weight_fits_like_the_unscaled_data(self, basic_net, basic_data):
+        # "every observation has zero probability" is decided from P(U),
+        # with no absolute slack on the excluded weight
+        tiny = Dataset(basic_data.variables, tuple((p, w * 1e-13) for p, w in basic_data.cases))
+        want, got = em_fit(basic_net, basic_data), em_fit(basic_net, tiny)
+        assert got.converged and len(got.trace) == len(want.trace)
+        for (it, ll, excluded), (it0, ll0, excluded0) in zip(got.trace, want.trace):
+            assert it == it0 and excluded == excluded0 == 0.0
+            assert ll == pytest.approx(ll0, abs=1e-9)
+
     def test_converges_with_excluded_weight(self, basic_net):
         # A=f is impossible from the start and stays so; the other ten
         # units still converge, and the trace keeps the exclusion visible
