@@ -20,6 +20,7 @@ from coarsebn.aim import AimOptions, aim_fit
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.conservative import random_completion
 from coarsebn.evaluate import evaluate
+from coarsebn.inference import BoundDataset
 from coarsebn.netformat import read_network
 from coarsebn.network import ml_estimate, smooth
 from coarsebn.util import fixture_path, stable_child_seed
@@ -47,15 +48,16 @@ def main(argv=None) -> int:
         rng = np.random.default_rng(stable_child_seed(args.seed, d))
         mech = build_coarsening_network(truth, spec, rng)
         data, pct = generate_dataset(mech, args.n, rng)
+        bound = BoundDataset(truth, data)
         for r in range(args.completions):
             crng = np.random.default_rng(stable_child_seed(args.seed, d, r))
-            completed = random_completion(truth, data, crng)
-            start_raw, start_counts = ml_estimate(truth, (completed, data.case_weights))
+            completed = random_completion(truth, bound, crng)
+            start_raw, start_counts = ml_estimate(truth, (completed, bound.case_weights))
             ce_start = evaluate(truth, smooth(start_raw, start_counts)).ce
             refit = aim_fit(
                 truth,
                 start_raw,
-                data,
+                bound,
                 AimOptions(z=args.z, seed=stable_child_seed(args.seed, d, r, "aim")),
             )
             ce_refit = evaluate(truth, refit.smoothed).ce

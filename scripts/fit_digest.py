@@ -107,6 +107,7 @@ def main() -> int:
         nonlocal datasets
         data, pct_missing = generate(augmented, n, rng)
         datasets += 1
+        last["data"] = data
         state = rng.bit_generator.state
         data_digest.update(repr((data.cases, pct_missing.hex(), state)).encode())
         return data, pct_missing
@@ -123,7 +124,7 @@ def main() -> int:
         nonlocal fits
         res = em_fit(*args, **kwargs)
         fits += 1
-        last["em"], last["data"] = res, args[1].data
+        last["em"] = res
         put_networks(res)
         put([(it, ll.hex(), ex.hex()) for it, ll, ex in res.trace])
         return res

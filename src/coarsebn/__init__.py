@@ -14,11 +14,6 @@ from .conservative import conservative_ensemble, marginal_bounds, random_complet
 from .data import Completion, Dataset, read_dataset, write_dataset
 from .em import EmOptions, EmResult, em_fit
 from .evaluate import EvalReport, evaluate, kl_decomposed, kl_enumerate, mse
-from .inference import (
-    evidence_probability,
-    full_joint_table,
-    posterior_family_marginals,
-)
 from .likelihoods import (
     LikelihoodReport,
     car_normalizer,

@@ -343,13 +343,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_lik(args) -> int:
+    if args.tol is not None and args.which != "sat":
+        raise UsageError("--tol applies to --which sat only")
     net = _load_net(args.net)
     data = read_dataset(args.data)
     if args.which == "fv":
         rep = face_value_loglik(net, data)
     elif args.which == "sat":  # the value alone: the certificate is never printed
         problem = SatProfileProblem(net, data)
-        value = problem.solve(net, tol=args.tol)[0]
+        value = (problem.solve(net) if args.tol is None else problem.solve(net, tol=args.tol))[0]
         rep = LikelihoodReport("sat_profile", value, value * problem.bound.total)
     elif args.which == "car":
         rep = car_profile_loglik(net, data)
@@ -442,7 +444,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--which", required=True, choices=["fv", "sat", "car", "lr"])
     p.add_argument("--net-car", help="car-side candidate for --which lr")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, help="sat solver tolerance (default 1e-8)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lik)
 

@@ -10,14 +10,13 @@ calibration of the clique tree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ZeroSupportError
-from .inference import BoundDataset, bind
+from .inference import BoundDataset, bind, face_value_sum
 from .network import (
     Network,
     params_from_family_counts,
@@ -96,13 +95,7 @@ def em_fit(
     converged = False
     for it in range(1, opts.max_iters + 1):
         p_u, counts = table.expected_counts(net, weights)
-        ll = 0.0
-        excluded = 0.0
-        for w, p in zip(weights.tolist(), p_u.tolist()):
-            if p > 0.0:
-                ll += w * math.log(p)
-            else:
-                excluded += w
+        ll, excluded = face_value_sum(weights, p_u)
         if not (p_u > 0.0).any():
             raise ZeroSupportError("every observation has zero probability")
         trace.append((it, ll / total_w if excluded == 0 else float("-inf"), excluded))

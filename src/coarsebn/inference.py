@@ -33,7 +33,8 @@ one calibration for all of its tree patterns, the initial draws one
 collect pass per missing node of a tree pattern, and KL evaluation one
 calibration of the truth.
 
-All probabilities are combined in linear space; callers accumulate logs.
+All probabilities are combined in linear space; logs are accumulated by
+the callers and by `face_value_sum`, the face-value log-likelihood sum.
 Elimination orderings come from a deterministic min-fill heuristic with
 lexicographic tie-breaking so results are bit-reproducible across runs."""
 
@@ -59,16 +60,6 @@ from .network import (
 )
 
 DENSE_TABLE_BUDGET = 100_000
-
-
-def evidence_indices(net: Network, evidence: Mapping[str, str]) -> dict[int, int]:
-    """Map {node name: state label} evidence to {node index: state index}."""
-    out = {}
-    for name, label in evidence.items():
-        if name not in net.node_index:
-            raise DataError(f"unknown node {name!r}")
-        out[net.node_index[name]] = net.state_index(name, label)
-    return out
 
 
 def _min_fill_order(
@@ -125,9 +116,7 @@ class CliqueTree:
     components' masses.  So a configuration of probability zero keeps a marginal of
     exactly 0.0.  Every einsum is compiled here, with a leading batch axis
     and axis letters of its own; a clique step of more than EINSUM_OPERANDS
-    inputs is folded into chained steps.  A batch of one bound runs each
-    einsum as an unbatched query would; in a larger batch numpy may order a
-    reduction's sums otherwise, which moves a float by a few ulps at most.
+    inputs is folded into chained steps.
     """
 
     def __init__(self, net: Network):
@@ -231,14 +220,11 @@ class CliqueTree:
 
     def _collect(self, net: Network, bounds: np.ndarray) -> tuple[list, list[np.ndarray]]:
         """The collect pass over one chunk of bounds: every slot so far, and
-        each component's mass per bound.  A batch of one bound leaves the
-        nodes it misses unmasked, with no batch axis."""
-        slots: list = []
-        for cpt, shape, ev, v in zip(net.cpts, self._shapes, self._masks, bounds.T):
-            if len(v) == 1 and v[0] < 0:
-                slots.append(cpt.reshape(shape))
-            else:
-                slots.append((cpt * ev[v][:, None]).reshape(-1, *shape))
+        each component's mass per bound."""
+        slots = [
+            (cpt * ev[v][:, None]).reshape(-1, *shape)
+            for cpt, shape, ev, v in zip(net.cpts, self._shapes, self._masks, bounds.T)
+        ]
         for subs, ins in self._collect_steps:
             slots.append(np.einsum(subs, *[slots[j] for j in ins]))
         return slots, [slots[j].reshape(-1) for j in self._roots]
@@ -305,42 +291,28 @@ def _bind(net: Network, variables: Sequence[str], patterns: list) -> np.ndarray:
     return rows
 
 
-def _evidence_row(net: Network, evidence: Mapping[str, str]) -> np.ndarray:
-    """The evidence as a batch of one bound row."""
-    row = np.full((1, len(net.nodes)), -1, dtype=np.int64)
-    for i, s in evidence_indices(net, evidence).items():
-        row[0, i] = s
-    return row
-
-
-def evidence_probability(net: Network, evidence: Mapping[str, str]) -> float:
+def evidence_probability(net: Network, evidence: Mapping[str, str | None]) -> float:
     """P(X in U) for a missing-value observation: one collect pass.
-    `evidence` holds the observed variables; everything else is summed out."""
-    return float(net.clique_tree.probability(net, _evidence_row(net, evidence))[0])
+    `evidence` holds the observed variables; everything else, and a
+    variable given as None, is summed out."""
+    row = _bind(net, list(evidence), [tuple(evidence.values())])
+    return float(net.clique_tree.probability(net, row)[0])
 
 
 def full_joint_table(net: Network) -> np.ndarray:
-    """Dense joint distribution over all nodes (C order)."""
-    if net.n_assignments > ENUM_BUDGET:
-        raise BudgetError(
-            f"state space {net.n_assignments} exceeds dense budget {ENUM_BUDGET}"
-        )
-    full = np.ones(net.cards)
-    k = len(net.nodes)
-    for i in range(len(net.nodes)):
-        axes = tuple(net.parent_index[i]) + (i,)
-        table = net.cpts[i].reshape(tuple(net.cards[a] for a in axes))
-        order = tuple(np.argsort(axes))
-        table = np.transpose(table, order)
-        shape = [1] * k
-        for ax, size in zip(sorted(axes), table.shape):
-            shape[ax] = size
-        full = full * table.reshape(shape)
-    return full
+    """Dense joint distribution over all nodes (C order): `cell_probs` over
+    every state, in chunks whose cells hold at most ENUM_BUDGET entries."""
+    n = net.n_assignments
+    if n > ENUM_BUDGET:
+        raise BudgetError(f"state space {n} exceeds dense budget {ENUM_BUDGET}")
+    step = ENUM_BUDGET // len(net.nodes)
+    chunks = [np.arange(s, min(s + step, n)) for s in range(0, n, step)]
+    probs = [cell_probs(net, state_cells(net, unravel_rows(net, idx))) for idx in chunks]
+    return np.concatenate(probs).reshape(net.cards)
 
 
 def posterior_family_marginals(
-    net: Network, evidence: Mapping[str, str]
+    net: Network, evidence: Mapping[str, str | None]
 ) -> dict[str, np.ndarray]:
     """P(node, parents | X in U) per node, shaped like that node's CPT.
 
@@ -349,10 +321,24 @@ def posterior_family_marginals(
     One calibration of a clique tree: patterns small enough to enumerate
     take their posteriors from a `MemberTable` instead.
     """
-    p_u, fams = net.clique_tree.calibrate(net, _evidence_row(net, evidence))
+    row = _bind(net, list(evidence), [tuple(evidence.values())])
+    p_u, fams = net.clique_tree.calibrate(net, row)
     if p_u[0] <= 0.0:
         raise ZeroSupportError("evidence has probability zero under the model")
     return {spec.name: fam[0] / p_u[0] for spec, fam in zip(net.nodes, fams)}
+
+
+def face_value_sum(weights: np.ndarray, p_u: np.ndarray) -> tuple[float, float]:
+    """The face-value log-likelihood sum w log P(U) over the patterns with
+    P(U) > 0, added in pattern order, and the weight of the other patterns,
+    which it excludes."""
+    ll = excluded = 0.0
+    for w, p in zip(weights.tolist(), p_u.tolist()):
+        if p > 0.0:
+            ll += w * math.log(p)
+        else:
+            excluded += w
+    return ll, excluded
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +481,6 @@ class BoundDataset:
 
     def __init__(self, net: Network, data: Dataset):
         self.net = net
-        self.data = data
         self.distinct = data.distinct
         self.case_pattern = data.case_pattern
         self.case_weights = data.case_weights

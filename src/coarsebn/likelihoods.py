@@ -53,7 +53,7 @@ import numpy as np
 
 from .data import Completion, CoarsePattern, Dataset
 from .errors import DataError, NumericalError
-from .inference import DENSE_TABLE_BUDGET, BoundDataset, bind
+from .inference import DENSE_TABLE_BUDGET, BoundDataset, bind, face_value_sum
 from .network import Network, unravel_rows
 
 CAR_MEMBER_BUDGET = 4 << 20
@@ -71,12 +71,8 @@ class LikelihoodReport:
 def face_value_loglik(net: Network, data: Dataset | BoundDataset) -> LikelihoodReport:
     """Sum of case weights times log P(X in U); -inf is a value, not an error."""
     bound = bind(net, data)
-    total = 0.0
-    for w, p in zip(bound.weights.tolist(), bound.table.pattern_probs(net).tolist()):
-        if p <= 0.0:
-            total = float("-inf")
-            break
-        total += w * math.log(p)
+    ll, excluded = face_value_sum(bound.weights, bound.table.pattern_probs(net))
+    total = ll if excluded == 0 else float("-inf")
     return LikelihoodReport("face_value", total / bound.total, total)
 
 

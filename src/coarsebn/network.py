@@ -298,7 +298,8 @@ def cell_probs(net: Network, cells: np.ndarray) -> np.ndarray:
     """P(x) of each row of `state_cells`: one gather, then the product of
     the CPT entries each state selects, multiplied in node order (a
     multiply reduction runs in order), so the values match the chain rule
-    and `inference.full_joint_table` bit for bit."""
+    bit for bit.  `inference.full_joint_table` is this product over every
+    state."""
     return net.theta[cells].prod(axis=1)
 
 

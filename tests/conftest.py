@@ -12,7 +12,6 @@ from coarsebn.inference import (
     CliqueTree,
     MemberTable,
     _min_fill_order,
-    evidence_indices,
 )
 from coarsebn import likelihoods
 from coarsebn.netformat import read_network
@@ -505,6 +504,17 @@ def brute_family_posteriors(net, evidence):
 
 
 # Variable elimination, one query at a time: the oracle for the clique tree.
+
+
+def evidence_indices(net, evidence):
+    """Oracle: map {node name: state label} evidence to {node index: state
+    index}, one node at a time."""
+    out = {}
+    for name, label in evidence.items():
+        if name not in net.node_index:
+            raise DataError(f"unknown node {name!r}")
+        out[net.node_index[name]] = net.state_index(name, label)
+    return out
 
 
 def _node_factors(net):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from test_netformat import spliced_networks
 
-from coarsebn import cli
+from coarsebn import cli, likelihoods
 from coarsebn.netformat import read_network
 from coarsebn.util import fixture_path
 
@@ -99,6 +100,33 @@ class TestLikTolerance:
         assert out.returncode == 2
         assert "Traceback" not in out.stderr
         assert "tol must be a non-negative number" in out.stderr
+
+    @pytest.mark.parametrize("which", ["fv", "car", "lr"])
+    @pytest.mark.parametrize("tol", ["1e-6", "nan"])
+    def test_tol_outside_sat_is_usage_error(self, which, tol):
+        out = run_cli(
+            "lik", "--net", BASIC, "--data", COARSE, "--which", which, "--tol", tol
+        )
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert "--tol applies to --which sat only" in out.stderr
+
+    def test_sat_tol_defaults_to_1e_8(self, monkeypatch):
+        tols = []
+        solve = likelihoods.SatProfileProblem.solve
+
+        def recorded(problem, *args, **kwargs):
+            call = inspect.signature(solve).bind(problem, *args, **kwargs)
+            call.apply_defaults()
+            tols.append(call.arguments["tol"])
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(likelihoods.SatProfileProblem, "solve", recorded)
+        argv = ["lik", "--net", BASIC, "--data", COARSE, "--which", "sat"]
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+            assert cli.main(argv + ["--tol", "1e-6"]) == 0
+        assert tols == [1e-8, 1e-6]
 
 
 class TestLikEmptyData:

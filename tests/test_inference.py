@@ -12,6 +12,7 @@ from conftest import (
     brute_evidence_probability,
     brute_family_posteriors,
     dataset_of,
+    evidence_indices,
     grouped,
     joint_marginal,
     joint_probability,
@@ -103,6 +104,18 @@ class TestEvidenceProbability:
         with pytest.raises(DataError):
             evidence_probability(basic_net, {"A": "zzz"})
 
+    @pytest.mark.parametrize("query", [evidence_probability, posterior_family_marginals])
+    def test_unknown_node_is_named(self, basic_net, query):
+        with pytest.raises(DataError, match="'Z'"):
+            query(basic_net, {"A": "t", "Z": "t"})
+
+    def test_none_is_unobserved(self, basic_net):
+        both, b_only = {"A": None, "B": "t"}, {"B": "t"}
+        assert evidence_probability(basic_net, both) == evidence_probability(basic_net, b_only)
+        got = posterior_family_marginals(basic_net, both)
+        want = posterior_family_marginals(basic_net, b_only)
+        assert all(got[n].tobytes() == want[n].tobytes() for n in want)
+
 
 class TestPosteriorFamilyMarginals:
     def test_fully_observed_point_mass(self, asia_net):
@@ -152,6 +165,24 @@ class TestPosteriorFamilyMarginals:
         # truth makes either='no' impossible with tub='yes'
         with pytest.raises(ZeroSupportError):
             posterior_family_marginals(asia_net, {"tub": "yes", "either": "no"})
+
+
+class TestFullJointTable:
+    def test_chunks_give_the_same_floats(self, asia_net, monkeypatch):
+        # 256 states of 8 nodes: chunks of 256 // 8 = 32 states
+        whole = full_joint_table(asia_net)
+        sizes = []
+        cell_probs = inference.cell_probs
+
+        def counted(net, cells):
+            sizes.append(cells.size)
+            return cell_probs(net, cells)
+
+        monkeypatch.setattr(inference, "cell_probs", counted)
+        monkeypatch.setattr(inference, "ENUM_BUDGET", 256)
+        chunked = full_joint_table(asia_net)
+        assert sizes == [32 * 8] * 8
+        assert chunked.shape == whole.shape and chunked.tobytes() == whole.tobytes()
 
 
 class TestJointMarginal:
@@ -238,7 +269,7 @@ class TestCliqueTree:
     def test_zero_support_in_expected_counts(self, asia_net):
         # either is tub OR lung in the truth: tub=yes, either=no is impossible
         # (posterior_family_marginals raises on it: test_zero_evidence_raises)
-        ev = inference.evidence_indices(asia_net, {"tub": "yes", "either": "no"})
+        ev = evidence_indices(asia_net, {"tub": "yes", "either": "no"})
         bound = tuple(ev.get(i) for i in range(len(asia_net.nodes)))
         p_u, counts = tree_table(asia_net, [bound]).expected_counts(asia_net, np.ones(1))
         assert p_u.tolist() == [0.0]

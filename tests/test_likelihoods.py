@@ -139,7 +139,8 @@ def mask_certificate(problem, w):
         per_pattern[pattern] = {
             unravel(bound.net, int(r)): float(v) for r, v in zip(states, mass) if v > 0
         }
-    return Completion(tuple(per_pattern.get(p, {}) for p, _ in bound.data.cases))
+    cases = [bound.distinct[j] for j in bound.case_pattern.tolist()]
+    return Completion(tuple(per_pattern.get(p, {}) for p in cases))
 
 
 @pytest.fixture(scope="module")

@@ -240,7 +240,7 @@ class TestResets:
 @pytest.fixture(scope="module")
 def lik_inputs():
     """The lik_reports inputs of perfbench: (AIM network, EM network,
-    dataset) of the first `Sizes.lik_datasets` asia_rows runs."""
+    bound dataset) of the first `Sizes.lik_datasets` asia_rows runs."""
     sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
     try:
         import workloads
@@ -253,7 +253,7 @@ def lik_inputs():
         def kept(*args, **kwargs):
             last[key] = fit(*args, **kwargs)
             if key == "em":
-                last["data"] = args[1].data
+                last["data"] = args[1]
             return last[key]
 
         return kept
