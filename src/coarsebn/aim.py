@@ -46,9 +46,9 @@ from .network import (
     family_counts,
     params_from_family_counts,
     smooth,
+    start_network,
     state_cells,
     unravel_rows,
-    validate_network,
 )
 from .util import check_int
 
@@ -429,6 +429,7 @@ def aim_fit(
 ) -> AimResult:
     """Run the alternating fit until the surrogate improvement drops below tol.
 
+    theta0 must be valid and on the structure's nodes (`start_network`).
     Case weights must be positive integers (replication needs unit cases),
     and z times their total at most ENUM_BUDGET replicas.
     `data` may come bound already (`inference.bind`), as an experiment run
@@ -443,9 +444,7 @@ def aim_fit(
         raise DataError(f"tol must be a non-negative number; got {opts.tol!r}")
     if opts.seed is not None:
         check_int("seed", opts.seed, 0)
-    diags = validate_network(theta0)
-    if diags:
-        raise DataError("theta0 invalid: " + "; ".join(diags))
+    theta0 = start_network(structure, theta0)
     if structure.n_assignments >= 1 << 62:
         raise BudgetError("joint space too large to index")
 
@@ -473,7 +472,7 @@ def aim_fit(
     moves = [[(strides[i], cards[i]) for i, hole in enumerate(h) if hole] for h in holes]
 
     state = AimState(
-        structure=structure, net=structure.with_theta(theta0.theta), z=opts.z,
+        structure=structure, net=theta0, z=opts.z,
         zn=int(case_reps.sum()), rep_case=rep_case, case_pattern=case_pattern, moves=moves,
         assign=assign, counts=counts,
     )

@@ -32,12 +32,7 @@ from .likelihoods import (
     lr_statistic,
 )
 from .netformat import read_network, write_network
-from .network import (
-    Network,
-    randomize_parameters,
-    smooth,
-    validate_network,
-)
+from .network import Network, randomize_parameters, smooth
 from .util import check_int, fmt17, stable_child_seed
 
 EXPERIMENT_HEADER = [
@@ -65,14 +60,6 @@ def _seed(text: str) -> int:
     if not text.isdigit():
         raise argparse.ArgumentTypeError(f"seed must be a non-negative integer; got {text!r}")
     return int(text)
-
-
-def _load_net(path: str) -> Network:
-    net = read_network(path)
-    diags = validate_network(net)
-    if diags:
-        raise FormatError(f"{path}: " + "; ".join(diags))
-    return net
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +165,7 @@ def write_experiment_csv(path: str, rows: list[dict]) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    net = _load_net(args.net)
+    net = read_network(args.net)
     spec = CoarseningSpec.parse(args.coarsening)
     rng = np.random.default_rng(args.seed)
     mech = build_coarsening_network(net, spec, rng)
@@ -192,7 +179,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_randomize(args) -> int:
-    net = _load_net(args.net)
+    net = read_network(args.net)
     rng = np.random.default_rng(args.seed)
     write_network(randomize_parameters(net, rng), args.out)
     return 0
@@ -243,19 +230,23 @@ def _read_counts(path: str, net: Network) -> list[np.ndarray]:
 
 
 def _cmd_learn(args) -> int:
-    structure = _load_net(args.net_structure)
-    data = read_dataset(args.data)
-
-    if args.init == "em" and args.method != "aim":
+    init = args.init
+    if init is None:  # aim starts from the EM estimate
+        init = "em" if args.method == "aim" else "uniform"
+    if init == "em" and args.method != "aim":
         raise UsageError("--init em is only meaningful for --method aim")
-    init = _load_net(args.init[4:]) if args.init.startswith("net:") else args.init
+    if args.method == "conservative" and (args.counts_out or args.unsmoothed):
+        raise UsageError("--counts-out and --unsmoothed apply to --method em and aim only")
+    structure = read_network(args.net_structure)
+    data = read_dataset(args.data)
+    init = read_network(init[4:]) if init.startswith("net:") else init
 
     if args.method == "conservative":
         res = conservative_ensemble(structure, data, args.restarts, args.seed)
         # Midpoints of the envelope, renormalized into valid rows (exact
         # already for binary rows).
         cpts = [mid / mid.sum(axis=1, keepdims=True) for mid in res.midpoint]
-        write_network(structure.with_cpts(cpts), args.out)
+        write_network(Network(structure.name, structure.nodes, cpts), args.out)
         if args.trace:
             _write_csv(
                 args.trace,
@@ -310,7 +301,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    truth = _load_net(args.truth)
+    truth = read_network(args.truth)
     estimate = read_network(args.estimate)
     if args.counts:
         counts = _read_counts(args.counts, estimate)
@@ -345,7 +336,9 @@ def _cmd_eval(args) -> int:
 def _cmd_lik(args) -> int:
     if args.tol is not None and args.which != "sat":
         raise UsageError("--tol applies to --which sat only")
-    net = _load_net(args.net)
+    if args.net_car is not None and args.which != "lr":
+        raise UsageError("--net-car applies to --which lr only")
+    net = read_network(args.net)
     data = read_dataset(args.data)
     if args.which == "fv":
         rep = face_value_loglik(net, data)
@@ -356,7 +349,7 @@ def _cmd_lik(args) -> int:
     elif args.which == "car":
         rep = car_profile_loglik(net, data)
     elif args.which == "lr":
-        other = _load_net(args.net_car) if args.net_car else net
+        other = read_network(args.net_car) if args.net_car else net
         stat = lr_statistic(net, other, data)
         print(f"lr_statistic {stat:.6g}")
         return 0
@@ -375,7 +368,7 @@ def _cmd_lik(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    net = _load_net(args.net)
+    net = read_network(args.net)
     if args.coarsening is None and args.mechanism is None:
         raise UsageError("provide --coarsening mp:mu:sigma or --mechanism M.net")
     cfg = ExperimentConfig(
@@ -385,7 +378,7 @@ def _cmd_experiment(args) -> int:
         z=args.z,
         runs=args.runs,
         seed=args.seed,
-        mechanism=_load_net(args.mechanism) if args.mechanism else None,
+        mechanism=read_network(args.mechanism) if args.mechanism else None,
     )
     rows, failures = run_experiment(cfg)
     write_experiment_csv(args.out, rows)
@@ -472,9 +465,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # Per-method default init: aim starts from the EM estimate.
-        if getattr(args, "init", None) is None and getattr(args, "method", None):
-            args.init = "em" if args.method == "aim" else "uniform"
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

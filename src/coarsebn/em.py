@@ -22,8 +22,8 @@ from .network import (
     params_from_family_counts,
     randomize_parameters,
     smooth,
+    start_network,
     uniform_cpts,
-    validate_network,
 )
 from .util import check_int
 
@@ -51,12 +51,7 @@ class EmResult:
 
 def _init_network(structure: Network, opts: EmOptions) -> Network:
     if isinstance(opts.init, Network):
-        diags = validate_network(opts.init)
-        if diags:
-            raise DataError("initial network invalid: " + "; ".join(diags))
-        if opts.init.nodes != structure.nodes:
-            raise DataError("initial network does not match the structure")
-        return structure.with_theta(opts.init.theta)
+        return start_network(structure, opts.init)
     if opts.init == "uniform":
         return uniform_cpts(structure)
     if opts.init == "random":

@@ -116,7 +116,6 @@ def parse_network(text: str) -> Network:
     shell = Network(name, tuple(specs), tuple(np.ones((1, len(states[n]))) for n in order))
     # Shapes above are placeholders; rebuild the real tables from cpt lines.
     filled = {n: np.full((r, len(states[n])), np.nan) for n, r in zip(order, shell.n_rows)}
-    seen_rows: dict[str, set[int]] = {n: set() for n in order}
 
     for lineno, node_name, config, row in cpt_lines:
         i = shell.node_index[node_name]
@@ -143,11 +142,8 @@ def parse_network(text: str) -> Network:
         total = math.fsum(row)
         if abs(total - 1.0) > ROW_PARSE_TOL:
             raise FormatError(f"line {lineno}: row sum {total:.9g} != 1")
-        if ridx in seen_rows[node_name]:
-            raise FormatError(
-                f"line {lineno}: duplicate cpt row for {node_name!r}"
-            )
-        seen_rows[node_name].add(ridx)
+        if not np.isnan(filled[node_name][ridx, 0]):  # filled rows are finite
+            raise FormatError(f"line {lineno}: duplicate cpt row for {node_name!r}")
         arr = np.asarray(row, dtype=np.float64)
         if abs(total - 1.0) > 1e-12:
             arr = arr / total

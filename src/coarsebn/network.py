@@ -7,7 +7,9 @@ one column per node state, of which `cpts[i]` is a read-only 2-D view.
 Parent configurations are enumerated in mixed-radix order with the last
 declared parent varying fastest, which fixes the row order bit-exactly for
 the file format.  Refits, smoothing and the row checks each make one pass
-over theta, a cardinality at a time.
+over theta, a cardinality at a time.  Parameters are set by the
+constructor (per-node tables) or by `Network.with_theta` (a flat vector),
+and both fitters check their start network in `start_network`.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class Network:
 
     # ------------------------------------------------------------------
     # structure lookups (cached; the instance is immutable).  Each depends on
-    # the nodes alone, so `with_cpts` hands the ones computed so far on.
+    # the nodes alone, so `with_theta` hands the ones computed so far on.
 
     @cached_property
     def node_index(self) -> dict[str, int]:
@@ -144,20 +146,10 @@ class Network:
     @cached_property
     def topo_order(self) -> tuple[int, ...]:
         """Topological order of node indices, stable by declaration order."""
-        remaining = set(range(len(self.nodes)))
-        placed: set[int] = set()
-        order: list[int] = []
-        while remaining:
-            progress = False
-            for i in range(len(self.nodes)):
-                if i in remaining and all(p in placed for p in self.parent_index[i]):
-                    order.append(i)
-                    placed.add(i)
-                    remaining.discard(i)
-                    progress = True
-            if not progress:
-                raise DataError(f"network {self.name!r}: parent relation has a cycle")
-        return tuple(order)
+        order, unplaced = _placement(self.parent_index)
+        if unplaced:
+            raise DataError(f"network {self.name!r}: parent relation has a cycle")
+        return order
 
     # ------------------------------------------------------------------
 
@@ -172,11 +164,6 @@ class Network:
                 f"state {label!r} not in the domain of node {node!r}"
             ) from None
 
-    def with_cpts(self, cpts: Sequence[np.ndarray]) -> "Network":
-        out = Network(self.name, self.nodes, tuple(cpts))
-        out.__dict__.update({k: v for k, v in vars(self).items() if k in _STRUCTURE_LOOKUPS})
-        return out
-
     def with_theta(self, theta: np.ndarray) -> "Network":
         """This structure with parameters theta (copied), laid out as
         `theta` is: no table is copied on its own."""
@@ -189,10 +176,25 @@ class Network:
         return out
 
 
-_STRUCTURE_LOOKUPS = frozenset(
+_KEPT = frozenset(
     k for k, v in vars(Network).items() if isinstance(v, cached_property)
-)
-_KEPT = _STRUCTURE_LOOKUPS | {"name", "nodes"}
+) | {"name", "nodes"}
+
+
+def _placement(parents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list[int]]:
+    """Nodes placed in passes over declaration order, each once its parent
+    indices are, so one placed early in a pass frees later ones in it; and
+    the nodes left unplaced, those on or below a cycle."""
+    placed = [False] * len(parents)
+    order: list[int] = []
+    progress = True
+    while progress:
+        progress = False
+        for i, ps in enumerate(parents):
+            if not placed[i] and all(placed[p] for p in ps):
+                placed[i] = progress = True
+                order.append(i)
+    return tuple(order), [i for i, done in enumerate(placed) if not done]
 
 
 def validate_network(net: Network) -> list[str]:
@@ -208,33 +210,23 @@ def validate_network(net: Network) -> list[str]:
         if len(set(spec.states)) != len(spec.states):
             diags.append(f"node {spec.name}: duplicate state labels")
         for p in spec.parents:
-            if p not in seen and p not in {s.name for s in net.nodes}:
+            if p not in net.node_index:
                 diags.append(f"node {spec.name}: unknown parent {p!r}")
         if spec.name in spec.parents:
             diags.append(f"node {spec.name}: is its own parent")
         if len(set(spec.parents)) != len(spec.parents):
             diags.append(f"node {spec.name}: duplicate parents")
 
-    # Acyclicity via Kahn's algorithm on whatever edges resolved.
-    names = {s.name for s in net.nodes}
-    pending = {
-        s.name: {p for p in s.parents if p in names and p != s.name}
-        for s in net.nodes
-    }
-    while pending:
-        free = sorted(n for n, ps in pending.items() if not ps)
-        if not free:
-            diags.append("parent relation has a cycle among: " + ", ".join(sorted(pending)))
-            break
-        for n in free:
-            del pending[n]
-        for ps in pending.values():
-            ps.difference_update(free)
+    # Acyclicity on whatever edges resolved; of duplicate names the last
+    # declaration stands, as in `node_index`.
+    idx = net.node_index
+    edges = [[idx[p] for p in s.parents if p in idx and p != s.name] for s in net.nodes]
+    cyclic = [net.nodes[i].name for i in _placement(edges)[1] if idx[net.nodes[i].name] == i]
+    if cyclic:
+        diags.append("parent relation has a cycle among: " + ", ".join(sorted(cyclic)))
 
     if len(net.cpts) != len(net.nodes):
-        diags.append(
-            f"{len(net.cpts)} CPTs for {len(net.nodes)} nodes"
-        )
+        diags.append(f"{len(net.cpts)} CPTs for {len(net.nodes)} nodes")
         return diags
     if diags and any(
         "cycle" in d or "unknown parent" in d or "duplicate node" in d for d in diags
@@ -330,12 +322,24 @@ def sample(net: Network, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def randomize_parameters(net: Network, rng: np.random.Generator) -> Network:
-    """Replace every CPT row by normalized independent uniform(0,1) draws."""
-    cpts = []
-    for i in range(len(net.nodes)):
-        raw = rng.uniform(size=net.cpts[i].shape)
-        cpts.append(raw / raw.sum(axis=1, keepdims=True))
-    return net.with_cpts(cpts)
+    """Replace every CPT row by normalized independent uniform(0,1) draws,
+    one draw per entry of theta in its order."""
+    theta = rng.uniform(size=len(net.theta))
+    for _, cells in net.card_rows.values():
+        table = theta[cells]
+        theta[cells] = table / table.sum(axis=1, keepdims=True)
+    return net.with_theta(theta)
+
+
+def start_network(structure: Network, net: Network) -> Network:
+    """A fit's start: `net`, checked valid and of this structure's nodes,
+    with the structure's lookups and net's parameters."""
+    diags = validate_network(net)
+    if diags:
+        raise DataError("initial network invalid: " + "; ".join(diags))
+    if net.nodes != structure.nodes:
+        raise DataError("initial network does not match the structure")
+    return structure.with_theta(net.theta)
 
 
 def uniform_cpts(structure: Network) -> Network:

@@ -163,6 +163,55 @@ def per_node_kl(truth, estimate):
     return total
 
 
+def with_tables(net, cpts):
+    """`net`'s structure with the per-node tables `cpts`, by the constructor."""
+    return Network(net.name, net.nodes, tuple(cpts))
+
+
+def per_node_randomize(net, rng):
+    """Oracle: `randomize_parameters` as one uniform draw per node's table,
+    each row then divided by its sum."""
+    raw = [rng.uniform(size=net.cpts[i].shape) for i in range(len(net.nodes))]
+    return with_tables(net, [r / r.sum(axis=1, keepdims=True) for r in raw])
+
+
+def declaration_pass_order(net):
+    """Oracle: `Network.topo_order` as its own loop placed the nodes:
+    repeated passes in declaration order, DataError once a pass places none."""
+    remaining = set(range(len(net.nodes)))
+    placed: set[int] = set()
+    order: list[int] = []
+    while remaining:
+        progress = False
+        for i in range(len(net.nodes)):
+            if i in remaining and all(p in placed for p in net.parent_index[i]):
+                order.append(i)
+                placed.add(i)
+                remaining.discard(i)
+                progress = True
+        if not progress:
+            raise DataError(f"network {net.name!r}: parent relation has a cycle")
+    return tuple(order)
+
+
+def kahn_cycle_diags(net):
+    """Oracle: `validate_network`'s acyclicity diagnostic as Kahn's loop
+    wrote it, keyed by node name, on the edges to known other nodes."""
+    names = {s.name for s in net.nodes}
+    pending = {
+        s.name: {p for p in s.parents if p in names and p != s.name} for s in net.nodes
+    }
+    while pending:
+        free = sorted(n for n, ps in pending.items() if not ps)
+        if not free:
+            return ["parent relation has a cycle among: " + ", ".join(sorted(pending))]
+        for n in free:
+            del pending[n]
+        for ps in pending.values():
+            ps.difference_update(free)
+    return []
+
+
 def per_node_sample(net, n, rng):
     """Oracle: ancestral sampling with one `rng.random(n)` per node in
     topological order, each sample comparing its draw with the cumulative

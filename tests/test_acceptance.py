@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_evidence_probability
+from conftest import brute_evidence_probability, with_tables
 from coarsebn.aim import AimOptions, aim_fit
 from coarsebn.cli import ExperimentConfig, run_experiment
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
@@ -105,8 +105,8 @@ def test_criterion_3_conservative_bounds(basic_data):
 
 
 def test_criterion_4_theoretical_ce_gap(basic_net):
-    theta1 = basic_net.with_cpts(
-        [np.array([[0.5, 0.5]]), np.array([[0.15 / 0.55, 0.4 / 0.55]])]
+    theta1 = with_tables(
+        basic_net, [np.array([[0.5, 0.5]]), np.array([[0.15 / 0.55, 0.4 / 0.55]])]
     )
     ce1 = kl_enumerate(basic_net, theta1)
     ce0 = kl_enumerate(basic_net, basic_net)

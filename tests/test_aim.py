@@ -21,6 +21,7 @@ from conftest import (
     ravel,
     tuple_bounds,
     unravel,
+    with_tables,
 )
 from coarsebn import aim, inference
 from coarsebn.aim import (
@@ -175,8 +176,8 @@ class TestIncrementalKlDelta:
     def test_floor_keeps_impossible_states_unattractive(self, basic_net):
         # moving into a zero-probability state costs ~log(1e-300), a finite
         # penalty: log P is floored, not -inf
-        dead = basic_net.with_cpts(
-            [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])]
+        dead = with_tables(
+            basic_net, [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])]
         )
         idx = [ravel(basic_net, x) for x in [(0, 0), (0, 1), (1, 0), (1, 1)]]
         floored = [
@@ -225,7 +226,7 @@ def build_state(structure, theta0, data, z, seed=0):
         counts[r] = counts.get(r, 0) + 1
     state = AimState(
         structure=structure,
-        net=structure.with_cpts(theta0.cpts),
+        net=structure.with_theta(theta0.theta),
         z=z,
         zn=len(assign),
         rep_case=rep_case,
@@ -499,7 +500,7 @@ class TestSweepWork:
             for k in table.on_tree
             for x in member_flat_indices(asia_net, bounds[k]).tolist()
         }
-        state.net = asia_net.with_cpts(state.net.cpts)  # the same theta, not yet read
+        state.net = asia_net.with_theta(state.net.theta)  # the same theta, not yet read
         gathers = self.record_gathers(monkeypatch)
         built = []
         monkeypatch.setattr(aim, "state_cells", lambda *args: built.append(args))
@@ -679,7 +680,7 @@ class TestInitialCompletion:
         assert a == b
 
     def test_zero_evidence_falls_back_to_uniform(self, basic_net):
-        dead = basic_net.with_cpts([np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])])
+        dead = with_tables(basic_net, [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])])
         reps = [(1, None)] * 4  # A=f impossible under dead theta
         comp, fb = seed_completion(dead, reps, seed=0)
         assert sorted(fb) == [0, 1, 2, 3]
@@ -687,7 +688,7 @@ class TestInitialCompletion:
 
     def test_zero_evidence_falls_back_on_elimination_path(self, basic_net, monkeypatch):
         monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", 0)
-        dead = basic_net.with_cpts([np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])])
+        dead = with_tables(basic_net, [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])])
         reps = [(1, None)] * 4 + [(0, None)] * 2
         comp, fb = seed_completion(dead, reps, seed=0)
         assert sorted(fb) == [0, 1, 2, 3]

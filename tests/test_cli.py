@@ -111,6 +111,12 @@ class TestLikTolerance:
         assert "Traceback" not in out.stderr
         assert "--tol applies to --which sat only" in out.stderr
 
+    @pytest.mark.parametrize("which", ["fv", "sat", "car"])
+    def test_net_car_outside_lr_is_usage_error(self, which, capsys):
+        argv = ["lik", "--net", BASIC, "--data", COARSE, "--which", which, "--net-car", BASIC]
+        assert cli.main(argv) == 1
+        assert "--net-car applies to --which lr only" in capsys.readouterr().err
+
     def test_sat_tol_defaults_to_1e_8(self, monkeypatch):
         tols = []
         solve = likelihoods.SatProfileProblem.solve
@@ -385,6 +391,15 @@ class TestLearnAndEval:
             assert out.returncode == 0, out.stderr
             assert read_network(est) is not None
 
+
+    @pytest.mark.parametrize("flag", ["--counts-out", "--unsmoothed"])
+    def test_conservative_raw_estimate_flag_is_usage_error(self, tmp_path, capsys, flag):
+        counts, out = tmp_path / "counts.csv", tmp_path / "c.net"
+        argv = ["learn", "--net-structure", BASIC, "--data", COARSE, "--method",
+                "conservative", "--seed", "1", "--out", str(out)]
+        assert cli.main(argv + ([flag, str(counts)] if flag == "--counts-out" else [flag])) == 1
+        assert "apply to --method em and aim only" in capsys.readouterr().err
+        assert not counts.exists() and not out.exists()
 
     def test_aim_random_init_deterministic(self, tmp_path):
         d = tmp_path / "d.csv"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import asia_data, bind_pattern, grouped, tree_table
+from conftest import asia_data, bind_pattern, grouped, tree_table, with_tables
 
 from coarsebn import inference
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
@@ -42,8 +42,8 @@ class TestEmFit:
     def test_closed_form_optimum_is_fixed_point(self, basic_net, basic_data):
         # theta_B = 0.15/0.55 maximizes 0.15 log t + 0.4 log(1-t); one EM
         # pass from it must stay put
-        theta_star = basic_net.with_cpts(
-            [np.array([[0.5, 0.5]]), np.array([[0.15 / 0.55, 0.4 / 0.55]])]
+        theta_star = with_tables(
+            basic_net, [np.array([[0.5, 0.5]]), np.array([[0.15 / 0.55, 0.4 / 0.55]])]
         )
         res = em_fit(basic_net, basic_data, EmOptions(init=theta_star, max_iters=2))
         assert res.network.cpts[1][0, 0] == pytest.approx(0.15 / 0.55, abs=1e-6)
@@ -129,7 +129,7 @@ class TestEmFit:
 
         cpts = list(randomize_parameters(asia_net, np.random.default_rng(3)).cpts)
         cpts[asia_net.node_index["either"]] = asia_net.cpts[asia_net.node_index["either"]]
-        net = asia_net.with_cpts(cpts)
+        net = with_tables(asia_net, cpts)
         names = tuple(s.name for s in asia_net.nodes)
         patterns = [
             (None, "yes", None, None, None, "no", None, None),
@@ -204,8 +204,8 @@ class TestEmFit:
             assert np.max(np.abs(a - b)) < 0.02
 
     def test_all_zero_evidence_raises(self, basic_net):
-        dead = basic_net.with_cpts(
-            [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])]
+        dead = with_tables(
+            basic_net, [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])]
         )
         data = Dataset(("A", "B"), ((("f", "f"), 1.0),))
         with pytest.raises(ZeroSupportError):
@@ -224,7 +224,7 @@ class TestEmFit:
     def test_converges_with_excluded_weight(self, basic_net):
         # A=f is impossible from the start and stays so; the other ten
         # units still converge, and the trace keeps the exclusion visible
-        init = basic_net.with_cpts([np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])])
+        init = with_tables(basic_net, [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])])
         data = Dataset(
             ("A", "B"),
             (

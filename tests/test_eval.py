@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import with_tables
 from coarsebn.errors import DataError
 from coarsebn.evaluate import evaluate, kl_decomposed, kl_enumerate, mse
 from coarsebn.network import randomize_parameters, smooth, uniform_cpts
@@ -11,8 +12,8 @@ THETA1_B = 0.15 / 0.55
 
 
 def theta1_net(basic_net):
-    return basic_net.with_cpts(
-        [np.array([[0.5, 0.5]]), np.array([[THETA1_B, 1 - THETA1_B]])]
+    return with_tables(
+        basic_net, [np.array([[0.5, 0.5]]), np.array([[THETA1_B, 1 - THETA1_B]])]
     )
 
 
@@ -31,8 +32,8 @@ class TestKlEnumerate:
         assert got == pytest.approx(0.0142, abs=5e-4)
 
     def test_truth_mass_on_estimate_zero_is_inf(self, basic_net):
-        dead = basic_net.with_cpts(
-            [np.array([[1.0, 0.0]]), basic_net.cpts[1]]
+        dead = with_tables(
+            basic_net, [np.array([[1.0, 0.0]]), basic_net.cpts[1]]
         )
         assert kl_enumerate(basic_net, dead) == math.inf
 

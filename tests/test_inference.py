@@ -27,6 +27,7 @@ from conftest import (
     tuple_bounds,
     ve_evidence_probability,
     ve_family_posteriors,
+    with_tables,
 )
 from coarsebn import inference
 from coarsebn.aim import AimOptions, aim_fit, initial_completion
@@ -286,7 +287,7 @@ class TestCliqueTree:
         _, fams = CliqueTree(truth).calibrate(truth, np.full((1, 3), -1))
         assert fams[2][0].sum(axis=1)[2:].tolist() == [0.0, 0.0]
         # the estimate's zero sits in a row the truth never reaches
-        estimate = truth.with_cpts(truth.cpts[:2] + (np.array(c_rows[:2] + [[1.0, 0.0]] * 2),))
+        estimate = with_tables(truth, truth.cpts[:2] + (np.array(c_rows[:2] + [[1.0, 0.0]] * 2),))
         assert kl_decomposed(truth, estimate) == pytest.approx(
             kl_enumerate(truth, estimate), abs=1e-15
         )

@@ -12,6 +12,7 @@ from conftest import (
     n_members,
     rows_of,
     unravel,
+    with_tables,
 )
 from coarsebn import inference, likelihoods
 from coarsebn.aim import AimOptions, aim_fit
@@ -34,11 +35,8 @@ THETA1 = (0.5, 0.15 / 0.55)  # face-value optimum of the fixture data
 
 
 def net_theta(basic_net, theta_a, theta_b):
-    return basic_net.with_cpts(
-        [
-            np.array([[theta_a, 1 - theta_a]]),
-            np.array([[theta_b, 1 - theta_b]]),
-        ]
+    return with_tables(
+        basic_net, [np.array([[theta_a, 1 - theta_a]]), np.array([[theta_b, 1 - theta_b]])]
     )
 
 
@@ -300,7 +298,7 @@ class TestFaceValue:
         aug = build_coarsening_network(asia_net, CoarseningSpec(2, 0.2, 0.05), rng)
         data, _ = generate_dataset(aug, 400, rng)
         # asia=yes is impossible under `dead`; a zero-weight case of it is skipped
-        dead = asia_net.with_cpts([np.array([[0.0, 1.0]])] + list(asia_net.cpts[1:]))
+        dead = with_tables(asia_net, [np.array([[0.0, 1.0]])] + list(asia_net.cpts[1:]))
         col = data.variables.index("asia")
         kept = tuple(c for c in data.cases if c[0][col] != "yes")
         impossible = tuple("yes" if v == "asia" else None for v in data.variables)
@@ -425,7 +423,7 @@ class TestSatProfile:
             cpts = list(asia_net.cpts)
             t = np.where(cpts[i] == 0, eps, cpts[i])
             cpts[i] = t / t.sum(axis=1, keepdims=True)
-            net = asia_net.with_cpts(cpts)
+            net = with_tables(asia_net, cpts)
             value, _, _, gap = SatProfileProblem(net, data).solve(net)
             assert gap <= 1e-8
             values.append(value)

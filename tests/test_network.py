@@ -4,6 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    asia_data,
+    declaration_pass_order,
+    kahn_cycle_diags,
+    per_node_randomize,
     TRI_NET,
     joint_probability,
     joint_probs,
@@ -16,6 +20,7 @@ from conftest import (
     random_dag,
     row_major_sample,
     unravel,
+    with_tables,
 )
 from coarsebn import network as network_mod
 from coarsebn.aim import aim_fit
@@ -101,7 +106,7 @@ class TestValidate:
         data = Dataset(("A",), ((("t",), 1.0), ((None,), 1.0)))
         with pytest.raises(DataError, match="initial network invalid: .*non-finite"):
             em_fit(net, data, EmOptions(init=net))
-        with pytest.raises(DataError, match="theta0 invalid: .*non-finite"):
+        with pytest.raises(DataError, match="initial network invalid: .*non-finite"):
             aim_fit(net, net, data)
 
 
@@ -124,19 +129,7 @@ def per_row_validate(net):
             diags.append(f"node {spec.name}: is its own parent")
         if len(set(spec.parents)) != len(spec.parents):
             diags.append(f"node {spec.name}: duplicate parents")
-    names = {s.name for s in net.nodes}
-    pending = {
-        s.name: {p for p in s.parents if p in names and p != s.name} for s in net.nodes
-    }
-    while pending:
-        free = sorted(n for n, ps in pending.items() if not ps)
-        if not free:
-            diags.append("parent relation has a cycle among: " + ", ".join(sorted(pending)))
-            break
-        for n in free:
-            del pending[n]
-        for ps in pending.values():
-            ps.difference_update(free)
+    diags += kahn_cycle_diags(net)
     if len(net.cpts) != len(net.nodes):
         diags.append(f"{len(net.cpts)} CPTs for {len(net.nodes)} nodes")
         return diags
@@ -215,6 +208,71 @@ class TestValidateRows:
             assert validate_network(net) == per_row_validate(net) == []
 
 
+@st.composite
+def tangled_networks(draw):
+    """Small binary networks whose parents may be unknown, the node itself or
+    a name declared twice: cycles, nodes below them, and clean DAGs."""
+    names = draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=6))
+    parents = st.lists(st.sampled_from("ABCDEQ"), max_size=3)
+    specs = tuple(NodeSpec(n, ("t", "f"), tuple(draw(parents))) for n in names)
+    return Network("tangled", specs, tuple(np.full((1, 2), 0.5) for _ in specs))
+
+
+def outcome(f, net):
+    try:
+        return f(net)
+    except (DataError, KeyError) as exc:
+        return type(exc)
+
+
+class TestPlacement:
+    """One placement gives `topo_order` and the cycle diagnostic, as the
+    order's own loop and Kahn's loop on node names gave them."""
+
+    @given(net=tangled_networks())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_old_loops(self, net):
+        diags = validate_network(net)
+        assert diags == per_row_validate(net)
+        assert [d for d in diags if "cycle" in d] == kahn_cycle_diags(net)
+        got = outcome(lambda n: n.topo_order, net)
+        assert got == outcome(declaration_pass_order, net)
+
+    def test_last_duplicate_stands(self):
+        # the first A sits below the B-C cycle, the A declared last does not
+        nodes = [("A", ("B",)), ("B", ("C",)), ("C", ("B",)), ("A", ())]
+        net = Network("dup", tuple(NodeSpec(n, ("t", "f"), ps) for n, ps in nodes),
+                      tuple(np.full((1, 2), 0.5) for _ in nodes))
+        cycle = ["parent relation has a cycle among: B, C"]
+        assert kahn_cycle_diags(net) == cycle
+        assert [d for d in validate_network(net) if "cycle" in d] == cycle
+
+    @pytest.mark.parametrize("which", ["asia", "tri", "dag17", "alarm_like"])
+    def test_fixture_orders(self, which, asia_net):
+        net = oracle_net(which, asia_net)
+        assert net.topo_order == declaration_pass_order(net)
+
+
+class TestStartNetwork:
+    """EM and AI&M check their start network in one place."""
+
+    @pytest.mark.parametrize("which", ["18 roots", "asia unparented"])
+    def test_other_structure_refused_by_both_fitters(self, which, asia_net):
+        if which == "18 roots":  # as many cells as asia
+            nodes = tuple(NodeSpec(f"R{i}", ("t", "f")) for i in range(18))
+            assert 2 * len(nodes) == len(asia_net.theta) == 36
+        else:
+            nodes = tuple(NodeSpec(s.name, s.states) for s in asia_net.nodes)
+        other = Network(which, nodes, tuple(np.full((1, 2), 0.5) for _ in nodes))
+        assert validate_network(other) == []
+        data = asia_data(asia_net, n=40)
+        match = "^initial network does not match the structure$"
+        with pytest.raises(DataError, match=match):
+            aim_fit(asia_net, other, data)
+        with pytest.raises(DataError, match=match):
+            em_fit(asia_net, data, EmOptions(init=other))
+
+
 class TestJointProbability:
     def test_basic_product(self, basic_net):
         # hand product: 0.5 * 0.2
@@ -261,36 +319,6 @@ class TestJointProbs:
         cells = state_cells(asia_net, unravel_rows(asia_net, []))
         assert cells.shape == (0, 8)
         assert cell_probs(asia_net, cells).shape == (0,)
-
-
-class TestWithCpts:
-    def test_structure_lookups_carry_over(self, asia_net):
-        # every cached lookup depends on the nodes alone: the new network
-        # holds the same objects, equal to those a fresh network computes
-        names = ["node_index", "cards", "parent_index", "row_strides", "n_rows",
-                 "n_assignments", "ravel_strides", "family_cells", "node_rows",
-                 "card_rows", "topo_order", "clique_tree"]
-        # a new cached property must be added here, and must not read the CPTs
-        assert network_mod._STRUCTURE_LOOKUPS == set(names)
-        before = {k: getattr(asia_net, k) for k in names}
-        net = asia_net.with_cpts(randomize_parameters(asia_net, np.random.default_rng(3)).cpts)
-        fresh = Network("fresh", asia_net.nodes, net.cpts)
-        for k in names:
-            assert getattr(net, k) is before[k]
-            a, b = getattr(net, k), getattr(fresh, k)
-            if k == "family_cells":
-                assert all(np.array_equal(x, y) for x, y in zip(a, b))
-            elif k == "clique_tree":  # the same compiled steps and slots
-                kept = ("_shapes", "_roots", "_collect_steps", "_distribute_steps",
-                        "_family_slots", "_component", "_chunk")
-                assert all(getattr(a, f) == getattr(b, f) for f in kept)
-                assert all(np.array_equal(x, y) for x, y in zip(a._masks, b._masks))
-            elif k == "card_rows":
-                assert a.keys() == b.keys()
-                assert all(np.array_equal(x, y) for c in a for x, y in zip(a[c], b[c]))
-            else:
-                assert a == b
-        assert [np.array_equal(a, b) for a, b in zip(net.cpts, asia_net.cpts)] == [False] * 8
 
 
 class TestUnravelRows:
@@ -354,6 +382,14 @@ class TestRandomize:
         for ta, tb in zip(a.cpts, b.cpts):
             assert np.array_equal(ta, tb)
 
+    @pytest.mark.parametrize("which", ["asia", "tri", "dag17", "alarm_like"])
+    def test_equals_per_node_draws(self, which, asia_net):
+        net = oracle_net(which, asia_net)
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = randomize_parameters(net, got_rng)
+        assert got.theta.tobytes() == per_node_randomize(net, want_rng).theta.tobytes()
+        assert got_rng.random() == want_rng.random()
+
     def test_mean_first_entry_symmetric(self, basic_net):
         rng = np.random.default_rng(7)
         vals = [
@@ -404,7 +440,7 @@ class TestMlEstimate:
                             continue
                         row[s] += eps
                         cpts[i][r] = row / row.sum()
-                        pert = fitted.with_cpts(cpts)
+                        pert = with_tables(fitted, cpts)
                         val = float(weights @ log_joint_rows(pert, rows))
                         assert val <= base + 1e-12
 
@@ -472,7 +508,7 @@ class TestPerNodeOracles:
         parent = next(p for ps in truth.parent_index for p in ps)
         cpts[parent][:, 0] = 0.0    # its children's rows at state 0 weigh 0
         cpts[parent] /= cpts[parent].sum(axis=1, keepdims=True)
-        for t in (truth, truth.with_cpts(cpts)):
+        for t in (truth, with_tables(truth, cpts)):
             for est in estimates:
                 assert kl_decomposed(t, est).hex() == per_node_kl(t, est).hex()
         assert kl_decomposed(truth, truth) == per_node_kl(truth, truth) == 0.0
@@ -510,31 +546,60 @@ class TestTheta:
         assert net.cpts[1].shape == (1, 2)
         assert validate_network(net) == []
 
-    def test_with_cpts_and_with_theta_build_a_new_theta(self, asia_net):
+    def test_with_theta_builds_a_new_theta(self, asia_net):
         other = randomize_parameters(asia_net, np.random.default_rng(2))
-        for net in (asia_net.with_cpts(other.cpts), asia_net.with_theta(other.theta)):
-            assert net.theta is not other.theta and net.theta is not asia_net.theta
-            assert not np.shares_memory(net.theta, other.theta)
-            assert net.theta.tobytes() == other.theta.tobytes()
-            assert [c.shape for c in net.cpts] == [c.shape for c in asia_net.cpts]
+        net = asia_net.with_theta(other.theta)
+        assert net.theta is not other.theta and net.theta is not asia_net.theta
+        assert not np.shares_memory(net.theta, other.theta)
+        assert net.theta.tobytes() == other.theta.tobytes()
+        assert [c.shape for c in net.cpts] == [c.shape for c in asia_net.cpts]
         with pytest.raises(DataError):
             asia_net.with_theta(other.theta[1:])
+
+    def test_structure_lookups_carry_over(self, asia_net):
+        # every cached lookup depends on the nodes alone: a refit through
+        # with_theta holds the same objects, equal to those a fresh network
+        # computes
+        names = ["node_index", "cards", "parent_index", "row_strides", "n_rows",
+                 "n_assignments", "ravel_strides", "family_cells", "node_rows",
+                 "card_rows", "topo_order", "clique_tree"]
+        # a new cached property must be added here, and must not read the CPTs
+        assert network_mod._KEPT == set(names) | {"name", "nodes"}
+        before = {k: getattr(asia_net, k) for k in names}
+        net = asia_net.with_theta(randomize_parameters(asia_net, np.random.default_rng(3)).theta)
+        fresh = Network("fresh", asia_net.nodes, net.cpts)
+        for k in names:
+            assert getattr(net, k) is before[k]
+            a, b = getattr(net, k), getattr(fresh, k)
+            if k == "family_cells":
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
+            elif k == "clique_tree":  # the same compiled steps and slots
+                kept = ("_shapes", "_roots", "_collect_steps", "_distribute_steps",
+                        "_family_slots", "_component", "_chunk")
+                assert all(getattr(a, f) == getattr(b, f) for f in kept)
+                assert all(np.array_equal(x, y) for x, y in zip(a._masks, b._masks))
+            elif k == "card_rows":
+                assert a.keys() == b.keys()
+                assert all(np.array_equal(x, y) for c in a for x, y in zip(a[c], b[c]))
+            else:
+                assert a == b
+        assert [np.array_equal(a, b) for a, b in zip(net.cpts, asia_net.cpts)] == [False] * 8
 
 
 class TestSmooth:
     def test_zero_count_row_goes_uniform(self, basic_net):
-        net = basic_net.with_cpts([np.array([[1.0, 0.0]]), basic_net.cpts[1]])
+        net = with_tables(basic_net, [np.array([[1.0, 0.0]]), basic_net.cpts[1]])
         out = smooth(net, [np.array([0.0]), np.array([0.0])])
         assert np.allclose(out.cpts[0][0], [0.5, 0.5])
 
     def test_direct_formula_k998(self, basic_net):
-        net = basic_net.with_cpts([np.array([[0.2, 0.8]]), basic_net.cpts[1]])
+        net = with_tables(basic_net, [np.array([[0.2, 0.8]]), basic_net.cpts[1]])
         out = smooth(net, [np.array([998.0]), np.array([0.0])])
         assert out.cpts[0][0, 0] == pytest.approx(0.2006, abs=1e-12)
         assert out.cpts[0][0, 1] == pytest.approx(0.7994, abs=1e-12)
 
     def test_direct_formula_k10(self, basic_net):
-        net = basic_net.with_cpts([np.array([[1.0, 0.0]]), basic_net.cpts[1]])
+        net = with_tables(basic_net, [np.array([[1.0, 0.0]]), basic_net.cpts[1]])
         out = smooth(net, [np.array([10.0]), np.array([0.0])])
         assert out.cpts[0][0, 0] == pytest.approx(11.0 / 12.0, abs=1e-15)
         assert out.cpts[0][0, 1] == pytest.approx(1.0 / 12.0, abs=1e-15)
