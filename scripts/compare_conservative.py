@@ -26,14 +26,21 @@ from coarsebn.network import ml_estimate, smooth
 from coarsebn.util import fixture_path, stable_child_seed
 
 
+def count(text: str) -> int:
+    """A count argument: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1; got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--net", default="asia.net", help="bundled fixture name")
     parser.add_argument("--coarsening", default="2:0.1:0.05")
-    parser.add_argument("--n", type=int, default=1000)
-    parser.add_argument("--datasets", type=int, default=4)
-    parser.add_argument("--completions", type=int, default=10)
-    parser.add_argument("--z", type=int, default=5)
+    parser.add_argument("--n", type=count, default=1000)
+    parser.add_argument("--datasets", type=count, default=4)
+    parser.add_argument("--completions", type=count, default=10)
+    parser.add_argument("--z", type=count, default=5)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default="results/conservative_vs_aim.csv")
     args = parser.parse_args(argv)

@@ -10,12 +10,15 @@ score KL(P_c, P_theta) never increases across iterations; a terminal score
 of zero certifies a global optimum of the sat-profile likelihood.
 
 AIM needs log P(x) only at the states replicas occupy or can move to.
-`SweepKeys` gives each such state a row and caches the row's CPT cells
+`AimState`, the whole fit (the replicas' completion, its counts, theta and
+the score), gives each such state a row and caches the row's CPT cells
 (`network.state_cells`) when it is first read, so one gather per theta
-gives log P for every row; the M step counts the completion with one
-bincount over the occupied rows' cells, and its score reads the same
-gather as the next sweep.  log(c/zn) is computed at a count c when a fit
-first reads it (`AimState.log_q`), as most counts up to zn are never read.
+gives log P for every row.  The state groups its keys before it scores
+the start, so the first score and the first sweep share one gather; the M
+step counts the completion with one bincount over the occupied rows'
+cells, and its score reads the same gather as the next sweep.  log(c/zn)
+is computed at a count c when a fit first reads it (`AimState.log_q`), as
+most counts up to zn are never read.
 
 `ai_sweep` makes the moves of the per-replica definition, float for float,
 per (pattern, completion) key.  At the start of a sweep it caches each
@@ -44,6 +47,7 @@ from .network import (
     Network,
     cell_probs,
     family_counts,
+    indexable,
     params_from_family_counts,
     smooth,
     start_network,
@@ -80,77 +84,30 @@ class AimResult:
     converged: bool
 
 
-@dataclass
 class AimState:
-    """Owned state of one fit: replicas, counts, current theta, score."""
+    """One fit in the space of data completions: the replicas' completion,
+    its counts, theta and the score, with the states the fit reads and its
+    moving replicas grouped by key (pattern, state).
 
-    structure: Network
-    net: Network
-    z: int
-    zn: int
-    rep_case: np.ndarray                 # replica -> case id
-    case_pattern: np.ndarray             # case -> pattern id (`Dataset.case_pattern`)
-    moves: list[list[tuple[int, int]]]   # per pattern: (stride, card) of missing axes
-    assign: list[int]                    # replica -> flat joint index
-    counts: dict[int, int]
-    score: float = float("inf")
-    _moves: int = 0
-
-    @cached_property
-    def case_moves(self) -> list[list[tuple[int, int]]]:  # per case, its pattern's moves
-        return list(map(self.moves.__getitem__, self.case_pattern.tolist()))
-
-    def full_score(self) -> float:
-        """KL(P_c || P_theta) from scratch, summed in the counts' order."""
-        keys = self._keys
-        rows = keys.rows_of(self.counts)
-        lp = keys.log_probs(self.net)
-        log_q, zn = self.log_q, self.zn
-        total = 0.0
-        for n, r in zip(self.counts.values(), rows):
-            total += n / zn * (log_q[n] - lp[r])
-        return total
-
-    @cached_property
-    def log_q(self) -> LogQ:
-        return LogQ(self.zn)
-
-    @cached_property
-    def _keys(self) -> SweepKeys:
-        return SweepKeys(self)
-
-
-class LogQ(dict):
-    """math.log(c / zn) at each count c, computed when a fit first reads it."""
-
-    def __init__(self, zn: int):
-        self.zn = zn
-
-    def __missing__(self, c: int) -> float:
-        value = self[c] = math.log(c / self.zn)
-        return value
-
-
-class SweepKeys:
-    """The states a fit reads, and its moving replicas grouped by key
-    (pattern, state).
+    Built from theta0, the bound dataset (case weights positive integers,
+    as `aim_fit` checks), z and an assignment (replica -> flat joint
+    index): replica j is a replica of case `rep_case[j]`, z per unit of
+    case weight, `moves[m]` lists the (stride, card) of pattern m's missing
+    axes, and `net` holds theta, theta0 until the first M step.  The
+    constructor groups the keys from the assignment and scores it.
 
     Every state a fit reads has a row: `states[r]` is its flat index,
     `cells[r]` its `state_cells` row (built when the row is first read)
-    and, per sweep, `lp[r]` its log P under the current theta.  Rows are
-    added for the occupied states, complete cases' included, and for the
-    states the keys read.
+    and, per theta, `lp[r]` its log P.  Rows are added for the occupied
+    states, complete cases' included, and for the states the keys read.
 
     A replica's decision reads only the counts at its state and at that
     state's neighbours under its pattern's `moves`, so replicas of one key
     decide alike until one of those counts changes.  `readers[r]` lists the
     keys whose decision reads row r's count, `members[k]` key k's replicas
     in ascending order, `key_row[k]` the row of its state and `nbr_rows[k]`
-    those of its neighbours.  The keys are grouped on the first sweep, from
-    `case_pattern[rep_case]` and `assign`, so a state assembled by hand and
-    edited before sweeping is grouped as edited; after that `ai_sweep`
-    keeps them in step with the moves it makes, and `add` appends the keys
-    and rows it first reaches.
+    those of its neighbours.  `ai_sweep` keeps the keys in step with the
+    moves it makes, and `add` appends the keys and rows it first reaches.
 
     `left[r]`, `was[r]` and `arrived[r]` hold row r's count terms T(n-1),
     T(n) and T(n+1), where n is the state's count and T(c) = (c/zn)(log(c/zn)
@@ -160,18 +117,27 @@ class SweepKeys:
     appends are not read.
     """
 
-    def __init__(self, state: AimState):
-        self.structure = state.structure
-        self.moves = state.moves
-        self.zn = state.zn
-        self.log_q = state.log_q
+    def __init__(self, theta0: Network, bound: BoundDataset, z: int, assign: list[int]):
+        self.net = theta0
+        self.z = z
+        self.rep_case = replica_cases(bound, z)
+        self.zn = len(self.rep_case)
+        self.case_pattern = bound.case_pattern  # every weight > 0: indexes `bound.rows` too
+        strides, cards = theta0.ravel_strides, theta0.cards
+        self.moves = [
+            [(strides[i], cards[i]) for i, hole in enumerate(h) if hole]
+            for h in (bound.rows < 0).tolist()
+        ]
+        self.assign = assign
+        self.counts = dict(Counter(assign))
+        self._moves = 0
+        self.log_q = LogQ(self.zn)
         self.states: list[int] = []
         self.row: dict[int, int] = {}
-        self.cells = np.zeros((0, len(self.structure.nodes)), dtype=np.int64)
+        self.cells = np.zeros((0, len(theta0.nodes)), dtype=np.int64)
         self.lp_net: Network | None = None      # the theta `lp` was read at
         self.lp: list[float] = []
         self.readers: list[list[int]] = []
-        self.grouped = False
         self.key: list[tuple[int, int]] = []     # per key id, (pattern, state)
         self.of: dict[tuple[int, int], int] = {}
         self.members: list[list[int]] = []
@@ -181,6 +147,22 @@ class SweepKeys:
         self.left: list[float] = []
         self.was: list[float] = []
         self.arrived: list[float] = []
+        self.group()
+        self.score = self.full_score()
+
+    @cached_property
+    def case_moves(self) -> list[list[tuple[int, int]]]:  # per case, its pattern's moves
+        return list(map(self.moves.__getitem__, self.case_pattern.tolist()))
+
+    def full_score(self) -> float:
+        """KL(P_c || P_theta) from scratch, summed in the counts' order."""
+        rows = self.rows_of(self.counts)
+        lp = self.log_probs(self.net)
+        log_q, zn = self.log_q, self.zn
+        total = 0.0
+        for n, r in zip(self.counts.values(), rows):
+            total += n / zn * (log_q[n] - lp[r])
+        return total
 
     def _row_of(self, x: int) -> int:
         r = self.row.get(x)
@@ -199,8 +181,8 @@ class SweepKeys:
         """Every row's `state_cells` row, each built once."""
         done = len(self.cells)
         if done < len(self.states):
-            structure = self.structure
-            new = state_cells(structure, unravel_rows(structure, self.states[done:]))
+            net = self.net  # read for its nodes alone, which every theta shares
+            new = state_cells(net, unravel_rows(net, self.states[done:]))
             self.cells = np.concatenate([self.cells, new])
         return self.cells
 
@@ -214,13 +196,13 @@ class SweepKeys:
             self.lp += log_probs(net, self.row_cells()[done:]).tolist()
         return self.lp
 
-    def group(self, state: AimState) -> None:
+    def group(self) -> None:
         """Register a key per (pattern, state) of the moving replicas."""
         moving = np.array([bool(m) for m in self.moves], dtype=bool)
-        rep_pattern = state.case_pattern[state.rep_case]
+        rep_pattern = self.case_pattern[self.rep_case]
         reps = np.flatnonzero(moving[rep_pattern])
         pats = rep_pattern[reps]
-        xs = np.asarray(state.assign, dtype=np.int64)[reps]
+        xs = np.asarray(self.assign, dtype=np.int64)[reps]
         order = np.lexsort((xs, pats))      # stable, so replicas ascend within a key
         reps, pats, xs = reps[order], pats[order], xs[order]
         starts = np.flatnonzero((np.diff(pats, prepend=-1) != 0) | (np.diff(xs, prepend=-1) != 0))
@@ -228,7 +210,6 @@ class SweepKeys:
         flat = reps.tolist()
         for m, x, a, b in zip(pats[starts].tolist(), xs[starts].tolist(), cuts, cuts[1:]):
             self.add(m, x, flat[a:b])
-        self.grouped = True
 
     def add(self, m: int, x: int, members: list[int]) -> None:
         """Register key (m, x) holding `members`."""
@@ -253,14 +234,11 @@ class SweepKeys:
         self.was[r] = n / zn * (log_q[n] - lp) if n else 0.0
         self.arrived[r] = (n + 1) / zn * (log_q[n + 1] - lp)
 
-    def first_queue(self, state: AimState) -> list[tuple[int, int]]:
-        """Every row's terms under the state's counts and theta, and a heap
-        of every occupied key at its first replica; the keys are grouped
-        first if this is the state's first sweep."""
-        if not self.grouped:
-            self.group(state)
-        self.log_probs(state.net)
-        counts = state.counts
+    def first_queue(self) -> list[tuple[int, int]]:
+        """Every row's terms under the counts and theta, and a heap of every
+        occupied key at its first replica."""
+        self.log_probs(self.net)
+        counts = self.counts
         rows = len(self.states)
         self.left, self.was, self.arrived = [0.0] * rows, [0.0] * rows, [0.0] * rows
         for r, x in enumerate(self.states):
@@ -269,6 +247,23 @@ class SweepKeys:
         queue = [(reps[0], k) for k, reps in enumerate(self.members) if reps]
         heapq.heapify(queue)
         return queue
+
+
+class LogQ(dict):
+    """math.log(c / zn) at each count c, computed when a fit first reads it."""
+
+    def __init__(self, zn: int):
+        self.zn = zn
+
+    def __missing__(self, c: int) -> float:
+        value = self[c] = math.log(c / self.zn)
+        return value
+
+
+def replica_cases(bound: BoundDataset, z: int) -> np.ndarray:
+    """Each replica's case: z replicas per unit of case weight, case by case."""
+    case_reps = np.round(bound.case_weights).astype(np.int64) * z
+    return np.repeat(np.arange(len(case_reps)), case_reps)
 
 
 def ai_sweep(state: AimState) -> AimState:
@@ -280,7 +275,7 @@ def ai_sweep(state: AimState) -> AimState:
     minus the old, summed in that order.
 
     The decisions are made per key (pattern, state), in replica order.
-    `SweepKeys.first_queue` caches the count terms of every row, from the
+    `AimState.first_queue` caches the count terms of every row, from the
     rows' log P under the current theta, and queues every occupied key at
     its first replica.  The loop pops the queue in replica order and
     decides each key from the cached count terms.  A key that stays put is
@@ -291,13 +286,12 @@ def ai_sweep(state: AimState) -> AimState:
     it, and the moves, counts and score are that loop's, float for float.
     The score is recomputed every SCORE_REFRESH_EVERY moves to bound drift.
     """
-    keys = state._keys
     counts = state.counts
     assign = state.assign
-    queue = keys.first_queue(state)
-    left, was, arrived = keys.left, keys.was, keys.arrived
-    states, readers, members, queued = keys.states, keys.readers, keys.members, keys.queued
-    key_row, nbr_rows = keys.key_row, keys.nbr_rows
+    queue = state.first_queue()
+    left, was, arrived = state.left, state.was, state.arrived
+    states, readers, members, queued = state.states, state.readers, state.members, state.queued
+    key_row, nbr_rows = state.key_row, state.nbr_rows
     while queue:
         j, k = heapq.heappop(queue)
         queued[k] = False
@@ -314,21 +308,21 @@ def ai_sweep(state: AimState) -> AimState:
                 best = y
         if best < 0:
             continue
-        m, cur = keys.key[k]
+        m, cur = state.key[k]
         to = states[best]
         reps = members[k]
         del reps[bisect_left(reps, j)]
-        to_key = keys.of.get((m, to))
+        to_key = state.of.get((m, to))
         if to_key is None:
-            keys.add(m, to, [j])
+            state.add(m, to, [j])
         else:
             insort(members[to_key], j)
         counts[cur] -= 1
         if counts[cur] == 0:
             del counts[cur]
         counts[to] = counts.get(to, 0) + 1
-        keys.set_terms(x, counts.get(cur, 0))
-        keys.set_terms(best, counts[to])
+        state.set_terms(x, counts.get(cur, 0))
+        state.set_terms(best, counts[to])
         assign[j] = to
         state.score += best_delta
         state._moves += 1
@@ -345,11 +339,10 @@ def ai_sweep(state: AimState) -> AimState:
 def m_step(state: AimState) -> tuple[Network, list[np.ndarray]]:
     """Refit theta by ML on the completed counts (in original-case units):
     one bincount over the occupied rows' cells, in the counts' order."""
-    structure = state.structure
-    keys = state._keys
-    rows = keys.rows_of(state.counts)
+    structure = state.net  # read for its nodes alone
+    rows = state.rows_of(state.counts)
     cnt = np.fromiter(state.counts.values(), dtype=np.float64, count=len(rows))
-    counts = family_counts(structure, keys.row_cells()[rows], cnt / state.z)
+    counts = family_counts(structure, state.row_cells()[rows], cnt / state.z)
     net, row_counts = params_from_family_counts(structure, counts)
     state.net = net
     state.score = state.full_score()
@@ -421,6 +414,16 @@ def initial_completion(
     return out.tolist(), fallbacks
 
 
+def start(
+    theta0: Network, bound: BoundDataset, z: int, rng: np.random.Generator
+) -> tuple[AimState, list[int]]:
+    """A fit's first state, its replicas drawn by `initial_completion`, and
+    the replicas that fell back to a uniform draw."""
+    rep_pattern = bound.case_pattern[replica_cases(bound, z)]
+    assign, fallbacks = initial_completion(theta0, bound.table, rep_pattern, rng)
+    return AimState(theta0, bound, z, assign), fallbacks
+
+
 def aim_fit(
     structure: Network,
     theta0: Network,
@@ -445,7 +448,7 @@ def aim_fit(
     if opts.seed is not None:
         check_int("seed", opts.seed, 0)
     theta0 = start_network(structure, theta0)
-    if structure.n_assignments >= 1 << 62:
+    if not indexable(structure):
         raise BudgetError("joint space too large to index")
 
     bound = bind(structure, data)
@@ -458,25 +461,7 @@ def aim_fit(
         )
     if opts.z * bound.total > ENUM_BUDGET:
         raise BudgetError(f"{opts.z * bound.total:g} replicas exceed the budget {ENUM_BUDGET}")
-    case_pattern = bound.case_pattern  # every weight > 0: indexes `patterns` too
-    case_reps = np.round(w).astype(np.int64) * opts.z
-    rep_case = np.repeat(np.arange(len(w)), case_reps)
-    table = bound.table
-
-    rng = np.random.default_rng(opts.seed)
-    assign, fallbacks = initial_completion(theta0, table, case_pattern[rep_case], rng)
-    counts = dict(Counter(assign))
-
-    strides, cards = structure.ravel_strides, structure.cards
-    holes = (table.rows < 0).tolist()
-    moves = [[(strides[i], cards[i]) for i, hole in enumerate(h) if hole] for h in holes]
-
-    state = AimState(
-        structure=structure, net=theta0, z=opts.z,
-        zn=int(case_reps.sum()), rep_case=rep_case, case_pattern=case_pattern, moves=moves,
-        assign=assign, counts=counts,
-    )
-    state.score = state.full_score()
+    state, fallbacks = start(theta0, bound, opts.z, np.random.default_rng(opts.seed))
 
     entropy = bound.entropy
     trace: list[tuple[int, float, float]] = []

@@ -32,7 +32,7 @@ from .likelihoods import (
     lr_statistic,
 )
 from .netformat import read_network, write_network
-from .network import Network, randomize_parameters, smooth
+from .network import Network, randomize_parameters, smooth, start_network
 from .util import check_int, fmt17, stable_child_seed
 
 EXPERIMENT_HEADER = [
@@ -275,7 +275,7 @@ def _cmd_learn(args) -> int:
     elif args.method == "aim":
         if init == "em":
             init = em_mod.em_fit(structure, data, em_mod.EmOptions(init="uniform")).network
-        theta0 = em_mod._init_network(structure, em_mod.EmOptions(init=init, seed=args.seed))
+        theta0 = start_network(structure, init, args.seed)
         res = aim_mod.aim_fit(
             structure,
             theta0,

@@ -17,14 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, ZeroSupportError
 from .inference import BoundDataset, bind, face_value_sum
-from .network import (
-    Network,
-    params_from_family_counts,
-    randomize_parameters,
-    smooth,
-    start_network,
-    uniform_cpts,
-)
+from .network import Network, params_from_family_counts, smooth, start_network
 from .util import check_int
 
 
@@ -49,17 +42,6 @@ class EmResult:
         return self.trace[-1][1]
 
 
-def _init_network(structure: Network, opts: EmOptions) -> Network:
-    if isinstance(opts.init, Network):
-        return start_network(structure, opts.init)
-    if opts.init == "uniform":
-        return uniform_cpts(structure)
-    if opts.init == "random":
-        rng = np.random.default_rng(opts.seed)
-        return randomize_parameters(uniform_cpts(structure), rng)
-    raise DataError(f"unknown init {opts.init!r}")
-
-
 def em_fit(
     structure: Network, data: Dataset | BoundDataset, opts: EmOptions | None = None
 ) -> EmResult:
@@ -79,7 +61,7 @@ def em_fit(
         raise DataError(f"tol must be a non-negative number; got {opts.tol!r}")
     if opts.seed is not None:
         check_int("seed", opts.seed, 0)
-    net = _init_network(structure, opts)
+    net = start_network(structure, opts.init, opts.seed)
     bound = bind(structure, data)
     total_w = bound.total
     weights = bound.weights

@@ -55,6 +55,7 @@ from .network import (
     Network,
     cell_probs,
     family_counts,
+    indexable,
     state_cells,
     unravel_rows,
 )
@@ -365,8 +366,7 @@ class MemberTable:
     def __init__(self, net: Network, rows: np.ndarray, sizes: list[int], budget: float):
         self.net = net
         self.rows = rows
-        indexable = net.n_assignments < 1 << 62
-        order = sorted(range(len(sizes)), key=sizes.__getitem__) if indexable else []
+        order = sorted(range(len(sizes)), key=sizes.__getitem__) if indexable(net) else []
         running = itertools.accumulate(sizes[k] for k in order)
         fits = {k for k, total in zip(order, running) if total <= budget}
         self.enumerated = sorted(fits)
@@ -514,7 +514,7 @@ class BoundDataset:
             raise BudgetError(f"{n} pattern members exceed the enumeration budget {budget}")
         if max(self.sizes) > ENUM_BUDGET:
             raise BudgetError("case has too many completions to enumerate")
-        if self.net.n_assignments >= 1 << 62:
+        if not indexable(self.net):
             raise BudgetError("joint space too large to index")
         if n <= DENSE_TABLE_BUDGET:
             return self.table

@@ -9,7 +9,8 @@ declared parent varying fastest, which fixes the row order bit-exactly for
 the file format.  Refits, smoothing and the row checks each make one pass
 over theta, a cardinality at a time.  Parameters are set by the
 constructor (per-node tables) or by `Network.with_theta` (a flat vector),
-and both fitters check their start network in `start_network`.
+and both fitters take their start network from `start_network`: uniform,
+random or a given network, checked against the structure.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ class Network:
     @cached_property
     def parent_index(self) -> tuple[tuple[int, ...], ...]:
         idx = self.node_index
+        for spec in self.nodes:
+            for p in spec.parents:
+                if p not in idx:
+                    raise DataError(f"node {spec.name}: unknown parent {p!r}")
         return tuple(tuple(idx[p] for p in spec.parents) for spec in self.nodes)
 
     @cached_property
@@ -268,6 +273,14 @@ def validate_network(net: Network) -> list[str]:
     return diags + [d for _, d in sorted(found, key=lambda f: f[0])]
 
 
+def indexable(net: Network) -> bool:
+    """Whether net's flat joint indices fit in int64: fewer than 2^62 states.
+    Member tables and the replica fitter need them; on a larger space the
+    tables enumerate nothing, and the rest refuse it ("joint space too
+    large to index")."""
+    return net.n_assignments < 1 << 62
+
+
 def unravel_rows(net: Network, idx: np.ndarray) -> np.ndarray:
     """Flat joint indices as an (n, nodes) array of state indices."""
     return np.asarray(idx, dtype=np.int64)[:, None] // net.ravel_strides % net.cards
@@ -331,15 +344,22 @@ def randomize_parameters(net: Network, rng: np.random.Generator) -> Network:
     return net.with_theta(theta)
 
 
-def start_network(structure: Network, net: Network) -> Network:
-    """A fit's start: `net`, checked valid and of this structure's nodes,
-    with the structure's lookups and net's parameters."""
-    diags = validate_network(net)
-    if diags:
-        raise DataError("initial network invalid: " + "; ".join(diags))
-    if net.nodes != structure.nodes:
-        raise DataError("initial network does not match the structure")
-    return structure.with_theta(net.theta)
+def start_network(structure: Network, init: str | Network, seed: int | None = None) -> Network:
+    """A fit's start on this structure: uniform rows ("uniform"), one
+    `randomize_parameters` draw from `seed` ("random"), or a network's
+    parameters, the network checked valid and of this structure's nodes."""
+    if isinstance(init, Network):
+        diags = validate_network(init)
+        if diags:
+            raise DataError("initial network invalid: " + "; ".join(diags))
+        if init.nodes != structure.nodes:
+            raise DataError("initial network does not match the structure")
+        return structure.with_theta(init.theta)
+    if init == "uniform":
+        return uniform_cpts(structure)
+    if init == "random":
+        return randomize_parameters(structure, np.random.default_rng(seed))
+    raise DataError(f"unknown init {init!r}")
 
 
 def uniform_cpts(structure: Network) -> Network:

@@ -44,6 +44,7 @@ from coarsebn.network import (
     randomize_parameters,
     ml_estimate,
     sample,
+    start_network,
     state_cells,
     uniform_cpts,
     unravel_rows,
@@ -212,38 +213,10 @@ def assert_draws_per_pattern(theta0, table, rep_pattern, seed):
 
 
 def build_state(structure, theta0, data, z, seed=0):
-    """Assemble an AimState the way aim_fit does, for op-level tests."""
+    """Start an AimState the way aim_fit does, for op-level tests."""
     bound = inference.BoundDataset(structure, data)
-    pattern_bounds = [bind_pattern(structure, data.variables, p) for p in bound.patterns]
-    case_pattern = np.array([bound.patterns.index(p) for p, _ in data.cases], dtype=np.int64)
-    reps = [int(round(w)) * z for _, w in data.cases]
-    rep_case = np.repeat(np.arange(len(data.cases)), reps)
-    table = bound.table
-    rng = np.random.default_rng(seed)
-    assign, _ = initial_completion(theta0, table, case_pattern[rep_case], rng)
-    counts = {}
-    for r in assign:
-        counts[r] = counts.get(r, 0) + 1
-    state = AimState(
-        structure=structure,
-        net=structure.with_theta(theta0.theta),
-        z=z,
-        zn=len(assign),
-        rep_case=rep_case,
-        case_pattern=case_pattern,
-        moves=[
-            [
-                (structure.ravel_strides[i], structure.cards[i])
-                for i, v in enumerate(bound)
-                if v is None
-            ]
-            for bound in pattern_bounds
-        ],
-        assign=assign,
-        counts=counts,
-    )
-    state.score = state.full_score()
-    return state
+    theta0 = start_network(structure, theta0)
+    return aim.start(theta0, bound, z, np.random.default_rng(seed))[0]
 
 
 class TestAiSweep:
@@ -260,18 +233,15 @@ class TestAiSweep:
         # start with every hidden-B replica completed to (t,f); at the true
         # parameters the optimal split sends 1/9 of them to (t,t)
         z = 10
-        state = build_state(basic_net, basic_net, basic_data_n2000, z=z)
+        drawn = build_state(basic_net, basic_net, basic_data_n2000, z=z)
         # force all U_1 replicas to (t,f)
         tf = ravel(basic_net, (0, 1))
-        for j in range(state.zn):
-            if state.case_moves[state.rep_case[j]]:
-                old = state.assign[j]
-                state.counts[old] -= 1
-                if state.counts[old] == 0:
-                    del state.counts[old]
-                state.assign[j] = tf
-                state.counts[tf] = state.counts.get(tf, 0) + 1
-        state.score = state.full_score()
+        assign = [
+            tf if drawn.case_moves[c] else x
+            for c, x in zip(drawn.rep_case.tolist(), drawn.assign)
+        ]
+        bound = inference.BoundDataset(basic_net, basic_data_n2000)
+        state = AimState(drawn.net, bound, z, assign)
         for _ in range(60):
             before = state.score
             ai_sweep(state)
@@ -505,7 +475,7 @@ class TestSweepWork:
         built = []
         monkeypatch.setattr(aim, "state_cells", lambda *args: built.append(args))
         pops = self.record_pops(monkeypatch)
-        keys = state._keys
+        keys = state
         occupied = [k for k, reps in enumerate(keys.members) if reps]
         before = state._moves
         ai_sweep(state)
@@ -529,7 +499,7 @@ class TestSweepWork:
         theta = em_fit(asia_net, data).network
         state = build_state(asia_net, theta, data, z=5)
         ref = build_state(asia_net, theta, data, z=5)
-        keys = state._keys
+        keys = state
         ai_sweep(state)
         reference_sweep(ref)
         assert state._moves > 0 and state.assign == ref.assign
@@ -543,15 +513,16 @@ class TestSweepWork:
         assert (state.assign, state.counts, state.score) == (ref.assign, ref.counts, ref.score)
 
     def test_one_gather_per_iteration(self, asia_net, monkeypatch):
-        # log P at theta0 takes a gather for the occupied states and one for
-        # the states the keys first read; after that each M step's score and
-        # the next sweep share one gather at the new theta
+        # log P at theta0 takes one gather for the occupied states and the
+        # states the keys read, shared by the first score and sweep; after
+        # that each M step's score and the next sweep share one gather at
+        # the new theta
         data = asia_data(asia_net)
         theta = em_fit(asia_net, data).network
         gathers = self.record_gathers(monkeypatch)
         res = aim_fit(asia_net, theta, data, AimOptions(z=5, seed=3))
         assert len(res.trace) > 2
-        assert len(gathers) == 2 + len(res.trace)
+        assert len(gathers) == 1 + len(res.trace)
 
     def test_tied_moves_decide_no_key(self, basic_net, monkeypatch):
         # under uniform parameters a lone replica's move to an empty state
@@ -563,7 +534,7 @@ class TestSweepWork:
         ai_sweep(state)
         assert state._moves == 0
         assert sorted(pops) == [0, 1]
-        assert state._keys.members == [[0], [1]]
+        assert state.members == [[0], [1]]
 
     def test_terms_are_the_scalar_floats_at_every_count(self, basic_net):
         # the terms at each count c of zn = 5000 replicas are the floats of
@@ -571,12 +542,12 @@ class TestSweepWork:
         # numpy's vectorised log would differ from math.log at some counts
         d = Dataset(("A", "B"), ((("t", None), 5000.0),))
         state = build_state(basic_net, basic_net, d, z=1)
-        keys, zn = state._keys, state.zn
+        keys, zn = state, state.zn
         tt, tf = ravel(basic_net, (0, 0)), ravel(basic_net, (0, 1))
         logp = logp_of(state.net)
         for c in range(1, zn):
             state.counts = {tt: c, tf: zn - c}
-            keys.first_queue(state)
+            keys.first_queue()
             for x, n in ((tt, c), (tf, zn - c)):
                 r = keys.row[x]
                 lp = logp(x)
@@ -595,7 +566,7 @@ class TestSweepWork:
         # every row read in the last sweep holds the terms of its count now
         data = asia_data(asia_net)
         state = build_state(asia_net, em_fit(asia_net, data).network, data, z=5)
-        keys = state._keys
+        keys = state
         built = len({
             (tuple(state.case_moves[c]), x)
             for c, x in zip(state.rep_case.tolist(), state.assign) if state.case_moves[c]

@@ -202,6 +202,17 @@ class TestLikLargeJointSpace:
         assert "Traceback" not in out.stderr + out.stdout
         assert "too large to index" in out.stderr
 
+    def test_aim_beyond_int64_is_budget_error(self, tmp_path):
+        # the replica fitter refuses the space before it binds the data
+        net, data = binary_chain(tmp_path, 64)
+        out = run_cli(
+            "learn", "--method", "aim", "--init", "uniform", "--net-structure", net,
+            "--data", data, "--seed", "1", "--out", str(tmp_path / "e.net"),
+        )
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr + out.stdout
+        assert "too large to index" in out.stderr
+
     @pytest.mark.parametrize("which", ["car", "lr"])
     def test_car_runs_beyond_enum_budget(self, tmp_path, which):
         net, data = binary_chain(tmp_path, 22)  # 2^22 states, 100 members

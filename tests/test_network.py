@@ -42,6 +42,7 @@ from coarsebn.network import (
     randomize_parameters,
     sample,
     smooth,
+    start_network,
     state_cells,
     uniform_cpts,
     unravel_rows,
@@ -247,6 +248,18 @@ class TestPlacement:
         assert kahn_cycle_diags(net) == cycle
         assert [d for d in validate_network(net) if "cycle" in d] == cycle
 
+    def test_unknown_parent_is_a_data_error(self):
+        # callers that skip validate_network get the diagnostic it lists,
+        # naming the node and its parent, not a bare KeyError
+        nodes = (NodeSpec("B", ("t", "f")), NodeSpec("A", ("t", "f"), ("B", "Z")))
+        net = Network("orphan", nodes, tuple(np.full((1, 2), 0.5) for _ in nodes))
+        message = "node A: unknown parent 'Z'"
+        assert message in validate_network(net)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            net.topo_order
+        with pytest.raises(DataError, match=f"^{message}$"):
+            sample(net, 3, np.random.default_rng(0))
+
     @pytest.mark.parametrize("which", ["asia", "tri", "dag17", "alarm_like"])
     def test_fixture_orders(self, which, asia_net):
         net = oracle_net(which, asia_net)
@@ -271,6 +284,17 @@ class TestStartNetwork:
             aim_fit(asia_net, other, data)
         with pytest.raises(DataError, match=match):
             em_fit(asia_net, data, EmOptions(init=other))
+
+    def test_named_starts(self, asia_net):
+        # "uniform" and "random" (one draw from the seed) for both fitters;
+        # any other name is refused
+        assert start_network(asia_net, "uniform").theta.tobytes() == (
+            uniform_cpts(asia_net).theta.tobytes()
+        )
+        drawn = randomize_parameters(asia_net, np.random.default_rng(4))
+        assert start_network(asia_net, "random", 4).theta.tobytes() == drawn.theta.tobytes()
+        with pytest.raises(DataError, match="^unknown init 'bogus'$"):
+            start_network(asia_net, "bogus")
 
 
 class TestJointProbability:
