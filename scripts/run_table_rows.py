@@ -33,11 +33,18 @@ ROWS = {
 }
 
 
+def count(text: str) -> int:
+    """A count argument: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1; got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", nargs="+", default=["basic", "asia_base"],
                         choices=sorted(ROWS), help="which rows to run")
-    parser.add_argument("--runs", type=int, default=20)
+    parser.add_argument("--runs", type=count, default=20)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args(argv)

@@ -364,29 +364,40 @@ def initial_completion(
     probability under theta0 fall back to a uniform draw; their indices
     are returned alongside.
 
-    The draws are those of one `rng.choice` per pattern, in order, bit for
-    bit.  Tree patterns (`table.tree_sample`) and fallbacks draw one at a
-    time; the enumerated patterns between two share one `rng.random` (a
-    double is one 64-bit draw) and pick in one block per member count,
-    each row the inverse CDF `rng.choice` builds from the pattern's P(x).
+    The draws are those of one `rng.choice` per pattern, in pattern order,
+    bit for bit: an enumerated pattern takes one `rng.random` for its
+    replicas and picks by `searchsorted` on the inverse CDF `rng.choice`
+    builds from its members' P(x) (built in one block per member count);
+    a tree pattern draws by `table.tree_sample`.
     """
     missing = table.rows < 0
-    sizes = np.bincount(rep_pattern, minlength=len(missing))
     strides = np.array(theta0.ravel_strides, dtype=np.int64)
     out = (np.maximum(table.rows, 0) @ strides)[rep_pattern]
-    members = np.zeros(len(sizes), dtype=np.int64)
-    members[table.enumerated] = table.stops - table.starts
+    # replicas pattern after pattern; a radix sort when patterns fit 16 bits
+    order = np.argsort(rep_pattern.astype(np.min_scalar_type(len(missing))), kind="stable")
+    ends = np.cumsum(np.bincount(rep_pattern, minlength=len(missing))).tolist()
+    enumerated = np.array(table.enumerated, dtype=np.int64)
+    members = table.stops - table.starts
     p_slot, p_u = table.member_probs(theta0)
-    batched = missing.any(axis=1) & (members > 0) & (p_u > 0)
-    taken = np.cumsum(np.where(batched, sizes, 0)).tolist()  # batched replicas so far
-    order = np.argsort(rep_pattern, kind="stable")  # replicas pattern after pattern
-    ends = np.cumsum(sizes)
-    u, done = np.empty(int(sizes[batched].sum())), 0
+    cdfs = dict.fromkeys(table.enumerated)  # stays None where P(U) = 0
+    live = (p_u[enumerated] > 0) & missing[enumerated].any(axis=1)
+    for m in sorted(set(members[live].tolist())):
+        at = np.flatnonzero(live & (members == m))
+        slots = table.starts[at, None] + np.arange(m)
+        block = p_slot[slots]
+        cdf = (block / block.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        cdfs.update(zip(enumerated[at].tolist(), zip(table.uniq[table.loc[slots]], cdf)))
     fallbacks: list[int] = []
-    for k in np.flatnonzero(missing.any(axis=1) & ~batched).tolist():
-        u[done : taken[k]] = rng.random(taken[k] - done)
-        done, idxs = taken[k], order[ends[k] - sizes[k] : ends[k]]
-        picks = None if members[k] else table.tree_sample(theta0, k, len(idxs), rng)
+    for k in np.flatnonzero(missing.any(axis=1)).tolist():
+        idxs = order[ends[k - 1] if k else 0 : ends[k]]
+        if k not in cdfs:
+            picks = table.tree_sample(theta0, k, len(idxs), rng)
+        elif cdfs[k]:
+            flat, cdf = cdfs[k]
+            picks = flat[cdf.searchsorted(rng.random(len(idxs)), side="right")]
+        else:
+            picks = None
         if picks is None:
             fallbacks.extend(idxs.tolist())
             picks = out[idxs] + sum(
@@ -394,23 +405,6 @@ def initial_completion(
                 for i in np.flatnonzero(missing[k]).tolist()
             )
         out[idxs] = picks
-    u[done:] = rng.random(len(u) - done)
-    at = order[batched[rep_pattern[order]]]  # in the uniforms' order
-    del order  # a replica-sized array fewer during the compares
-    first = np.cumsum(members) - members  # each enumerated pattern's first slot
-    of = rep_pattern[at]
-    slot = first[of]
-    for m in sorted(set(members[batched].tolist())):
-        ks = np.flatnonzero(batched & (members == m))
-        block = p_slot[first[ks, None] + np.arange(m)]
-        cdf = (block / block.sum(axis=1, keepdims=True)).cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        mine = np.flatnonzero(members[of] == m)
-        row, step = np.searchsorted(ks, of[mine]), max(1, len(u) // (m - 1))
-        for c in range(0, len(mine), step):  # no more cells than uniforms per compare
-            part = slice(c, c + step)
-            slot[mine[part]] += (cdf[row[part], :-1] <= u[mine[part], None]).sum(axis=1)
-    out[at] = table.uniq[table.loc[slot]]
     return out.tolist(), fallbacks
 
 

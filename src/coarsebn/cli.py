@@ -22,7 +22,7 @@ from .coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from .conservative import conservative_ensemble
 from .data import read_dataset, write_dataset
 from .errors import CoarseBNError, DataError, FormatError, NumericalError
-from .evaluate import Truth, evaluate, kl_decomposed, kl_enumerate, mse, same_structure
+from .evaluate import Truth, evaluate
 from .inference import BoundDataset
 from .likelihoods import (
     LikelihoodReport,
@@ -306,14 +306,7 @@ def _cmd_eval(args) -> int:
     if args.counts:
         counts = _read_counts(args.counts, estimate)
         estimate = smooth(estimate, counts)
-    mode = args.mode
-    if mode is None:
-        mode = "decomposed" if same_structure(truth, estimate) else "enumerate"
-    if mode == "decomposed":
-        ce = kl_decomposed(truth, estimate)
-    else:
-        ce = kl_enumerate(truth, estimate)
-    mse_val = mse(truth, estimate) if same_structure(truth, estimate) else float("nan")
+    report = evaluate(truth, estimate)
     pct = ""
     if args.data:
         data = read_dataset(args.data)
@@ -322,13 +315,13 @@ def _cmd_eval(args) -> int:
         holes = np.array([p.count(None) for p in data.distinct])[data.case_pattern]
         share = data.case_weights * holes / len(data.variables)
         pct = fmt17(np.cumsum(share)[-1] / data.total_weight)  # added in case order
-    print(f"ce {ce:.6g}")
-    print(f"mse {mse_val:.6g}")
+    print(f"ce {report.ce:.6g}")
+    print(f"mse {report.mse:.6g}")
     if args.out:
         _write_csv(
             args.out,
             ["method", "ce", "mse", "pct_missing"],
-            [[args.method_tag, fmt17(ce), fmt17(mse_val), pct]],
+            [[args.method_tag, fmt17(report.ce), fmt17(report.mse), pct]],
         )
     return 0
 
@@ -426,7 +419,6 @@ def build_parser() -> _Parser:
     p.add_argument("--truth", required=True)
     p.add_argument("--estimate", required=True)
     p.add_argument("--counts", help="row counts CSV; smooth before scoring")
-    p.add_argument("--mode", choices=["enumerate", "decomposed"])
     p.add_argument("--method-tag", default="estimate")
     p.add_argument("--data", help="dataset for the pct_missing column")
     p.add_argument("--out")

@@ -11,6 +11,7 @@ the rows to a constant and the data becomes MAR.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,43 +97,21 @@ def build_coarsening_network(
     (excluding V) and the observation nodes added so far.  Acyclicity holds
     by construction.  The original CPTs are untouched.
     """
-    original = [s.name for s in net.nodes]
-    specs = list(net.nodes)
-    cpts = list(net.cpts)
-    obs_specs: list[NodeSpec] = []
-    obs_cpts: list[np.ndarray] = []
-    available_obs: list[str] = []
-    shell_nodes = {s.name: s for s in net.nodes}
-
-    card_of = {s.name: len(s.states) for s in net.nodes}
-    for name in original:
-        candidates = [v for v in original if v != name] + list(available_obs)
-        k = int(rng.integers(0, spec.mp + 1)) if spec.mp > 0 else 0
-        k = min(k, len(candidates))
-        if k > 0:
-            picked_idx = rng.choice(len(candidates), size=k, replace=False)
-            extra = [candidates[int(j)] for j in picked_idx]
-        else:
-            extra = []
-        parents = (name, *extra)
-        n_rows = 1
-        for p in parents:
-            n_rows *= card_of[p]
-        p_false = draw_missingness_probs(spec.mu, spec.sigma, n_rows, rng)
-        table = np.column_stack([1.0 - p_false, p_false])
-        obs_name = OBS_PREFIX + name
-        if obs_name in shell_nodes:
-            raise DataError(f"node name {obs_name!r} collides with an original node")
-        obs_specs.append(NodeSpec(obs_name, ("true", "false"), parents))
-        obs_cpts.append(table)
-        available_obs.append(obs_name)
-        card_of[obs_name] = 2
-
-    augmented = Network(
-        net.name + "_coarsened",
-        tuple(specs + obs_specs),
-        tuple(cpts + obs_cpts),
-    )
+    for s in net.nodes:
+        if OBS_PREFIX + s.name in net.node_index:
+            raise DataError(f"node name {OBS_PREFIX + s.name!r} collides with an original node")
+    specs, cpts = list(net.nodes), list(net.cpts)
+    for v in range(len(net.nodes)):
+        candidates = [j for j in range(len(specs)) if j != v]  # the obs nodes so far last
+        k = min(int(rng.integers(0, spec.mp + 1)) if spec.mp > 0 else 0, len(candidates))
+        picked = rng.choice(len(candidates), size=k, replace=False).tolist() if k else []
+        parents = [specs[j] for j in (v, *(candidates[j] for j in picked))]
+        rows = math.prod(len(p.states) for p in parents)
+        p_false = draw_missingness_probs(spec.mu, spec.sigma, rows, rng)
+        names = tuple(p.name for p in parents)
+        specs.append(NodeSpec(OBS_PREFIX + specs[v].name, ("true", "false"), names))
+        cpts.append(np.column_stack([1.0 - p_false, p_false]))
+    augmented = Network(net.name + "_coarsened", tuple(specs), tuple(cpts))
     diags = validate_network(augmented)
     if diags:
         raise DataError("augmentation produced an invalid network: " + "; ".join(diags))

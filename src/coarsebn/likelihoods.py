@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import Completion, CoarsePattern, Dataset
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, ZeroSupportError
 from .inference import DENSE_TABLE_BUDGET, BoundDataset, bind, face_value_sum
 from .network import Network, unravel_rows
 
@@ -391,7 +391,8 @@ def lr_statistic(net_sat: Network, net_car: Network, data: Dataset | BoundDatase
     one structure: the dataset is bound once, and the sat solve, the face
     value and the car normalizer all read one member table.  A materially
     negative gap means the candidates were not optimal, which is reported
-    rather than clamped away.
+    rather than clamped away; so is a candidate under which an observed
+    pattern has probability zero (ZeroSupportError).
     """
     if net_car.nodes != net_sat.nodes:
         raise DataError("the sat and car candidates must share one structure")
@@ -399,6 +400,12 @@ def lr_statistic(net_sat: Network, net_car: Network, data: Dataset | BoundDatase
     problem = SatProfileProblem(net_sat, bound)
     car = car_profile_loglik(net_car, bound).per_case_average
     sat, _, _, _ = problem.solve(net_sat)
+    zero = [side for side, value in (("sat", sat), ("car", car)) if not math.isfinite(value)]
+    if zero:
+        raise ZeroSupportError(
+            f"an observed pattern has probability zero under the {' and '.join(zero)} "
+            f"candidate{'s' * (len(zero) > 1)} (sat {sat:.6g}, car {car:.6g} per case)"
+        )
     stat = sat - car
     if stat < -1e-9:
         raise NumericalError(

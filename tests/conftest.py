@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
+from coarsebn.coarsen import (
+    OBS_PREFIX,
+    CoarseningSpec,
+    build_coarsening_network,
+    draw_missingness_probs,
+    generate_dataset,
+)
 from coarsebn.data import Dataset
 from coarsebn.errors import DataError, NumericalError
 from coarsebn.inference import (
@@ -325,6 +331,42 @@ def per_pattern_completion(theta0, table, rep_pattern, rng):
             )
         out[idxs] = picks
     return out.tolist(), fallbacks
+
+
+def per_name_coarsening_network(net, spec, rng):
+    """Oracle: `coarsen.build_coarsening_network` with its own name and
+    card lookups, and its observation nodes collected apart."""
+    original = [s.name for s in net.nodes]
+    obs_specs, obs_cpts, available_obs = [], [], []
+    shell_nodes = {s.name: s for s in net.nodes}
+    card_of = {s.name: len(s.states) for s in net.nodes}
+    for name in original:
+        candidates = [v for v in original if v != name] + list(available_obs)
+        k = int(rng.integers(0, spec.mp + 1)) if spec.mp > 0 else 0
+        k = min(k, len(candidates))
+        if k > 0:
+            picked_idx = rng.choice(len(candidates), size=k, replace=False)
+            extra = [candidates[int(j)] for j in picked_idx]
+        else:
+            extra = []
+        parents = (name, *extra)
+        n_rows = 1
+        for p in parents:
+            n_rows *= card_of[p]
+        p_false = draw_missingness_probs(spec.mu, spec.sigma, n_rows, rng)
+        table = np.column_stack([1.0 - p_false, p_false])
+        obs_name = OBS_PREFIX + name
+        if obs_name in shell_nodes:
+            raise DataError(f"node name {obs_name!r} collides with an original node")
+        obs_specs.append(NodeSpec(obs_name, ("true", "false"), parents))
+        obs_cpts.append(table)
+        available_obs.append(obs_name)
+        card_of[obs_name] = 2
+    return Network(
+        net.name + "_coarsened",
+        tuple(list(net.nodes) + obs_specs),
+        tuple(list(net.cpts) + obs_cpts),
+    )
 
 
 def ravel(net, x):

@@ -668,8 +668,8 @@ class TestInitialCompletion:
     @pytest.mark.parametrize("budget", ["dense", "half", "tree"])
     def test_draws_equal_per_pattern(self, budget, asia_net, monkeypatch):
         # an asia dataset's patterns of 1 to 8 members, all enumerated,
-        # half of the members enumerated (tree patterns split the runs of
-        # uniforms), or all on the tree
+        # half of the members enumerated (tree patterns drawn between the
+        # enumerated ones), or all on the tree
         data = asia_data(asia_net, n=300, seed=61)
         sizes = inference.BoundDataset(asia_net, data).sizes
         if budget != "dense":
@@ -684,8 +684,9 @@ class TestInitialCompletion:
         theta0 = randomize_parameters(asia_net, np.random.default_rng(62))
         assert_draws_per_pattern(theta0, table, np.repeat(bound.case_pattern, 3), seed=63)
         # 12 replicas for each case of 4 or more members, 1 for the others:
-        # the 4-member patterns' compare (3 cells a replica) has more cells
-        # than there are uniforms, so it is cut into chunks
+        # replica counts that differ widely between patterns, and the
+        # 4-member patterns' CDF cells below the last (3 a replica)
+        # outnumber the replicas of all multi-member patterns
         case_members = np.array(bound.sizes)[bound.case_pattern]
         reps = np.where(case_members >= 4, 12, 1)
         assert 3 * reps[case_members == 4].sum() > reps[case_members > 1].sum()
@@ -695,7 +696,7 @@ class TestInitialCompletion:
     @pytest.mark.parametrize("budget", [inference.DENSE_TABLE_BUDGET, 0])
     def test_zero_probability_and_empty_patterns(self, budget, asia_net, monkeypatch):
         # asia's either is tub or lung, so tub=yes, either=no has probability
-        # zero: its replicas fall back to uniform draws between the runs of
+        # zero: its replicas fall back to uniform draws between the draws of
         # the enumerated patterns on either side.  A case of weight zero
         # leaves its pattern out of the table, and table patterns given no
         # replica (enumerated, impossible or on the tree) take no uniform.
@@ -718,8 +719,8 @@ class TestInitialCompletion:
         assert table.pattern_probs(asia_net)[1] == 0.0
         reps = [4, 3, 5, 0, 2, 0]  # none and one complete pattern get no replica
         rep_pattern = np.repeat(np.arange(len(patterns)), reps)
-        # 9 uniforms: the 32- and 16-member patterns' compares (4 * 31 and
-        # 5 * 15 cells) are cut into chunks of one replica
+        # 9 uniforms on the dense path: one for each of the 4 replicas of
+        # the 32-member pattern and the 5 of the 16-member one
         comp, fallbacks = assert_draws_per_pattern(asia_net, table, rep_pattern, seed=65)
         assert fallbacks == [4, 5, 6]
         rows = unravel_rows(asia_net, np.array(comp))

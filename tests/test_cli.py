@@ -69,6 +69,45 @@ class TestLik:
         assert parsed(out.stdout, "lr_statistic") == pytest.approx(0.0720, abs=1e-3)
 
 
+ZERO_A = "network z\nnode A states a,b\nnode B states a,b\ncpt A : 1,0\ncpt B : 0.5,0.5\n"
+HALF_A = "network z\nnode A states a,b\nnode B states a,b\ncpt A : 0.5,0.5\ncpt B : 0.5,0.5\n"
+
+
+class TestLikZeroProbability:
+    """A case b,? has probability zero where P(A=b) = 0: `lr` refuses the
+    candidate, the single reports print -inf."""
+
+    def files(self, tmp_path):
+        (tmp_path / "zero.net").write_text(ZERO_A)
+        (tmp_path / "half.net").write_text(HALF_A)
+        (tmp_path / "d.csv").write_text("A,B\nb,?\na,a\na,a\n")
+        return lambda name: str(tmp_path / name)
+
+    @pytest.mark.parametrize(
+        "sat, car, named",
+        [("zero", "zero", "sat and car candidates"), ("half", "zero", "car candidate"),
+         ("zero", "half", "sat candidate")],
+    )
+    def test_lr_exits_3_naming_the_candidate(self, tmp_path, capsys, sat, car, named):
+        path = self.files(tmp_path)
+        code = cli.main([
+            "lik", "--net", path(f"{sat}.net"), "--net-car", path(f"{car}.net"),
+            "--data", path("d.csv"), "--which", "lr",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert "Traceback" not in err
+        assert f"probability zero under the {named} (" in err
+
+    @pytest.mark.parametrize("which", ["fv", "sat", "car"])
+    def test_single_reports_print_minus_inf(self, tmp_path, capsys, which):
+        path = self.files(tmp_path)
+        argv = ["lik", "--net", path("zero.net"), "--data", path("d.csv"), "--which", which]
+        code = cli.main(argv)
+        assert code == 0
+        assert parsed(capsys.readouterr().out, "per_case_average") == -np.inf
+
+
 class TestLikStructureMismatch:
     def test_lr_with_other_structure_is_data_error(self, tmp_path):
         # same nodes and CPT shapes; C's parent is A in one network, B in the other
@@ -229,7 +268,7 @@ class TestEvalBudget:
         from coarsebn import cli, inference
 
         monkeypatch.setattr(inference, "ENUM_BUDGET", 4)
-        code = cli.main(["eval", "--truth", ASIA, "--estimate", ASIA, "--mode", "decomposed"])
+        code = cli.main(["eval", "--truth", ASIA, "--estimate", ASIA])
         err = capsys.readouterr().err
         assert code == 3
         assert "Traceback" not in err
@@ -252,9 +291,7 @@ class TestExitCodes:
         assert out.returncode == 2
 
     def test_eval_decomposed_mismatch_is_data_error(self, tmp_path):
-        out = run_cli(
-            "eval", "--truth", BASIC, "--estimate", ASIA, "--mode", "decomposed"
-        )
+        out = run_cli("eval", "--truth", BASIC, "--estimate", ASIA)
         assert out.returncode == 2
 
     def test_budget_exceeded_is_numerical(self, tmp_path):
@@ -740,8 +777,8 @@ FLAGS = {
     },
     "eval": {
         "--truth": (["@net"], []), "--estimate": (["@net2", "@net"], ["@data"]),
-        "--counts": (["@counts"], []), "--mode": (["enumerate", "decomposed"], ["other"]),
-        "--method-tag": (["m"], []), "--data": (["@data"], []), "--out": OUT,
+        "--counts": (["@counts"], []), "--method-tag": (["m"], []),
+        "--data": (["@data"], []), "--out": OUT,
     },
     "lik": {
         "--net": (["@net"], []), "--data": (["@data"], []),

@@ -15,6 +15,7 @@ from coarsebn.data import Dataset
 from coarsebn.netformat import read_network
 from coarsebn.network import Network, NodeSpec, sample, validate_network
 from coarsebn.util import fixture_path
+from conftest import per_name_coarsening_network
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,28 @@ class TestBuildCoarseningNetwork:
                 assert p in originals or p in seen_obs
             assert own not in [p for p in spec.parents if p != own]
             seen_obs.append(spec.name)
+
+    @pytest.mark.parametrize("fixture", ["asia.net", "basic.net", "alarm_like.net"])
+    @pytest.mark.parametrize(
+        "spec", ["0:0.1:0", "0:0.2:0.05", "2:0.1:0", "2:0.1:0.05", "8:0.3:0.01"]
+    )
+    def test_equals_per_name_oracle(self, fixture, spec):
+        net = read_network(fixture_path(fixture))
+        for seed in range(4):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            aug = build_coarsening_network(net, CoarseningSpec.parse(spec), rng)
+            ref = per_name_coarsening_network(net, CoarseningSpec.parse(spec), ref_rng)
+            assert aug.name == ref.name == net.name + "_coarsened"
+            assert aug.nodes == ref.nodes
+            assert aug.theta.tobytes() == ref.theta.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_observation_name_collision_refused(self):
+        specs = (NodeSpec("A", ("t", "f")), NodeSpec("obsA", ("t", "f"), ("A",)))
+        cpts = (np.array([[0.5, 0.5]]), np.array([[0.9, 0.1], [0.2, 0.8]]))
+        net = Network("clash", specs, cpts)
+        with pytest.raises(DataError, match="^node name 'obsA' collides with an original node$"):
+            build_coarsening_network(net, CoarseningSpec(2, 0.1, 0.05), np.random.default_rng(0))
 
 
 class TestGenerateDataset:

@@ -19,7 +19,7 @@ from coarsebn.aim import AimOptions, aim_fit
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Completion, Dataset
 from coarsebn.em import EmOptions, em_fit
-from coarsebn.errors import BudgetError, DataError, NumericalError
+from coarsebn.errors import BudgetError, DataError, NumericalError, ZeroSupportError
 from coarsebn.likelihoods import (
     SatProfileProblem,
     car_normalizer,
@@ -526,6 +526,19 @@ class TestLrStatistic:
         good_car = net_theta(basic_net, *THETA1)
         with pytest.raises(NumericalError):
             lr_statistic(bad_sat, good_car, basic_data)
+
+    @pytest.mark.parametrize(
+        "zero_sat, zero_car, named",
+        [(True, True, "sat and car candidates"), (False, True, "car candidate"),
+         (True, False, "sat candidate")],
+    )
+    def test_zero_probability_candidate_refused(self, basic_net, zero_sat, zero_car, named):
+        # P(A=f) = 0 gives the case (f, ?) probability zero
+        zero, half = net_theta(basic_net, 1.0, 0.5), net_theta(basic_net, 0.5, 0.5)
+        d = Dataset(("A", "B"), ((("f", None), 1.0), (("t", "t"), 2.0)))
+        assert face_value_loglik(zero, d).per_case_average == -np.inf
+        with pytest.raises(ZeroSupportError, match=f"probability zero under the {named} "):
+            lr_statistic(zero if zero_sat else half, zero if zero_car else half, d)
 
     def test_mar_data_small_statistic(self, basic_net):
         # when missingness ignores the values both optima nearly coincide

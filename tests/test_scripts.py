@@ -32,6 +32,15 @@ def test_run_table_rows(tmp_path, capsys):
     assert [row["run"] for row in rows] == ["0", "summary"]
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_run_table_rows_refuses_runs_below_one(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        script("run_table_rows").main(["--runs", value, "--out-dir", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "must be an integer of at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_compare_conservative(tmp_path):
     out = tmp_path / "cmp.csv"
     code = script("compare_conservative").main(
