@@ -24,10 +24,10 @@ tree, and at the EM estimate it hashes the table's `pattern_probs`, its
 `expected_counts`, the `initial_completion` draws of one replica per case
 (seeded by the input's position) with the generator's `bit_generator.state`
 after them, and `Truth(EM estimate).parent_weights`.
-A fifth line lists, for each lik_reports input, the map evaluations
-that `lr_statistic` makes in the sat solver and in the car normalizer, as
-plain integers, so a change in solver work shows as plainly as a changed
-result.
+A fifth line lists, for each lik_reports input, the map evaluations at
+every level that `lr_statistic` makes in the sat solver and in the car
+normalizer, as plain integers, so a change in solver work shows as
+plainly as a changed result.
 Two versions of the package that print the same digests make the same
 datasets, draws, moves, counts, scores, estimates, solver values and tree
 answers, bit for bit, with the same solver work.  `fit_digest.expected`,
@@ -97,9 +97,9 @@ def main() -> int:
         evals = solver_evals[name[:3]]
         evals.append(0)
 
-        def counted(x):
+        def counted(x, *level):  # every level, image alone included
             evals[-1] += 1
-            return evaluate(x)
+            return evaluate(x, *level)
 
         return fixed_point(counted, x, tol, max_evals, name, support)
 

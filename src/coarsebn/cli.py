@@ -344,13 +344,15 @@ def _cmd_lik(args) -> int:
     elif args.which == "lr":
         other = read_network(args.net_car) if args.net_car else net
         stat = lr_statistic(net, other, data)
-        print(f"lr_statistic {stat:.6g}")
-        return 0
+        rep = LikelihoodReport("lr_statistic", stat, stat * data.total_weight)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown --which {args.which!r}")
-    print(f"kind {rep.kind}")
-    print(f"per_case_average {rep.per_case_average:.6g}")
-    print(f"total {rep.total:.6g}")
+    if args.which == "lr":
+        print(f"lr_statistic {rep.per_case_average:.6g}")
+    else:
+        print(f"kind {rep.kind}")
+        print(f"per_case_average {rep.per_case_average:.6g}")
+        print(f"total {rep.total:.6g}")
     if args.out:
         _write_csv(
             args.out,

@@ -17,7 +17,17 @@ Three quantities per (network, dataset) pair:
 
 The sat updates and the car normalizer's iterative scaling are both
 monotone fixed-point maps, accelerated by one shared SQUAREM step
-(Varadhan & Roland 2008); each stops only on its own certificate.
+(Varadhan & Roland 2008); each stops only on its own certificate.  Each
+solver evaluates its map at one of three levels: the image alone; the
+loss and the image; or in full, adding the certificate (gap) and the
+quantity the support step reads.  Every level costs one pass over the
+members and counts against the solver's budget of map evaluations.  A
+SQUAREM cycle fully evaluates only the point it hands on: the first
+image for its loss, the extrapolated point for its image, and that image,
+F(jump), in full; it hands on F(jump) if its loss is no higher than the
+first image's or its gap is within tol, and otherwise the double step,
+evaluated in full.  So a cycle makes 2 to 4 evaluations.
+
 Multiplicative updates shrink a member that the optimum leaves empty only
 geometrically, so between SQUAREM cycles each solver also takes a support
 step (after Groeneboom, Jongbloed & Wellner 2008): first when a point's gap
@@ -62,7 +72,7 @@ CAR_TOL = 1e-10
 
 @dataclass
 class LikelihoodReport:
-    kind: str  # "face_value" | "sat_profile" | "car_profile"
+    kind: str  # "face_value" | "sat_profile" | "car_profile" | "lr_statistic"
     per_case_average: float
     total: float
     certificate: Completion | dict[CoarsePattern, float] | None = None
@@ -80,7 +90,8 @@ class _Point(NamedTuple):
     """One map evaluation at a point: the loss there (which the map never
     raises), the point's stopping certificate, the point's image, and the
     per-coordinate quantity whose optimality conditions a support step
-    reads (g for the sat profile, r for the car normalizer)."""
+    reads (g for the sat profile, r for the car normalizer).  A field the
+    evaluation's level leaves out is NaN, or None for the last."""
 
     loss: float
     gap: float
@@ -88,19 +99,21 @@ class _Point(NamedTuple):
     kkt: np.ndarray | None = None
 
 
-_CYCLE_EVALS = 4
+# What a map evaluation computes: the image alone, the loss and the image,
+# or everything (`_FULL`, a certified point).
+_IMAGE, _LOSS, _FULL = range(3)
 # The support step's schedule, reset shares and toehold (see the module
 # docstring), measured against first steps 1e-1 to 1e-3, schedules 1.5- to
 # 10-fold, shares 3e-3 to 1e-4 and toeholds 1e-8 to 1e-16.  `lr_statistic`
-# over the 25 asia_rows inputs of perfbench makes 5,735 map evaluations
-# (9,945 with no support step), and a sat solve warmed from another theta
+# over the 25 asia_rows inputs of perfbench makes 4,541 map evaluations
+# (9,010 with no support step), and a sat solve warmed from another theta
 # stays cheaper than a cold one.  The sat share is the smaller because a
 # sat member the optimum needs at a small share of its pattern, on a state
 # that other patterns fill, regrows from the toehold only at the rate by
-# which its g trails the pattern's mean: at a share of 1e-3, 5 of 1,000
-# small random datasets (DAGs of 1-5 nodes, 20-400 cases) took 3 to 8
-# times the evaluations of the loop with no support step, and another 75
-# times; at 2e-4 none of the 1,000 took more than 1.6 times.
+# which its g trails the pattern's mean: at a share of 1e-3, 8 of 3,000
+# small random datasets (DAGs of 1-5 nodes, 20-400 cases) took 3.4 to 57
+# times the evaluations of the loop with no support step; at 2e-4 none of
+# the 3,000 took more than 2.2 times, and 6 more than 1.6 times.
 _SUPPORT_FIRST = 1e-2
 _SUPPORT_EVERY = 4.0
 _SAT_EMPTY_SHARE = 2e-4
@@ -112,32 +125,30 @@ _SAT_FLOOR = 1e-300
 
 
 def _squarem_cycle(
-    evaluate: Callable[[np.ndarray], _Point], x: np.ndarray, at_x: _Point, tol: float
-) -> tuple[np.ndarray, _Point, int]:
-    """One SQUAREM-3 cycle (Varadhan & Roland 2008) from x, at_x = evaluate(x).
+    evaluate: Callable[[np.ndarray, int], _Point], x: np.ndarray, at_x: _Point, tol: float
+) -> tuple[np.ndarray, _Point]:
+    """One SQUAREM-3 cycle (Varadhan & Roland 2008) from x, at_x its full
+    evaluation; fully evaluates only the point it hands on.
 
     With x1 = F(x), x2 = F(x1), r = x1 - x and v = x2 - x1 - r, the cycle
-    jumps to x - 2a r + a^2 v, where a = min(-|r|/|v|, -1).  While the jump
-    would change the sign of an entry of x2 (make a positive entry
-    non-positive, or an underflowed zero non-zero), a is halved towards -1,
-    down to -2; if even that fails, the cycle ends at x2, the plain double
-    step (a = -1).  Otherwise it evaluates F(jump) and keeps it if its loss
-    is no worse than x2's, so the loss never rises from cycle to cycle.  A
-    rejected F(jump) still ends the solve if its own gap is within tol:
-    every image of the map is a feasible point, so its certificate holds.
+    jumps to x - 2a r + a^2 v, where a = min(-|r|/|v|, -1).  x1 is
+    evaluated for its loss and image (x2) only.  While the jump would
+    change the sign of an entry of x2 (make a positive entry non-positive,
+    or an underflowed zero non-zero), a is halved towards -1, down to -2;
+    if even that fails, the cycle hands on x2, the plain double step
+    (a = -1).  Otherwise it maps the jump for its image alone and fully
+    evaluates that image, F(jump), which it hands on if its loss is no
+    higher than x1's or its own gap is within tol (every image of the map
+    is a feasible point, so its certificate holds); if neither, it hands
+    on x2.  So the loss never rises from cycle to cycle but at the point
+    that ends the solve, and a cycle makes 2 to 4 evaluations: x1, then
+    x2; or x1, the jump, F(jump) and perhaps x2.
 
-    Returns the next point, its evaluation and the number of evaluations
-    made (at most _CYCLE_EVALS), stopping early at x1 or x2 if its gap is
-    within tol.
+    Returns the point handed on and its full evaluation.
     """
     x1 = at_x.image
-    at_x1 = evaluate(x1)
-    if at_x1.gap <= tol:
-        return x1, at_x1, 1
+    at_x1 = evaluate(x1, _LOSS)
     x2 = at_x1.image
-    at_x2 = evaluate(x2)
-    if at_x2.gap <= tol:
-        return x2, at_x2, 2
     r = x1 - x
     v = x2 - x1 - r
     vv = float(v @ v)
@@ -149,16 +160,16 @@ def _squarem_cycle(
             break
         a = (a - 1.0) / 2.0 if a < -2.0 else -1.0
     else:
-        return x2, at_x2, 2
-    landed = evaluate(jump).image
-    at_landed = evaluate(landed)
-    if at_landed.loss <= at_x2.loss or at_landed.gap <= tol:
-        return landed, at_landed, 4
-    return x2, at_x2, 4
+        return x2, evaluate(x2, _FULL)
+    landed = evaluate(jump, _IMAGE).image
+    at_landed = evaluate(landed, _FULL)
+    if at_landed.loss <= at_x1.loss or at_landed.gap <= tol:
+        return landed, at_landed
+    return x2, evaluate(x2, _FULL)
 
 
 def _fixed_point(
-    evaluate: Callable[[np.ndarray], _Point],
+    evaluate: Callable[..., _Point],
     x: np.ndarray,
     tol: float,
     max_evals: int,
@@ -167,17 +178,33 @@ def _fixed_point(
 ) -> tuple[np.ndarray, _Point]:
     """SQUAREM cycles from x until a point's gap is within tol.
 
+    `evaluate(x, level)` maps x at one of three levels: `_IMAGE`, `_LOSS`
+    (loss and image) or `_FULL` (loss, gap, image and the support step's
+    quantity); called with x alone it evaluates fully.  Only a point that
+    a cycle hands on is fully evaluated, so a cycle makes 2 to 4
+    evaluations (see `_squarem_cycle`).
+
     Between cycles, once the gap is below _SUPPORT_FIRST and then each time
     it has fallen _SUPPORT_EVERY-fold, `support(x, at_x)` may return x with
     its empty members reset to their toehold.  That point costs one
     evaluation and replaces x only if its loss is no higher.
 
-    Returns that point and its evaluation.  Raises NumericalError at a NaN
-    gap, which is not convergence, and rather than start a cycle or a reset
-    evaluation that could pass max_evals map evaluations.
+    Every evaluation, at any level, counts against max_evals; the start's
+    is always made.  Returns the certified point and its evaluation.
+    Raises NumericalError at a NaN gap, which is not convergence, and
+    before any evaluation that would pass max_evals, naming the gap of the
+    point last handed on.
     """
     at_x = evaluate(x)
     evals = 1
+
+    def budgeted(y: np.ndarray, level: int) -> _Point:
+        nonlocal evals
+        if evals >= max_evals:
+            raise NumericalError(f"{name} stalled at gap {at_x.gap:.3g} > tol {tol:.3g}")
+        evals += 1
+        return evaluate(y, level)
+
     due = _SUPPORT_FIRST
     while not at_x.gap <= tol:
         if math.isnan(at_x.gap):
@@ -186,16 +213,10 @@ def _fixed_point(
         if support is not None and at_x.gap < due:
             due = at_x.gap / _SUPPORT_EVERY
             reset = support(x, at_x)
-        if evals + (_CYCLE_EVALS if reset is None else 1) > max_evals:
-            raise NumericalError(
-                f"{name} stalled at gap {at_x.gap:.3g} > tol {tol:.3g}"
-            )
         if reset is None:
-            x, at_x, made = _squarem_cycle(evaluate, x, at_x, tol)
-            evals += made
+            x, at_x = _squarem_cycle(budgeted, x, at_x, tol)
             continue
-        at_reset = evaluate(reset)
-        evals += 1
+        at_reset = budgeted(reset, _FULL)
         if at_reset.loss <= at_x.loss:
             x, at_x = reset, at_reset
     return x, at_x
@@ -279,14 +300,18 @@ class SatProfileProblem:
         def renormalised(w: np.ndarray) -> np.ndarray:
             return w * (m / np.add.reduceat(w, starts))[pat]
 
-        def evaluate(w: np.ndarray) -> _Point:
+        def evaluate(w: np.ndarray, level: int = _FULL) -> _Point:
             # p_c at each slot's state; KL = sum_x p_c log(p_c / P) = sum of w * g
             p_c = np.maximum(np.bincount(loc, weights=w, minlength=n_loc)[loc], 1e-300)
-            g = np.log(p_c) - log_p
-            kl = float(w @ g)
-            gap = kl - float(m @ np.minimum.reduceat(g, starts))
             # p / p_c first: w * p can underflow where p is tiny
             image = renormalised(np.maximum(w * (p / p_c), _SAT_FLOOR))
+            if level == _IMAGE:
+                return _Point(math.nan, math.nan, image)
+            g = np.log(p_c) - log_p
+            kl = float(w @ g)
+            if level == _LOSS:
+                return _Point(kl, math.nan, image)
+            gap = kl - float(m @ np.minimum.reduceat(g, starts))
             return _Point(kl, gap, image, g)
 
         def support(w: np.ndarray, at_w: _Point) -> np.ndarray | None:
@@ -354,11 +379,17 @@ def car_normalizer(
     loc, starts, pat_of_slot = table.loc, table.starts, table.pat_of_slot
     n = len(table.uniq)
 
-    def evaluate(q: np.ndarray) -> _Point:
+    def evaluate(q: np.ndarray, level: int = _FULL) -> _Point:
         q_u = np.add.reduceat(q[loc], starts)
         r = np.bincount(loc, weights=(m / q_u)[pat_of_slot], minlength=n)
         step = q * r
-        return _Point(-float(m @ np.log(q_u)), float(r.max()) - 1.0, step / step.sum(), r)
+        image = step / step.sum()
+        if level == _IMAGE:
+            return _Point(math.nan, math.nan, image)
+        loss = -float(m @ np.log(q_u))
+        if level == _LOSS:
+            return _Point(loss, math.nan, image)
+        return _Point(loss, float(r.max()) - 1.0, image, r)
 
     def support(q: np.ndarray, at_q: _Point) -> np.ndarray | None:
         # At the optimum r = 1 on every member with mass and r <= 1

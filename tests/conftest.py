@@ -764,20 +764,69 @@ def random_dag(n, seed, cards=(2, 5), max_parents=3, window=None):
     return randomize_parameters(net, rng)
 
 
-def fixed_point_without_support(evaluate, x, tol, max_evals, name, support=None):
-    """Oracle: the solvers' SQUAREM loop as it ran before the support step,
-    ignoring `support`."""
+def fixed_point_without_support(evaluate, x, tol, max_evals, name, support=None,
+                                 fixed_point=likelihoods._fixed_point):
+    """Oracle: the solvers' SQUAREM loop with no support step, ignoring
+    `support`."""
+    return fixed_point(evaluate, x, tol, max_evals, name)
+
+
+def four_evaluation_cycle(evaluate, x, at_x, tol):
+    """Oracle: the SQUAREM cycle that fully evaluates every point it
+    touches, x1, x2, the jump and F(jump), stopping early at x1 or x2 if
+    its gap is within tol, and keeps F(jump) against x2's loss.  Returns
+    the next point, its evaluation and the evaluations made."""
+    x1 = at_x.image
+    at_x1 = evaluate(x1)
+    if at_x1.gap <= tol:
+        return x1, at_x1, 1
+    x2 = at_x1.image
+    at_x2 = evaluate(x2)
+    if at_x2.gap <= tol:
+        return x2, at_x2, 2
+    r = x1 - x
+    v = x2 - x1 - r
+    vv = float(v @ v)
+    a = min(-math.sqrt(float(r @ r) / vv), -1.0) if vv > 0 else -1.0
+    sign = np.sign(x2)
+    while a < -1.0:
+        jump = x - 2.0 * a * r + (a * a) * v
+        if np.array_equal(np.sign(jump), sign):
+            break
+        a = (a - 1.0) / 2.0 if a < -2.0 else -1.0
+    else:
+        return x2, at_x2, 2
+    landed = evaluate(jump).image
+    at_landed = evaluate(landed)
+    if at_landed.loss <= at_x2.loss or at_landed.gap <= tol:
+        return landed, at_landed, 4
+    return x2, at_x2, 4
+
+
+def four_evaluation_fixed_point(evaluate, x, tol, max_evals, name, support=None):
+    """Oracle: the solvers' loop on `four_evaluation_cycle`, with the
+    support step, refusing a cycle that could make more than four
+    evaluations past max_evals."""
     at_x = evaluate(x)
     evals = 1
+    due = likelihoods._SUPPORT_FIRST
     while not at_x.gap <= tol:
         if math.isnan(at_x.gap):
             raise NumericalError(f"{name} reached a NaN gap")
-        if evals + likelihoods._CYCLE_EVALS > max_evals:
-            raise NumericalError(
-                f"{name} stalled at gap {at_x.gap:.3g} > tol {tol:.3g}"
-            )
-        x, at_x, made = likelihoods._squarem_cycle(evaluate, x, at_x, tol)
-        evals += made
+        reset = None
+        if support is not None and at_x.gap < due:
+            due = at_x.gap / likelihoods._SUPPORT_EVERY
+            reset = support(x, at_x)
+        if evals + (4 if reset is None else 1) > max_evals:
+            raise NumericalError(f"{name} stalled at gap {at_x.gap:.3g} > tol {tol:.3g}")
+        if reset is None:
+            x, at_x, made = four_evaluation_cycle(evaluate, x, at_x, tol)
+            evals += made
+            continue
+        at_reset = evaluate(reset)
+        evals += 1
+        if at_reset.loss <= at_x.loss:
+            x, at_x = reset, at_reset
     return x, at_x
 
 

@@ -68,6 +68,28 @@ class TestLik:
         assert out.returncode == 0
         assert parsed(out.stdout, "lr_statistic") == pytest.approx(0.0720, abs=1e-3)
 
+    def test_lr_writes_its_csv(self, tmp_path):
+        # The statistic per case, and times the dataset's total weight: the
+        # fixture's cases at four times their weight, which totals 4.
+        data = tmp_path / "coarse4.csv"
+        header, *rows = Path(COARSE).read_text().splitlines()
+        data.write_text("\n".join([header] + [
+            f"{row.rpartition(',')[0]},{4 * float(row.rpartition(',')[2])!r}" for row in rows
+        ]) + "\n")
+        out_csv = tmp_path / "lr.csv"
+        out = run_cli(
+            "lik", "--net", BASIC, "--data", str(data), "--which", "lr", "--out", str(out_csv),
+        )
+        assert out.returncode == 0
+        with open(out_csv, newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["kind", "per_case_average", "total"]
+        assert len(table) == 2 and table[1][0] == "lr_statistic"
+        per_case, total = float(table[1][1]), float(table[1][2])
+        assert per_case == pytest.approx(parsed(out.stdout, "lr_statistic"), rel=1e-5)
+        assert per_case == pytest.approx(0.0804719, abs=1e-6)
+        assert total == pytest.approx(4 * per_case, rel=1e-12)
+
 
 ZERO_A = "network z\nnode A states a,b\nnode B states a,b\ncpt A : 1,0\ncpt B : 0.5,0.5\n"
 HALF_A = "network z\nnode A states a,b\nnode B states a,b\ncpt A : 0.5,0.5\ncpt B : 0.5,0.5\n"

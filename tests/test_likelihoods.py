@@ -224,6 +224,45 @@ class TestSolverAcceleration:
         assert all(b <= a for a, b in zip(losses[:-1], losses[1:-1]))
         assert losses[-1] <= losses[-2] + 1e-10
 
+    def test_a_cycle_fully_evaluates_only_what_it_may_hand_on(
+        self, asia_net, asia_data, monkeypatch
+    ):
+        # x1 for its loss; then x2 in full, or the jump's image, F(jump) in
+        # full and perhaps x2 in full.
+        levels = []
+        cycle = likelihoods._squarem_cycle
+
+        def spy(evaluate, *args):
+            def logged(y, level):
+                levels[-1].append(level)
+                return evaluate(y, level)
+
+            levels.append([])
+            return cycle(logged, *args)
+
+        monkeypatch.setattr(likelihoods, "_squarem_cycle", spy)
+        SatProfileProblem(asia_net, asia_data).solve(asia_net, tol=1e-12)
+        car_normalizer(asia_net, asia_data)
+        image, loss, full = likelihoods._IMAGE, likelihoods._LOSS, likelihoods._FULL
+        seen = set(map(tuple, levels))
+        assert seen <= {(loss, full), (loss, image, full), (loss, image, full, full)}
+        assert (loss, image, full) in seen
+
+    def test_a_jump_that_fills_an_underflowed_zero_is_refused(self):
+        # F halves the first entry and zeroes the second: from (1, 1) the
+        # jump (a = -1.08) puts 0.007 where x2 holds 0, so the cycle hands
+        # on x2 after two evaluations.
+        made = []
+
+        def evaluate(y, level=likelihoods._FULL):
+            made.append(level)
+            return likelihoods._Point(float(y.sum()), float(y.sum()), y * [0.5, 0.0])
+
+        x = np.ones(2)
+        y, at_y = likelihoods._squarem_cycle(evaluate, x, evaluate(x), 0.0)
+        assert y.tolist() == [0.25, 0.0] and at_y.image.tolist() == [0.125, 0.0]
+        assert made == [likelihoods._FULL, likelihoods._LOSS, likelihoods._FULL]
+
     def test_warm_start_with_zeros_on_feasible_slots(self, asia_net, asia_data):
         problem = SatProfileProblem(asia_net, asia_data)
         cold, w, _, _ = problem.solve(asia_net, tol=1e-10)
