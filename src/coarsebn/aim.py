@@ -89,12 +89,11 @@ class AimState:
     its counts, theta and the score, with the states the fit reads and its
     moving replicas grouped by key (pattern, state).
 
-    Built from theta0, the bound dataset (case weights positive integers,
-    as `aim_fit` checks), z and an assignment (replica -> flat joint
-    index): replica j is a replica of case `rep_case[j]`, z per unit of
-    case weight, `moves[m]` lists the (stride, card) of pattern m's missing
-    axes, and `net` holds theta, theta0 until the first M step.  The
-    constructor groups the keys from the assignment and scores it.
+    Built from theta0, the bound dataset, z and an assignment (replica ->
+    flat joint index): replica j is a replica of case `rep_case[j]`, laid
+    out by `replica_cases`, `moves[m]` lists the (stride, card) of pattern
+    m's missing axes, and `net` holds theta, theta0 until the first M step.
+    The constructor groups the keys from the assignment and scores it.
 
     Every state a fit reads has a row: `states[r]` is its flat index,
     `cells[r]` its `state_cells` row (built when the row is first read)
@@ -261,9 +260,20 @@ class LogQ(dict):
 
 
 def replica_cases(bound: BoundDataset, z: int) -> np.ndarray:
-    """Each replica's case: z replicas per unit of case weight, case by case."""
-    case_reps = np.round(bound.case_weights).astype(np.int64) * z
-    return np.repeat(np.arange(len(case_reps)), case_reps)
+    """Each replica's case, case by case: k*z replicas for a weight within
+    1e-9 of an integer k >= 1 (else DataError naming the first other
+    weight), and at most ENUM_BUDGET in all (else BudgetError)."""
+    w = bound.case_weights
+    units = np.round(w)
+    bad = np.flatnonzero((units < 1) | (np.abs(w - units) > 1e-9))
+    if len(bad):
+        raise DataError(
+            "replication needs positive integer case weights; "
+            f"got weight {float(w[bad[0]])!r}"
+        )
+    if z * bound.total > ENUM_BUDGET:
+        raise BudgetError(f"{z * bound.total:g} replicas exceed the budget {ENUM_BUDGET}")
+    return np.repeat(np.arange(len(w)), units.astype(np.int64) * z)
 
 
 def ai_sweep(state: AimState) -> AimState:
@@ -427,8 +437,8 @@ def aim_fit(
     """Run the alternating fit until the surrogate improvement drops below tol.
 
     theta0 must be valid and on the structure's nodes (`start_network`).
-    Case weights must be positive integers (replication needs unit cases),
-    and z times their total at most ENUM_BUDGET replicas.
+    Cases are replicated z times per unit of weight by `replica_cases`,
+    which refuses a weight not within 1e-9 of an integer >= 1.
     `data` may come bound already (`inference.bind`), as an experiment run
     binds it once for EM and this fit.  Returns both the raw final
     parameters and their smoothed version, the per-iteration surrogate
@@ -446,15 +456,6 @@ def aim_fit(
         raise BudgetError("joint space too large to index")
 
     bound = bind(structure, data)
-    w = bound.case_weights
-    bad = np.flatnonzero((w <= 0) | (np.abs(w - np.round(w)) > 1e-9))
-    if len(bad):
-        raise DataError(
-            "replication needs positive integer case weights; "
-            f"got weight {float(w[bad[0]])!r}"
-        )
-    if opts.z * bound.total > ENUM_BUDGET:
-        raise BudgetError(f"{opts.z * bound.total:g} replicas exceed the budget {ENUM_BUDGET}")
     state, fallbacks = start(theta0, bound, opts.z, np.random.default_rng(opts.seed))
 
     entropy = bound.entropy

@@ -1,7 +1,8 @@
 """Command-line harness: data generation, learning, evaluation, likelihood
 reports, and the seeded batch experiment.
 
-Exit codes: 0 success, 1 usage, 2 data/format problem, 3 numerical failure.
+Exit codes: 0 success, 1 usage, 2 data/format problem, 3 numerical failure
+or out of memory.
 Machine-readable CSV columns carry 17 significant digits; the console gets
 6-digit summaries.
 """
@@ -98,22 +99,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     for r in range(cfg.runs):
         rng = np.random.default_rng(stable_child_seed(cfg.seed, r))
         try:
-            mech = (
-                cfg.mechanism
-                if cfg.mechanism is not None
-                else build_coarsening_network(cfg.net, cfg.coarsening, rng)
-            )
+            mech = cfg.mechanism or build_coarsening_network(cfg.net, cfg.coarsening, rng)
             data, pct_missing = generate_dataset(mech, cfg.n, rng)
             bound = BoundDataset(cfg.net, data)
-            em_res = em_mod.em_fit(
-                cfg.net, bound, cfg.em_opts or em_mod.EmOptions(init="uniform")
-            )
-            aim_res = aim_mod.aim_fit(
-                cfg.net,
-                em_res.network,
-                bound,
-                aim_mod.AimOptions(z=cfg.z, seed=stable_child_seed(cfg.seed, r, "aim")),
-            )
+            em_res = em_mod.em_fit(cfg.net, bound, cfg.em_opts or em_mod.EmOptions())
+            aim_opts = aim_mod.AimOptions(z=cfg.z, seed=stable_child_seed(cfg.seed, r, "aim"))
+            aim_res = aim_mod.aim_fit(cfg.net, em_res.network, bound, aim_opts)
             rep_em = evaluate(truth, em_res.smoothed)
             rep_aim = evaluate(truth, aim_res.smoothed)
             rows.append(
@@ -229,20 +220,23 @@ def _read_counts(path: str, net: Network) -> list[np.ndarray]:
     return [by_node[spec.name] for spec in net.nodes]
 
 
+def _given(args, **options: str) -> dict:
+    """The value of each option (keyword=dest) given, by library keyword; an
+    option left out is not passed on, so the library's default holds."""
+    return {key: vars(args)[dest] for key, dest in options.items() if vars(args)[dest] is not None}
+
+
 def _cmd_learn(args) -> int:
-    init = args.init
-    if init is None:  # aim starts from the EM estimate
-        init = "em" if args.method == "aim" else "uniform"
-    if init == "em" and args.method != "aim":
+    if args.init == "em" and args.method != "aim":
         raise UsageError("--init em is only meaningful for --method aim")
-    if args.method == "conservative" and (args.counts_out or args.unsmoothed):
-        raise UsageError("--counts-out and --unsmoothed apply to --method em and aim only")
     structure = read_network(args.net_structure)
     data = read_dataset(args.data)
-    init = read_network(init[4:]) if init.startswith("net:") else init
+    if args.init is not None and args.init.startswith("net:"):
+        args.init = read_network(args.init[4:])
 
     if args.method == "conservative":
-        res = conservative_ensemble(structure, data, args.restarts, args.seed)
+        given = _given(args, n_completions="restarts")
+        res = conservative_ensemble(structure, data, **given, seed=args.seed)
         # Midpoints of the envelope, renormalized into valid rows (exact
         # already for binary rows).
         cpts = [mid / mid.sum(axis=1, keepdims=True) for mid in res.midpoint]
@@ -259,35 +253,24 @@ def _cmd_learn(args) -> int:
                     for s, label in enumerate(spec.states)
                 ),
             )
-        print(f"method conservative completions {args.restarts}")
+        print(f"method conservative completions {len(res.estimates)}")
         return 0
 
+    fit = _given(args, tol="tol", max_iters="max_iters")
     if args.method == "em":
-        res = em_mod.em_fit(
-            structure,
-            data,
-            em_mod.EmOptions(
-                tol=args.tol, max_iters=args.max_iters, init=init, seed=args.seed
-            ),
-        )
+        opts = em_mod.EmOptions(**fit, **_given(args, init="init"), seed=args.seed)
+        res = em_mod.em_fit(structure, data, opts)
         header = ["iteration", "loglik_per_unit", "excluded_weight"]
         summary = f"loglik_per_unit {res.loglik_per_unit:.6g}"
-    elif args.method == "aim":
+    else:  # aim, from the EM estimate unless --init says otherwise
+        init = "em" if args.init is None else args.init
         if init == "em":
-            init = em_mod.em_fit(structure, data, em_mod.EmOptions(init="uniform")).network
+            init = em_mod.em_fit(structure, data, em_mod.EmOptions()).network
         theta0 = start_network(structure, init, args.seed)
-        res = aim_mod.aim_fit(
-            structure,
-            theta0,
-            data,
-            aim_mod.AimOptions(
-                z=args.z, tol=args.tol, max_iters=args.max_iters, seed=args.seed
-            ),
-        )
+        opts = aim_mod.AimOptions(**fit, **_given(args, z="z"), seed=args.seed)
+        res = aim_mod.aim_fit(structure, theta0, data, opts)
         header = ["iteration", "score", "sat_lower_bound"]
         summary = f"score {res.score:.6g}"
-    else:
-        raise UsageError(f"unknown method {args.method!r}")
 
     write_network(res.network if args.unsmoothed else res.smoothed, args.out)
     if args.trace:
@@ -295,7 +278,7 @@ def _cmd_learn(args) -> int:
     if args.counts_out:
         _write_counts(args.counts_out, res.network, res.row_counts)
     if not res.converged:
-        print(f"{args.method} did not converge in --max-iters {args.max_iters}", file=sys.stderr)
+        print(f"{args.method} did not converge in --max-iters {opts.max_iters}", file=sys.stderr)
     print(f"method {args.method} iterations {len(res.trace)} {summary}")
     return 0
 
@@ -318,35 +301,26 @@ def _cmd_eval(args) -> int:
     print(f"ce {report.ce:.6g}")
     print(f"mse {report.mse:.6g}")
     if args.out:
-        _write_csv(
-            args.out,
-            ["method", "ce", "mse", "pct_missing"],
-            [[args.method_tag, fmt17(report.ce), fmt17(report.mse), pct]],
-        )
+        row = [args.method_tag, fmt17(report.ce), fmt17(report.mse), pct]
+        _write_csv(args.out, ["method", "ce", "mse", "pct_missing"], [row])
     return 0
 
 
 def _cmd_lik(args) -> int:
-    if args.tol is not None and args.which != "sat":
-        raise UsageError("--tol applies to --which sat only")
-    if args.net_car is not None and args.which != "lr":
-        raise UsageError("--net-car applies to --which lr only")
     net = read_network(args.net)
     data = read_dataset(args.data)
     if args.which == "fv":
         rep = face_value_loglik(net, data)
     elif args.which == "sat":  # the value alone: the certificate is never printed
         problem = SatProfileProblem(net, data)
-        value = (problem.solve(net) if args.tol is None else problem.solve(net, tol=args.tol))[0]
+        value = problem.solve(net, **_given(args, tol="tol"))[0]
         rep = LikelihoodReport("sat_profile", value, value * problem.bound.total)
     elif args.which == "car":
         rep = car_profile_loglik(net, data)
-    elif args.which == "lr":
+    else:
         other = read_network(args.net_car) if args.net_car else net
         stat = lr_statistic(net, other, data)
         rep = LikelihoodReport("lr_statistic", stat, stat * data.total_weight)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown --which {args.which!r}")
     if args.which == "lr":
         print(f"lr_statistic {rep.per_case_average:.6g}")
     else:
@@ -354,26 +328,17 @@ def _cmd_lik(args) -> int:
         print(f"per_case_average {rep.per_case_average:.6g}")
         print(f"total {rep.total:.6g}")
     if args.out:
-        _write_csv(
-            args.out,
-            ["kind", "per_case_average", "total"],
-            [[rep.kind, fmt17(rep.per_case_average), fmt17(rep.total)]],
-        )
+        row = [rep.kind, fmt17(rep.per_case_average), fmt17(rep.total)]
+        _write_csv(args.out, ["kind", "per_case_average", "total"], [row])
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    net = read_network(args.net)
-    if args.coarsening is None and args.mechanism is None:
-        raise UsageError("provide --coarsening mp:mu:sigma or --mechanism M.net")
     cfg = ExperimentConfig(
-        net=net,
-        coarsening=CoarseningSpec.parse(args.coarsening) if args.coarsening else None,
-        n=args.n,
-        z=args.z,
-        runs=args.runs,
-        seed=args.seed,
-        mechanism=read_network(args.mechanism) if args.mechanism else None,
+        net=read_network(args.net),
+        coarsening=None if args.coarsening is None else CoarseningSpec.parse(args.coarsening),
+        n=args.n, z=args.z, runs=args.runs, seed=args.seed,
+        mechanism=None if args.mechanism is None else read_network(args.mechanism),
     )
     rows, failures = run_experiment(cfg)
     write_experiment_csv(args.out, rows)
@@ -385,6 +350,31 @@ def _cmd_experiment(args) -> int:
     for f in failures:
         print(f, file=sys.stderr)
     return 0
+
+
+# Which method reads which option: per subcommand, the option that picks
+# the method and, per group of options, the methods that read them.
+READERS = {
+    "learn": ("--method", {
+        ("--z",): ("aim",),
+        ("--restarts",): ("conservative",),
+        ("--tol", "--max-iters", "--init"): ("em", "aim"),
+        ("--counts-out", "--unsmoothed"): ("em", "aim"),
+    }),
+    "lik": ("--which", {("--tol",): ("sat",), ("--net-car",): ("lr",)}),
+}
+
+
+def _check_readers(args) -> None:
+    """UsageError when an option of `READERS` is given to a method that does
+    not read it; run before any file is read."""
+    selector, groups = READERS.get(args.command, ("", {}))
+    for flags, readers in groups.items():
+        given = [getattr(args, f[2:].replace("-", "_")) is not None for f in flags]
+        if any(given) and getattr(args, selector[2:]) not in readers:
+            *head, last = flags
+            subject = f"{', '.join(head)} and {last} apply" if head else f"{last} applies"
+            raise UsageError(f"{subject} to {selector} {' and '.join(readers)} only")
 
 
 def build_parser() -> _Parser:
@@ -404,16 +394,16 @@ def build_parser() -> _Parser:
     p.add_argument("--net-structure", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True, choices=["aim", "em", "conservative"])
-    p.add_argument("--init", default=None, help="em | uniform | random | net:G")
-    p.add_argument("--z", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--init", help="em | uniform | random | net:G")
+    p.add_argument("--z", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--restarts", type=int)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
     p.add_argument("--counts-out")
-    p.add_argument("--unsmoothed", action="store_true",
+    p.add_argument("--unsmoothed", action="store_true", default=None,
                    help="write the raw estimate instead of the smoothed one")
     p.set_defaults(func=_cmd_learn)
 
@@ -431,14 +421,15 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--which", required=True, choices=["fv", "sat", "car", "lr"])
     p.add_argument("--net-car", help="car-side candidate for --which lr")
-    p.add_argument("--tol", type=float, help="sat solver tolerance (default 1e-8)")
+    p.add_argument("--tol", type=float, help="sat solver tolerance")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lik)
 
     p = sub.add_parser("experiment", help="seeded batch comparison")
     p.add_argument("--net", required=True)
-    p.add_argument("--coarsening", help="mp:mu:sigma")
-    p.add_argument("--mechanism", help="fixed mechanism network file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--coarsening", help="mp:mu:sigma")
+    source.add_argument("--mechanism", help="fixed mechanism network file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--runs", type=int, required=True)
@@ -459,6 +450,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_readers(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -466,6 +458,9 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except (CoarseBNError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

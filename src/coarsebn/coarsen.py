@@ -34,8 +34,8 @@ class CoarseningSpec:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.mp < 0:
-            raise FormatError("mp must be nonnegative")
+        if not 0 <= self.mp < 1 << 63:  # drawn by rng.integers(0, mp + 1)
+            raise FormatError(f"mp must lie in [0, 2**63); got {self.mp}")
         if not 0.0 <= self.mu <= 1.0:
             raise FormatError("mu must lie in [0, 1]")
         if not self.sigma >= 0:

@@ -42,7 +42,7 @@ class ConservativeResult:
 
 
 def conservative_ensemble(
-    structure: Network, data: Dataset | BoundDataset, n_completions: int, seed: int
+    structure: Network, data: Dataset | BoundDataset, n_completions: int = 10, seed: int = 0
 ) -> ConservativeResult:
     """Fit one smoothed estimate per random completion and envelope them.
 

@@ -73,7 +73,9 @@ def parse_network(text: str) -> Network:
                 raise fail(f"parents for undeclared node {node_name!r}")
             if node_name in parents:
                 raise fail(f"parents of {node_name!r} declared twice")
-            parents[node_name] = tuple(p.strip() for p in plist.split(","))
+            parents[node_name] = names = tuple(p.strip() for p in plist.split(","))
+            if len(set(names)) < len(names):
+                raise fail(f"parent {max(names, key=names.count)!r} of {node_name!r} listed twice")
         elif keyword == "cpt":
             if ":" not in rest:
                 raise fail("cpt line needs ': <probabilities>'")

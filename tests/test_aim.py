@@ -32,11 +32,12 @@ from coarsebn.aim import (
     aim_fit,
     initial_completion,
     m_step,
+    replica_cases,
 )
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Dataset
 from coarsebn.em import em_fit
-from coarsebn.errors import DataError
+from coarsebn.errors import BudgetError, DataError
 from coarsebn.likelihoods import exact_sat_profile_loglik
 from coarsebn.netformat import parse_network
 from coarsebn.network import (
@@ -764,6 +765,22 @@ class TestAimStart:
         want = f"replication needs positive integer case weights; got weight {bad!r}"
         with pytest.raises(DataError, match=re.escape(want) + "$"):
             aim_fit(basic_net, basic_net, data, AimOptions(z=2, seed=0))
+
+    def test_weight_rounding_to_no_replicas_refused(self, basic_net):
+        # within 1e-9 of 0, an integer but not a positive one
+        data = Dataset(("A", "B"), ((("t", None), 1e-10), (("f", "t"), 1.0)))
+        want = "replication needs positive integer case weights; got weight 1e-10"
+        with pytest.raises(DataError, match=re.escape(want) + "$"):
+            aim_fit(basic_net, basic_net, data, AimOptions(z=2, seed=0))
+        with pytest.raises(DataError, match=re.escape(want) + "$"):
+            replica_cases(inference.BoundDataset(basic_net, data), 2)
+
+    def test_replica_budget_refused_before_layout(self, basic_net):
+        data = Dataset(("A", "B"), ((("t", None), 1e300), (("f", "t"), 3.0)))
+        with pytest.raises(BudgetError, match="^2e\\+300 replicas exceed the budget 1048576$"):
+            replica_cases(inference.BoundDataset(basic_net, data), 2)
+        at_budget = Dataset(("A", "B"), ((("t", None), 2.0**19),))
+        assert len(replica_cases(inference.BoundDataset(basic_net, at_budget), 2)) == 1 << 20
 
     def first_state(self, monkeypatch, net, data, z):
         states = []

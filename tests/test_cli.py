@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import io
 import subprocess
@@ -638,6 +639,14 @@ class TestExperiment:
         )
         assert out.returncode == 1
 
+    def test_refuses_both_sources(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        argv = ["experiment", "--net", BASIC, "--coarsening", "1:0.2:0.03", "--mechanism", MECH,
+                "--n", "10", "--z", "1", "--runs", "1", "--seed", "0", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "not allowed with argument --coarsening" in capsys.readouterr().err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("flag", ["--n", "--z", "--runs"])
     def test_nonpositive_sizes_are_data_errors(self, tmp_path, flag):
@@ -715,6 +724,143 @@ class TestNegativeSeed:
         err = capsys.readouterr().err
         assert "seed must be a non-negative integer; got '-1'" in err
         assert not out.exists()
+
+
+# Which method or kind reads each tuning option, as README states it.
+READS = {
+    "learn": ("--method", ("aim", "em", "conservative"), {
+        "--z": ("aim",), "--restarts": ("conservative",),
+        **dict.fromkeys(
+            ["--tol", "--max-iters", "--init", "--counts-out", "--unsmoothed"], ("em", "aim")
+        ),
+    }),
+    "lik": ("--which", ("fv", "sat", "car", "lr"), {"--tol": ("sat",), "--net-car": ("lr",)}),
+}
+OPTION_VALUES = {
+    "--z": ["3"], "--restarts": ["3"], "--tol": ["1e-6"], "--max-iters": ["5"],
+    "--init": ["uniform"], "--counts-out": ["@counts.csv"], "--unsmoothed": [],
+    "--net-car": [BASIC],
+}
+UNREAD = [
+    (command, method, flag)
+    for command, (_, methods, reads) in READS.items()
+    for flag, readers in reads.items()
+    for method in methods
+    if method not in readers
+]
+
+
+class TestOptionReaders:
+    @pytest.mark.parametrize("command, method, flag", UNREAD)
+    def test_unread_option_is_usage_error(self, tmp_path, capsys, monkeypatch, command, method, flag):
+        # refused before any file is read or written
+        for reader in ("read_network", "read_dataset"):
+            monkeypatch.setattr(cli, reader, lambda *a: pytest.fail("file read"))
+        selector = READS[command][0]
+        value = [v.replace("@", f"{tmp_path}/") for v in OPTION_VALUES[flag]]
+        argv = {
+            "learn": ["learn", "--net-structure", BASIC, "--data", COARSE, "--seed", "1",
+                      "--out", str(tmp_path / "e.net"), "--trace", str(tmp_path / "t.csv")],
+            "lik": ["lik", "--net", BASIC, "--data", COARSE, "--out", str(tmp_path / "l.csv")],
+        }[command]
+        assert cli.main(argv + [selector, method, flag, *value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and flag in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_messages_name_the_readers(self, capsys):
+        for argv, want in (
+            (["--method", "em", "--z", "3"], "--z applies to --method aim only"),
+            (["--method", "aim", "--restarts", "3"],
+             "--restarts applies to --method conservative only"),
+            (["--method", "conservative", "--max-iters", "3"],
+             "--tol, --max-iters and --init apply to --method em and aim only"),
+        ):
+            base = ["learn", "--net-structure", BASIC, "--data", COARSE, "--seed", "1",
+                    "--out", "never.net"]
+            assert cli.main(base + argv) == 1
+            assert f"usage error: {want}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, defaults",
+        [
+            ("em", ["--tol", "1e-6", "--max-iters", "200"]),
+            ("aim", ["--z", "5", "--tol", "1e-6", "--max-iters", "200"]),
+            ("conservative", ["--restarts", "10"]),
+        ],
+    )
+    def test_omitted_options_take_the_library_defaults(self, tmp_path, capsys, method, defaults):
+        data = tmp_path / "d.csv"
+        data.write_text("A,B,__weight\nt,?,9\nt,t,1\nf,t,2\nf,f,8\n?,f,3\n")
+        outputs = []
+        for k, extra in enumerate(([], defaults)):
+            est = tmp_path / f"{k}.net"
+            argv = ["learn", "--net-structure", BASIC, "--data", str(data), "--method", method,
+                    "--seed", "4", "--out", str(est)]
+            assert cli.main(argv + extra) == 0
+            outputs.append((est.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("method", ["em", "aim"])
+    def test_unconverged_message_names_the_cap_used(self, tmp_path, capsys, monkeypatch, method):
+        # with --max-iters left out the message names the library's cap
+        caps = []
+        fit_name = f"{method}_fit"
+        module = cli.em_mod if method == "em" else cli.aim_mod
+        fit = getattr(module, fit_name)
+
+        def unconverged(*args):
+            caps.append(args[-1].max_iters)
+            return dataclasses.replace(fit(*args), converged=False)
+
+        monkeypatch.setattr(module, fit_name, unconverged)
+        data = tmp_path / "d.csv"
+        data.write_text("A,B,__weight\nt,?,9\nt,t,1\nf,t,2\nf,f,8\n")
+        argv = ["learn", "--net-structure", BASIC, "--data", str(data), "--method", method,
+                "--init", "uniform", "--seed", "1", "--out", str(tmp_path / "e.net")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == f"{method} did not converge in --max-iters 200\n"
+        assert caps == [200]
+
+    def test_aim_weight_rounding_to_no_replicas_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("A,B,__weight\nt,?,1e-10\nf,f,3\n")
+        argv = ["learn", "--net-structure", BASIC, "--data", str(data), "--method", "aim",
+                "--seed", "1", "--out", str(tmp_path / "e.net")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: replication needs positive integer case weights; got weight 1e-10\n"
+
+
+class TestUnmakeableInputs:
+    HUGE_MP = "99999999999999999999:0.5:0"
+
+    @pytest.mark.parametrize("command", ["gen-data", "experiment"])
+    def test_mp_beyond_int64_is_format_error(self, tmp_path, capsys, command):
+        argv = {
+            "gen-data": ["gen-data", "--n", "10", "--seed", "1"],
+            "experiment": ["experiment", "--n", "10", "--z", "1", "--runs", "1", "--seed", "1"],
+        }[command]
+        out = tmp_path / "d.csv"
+        assert cli.main(argv + ["--net", BASIC, "--coarsening", self.HUGE_MP, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: mp must lie in [0, 2**63)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "experiment"])
+    def test_allocation_failure_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 28.4 PiB for an array")
+
+        monkeypatch.setattr(cli, "generate_dataset", no_memory)
+        argv = {
+            "gen-data": ["gen-data", "--seed", "1"],
+            "experiment": ["experiment", "--z", "1", "--runs", "1", "--seed", "1"],
+        }[command]
+        argv += ["--net", BASIC, "--coarsening", "1:0.2:0.03", "--n", "5",
+                 "--out", str(tmp_path / "d.csv")]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "out of memory: Unable to allocate 28.4 PiB for an array\n"
 
 
 class TestSatValueOnly:
@@ -820,9 +966,14 @@ FLAGS = {
 def cli_cases(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     argv = [command]
+    selector, _, reads = READS.get(command, ("", (), {}))
+    picked = {}
     for flag, (good, bad) in FLAGS[command].items():
-        if draw(st.integers(0, 15)):  # a flag, required or not, is left out 1 in 16
-            value = draw(mostly(st.sampled_from(good), st.sampled_from(good + bad)))
+        keep = draw(st.integers(0, 15))  # a flag, required or not, is left out 1 in 16
+        if flag in reads and picked.get(selector) not in reads[flag]:
+            keep = not keep  # an option its method does not read is given 1 in 16
+        if keep:
+            value = picked[flag] = draw(mostly(st.sampled_from(good), st.sampled_from(good + bad)))
             argv += [flag] if value is None else [flag, value]
     files = {name: draw(texts) for name, texts in FILES.items()}
     return argv, files

@@ -117,6 +117,15 @@ class TestSpecParsing:
             with pytest.raises(FormatError):
                 CoarseningSpec.parse(text)
 
+    def test_mp_beyond_int64_draws_refused(self, basic_net):
+        # rng.integers(0, mp + 1) draws up to mp = 2**63 - 1 and no further
+        for text in ("9223372036854775808:0.5:0", "99999999999999999999:0.5:0"):
+            with pytest.raises(FormatError, match=r"^mp must lie in \[0, 2\*\*63\)"):
+                CoarseningSpec.parse(text)
+        largest = CoarseningSpec.parse("9223372036854775807:0.5:0")
+        aug = build_coarsening_network(basic_net, largest, np.random.default_rng(1))
+        assert validate_network(aug) == []
+
     @pytest.mark.parametrize(
         "text, field",
         [("2:nan:0.05", "mu"), ("2:inf:0.05", "mu"), ("2:0.1:nan", "sigma"), ("2:0.1:inf", "sigma")],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import asia_data as generated_asia_data
 from conftest import (
     bind_pattern,
     completion_distribution,
@@ -869,6 +870,21 @@ class TestOneBudget:
         assert len(res.trace) == 3 and math.isfinite(res.loglik_per_unit)
         assert lr_statistic(res.network, res.network, data) >= 0.0
         assert calls == []
+
+    def test_car_normalizer_builds_its_own_member_table(self, asia_net, monkeypatch):
+        # members beyond the dense budget: the normalizer enumerates them in
+        # a table of its own, and reaches the same point bit for bit
+        data = generated_asia_data(asia_net, n=1000, seed=44)
+        want = car_normalizer(asia_net, data)
+        members = sum(inference.BoundDataset(asia_net, data).sizes)
+        assert members == 534
+        monkeypatch.setattr(inference, "DENSE_TABLE_BUDGET", members // 2)
+        bound = inference.BoundDataset(asia_net, data)
+        assert len(bound.table.on_tree) == 29
+        own = bound.member_table(likelihoods.CAR_MEMBER_BUDGET)
+        assert own is not bound.table and own.on_tree == []
+        assert car_normalizer(asia_net, bound) == want
+        assert want[0] == -1.9399044445450468
 
     def test_lr_reaches_the_reports_by_module_name(self, basic_net, basic_data, monkeypatch):
         seen = []

@@ -62,6 +62,16 @@ def test_rejects_missing_row():
         parse_network(text)
 
 
+def test_rejects_repeated_parent():
+    # refused on its parents line, not later as missing cpt rows
+    text = (
+        "network t\nnode A states a,b\nnode B states a,b\nparents B A,A\n"
+        "cpt A : 0.5,0.5\ncpt B | A=a : 0.5,0.5\ncpt B | A=b : 0.5,0.5\n"
+    )
+    with pytest.raises(FormatError, match="^line 4: parent 'A' of 'B' listed twice$"):
+        parse_network(text)
+
+
 def test_rejects_duplicate_row():
     text = (
         "network t\nnode X states a,b\n"
