@@ -89,8 +89,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     whose parent-configuration weights are calibrated once per call.
     Failures are recorded and the remaining runs continue.
     """
-    if cfg.coarsening is None and cfg.mechanism is None:
-        raise FormatError("need a coarsening spec or a fixed mechanism")
+    if (cfg.coarsening is None) == (cfg.mechanism is None):
+        raise FormatError("need one of a coarsening spec and a fixed mechanism")
     for name in ("n", "z", "runs"):
         check_int(name, getattr(cfg, name), 1)
     rows = []

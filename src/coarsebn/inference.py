@@ -106,18 +106,19 @@ class CliqueTree:
     The cliques are those of one min-fill elimination of the moral graph:
     node v's clique is v with its neighbours when it is eliminated, and its
     parent is the clique of its separator's first-eliminated node.  A clique
-    contained in one of its children is merged with it.  Each family sits in
-    the clique of its first-eliminated node.  A clique table of more than
-    ENUM_BUDGET cells raises BudgetError here, before any query.
+    contained in one of its children is merged with it.  A forest (a moral
+    graph in parts) is chained into one tree: each root hangs under the
+    next by an empty separator.  Each family sits in the clique of its
+    first-eliminated node.  A clique table of more than ENUM_BUDGET cells
+    raises BudgetError here, before any query.
 
     Queries take a network of this structure and a batch of bound rows, in
     chunks whose slots hold at most ENUM_BUDGET cells.  Evidence zeroes the
     inconsistent CPT entries, and the passes are Shafer-Shenoy messages,
-    with no division; components are joined by multiplying in the other
-    components' masses.  So a configuration of probability zero keeps a marginal of
-    exactly 0.0.  Every einsum is compiled here, with a leading batch axis
-    and axis letters of its own; a clique step of more than EINSUM_OPERANDS
-    inputs is folded into chained steps.
+    with no division.  So a configuration of probability zero keeps a
+    marginal of exactly 0.0.  Every einsum is compiled here, with a leading
+    batch axis and axis letters of its own; a clique step of more than
+    EINSUM_OPERANDS inputs is folded into chained steps.
     """
 
     def __init__(self, net: Network):
@@ -144,6 +145,10 @@ class CliqueTree:
                 parent[g] = v
                 children[v].append(g)
             home = [v if h == inner else h for h in home]
+        roots = [c for c in scope if parent[c] is None]  # a forest: chain its trees
+        for r, s in zip(roots, roots[1:]):
+            parent[r] = s
+            children[s].append(r)
         for members in scope.values():
             cells = math.prod(net.cards[u] for u in members)
             if cells > ENUM_BUDGET:
@@ -182,31 +187,22 @@ class CliqueTree:
             program.append((subs + "".join(letters[c][u] for u in out), tuple(ins)))
             return slot(out, reader)
 
-        def sep(c: int, p: int) -> list[int]:
-            return sorted(scope[c] & scope[p])
+        def sep(c: int, p: Optional[int]) -> list[int]:
+            return sorted(scope[c] & scope.get(p, set()))
 
         for i, fam in enumerate(families):
             slot(fam, home[i])
         up: dict[int, int] = {}
-        component: dict[int, int] = {}
-        self._roots: list[int] = []
         self._collect_steps: list[Step] = []
-        for c in cliques:
+        for c in cliques:  # the last is the root: its step gives P(U)
             ins = held[c] + [up[d] for d in children[c]]
-            p = parent[c]
-            if p is None:
-                component[c] = len(self._roots)
-                self._roots.append(step(self._collect_steps, c, ins, (), None))
-            else:
-                up[c] = step(self._collect_steps, c, ins, sep(c, p), p)
+            up[c] = step(self._collect_steps, c, ins, sep(c, parent[c]), parent[c])
+        self._root = up[cliques[-1]]
 
         down: dict[int, int] = {}
         self._distribute_steps: list[Step] = []
         self._family_slots = [0] * k
-        self._component = [0] * k
         for c in reversed(cliques):
-            if parent[c] is not None:
-                component[c] = component[parent[c]]
             own = held[c] + ([down[c]] if c in down else [])
             for d in children[c]:
                 ins = own + [up[e] for e in children[c] if e != d]
@@ -215,41 +211,37 @@ class CliqueTree:
             for i in held[c]:
                 ins = own + [up[d] for d in children[c]]
                 self._family_slots[i] = step(self._distribute_steps, c, ins, families[i], None)
-                self._component[i] = component[c]
         cells = sum(math.prod(map(net.cards.__getitem__, axes)) for axes in scopes)
         self._chunk = max(1, ENUM_BUDGET // cells)  # bounds per pass
 
-    def _collect(self, net: Network, bounds: np.ndarray) -> tuple[list, list[np.ndarray]]:
+    def _collect(self, net: Network, bounds: np.ndarray) -> tuple[list, np.ndarray]:
         """The collect pass over one chunk of bounds: every slot so far, and
-        each component's mass per bound."""
+        P(U) per bound."""
         slots = [
             (cpt * ev[v][:, None]).reshape(-1, *shape)
             for cpt, shape, ev, v in zip(net.cpts, self._shapes, self._masks, bounds.T)
         ]
         for subs, ins in self._collect_steps:
             slots.append(np.einsum(subs, *[slots[j] for j in ins]))
-        return slots, [slots[j].reshape(-1) for j in self._roots]
+        return slots, slots[self._root]
 
     def _chunks(self, bounds: np.ndarray) -> list[np.ndarray]:
         return [bounds[s : s + self._chunk] for s in range(0, max(len(bounds), 1), self._chunk)]
 
     def probability(self, net: Network, bounds: np.ndarray) -> np.ndarray:
         """P(U) per bound, from the collect pass alone."""
-        return np.concatenate([math.prod(self._collect(net, c)[1]) for c in self._chunks(bounds)])
+        return np.concatenate([self._collect(net, c)[1] for c in self._chunks(bounds)])
 
     def calibrate(self, net: Network, bounds: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """P(U) per bound and, per node, P(family, U) per bound: an array of
         the bounds x its CPT's shape."""
         p_u, fams = [], []
         for chunk in self._chunks(bounds):
-            slots, masses = self._collect(net, chunk)
+            slots, mass = self._collect(net, chunk)
             for subs, ins in self._distribute_steps:
                 slots.append(np.einsum(subs, *[slots[j] for j in ins]))
             fam = [slots[j].reshape(-1, *cpt.shape) for j, cpt in zip(self._family_slots, net.cpts)]
-            if len(masses) > 1:
-                others = [math.prod(masses[:r] + masses[r + 1 :]) for r in range(len(masses))]
-                fam = [f * others[r][:, None, None] for f, r in zip(fam, self._component)]
-            p_u.append(math.prod(masses))
+            p_u.append(mass)
             fams.append(fam)
         if len(p_u) == 1:
             return p_u[0], fams[0]

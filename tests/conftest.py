@@ -445,19 +445,16 @@ class PerBoundTree:
             table = cpt.reshape(shape)
             slots.append(table if v is None else table * np.eye(shape[-1])[v])
         self._run(slots, self.tree._collect_steps)
-        return slots, [float(slots[j]) for j in self.tree._roots]
+        return slots, float(slots[self.tree._root])
 
     def probability(self, net, bound):
-        return math.prod(self._collect(net, bound)[1])
+        return self._collect(net, bound)[1]
 
     def calibrate(self, net, bound):
-        slots, masses = self._collect(net, bound)
+        slots, p_u = self._collect(net, bound)
         self._run(slots, self.tree._distribute_steps)
         fams = [slots[j].reshape(cpt.shape) for j, cpt in zip(self.tree._family_slots, net.cpts)]
-        if len(masses) > 1:
-            others = [math.prod(masses[:r] + masses[r + 1 :]) for r in range(len(masses))]
-            fams = [f * others[r] for f, r in zip(fams, self.tree._component)]
-        return math.prod(masses), fams
+        return p_u, fams
 
     def expected_counts(self, net, bounds, weights, counts=None):
         """Oracle: the E step's tree counts, added pattern after pattern to

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_netformat import spliced_networks
+from test_netformat import CYCLIC, TWICE_LABELLED, spliced_networks
 
 from coarsebn import cli, likelihoods
 from coarsebn.netformat import read_network
@@ -297,6 +297,15 @@ class TestEvalBudget:
         assert "Traceback" not in err
         assert "clique of 8 cells exceeds the budget 4" in err
 
+    def test_other_structure_beyond_enum_budget_exits_3(self, tmp_path, capsys):
+        # 21 binary nodes: 2^21 joint states, refused before any enumeration
+        chain, _ = binary_chain(tmp_path, 21, cases=1)
+        lines = ["network loose"] + [f"node v{i} states a,b" for i in range(21)]
+        loose = tmp_path / "loose.net"
+        loose.write_text("\n".join(lines + [f"cpt v{i} : 0.4,0.6" for i in range(21)]) + "\n")
+        assert cli.main(["eval", "--truth", chain, "--estimate", str(loose)]) == 3
+        assert "joint space too large to enumerate; use the decomposition" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_required_flag_is_usage(self):
@@ -316,6 +325,23 @@ class TestExitCodes:
     def test_eval_decomposed_mismatch_is_data_error(self, tmp_path):
         out = run_cli("eval", "--truth", BASIC, "--estimate", ASIA)
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("text, what", [
+        (CYCLIC, "parent relation has a cycle among: A, B"),
+        (TWICE_LABELLED, "node X: duplicate state labels"),
+    ])
+    def test_invalid_network_file_is_data_error(self, tmp_path, capsys, text, what):
+        bad = tmp_path / "bad.net"
+        bad.write_text(text)
+        assert cli.main(["eval", "--truth", str(bad), "--estimate", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: invalid network: {what}\n"
+
+    def test_eval_counts_with_bad_header_is_data_error(self, tmp_path, capsys):
+        counts = tmp_path / "c.csv"
+        counts.write_text("nodes,row,count\nA,0,10\n")
+        argv = ["eval", "--truth", BASIC, "--estimate", BASIC, "--counts", str(counts)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {counts}: expected header node,row,count\n"
 
     def test_budget_exceeded_is_numerical(self, tmp_path):
         wide = tmp_path / "wide.net"
@@ -575,6 +601,52 @@ class TestLearnAndEval:
         assert what in out.stderr
 
 
+class TestLearnFromNetwork:
+    @pytest.fixture
+    def start(self, tmp_path):
+        """A random asia network G and 50 cases drawn from asia."""
+        g, data = tmp_path / "g.net", tmp_path / "d.csv"
+        assert cli.main(["randomize", "--net", ASIA, "--seed", "3", "--out", str(g)]) == 0
+        argv = ["gen-data", "--net", ASIA, "--coarsening", "2:0.1:0.05", "--n", "50",
+                "--seed", "5", "--out", str(data)]
+        assert cli.main(argv) == 0
+        return str(g), str(data)
+
+    def test_em_trace_starts_at_the_face_value_of_g(self, tmp_path, start):
+        g, data = start
+        trace, fv = tmp_path / "tr.csv", tmp_path / "fv.csv"
+        argv = ["learn", "--net-structure", ASIA, "--data", data, "--method", "em",
+                "--init", f"net:{g}", "--seed", "0", "--out", str(tmp_path / "e.net"),
+                "--trace", str(trace)]
+        assert cli.main(argv) == 0
+        assert cli.main(["lik", "--net", g, "--data", data, "--which", "fv", "--out", str(fv)]) == 0
+        with open(trace, newline="") as fh:
+            first = list(csv.DictReader(fh))[0]
+        with open(fv, newline="") as fh:
+            face_value = next(csv.DictReader(fh))
+        assert first["iteration"] == "1"
+        assert first["loglik_per_unit"] == face_value["per_case_average"]
+
+    def test_aim_starts_from_g(self, tmp_path, start):
+        g, data = start
+        argv = ["learn", "--net-structure", ASIA, "--data", data, "--method", "aim",
+                "--init", f"net:{g}", "--seed", "0", "--out", str(tmp_path / "a.net")]
+        assert cli.main(argv) == 0
+
+    def test_g_of_another_structure_is_data_error(self, tmp_path, capsys, start):
+        _, data = start
+        argv = ["learn", "--net-structure", ASIA, "--data", data, "--method", "aim",
+                "--init", f"net:{BASIC}", "--seed", "0", "--out", str(tmp_path / "a.net")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: initial network does not match the structure\n"
+
+    def test_em_from_em_is_usage_error(self, tmp_path, capsys):
+        argv = ["learn", "--net-structure", BASIC, "--data", COARSE, "--method", "em",
+                "--init", "em", "--seed", "0", "--out", str(tmp_path / "e.net")]
+        assert cli.main(argv) == 1
+        assert "usage error: --init em is only meaningful for --method aim" in capsys.readouterr().err
+
+
 class TestExperiment:
     def test_csv_schema_and_determinism(self, tmp_path):
         outs = []
@@ -647,6 +719,31 @@ class TestExperiment:
         assert "not allowed with argument --coarsening" in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("both", [True, False])
+    def test_library_refuses_both_or_neither_source(self, monkeypatch, both):
+        from coarsebn.coarsen import CoarseningSpec
+        from coarsebn.errors import FormatError
+
+        monkeypatch.setattr(cli, "generate_dataset", None)  # any run would fail
+        cfg = cli.ExperimentConfig(
+            net=read_network(BASIC), coarsening=CoarseningSpec(1, 0.2, 0.03) if both else None,
+            n=10, z=1, runs=1, seed=0, mechanism=read_network(MECH) if both else None,
+        )
+        with pytest.raises(FormatError, match="^need one of a coarsening spec and a fixed mechanism$"):
+            cli.run_experiment(cfg)
+
+    def test_failed_runs_are_counted_and_reported(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        argv = ["experiment", "--net", BASIC, "--coarsening", "0:0.5:0", "--n", "10",
+                "--z", "200000", "--runs", "2", "--seed", "0", "--out", str(path)]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == "runs 0 failed 2\n"
+        assert err.splitlines() == [
+            f"run {r}: 2e+06 replicas exceed the budget 1048576" for r in range(2)
+        ]
+        assert path.read_text().splitlines() == [",".join(cli.EXPERIMENT_HEADER)]
 
     @pytest.mark.parametrize("flag", ["--n", "--z", "--runs"])
     def test_nonpositive_sizes_are_data_errors(self, tmp_path, flag):

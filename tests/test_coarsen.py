@@ -99,6 +99,11 @@ class TestBetaFromMeanVariance:
         with pytest.raises(FormatError):
             beta_from_mean_variance(0.1, 0.095)
 
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    def test_mean_on_the_edge_rejected(self, mu):
+        with pytest.raises(FormatError, match=r"^Beta mean must lie strictly inside \(0, 1\)$"):
+            beta_from_mean_variance(mu, 0.01)
+
     def test_moments_of_draws(self):
         rng = np.random.default_rng(4)
         draws = draw_missingness_probs(0.1, 0.05, 200_000, rng)
@@ -203,6 +208,12 @@ class TestBuildCoarseningNetwork:
             assert aug.theta.tobytes() == ref.theta.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_invalid_source_network_refused(self):
+        net = Network("one_state", (NodeSpec("A", ("t",)),), (np.array([[1.0]]),))
+        what = "^augmentation produced an invalid network: node A: needs at least 2 states$"
+        with pytest.raises(DataError, match=what):
+            build_coarsening_network(net, CoarseningSpec(0, 0.1, 0.0), np.random.default_rng(0))
+
     def test_observation_name_collision_refused(self):
         specs = (NodeSpec("A", ("t", "f")), NodeSpec("obsA", ("t", "f"), ("A",)))
         cpts = (np.array([[0.5, 0.5]]), np.array([[0.9, 0.1], [0.2, 0.8]]))
@@ -251,6 +262,10 @@ class TestGenerateDataset:
         # binomial bound on 8e5 cells
         assert abs(frac - 0.1) < 0.004
         assert data.total_weight == 100_000
+
+    def test_network_without_observation_nodes_refused(self, basic_net):
+        with pytest.raises(DataError, match="^no observation node for variable 'A'$"):
+            generate_dataset(basic_net, 10, np.random.default_rng(0))
 
     def test_mu0_complete(self, basic_net):
         rng = np.random.default_rng(3)

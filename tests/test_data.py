@@ -21,7 +21,7 @@ from coarsebn.data import (
     format_dataset_csv,
     parse_dataset_csv,
 )
-from coarsebn.errors import CoarseBNError, DataError
+from coarsebn.errors import CoarseBNError, DataError, FormatError
 from coarsebn.inference import BoundDataset
 from coarsebn.network import Network, NodeSpec
 
@@ -364,6 +364,10 @@ class TestCsv:
     def test_ragged_row_rejected(self):
         with pytest.raises(Exception, match="cells"):
             parse_dataset_csv("X,Y\na\n")
+
+    def test_bad_weight_cell_rejected(self):
+        with pytest.raises(FormatError, match="^line 3: bad weight 'heavy'$"):
+            parse_dataset_csv("X,__weight\na,2\nb,heavy\n")
 
 
 class TestDatasetValidation:

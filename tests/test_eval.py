@@ -6,7 +6,7 @@ import pytest
 from conftest import with_tables
 from coarsebn.errors import DataError
 from coarsebn.evaluate import evaluate, kl_decomposed, kl_enumerate, mse
-from coarsebn.network import randomize_parameters, smooth, uniform_cpts
+from coarsebn.network import Network, NodeSpec, randomize_parameters, smooth, uniform_cpts
 
 THETA1_B = 0.15 / 0.55
 
@@ -100,6 +100,13 @@ class TestMse:
         a = randomize_parameters(asia_net, np.random.default_rng(1))
         b = randomize_parameters(asia_net, np.random.default_rng(2))
         assert 0.0 <= mse(a, b) <= 1.0
+
+    def test_structure_mismatch_rejected(self, basic_net):
+        a, b = basic_net.nodes
+        linked = Network("linked", (a, NodeSpec(b.name, b.states, (a.name,))),
+                         (basic_net.cpts[0], np.full((2, 2), 0.5)))
+        with pytest.raises(DataError, match="^networks must share the same structure$"):
+            mse(basic_net, linked)
 
 
 class TestEvaluate:

@@ -185,6 +185,11 @@ class TestFullJointTable:
         assert sizes == [32 * 8] * 8
         assert chunked.shape == whole.shape and chunked.tobytes() == whole.tobytes()
 
+    def test_state_space_over_budget_refused(self, asia_net, monkeypatch):
+        monkeypatch.setattr(inference, "ENUM_BUDGET", 128)
+        with pytest.raises(BudgetError, match="^state space 256 exceeds dense budget 128$"):
+            full_joint_table(asia_net)
+
 
 class TestJointMarginal:
     def test_no_evidence_parent_marginal(self, asia_net):
@@ -239,7 +244,10 @@ class TestCliqueTree:
             assert_tree_matches_oracles(net, ev)
 
     def test_two_components(self, basic_net):
-        assert len(CliqueTree(basic_net)._roots) == 2
+        # A's clique hangs under B's by an empty separator; B's gives P(U)
+        tree = CliqueTree(basic_net)
+        assert tree._collect_steps == [("...a->...", (0,)), ("...a,...->...", (1, 2))]
+        assert tree._root == 3
         for ev in all_patterns(basic_net, 2):
             assert_tree_matches_oracles(basic_net, ev)
         fams = posterior_family_marginals(basic_net, {"B": "f"})
@@ -299,6 +307,28 @@ class TestCliqueTree:
         assert kl_decomposed(truth, estimate) == pytest.approx(
             kl_enumerate(truth, estimate), rel=1e-10
         )
+
+    def test_forest_of_independent_nodes(self):
+        # 200 parts chained into one tree: P(U) and every family table are
+        # products of each node's own evidence mass
+        nodes = tuple(NodeSpec(f"X{i:03d}", ("a", "b", "c")) for i in range(200))
+        rng = np.random.default_rng(12)
+        net = Network("forest", nodes, tuple(rng.dirichlet(np.ones(3))[None] for _ in nodes))
+        tree = CliqueTree(net)
+        steps = tree._collect_steps + tree._distribute_steps
+        assert max(len(ins) for _, ins in steps) <= 3
+        assert len(tree._distribute_steps) < 2 * len(nodes)
+        bounds = rng.integers(-1, 3, size=(40, 200))
+        bounds[0], bounds[1, 100:] = -1, -1  # no evidence, half the nodes free
+        theta = np.array([cpt[0] for cpt in net.cpts])
+        kept = np.where(bounds[..., None] < 0, theta, (bounds[..., None] == range(3)) * theta)
+        mass = kept.sum(axis=2)
+        p_u, fams = tree.calibrate(net, bounds)
+        np.testing.assert_allclose(p_u, mass.prod(axis=1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(tree.probability(net, bounds), p_u, rtol=1e-12, atol=0)
+        for i, fam in enumerate(fams):
+            rest = np.delete(mass, i, axis=1).prod(axis=1)
+            np.testing.assert_allclose(fam[:, 0], kept[:, i] * rest[:, None], rtol=1e-12, atol=0)
 
     def test_more_nodes_than_einsum_letters(self):
         net = random_dag(60, 3, cards=(2, 4), max_parents=2, window=4)

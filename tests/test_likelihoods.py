@@ -410,6 +410,12 @@ class TestSatProfile:
             else:
                 assert rep.per_case_average == pytest.approx(expect, abs=1e-3)
 
+    def test_wrongly_shaped_init_refused(self, basic_net, basic_data):
+        problem = SatProfileProblem(basic_net, basic_data)
+        assert problem.table.n_slots > 1
+        with pytest.raises(DataError, match="^bad initial completion shape$"):
+            problem.solve(basic_net, init=np.ones(1))
+
     def test_restarts_agree(self, basic_net, basic_data):
         problem = SatProfileProblem(basic_net, basic_data)
         values = []

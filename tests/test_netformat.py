@@ -100,6 +100,37 @@ def test_rejects_unknown_keyword():
         parse_network("network t\nnode X states a,b\nfrobnicate X\ncpt X : 1,0\n")
 
 
+CYCLIC = (
+    "network c\nnode A states t,f\nnode B states t,f\nparents A B\nparents B A\n"
+    "cpt A | B=t : 0.5,0.5\ncpt A | B=f : 0.5,0.5\n"
+    "cpt B | A=t : 0.5,0.5\ncpt B | A=f : 0.5,0.5\n"
+)
+TWICE_LABELLED = "network d\nnode X states t,t\ncpt X : 0.5,0.5\n"
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("network a\nnetwork b\nnode X states a,b\ncpt X : 0.5,0.5\n",
+         "^line 2: second 'network' line$"),
+        ("network t\nnode X states a,b\nnode X states c,d\n", "^line 3: node 'X' declared twice$"),
+        ("network t\nnode A states a,b\nnode B states a,b\nparents B A\nparents B A\n",
+         "^line 5: parents of 'B' declared twice$"),
+        ("network t\n# no nodes\n", "^no nodes declared$"),
+        (CYCLIC, "^invalid network: parent relation has a cycle among: A, B$"),
+        (TWICE_LABELLED, "^invalid network: node X: duplicate state labels$"),
+    ],
+)
+def test_rejects_malformed_declarations(text, what):
+    with pytest.raises(FormatError, match=what):
+        parse_network(text)
+
+
+def test_unknown_fixture_name_refused():
+    with pytest.raises(FileNotFoundError, match="no bundled fixture named 'nope.net'"):
+        fixture_path("nope.net")
+
+
 # ----------------------------------------------------------------------
 # Fuzzing: whatever the text, parsing ends in a valid network or in one of
 # the package's own errors.

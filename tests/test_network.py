@@ -422,6 +422,32 @@ class TestRandomize:
         assert abs(float(np.mean(vals)) - 0.5) < 0.02
 
 
+class TestRefusals:
+    def test_state_index_of_unknown_node(self, basic_net):
+        with pytest.raises(DataError, match="^unknown node 'Z'$"):
+            basic_net.state_index("Z", "t")
+
+    def test_cpt_count_mismatch(self, basic_net):
+        net = Network("short", basic_net.nodes, basic_net.cpts[:1])
+        assert validate_network(net) == ["1 CPTs for 2 nodes"]
+
+    @pytest.mark.parametrize("weights, what", [
+        ([-1.0, 2.0], "^weights must be nonnegative$"),
+        ([0.0, 0.0], "^total weight must be positive$"),
+    ])
+    def test_ml_estimate_weights(self, basic_net, weights, what):
+        with pytest.raises(DataError, match=what):
+            ml_estimate(basic_net, (np.array([(0, 0), (1, 1)]), np.array(weights)))
+
+    @pytest.mark.parametrize("counts, what", [
+        ([[1.0, 2.0], [0.0]], r"^row counts per node \(2, 1\) for CPT rows per node \(1, 1\)$"),
+        ([[-1.0], [0.0]], "^row counts must be nonnegative$"),
+    ])
+    def test_smooth_row_counts(self, basic_net, counts, what):
+        with pytest.raises(DataError, match=what):
+            smooth(basic_net, [np.array(c) for c in counts])
+
+
 class TestMlEstimate:
     def test_exact_weights_recover_basic(self, basic_net):
         rows = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -598,8 +624,8 @@ class TestTheta:
             if k == "family_cells":
                 assert all(np.array_equal(x, y) for x, y in zip(a, b))
             elif k == "clique_tree":  # the same compiled steps and slots
-                kept = ("_shapes", "_roots", "_collect_steps", "_distribute_steps",
-                        "_family_slots", "_component", "_chunk")
+                kept = ("_shapes", "_root", "_collect_steps", "_distribute_steps",
+                        "_family_slots", "_chunk")
                 assert all(getattr(a, f) == getattr(b, f) for f in kept)
                 assert all(np.array_equal(x, y) for x, y in zip(a._masks, b._masks))
             elif k == "card_rows":
