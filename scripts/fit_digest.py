@@ -28,10 +28,17 @@ A fifth line lists, for each lik_reports input, the map evaluations at
 every level that `lr_statistic` makes in the sat solver and in the car
 normalizer, as plain integers, so a change in solver work shows as
 plainly as a changed result.
+A sixth line covers rows of 3 to 5 entries, which the binary asia and
+large_dag networks lack: on a seeded 6-node DAG of 3- to 5-state nodes
+(`WIDE`) it hashes the random truth, the dataset drawn from it, EM from a
+random start and AIM from EM (raw and smoothed CPT bytes, row counts,
+traces, score), `validate_network` of EM's estimate with its rows
+stretched and one entry NaN, and `evaluate` of both smoothed estimates
+(the decomposed divergence), as bytes and float hex.
 Two versions of the package that print the same digests make the same
 datasets, draws, moves, counts, scores, estimates, solver values and tree
 answers, bit for bit, with the same solver work.  `fit_digest.expected`,
-beside this script, holds the five lines of the current package: the
+beside this script, holds the six lines of the current package: the
 script compares its lines with those, names each line that differs on
 stderr, and exits 1 if any does.
 A change that alters the digests on purpose updates that file.
@@ -51,7 +58,16 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from coarsebn import aim, cli, em, inference, likelihoods  # noqa: E402
-from coarsebn.evaluate import Truth  # noqa: E402
+from coarsebn.coarsen import CoarseningSpec, build_coarsening_network  # noqa: E402
+from coarsebn.evaluate import Truth, evaluate  # noqa: E402
+from coarsebn.network import (  # noqa: E402
+    Network, NodeSpec, randomize_parameters, uniform_cpts, validate_network,
+)
+
+# (name, states, parents): every row has 3 to 5 entries
+WIDE = (("A", 3, ()), ("B", 5, ("A",)), ("C", 4, ("A",)), ("D", 5, ("C", "B")),
+        ("E", 3, ("D",)), ("F", 4, ("E", "C")))
+WIDE_SEED = 11
 
 
 def tree_parts(net, data, seed: int):
@@ -72,6 +88,27 @@ def tree_parts(net, data, seed: int):
         np.asarray(assign, dtype=np.int64).tobytes(), repr((fallbacks, rng.bit_generator.state)),
         Truth(net).parent_weights.tobytes(),
     )
+
+
+def wide_parts():
+    """Fits, checks and scores on the `WIDE` DAG, as bytes."""
+    rng = np.random.default_rng(WIDE_SEED)
+    specs = tuple(NodeSpec(n, tuple(f"s{j}" for j in range(c)), ps) for n, c, ps in WIDE)
+    truth = randomize_parameters(uniform_cpts(Network("wide", specs, ())), rng)
+    mech = build_coarsening_network(truth, CoarseningSpec.parse("2:0.1:0.05"), rng)
+    data, _ = cli.generate_dataset(mech, 300, rng)
+    em_res = em.em_fit(truth, data, em.EmOptions(init="random", seed=WIDE_SEED))
+    aim_res = aim.aim_fit(truth, em_res.network, data, aim.AimOptions(z=3, seed=WIDE_SEED))
+    stretched = em_res.network.theta * 1.5 - 0.1
+    stretched[7] = np.nan
+    parts = [truth.theta.tobytes(), repr(data.cases)]
+    for res in (em_res, aim_res):
+        parts += [res.network.theta.tobytes(), res.smoothed.theta.tobytes(),
+                  np.concatenate(res.row_counts).tobytes(), repr(res.trace)]
+        report = evaluate(truth, res.smoothed)
+        parts.append(repr((report.ce.hex(), report.mse.hex())))
+    parts += [aim_res.score.hex(), repr(validate_network(truth.with_theta(stretched)))]
+    return parts
 
 
 def main() -> int:
@@ -169,6 +206,7 @@ def main() -> int:
         f"{tree_digest.hexdigest()}  ({i + 1} tree inputs)",
         "  ".join(f"{name} {' '.join(map(str, evals))}" for name, evals in solver_evals.items())
         + f"  ({sum(map(sum, solver_evals.values()))} lr map evaluations)",
+        hashlib.sha256("".join(map(repr, wide_parts())).encode()).hexdigest() + "  (wide rows)",
     ]
     print("\n".join(lines))
     expected = EXPECTED.read_text(encoding="utf-8").splitlines()

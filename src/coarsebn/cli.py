@@ -193,7 +193,8 @@ def _write_counts(path: str, net: Network, row_counts) -> None:
 
 
 def _read_counts(path: str, net: Network) -> list[np.ndarray]:
-    by_node = {spec.name: np.zeros(net.cpts[i].shape[0]) for i, spec in enumerate(net.nodes)}
+    by_node = {spec.name: np.zeros(rows) for spec, rows in zip(net.nodes, net.n_rows)}
+    seen = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -216,6 +217,9 @@ def _read_counts(path: str, net: Network) -> list[np.ndarray]:
                 raise FormatError(f"{where}: count must be a finite non-negative number")
             if not 0 <= r < len(by_node[name]):
                 raise FormatError(f"{where}: row {r} out of range for node {name!r}")
+            if (name, r) in seen:
+                raise FormatError(f"{where}: row {r} of node {name!r} given twice")
+            seen.add((name, r))
             by_node[name][r] = value
     return [by_node[spec.name] for spec in net.nodes]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, DataError
 from .inference import full_joint_table
-from .network import ENUM_BUDGET, Network
+from .network import ENUM_BUDGET, Network, row_totals
 
 
 @dataclass
@@ -82,25 +82,21 @@ def kl_decomposed(truth: Network | Truth, estimate: Network) -> float:
     the truth's family marginals summed over the child, all from one
     clique-tree calibration (`Truth.parent_weights`), so no full-space
     enumeration is needed.  Rows of parent weight exactly zero are skipped.
-    The rows take one pass over theta; each node's is one dot, in node order.
+    The rows' divergences are one bincount over theta; each node's rows
+    are then one dot, in node order.
     """
     truth = _truth(truth)
     if not same_structure(truth.net, estimate):
         raise DataError("networks must share the same structure")
     w = truth.parent_weights
-    row_kl = np.empty(len(w))
-    for rows, cells in truth.net.card_rows.values():
-        t, e = truth.net.theta[cells], estimate.theta[cells]
-        live = (w[rows] != 0.0)[:, None] & (t > 0)
-        if np.any(e[live] <= 0):
-            return float("inf")
-        log_t = np.log(t, out=np.zeros_like(t), where=live)
-        log_e = np.log(e, out=np.zeros_like(e), where=live)
-        row_kl[rows] = (t * (log_t - log_e)).sum(axis=1)
-    total = 0.0
-    for rows in truth.net.node_rows:
-        total += float(w[rows] @ row_kl[rows])
-    return total
+    t, e = truth.net.theta, estimate.theta
+    live = (w[truth.net.entry_rows[0]] != 0.0) & (t > 0)
+    if np.any(e[live] <= 0):
+        return float("inf")
+    log_t = np.log(t, out=np.zeros_like(t), where=live)
+    log_e = np.log(e, out=np.zeros_like(e), where=live)
+    row_kl = row_totals(truth.net, t * (log_t - log_e))
+    return sum(float(w[rows] @ row_kl[rows]) for rows in truth.net.node_rows)
 
 
 def mse(truth: Network, estimate: Network) -> float:

@@ -6,8 +6,9 @@ tables node after node in C order, one row per parent configuration and
 one column per node state, of which `cpts[i]` is a read-only 2-D view.
 Parent configurations are enumerated in mixed-radix order with the last
 declared parent varying fastest, which fixes the row order bit-exactly for
-the file format.  Refits, smoothing and the row checks each make one pass
-over theta, a cardinality at a time.  Parameters are set by the
+the file format.  Refits, smoothing, random rows and the row checks each
+make one pass over theta: per-row sums are one bincount over the row of
+each entry (`Network.entry_rows`).  Parameters are set by the
 constructor (per-node tables) or by `Network.with_theta` (a flat vector),
 and both fitters take their start network from `start_network`: uniform,
 random or a given network, checked against the structure.
@@ -44,28 +45,22 @@ class NodeSpec:
         object.__setattr__(self, "parents", tuple(self.parents))
 
 
-@dataclass(frozen=True, eq=False)
 class Network:
     """A named DAG of NodeSpecs plus one CPT per node (copied into `theta`;
     a 1-D table is one row)."""
 
-    name: str
-    nodes: tuple[NodeSpec, ...]
-    cpts: tuple[np.ndarray, ...]
+    def __init__(self, name: str, nodes: Sequence[NodeSpec], cpts: Sequence[np.ndarray]):
+        self.name, self.nodes = name, tuple(nodes)
+        tables = [np.asarray(t, dtype=np.float64) for t in cpts]
+        self.theta = np.concatenate([np.zeros(0), *(t.ravel() for t in tables)])
+        self.theta.setflags(write=False)
+        self.cpts = _views(self.theta, [(1, t.size) if t.ndim == 1 else t.shape for t in tables])
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        tables = [np.asarray(t, dtype=np.float64) for t in self.cpts]
-        shapes = [(1, t.size) if t.ndim == 1 else t.shape for t in tables]
-        self._hold(np.concatenate([np.zeros(0), *(t.ravel() for t in tables)]), shapes)
-
-    def _hold(self, theta: np.ndarray, shapes) -> None:
-        """Make theta this network's read-only parameters, viewed per node."""
-        theta.setflags(write=False)
-        ends = [0, *accumulate(map(math.prod, shapes))]
-        views = tuple(theta[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes))
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "cpts", views)
+    @cached_property
+    def cpts(self) -> tuple[np.ndarray, ...]:
+        """Each node's CPT, a read-only (rows, states) view of theta; the
+        constructor sets its tables' own shapes instead."""
+        return _views(self.theta, list(zip(self.n_rows, self.cards)))
 
     # ------------------------------------------------------------------
     # structure lookups (cached; the instance is immutable).  Each depends on
@@ -131,16 +126,11 @@ class Network:
         return tuple(map(slice, [0, *accumulate(self.n_rows)], accumulate(self.n_rows)))
 
     @cached_property
-    def card_rows(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per cardinality, the rows of its nodes' CPTs in node order, and
-        their entries in theta as a (rows, card) index matrix."""
-        row_card = np.repeat(np.array(self.cards, dtype=np.int64), self.n_rows)
-        first = np.cumsum(row_card) - row_card
-        out = {}
-        for card in dict.fromkeys(self.cards):
-            rows = np.flatnonzero(row_card == card)
-            out[card] = rows, first[rows, None] + np.arange(card)
-        return out
+    def entry_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each entry of theta, its row in the rows of all CPTs, node
+        after node, and that row's length."""
+        lengths = np.repeat(np.array(self.cards, dtype=np.int64), self.n_rows)
+        return np.repeat(np.arange(len(lengths)), lengths), np.repeat(lengths, lengths)
 
     @cached_property
     def clique_tree(self):
@@ -171,19 +161,32 @@ class Network:
 
     def with_theta(self, theta: np.ndarray) -> "Network":
         """This structure with parameters theta (copied), laid out as
-        `theta` is: no table is copied on its own."""
+        `theta` is: no table is copied on its own, and `cpts` views theta
+        only once read."""
         theta = np.array(theta, dtype=np.float64)
         if theta.shape != (self.family_cells[1][-1],):
             raise DataError(f"theta of shape {theta.shape} for {self.family_cells[1][-1]} cells")
+        theta.setflags(write=False)
         out = object.__new__(Network)
-        out.__dict__.update({k: v for k, v in vars(self).items() if k in _KEPT})
-        out._hold(theta, list(zip(self.n_rows, self.cards)))
+        out.__dict__.update({k: v for k, v in vars(self).items() if k in _KEPT}, theta=theta)
         return out
 
 
 _KEPT = frozenset(
     k for k, v in vars(Network).items() if isinstance(v, cached_property)
-) | {"name", "nodes"}
+) - {"cpts"} | {"name", "nodes"}
+
+
+def _views(theta: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
+    """Consecutive slices of theta, reshaped to `shapes`."""
+    ends = [0, *accumulate(map(math.prod, shapes))]
+    return tuple(theta[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes))
+
+
+def row_totals(net: Network, values: np.ndarray) -> np.ndarray:
+    """The sum of `values`, laid out as theta, over each CPT row, node
+    after node: one bincount, which adds a row's entries in order."""
+    return np.bincount(net.entry_rows[0], values, minlength=sum(net.n_rows))
 
 
 def _placement(parents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list[int]]:
@@ -250,13 +253,9 @@ def validate_network(net: Network) -> list[str]:
             np.zeros(r * c) if i in misshapen else t.ravel()
             for i, (t, r, c) in enumerate(zip(net.cpts, net.n_rows, net.cards)))])
     row_node = np.repeat(np.arange(len(net.nodes)), net.n_rows)
-    finite, outside = np.empty((2, len(row_node)), dtype=bool)
-    sums = np.empty(len(row_node))
-    for rows, cells in net.card_rows.values():
-        table = theta[cells]
-        finite[rows] = np.isfinite(table).all(axis=1)
-        outside[rows] = np.any((table < -1e-12) | (table > 1 + 1e-12), axis=1)
-        sums[rows] = table.sum(axis=1)
+    finite = row_totals(net, ~np.isfinite(theta)) == 0
+    outside = row_totals(net, (theta < -1e-12) | (theta > 1 + 1e-12)) > 0
+    sums = row_totals(net, theta)
     off = np.abs(sums - 1.0) > ROW_SUM_TOL
     flagged = (~finite | outside | off) & ~np.isin(row_node, list(misshapen))
     found = list(misshapen.items())
@@ -338,10 +337,7 @@ def randomize_parameters(net: Network, rng: np.random.Generator) -> Network:
     """Replace every CPT row by normalized independent uniform(0,1) draws,
     one draw per entry of theta in its order."""
     theta = rng.uniform(size=len(net.theta))
-    for _, cells in net.card_rows.values():
-        table = theta[cells]
-        theta[cells] = table / table.sum(axis=1, keepdims=True)
-    return net.with_theta(theta)
+    return net.with_theta(theta / row_totals(net, theta)[net.entry_rows[0]])
 
 
 def start_network(structure: Network, init: str | Network, seed: int | None = None) -> Network:
@@ -364,8 +360,7 @@ def start_network(structure: Network, init: str | Network, seed: int | None = No
 
 def uniform_cpts(structure: Network) -> Network:
     """Same structure with every CPT row uniform."""
-    sizes = np.multiply(structure.n_rows, structure.cards)
-    return structure.with_theta(1.0 / np.repeat(np.array(structure.cards, dtype=np.float64), sizes))
+    return structure.with_theta(1.0 / structure.entry_rows[1])
 
 
 # ----------------------------------------------------------------------
@@ -394,17 +389,13 @@ def params_from_family_counts(
     rows become uniform.
 
     Also returns the per-row parent-configuration totals k (fractional
-    allowed), one array per node, which later feed the smoothing map.  The
-    rows of one cardinality are normalized together, each as on its own.
+    allowed), one array per node, which later feed the smoothing map.  One
+    pass over theta: the row totals, then each entry over its row's.
     """
-    theta = np.empty(len(counts))
-    k = np.empty(sum(structure.n_rows))
-    for card, (rows, cells) in structure.card_rows.items():
-        table = counts[cells]
-        k[rows] = totals = table.sum(axis=1)
-        out = np.full(table.shape, 1.0 / card)
-        np.divide(table, totals[:, None], out=out, where=totals[:, None] > 0)
-        theta[cells] = out
+    row, card = structure.entry_rows
+    k = row_totals(structure, counts)
+    kr = k[row]
+    theta = np.divide(counts, kr, out=1.0 / card, where=kr > 0)
     return structure.with_theta(theta), list(map(k.__getitem__, structure.node_rows))
 
 
@@ -415,8 +406,12 @@ def ml_estimate(
     given as arrays (rows of state indices, weights).  Returns the fitted
     network and the per-row parent-config counts.
     """
-    rows, weights = weighted_data
-    weights = np.asarray(weights, dtype=np.float64)
+    rows, weights = np.asarray(weighted_data[0]), np.asarray(weighted_data[1], dtype=np.float64)
+    if (weights.ndim != 1 or rows.shape != (len(weights), len(structure.nodes))
+            or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= structure.cards))):
+        raise DataError(f"need one row of {len(structure.nodes)} state indices per weight")
+    if not np.isfinite(weights).all():
+        raise DataError("weights must be finite")
     if np.any(weights < 0):
         raise DataError("weights must be nonnegative")
     if float(weights.sum()) <= 0:
@@ -430,16 +425,16 @@ def smooth(net: Network, row_counts: Sequence[np.ndarray]) -> Network:
 
     k is that row's data count (one array per node) and m the row length,
     so row sums are preserved exactly and every entry lands strictly inside
-    (0, 1).  One pass over theta, a cardinality at a time.
+    (0, 1).  One pass over theta.
     """
     sizes = tuple(map(np.size, row_counts))
     if sizes != net.n_rows:
         raise DataError(f"row counts per node {sizes} for CPT rows per node {net.n_rows}")
     k = np.concatenate([np.zeros(0), *map(np.ravel, row_counts)])
+    if not np.isfinite(k).all():
+        raise DataError("row counts must be finite")
     if np.any(k < 0):
         raise DataError("row counts must be nonnegative")
-    theta = np.empty_like(net.theta)
-    for card, (rows, cells) in net.card_rows.items():
-        kr = k[rows, None]
-        theta[cells] = (net.theta[cells] * kr + 1.0) / (kr + card)
-    return net.with_theta(theta)
+    row, card = net.entry_rows
+    kr = k[row]
+    return net.with_theta((net.theta * kr + 1.0) / (kr + card))

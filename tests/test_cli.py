@@ -589,6 +589,7 @@ class TestLearnAndEval:
             ("A,0,nan", "count must be a finite non-negative number"),
             ("A,0,inf", "count must be a finite non-negative number"),
             ("A,0,-1", "count must be a finite non-negative number"),
+            ("A,0,1e6", "row 0 of node 'A' given twice"),
         ],
     )
     def test_eval_malformed_counts_row_is_data_error(self, tmp_path, row, what):

@@ -439,9 +439,26 @@ class TestRefusals:
         with pytest.raises(DataError, match=what):
             ml_estimate(basic_net, (np.array([(0, 0), (1, 1)]), np.array(weights)))
 
+    @pytest.mark.parametrize("rows, weights, what", [
+        ([(1, -1), (0, 0)], [1.0, 1.0], "^need one row of 2 state indices per weight$"),
+        ([(2, 0)], [1.0], "^need one row of 2 state indices per weight$"),
+        ([(0, 0, 0)], [1.0], "^need one row of 2 state indices per weight$"),
+        ([(0, 0)], [1.0, 1.0], "^need one row of 2 state indices per weight$"),
+        ([(0.5, 0)], [1.0], "^need one row of 2 state indices per weight$"),
+        ([(0, 0), (1, 1)], [float("nan"), 1.0], "^weights must be finite$"),
+        ([(0, 0), (1, 1)], [float("inf"), 1.0], "^weights must be finite$"),
+    ])
+    def test_ml_estimate_malformed_rows(self, basic_net, rows, weights, what):
+        # negative or too large states, wrong widths and non-finite weights
+        # once counted into other cells or gave NaN rows
+        with pytest.raises(DataError, match=what):
+            ml_estimate(basic_net, (np.array(rows), np.array(weights)))
+
     @pytest.mark.parametrize("counts, what", [
         ([[1.0, 2.0], [0.0]], r"^row counts per node \(2, 1\) for CPT rows per node \(1, 1\)$"),
         ([[-1.0], [0.0]], "^row counts must be nonnegative$"),
+        ([[float("nan")], [0.0]], "^row counts must be finite$"),
+        ([[1.0], [float("inf")]], "^row counts must be finite$"),
     ])
     def test_smooth_row_counts(self, basic_net, counts, what):
         with pytest.raises(DataError, match=what):
@@ -509,13 +526,16 @@ ORACLE_NETS = ["asia", "tri", "dag17", "alarm_like"]
 
 
 def flat(tables):
-    return np.concatenate([np.ravel(t) for t in tables]).tobytes()
+    return flat_array(tables).tobytes()
+
+
+def flat_array(tables):
+    return np.concatenate([np.ravel(t) for t in tables])
 
 
 class TestFamilyCounts:
     """The M step's one bincount and its refit over theta give the per-node
-    results bit for bit; alarm_like's cards 2, 3 and 4 make three
-    cardinality groups."""
+    results bit for bit; alarm_like's rows have 2, 3 and 4 entries."""
 
     @pytest.mark.parametrize("which", ORACLE_NETS)
     def test_matches_per_node_oracle(self, which, asia_net):
@@ -573,6 +593,83 @@ class TestPerNodeOracles:
         assert got_rng.random() == want_rng.random()
 
 
+def wide_net():
+    """A 9-state node between a 3-state parent and a binary child."""
+    nodes = (NodeSpec("P", ("a", "b", "c")),
+             NodeSpec("W", tuple(f"s{j}" for j in range(9)), ("P",)),
+             NodeSpec("C", ("t", "f"), ("W",)))
+    tables = [np.ones(shape) for shape in [(1, 3), (3, 9), (9, 2)]]
+    return randomize_parameters(with_tables(Network("wide", nodes, ()), tables),
+                                np.random.default_rng(8))
+
+
+def node_tables(net, values):
+    """`values`, laid out as theta, as per-node (rows, states) tables."""
+    ends = net.family_cells[1]
+    return [values[a:b].reshape(r, c) for a, b, r, c in zip(ends, ends[1:], net.n_rows, net.cards)]
+
+
+def sequential_sums(table):
+    """Each row's entries added left to right."""
+    return np.cumsum(table, axis=1)[:, -1]
+
+
+def row_passes(net, counts):
+    """The refit's theta and row totals, smoothing, a random draw and the
+    decomposed divergence, each beside its per-node oracle's."""
+    fitted, k = params_from_family_counts(net, counts)
+    cpts, want_k = per_node_params(node_tables(net, counts))
+    estimate = smooth(fitted, k)
+    return [
+        (fitted.theta, flat_array(cpts)),
+        (np.concatenate(k), np.concatenate(want_k)),
+        (smooth(net, k).theta, flat_array(per_node_smooth(net, k))),
+        (randomize_parameters(net, np.random.default_rng(3)).theta,
+         per_node_randomize(net, np.random.default_rng(3)).theta),
+        (np.array([kl_decomposed(net, estimate)]), np.array([per_node_kl(net, estimate)])),
+    ]
+
+
+class TestRowSums:
+    """A row's entries are added in order, one bincount over theta.  numpy's
+    own row sums agree on rows of up to 7 entries and are pairwise from 8,
+    so on the 9-state node the per-node oracles hold to 1e-15 relative."""
+
+    def test_nine_states_within_1e15_of_per_node(self):
+        net = wide_net()
+        rng = np.random.default_rng(9)
+        counts = rng.random(len(net.theta)) * rng.integers(0, 3, size=len(net.theta)) * 40
+        counts[12:21] = 0.0   # W's second row goes uniform
+        for got, want in row_passes(net, counts):
+            assert np.allclose(got, want, rtol=1e-15, atol=0)
+        k = params_from_family_counts(net, counts)[1]
+        assert [t.tobytes() for t in k] == [
+            sequential_sums(t).tobytes() for t in node_tables(net, counts)]
+        draws = np.random.default_rng(3).uniform(size=len(net.theta))[3:30].reshape(3, 9)
+        drawn = randomize_parameters(net, np.random.default_rng(3))
+        assert drawn.theta[3:30].tobytes() == (draws / sequential_sums(draws)[:, None]).tobytes()
+
+    def test_nine_state_rows_checked_as_per_row(self):
+        theta = wide_net().theta.copy()
+        theta[3:6] += [0.2, -0.3, float("nan")]
+        theta[14] = 1.5
+        theta[21] += 1e-8
+        bad = wide_net().with_theta(theta)
+        diags = validate_network(bad)
+        assert diags == per_row_validate(bad)
+        assert [d.split(" has")[0].split(" sum")[0] for d in diags] == [
+            "node W: row 0", "node W: row 1", "node W: row 1", "node W: row 2"]
+
+    def test_up_to_seven_states_equal_per_node(self):
+        net = random_dag(12, 21, cards=(2, 8), max_parents=2)
+        assert max(net.cards) == 7 and min(net.cards) == 2
+        rng = np.random.default_rng(10)
+        counts = rng.random(len(net.theta)) * rng.integers(0, 2, size=len(net.theta))
+        for got, want in row_passes(net, counts):
+            assert got.tobytes() == want.tobytes()
+        assert validate_network(net) == per_row_validate(net) == []
+
+
 class TestTheta:
     """One read-only parameter vector per network, every CPT a view of it."""
 
@@ -606,13 +703,23 @@ class TestTheta:
         with pytest.raises(DataError):
             asia_net.with_theta(other.theta[1:])
 
+    def test_with_theta_views_theta_when_read(self, asia_net):
+        net = asia_net.with_theta(randomize_parameters(asia_net, np.random.default_rng(5)).theta)
+        assert "cpts" not in vars(net)
+        assert [c.shape for c in net.cpts] == list(zip(net.n_rows, net.cards))
+        assert flat(net.cpts) == net.theta.tobytes()
+        assert all(np.shares_memory(c, net.theta) for c in net.cpts)
+        with pytest.raises(ValueError):
+            net.cpts[3][0, 0] = 0.5
+        assert net.cpts is net.cpts
+
     def test_structure_lookups_carry_over(self, asia_net):
         # every cached lookup depends on the nodes alone: a refit through
         # with_theta holds the same objects, equal to those a fresh network
         # computes
         names = ["node_index", "cards", "parent_index", "row_strides", "n_rows",
                  "n_assignments", "ravel_strides", "family_cells", "node_rows",
-                 "card_rows", "topo_order", "clique_tree"]
+                 "entry_rows", "topo_order", "clique_tree"]
         # a new cached property must be added here, and must not read the CPTs
         assert network_mod._KEPT == set(names) | {"name", "nodes"}
         before = {k: getattr(asia_net, k) for k in names}
@@ -621,16 +728,13 @@ class TestTheta:
         for k in names:
             assert getattr(net, k) is before[k]
             a, b = getattr(net, k), getattr(fresh, k)
-            if k == "family_cells":
+            if k in ("family_cells", "entry_rows"):
                 assert all(np.array_equal(x, y) for x, y in zip(a, b))
             elif k == "clique_tree":  # the same compiled steps and slots
                 kept = ("_shapes", "_root", "_collect_steps", "_distribute_steps",
                         "_family_slots", "_chunk")
                 assert all(getattr(a, f) == getattr(b, f) for f in kept)
                 assert all(np.array_equal(x, y) for x, y in zip(a._masks, b._masks))
-            elif k == "card_rows":
-                assert a.keys() == b.keys()
-                assert all(np.array_equal(x, y) for c in a for x, y in zip(a[c], b[c]))
             else:
                 assert a == b
         assert [np.array_equal(a, b) for a, b in zip(net.cpts, asia_net.cpts)] == [False] * 8
