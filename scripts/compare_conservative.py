@@ -19,7 +19,7 @@ import numpy as np
 from coarsebn.aim import AimOptions, aim_fit
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.conservative import random_completion
-from coarsebn.evaluate import evaluate
+from coarsebn.evaluate import Truth, evaluate
 from coarsebn.inference import BoundDataset
 from coarsebn.netformat import read_network
 from coarsebn.network import ml_estimate, smooth
@@ -46,6 +46,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     truth = read_network(fixture_path(args.net))
+    scored = Truth(truth)  # one calibration scores every estimate
     spec = CoarseningSpec.parse(args.coarsening)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -60,14 +61,14 @@ def main(argv=None) -> int:
             crng = np.random.default_rng(stable_child_seed(args.seed, d, r))
             completed = random_completion(truth, bound, crng)
             start_raw, start_counts = ml_estimate(truth, (completed, bound.case_weights))
-            ce_start = evaluate(truth, smooth(start_raw, start_counts)).ce
+            ce_start = evaluate(scored, smooth(start_raw, start_counts)).ce
             refit = aim_fit(
                 truth,
                 start_raw,
                 bound,
                 AimOptions(z=args.z, seed=stable_child_seed(args.seed, d, r, "aim")),
             )
-            ce_refit = evaluate(truth, refit.smoothed).ce
+            ce_refit = evaluate(scored, refit.smoothed).ce
             rows.append(
                 {
                     "dataset": d,

@@ -54,7 +54,7 @@ from .network import (
     state_cells,
     unravel_rows,
 )
-from .util import check_int
+from .util import check_int, check_tol
 
 LOG_PROB_FLOOR = 1e-300
 SCORE_REFRESH_EVERY = 1000
@@ -89,10 +89,11 @@ class AimState:
     its counts, theta and the score, with the states the fit reads and its
     moving replicas grouped by key (pattern, state).
 
-    Built from theta0, the bound dataset, z and an assignment (replica ->
-    flat joint index): replica j is a replica of case `rep_case[j]`, laid
-    out by `replica_cases`, `moves[m]` lists the (stride, card) of pattern
-    m's missing axes, and `net` holds theta, theta0 until the first M step.
+    Built from theta0, the bound dataset, z, the replica layout and an
+    assignment (replica -> flat joint index): replica j is a replica of
+    case `rep_case[j]`, laid out by `replica_cases`, and of pattern
+    `rep_pattern[j]`; `moves[m]` lists the (stride, card) of pattern m's
+    missing axes, and `net` holds theta, theta0 until the first M step.
     The constructor groups the keys from the assignment and scores it.
 
     Every state a fit reads has a row: `states[r]` is its flat index,
@@ -116,11 +117,19 @@ class AimState:
     appends are not read.
     """
 
-    def __init__(self, theta0: Network, bound: BoundDataset, z: int, assign: list[int]):
+    def __init__(
+        self,
+        theta0: Network,
+        bound: BoundDataset,
+        z: int,
+        rep_case: np.ndarray,
+        rep_pattern: np.ndarray,
+        assign: list[int],
+    ):
         self.net = theta0
         self.z = z
-        self.rep_case = replica_cases(bound, z)
-        self.zn = len(self.rep_case)
+        self.rep_case = rep_case
+        self.zn = len(rep_case)
         self.case_pattern = bound.case_pattern  # every weight > 0: indexes `bound.rows` too
         strides, cards = theta0.ravel_strides, theta0.cards
         self.moves = [
@@ -146,7 +155,7 @@ class AimState:
         self.left: list[float] = []
         self.was: list[float] = []
         self.arrived: list[float] = []
-        self.group()
+        self.group(rep_pattern)
         self.score = self.full_score()
 
     @cached_property
@@ -195,10 +204,9 @@ class AimState:
             self.lp += log_probs(net, self.row_cells()[done:]).tolist()
         return self.lp
 
-    def group(self) -> None:
+    def group(self, rep_pattern: np.ndarray) -> None:
         """Register a key per (pattern, state) of the moving replicas."""
         moving = np.array([bool(m) for m in self.moves], dtype=bool)
-        rep_pattern = self.case_pattern[self.rep_case]
         reps = np.flatnonzero(moving[rep_pattern])
         pats = rep_pattern[reps]
         xs = np.asarray(self.assign, dtype=np.int64)[reps]
@@ -423,9 +431,10 @@ def start(
 ) -> tuple[AimState, list[int]]:
     """A fit's first state, its replicas drawn by `initial_completion`, and
     the replicas that fell back to a uniform draw."""
-    rep_pattern = bound.case_pattern[replica_cases(bound, z)]
+    rep_case = replica_cases(bound, z)
+    rep_pattern = bound.case_pattern[rep_case]
     assign, fallbacks = initial_completion(theta0, bound.table, rep_pattern, rng)
-    return AimState(theta0, bound, z, assign), fallbacks
+    return AimState(theta0, bound, z, rep_case, rep_pattern, assign), fallbacks
 
 
 def aim_fit(
@@ -447,8 +456,7 @@ def aim_fit(
     opts = opts or AimOptions()
     check_int("z", opts.z, 1)
     check_int("max_iters", opts.max_iters, 1)
-    if not opts.tol >= 0:
-        raise DataError(f"tol must be a non-negative number; got {opts.tol!r}")
+    check_tol(opts.tol)
     if opts.seed is not None:
         check_int("seed", opts.seed, 0)
     theta0 = start_network(structure, theta0)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, ZeroSupportError
+from .errors import ZeroSupportError
 from .inference import BoundDataset, bind, face_value_sum
 from .network import Network, params_from_family_counts, smooth, start_network
-from .util import check_int
+from .util import check_int, check_tol
 
 
 @dataclass
@@ -57,8 +57,7 @@ def em_fit(
     """
     opts = opts or EmOptions()
     check_int("max_iters", opts.max_iters, 1)
-    if not opts.tol >= 0:
-        raise DataError(f"tol must be a non-negative number; got {opts.tol!r}")
+    check_tol(opts.tol)
     if opts.seed is not None:
         check_int("seed", opts.seed, 0)
     net = start_network(structure, opts.init, opts.seed)

@@ -65,9 +65,12 @@ from .data import Completion, CoarsePattern, Dataset
 from .errors import DataError, NumericalError, ZeroSupportError
 from .inference import DENSE_TABLE_BUDGET, BoundDataset, bind, face_value_sum
 from .network import Network, unravel_rows
+from .util import check_tol
 
 CAR_MEMBER_BUDGET = 4 << 20
 CAR_TOL = 1e-10
+SAT_MAX_EVALS = 200_000
+CAR_MAX_EVALS = 500_000
 
 
 @dataclass
@@ -156,7 +159,7 @@ def _squarem_cycle(
     sign = np.sign(x2)
     while a < -1.0:
         jump = x - 2.0 * a * r + (a * a) * v
-        if np.array_equal(np.sign(jump), sign):
+        if (np.sign(jump) == sign).all():
             break
         a = (a - 1.0) / 2.0 if a < -2.0 else -1.0
     else:
@@ -251,20 +254,16 @@ class SatProfileProblem:
     # ------------------------------------------------------------------
 
     def solve(
-        self,
-        net: Network,
-        tol: float = 1e-8,
-        init: np.ndarray | None = None,
-        max_iters: int = 200_000,
+        self, net: Network, tol: float = 1e-8, init: np.ndarray | None = None
     ) -> tuple[float, np.ndarray, float, float]:
         """Minimize KL(P_c || P_theta) over completions.
 
         Returns (per-unit log-likelihood value, per-slot mass w, achieved
         KL, final gap).  w sums to m within each pattern; the certificate
-        completion is w / m.  max_iters bounds the map evaluations.
+        completion is w / m.  Raises NumericalError rather than pass
+        SAT_MAX_EVALS map evaluations.
         """
-        if not tol >= 0:
-            raise DataError(f"tol must be a non-negative number; got {tol!r}")
+        check_tol(tol)
         table, m = self.table, self.bound.m
         p_slot = table.probs(net)[table.loc]
         live = p_slot > 0
@@ -302,7 +301,7 @@ class SatProfileProblem:
 
         def evaluate(w: np.ndarray, level: int = _FULL) -> _Point:
             # p_c at each slot's state; KL = sum_x p_c log(p_c / P) = sum of w * g
-            p_c = np.maximum(np.bincount(loc, weights=w, minlength=n_loc)[loc], 1e-300)
+            p_c = np.maximum(np.bincount(loc, weights=w, minlength=n_loc), 1e-300)[loc]
             # p / p_c first: w * p can underflow where p is tiny
             image = renormalised(np.maximum(w * (p / p_c), _SAT_FLOOR))
             if level == _IMAGE:
@@ -324,7 +323,7 @@ class SatProfileProblem:
             return None if reset is None else renormalised(reset)
 
         w, at_w = _fixed_point(
-            evaluate, renormalised(w), tol, max_iters, "sat-profile solver", support
+            evaluate, renormalised(w), tol, SAT_MAX_EVALS, "sat-profile solver", support
         )
         full = np.zeros(table.n_slots)
         full[slots] = w
@@ -360,7 +359,7 @@ def exact_sat_profile_loglik(
 
 
 def car_normalizer(
-    net: Network, data: Dataset | BoundDataset, tol: float = CAR_TOL
+    net: Network, data: Dataset | BoundDataset
 ) -> tuple[float, dict[CoarsePattern, float]]:
     """Per-unit log of the best pattern-lambda product under the car constraint.
 
@@ -368,11 +367,10 @@ def car_normalizer(
     sum over observed patterns containing x of lambda_U <= 1 (slack mass
     sits on unobserved self-patterns).  Solved through the dual: iterative
     scaling of a distribution q on the patterns' members, with
-    lambda_U = m(U)/q(U) at the fixed point.  The returned certificate is
-    always feasible; a pattern of zero weight gets lambda 0.
+    lambda_U = m(U)/q(U) at the fixed point, reached within CAR_TOL/2 in at
+    most CAR_MAX_EVALS map evaluations (else NumericalError).  The returned
+    certificate is always feasible; a pattern of zero weight gets lambda 0.
     """
-    if not tol >= 0:
-        raise DataError(f"tol must be a non-negative number; got {tol!r}")
     bound = bind(net, data)
     m = bound.m
     table = bound.member_table(CAR_MEMBER_BUDGET)
@@ -398,7 +396,7 @@ def car_normalizer(
         return None if reset is None else reset / reset.sum()
 
     q, at_q = _fixed_point(
-        evaluate, np.full(n, 1.0 / n), tol / 2, 500_000, "car normalizer", support
+        evaluate, np.full(n, 1.0 / n), CAR_TOL / 2, CAR_MAX_EVALS, "car normalizer", support
     )
     lam = m / np.add.reduceat(q[loc], starts)
     lam = np.minimum(lam / max(1.0, 1.0 + at_q.gap), 1.0)

@@ -16,6 +16,12 @@ def check_int(name: str, value, low: int) -> None:
         raise DataError(f"{name} must be a {kind} integer; got {value!r}")
 
 
+def check_tol(tol) -> None:
+    """Refuse a negative or NaN tolerance."""
+    if not tol >= 0:
+        raise DataError(f"tol must be a non-negative number; got {tol!r}")
+
+
 def stable_child_seed(*parts) -> int:
     """Derive a deterministic 63-bit child seed from arbitrary parts.
 

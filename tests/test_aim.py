@@ -242,7 +242,9 @@ class TestAiSweep:
             for c, x in zip(drawn.rep_case.tolist(), drawn.assign)
         ]
         bound = inference.BoundDataset(basic_net, basic_data_n2000)
-        state = AimState(drawn.net, bound, z, assign)
+        state = AimState(
+            drawn.net, bound, z, drawn.rep_case, bound.case_pattern[drawn.rep_case], assign
+        )
         for _ in range(60):
             before = state.score
             ai_sweep(state)
@@ -811,6 +813,17 @@ class TestAimStart:
              if v is None]
             for p, _ in data.cases
         ]
+
+    def test_layout_computed_once_per_fit(self, basic_net, monkeypatch):
+        calls = []
+
+        def counted(bound, z):
+            calls.append(z)
+            return replica_cases(bound, z)
+
+        monkeypatch.setattr(aim, "replica_cases", counted)
+        aim_fit(basic_net, basic_net, Dataset(("A", "B"), self.CASES), AimOptions(z=2, seed=0))
+        assert calls == [2]
 
     def test_case_pattern_in_first_seen_order(self, basic_net):
         data = Dataset(("A", "B"), (
