@@ -12,7 +12,8 @@ hashes, in order:
   - every summary row.
 A second line hashes, for each lik_reports input (the first
 `Sizes.lik_datasets` asia_rows inputs), the sat value and gap of
-`SatProfileProblem(aim.network, data).solve(aim.network, tol=1e-8)` and
+`SatProfileProblem(aim.network, data).solve(aim.network,
+tol=likelihoods.SAT_TOL)` (1e-8, the `lik` default) and
 `lr_statistic(aim.network, em.network, data)`, as float hex.
 A third line hashes every dataset `generate_dataset` makes for those
 inputs: its cases, its missing fraction (as float hex) and the generator's
@@ -130,7 +131,7 @@ def main() -> int:
     fixed_point = likelihoods._fixed_point
     solver_evals = {"sat": [], "car": []}
 
-    def counted_fixed_point(evaluate, x, tol, max_evals, name, support=None):
+    def counted_fixed_point(evaluate, x, tol, max_evals, name, support):
         evals = solver_evals[name[:3]]
         evals.append(0)
 
@@ -189,7 +190,8 @@ def main() -> int:
                 tree_digest.update(part if isinstance(part, bytes) else part.encode())
             if i < sizes.lik_datasets:
                 net, data = last["aim"].network, last["data"]
-                value, _, _, gap = likelihoods.SatProfileProblem(net, data).solve(net, tol=1e-8)
+                problem = likelihoods.SatProfileProblem(net, data)
+                value, _, _, gap = problem.solve(net, tol=likelihoods.SAT_TOL)
                 likelihoods._fixed_point = counted_fixed_point
                 try:
                     lr = likelihoods.lr_statistic(net, last["em"].network, data)

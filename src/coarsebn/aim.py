@@ -385,8 +385,8 @@ def initial_completion(
     The draws are those of one `rng.choice` per pattern, in pattern order,
     bit for bit: an enumerated pattern takes one `rng.random` for its
     replicas and picks by `searchsorted` on the inverse CDF `rng.choice`
-    builds from its members' P(x) (built in one block per member count);
-    a tree pattern draws by `table.tree_sample`.
+    builds from its members' P(x); a tree pattern draws by
+    `table.tree_sample`.
     """
     missing = table.rows < 0
     strides = np.array(theta0.ravel_strides, dtype=np.int64)
@@ -394,28 +394,23 @@ def initial_completion(
     # replicas pattern after pattern; a radix sort when patterns fit 16 bits
     order = np.argsort(rep_pattern.astype(np.min_scalar_type(len(missing))), kind="stable")
     ends = np.cumsum(np.bincount(rep_pattern, minlength=len(missing))).tolist()
-    enumerated = np.array(table.enumerated, dtype=np.int64)
-    members = table.stops - table.starts
-    p_slot, p_u = table.member_probs(theta0)
-    cdfs = dict.fromkeys(table.enumerated)  # stays None where P(U) = 0
-    live = (p_u[enumerated] > 0) & missing[enumerated].any(axis=1)
-    for m in sorted(set(members[live].tolist())):
-        at = np.flatnonzero(live & (members == m))
-        slots = table.starts[at, None] + np.arange(m)
-        block = p_slot[slots]
-        cdf = (block / block.sum(axis=1, keepdims=True)).cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        cdfs.update(zip(enumerated[at].tolist(), zip(table.uniq[table.loc[slots]], cdf)))
+    p_slot = table.member_probs(theta0)[0]
+    slots = dict(zip(table.enumerated, zip(table.starts.tolist(), table.stops.tolist())))
     fallbacks: list[int] = []
     for k in np.flatnonzero(missing.any(axis=1)).tolist():
         idxs = order[ends[k - 1] if k else 0 : ends[k]]
-        if k not in cdfs:
+        if k not in slots:
             picks = table.tree_sample(theta0, k, len(idxs), rng)
-        elif cdfs[k]:
-            flat, cdf = cdfs[k]
-            picks = flat[cdf.searchsorted(rng.random(len(idxs)), side="right")]
         else:
-            picks = None
+            start, stop = slots[k]
+            p = p_slot[start:stop]
+            p_u = p.sum()
+            picks = None  # where P(U) = 0
+            if p_u > 0:
+                cdf = (p / p_u).cumsum()
+                cdf /= cdf[-1]
+                at = start + cdf.searchsorted(rng.random(len(idxs)), side="right")
+                picks = table.uniq[table.loc[at]]
         if picks is None:
             fallbacks.extend(idxs.tolist())
             picks = out[idxs] + sum(

@@ -26,6 +26,7 @@ from .errors import CoarseBNError, DataError, FormatError, NumericalError
 from .evaluate import Truth, evaluate
 from .inference import BoundDataset
 from .likelihoods import (
+    SAT_TOL,
     LikelihoodReport,
     SatProfileProblem,
     car_profile_loglik,
@@ -425,7 +426,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--which", required=True, choices=["fv", "sat", "car", "lr"])
     p.add_argument("--net-car", help="car-side candidate for --which lr")
-    p.add_argument("--tol", type=float, help="sat solver tolerance")
+    p.add_argument("--tol", type=float, help=f"sat solver tolerance (default {SAT_TOL:g})")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lik)
 

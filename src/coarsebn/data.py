@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
@@ -36,8 +37,9 @@ class Dataset:
     The cases are grouped as they are checked: `distinct` lists the distinct
     patterns in first-seen order, `case_pattern` each case's index into it
     and `case_weights` the weights (read-only int64 and float64 arrays);
-    `total_weight` is their fsum.  A malformed dataset names its first
-    offending case, whose width is checked before its weight.
+    `total_weight` is their fsum, refused when subnormal (the reports would
+    lose precision).  A malformed dataset names its first offending case,
+    whose width is checked before its weight.
     """
 
     variables: tuple[str, ...]
@@ -68,6 +70,8 @@ class Dataset:
             raise DataError("total weight overflows") from None
         if cases and self.total_weight <= 0:
             raise DataError("total weight must be positive")
+        if 0 < self.total_weight < sys.float_info.min:
+            raise DataError("total weight underflows")
 
 
 @dataclass(frozen=True)

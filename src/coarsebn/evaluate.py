@@ -51,12 +51,6 @@ def _same_domains(a: Network, b: Network) -> bool:
     )
 
 
-def same_structure(a: Network, b: Network) -> bool:
-    return _same_domains(a, b) and all(
-        sa.parents == sb.parents for sa, sb in zip(a.nodes, b.nodes)
-    )
-
-
 def kl_enumerate(truth: Network, estimate: Network) -> float:
     """KL(P_truth || P_estimate) by summing over the whole joint space.
 
@@ -86,7 +80,7 @@ def kl_decomposed(truth: Network | Truth, estimate: Network) -> float:
     are then one dot, in node order.
     """
     truth = _truth(truth)
-    if not same_structure(truth.net, estimate):
+    if truth.net.nodes != estimate.nodes:
         raise DataError("networks must share the same structure")
     w = truth.parent_weights
     t, e = truth.net.theta, estimate.theta
@@ -101,7 +95,7 @@ def kl_decomposed(truth: Network | Truth, estimate: Network) -> float:
 
 def mse(truth: Network, estimate: Network) -> float:
     """Mean squared difference over all CPT entries, flattened equally."""
-    if not same_structure(truth, estimate):
+    if truth.nodes != estimate.nodes:
         raise DataError("networks must share the same structure")
     num = 0.0
     den = 0
@@ -115,6 +109,6 @@ def evaluate(truth: Network | Truth, estimate: Network) -> EvalReport:
     """Score a (smoothed) estimate against the truth; pass a `Truth` to
     score several estimates from one calibration."""
     truth = _truth(truth)
-    if same_structure(truth.net, estimate):
+    if truth.net.nodes == estimate.nodes:
         return EvalReport(kl_decomposed(truth, estimate), mse(truth.net, estimate))
     return EvalReport(kl_enumerate(truth.net, estimate), float("nan"))

@@ -69,6 +69,7 @@ from .util import check_tol
 
 CAR_MEMBER_BUDGET = 4 << 20
 CAR_TOL = 1e-10
+SAT_TOL = 1e-8
 SAT_MAX_EVALS = 200_000
 CAR_MAX_EVALS = 500_000
 
@@ -177,7 +178,7 @@ def _fixed_point(
     tol: float,
     max_evals: int,
     name: str,
-    support: Callable[[np.ndarray, _Point], np.ndarray | None] | None = None,
+    support: Callable[[np.ndarray, _Point], np.ndarray | None],
 ) -> tuple[np.ndarray, _Point]:
     """SQUAREM cycles from x until a point's gap is within tol.
 
@@ -188,9 +189,10 @@ def _fixed_point(
     evaluations (see `_squarem_cycle`).
 
     Between cycles, once the gap is below _SUPPORT_FIRST and then each time
-    it has fallen _SUPPORT_EVERY-fold, `support(x, at_x)` may return x with
-    its empty members reset to their toehold.  That point costs one
-    evaluation and replaces x only if its loss is no higher.
+    it has fallen _SUPPORT_EVERY-fold, the required support step
+    `support(x, at_x)` may return x with its empty members reset to their
+    toehold, or None.  That point costs one evaluation and replaces x only
+    if its loss is no higher.
 
     Every evaluation, at any level, counts against max_evals; the start's
     is always made.  Returns the certified point and its evaluation.
@@ -213,7 +215,7 @@ def _fixed_point(
         if math.isnan(at_x.gap):
             raise NumericalError(f"{name} reached a NaN gap")
         reset = None
-        if support is not None and at_x.gap < due:
+        if at_x.gap < due:
             due = at_x.gap / _SUPPORT_EVERY
             reset = support(x, at_x)
         if reset is None:
@@ -254,7 +256,7 @@ class SatProfileProblem:
     # ------------------------------------------------------------------
 
     def solve(
-        self, net: Network, tol: float = 1e-8, init: np.ndarray | None = None
+        self, net: Network, tol: float = SAT_TOL, init: np.ndarray | None = None
     ) -> tuple[float, np.ndarray, float, float]:
         """Minimize KL(P_c || P_theta) over completions.
 
@@ -349,7 +351,7 @@ class SatProfileProblem:
 def exact_sat_profile_loglik(
     net: Network,
     data: Dataset | BoundDataset,
-    tol: float = 1e-8,
+    tol: float = SAT_TOL,
 ) -> LikelihoodReport:
     """Sat-profile log-likelihood with the optimal completion as certificate."""
     problem = SatProfileProblem(net, data)

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -414,6 +415,8 @@ def dataset_grouping(variables, cases):
         raise DataError("total weight overflows") from None
     if cases and total <= 0:
         raise DataError("total weight must be positive")
+    if 0 < total < sys.float_info.min:
+        raise DataError("total weight underflows")
     ids = {}
     case_pattern = [ids.setdefault(p, len(ids)) for p, _ in cases]
     return list(ids), case_pattern, [w for _, w in cases], total
@@ -761,13 +764,6 @@ def random_dag(n, seed, cards=(2, 5), max_parents=3, window=None):
     return randomize_parameters(net, rng)
 
 
-def fixed_point_without_support(evaluate, x, tol, max_evals, name, support=None,
-                                 fixed_point=likelihoods._fixed_point):
-    """Oracle: the solvers' SQUAREM loop with no support step, ignoring
-    `support`."""
-    return fixed_point(evaluate, x, tol, max_evals, name)
-
-
 def four_evaluation_cycle(evaluate, x, at_x, tol):
     """Oracle: the SQUAREM cycle that fully evaluates every point it
     touches, x1, x2, the jump and F(jump), stopping early at x1 or x2 if
@@ -825,6 +821,12 @@ def four_evaluation_fixed_point(evaluate, x, tol, max_evals, name, support=None)
         if at_reset.loss <= at_x.loss:
             x, at_x = reset, at_reset
     return x, at_x
+
+
+def fixed_point_without_support(evaluate, x, tol, max_evals, name, support=None):
+    """Oracle: `four_evaluation_fixed_point` with no support step, ignoring
+    `support`."""
+    return four_evaluation_fixed_point(evaluate, x, tol, max_evals, name)
 
 
 @contextlib.contextmanager

@@ -91,6 +91,25 @@ class TestLik:
         assert per_case == pytest.approx(0.0804719, abs=1e-6)
         assert total == pytest.approx(4 * per_case, rel=1e-12)
 
+    def test_subnormal_total_weight_exits_2(self, tmp_path, capsys):
+        # Two cases at 1e-320 total a subnormal float, which would cost the
+        # reports their precision.
+        data = tmp_path / "tiny.csv"
+        data.write_text("A,B,__weight\nt,?,1e-320\nt,t,1e-320\n")
+        assert cli.main(["lik", "--net", BASIC, "--data", str(data), "--which", "fv"]) == 2
+        assert "total weight underflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["fv", "car", "lr"])
+    def test_small_normal_total_weight_reports_as_unit_weight(self, tmp_path, capsys, which):
+        values = []
+        for weight in ("1", "1e-300"):
+            data = tmp_path / f"w{weight}.csv"
+            data.write_text(f"A,B,__weight\nt,?,{weight}\nt,t,{weight}\n")
+            assert cli.main(["lik", "--net", BASIC, "--data", str(data), "--which", which]) == 0
+            key = "lr_statistic" if which == "lr" else "per_case_average"
+            values.append(parsed(capsys.readouterr().out, key))
+        assert values[1] == pytest.approx(values[0], rel=1e-12)
+
 
 ZERO_A = "network z\nnode A states a,b\nnode B states a,b\ncpt A : 1,0\ncpt B : 0.5,0.5\n"
 HALF_A = "network z\nnode A states a,b\nnode B states a,b\ncpt A : 0.5,0.5\ncpt B : 0.5,0.5\n"

@@ -391,9 +391,10 @@ class TestDatasetValidation:
 LABELS = st.sampled_from(["t", "f", None])
 # mostly valid weights, so that many lists get through to the grouping;
 # 10**400 is an int too large for a float, 1e308 twice overflows the total
+# and a total of 1e-320s alone underflows
 WEIGHTS = st.sampled_from(
     [1.0, 2.0, 0.5, 3, 0.0, 1.0, 2.0, 0.5, 3, -0.0, -1.0, math.nan, math.inf, -math.inf,
-     1e308, 10**400]
+     1e308, 10**400, 1e-320]
 )
 CASE_LISTS = st.lists(
     st.tuples(
@@ -492,8 +493,9 @@ class TestParserFuzz:
             ("A,B\nt,\rf\n", "malformed dataset CSV"),
             ("A\n" + "x" * 200_000 + "\n", "malformed dataset CSV"),
             ("A,B,__weight\nt,t,1e308\nf,f,1e308\n", "total weight overflows"),
+            ("A,B,__weight\nt,?,1e-320\nt,t,1e-320\n", "total weight underflows"),
         ],
-        ids=["carriage-return", "field-limit", "weight-overflow"],
+        ids=["carriage-return", "field-limit", "weight-overflow", "weight-underflow"],
     )
     def test_found_inputs_are_package_errors(self, text, what):
         with pytest.raises(CoarseBNError, match=what):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -296,7 +297,7 @@ class TestSolverAcceleration:
             return likelihoods._Point(0.0, math.nan, x)
 
         with pytest.raises(NumericalError, match="NaN gap"):
-            likelihoods._fixed_point(evaluate, np.ones(3), 1e-8, 100, "solver")
+            likelihoods._fixed_point(evaluate, np.ones(3), 1e-8, 100, "solver", lambda x, at_x: None)
 
     def test_zero_weight_pattern_changes_nothing(self, basic_net, basic_data):
         extra = Dataset(basic_data.variables, basic_data.cases + ((("f", None), 0.0),))
@@ -372,6 +373,10 @@ class TestFaceValue:
 
 
 class TestSatProfile:
+    def test_both_defaults_are_sat_tol(self):
+        for fn in (SatProfileProblem.solve, exact_sat_profile_loglik):
+            assert inspect.signature(fn).parameters["tol"].default is likelihoods.SAT_TOL
+
     def test_example_value_and_certificate(self, basic_net, basic_data):
         rep = exact_sat_profile_loglik(basic_net, basic_data, tol=1e-10)
         assert rep.per_case_average == pytest.approx(-1.1059, abs=5e-4)

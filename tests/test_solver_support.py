@@ -20,10 +20,8 @@ from coarsebn import aim, cli, em, likelihoods
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from coarsebn.data import Dataset
 from coarsebn.errors import NumericalError
-from coarsebn.likelihoods import CAR_TOL, SatProfileProblem, car_normalizer
+from coarsebn.likelihoods import CAR_TOL, SAT_TOL, SatProfileProblem, car_normalizer
 from coarsebn.network import Network, NodeSpec
-
-SAT_TOL = 1e-8
 
 
 def small_dataset(nodes, dag_seed, mp, mu, spread, n, data_seed):
