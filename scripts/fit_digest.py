@@ -19,12 +19,13 @@ A third line hashes every dataset `generate_dataset` makes for those
 inputs: its cases, its missing fraction (as float hex) and the generator's
 `bit_generator.state` after the call.
 A fourth line covers the clique-tree path, which the fits above reach only
-through `Truth`: for each input, the dataset is bound to the network with
-`inference.DENSE_TABLE_BUDGET` patched to 0, so every pattern takes the
-tree, and at the EM estimate it hashes the table's `pattern_probs`, its
-`expected_counts`, the `initial_completion` draws of one replica per case
-(seeded by the input's position) with the generator's `bit_generator.state`
-after them, and `Truth(EM estimate).parent_weights`.
+through `Network.parent_weights`: for each input, the dataset is bound to
+the network with `inference.DENSE_TABLE_BUDGET` patched to 0, so every
+pattern takes the tree, and at the EM estimate it hashes the table's
+`pattern_probs`, its `expected_counts`, the `initial_completion` draws of
+one replica per case (seeded by the input's position) with the
+generator's `bit_generator.state` after them, and the EM estimate's
+`parent_weights`.
 A fifth line lists, for each lik_reports input, the map evaluations at
 every level that `lr_statistic` makes in the sat solver and in the car
 normalizer, as plain integers, so a change in solver work shows as
@@ -60,7 +61,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from coarsebn import aim, cli, em, inference, likelihoods  # noqa: E402
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network  # noqa: E402
-from coarsebn.evaluate import Truth, evaluate  # noqa: E402
+from coarsebn.evaluate import evaluate  # noqa: E402
 from coarsebn.network import (  # noqa: E402
     Network, NodeSpec, randomize_parameters, uniform_cpts, validate_network,
 )
@@ -87,7 +88,7 @@ def tree_parts(net, data, seed: int):
     return (
         table.pattern_probs(net).tobytes(), p_u.tobytes(), counts.tobytes(),
         np.asarray(assign, dtype=np.int64).tobytes(), repr((fallbacks, rng.bit_generator.state)),
-        Truth(net).parent_weights.tobytes(),
+        net.parent_weights.tobytes(),
     )
 
 

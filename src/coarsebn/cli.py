@@ -23,7 +23,7 @@ from .coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
 from .conservative import conservative_ensemble
 from .data import read_dataset, write_dataset
 from .errors import CoarseBNError, DataError, FormatError, NumericalError
-from .evaluate import Truth, evaluate
+from .evaluate import evaluate
 from .inference import BoundDataset
 from .likelihoods import (
     SAT_TOL,
@@ -87,7 +87,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     fixed one); sample n cases and bind them to the network once; fit EM
     from uniform rows; fit the adjusting imputation procedure initialized
     at the EM estimate; evaluate both smoothed estimates against the truth,
-    whose parent-configuration weights are calibrated once per call.
+    whose parent-configuration weights are calibrated once per network.
     Failures are recorded and the remaining runs continue.
     """
     if (cfg.coarsening is None) == (cfg.mechanism is None):
@@ -96,7 +96,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
         check_int(name, getattr(cfg, name), 1)
     rows = []
     failures = []
-    truth = Truth(cfg.net)
     for r in range(cfg.runs):
         rng = np.random.default_rng(stable_child_seed(cfg.seed, r))
         try:
@@ -106,8 +105,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
             em_res = em_mod.em_fit(cfg.net, bound, cfg.em_opts or em_mod.EmOptions())
             aim_opts = aim_mod.AimOptions(z=cfg.z, seed=stable_child_seed(cfg.seed, r, "aim"))
             aim_res = aim_mod.aim_fit(cfg.net, em_res.network, bound, aim_opts)
-            rep_em = evaluate(truth, em_res.smoothed)
-            rep_aim = evaluate(truth, aim_res.smoothed)
+            rep_em = evaluate(cfg.net, em_res.smoothed)
+            rep_aim = evaluate(cfg.net, aim_res.smoothed)
             rows.append(
                 {
                     "run": r,
@@ -269,7 +268,8 @@ def _cmd_learn(args) -> int:
         summary = f"loglik_per_unit {res.loglik_per_unit:.6g}"
     else:  # aim, from the EM estimate unless --init says otherwise
         init = "em" if args.init is None else args.init
-        if init == "em":
+        if init == "em":  # one binding for both fits
+            data = BoundDataset(structure, data)
             init = em_mod.em_fit(structure, data, em_mod.EmOptions()).network
         theta0 = start_network(structure, init, args.seed)
         opts = aim_mod.AimOptions(**fit, **_given(args, z="z"), seed=args.seed)

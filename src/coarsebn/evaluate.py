@@ -4,13 +4,13 @@ The divergence KL(P_truth || P_estimate) is computed two ways: by direct
 enumeration of the joint space, and decomposed over CPT rows weighted by
 the truth's parent-configuration probabilities.  The two agree exactly
 whenever the networks share a structure, and the decomposition also works
-on joint spaces far too large to enumerate.
+on joint spaces far too large to enumerate: its weights are the truth's
+`Network.parent_weights`, one calibration per truth network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,25 +23,6 @@ from .network import ENUM_BUDGET, Network, row_totals
 class EvalReport:
     ce: float
     mse: float
-
-
-class Truth:
-    """A ground-truth network and its parent-configuration weights, from
-    one calibration of its structure's clique tree made on first use, so
-    that every estimate scored against one `Truth` shares it."""
-
-    def __init__(self, net: Network):
-        self.net = net
-
-    @cached_property
-    def parent_weights(self) -> np.ndarray:
-        """P(parent configuration) of each CPT row, node after node."""
-        _, fams = self.net.clique_tree.calibrate(self.net, np.full((1, len(self.net.nodes)), -1))
-        return np.concatenate([fam[0].sum(axis=1) for fam in fams])
-
-
-def _truth(truth: Network | Truth) -> Truth:
-    return truth if isinstance(truth, Truth) else Truth(truth)
 
 
 def _same_domains(a: Network, b: Network) -> bool:
@@ -69,28 +50,27 @@ def kl_enumerate(truth: Network, estimate: Network) -> float:
     return float(np.dot(pt[pos], np.log(pt[pos]) - np.log(pe[pos])))
 
 
-def kl_decomposed(truth: Network | Truth, estimate: Network) -> float:
+def kl_decomposed(truth: Network, estimate: Network) -> float:
     """Same divergence, as truth-weighted per-row divergences.
 
     Valid for identical structures; parent-configuration probabilities are
     the truth's family marginals summed over the child, all from one
-    clique-tree calibration (`Truth.parent_weights`), so no full-space
+    clique-tree calibration (`Network.parent_weights`), so no full-space
     enumeration is needed.  Rows of parent weight exactly zero are skipped.
     The rows' divergences are one bincount over theta; each node's rows
     are then one dot, in node order.
     """
-    truth = _truth(truth)
-    if truth.net.nodes != estimate.nodes:
+    if truth.nodes != estimate.nodes:
         raise DataError("networks must share the same structure")
     w = truth.parent_weights
-    t, e = truth.net.theta, estimate.theta
-    live = (w[truth.net.entry_rows[0]] != 0.0) & (t > 0)
+    t, e = truth.theta, estimate.theta
+    live = (w[truth.entry_rows[0]] != 0.0) & (t > 0)
     if np.any(e[live] <= 0):
         return float("inf")
     log_t = np.log(t, out=np.zeros_like(t), where=live)
     log_e = np.log(e, out=np.zeros_like(e), where=live)
-    row_kl = row_totals(truth.net, t * (log_t - log_e))
-    return sum(float(w[rows] @ row_kl[rows]) for rows in truth.net.node_rows)
+    row_kl = row_totals(truth, t * (log_t - log_e))
+    return sum(float(w[rows] @ row_kl[rows]) for rows in truth.node_rows)
 
 
 def mse(truth: Network, estimate: Network) -> float:
@@ -105,10 +85,9 @@ def mse(truth: Network, estimate: Network) -> float:
     return num / den
 
 
-def evaluate(truth: Network | Truth, estimate: Network) -> EvalReport:
-    """Score a (smoothed) estimate against the truth; pass a `Truth` to
-    score several estimates from one calibration."""
-    truth = _truth(truth)
-    if truth.net.nodes == estimate.nodes:
-        return EvalReport(kl_decomposed(truth, estimate), mse(truth.net, estimate))
-    return EvalReport(kl_enumerate(truth.net, estimate), float("nan"))
+def evaluate(truth: Network, estimate: Network) -> EvalReport:
+    """Score a (smoothed) estimate against the truth: on a shared structure
+    the decomposed KL and the MSE, else the enumerated KL alone."""
+    if truth.nodes == estimate.nodes:
+        return EvalReport(kl_decomposed(truth, estimate), mse(truth, estimate))
+    return EvalReport(kl_enumerate(truth, estimate), float("nan"))

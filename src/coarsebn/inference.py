@@ -27,11 +27,11 @@ A clique tree (`CliqueTree`) is compiled once per structure, as the
 network's `clique_tree`, from one min-fill elimination ordering; it
 refuses a clique of more than ENUM_BUDGET cells.  A query takes a batch
 of bounds and makes one pass over all of them: one calibration (a collect
-and a distribute pass) gives each bound's P(U) and every family's
-P(family, U), and the collect pass alone gives P(U).  So the E step makes
-one calibration for all of its tree patterns, the initial draws one
-collect pass per missing node of a tree pattern, and KL evaluation one
-calibration of the truth.
+and a distribute pass) gives each bound's P(U) and its family joints
+P(family, U), one row laid out as theta, and the collect pass alone gives
+P(U).  So the E step makes one calibration for all of its tree patterns,
+the initial draws one collect pass per missing node of a tree pattern,
+and a truth network's `parent_weights` one calibration.
 
 All probabilities are combined in linear space; logs are accumulated by
 the callers and by `face_value_sum`, the face-value log-likelihood sum.
@@ -232,20 +232,18 @@ class CliqueTree:
         """P(U) per bound, from the collect pass alone."""
         return np.concatenate([self._collect(net, c)[1] for c in self._chunks(bounds)])
 
-    def calibrate(self, net: Network, bounds: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """P(U) per bound and, per node, P(family, U) per bound: an array of
-        the bounds x its CPT's shape."""
-        p_u, fams = [], []
+    def calibrate(self, net: Network, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P(U) per bound, and P(family, U) per bound as one (bounds,
+        len(theta)) array laid out as `Network.theta`."""
+        p_u, joint = [], []
         for chunk in self._chunks(bounds):
             slots, mass = self._collect(net, chunk)
             for subs, ins in self._distribute_steps:
                 slots.append(np.einsum(subs, *[slots[j] for j in ins]))
-            fam = [slots[j].reshape(-1, *cpt.shape) for j, cpt in zip(self._family_slots, net.cpts)]
             p_u.append(mass)
-            fams.append(fam)
-        if len(p_u) == 1:
-            return p_u[0], fams[0]
-        return np.concatenate(p_u), [np.concatenate(f) for f in zip(*fams)]
+            fams = [slots[j] for j in self._family_slots]  # each (chunk, *family)
+            joint.append(np.hstack([f.reshape(len(chunk), math.prod(f.shape[1:])) for f in fams]))
+        return np.concatenate(p_u), np.concatenate(joint)
 
 
 def member_indices(net: Network, rows: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -315,10 +313,10 @@ def posterior_family_marginals(
     take their posteriors from a `MemberTable` instead.
     """
     row = _bind(net, list(evidence), [tuple(evidence.values())])
-    p_u, fams = net.clique_tree.calibrate(net, row)
+    p_u, joint = net.clique_tree.calibrate(net, row)
     if p_u[0] <= 0.0:
         raise ZeroSupportError("evidence has probability zero under the model")
-    return {spec.name: fam[0] / p_u[0] for spec, fam in zip(net.nodes, fams)}
+    return dict(zip([spec.name for spec in net.nodes], net.with_theta(joint[0] / p_u[0]).cpts))
 
 
 def face_value_sum(weights: np.ndarray, p_u: np.ndarray) -> tuple[float, float]:
@@ -418,11 +416,10 @@ class MemberTable:
         else:
             counts = np.zeros(len(net.theta))
         if self.on_tree:
-            p_tree, fams = self.net.clique_tree.calibrate(net, self.rows[self.on_tree])
+            p_tree, joint = self.net.clique_tree.calibrate(net, self.rows[self.on_tree])
             p_u[self.on_tree] = p_tree
             live = p_tree > 0.0
-            joint = np.concatenate([f.reshape(len(p_tree), -1) for f in fams], axis=1)[live]
-            terms = weights[self.on_tree][live, None] * (joint / p_tree[live, None])
+            terms = weights[self.on_tree][live, None] * (joint[live] / p_tree[live, None])
             counts = np.vstack([counts, terms]).sum(axis=0)  # row after row, in order
         return p_u, counts
 

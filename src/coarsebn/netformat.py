@@ -84,12 +84,14 @@ def parse_network(text: str) -> Network:
             if "|" in head:
                 node_name, cond = (t.strip() for t in head.split("|", 1))
                 try:
-                    config = dict(
-                        (kv.split("=", 1)[0].strip(), kv.split("=", 1)[1].strip())
-                        for kv in cond.split(",")
-                    )
-                except IndexError:
+                    pairs = [[t.strip() for t in kv.split("=", 1)] for kv in cond.split(",")]
+                    config = dict(pairs)
+                except ValueError:
                     raise fail("bad parent assignment, expected p=v pairs") from None
+                names = [p for p, _ in pairs]
+                if len(config) < len(names):
+                    twice = max(names, key=names.count)
+                    raise fail(f"parent {twice!r} of {node_name!r} assigned twice")
             else:
                 node_name, config = head, {}
             if node_name not in states:

@@ -47,7 +47,8 @@ class NodeSpec:
 
 class Network:
     """A named DAG of NodeSpecs plus one CPT per node (copied into `theta`;
-    a 1-D table is one row)."""
+    a 1-D table is one row).  Its only caches that read theta are `cpts`
+    and `parent_weights`; every other one depends on the nodes alone."""
 
     def __init__(self, name: str, nodes: Sequence[NodeSpec], cpts: Sequence[np.ndarray]):
         self.name, self.nodes = name, tuple(nodes)
@@ -62,9 +63,17 @@ class Network:
         constructor sets its tables' own shapes instead."""
         return _views(self.theta, list(zip(self.n_rows, self.cards)))
 
+    @cached_property
+    def parent_weights(self) -> np.ndarray:
+        """P(parent configuration) of each CPT row, node after node: the
+        family joints of one clique-tree calibration, summed over each row."""
+        joint = self.clique_tree.calibrate(self, np.full((1, len(self.nodes)), -1))[1]
+        return row_totals(self, joint[0])
+
     # ------------------------------------------------------------------
     # structure lookups (cached; the instance is immutable).  Each depends on
-    # the nodes alone, so `with_theta` hands the ones computed so far on.
+    # the nodes alone, so `with_theta` hands the ones computed so far on;
+    # `cpts` and `parent_weights` above read theta, so a refit makes its own.
 
     @cached_property
     def node_index(self) -> dict[str, int]:
@@ -174,7 +183,7 @@ class Network:
 
 _KEPT = frozenset(
     k for k, v in vars(Network).items() if isinstance(v, cached_property)
-) - {"cpts"} | {"name", "nodes"}
+) - {"cpts", "parent_weights"} | {"name", "nodes"}
 
 
 def _views(theta: np.ndarray, shapes) -> tuple[np.ndarray, ...]:

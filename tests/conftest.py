@@ -430,6 +430,13 @@ def grouped(data):
     return out
 
 
+def family_tables(net, joint):
+    """Per node, the (bounds, rows, card) tables of a family-joint array of
+    shape (bounds, len(theta)), split at `net.family_cells[1]`."""
+    parts = np.split(joint, net.family_cells[1][1:-1], axis=1)
+    return [f.reshape(len(joint), r, c) for f, r, c in zip(parts, net.n_rows, net.cards)]
+
+
 class PerBoundTree:
     """Oracle: the clique-tree queries one bound (state index or None per
     node) at a time, running the compiled tree's einsums without the batch

@@ -355,6 +355,15 @@ class TestExitCodes:
         assert cli.main(["eval", "--truth", str(bad), "--estimate", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: invalid network: {what}\n"
 
+    def test_parent_assigned_twice_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.net"
+        bad.write_text(
+            "network t\nnode A states t,f\nnode B states t,f\nparents B A\ncpt A : 0.5,0.5\n"
+            "cpt B | A=f,A=t : 0.9,0.1\ncpt B | A=f : 0.2,0.8\n"
+        )
+        assert cli.main(["lik", "--net", str(bad), "--data", COARSE, "--which", "fv"]) == 2
+        assert capsys.readouterr().err == "error: line 6: parent 'A' of 'B' assigned twice\n"
+
     def test_eval_counts_with_bad_header_is_data_error(self, tmp_path, capsys):
         counts = tmp_path / "c.csv"
         counts.write_text("nodes,row,count\nA,0,10\n")
@@ -506,6 +515,23 @@ class TestLearnAndEval:
             )
             assert out.returncode == 0, out.stderr
             assert read_network(est) is not None
+
+    def test_aim_binds_its_dataset_once(self, tmp_path, monkeypatch, capsys):
+        # EM, the default start, and AIM share one bound dataset
+        from coarsebn import inference
+
+        d = str(tmp_path / "d.csv")
+        gen = ["gen-data", "--net", BASIC, "--coarsening", "1:0.2:0.03", "--n", "200"]
+        assert cli.main([*gen, "--seed", "2", "--out", d]) == 0
+        built = []
+        init = inference.BoundDataset.__init__
+        monkeypatch.setattr(
+            inference.BoundDataset, "__init__", lambda self, *a: built.append(1) or init(self, *a)
+        )
+        argv = ["learn", "--net-structure", BASIC, "--data", d, "--method", "aim",
+                "--z", "2", "--seed", "1", "--out", str(tmp_path / "aim.net")]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert len(built) == 1
 
 
     @pytest.mark.parametrize("flag", ["--counts-out", "--unsmoothed"])

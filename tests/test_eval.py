@@ -6,7 +6,9 @@ import pytest
 from conftest import with_tables
 from coarsebn.errors import DataError
 from coarsebn.evaluate import evaluate, kl_decomposed, kl_enumerate, mse
+from coarsebn.netformat import read_network
 from coarsebn.network import Network, NodeSpec, randomize_parameters, smooth, uniform_cpts
+from coarsebn.util import fixture_path
 
 THETA1_B = 0.15 / 0.55
 
@@ -146,12 +148,15 @@ class TestEvaluate:
         mean_em_ce = float(np.mean([r["ce_final_em"] for r in rows]))
         assert abs(mean_em_ce - binary_kl(0.2, THETA1_B)) < 0.004
 
-    def test_experiment_calibrates_the_truth_once(self, asia_net, monkeypatch):
-        # both estimates of every run are scored from one calibration of the
-        # truth, and each score is the float evaluate gives the estimate alone
+    def test_experiment_calibrates_the_truth_once(self, monkeypatch):
+        # both estimates of every run, over two experiments on one network,
+        # are scored from one calibration of the truth, and each score is the
+        # float evaluate gives the estimate alone.  A fresh network: the
+        # session's asia_net may already hold its parent weights.
         from coarsebn import aim, cli, em, inference
         from coarsebn.coarsen import CoarseningSpec
 
+        truth = read_network(fixture_path("asia.net"))
         fits = []
         for mod, name in ((em, "em_fit"), (aim, "aim_fit")):
             fit = getattr(mod, name)
@@ -167,16 +172,19 @@ class TestEvaluate:
 
         monkeypatch.setattr(inference.CliqueTree, "calibrate", counting)
         cfg = cli.ExperimentConfig(
-            net=asia_net, coarsening=CoarseningSpec.parse("2:0.1:0.05"),
+            net=truth, coarsening=CoarseningSpec.parse("2:0.1:0.05"),
             n=300, z=3, runs=3, seed=5,
         )
         rows, failures = cli.run_experiment(cfg)
         assert not failures and len(rows) == 3
-        assert calibrations == [asia_net]
+        assert calibrations == [truth]
+        again, failures = cli.run_experiment(cfg)
+        assert not failures and again == rows
+        assert calibrations == [truth]
         monkeypatch.undo()
         for row, em_res, aim_res in zip(rows, fits[::2], fits[1::2]):
-            rep_em = evaluate(asia_net, em_res.smoothed)
-            rep_aim = evaluate(asia_net, aim_res.smoothed)
+            rep_em = evaluate(truth, em_res.smoothed)
+            rep_aim = evaluate(truth, aim_res.smoothed)
             assert row["ce_final_em"] == rep_em.ce and row["ce_final_aim"] == rep_aim.ce
             assert row["ce_diff"] == rep_aim.ce - rep_em.ce
             assert row["mse_diff"] == rep_aim.mse - rep_em.mse

@@ -13,6 +13,7 @@ from conftest import (
     brute_family_posteriors,
     dataset_of,
     evidence_indices,
+    family_tables,
     grouped,
     joint_marginal,
     joint_probability,
@@ -262,8 +263,11 @@ class TestCliqueTree:
 
     def test_one_node(self):
         net = Network("one", (NodeSpec("X", ("a", "b", "c")),), (np.array([[0.2, 0.3, 0.5]]),))
-        p, fams = CliqueTree(net).calibrate(net, np.array([[-1]]))
+        p, joint = CliqueTree(net).calibrate(net, np.array([[-1]]))
+        fams = family_tables(net, joint)
         assert p.tolist() == [1.0] and fams[0].tolist() == [[[0.2, 0.3, 0.5]]]
+        p, joint = CliqueTree(net).calibrate(net, np.zeros((0, 1), dtype=np.int64))
+        assert p.shape == (0,) and joint.shape == (0, 3)
         assert evidence_probability(net, {"X": "b"}) == 0.3
         assert posterior_family_marginals(net, {"X": "c"})["X"].tolist() == [[0.0, 0.0, 1.0]]
 
@@ -292,7 +296,7 @@ class TestCliqueTree:
         )
         c_rows = [[0.2, 0.8], [0.6, 0.4], [0.5, 0.5], [0.9, 0.1]]
         truth = Network("z", nodes, ([[1.0, 0.0]], [[0.3, 0.7]], c_rows))
-        _, fams = CliqueTree(truth).calibrate(truth, np.full((1, 3), -1))
+        fams = family_tables(truth, CliqueTree(truth).calibrate(truth, np.full((1, 3), -1))[1])
         assert fams[2][0].sum(axis=1)[2:].tolist() == [0.0, 0.0]
         # the estimate's zero sits in a row the truth never reaches
         estimate = with_tables(truth, truth.cpts[:2] + (np.array(c_rows[:2] + [[1.0, 0.0]] * 2),))
@@ -323,7 +327,8 @@ class TestCliqueTree:
         theta = np.array([cpt[0] for cpt in net.cpts])
         kept = np.where(bounds[..., None] < 0, theta, (bounds[..., None] == range(3)) * theta)
         mass = kept.sum(axis=2)
-        p_u, fams = tree.calibrate(net, bounds)
+        p_u, joint = tree.calibrate(net, bounds)
+        fams = family_tables(net, joint)
         np.testing.assert_allclose(p_u, mass.prod(axis=1), rtol=1e-12, atol=0)
         np.testing.assert_allclose(tree.probability(net, bounds), p_u, rtol=1e-12, atol=0)
         for i, fam in enumerate(fams):
@@ -446,14 +451,16 @@ class TestBatchedTree:
         )
         rows = rows_of(bounds)
         p = tree.probability(net, rows)
-        p_c, fams = tree.calibrate(net, rows)
+        p_c, joint = tree.calibrate(net, rows)
+        fams = family_tables(net, joint)
         n = len(bounds)
         chunks = [n] if chunk is None else [3] * (n // 3) + [n % 3] * (n % 3 > 0)
         assert passes == chunks * 2  # probability, then calibrate
         assert np.array_equal(p, p_c) and p[3] == 0.0 and p[0] > 0.0
         for k, bound in enumerate(bounds):
             p_k, fams_k = oracle.calibrate(net, bound)
-            p_one, fams_one = tree.calibrate(net, rows[k : k + 1])
+            p_one, joint_one = tree.calibrate(net, rows[k : k + 1])
+            fams_one = family_tables(net, joint_one)
             assert tree.probability(net, rows[k : k + 1])[0] == p_one[0] == p_k
             assert oracle.probability(net, bound) == p_k
             assert_ulps(p[k], p_k)

@@ -116,6 +116,11 @@ TWICE_LABELLED = "network d\nnode X states t,t\ncpt X : 0.5,0.5\n"
         ("network t\nnode X states a,b\nnode X states c,d\n", "^line 3: node 'X' declared twice$"),
         ("network t\nnode A states a,b\nnode B states a,b\nparents B A\nparents B A\n",
          "^line 5: parents of 'B' declared twice$"),
+        ("network t\nnode A states t,f\nnode B states t,f\nparents B A\ncpt A : 0.5,0.5\n"
+         "cpt B | A=f,A=t : 0.9,0.1\ncpt B | A=f : 0.2,0.8\n",
+         "^line 6: parent 'A' of 'B' assigned twice$"),
+        ("network t\nnode A states t,f\nnode B states t,f\nparents B A\ncpt B | A : 0.5,0.5\n",
+         "^line 5: bad parent assignment, expected p=v pairs$"),
         ("network t\n# no nodes\n", "^no nodes declared$"),
         (CYCLIC, "^invalid network: parent relation has a cycle among: A, B$"),
         (TWICE_LABELLED, "^invalid network: node X: duplicate state labels$"),

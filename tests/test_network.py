@@ -720,7 +720,8 @@ class TestTheta:
         names = ["node_index", "cards", "parent_index", "row_strides", "n_rows",
                  "n_assignments", "ravel_strides", "family_cells", "node_rows",
                  "entry_rows", "topo_order", "clique_tree"]
-        # a new cached property must be added here, and must not read the CPTs
+        # a new cached property must be added here unless it reads theta, as
+        # the two theta-dependent caches, cpts and parent_weights, do
         assert network_mod._KEPT == set(names) | {"name", "nodes"}
         before = {k: getattr(asia_net, k) for k in names}
         net = asia_net.with_theta(randomize_parameters(asia_net, np.random.default_rng(3)).theta)
@@ -738,6 +739,16 @@ class TestTheta:
             else:
                 assert a == b
         assert [np.array_equal(a, b) for a, b in zip(net.cpts, asia_net.cpts)] == [False] * 8
+
+    def test_refit_recomputes_parent_weights(self, asia_net):
+        # parent_weights reads theta: a refit through with_theta computes its
+        # own, bit for bit those of a fresh network with its parameters
+        before = asia_net.parent_weights
+        net = asia_net.with_theta(randomize_parameters(asia_net, np.random.default_rng(4)).theta)
+        fresh = Network("fresh", asia_net.nodes, net.cpts)
+        assert "parent_weights" not in vars(net)
+        assert net.parent_weights.tobytes() == fresh.parent_weights.tobytes()
+        assert not np.array_equal(net.parent_weights, before)
 
 
 class TestSmooth:
