@@ -2,10 +2,11 @@
 """Conservative starting points vs adjusting-imputation refits.
 
 For each generated incomplete dataset, fit one smoothed estimate per random
-completion (the conservative ensemble), then run the adjusting-imputation
-procedure from each of those estimates and compare the divergence to the
-truth before and after.  Shrinking values mean the likelihood carries real
-information beyond the bare set estimate.
+completion (a point of the conservative set estimate, whose per-entry range
+`coarsebn.conservative.conservative_intervals` gives), then run the
+adjusting-imputation procedure from each of those estimates and compare the
+divergence to the truth before and after.  Shrinking values mean the
+likelihood carries real information beyond the bare set estimate.
 
     python3 scripts/compare_conservative.py --datasets 4 --completions 10
 """

@@ -37,12 +37,15 @@ random start and AIM from EM (raw and smoothed CPT bytes, row counts,
 traces, score), `validate_network` of EM's estimate with its rows
 stretched and one entry NaN, and `evaluate` of both smoothed estimates
 (the decomposed divergence), as bytes and float hex.
+A seventh line hashes the low and high bytes of `conservative_intervals`
+on each input's dataset, with the input's network as the structure, and
+on the `WIDE` DAG's dataset.
 Two versions of the package that print the same digests make the same
-datasets, draws, moves, counts, scores, estimates, solver values and tree
-answers, bit for bit, with the same solver work.  `fit_digest.expected`,
-beside this script, holds the six lines of the current package: the
-script compares its lines with those, names each line that differs on
-stderr, and exits 1 if any does.
+datasets, draws, moves, counts, scores, estimates, solver values, tree
+answers and conservative intervals, bit for bit, with the same solver
+work.  `fit_digest.expected`, beside this script, holds the seven lines
+of the current package: the script compares its lines with those, names
+each line that differs on stderr, and exits 1 if any does.
 A change that alters the digests on purpose updates that file.
 
     python3 scripts/fit_digest.py
@@ -61,6 +64,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from coarsebn import aim, cli, em, inference, likelihoods  # noqa: E402
 from coarsebn.coarsen import CoarseningSpec, build_coarsening_network  # noqa: E402
+from coarsebn.conservative import conservative_intervals  # noqa: E402
 from coarsebn.evaluate import evaluate  # noqa: E402
 from coarsebn.network import (  # noqa: E402
     Network, NodeSpec, randomize_parameters, uniform_cpts, validate_network,
@@ -92,13 +96,17 @@ def tree_parts(net, data, seed: int):
     )
 
 
-def wide_parts():
-    """Fits, checks and scores on the `WIDE` DAG, as bytes."""
+def wide_inputs():
+    """The `WIDE` DAG's random truth and the dataset drawn from it."""
     rng = np.random.default_rng(WIDE_SEED)
     specs = tuple(NodeSpec(n, tuple(f"s{j}" for j in range(c)), ps) for n, c, ps in WIDE)
     truth = randomize_parameters(uniform_cpts(Network("wide", specs, ())), rng)
     mech = build_coarsening_network(truth, CoarseningSpec.parse("2:0.1:0.05"), rng)
-    data, _ = cli.generate_dataset(mech, 300, rng)
+    return truth, cli.generate_dataset(mech, 300, rng)[0]
+
+
+def wide_parts(truth, data):
+    """Fits, checks and scores on the `WIDE` DAG, as bytes."""
     em_res = em.em_fit(truth, data, em.EmOptions(init="random", seed=WIDE_SEED))
     aim_res = aim.aim_fit(truth, em_res.network, data, aim.AimOptions(z=3, seed=WIDE_SEED))
     stretched = em_res.network.theta * 1.5 - 0.1
@@ -115,7 +123,12 @@ def wide_parts():
 
 def main() -> int:
     digest, lik_digest, data_digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    tree_digest = hashlib.sha256()
+    tree_digest, conservative_digest = hashlib.sha256(), hashlib.sha256()
+
+    def put_intervals(net, data) -> None:
+        for end in conservative_intervals(net, data):
+            conservative_digest.update(end.tobytes())
+
     sweeps = fits = datasets = 0
     last = {}
 
@@ -187,6 +200,7 @@ def main() -> int:
                 print("; ".join(failures), file=sys.stderr)
                 return 1
             put([(k, v.hex() if isinstance(v, float) else v) for k, v in rows[0].items()])
+            put_intervals(cfg.net, last["data"])
             for part in tree_parts(last["em"].network, last["data"], i):
                 tree_digest.update(part if isinstance(part, bytes) else part.encode())
             if i < sizes.lik_datasets:
@@ -202,6 +216,9 @@ def main() -> int:
     finally:
         aim.ai_sweep, em.em_fit, aim.aim_fit = sweep, em_fit, aim_fit
         cli.generate_dataset = generate
+    truth, data = wide_inputs()
+    put_intervals(truth, data)
+    wide = hashlib.sha256("".join(map(repr, wide_parts(truth, data))).encode()).hexdigest()
     lines = [
         f"{digest.hexdigest()}  ({sweeps} sweeps, {fits} fits)",
         f"{lik_digest.hexdigest()}  ({sizes.lik_datasets} lik inputs)",
@@ -209,7 +226,8 @@ def main() -> int:
         f"{tree_digest.hexdigest()}  ({i + 1} tree inputs)",
         "  ".join(f"{name} {' '.join(map(str, evals))}" for name, evals in solver_evals.items())
         + f"  ({sum(map(sum, solver_evals.values()))} lr map evaluations)",
-        hashlib.sha256("".join(map(repr, wide_parts())).encode()).hexdigest() + "  (wide rows)",
+        f"{wide}  (wide rows)",
+        f"{conservative_digest.hexdigest()}  ({i + 2} conservative inputs)",
     ]
     print("\n".join(lines))
     expected = EXPECTED.read_text(encoding="utf-8").splitlines()

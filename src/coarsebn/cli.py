@@ -20,7 +20,7 @@ import numpy as np
 from . import aim as aim_mod
 from . import em as em_mod
 from .coarsen import CoarseningSpec, build_coarsening_network, generate_dataset
-from .conservative import conservative_ensemble
+from .conservative import conservative_intervals
 from .data import read_dataset, write_dataset
 from .errors import CoarseBNError, DataError, FormatError, NumericalError
 from .evaluate import evaluate
@@ -34,7 +34,7 @@ from .likelihoods import (
     lr_statistic,
 )
 from .netformat import read_network, write_network
-from .network import Network, randomize_parameters, smooth, start_network
+from .network import Network, randomize_parameters, row_totals, smooth, start_network
 from .util import check_int, fmt17, stable_child_seed
 
 EXPERIMENT_HEADER = [
@@ -239,25 +239,24 @@ def _cmd_learn(args) -> int:
         args.init = read_network(args.init[4:])
 
     if args.method == "conservative":
-        given = _given(args, n_completions="restarts")
-        res = conservative_ensemble(structure, data, **given, seed=args.seed)
-        # Midpoints of the envelope, renormalized into valid rows (exact
-        # already for binary rows).
-        cpts = [mid / mid.sum(axis=1, keepdims=True) for mid in res.midpoint]
-        write_network(Network(structure.name, structure.nodes, cpts), args.out)
+        low, high = conservative_intervals(structure, data)
+        mid = (low + high) / 2.0
+        # the midpoints, renormalized into valid rows (exact already for binary rows)
+        totals = row_totals(structure, mid)[structure.entry_rows[0]]
+        write_network(structure.with_theta(mid / totals), args.out)
         if args.trace:
+            cells = (
+                [spec.name, r, label]
+                for spec, rows in zip(structure.nodes, structure.n_rows)
+                for r in range(rows)
+                for label in spec.states
+            )
             _write_csv(
                 args.trace,
                 ["node", "row", "state", "low", "mid", "high"],
-                (
-                    [spec.name, r, label]
-                    + [fmt17(t[i][r, s]) for t in (res.lower, res.midpoint, res.upper)]
-                    for i, spec in enumerate(structure.nodes)
-                    for r in range(res.lower[i].shape[0])
-                    for s, label in enumerate(spec.states)
-                ),
+                (cell + [fmt17(v) for v in ends] for cell, ends in zip(cells, zip(low, mid, high))),
             )
-        print(f"method conservative completions {len(res.estimates)}")
+        print(f"method conservative entries {len(mid)}")
         return 0
 
     fit = _given(args, tol="tol", max_iters="max_iters")
@@ -362,7 +361,6 @@ def _cmd_experiment(args) -> int:
 READERS = {
     "learn": ("--method", {
         ("--z",): ("aim",),
-        ("--restarts",): ("conservative",),
         ("--tol", "--max-iters", "--init"): ("em", "aim"),
         ("--counts-out", "--unsmoothed"): ("em", "aim"),
     }),
@@ -403,7 +401,6 @@ def build_parser() -> _Parser:
     p.add_argument("--z", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iters", type=int)
-    p.add_argument("--restarts", type=int)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")

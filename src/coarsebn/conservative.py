@@ -1,23 +1,20 @@
-"""Conservative inference: estimates from random completions.
+"""Conservative inference: the estimates of every completion of the data.
 
-Every completion of the data yields a legitimate complete-data estimate;
-sampling completions and fitting each one gives an ensemble whose
-component-wise envelope is an inner approximation of the full set
-estimate.  Exact bounds are available for single-variable marginals,
-where the extreme completions are obvious.
+Each case picks its completion on its own, and an estimate is monotone in
+each case's choice, so its range over all completions has a closed form
+(Ramoni & Sebastiani 2001; Zaffalon 2002): per CPT entry
+(`conservative_intervals`) and per single-variable marginal
+(`marginal_bounds`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DataError
 from .inference import BoundDataset, bind
-from .network import Network, ml_estimate, smooth
-from .util import check_int, stable_child_seed
+from .network import Network
 
 
 def random_completion(
@@ -33,36 +30,39 @@ def random_completion(
     return rows
 
 
-@dataclass
-class ConservativeResult:
-    estimates: list[Network]          # smoothed, one per completion
-    lower: list[np.ndarray]           # per node, cpt-shaped envelope
-    upper: list[np.ndarray]
-    midpoint: list[np.ndarray]
+def conservative_intervals(
+    structure: Network, data: Dataset | BoundDataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each CPT entry's exact range, over every completion of the data, of
+    the smoothed ML estimate (n(x, pa) + 1) / (n(pa) + card), as two
+    arrays (low, high) laid out as theta.
 
-
-def conservative_ensemble(
-    structure: Network, data: Dataset | BoundDataset, n_completions: int = 10, seed: int = 0
-) -> ConservativeResult:
-    """Fit one smoothed estimate per random completion and envelope them.
-
-    Per-index child seeds make the ensemble independent of execution order,
-    and growing n_completions only appends new members.  The reported
-    intervals are component-wise minima and maxima over the sampled
-    estimates: an inner approximation of the true set estimate.
+    For entry (r, s), a case sitting in row r at another state gives the
+    least estimate, one leaving row r the next and one at (r, s) the
+    greatest, whatever the other cases do; so each end takes every case's
+    extreme move.  Low: only the cases that must sit at (r, s) count for
+    it.  High: only the cases that must sit in row r elsewhere count
+    against it.
     """
-    check_int("n_completions", n_completions, 1)
     bound = bind(structure, data)
-    estimates = []
-    for r in range(n_completions):
-        rng = np.random.default_rng(stable_child_seed(seed, r))
-        rows = random_completion(structure, bound, rng)
-        raw, row_counts = ml_estimate(structure, (rows, bound.case_weights))
-        estimates.append(smooth(raw, row_counts))
-    stack = np.stack([est.theta for est in estimates])
-    lo, hi = stack.min(axis=0), stack.max(axis=0)
-    envelope = [list(structure.with_theta(v).cpts) for v in (lo, hi, (lo + hi) / 2.0)]
-    return ConservativeResult(estimates, *envelope)
+    ends = structure.family_cells[1]
+    low, high = np.empty(ends[-1]), np.empty(ends[-1])
+    for i, card in enumerate(structure.cards):
+        # the family's pattern weights, a missing value as one more state
+        family = [*structure.parent_index[i], i]
+        radix = np.array(structure.cards)[family] + 1
+        rows = bound.rows[:, family]
+        cells = np.ravel_multi_index(np.where(rows < 0, radix - 1, rows).T, radix)
+        w = np.bincount(cells, bound.weights, radix.prod()).reshape(radix)
+        fixed = w[tuple(slice(c - 1) for c in radix)].reshape(-1, card)  # fully observed
+        for axis, c in enumerate(radix[:-1]):  # a missing parent can take any row
+            w = w.take(range(c - 1), axis) + w.take([c - 1], axis)
+        w = w.reshape(-1, card + 1)  # (row, state or missing) of the cases that may sit in it
+        at, can = w[:, :card], w[:, :card] + w[:, card:]
+        fixed_row, in_row = fixed.sum(axis=1, keepdims=True), w.sum(axis=1, keepdims=True)
+        low[ends[i]:ends[i + 1]] = ((fixed + 1) / (fixed + in_row - at + card)).ravel()
+        high[ends[i]:ends[i + 1]] = ((can + 1) / (can + fixed_row - fixed + card)).ravel()
+    return low, high
 
 
 def marginal_bounds(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 from pathlib import Path
 
@@ -17,8 +18,9 @@ def check_int(name: str, value, low: int) -> None:
 
 
 def check_tol(tol) -> None:
-    """Refuse a negative or NaN tolerance."""
-    if not tol >= 0:
+    """Refuse a negative, infinite or NaN tolerance: an infinite one would
+    stop a fit or solve at its start and report it converged."""
+    if not 0 <= tol < math.inf:
         raise DataError(f"tol must be a non-negative number; got {tol!r}")
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import sys
 
@@ -262,6 +263,27 @@ def bind_pattern(net, variables, pattern):
             raise DataError(f"state {label!r} not in the domain of node {spec.name!r}")
         out.append(None if label is None else spec.states.index(label))
     return tuple(out)
+
+
+def conservative_oracle(net, data):
+    """Oracle: per entry of theta, the least and the greatest smoothed ML
+    estimate (n(x, pa) + 1) / (n(pa) + card) over every completion of the
+    data, each case completed on its own."""
+    weights = np.array([w for _, w in data.cases])
+    choices = [
+        list(itertools.product(*(
+            range(card) if v is None else [v]
+            for v, card in zip(bind_pattern(net, data.variables, pattern), net.cards)
+        )))
+        for pattern, _ in data.cases
+    ]
+    estimates = []
+    for rows in itertools.product(*choices):
+        counts = per_node_family_counts(net, np.array(rows), weights)
+        estimates.append(np.concatenate([
+            ((t + 1) / (t.sum(axis=1, keepdims=True) + t.shape[1])).ravel() for t in counts
+        ]))
+    return np.min(estimates, axis=0), np.max(estimates, axis=0)
 
 
 def n_members(net, bound):

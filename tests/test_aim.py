@@ -883,6 +883,10 @@ class TestAimFit:
         with pytest.raises(DataError, match="tol must be a non-negative number"):
             aim_fit(basic_net, basic_net, basic_data_n2000, AimOptions(tol=tol))
 
+    def test_infinite_tol_rejected(self, basic_net, basic_data_n2000):
+        with pytest.raises(DataError, match="tol must be a non-negative number; got inf"):
+            aim_fit(basic_net, basic_net, basic_data_n2000, AimOptions(tol=float("inf")))
+
     def test_negative_seed_rejected(self, basic_net, basic_data_n2000):
         with pytest.raises(DataError, match="seed must be a non-negative integer"):
             aim_fit(basic_net, basic_net, basic_data_n2000, AimOptions(seed=-1))

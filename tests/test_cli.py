@@ -506,7 +506,7 @@ class TestLearnAndEval:
         )
         for method, extra in (
             ("aim", ["--z", "4"]),
-            ("conservative", ["--restarts", "6", "--trace", str(tmp_path / "iv.csv")]),
+            ("conservative", ["--trace", str(tmp_path / "iv.csv")]),
         ):
             est = tmp_path / f"{method}.net"
             out = run_cli(
@@ -533,6 +533,25 @@ class TestLearnAndEval:
         assert cli.main(argv) == 0, capsys.readouterr().err
         assert len(built) == 1
 
+
+    def test_conservative_output_does_not_depend_on_the_seed(self, tmp_path, capsys):
+        outputs = []
+        for seed in ("1", "2"):
+            est, trace = tmp_path / f"c{seed}.net", tmp_path / f"c{seed}.csv"
+            argv = ["learn", "--net-structure", BASIC, "--data", COARSE, "--method",
+                    "conservative", "--seed", seed, "--out", str(est), "--trace", str(trace)]
+            assert cli.main(argv) == 0
+            outputs.append((est.read_bytes(), trace.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2] == "method conservative entries 4\n"
+
+    def test_restarts_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "c.net"
+        argv = ["learn", "--net-structure", BASIC, "--data", COARSE, "--method",
+                "conservative", "--restarts", "3", "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments: --restarts 3" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--counts-out", "--unsmoothed"])
     def test_conservative_raw_estimate_flag_is_usage_error(self, tmp_path, capsys, flag):
@@ -872,7 +891,7 @@ class TestNegativeSeed:
 # Which method or kind reads each tuning option, as README states it.
 READS = {
     "learn": ("--method", ("aim", "em", "conservative"), {
-        "--z": ("aim",), "--restarts": ("conservative",),
+        "--z": ("aim",),
         **dict.fromkeys(
             ["--tol", "--max-iters", "--init", "--counts-out", "--unsmoothed"], ("em", "aim")
         ),
@@ -880,7 +899,7 @@ READS = {
     "lik": ("--which", ("fv", "sat", "car", "lr"), {"--tol": ("sat",), "--net-car": ("lr",)}),
 }
 OPTION_VALUES = {
-    "--z": ["3"], "--restarts": ["3"], "--tol": ["1e-6"], "--max-iters": ["5"],
+    "--z": ["3"], "--tol": ["1e-6"], "--max-iters": ["5"],
     "--init": ["uniform"], "--counts-out": ["@counts.csv"], "--unsmoothed": [],
     "--net-car": [BASIC],
 }
@@ -915,8 +934,6 @@ class TestOptionReaders:
     def test_messages_name_the_readers(self, capsys):
         for argv, want in (
             (["--method", "em", "--z", "3"], "--z applies to --method aim only"),
-            (["--method", "aim", "--restarts", "3"],
-             "--restarts applies to --method conservative only"),
             (["--method", "conservative", "--max-iters", "3"],
              "--tol, --max-iters and --init apply to --method em and aim only"),
         ):
@@ -930,7 +947,6 @@ class TestOptionReaders:
         [
             ("em", ["--tol", "1e-6", "--max-iters", "200"]),
             ("aim", ["--z", "5", "--tol", "1e-6", "--max-iters", "200"]),
-            ("conservative", ["--restarts", "10"]),
         ],
     )
     def test_omitted_options_take_the_library_defaults(self, tmp_path, capsys, method, defaults):
@@ -1081,8 +1097,8 @@ FLAGS = {
         "--net-structure": (["@net"], ["@data"]), "--data": (["@data"], ["@net"]),
         "--method": (["aim", "em", "conservative"], ["other"]),
         "--init": (["em", "uniform", "random", "net:@net2"], ["net:@missing", "bogus"]),
-        "--z": SMALL, "--tol": (["1e-6", "0"], ["-1", "nan"]), "--max-iters": SMALL,
-        "--restarts": SMALL, "--seed": SEED, "--out": OUT,
+        "--z": SMALL, "--tol": (["1e-6", "0"], ["-1", "nan", "inf"]), "--max-iters": SMALL,
+        "--seed": SEED, "--out": OUT,
         "--trace": (["@trace.csv"], []), "--counts-out": (["@counts.csv"], []),
         "--unsmoothed": ([None], []),
     },
@@ -1094,7 +1110,7 @@ FLAGS = {
     "lik": {
         "--net": (["@net"], []), "--data": (["@data"], []),
         "--which": (["fv", "sat", "car", "lr"], ["x"]), "--net-car": (["@net2"], []),
-        "--tol": (["1e-6"], ["-1", "nan"]), "--out": OUT,
+        "--tol": (["1e-6"], ["-1", "nan", "inf"]), "--out": OUT,
     },
     "experiment": {
         "--net": (["@net"], []), "--coarsening": COARSENING,

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import asia_data, bind_pattern, grouped
+from conftest import asia_data, bind_pattern, conservative_oracle, grouped
 from coarsebn import inference
-from coarsebn.conservative import (
-    conservative_ensemble,
-    marginal_bounds,
-    random_completion,
-)
+from coarsebn.conservative import conservative_intervals, marginal_bounds, random_completion
 from coarsebn.data import Dataset
 from coarsebn.errors import DataError
-from coarsebn.network import ml_estimate, smooth
-from coarsebn.util import stable_child_seed
+from coarsebn.network import Network, NodeSpec, ml_estimate, sample, smooth, uniform_cpts
 
 
 def per_case_completion(net, data, rng):
@@ -78,76 +75,104 @@ class TestRandomCompletion:
         assert np.array_equal(a, b)
 
 
-class TestConservativeEnsemble:
-    def test_complete_data_zero_width(self, basic_net):
-        d = Dataset(("A", "B"), ((("t", "t"), 2.0), (("f", "f"), 2.0)))
-        res = conservative_ensemble(basic_net, d, 8, seed=0)
-        for lo, hi in zip(res.lower, res.upper):
-            assert np.allclose(lo, hi)
+@st.composite
+def small_problems(draw):
+    """1 to 3 nodes of 2 or 3 states, parents among the earlier nodes in
+    any order, and 1 to 6 cases of integer or fractional weight with at
+    most 4096 completions in all."""
+    specs = []
+    for i, card in enumerate(draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))):
+        parents = draw(st.permutations(range(i)).flatmap(lambda p: st.sampled_from(
+            [p[:k] for k in range(len(p) + 1)])))
+        specs.append(NodeSpec(f"v{i}", tuple(f"s{j}" for j in range(card)),
+                              tuple(f"v{p}" for p in parents)))
+    net = uniform_cpts(Network("small", specs, ()))
+    cases, completions = [], 1
+    for _ in range(draw(st.integers(1, 6))):
+        pattern = []
+        for card in net.cards:
+            value, hidden = draw(st.integers(0, card - 1)), draw(st.booleans())
+            hidden = hidden and completions * card <= 4096
+            completions *= card if hidden else 1
+            pattern.append(None if hidden else f"s{value}")
+        weight = draw(st.integers(1, 3) | st.floats(0.125, 3.0))
+        cases.append((tuple(pattern), float(weight)))
+    return net, Dataset(tuple(spec.name for spec in specs), tuple(cases))
 
-    def test_fixture_envelope_inside_exact_bounds(self, basic_net, basic_data_n2000):
-        res = conservative_ensemble(basic_net, basic_data_n2000, 50, seed=4)
-        theta_b = [est.cpts[1][0, 0] for est in res.estimates]
-        # exact completion extremes for P(B=t) are 0.15 and 0.6; smoothing
-        # displaces each estimate by at most m/(k+m)
-        slack = 2.0 / 2002.0
-        assert min(theta_b) >= 0.15 - slack
-        assert max(theta_b) <= 0.6 + slack
-        theta_a = [est.cpts[0][0, 0] for est in res.estimates]
-        assert all(abs(v - 0.5) < 1e-3 for v in theta_a)
-        # random completions cannot reach the extremes
-        assert max(theta_b) - min(theta_b) < 0.45
 
-    def test_envelope_monotone_in_r(self, basic_net, basic_data_n2000):
-        small = conservative_ensemble(basic_net, basic_data_n2000, 10, seed=9)
-        big = conservative_ensemble(basic_net, basic_data_n2000, 11, seed=9)
-        # stable per-index seeds: the first 10 estimates coincide
-        for a, b in zip(small.estimates, big.estimates):
-            for ta, tb in zip(a.cpts, b.cpts):
-                assert np.array_equal(ta, tb)
-        for i in range(len(basic_net.nodes)):
-            assert np.all(big.lower[i] <= small.lower[i] + 1e-15)
-            assert np.all(big.upper[i] >= small.upper[i] - 1e-15)
+def completion_estimates(net, data, seeds):
+    """The smoothed ML estimate of one random completion per seed."""
+    weights = np.array([w for _, w in data.cases])
+    for seed in seeds:
+        rows = random_completion(net, data, np.random.default_rng(seed))
+        yield smooth(*ml_estimate(net, (rows, weights))).theta
 
-    def test_midpoint_is_interval_center(self, basic_net, basic_data_n2000):
-        res = conservative_ensemble(basic_net, basic_data_n2000, 5, seed=2)
-        for lo, hi, mid in zip(res.lower, res.upper, res.midpoint):
-            assert np.allclose(mid, (lo + hi) / 2)
 
-    @pytest.mark.parametrize("n_completions", [2.5, 0])
-    def test_non_integer_or_zero_completions_rejected(self, basic_net, basic_data, n_completions):
-        with pytest.raises(DataError, match="n_completions must be a positive integer"):
-            conservative_ensemble(basic_net, basic_data, n_completions, 1)
+class TestConservativeIntervals:
+    def test_basic_equals_every_completion_oracle(self, basic_net, basic_data):
+        low, high = conservative_intervals(basic_net, basic_data)
+        want_low, want_high = conservative_oracle(basic_net, basic_data)
+        assert np.allclose(low, want_low, rtol=0, atol=1e-12)
+        assert np.allclose(high, want_high, rtol=0, atol=1e-12)
 
-    def test_one_binding_per_ensemble(self, asia_net, monkeypatch):
-        # every completion reads one bound dataset, with the estimates each
-        # completion bound on its own gives
+    @given(problem=small_problems())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_small_problems_equal_every_completion_oracle(self, problem):
+        net, data = problem
+        low, high = conservative_intervals(net, data)
+        want_low, want_high = conservative_oracle(net, data)
+        assert np.allclose(low, want_low, rtol=0, atol=1e-12)
+        assert np.allclose(high, want_high, rtol=0, atol=1e-12)
+
+    def test_random_completions_inside(self, asia_net, basic_net, basic_data_n2000):
+        for net, data in [(asia_net, asia_data(asia_net, n=200, seed=45)),
+                          (basic_net, basic_data_n2000)]:
+            low, high = conservative_intervals(net, data)
+            assert np.all(low <= high)
+            for theta in completion_estimates(net, data, range(20)):
+                assert np.all(low - 1e-12 <= theta) and np.all(theta <= high + 1e-12)
+
+    def test_complete_data_zero_width(self, asia_net):
+        rows = sample(asia_net, 50, np.random.default_rng(3))
+        data = Dataset(
+            tuple(spec.name for spec in asia_net.nodes),
+            tuple((tuple(spec.states[v] for spec, v in zip(asia_net.nodes, row)), 1.5)
+                  for row in rows.tolist()),
+        )
+        low, high = conservative_intervals(asia_net, data)
+        [theta] = completion_estimates(asia_net, data, [0])
+        assert np.allclose(low, theta, rtol=0, atol=1e-15)
+        assert np.allclose(high, theta, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "data_name", ["basic_data", "basic_data_n2000"], ids=["fixture", "n2000"]
+    )
+    def test_root_matches_marginal_bounds(self, basic_net, data_name, request):
+        # a root's interval is `marginal_bounds`' with the pseudo-counts added
+        data = request.getfixturevalue(data_name)
+        low, high = conservative_intervals(basic_net, data)
+        total = data.total_weight
+        for i, spec in enumerate(basic_net.nodes):  # both nodes are roots
+            for s, state in enumerate(spec.states):
+                m_low, m_high, _ = marginal_bounds(data, spec.name, state)
+                at = 2 * i + s
+                assert low[at] == pytest.approx((m_low * total + 1) / (total + 2), abs=1e-12)
+                assert high[at] == pytest.approx((m_high * total + 1) / (total + 2), abs=1e-12)
+
+    def test_bound_dataset_gives_the_same_intervals(self, asia_net, monkeypatch):
         data = asia_data(asia_net, n=200, seed=45)
-        weights = np.array([w for _, w in data.cases])
-        want = []
-        for r in range(5):
-            rows = random_completion(asia_net, data, np.random.default_rng(stable_child_seed(7, r)))
-            want.append(smooth(*ml_estimate(asia_net, (rows, weights))))
+        bound = inference.BoundDataset(asia_net, data)
         built = []
         init = inference.BoundDataset.__init__
         monkeypatch.setattr(
             inference.BoundDataset, "__init__", lambda self, *args: built.append(1) or init(self, *args)
         )
-        res = conservative_ensemble(asia_net, data, 5, 7)
+        plain = conservative_intervals(asia_net, data)
+        assert len(built) == 1  # one binding
+        got = conservative_intervals(asia_net, bound)
         assert len(built) == 1
-        for got, est in zip(res.estimates, want, strict=True):
-            for a, b in zip(got.cpts, est.cpts):
-                assert np.array_equal(a, b)
-
-    def test_bound_dataset_gives_the_plain_datasets_ensemble(self, asia_net):
-        data = asia_data(asia_net, n=200, seed=45)
-        plain = conservative_ensemble(asia_net, data, 3, 7)
-        bound = conservative_ensemble(asia_net, inference.BoundDataset(asia_net, data), 3, 7)
-        for got, want in zip(bound.estimates, plain.estimates, strict=True):
-            assert np.array_equal(got.theta, want.theta)
-        for field in ("lower", "upper", "midpoint"):
-            for a, b in zip(getattr(bound, field), getattr(plain, field), strict=True):
-                assert np.array_equal(a, b)
+        for a, b in zip(got, plain, strict=True):
+            assert a.shape == asia_net.theta.shape and np.array_equal(a, b)
 
 
 class TestMarginalBounds:
@@ -183,11 +208,3 @@ class TestMarginalBounds:
     def test_unknown_state_rejected_with_net(self, basic_net, basic_data):
         with pytest.raises(DataError):
             marginal_bounds(basic_data, "B", "zzz", net=basic_net)
-
-    def test_ensemble_root_marginals_inside_bounds(self, basic_net, basic_data_n2000):
-        low, high, _ = marginal_bounds(basic_data_n2000, "B", "t")
-        res = conservative_ensemble(basic_net, basic_data_n2000, 20, seed=6)
-        slack = 2.0 / 2002.0  # smoothing displacement m/(k+m)
-        for est in res.estimates:
-            v = est.cpts[1][0, 0]
-            assert low - slack <= v <= high + slack

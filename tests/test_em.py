@@ -161,6 +161,11 @@ class TestEmFit:
         with pytest.raises(DataError, match="tol must be a non-negative number"):
             em_fit(basic_net, basic_data, EmOptions(tol=tol))
 
+    def test_infinite_tol_rejected(self, basic_net, basic_data):
+        # an infinite tol would stop the fit after its first step, converged
+        with pytest.raises(DataError, match="tol must be a non-negative number; got inf"):
+            em_fit(basic_net, basic_data, EmOptions(tol=float("inf")))
+
     @pytest.mark.parametrize("init", ["uniform", "random"])
     def test_negative_seed_rejected(self, basic_net, basic_data, init):
         with pytest.raises(DataError, match="seed must be a non-negative integer"):

@@ -439,6 +439,12 @@ class TestSatProfile:
         with pytest.raises(DataError, match="tol must be a non-negative number"):
             problem.solve(basic_net, tol=tol)
 
+    def test_infinite_tol_rejected(self, basic_net, basic_data):
+        # an infinite tol would report the uniform start as the sat value
+        problem = SatProfileProblem(basic_net, basic_data)
+        with pytest.raises(DataError, match="tol must be a non-negative number; got inf"):
+            problem.solve(basic_net, tol=float("inf"))
+
     def test_zero_tol_allowed(self, basic_net):
         d = Dataset(("A", "B"), ((("t", "t"), 1.0), (("f", "f"), 4.0)))
         _, _, _, gap = SatProfileProblem(basic_net, d).solve(basic_net, tol=0.0)
