@@ -545,14 +545,6 @@ class TestLearnAndEval:
         assert outputs[0] == outputs[1]
         assert outputs[0][2] == "method conservative entries 4\n"
 
-    def test_restarts_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "c.net"
-        argv = ["learn", "--net-structure", BASIC, "--data", COARSE, "--method",
-                "conservative", "--restarts", "3", "--seed", "1", "--out", str(out)]
-        assert cli.main(argv) == 1
-        assert "unrecognized arguments: --restarts 3" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("flag", ["--counts-out", "--unsmoothed"])
     def test_conservative_raw_estimate_flag_is_usage_error(self, tmp_path, capsys, flag):
         counts, out = tmp_path / "counts.csv", tmp_path / "c.net"
@@ -889,9 +881,10 @@ class TestNegativeSeed:
 
 
 # Which method or kind reads each tuning option, as README states it.
+# --restarts is a removed option that no method reads.
 READS = {
     "learn": ("--method", ("aim", "em", "conservative"), {
-        "--z": ("aim",),
+        "--z": ("aim",), "--restarts": (),
         **dict.fromkeys(
             ["--tol", "--max-iters", "--init", "--counts-out", "--unsmoothed"], ("em", "aim")
         ),
@@ -899,7 +892,7 @@ READS = {
     "lik": ("--which", ("fv", "sat", "car", "lr"), {"--tol": ("sat",), "--net-car": ("lr",)}),
 }
 OPTION_VALUES = {
-    "--z": ["3"], "--tol": ["1e-6"], "--max-iters": ["5"],
+    "--z": ["3"], "--restarts": ["3"], "--tol": ["1e-6"], "--max-iters": ["5"],
     "--init": ["uniform"], "--counts-out": ["@counts.csv"], "--unsmoothed": [],
     "--net-car": [BASIC],
 }

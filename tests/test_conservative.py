@@ -159,7 +159,7 @@ class TestConservativeIntervals:
                 assert low[at] == pytest.approx((m_low * total + 1) / (total + 2), abs=1e-12)
                 assert high[at] == pytest.approx((m_high * total + 1) / (total + 2), abs=1e-12)
 
-    def test_bound_dataset_gives_the_same_intervals(self, asia_net, monkeypatch):
+    def test_one_binding_per_call(self, asia_net, monkeypatch):
         data = asia_data(asia_net, n=200, seed=45)
         bound = inference.BoundDataset(asia_net, data)
         built = []
@@ -167,10 +167,15 @@ class TestConservativeIntervals:
         monkeypatch.setattr(
             inference.BoundDataset, "__init__", lambda self, *args: built.append(1) or init(self, *args)
         )
-        plain = conservative_intervals(asia_net, data)
-        assert len(built) == 1  # one binding
-        got = conservative_intervals(asia_net, bound)
+        conservative_intervals(asia_net, data)
         assert len(built) == 1
+        conservative_intervals(asia_net, bound)  # an already bound dataset is not bound again
+        assert len(built) == 1
+
+    def test_bound_dataset_gives_the_same_intervals(self, asia_net):
+        data = asia_data(asia_net, n=200, seed=45)
+        plain = conservative_intervals(asia_net, data)
+        got = conservative_intervals(asia_net, inference.BoundDataset(asia_net, data))
         for a, b in zip(got, plain, strict=True):
             assert a.shape == asia_net.theta.shape and np.array_equal(a, b)
 
