@@ -5,8 +5,9 @@ and of the likelihood solvers on the lik_reports inputs.
 Runs `run_experiment` on each input of the asia_rows and large_dag tables
 (perfbench/workloads.py, imported by path as perfbench/run.py does) and
 hashes, in order:
-  - after every `ai_sweep`: the replica completions `assign`, the counts
-    in their dict order, the running score (as float hex) and the move count;
+  - after every `ai_sweep`: each occupied key (pattern, state) with its
+    replicas, in key order, the counts in their dict order, the score
+    `full_score` computes from scratch (as float hex) and the move count;
   - every EM and AIM result: the CPT bytes of its raw and smoothed network,
     and the AIM trace;
   - every summary row.
@@ -114,7 +115,7 @@ def wide_parts(truth, data):
     parts = [truth.theta.tobytes(), repr(data.cases)]
     for res in (em_res, aim_res):
         parts += [res.network.theta.tobytes(), res.smoothed.theta.tobytes(),
-                  np.concatenate(res.row_counts).tobytes(), repr(res.trace)]
+                  np.hstack(res.row_counts).tobytes(), repr(res.trace)]
         report = evaluate(truth, res.smoothed)
         parts.append(repr((report.ce.hex(), report.mse.hex())))
     parts += [aim_res.score.hex(), repr(validate_network(truth.with_theta(stretched)))]
@@ -168,8 +169,8 @@ def main() -> int:
         nonlocal sweeps
         sweep(state)
         sweeps += 1
-        put(np.asarray(state.assign, dtype=np.int64).tobytes(),
-            list(state.counts.items()), state.score.hex(), state._moves)
+        put([(key, reps) for key, reps in zip(state.key, state.members) if reps],
+            list(state.counts.items()), state.full_score().hex(), state._moves)
         return state
 
     def traced_em(*args, **kwargs):

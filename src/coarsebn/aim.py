@@ -10,21 +10,22 @@ score KL(P_c, P_theta) never increases across iterations; a terminal score
 of zero certifies a global optimum of the sat-profile likelihood.
 
 AIM needs log P(x) only at the states replicas occupy or can move to.
-`AimState`, the whole fit (the replicas' completion, its counts, theta and
-the score), gives each such state a row and caches the row's CPT cells
-(`network.state_cells`) when it is first read, so one gather per theta
-gives log P for every row.  The state groups its keys before it scores
-the start, so the first score and the first sweep share one gather; the M
-step counts the completion with one bincount over the occupied rows'
-cells, and its score reads the same gather as the next sweep.  log(c/zn)
-is computed at a count c when a fit first reads it (`AimState.log_q`), as
-most counts up to zn are never read.
+`AimState`, the whole fit (the completion, held once as counts and key
+member lists, theta and the score), gives each such state a row and
+caches the row's CPT cells (`network.state_cells`) when it is first read,
+so one gather per theta gives log P for every row.  The state groups its
+keys before it scores the start, so the first score and the first sweep
+share one gather; the M step counts the completion with one bincount over
+the occupied rows' cells, and its score reads the same gather as the next
+sweep.  log(c/zn) is computed at a count c when a fit first reads it
+(`AimState.log_q`), as most counts up to zn are never read.
 
 `ai_sweep` makes the moves of the per-replica definition, float for float,
 per (pattern, completion) key.  At the start of a sweep it caches each
 row's count terms and queues every occupied key.  It decides the keys in
 replica order from the cached terms, and again only when an accepted move
 has changed a count its decision reads; a move recomputes two states' terms.
+It keeps no score: a score is only computed from scratch, so none drifts.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .network import (
 from .util import check_int, check_tol
 
 LOG_PROB_FLOOR = 1e-300
-SCORE_REFRESH_EVERY = 1000
 
 
 def log_probs(net: Network, cells: np.ndarray) -> np.ndarray:
@@ -86,15 +86,16 @@ class AimResult:
 
 class AimState:
     """One fit in the space of data completions: the replicas' completion,
-    its counts, theta and the score, with the states the fit reads and its
-    moving replicas grouped by key (pattern, state).
+    held once as the counts of the occupied states (`counts`) and the moving
+    replicas grouped by key (pattern, state), theta and the score, with the
+    states the fit reads.
 
-    Built from theta0, the bound dataset, z, the replica layout and an
+    Built from theta0, the bound dataset, z, the replica layout and a start
     assignment (replica -> flat joint index): replica j is a replica of
-    case `rep_case[j]`, laid out by `replica_cases`, and of pattern
-    `rep_pattern[j]`; `moves[m]` lists the (stride, card) of pattern m's
-    missing axes, and `net` holds theta, theta0 until the first M step.
-    The constructor groups the keys from the assignment and scores it.
+    case `rep_case[j]`, laid out by `replica_cases`; `moves[m]` lists the
+    (stride, card) of pattern m's missing axes, and `net` holds theta,
+    theta0 until the first M step.  The constructor counts the assignment
+    and groups its keys, keeping no copy of it, and scores the counts.
 
     Every state a fit reads has a row: `states[r]` is its flat index,
     `cells[r]` its `state_cells` row (built when the row is first read)
@@ -123,12 +124,11 @@ class AimState:
         bound: BoundDataset,
         z: int,
         rep_case: np.ndarray,
-        rep_pattern: np.ndarray,
         assign: list[int],
     ):
         self.net = theta0
         self.z = z
-        self.rep_case = rep_case
+        self.rep_case = rep_case  # also read by perfbench's candidate-visit counter
         self.zn = len(rep_case)
         self.case_pattern = bound.case_pattern  # every weight > 0: indexes `bound.rows` too
         strides, cards = theta0.ravel_strides, theta0.cards
@@ -136,9 +136,8 @@ class AimState:
             [(strides[i], cards[i]) for i, hole in enumerate(h) if hole]
             for h in (bound.rows < 0).tolist()
         ]
-        self.assign = assign
         self.counts = dict(Counter(assign))
-        self._moves = 0
+        self._moves = 0  # accepted moves, read by perfbench's move counter
         self.log_q = LogQ(self.zn)
         self.states: list[int] = []
         self.row: dict[int, int] = {}
@@ -155,10 +154,10 @@ class AimState:
         self.left: list[float] = []
         self.was: list[float] = []
         self.arrived: list[float] = []
-        self.group(rep_pattern)
+        self.group(assign)
         self.score = self.full_score()
 
-    @cached_property
+    @cached_property  # no fit reads it; perfbench's candidate-visit counter does
     def case_moves(self) -> list[list[tuple[int, int]]]:  # per case, its pattern's moves
         return list(map(self.moves.__getitem__, self.case_pattern.tolist()))
 
@@ -204,12 +203,14 @@ class AimState:
             self.lp += log_probs(net, self.row_cells()[done:]).tolist()
         return self.lp
 
-    def group(self, rep_pattern: np.ndarray) -> None:
-        """Register a key per (pattern, state) of the moving replicas."""
+    def group(self, assign: list[int]) -> None:
+        """Register a key per (pattern, state) of the moving replicas,
+        replica j at state assign[j]."""
+        rep_pattern = self.case_pattern[self.rep_case]
         moving = np.array([bool(m) for m in self.moves], dtype=bool)
         reps = np.flatnonzero(moving[rep_pattern])
         pats = rep_pattern[reps]
-        xs = np.asarray(self.assign, dtype=np.int64)[reps]
+        xs = np.asarray(assign, dtype=np.int64)[reps]
         order = np.lexsort((xs, pats))      # stable, so replicas ascend within a key
         reps, pats, xs = reps[order], pats[order], xs[order]
         starts = np.flatnonzero((np.diff(pats, prepend=-1) != 0) | (np.diff(xs, prepend=-1) != 0))
@@ -301,11 +302,10 @@ def ai_sweep(state: AimState) -> AimState:
     recomputes the terms of x and y only and queues each reader of x and y
     at its first replica after the mover (a key still queued already waits
     there).  So every decision sees the counts the replica loop would show
-    it, and the moves, counts and score are that loop's, float for float.
-    The score is recomputed every SCORE_REFRESH_EVERY moves to bound drift.
+    it, and the moves and counts are that loop's.  The sweep leaves
+    `state.score` as it was; `full_score` reads the new counts from scratch.
     """
     counts = state.counts
-    assign = state.assign
     queue = state.first_queue()
     left, was, arrived = state.left, state.was, state.arrived
     states, readers, members, queued = state.states, state.readers, state.members, state.queued
@@ -341,11 +341,7 @@ def ai_sweep(state: AimState) -> AimState:
         counts[to] = counts.get(to, 0) + 1
         state.set_terms(x, counts.get(cur, 0))
         state.set_terms(best, counts[to])
-        assign[j] = to
-        state.score += best_delta
         state._moves += 1
-        if state._moves % SCORE_REFRESH_EVERY == 0:
-            state.score = state.full_score()
         for r in chain(readers[x], readers[best]):
             reps = members[r]
             if not queued[r] and reps and reps[-1] > j:
@@ -427,9 +423,8 @@ def start(
     """A fit's first state, its replicas drawn by `initial_completion`, and
     the replicas that fell back to a uniform draw."""
     rep_case = replica_cases(bound, z)
-    rep_pattern = bound.case_pattern[rep_case]
-    assign, fallbacks = initial_completion(theta0, bound.table, rep_pattern, rng)
-    return AimState(theta0, bound, z, rep_case, rep_pattern, assign), fallbacks
+    assign, fallbacks = initial_completion(theta0, bound.table, bound.case_pattern[rep_case], rng)
+    return AimState(theta0, bound, z, rep_case, assign), fallbacks
 
 
 def aim_fit(

@@ -231,6 +231,8 @@ def _given(args, **options: str) -> dict:
 
 
 def _cmd_learn(args) -> int:
+    if args.seed is None and args.method != "conservative":
+        raise UsageError("--method em and aim need --seed")
     if args.init == "em" and args.method != "aim":
         raise UsageError("--init em is only meaningful for --method aim")
     structure = read_network(args.net_structure)
@@ -363,6 +365,7 @@ READERS = {
         ("--z",): ("aim",),
         ("--tol", "--max-iters", "--init"): ("em", "aim"),
         ("--counts-out", "--unsmoothed"): ("em", "aim"),
+        ("--seed",): ("em", "aim"),
     }),
     "lik": ("--which", {("--tol",): ("sat",), ("--net-car",): ("lr",)}),
 }
@@ -401,7 +404,7 @@ def build_parser() -> _Parser:
     p.add_argument("--z", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iters", type=int)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
     p.add_argument("--counts-out")

@@ -60,7 +60,7 @@ from .network import (
     unravel_rows,
 )
 
-DENSE_TABLE_BUDGET = 100_000
+DENSE_TABLE_BUDGET = 100_000  # perfbench imports it: large_dag's 2^17 states must exceed it
 
 
 def _min_fill_order(
@@ -282,6 +282,7 @@ def _bind(net: Network, variables: Sequence[str], patterns: list) -> np.ndarray:
     return rows
 
 
+# No fit calls it; kept as perfbench's span inference.evidence and acceptance criterion 7(d).
 def evidence_probability(net: Network, evidence: Mapping[str, str | None]) -> float:
     """P(X in U) for a missing-value observation: one collect pass.
     `evidence` holds the observed variables; everything else, and a
@@ -290,6 +291,7 @@ def evidence_probability(net: Network, evidence: Mapping[str, str | None]) -> fl
     return float(net.clique_tree.probability(net, row)[0])
 
 
+# Read by `evaluate.kl_enumerate`, and named by perfbench's span inference.joint_table.
 def full_joint_table(net: Network) -> np.ndarray:
     """Dense joint distribution over all nodes (C order): `cell_probs` over
     every state, in chunks whose cells hold at most ENUM_BUDGET entries."""
@@ -302,6 +304,7 @@ def full_joint_table(net: Network) -> np.ndarray:
     return np.concatenate(probs).reshape(net.cards)
 
 
+# No fit calls it; kept as perfbench's span inference.family_posterior.
 def posterior_family_marginals(
     net: Network, evidence: Mapping[str, str | None]
 ) -> dict[str, np.ndarray]:
@@ -309,8 +312,7 @@ def posterior_family_marginals(
 
     Each table is a proper joint distribution over (parent config, state);
     raises ZeroSupportError when the evidence itself has probability zero.
-    One calibration of a clique tree: patterns small enough to enumerate
-    take their posteriors from a `MemberTable` instead.
+    One calibration of a clique tree.
     """
     row = _bind(net, list(evidence), [tuple(evidence.values())])
     p_u, joint = net.clique_tree.calibrate(net, row)

@@ -582,6 +582,21 @@ def incremental_kl_delta(counts, zn, logp, frm, to):
     )
 
 
+def key_members(state):
+    """An AimState's occupied keys: (pattern, state) -> its replicas."""
+    return {key: reps for key, reps in zip(state.key, state.members) if reps}
+
+
+def replica_states(state):
+    """Each replica's state, read from an AimState's key member lists; None
+    for a replica that has no move, which no key holds."""
+    placed = [None] * state.zn
+    for (_, x), reps in key_members(state).items():
+        for j in reps:
+            placed[j] = x
+    return placed
+
+
 def completion_distribution(c, data):
     """Oracle: the weighted mixture P_c of a completion's per-case
     distributions."""

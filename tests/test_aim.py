@@ -15,10 +15,12 @@ from conftest import (
     grouped,
     incremental_kl_delta,
     joint_probability,
+    key_members,
     log_probs,
     member_flat_indices,
     per_pattern_completion,
     ravel,
+    replica_states,
     tuple_bounds,
     unravel,
     with_tables,
@@ -223,10 +225,11 @@ def build_state(structure, theta0, data, z, seed=0):
 class TestAiSweep:
     def test_sweep_never_increases_kl(self, basic_net, basic_data_n2000):
         state = build_state(basic_net, basic_net, basic_data_n2000, z=5, seed=2)
-        before = state.score
+        before = state.full_score()
         ai_sweep(state)
-        assert state.score <= before + 1e-12
-        assert state.score == pytest.approx(
+        after = state.full_score()
+        assert after <= before + 1e-12
+        assert after == pytest.approx(
             full_kl(state.counts, state.zn, logp_of(state.net)), abs=1e-10
         )
 
@@ -234,22 +237,21 @@ class TestAiSweep:
         # start with every hidden-B replica completed to (t,f); at the true
         # parameters the optimal split sends 1/9 of them to (t,t)
         z = 10
-        drawn = build_state(basic_net, basic_net, basic_data_n2000, z=z)
-        # force all U_1 replicas to (t,f)
+        bound = inference.BoundDataset(basic_net, basic_data_n2000)
+        rep_case = replica_cases(bound, z)
         tf = ravel(basic_net, (0, 1))
         assign = [
-            tf if drawn.case_moves[c] else x
-            for c, x in zip(drawn.rep_case.tolist(), drawn.assign)
+            tf if row[1] < 0 else ravel(basic_net, row)
+            for row in bound.rows[bound.case_pattern[rep_case]].tolist()
         ]
-        bound = inference.BoundDataset(basic_net, basic_data_n2000)
-        state = AimState(
-            drawn.net, bound, z, drawn.rep_case, bound.case_pattern[drawn.rep_case], assign
-        )
+        state = AimState(start_network(basic_net, basic_net), bound, z, rep_case, assign)
+        assert state.counts[tf] == 900 * z  # no (t,f) case is observed
         for _ in range(60):
-            before = state.score
+            before = state.full_score()
             ai_sweep(state)
-            assert state.score <= before + 1e-12
-            if before - state.score < 1e-15:
+            after = state.full_score()
+            assert after <= before + 1e-12
+            if before - after < 1e-15:
                 break
         tt = ravel(basic_net, (0, 0))
         # counts: 100*z from observed (t,t) plus migrated replicas; optimum
@@ -259,9 +261,10 @@ class TestAiSweep:
     def test_fully_observed_replicas_skipped(self, basic_net):
         d = Dataset(("A", "B"), ((("t", "t"), 5.0), (("f", "f"), 5.0)))
         state = build_state(basic_net, basic_net, d, z=3)
-        before = list(state.assign)
+        before = dict(state.counts)
         ai_sweep(state)
-        assert state.assign == before
+        assert state.members == [] and state._moves == 0
+        assert state.counts == before
 
     def test_one_missing_binary_has_one_neighbor(self, basic_net, basic_data_n2000):
         state = build_state(basic_net, basic_net, basic_data_n2000, z=1)
@@ -272,16 +275,18 @@ class TestAiSweep:
         assert state.case_moves[1] == []  # fully observed cases have none
 
 
-def reference_sweep(state):
+def reference_sweep(state, placed):
     """The per-replica definition of a sweep: every replica scores each
     one-coordinate move with incremental_kl_delta and takes the first of the
-    most negative.  Returns how many improving candidates tied with the best
-    one found before them."""
+    most negative.  `placed` is the sweep's own per-replica list of states
+    (`replica_states`), updated with the state's counts and move count;
+    the state's keys are left as they were.  Returns how many improving
+    candidates tied with the best one found before them."""
     counts = state.counts
     logp = logp_of(state.net)
     ties = 0
     for j in range(state.zn):
-        cur = state.assign[j]
+        cur = placed[j]
         best_delta = 0.0
         best_to = -1
         for stride, card in state.case_moves[state.rep_case[j]]:
@@ -301,11 +306,8 @@ def reference_sweep(state):
             if counts[cur] == 0:
                 del counts[cur]
             counts[best_to] = counts.get(best_to, 0) + 1
-            state.assign[j] = best_to
-            state.score += best_delta
+            placed[j] = best_to
             state._moves += 1
-            if state._moves % aim.SCORE_REFRESH_EVERY == 0:
-                state.score = state.full_score()
     return ties
 
 
@@ -329,17 +331,17 @@ class TestSweepMatchesDefinition:
     def run_rounds(self, structure, theta0, data, z, rounds, seed=0):
         fast = build_state(structure, theta0, data, z=z, seed=seed)
         ref = build_state(structure, theta0, data, z=z, seed=seed)
-        assert fast.assign == ref.assign
+        placed = replica_states(ref)
+        assert replica_states(fast) == placed
         ties = 0
         moves = []
         for _ in range(rounds):
             before = ref._moves
             ai_sweep(fast)
-            ties += reference_sweep(ref)
+            ties += reference_sweep(ref, placed)
             moves.append(ref._moves - before)
-            assert fast.assign == ref.assign
+            assert replica_states(fast) == placed
             assert fast.counts == ref.counts
-            assert fast.score == ref.score
             assert fast._moves == ref._moves
             m_step(fast)
             m_step(ref)
@@ -394,13 +396,6 @@ class TestSweepMatchesDefinition:
         _, moves = self.run_rounds(asia_net, em.network, data, z=5, rounds=4)
         assert sum(moves) > 0
 
-    def test_refresh_mid_sweep(self, asia_net, monkeypatch):
-        monkeypatch.setattr(aim, "SCORE_REFRESH_EVERY", 7)
-        data = asia_data(asia_net, seed=43)
-        em = em_fit(asia_net, data)
-        _, moves = self.run_rounds(asia_net, em.network, data, z=5, rounds=4)
-        assert max(moves) > 7
-
 
 class TestSweepWork:
     @staticmethod
@@ -419,8 +414,8 @@ class TestSweepWork:
         """The states whose counts the occupied keys read: each moving
         replica's state and its one-coordinate neighbours."""
         out = set()
-        for c, x in zip(state.rep_case.tolist(), state.assign):
-            for stride, card in state.case_moves[c]:
+        for m, x in key_members(state):
+            for stride, card in state.moves[m]:
                 d = (x // stride) % card
                 out.update(x + (s - d) * stride for s in range(card))
         return out
@@ -502,18 +497,20 @@ class TestSweepWork:
         theta = em_fit(asia_net, data).network
         state = build_state(asia_net, theta, data, z=5)
         ref = build_state(asia_net, theta, data, z=5)
+        placed = replica_states(ref)
         keys = state
         ai_sweep(state)
-        reference_sweep(ref)
-        assert state._moves > 0 and state.assign == ref.assign
+        reference_sweep(ref, placed)
+        assert state._moves > 0 and replica_states(state) == placed
         added = len(keys.states) - len(keys.lp)
         assert added > 0
         gathers = self.record_gathers(monkeypatch)
         ai_sweep(state)
-        reference_sweep(ref)
+        reference_sweep(ref, placed)
         assert [len(cells) for cells in gathers] == [added]
         assert keys.lp == log_probs(state.net, keys.states).tolist()
-        assert (state.assign, state.counts, state.score) == (ref.assign, ref.counts, ref.score)
+        assert (replica_states(state), state.counts) == (placed, ref.counts)
+        assert state.full_score() == ref.full_score()
 
     def test_one_gather_per_iteration(self, asia_net, monkeypatch):
         # log P at theta0 takes one gather for the occupied states and the
@@ -564,26 +561,30 @@ class TestSweepWork:
                 )
 
     def test_keys_track_the_moves(self, asia_net):
-        # after sweeps that created keys, each key lists exactly its
-        # replicas, reads the counts at its state and its neighbours, and
-        # every row read in the last sweep holds the terms of its count now
+        # after sweeps that created keys, each key lists exactly the
+        # replicas the per-replica definition puts at its state, in
+        # ascending order, reads the counts at its state and its
+        # neighbours, and every row read in the last sweep holds the terms
+        # of its count now
         data = asia_data(asia_net)
-        state = build_state(asia_net, em_fit(asia_net, data).network, data, z=5)
+        theta = em_fit(asia_net, data).network
+        state = build_state(asia_net, theta, data, z=5)
+        ref = build_state(asia_net, theta, data, z=5)
+        placed = replica_states(ref)
         keys = state
-        built = len({
-            (tuple(state.case_moves[c]), x)
-            for c, x in zip(state.rep_case.tolist(), state.assign) if state.case_moves[c]
-        })
+        built = len(keys.key)
         for _ in range(3):
             m_step(state)
+            m_step(ref)
             occupied = [k for k, reps in enumerate(keys.members) if reps]
             ai_sweep(state)
+            reference_sweep(ref, placed)
         assert len(keys.key) > built
         held = {}
-        for j, (c, x) in enumerate(zip(state.rep_case.tolist(), state.assign)):
+        for j, (c, x) in enumerate(zip(state.rep_case.tolist(), placed)):
             if state.case_moves[c]:
                 held.setdefault((int(state.case_pattern[c]), x), []).append(j)
-        assert {key: reps for key, reps in zip(keys.key, keys.members) if reps} == held
+        assert key_members(state) == held
         for k, (m, x) in enumerate(keys.key):
             nbrs = [
                 x + (s - d) * stride
@@ -627,7 +628,7 @@ class TestMStep:
     def test_m_step_never_increases_surrogate(self, basic_net, basic_data_n2000):
         state = build_state(basic_net, basic_net, basic_data_n2000, z=3, seed=8)
         ai_sweep(state)
-        before = state.score
+        before = state.full_score()
         m_step(state)
         assert state.score <= before + 1e-12
 

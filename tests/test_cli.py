@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import inspect
 import io
+import re
 import subprocess
 import sys
 import tempfile
@@ -505,13 +506,13 @@ class TestLearnAndEval:
             "--n", "300", "--seed", "2", "--out", str(d),
         )
         for method, extra in (
-            ("aim", ["--z", "4"]),
+            ("aim", ["--z", "4", "--seed", "1"]),
             ("conservative", ["--trace", str(tmp_path / "iv.csv")]),
         ):
             est = tmp_path / f"{method}.net"
             out = run_cli(
                 "learn", "--net-structure", BASIC, "--data", str(d),
-                "--method", method, "--seed", "1", "--out", str(est), *extra,
+                "--method", method, "--out", str(est), *extra,
             )
             assert out.returncode == 0, out.stderr
             assert read_network(est) is not None
@@ -534,22 +535,35 @@ class TestLearnAndEval:
         assert len(built) == 1
 
 
-    def test_conservative_output_does_not_depend_on_the_seed(self, tmp_path, capsys):
+    def test_conservative_runs_without_a_seed(self, tmp_path, capsys):
+        # it draws nothing: two runs write the same bytes
         outputs = []
-        for seed in ("1", "2"):
-            est, trace = tmp_path / f"c{seed}.net", tmp_path / f"c{seed}.csv"
+        for run in ("1", "2"):
+            est, trace = tmp_path / f"c{run}.net", tmp_path / f"c{run}.csv"
             argv = ["learn", "--net-structure", BASIC, "--data", COARSE, "--method",
-                    "conservative", "--seed", seed, "--out", str(est), "--trace", str(trace)]
+                    "conservative", "--out", str(est), "--trace", str(trace)]
             assert cli.main(argv) == 0
             outputs.append((est.read_bytes(), trace.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
         assert outputs[0][2] == "method conservative entries 4\n"
 
+    @pytest.mark.parametrize("method", ["em", "aim"])
+    def test_em_and_aim_need_a_seed(self, tmp_path, capsys, monkeypatch, method):
+        # refused before any file is read or written
+        for reader in ("read_network", "read_dataset"):
+            monkeypatch.setattr(cli, reader, lambda *a: pytest.fail("file read"))
+        argv = ["learn", "--net-structure", BASIC, "--data", COARSE, "--method", method,
+                "--out", str(tmp_path / "e.net")]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --method em and aim need --seed\n")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--counts-out", "--unsmoothed"])
     def test_conservative_raw_estimate_flag_is_usage_error(self, tmp_path, capsys, flag):
         counts, out = tmp_path / "counts.csv", tmp_path / "c.net"
         argv = ["learn", "--net-structure", BASIC, "--data", COARSE, "--method",
-                "conservative", "--seed", "1", "--out", str(out)]
+                "conservative", "--out", str(out)]
         assert cli.main(argv + ([flag, str(counts)] if flag == "--counts-out" else [flag])) == 1
         assert "apply to --method em and aim only" in capsys.readouterr().err
         assert not counts.exists() and not out.exists()
@@ -726,6 +740,24 @@ class TestExperiment:
         assert rows[-1][0] == "summary"
         assert len(rows) == 4  # header + 2 runs + summary
 
+    def test_summary_averages_the_finite_values(self, tmp_path):
+        # a column with some non-finite values averages the finite ones,
+        # one finite value has a spread of 0, and a column with none
+        # writes an empty cell
+        inf = float("inf")
+        columns = {
+            "pct_missing": [0.25, 0.25, 0.25], "ce_final_em": [1.0, inf, 3.0],
+            "ce_final_aim": [inf, -inf, float("nan")], "ce_diff": [0.5, 1.5, 1.0],
+            "mse_diff": [-inf, 0.0, 0.0], "score": [inf, 5.0, inf],
+        }
+        rows = [{"run": r, **{c: v[r] for c, v in columns.items()}} for r in range(3)]
+        path = tmp_path / "x.csv"
+        cli.write_experiment_csv(str(path), rows)
+        with open(path, newline="", encoding="utf-8") as fh:
+            cells = list(csv.reader(fh))
+        assert cells[2] == ["1", "0.25", "inf", "-inf", "1.5", "0", "5"]
+        assert cells[-1] == ["summary", "0.25±0", "2±1.41421", "", "1±0.5", "0±0", "5±0"]
+
     def test_complete_data_degenerate(self, tmp_path):
         path = tmp_path / "c.csv"
         out = run_cli(
@@ -886,13 +918,14 @@ READS = {
     "learn": ("--method", ("aim", "em", "conservative"), {
         "--z": ("aim",), "--restarts": (),
         **dict.fromkeys(
-            ["--tol", "--max-iters", "--init", "--counts-out", "--unsmoothed"], ("em", "aim")
+            ["--tol", "--max-iters", "--init", "--counts-out", "--unsmoothed", "--seed"],
+            ("em", "aim"),
         ),
     }),
     "lik": ("--which", ("fv", "sat", "car", "lr"), {"--tol": ("sat",), "--net-car": ("lr",)}),
 }
 OPTION_VALUES = {
-    "--z": ["3"], "--restarts": ["3"], "--tol": ["1e-6"], "--max-iters": ["5"],
+    "--z": ["3"], "--restarts": ["3"], "--seed": ["1"], "--tol": ["1e-6"], "--max-iters": ["5"],
     "--init": ["uniform"], "--counts-out": ["@counts.csv"], "--unsmoothed": [],
     "--net-car": [BASIC],
 }
@@ -914,24 +947,44 @@ class TestOptionReaders:
         selector = READS[command][0]
         value = [v.replace("@", f"{tmp_path}/") for v in OPTION_VALUES[flag]]
         argv = {
-            "learn": ["learn", "--net-structure", BASIC, "--data", COARSE, "--seed", "1",
+            "learn": ["learn", "--net-structure", BASIC, "--data", COARSE,
                       "--out", str(tmp_path / "e.net"), "--trace", str(tmp_path / "t.csv")],
             "lik": ["lik", "--net", BASIC, "--data", COARSE, "--out", str(tmp_path / "l.csv")],
         }[command]
+        if method in ("em", "aim"):  # the seed they need
+            argv += ["--seed", "1"]
         assert cli.main(argv + [selector, method, flag, *value]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ") and flag in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_readme_table_is_the_readers(self):
+        # README's option table lists `cli.READERS` row for row: one row
+        # per group of options, naming the methods that read them
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| option | read by |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        rows = []
+        for line in table.splitlines():
+            options, readers = (re.findall(r"`([^`]*)`", cell) for cell in line.split(" | "))
+            command, first = options[0].split()
+            selector, reader = readers[0].split()
+            rows.append((command, selector, (first, *options[1:]), (reader, *readers[1:])))
+        assert rows == [
+            (command, selector, flags, readers)
+            for command, (selector, groups) in cli.READERS.items()
+            for flags, readers in groups.items()
+        ]
+
     def test_messages_name_the_readers(self, capsys):
         for argv, want in (
-            (["--method", "em", "--z", "3"], "--z applies to --method aim only"),
+            (["--method", "em", "--seed", "1", "--z", "3"], "--z applies to --method aim only"),
             (["--method", "conservative", "--max-iters", "3"],
              "--tol, --max-iters and --init apply to --method em and aim only"),
+            (["--method", "conservative", "--seed", "1"],
+             "--seed applies to --method em and aim only"),
         ):
-            base = ["learn", "--net-structure", BASIC, "--data", COARSE, "--seed", "1",
-                    "--out", "never.net"]
+            base = ["learn", "--net-structure", BASIC, "--data", COARSE, "--out", "never.net"]
             assert cli.main(base + argv) == 1
             assert f"usage error: {want}\n" in capsys.readouterr().err
 
