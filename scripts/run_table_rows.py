@@ -1,21 +1,19 @@
 #!/usr/bin/env python3
 """Reproduce the desk-scale comparison rows: EM vs adjusting imputation.
 
-Each row generates `runs` incomplete datasets, fits EM from uniform rows,
-refits with the adjusting-imputation procedure initialized at the EM
-estimate, and scores both against the generating network.  Results land in
-results/<row>.csv with a trailing mean±std summary row.
+Each row is one `coarsebn experiment` run: it generates `runs` incomplete
+datasets, fits EM from uniform rows, refits with the adjusting-imputation
+procedure initialized at the EM estimate, and scores both against the
+generating network.  Results land in results/<row>.csv with a trailing
+mean±std summary row, and the command's summary is printed per row.
 
     python3 scripts/run_table_rows.py --rows basic asia_base --runs 20
 """
 
 import argparse
-import sys
 from pathlib import Path
 
-from coarsebn.cli import ExperimentConfig, run_experiment, write_experiment_csv
-from coarsebn.coarsen import CoarseningSpec
-from coarsebn.netformat import read_network
+from coarsebn import cli
 from coarsebn.util import fixture_path
 
 ROWS = {
@@ -40,6 +38,20 @@ def count(text: str) -> int:
     return int(text)
 
 
+def row_argv(name: str, runs: int, seed: int, out_dir: Path) -> list[str]:
+    """The `coarsebn experiment` arguments of one row."""
+    net_file, coarsening, mech_file, n, z = ROWS[name]
+    if coarsening:
+        source = ["--coarsening", coarsening]
+    else:
+        source = ["--mechanism", str(fixture_path(mech_file))]
+    return [
+        "experiment", "--net", str(fixture_path(net_file)), *source,
+        "--n", str(n), "--z", str(z), "--runs", str(runs), "--seed", str(seed),
+        "--out", str(out_dir / f"{name}.csv"),
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", nargs="+", default=["basic", "asia_base"],
@@ -51,35 +63,11 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    codes = [0]
     for name in args.rows:
-        net_file, coarsening, mech_file, n, z = ROWS[name]
-        cfg = ExperimentConfig(
-            net=read_network(fixture_path(net_file)),
-            coarsening=CoarseningSpec.parse(coarsening) if coarsening else None,
-            mechanism=read_network(fixture_path(mech_file)) if mech_file else None,
-            n=n,
-            z=z,
-            runs=args.runs,
-            seed=args.seed,
-        )
-        rows, failures = run_experiment(cfg)
-        out = out_dir / f"{name}.csv"
-        write_experiment_csv(str(out), rows)
-        summary = rows and {
-            k: sum(r[k] for r in rows) / len(rows)
-            for k in ("pct_missing", "ce_diff", "mse_diff", "score")
-        }
-        print(f"{name}: {len(rows)} runs -> {out}")
-        if summary:
-            print(
-                f"  mean pct_missing {summary['pct_missing']:.3f}  "
-                f"ce_diff {summary['ce_diff']:+.4f}  "
-                f"mse_diff {summary['mse_diff']:+.5f}  "
-                f"score {summary['score']:.4f}"
-            )
-        for f in failures:
-            print(f"  FAILED {f}", file=sys.stderr)
-    return 0
+        print(f"{name}: {out_dir / f'{name}.csv'}", flush=True)
+        codes.append(cli.main(row_argv(name, args.runs, args.seed, out_dir)))
+    return max(codes)
 
 
 if __name__ == "__main__":

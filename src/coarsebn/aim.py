@@ -79,9 +79,13 @@ class AimResult:
     smoothed: Network
     row_counts: list[np.ndarray]        # completion counts in original-case units
     trace: list[tuple[int, float, float]]   # iteration, score, sat lower bound
-    score: float                        # terminal KL(P_c || P_theta)
     init_fallbacks: int                 # replicas seeded uniformly on zero evidence
     converged: bool
+
+    @property
+    def score(self) -> float:
+        """The terminal KL(P_c || P_theta)."""
+        return self.trace[-1][1]
 
 
 class AimState:
@@ -194,13 +198,10 @@ class AimState:
         return self.cells
 
     def log_probs(self, net: Network) -> list[float]:
-        """log P of every row's state under net: one gather per theta, and
-        one more for the rows added since it was read."""
-        if net is not self.lp_net:
-            self.lp_net, self.lp = net, []
-        done = len(self.lp)
-        if done < len(self.states):
-            self.lp += log_probs(net, self.row_cells()[done:]).tolist()
+        """log P of every row's state under net, in one gather of every row,
+        read again when theta is a new object or rows were added since."""
+        if net is not self.lp_net or len(self.lp) < len(self.states):
+            self.lp_net, self.lp = net, log_probs(net, self.row_cells()).tolist()
         return self.lp
 
     def group(self, assign: list[int]) -> None:
@@ -477,7 +478,6 @@ def aim_fit(
         smoothed=smooth(net, row_counts),
         row_counts=row_counts,
         trace=trace,
-        score=trace[-1][1],
         init_fallbacks=len(fallbacks),
         converged=converged,
     )

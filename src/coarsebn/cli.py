@@ -143,14 +143,6 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def write_experiment_csv(path: str, rows: list[dict]) -> None:
-    cells = [[row["run"]] + [fmt17(row[c]) for c in EXPERIMENT_HEADER[1:]] for row in rows]
-    if rows:
-        summary = _summary_cells(rows)
-        cells.append([summary[c] for c in EXPERIMENT_HEADER])
-    _write_csv(path, EXPERIMENT_HEADER, cells)
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -195,7 +187,7 @@ def _write_counts(path: str, net: Network, row_counts) -> None:
 def _read_counts(path: str, net: Network) -> list[np.ndarray]:
     by_node = {spec.name: np.zeros(rows) for spec, rows in zip(net.nodes, net.n_rows)}
     seen = set()
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["node", "row", "count"]:
@@ -272,7 +264,8 @@ def _cmd_learn(args) -> int:
         if init == "em":  # one binding for both fits
             data = BoundDataset(structure, data)
             init = em_mod.em_fit(structure, data, em_mod.EmOptions()).network
-        theta0 = start_network(structure, init, args.seed)
+        # a random start draws from a child seed, apart from aim_fit's own draws
+        theta0 = start_network(structure, init, stable_child_seed(args.seed, "init"))
         opts = aim_mod.AimOptions(**fit, **_given(args, z="z"), seed=args.seed)
         res = aim_mod.aim_fit(structure, theta0, data, opts)
         header = ["iteration", "score", "sat_lower_bound"]
@@ -347,9 +340,12 @@ def _cmd_experiment(args) -> int:
         mechanism=None if args.mechanism is None else read_network(args.mechanism),
     )
     rows, failures = run_experiment(cfg)
-    write_experiment_csv(args.out, rows)
-    if rows:
+    cells = [[row["run"]] + [fmt17(row[c]) for c in EXPERIMENT_HEADER[1:]] for row in rows]
+    if rows:  # the summary row, also printed
         summary = _summary_cells(rows)
+        cells.append([summary[c] for c in EXPERIMENT_HEADER])
+    _write_csv(args.out, EXPERIMENT_HEADER, cells)
+    if rows:
         for col in EXPERIMENT_HEADER[1:]:
             print(f"{col} {summary[col]}")
     print(f"runs {len(rows)} failed {len(failures)}")

@@ -139,7 +139,7 @@ def format_dataset_csv(data: Dataset) -> str:
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    return parse_dataset_csv(Path(path).read_text(encoding="utf-8"))
+    return parse_dataset_csv(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def write_dataset(data: Dataset, path: str | Path) -> None:

@@ -185,7 +185,7 @@ def format_network(net: Network) -> str:
 
 
 def read_network(path: str | Path) -> Network:
-    return parse_network(Path(path).read_text(encoding="utf-8"))
+    return parse_network(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def write_network(net: Network, path: str | Path) -> None:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import BudgetError, DataError
 
 Assignment = tuple[int, ...]
 
@@ -332,7 +332,10 @@ def sample(net: Network, n: int, rng: np.random.Generator) -> np.ndarray:
     row t for the t-th node in topological order, so the draws are those of
     one `rng.random(n)` per node.  A state counts its CPT row's first
     card - 1 cumulative sums at or below its uniform: the inverse CDF.
+    An n whose (k, n) array numpy cannot index raises BudgetError first.
     """
+    if n * len(net.nodes) > np.iinfo(np.intp).max // 8:
+        raise BudgetError(f"n = {n} cases of {len(net.nodes)} nodes exceed numpy's largest array")
     out = np.zeros((len(net.nodes), n), dtype=np.int64)
     u = rng.random((len(net.nodes), n))
     for t, i in enumerate(net.topo_order):

@@ -43,6 +43,8 @@ from coarsebn.errors import BudgetError, DataError
 from coarsebn.likelihoods import exact_sat_profile_loglik
 from coarsebn.netformat import parse_network
 from coarsebn.network import (
+    Network,
+    NodeSpec,
     cell_probs,
     randomize_parameters,
     ml_estimate,
@@ -490,9 +492,9 @@ class TestSweepWork:
 
     def test_rows_added_in_a_sweep_are_read_at_the_next(self, asia_net, monkeypatch):
         # two sweeps at one theta: the rows the first sweep added (the
-        # neighbours of states it first moved replicas to) take log P in
-        # one gather of those rows alone before the second sweep reads them,
-        # and both sweeps make the per-replica definition's moves
+        # neighbours of states it first moved replicas to) make the second
+        # sweep read log P in one gather of every row, and both sweeps make
+        # the per-replica definition's moves
         data = asia_data(asia_net)
         theta = em_fit(asia_net, data).network
         state = build_state(asia_net, theta, data, z=5)
@@ -502,12 +504,12 @@ class TestSweepWork:
         ai_sweep(state)
         reference_sweep(ref, placed)
         assert state._moves > 0 and replica_states(state) == placed
-        added = len(keys.states) - len(keys.lp)
-        assert added > 0
+        rows = len(keys.states)
+        assert rows > len(keys.lp)
         gathers = self.record_gathers(monkeypatch)
         ai_sweep(state)
         reference_sweep(ref, placed)
-        assert [len(cells) for cells in gathers] == [added]
+        assert [len(cells) for cells in gathers] == [rows]
         assert keys.lp == log_probs(state.net, keys.states).tolist()
         assert (replica_states(state), state.counts) == (placed, ref.counts)
         assert state.full_score() == ref.full_score()
@@ -784,6 +786,14 @@ class TestAimStart:
             replica_cases(inference.BoundDataset(basic_net, data), 2)
         at_budget = Dataset(("A", "B"), ((("t", None), 2.0**19),))
         assert len(replica_cases(inference.BoundDataset(basic_net, at_budget), 2)) == 1 << 20
+
+    def test_joint_space_beyond_int64_refused(self):
+        # 62 unconnected binary nodes: 2^62 states, whose flat indices int64 cannot hold
+        nodes = tuple(NodeSpec(f"v{i}", ("a", "b")) for i in range(62))
+        net = Network("wide62", nodes, tuple(np.full((1, 2), 0.5) for _ in nodes))
+        data = dataset_of(net, [(None,) + (0,) * 61])
+        with pytest.raises(BudgetError, match="^joint space too large to index$"):
+            aim_fit(net, net, data, AimOptions(z=1, seed=0))
 
     def first_state(self, monkeypatch, net, data, z):
         states = []

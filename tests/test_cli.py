@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,34 @@ class TestLik:
 
 ZERO_A = "network z\nnode A states a,b\nnode B states a,b\ncpt A : 1,0\ncpt B : 0.5,0.5\n"
 HALF_A = "network z\nnode A states a,b\nnode B states a,b\ncpt A : 0.5,0.5\ncpt B : 0.5,0.5\n"
+
+
+class TestByteOrderMark:
+    @staticmethod
+    def bom_copy(tmp_path, path):
+        copy = tmp_path / f"bom_{Path(path).name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        return str(copy)
+
+    @pytest.mark.parametrize("which", ["--net", "--data"])
+    def test_lik_reads_a_bom_copy_as_the_original(self, tmp_path, capsys, which):
+        files = {"--net": BASIC, "--data": COARSE}
+        assert cli.main(["lik", "--which", "fv", *chain(*files.items())]) == 0
+        want = capsys.readouterr()
+        files[which] = self.bom_copy(tmp_path, files[which])
+        assert cli.main(["lik", "--which", "fv", *chain(*files.items())]) == 0
+        assert capsys.readouterr() == want
+
+    def test_eval_reads_a_bom_counts_copy_as_the_original(self, tmp_path, capsys):
+        est, counts = str(tmp_path / "e.net"), str(tmp_path / "c.csv")
+        assert cli.main(["learn", "--net-structure", BASIC, "--data", COARSE, "--method", "em",
+                         "--seed", "0", "--unsmoothed", "--out", est, "--counts-out", counts]) == 0
+        capsys.readouterr()
+        outs = []
+        for path in (counts, self.bom_copy(tmp_path, counts)):
+            assert cli.main(["eval", "--truth", BASIC, "--estimate", est, "--counts", path]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
 
 
 class TestLikZeroProbability:
@@ -585,6 +614,25 @@ class TestLearnAndEval:
             texts.append(est.read_text())
         assert texts[0] == texts[1]
 
+    def test_aim_random_init_draws_from_a_child_seed(self, tmp_path):
+        # the start is one random draw from stable_child_seed(seed, "init"),
+        # so its uniforms are not the fit's own draws from the seed
+        from coarsebn.aim import AimOptions, aim_fit
+        from coarsebn.data import read_dataset
+        from coarsebn.netformat import format_network
+        from coarsebn.network import start_network
+        from coarsebn.util import stable_child_seed
+
+        d, est = str(tmp_path / "d.csv"), tmp_path / "aim.net"
+        gen = ["gen-data", "--net", BASIC, "--coarsening", "1:0.2:0.03", "--n", "200"]
+        assert cli.main([*gen, "--seed", "2", "--out", d]) == 0
+        assert cli.main(["learn", "--net-structure", BASIC, "--data", d, "--method", "aim",
+                         "--init", "random", "--seed", "5", "--out", str(est)]) == 0
+        structure = read_network(BASIC)
+        theta0 = start_network(structure, "random", stable_child_seed(5, "init"))
+        res = aim_fit(structure, theta0, read_dataset(d), AimOptions(seed=5))
+        assert est.read_text(encoding="utf-8") == format_network(res.smoothed)
+
 
     @pytest.mark.parametrize("method", ["em", "aim"])
     def test_zero_iterations_is_data_error(self, tmp_path, method):
@@ -740,10 +788,10 @@ class TestExperiment:
         assert rows[-1][0] == "summary"
         assert len(rows) == 4  # header + 2 runs + summary
 
-    def test_summary_averages_the_finite_values(self, tmp_path):
+    def test_summary_averages_the_finite_values(self, tmp_path, monkeypatch, capsys):
         # a column with some non-finite values averages the finite ones,
         # one finite value has a spread of 0, and a column with none
-        # writes an empty cell
+        # writes an empty cell; the printed summary is the CSV's
         inf = float("inf")
         columns = {
             "pct_missing": [0.25, 0.25, 0.25], "ce_final_em": [1.0, inf, 3.0],
@@ -751,12 +799,18 @@ class TestExperiment:
             "mse_diff": [-inf, 0.0, 0.0], "score": [inf, 5.0, inf],
         }
         rows = [{"run": r, **{c: v[r] for c, v in columns.items()}} for r in range(3)]
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: (rows, []))
         path = tmp_path / "x.csv"
-        cli.write_experiment_csv(str(path), rows)
+        assert cli.main(["experiment", "--net", BASIC, "--mechanism", MECH, "--n", "1",
+                         "--z", "1", "--runs", "3", "--seed", "0", "--out", str(path)]) == 0
         with open(path, newline="", encoding="utf-8") as fh:
             cells = list(csv.reader(fh))
         assert cells[2] == ["1", "0.25", "inf", "-inf", "1.5", "0", "5"]
         assert cells[-1] == ["summary", "0.25±0", "2±1.41421", "", "1±0.5", "0±0", "5±0"]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"{c} {v}" for c, v in zip(cells[0][1:], cells[-1][1:])] + [
+            "runs 3 failed 0"
+        ]
 
     def test_complete_data_degenerate(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -1051,6 +1105,28 @@ class TestUnmakeableInputs:
         assert cli.main(argv + ["--net", BASIC, "--coarsening", self.HUGE_MP, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: mp must lie in [0, 2**63)")
         assert not out.exists()
+
+    # numpy refuses both before it allocates: the (4, n) int64 sample of
+    # basic.net's augmented network needs 2^63 and 2^66 bytes
+    @pytest.mark.parametrize("n", [1 << 58, 1 << 63])
+    @pytest.mark.parametrize("command", ["gen-data", "experiment"])
+    def test_n_beyond_numpy_arrays_is_budget_error(self, tmp_path, capsys, command, n):
+        argv = {
+            "gen-data": ["gen-data", "--seed", "1"],
+            "experiment": ["experiment", "--z", "1", "--runs", "1", "--seed", "1"],
+        }[command]
+        out = tmp_path / "d.csv"
+        argv += ["--net", BASIC, "--coarsening", "1:0.2:0.03", "--n", str(n), "--out", str(out)]
+        why = f"n = {n} cases of 4 nodes exceed numpy's largest array\n"
+        if command == "gen-data":
+            assert cli.main(argv) == 3
+            assert capsys.readouterr().err == f"numerical failure: {why}"
+            assert not out.exists()
+        else:  # a failed run
+            assert cli.main(argv) == 0
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("runs 0 failed 1\n", f"run 0: {why}")
+            assert out.read_text(encoding="utf-8").count("\n") == 1  # the header alone
 
     @pytest.mark.parametrize("command", ["gen-data", "experiment"])
     def test_allocation_failure_exits_3(self, tmp_path, capsys, monkeypatch, command):

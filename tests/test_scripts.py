@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from coarsebn import cli
+
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
@@ -23,13 +25,33 @@ def rows_of(path):
 
 
 def test_run_table_rows(tmp_path, capsys):
+    # a row is a `coarsebn experiment` run, which prints the summary cells
+    # of the CSV it writes
     code = script("run_table_rows").main(
-        ["--rows", "basic", "--runs", "1", "--out-dir", str(tmp_path)]
+        ["--rows", "basic", "--runs", "2", "--out-dir", str(tmp_path)]
     )
     assert code == 0
-    assert "FAILED" not in capsys.readouterr().err
-    rows = rows_of(tmp_path / "basic.csv")
-    assert [row["run"] for row in rows] == ["0", "summary"]
+    out, err = capsys.readouterr()
+    assert err == ""
+    *rows, summary = rows_of(tmp_path / "basic.csv")
+    assert [row["run"] for row in rows] == ["0", "1"] and summary["run"] == "summary"
+    head, *cells, tail = out.splitlines()
+    assert head == f"basic: {tmp_path / 'basic.csv'}" and tail == "runs 2 failed 0"
+    assert dict(line.split(" ") for line in cells) == {
+        col: cell for col, cell in summary.items() if col != "run"
+    }
+
+
+def test_run_table_rows_argv_are_experiment_runs(tmp_path):
+    # every row's arguments parse as `coarsebn experiment` and pass its
+    # reader checks, without a run
+    module = script("run_table_rows")
+    for name, (_, _, _, n, z) in module.ROWS.items():
+        args = cli.build_parser().parse_args(module.row_argv(name, 3, 7, tmp_path))
+        cli._check_readers(args)
+        assert args.func is cli._cmd_experiment
+        assert (args.n, args.z, args.runs, args.seed) == (n, z, 3, 7)
+        assert args.out == str(tmp_path / f"{name}.csv")
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "x"])
