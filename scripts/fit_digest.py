@@ -7,7 +7,8 @@ Runs `run_experiment` on each input of the asia_rows and large_dag tables
 hashes, in order:
   - after every `ai_sweep`: each occupied key (pattern, state) with its
     replicas, in key order, the counts in their dict order, the score
-    `full_score` computes from scratch (as float hex) and the move count;
+    `full_score` adds up from the occupied states' count terms, each
+    computed from its count (as float hex), and the move count;
   - every EM and AIM result: the CPT bytes of its raw and smoothed network,
     and the AIM trace;
   - every summary row.
@@ -46,13 +47,15 @@ datasets, draws, moves, counts, scores, estimates, solver values, tree
 answers and conservative intervals, bit for bit, with the same solver
 work.  `fit_digest.expected`, beside this script, holds the seven lines
 of the current package: the script compares its lines with those, names
-each line that differs on stderr, and exits 1 if any does.
+each line that differs on stderr, with the Python and numpy versions it
+ran under, and exits 1 if any does.
 A change that alters the digests on purpose updates that file.
 
     python3 scripts/fit_digest.py
 """
 
 import hashlib
+import platform
 import sys
 from pathlib import Path
 
@@ -238,6 +241,9 @@ def main() -> int:
         got = lines[n] if n < len(lines) else "(none)"
         want = expected[n] if n < len(expected) else "(none)"
         print(f"line {n + 1} differs: expected {want}, got {got}", file=sys.stderr)
+    if differs:
+        print(f"ran under Python {platform.python_version()}, numpy {np.__version__}",
+              file=sys.stderr)
     return 1 if differs else 0
 
 

@@ -12,20 +12,20 @@ of zero certifies a global optimum of the sat-profile likelihood.
 AIM needs log P(x) only at the states replicas occupy or can move to.
 `AimState`, the whole fit (the completion, held once as counts and key
 member lists, theta and the score), gives each such state a row and
-caches the row's CPT cells (`network.state_cells`) when it is first read,
-so one gather per theta gives log P for every row.  The state groups its
-keys before it scores the start, so the first score and the first sweep
-share one gather; the M step counts the completion with one bincount over
-the occupied rows' cells, and its score reads the same gather as the next
-sweep.  log(c/zn) is computed at a count c when a fit first reads it
+caches the row's CPT cells (`network.state_cells`) when it is first read.
+It reads each theta once, in `AimState.refit`: one gather gives log P for
+every row, every row's count terms are computed from its count, and the
+score is the occupied rows' terms added up.  The constructor refits at
+theta0 once it has grouped its keys; the M step counts the completion
+with one bincount over the occupied rows' cells and refits at the new
+theta.  log(c/zn) is computed at a count c when a fit first reads it
 (`AimState.log_q`), as most counts up to zn are never read.
 
-`ai_sweep` makes the moves of the per-replica definition, float for float,
-per (pattern, completion) key.  At the start of a sweep it caches each
-row's count terms and queues every occupied key.  It decides the keys in
-replica order from the cached terms, and again only when an accepted move
-has changed a count its decision reads; a move recomputes two states' terms.
-It keeps no score: a score is only computed from scratch, so none drifts.
+`ai_sweep` only decides: it makes the moves of the per-replica
+definition, float for float, per (pattern, completion) key, from the last
+refit's terms, deciding a key again only when an accepted move has changed
+a count its decision reads.  A move recomputes two states' terms from
+their counts, so no score drifts.
 """
 
 from __future__ import annotations
@@ -99,12 +99,13 @@ class AimState:
     case `rep_case[j]`, laid out by `replica_cases`; `moves[m]` lists the
     (stride, card) of pattern m's missing axes, and `net` holds theta,
     theta0 until the first M step.  The constructor counts the assignment
-    and groups its keys, keeping no copy of it, and scores the counts.
+    and groups its keys, keeping no copy of it, and refits at theta0.
 
     Every state a fit reads has a row: `states[r]` is its flat index,
     `cells[r]` its `state_cells` row (built when the row is first read)
-    and, per theta, `lp[r]` its log P.  Rows are added for the occupied
-    states, complete cases' included, and for the states the keys read.
+    and `lp[r]` its log P at the last refit's theta.  Rows are added for
+    the occupied states, complete cases' included, and for the states the
+    keys read.
 
     A replica's decision reads only the counts at its state and at that
     state's neighbours under its pattern's `moves`, so replicas of one key
@@ -116,10 +117,12 @@ class AimState:
 
     `left[r]`, `was[r]` and `arrived[r]` hold row r's count terms T(n-1),
     T(n) and T(n+1), where n is the state's count and T(c) = (c/zn)(log(c/zn)
-    - log P), T(0) = 0.0.  They are filled for every row at the start of a
-    sweep; a key empty then holds only replicas that sweep has decided
-    already, so it is not decided again in that sweep, and the rows `add`
-    appends are not read.
+    - log P), T(0) = 0.0.  `refit` fills them for every row, a sweep keeps
+    them current for the rows it moves replicas between, and `score` and
+    `full_score` add up the occupied rows' `was`.  A key empty at the start
+    of a sweep holds only replicas that sweep has decided already, so it
+    is not decided again in that sweep, and the rows `add` appends have
+    no terms until the next refit.
     """
 
     def __init__(
@@ -130,7 +133,6 @@ class AimState:
         rep_case: np.ndarray,
         assign: list[int],
     ):
-        self.net = theta0
         self.z = z
         self.rep_case = rep_case  # also read by perfbench's candidate-visit counter
         self.zn = len(rep_case)
@@ -146,8 +148,6 @@ class AimState:
         self.states: list[int] = []
         self.row: dict[int, int] = {}
         self.cells = np.zeros((0, len(theta0.nodes)), dtype=np.int64)
-        self.lp_net: Network | None = None      # the theta `lp` was read at
-        self.lp: list[float] = []
         self.readers: list[list[int]] = []
         self.key: list[tuple[int, int]] = []     # per key id, (pattern, state)
         self.of: dict[tuple[int, int], int] = {}
@@ -155,24 +155,34 @@ class AimState:
         self.key_row: list[int] = []
         self.nbr_rows: list[list[int]] = []
         self.queued: list[bool] = []
-        self.left: list[float] = []
-        self.was: list[float] = []
-        self.arrived: list[float] = []
         self.group(assign)
-        self.score = self.full_score()
+        self.refit(theta0)
 
     @cached_property  # no fit reads it; perfbench's candidate-visit counter does
     def case_moves(self) -> list[list[tuple[int, int]]]:  # per case, its pattern's moves
         return list(map(self.moves.__getitem__, self.case_pattern.tolist()))
 
+    def refit(self, net: Network) -> None:
+        """Read theta `net` once: give every occupied state a row, gather
+        log P of every row, fill every row's count terms under the counts
+        and set the score."""
+        self.rows_of(self.counts)
+        self.net = net
+        self.lp = log_probs(net, self.row_cells()).tolist()
+        rows = len(self.states)
+        self.left, self.was, self.arrived = [0.0] * rows, [0.0] * rows, [0.0] * rows
+        counts = self.counts
+        for r, x in enumerate(self.states):
+            self.set_terms(r, counts.get(x, 0))
+        self.score = self.full_score()
+
     def full_score(self) -> float:
-        """KL(P_c || P_theta) from scratch, summed in the counts' order."""
-        rows = self.rows_of(self.counts)
-        lp = self.log_probs(self.net)
-        log_q, zn = self.log_q, self.zn
+        """KL(P_c || P_theta): the occupied rows' terms T(n), added in the
+        counts' order (a loop, as builtin sum compensates from Python 3.12)."""
+        was = self.was
         total = 0.0
-        for n, r in zip(self.counts.values(), rows):
-            total += n / zn * (log_q[n] - lp[r])
+        for r in self.rows_of(self.counts):
+            total += was[r]
         return total
 
     def _row_of(self, x: int) -> int:
@@ -196,13 +206,6 @@ class AimState:
             new = state_cells(net, unravel_rows(net, self.states[done:]))
             self.cells = np.concatenate([self.cells, new])
         return self.cells
-
-    def log_probs(self, net: Network) -> list[float]:
-        """log P of every row's state under net, in one gather of every row,
-        read again when theta is a new object or rows were added since."""
-        if net is not self.lp_net or len(self.lp) < len(self.states):
-            self.lp_net, self.lp = net, log_probs(net, self.row_cells()).tolist()
-        return self.lp
 
     def group(self, assign: list[int]) -> None:
         """Register a key per (pattern, state) of the moving replicas,
@@ -243,20 +246,6 @@ class AimState:
         self.was[r] = n / zn * (log_q[n] - lp) if n else 0.0
         self.arrived[r] = (n + 1) / zn * (log_q[n + 1] - lp)
 
-    def first_queue(self) -> list[tuple[int, int]]:
-        """Every row's terms under the counts and theta, and a heap of every
-        occupied key at its first replica."""
-        self.log_probs(self.net)
-        counts = self.counts
-        rows = len(self.states)
-        self.left, self.was, self.arrived = [0.0] * rows, [0.0] * rows, [0.0] * rows
-        for r, x in enumerate(self.states):
-            self.set_terms(r, counts.get(x, 0))
-        self.queued = [bool(reps) for reps in self.members]
-        queue = [(reps[0], k) for k, reps in enumerate(self.members) if reps]
-        heapq.heapify(queue)
-        return queue
-
 
 class LogQ(dict):
     """math.log(c / zn) at each count c, computed when a fit first reads it."""
@@ -294,22 +283,24 @@ def ai_sweep(state: AimState) -> AimState:
     only the count terms of x and y, so its delta is the new terms of both
     minus the old, summed in that order.
 
-    The decisions are made per key (pattern, state), in replica order.
-    `AimState.first_queue` caches the count terms of every row, from the
-    rows' log P under the current theta, and queues every occupied key at
-    its first replica.  The loop pops the queue in replica order and
-    decides each key from the cached count terms.  A key that stays put is
-    not decided again until a move changes a count it reads: a move x -> y
-    recomputes the terms of x and y only and queues each reader of x and y
-    at its first replica after the mover (a key still queued already waits
-    there).  So every decision sees the counts the replica loop would show
-    it, and the moves and counts are that loop's.  The sweep leaves
-    `state.score` as it was; `full_score` reads the new counts from scratch.
+    The decisions are made per key (pattern, state), in replica order,
+    from the count terms of the last `AimState.refit`.  The sweep queues
+    every occupied key at its first replica and pops the queue in replica
+    order.  A key that stays put is not decided again until a move changes
+    a count it reads: a move x -> y recomputes the terms of x and y from
+    their new counts and queues each reader of x and y at its first
+    replica after the mover (a key still queued already waits there).  So
+    every decision sees the counts the replica loop would show it, and the
+    moves and counts are that loop's.  The sweep leaves `state.score` as
+    it was.  The rows it adds have no terms until a refit, which `aim_fit`
+    always makes between sweeps, in the M step.
     """
-    counts = state.counts
-    queue = state.first_queue()
+    counts, members = state.counts, state.members
+    queued = state.queued = [bool(reps) for reps in members]
+    queue = [(reps[0], k) for k, reps in enumerate(members) if reps]
+    heapq.heapify(queue)
     left, was, arrived = state.left, state.was, state.arrived
-    states, readers, members, queued = state.states, state.readers, state.members, state.queued
+    states, readers = state.states, state.readers
     key_row, nbr_rows = state.key_row, state.nbr_rows
     while queue:
         j, k = heapq.heappop(queue)
@@ -352,15 +343,15 @@ def ai_sweep(state: AimState) -> AimState:
 
 
 def m_step(state: AimState) -> tuple[Network, list[np.ndarray]]:
-    """Refit theta by ML on the completed counts (in original-case units):
-    one bincount over the occupied rows' cells, in the counts' order."""
+    """Fit theta by ML on the completed counts (in original-case units),
+    one bincount over the occupied rows' cells in the counts' order, and
+    `AimState.refit` the state at it."""
     structure = state.net  # read for its nodes alone
     rows = state.rows_of(state.counts)
     cnt = np.fromiter(state.counts.values(), dtype=np.float64, count=len(rows))
     counts = family_counts(structure, state.row_cells()[rows], cnt / state.z)
     net, row_counts = params_from_family_counts(structure, counts)
-    state.net = net
-    state.score = state.full_score()
+    state.refit(net)
     return net, row_counts
 
 

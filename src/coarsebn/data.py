@@ -125,6 +125,13 @@ def parse_dataset_csv(text: str) -> Dataset:
 
 
 def format_dataset_csv(data: Dataset) -> str:
+    """The dataset as CSV; FormatError for a variable named `WEIGHT_COLUMN`
+    or a value `MISSING_TOKEN`, which would read back as weights or as
+    missing."""
+    if WEIGHT_COLUMN in data.variables:
+        raise FormatError(f"variable name {WEIGHT_COLUMN!r} is reserved for the weights")
+    if any(MISSING_TOKEN in pattern for pattern in data.distinct):
+        raise FormatError(f"value {MISSING_TOKEN!r} is reserved for a missing value")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     unit_weights = all(w == 1.0 for _, w in data.cases)

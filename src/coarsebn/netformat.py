@@ -9,6 +9,11 @@
 state order; there must be exactly one cpt line per parent configuration.
 Rows whose sum is off by more than 1e-6 are rejected; accepted rows are
 renormalized only if they are off by more than 1e-12.
+
+A name or label holds no line break and no '#', nor space at either end;
+a node name holds no space at all, nor any of ',|='; a state label holds
+no ','.  The dataset CSV reserves the label '?' (a missing value) and the
+node name '__weight' (the weight column), so both are refused.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import MISSING_TOKEN, WEIGHT_COLUMN
 from .errors import FormatError
 from .network import Network, NodeSpec, validate_network
 from .util import fmt17
@@ -59,9 +65,13 @@ def parse_network(text: str) -> Network:
                 raise fail("expected keyword 'states'")
             if node_name in states:
                 raise fail(f"node {node_name!r} declared twice")
+            if node_name == WEIGHT_COLUMN:
+                raise fail(f"node name {WEIGHT_COLUMN!r} is reserved for the dataset weights")
             labels = tuple(s.strip() for s in state_text.split(","))
             if any(not s for s in labels):
                 raise fail("empty state label")
+            if MISSING_TOKEN in labels:
+                raise fail(f"state label {MISSING_TOKEN!r} is reserved for a missing value")
             order.append(node_name)
             states[node_name] = labels
         elif keyword == "parents":
@@ -167,7 +177,26 @@ def parse_network(text: str) -> Network:
     return net
 
 
+def _one_line(text: str) -> bool:
+    """No line break, no '#' and no space at either end: the text a
+    comment-stripped, stripped line gives back."""
+    return text.splitlines() == [text] and text == text.strip() and "#" not in text
+
+
 def format_network(net: Network) -> str:
+    """The network as text that `parse_network` reads back to the same
+    names, labels and rows; FormatError naming the first name or label
+    that it would not."""
+    unwritable = "cannot be written in the network format"
+    if not _one_line(net.name):
+        raise FormatError(f"network name {net.name!r} {unwritable}")
+    for spec in net.nodes:
+        name = spec.name
+        if name.split() != [name] or any(c in name for c in "#,|=") or name == WEIGHT_COLUMN:
+            raise FormatError(f"node name {name!r} {unwritable}")
+        for label in spec.states:
+            if not _one_line(label) or "," in label or label == MISSING_TOKEN:
+                raise FormatError(f"state label {label!r} of {name!r} {unwritable}")
     lines = [f"network {net.name}"]
     for spec in net.nodes:
         lines.append(f"node {spec.name} states {','.join(spec.states)}")

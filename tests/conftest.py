@@ -582,6 +582,17 @@ def incremental_kl_delta(counts, zn, logp, frm, to):
     )
 
 
+def scratch_score(state):
+    """Oracle: an AimState's KL(P_c || P_theta) from scratch, each occupied
+    state's term (n/zn)(log(n/zn) - log P) at its theta, added in the
+    counts' order."""
+    zn = state.zn
+    total = 0.0
+    for n, lp in zip(state.counts.values(), log_probs(state.net, list(state.counts)).tolist()):
+        total += n / zn * (math.log(n / zn) - lp)
+    return total
+
+
 def key_members(state):
     """An AimState's occupied keys: (pattern, state) -> its replicas."""
     return {key: reps for key, reps in zip(state.key, state.members) if reps}

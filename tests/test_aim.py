@@ -21,6 +21,7 @@ from conftest import (
     per_pattern_completion,
     ravel,
     replica_states,
+    scratch_score,
     tuple_bounds,
     unravel,
     with_tables,
@@ -402,13 +403,15 @@ class TestSweepMatchesDefinition:
 class TestSweepWork:
     @staticmethod
     def still_state(structure, data):
-        """A state that a sweep at its current parameters leaves as it is."""
+        """A state that a sweep at its current parameters leaves as it is,
+        refitted at those parameters after each sweep that moved."""
         state = build_state(structure, em_fit(structure, data).network, data, z=5)
         for _ in range(50):
             before = state._moves
             ai_sweep(state)
             if state._moves == before:
                 return state
+            state.refit(state.net)
         raise AssertionError("no still sweep within 50")
 
     @staticmethod
@@ -451,12 +454,12 @@ class TestSweepWork:
 
     @pytest.mark.parametrize("split", [False, True])
     def test_still_sweep_reads_each_state_once(self, asia_net, monkeypatch, split):
-        # a sweep at a theta not read before that moves nothing reads log P
-        # in one gather of the cached cells of every row, one row per state
-        # whatever number of keys and replicas read it, and decides each
-        # occupied key once; every occupied state and every state the keys
-        # read has a row, and on a table split between members and the
-        # clique tree the tree's states are among them
+        # a refit reads log P in one gather of the cached cells of every
+        # row, one row per state whatever number of keys and replicas read
+        # it, and a sweep after it that moves nothing gathers nothing and
+        # decides each occupied key once; every occupied state and every
+        # state the keys read has a row, and on a table split between
+        # members and the clique tree the tree's states are among them
         data = asia_data(asia_net, n=150, seed=48) if split else asia_data(asia_net)
         if split:
             half = sum(inference.BoundDataset(asia_net, data).sizes) // 2
@@ -470,7 +473,6 @@ class TestSweepWork:
             for k in table.on_tree
             for x in member_flat_indices(asia_net, bounds[k]).tolist()
         }
-        state.net = asia_net.with_theta(state.net.theta)  # the same theta, not yet read
         gathers = self.record_gathers(monkeypatch)
         built = []
         monkeypatch.setattr(aim, "state_cells", lambda *args: built.append(args))
@@ -478,6 +480,7 @@ class TestSweepWork:
         keys = state
         occupied = [k for k, reps in enumerate(keys.members) if reps]
         before = state._moves
+        state.refit(state.net)
         ai_sweep(state)
         assert state._moves == before
         assert sorted(pops) == occupied
@@ -492,9 +495,9 @@ class TestSweepWork:
 
     def test_rows_added_in_a_sweep_are_read_at_the_next(self, asia_net, monkeypatch):
         # two sweeps at one theta: the rows the first sweep added (the
-        # neighbours of states it first moved replicas to) make the second
-        # sweep read log P in one gather of every row, and both sweeps make
-        # the per-replica definition's moves
+        # neighbours of states it first moved replicas to) are read by the
+        # refit between them, in one gather of every row, and both sweeps
+        # make the per-replica definition's moves
         data = asia_data(asia_net)
         theta = em_fit(asia_net, data).network
         state = build_state(asia_net, theta, data, z=5)
@@ -507,24 +510,46 @@ class TestSweepWork:
         rows = len(keys.states)
         assert rows > len(keys.lp)
         gathers = self.record_gathers(monkeypatch)
+        state.refit(state.net)
         ai_sweep(state)
         reference_sweep(ref, placed)
         assert [len(cells) for cells in gathers] == [rows]
         assert keys.lp == log_probs(state.net, keys.states).tolist()
         assert (replica_states(state), state.counts) == (placed, ref.counts)
-        assert state.full_score() == ref.full_score()
+        assert state.full_score() == scratch_score(ref)
 
     def test_one_gather_per_iteration(self, asia_net, monkeypatch):
-        # log P at theta0 takes one gather for the occupied states and the
-        # states the keys read, shared by the first score and sweep; after
-        # that each M step's score and the next sweep share one gather at
-        # the new theta
+        # one refit per theta, each one gather: at theta0 for the occupied
+        # states and the states the keys read, then after each M step at
+        # the new theta; the sweeps gather nothing
         data = asia_data(asia_net)
         theta = em_fit(asia_net, data).network
         gathers = self.record_gathers(monkeypatch)
         res = aim_fit(asia_net, theta, data, AimOptions(z=5, seed=3))
         assert len(res.trace) > 2
         assert len(gathers) == 1 + len(res.trace)
+
+    def test_score_is_the_scratch_score_throughout_a_fit(self, asia_net, monkeypatch):
+        # the score a fit reads, the occupied rows' cached terms, equals the
+        # score from scratch bit for bit after every sweep and every M step
+        data = asia_data(asia_net)
+        theta = em_fit(asia_net, data).network
+        checked = []
+
+        def checking(step):
+            def run(state):
+                out = step(state)
+                assert state.full_score() == scratch_score(state)
+                checked.append(state.score)
+                return out
+
+            return run
+
+        monkeypatch.setattr(aim, "ai_sweep", checking(ai_sweep))
+        monkeypatch.setattr(aim, "m_step", checking(m_step))
+        res = aim_fit(asia_net, theta, data, AimOptions(z=5, seed=3))
+        assert len(res.trace) > 2 and len(checked) == 2 * len(res.trace)
+        assert checked[1::2] == [score for _, score, _ in res.trace]
 
     def test_tied_moves_decide_no_key(self, basic_net, monkeypatch):
         # under uniform parameters a lone replica's move to an empty state
@@ -549,7 +574,7 @@ class TestSweepWork:
         logp = logp_of(state.net)
         for c in range(1, zn):
             state.counts = {tt: c, tf: zn - c}
-            keys.first_queue()
+            state.refit(state.net)
             for x, n in ((tt, c), (tf, zn - c)):
                 r = keys.row[x]
                 lp = logp(x)

@@ -456,6 +456,27 @@ class TestGenData:
         )
         assert out.returncode == 2
 
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("network r\nnode A states ?,b\ncpt A : 0.7,0.3\n",
+             "line 2: state label '?' is reserved for a missing value"),
+            ("network r\nnode __weight states a,b\ncpt __weight : 0.5,0.5\n",
+             "line 2: node name '__weight' is reserved for the dataset weights"),
+        ],
+    )
+    def test_reserved_names_refused(self, tmp_path, capsys, text, what):
+        # a label ? would read back as missing, a node __weight as the weights
+        net, out = tmp_path / "r.net", tmp_path / "d.csv"
+        net.write_text(text, encoding="utf-8")
+        code = cli.main([
+            "gen-data", "--net", str(net), "--coarsening", "1:0.2:0.03",
+            "--n", "6", "--seed", "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert what in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_sigma_is_one_format_error(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         code = cli.main([

@@ -20,6 +20,7 @@ from coarsebn.data import (
     Dataset,
     format_dataset_csv,
     parse_dataset_csv,
+    write_dataset,
 )
 from coarsebn.errors import CoarseBNError, DataError, FormatError
 from coarsebn.inference import BoundDataset
@@ -368,6 +369,23 @@ class TestCsv:
     def test_bad_weight_cell_rejected(self):
         with pytest.raises(FormatError, match="^line 3: bad weight 'heavy'$"):
             parse_dataset_csv("X,__weight\na,2\nb,heavy\n")
+
+    @pytest.mark.parametrize(
+        "data, what",
+        [
+            (Dataset(("__weight", "Y"), ((("a", "b"), 1.0),)),
+             "^variable name '__weight' is reserved for the weights$"),
+            (Dataset(("X", "Y"), ((("a", None), 1.0), (("?", "b"), 2.0))),
+             r"^value '\?' is reserved for a missing value$"),
+        ],
+    )
+    def test_reserved_tokens_not_written(self, tmp_path, data, what):
+        # a variable named __weight would read back as the weights, and a
+        # value ? as missing
+        path = tmp_path / "d.csv"
+        with pytest.raises(FormatError, match=what):
+            write_dataset(data, path)
+        assert not path.exists()
 
 
 class TestDatasetValidation:

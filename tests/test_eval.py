@@ -1,3 +1,5 @@
+import builtins
+import importlib
 import math
 
 import numpy as np
@@ -7,7 +9,9 @@ from conftest import with_tables
 from coarsebn.errors import DataError
 from coarsebn.evaluate import evaluate, kl_decomposed, kl_enumerate, mse
 from coarsebn.netformat import read_network
-from coarsebn.network import Network, NodeSpec, randomize_parameters, smooth, uniform_cpts
+from coarsebn.network import (
+    Network, NodeSpec, randomize_parameters, row_totals, smooth, uniform_cpts,
+)
 from coarsebn.util import fixture_path
 
 THETA1_B = 0.15 / 0.55
@@ -67,6 +71,31 @@ class TestKlDecomposed:
         assert kl_decomposed(basic_net, theta1_net(basic_net)) == pytest.approx(
             binary_kl(0.2, THETA1_B), rel=1e-12
         )
+
+    def test_nodes_added_left_to_right_on_any_interpreter(self, asia_net, monkeypatch):
+        # builtin sum compensates floats from Python 3.12, so the per-node
+        # divergences are added by a left-to-right fold in node order; on
+        # this pair the fold and the exactly rounded sum differ in the last bit
+        def no_float_sum(items, start=0):
+            items = list(items)
+            if any(isinstance(v, float) for v in items):
+                raise AssertionError("builtin sum over floats")
+            return builtins.sum(items, start)
+
+        # the module, which the package's function `evaluate` shadows
+        module = importlib.import_module("coarsebn.evaluate")
+        monkeypatch.setattr(module, "sum", no_float_sum, raising=False)
+        rng = np.random.default_rng(5)
+        truth = randomize_parameters(asia_net, rng)
+        est = randomize_parameters(asia_net, rng)
+        w, t, e = truth.parent_weights, truth.theta, est.theta
+        row_kl = row_totals(truth, t * (np.log(t) - np.log(e)))
+        terms = [float(w[rows] @ row_kl[rows]) for rows in truth.node_rows]
+        fold = 0.0
+        for v in terms:
+            fold += v
+        assert fold != math.fsum(terms)
+        assert kl_decomposed(truth, est) == fold
 
     def test_structure_mismatch_rejected(self, basic_net):
         from coarsebn.network import Network, NodeSpec

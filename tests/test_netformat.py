@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coarsebn.errors import CoarseBNError, FormatError
 from coarsebn.netformat import format_network, parse_network, read_network
-from coarsebn.network import randomize_parameters, validate_network
+from coarsebn.network import Network, NodeSpec, randomize_parameters, uniform_cpts, validate_network
 from coarsebn.util import fixture_path
 
 
@@ -124,11 +124,76 @@ TWICE_LABELLED = "network d\nnode X states t,t\ncpt X : 0.5,0.5\n"
         ("network t\n# no nodes\n", "^no nodes declared$"),
         (CYCLIC, "^invalid network: parent relation has a cycle among: A, B$"),
         (TWICE_LABELLED, "^invalid network: node X: duplicate state labels$"),
+        ("network t\nnode A states ?,b\ncpt A : 0.7,0.3\n",
+         r"^line 2: state label '\?' is reserved for a missing value$"),
+        ("network t\nnode __weight states a,b\ncpt __weight : 0.5,0.5\n",
+         "^line 2: node name '__weight' is reserved for the dataset weights$"),
     ],
 )
 def test_rejects_malformed_declarations(text, what):
     with pytest.raises(FormatError, match=what):
         parse_network(text)
+
+
+def named_net(name, nodes):
+    """A network named `name` of uniform rows, nodes given as (name, states,
+    parents)."""
+    return uniform_cpts(Network(name, tuple(NodeSpec(*n) for n in nodes), ()))
+
+
+@pytest.mark.parametrize(
+    "name, nodes, what",
+    [
+        ("n#1", [("A", ("t", "f"), ())], "network name 'n#1'"),
+        ("n", [("A", ("x#1", "f"), ())], "state label 'x#1' of 'A'"),
+        ("n", [("A", ("x,1", "f"), ())], "state label 'x,1' of 'A'"),
+        ("n", [("A", ("?", "f"), ())], r"state label '\?' of 'A'"),
+        ("n", [("A|B", ("t", "f"), ())], "node name 'A|B'"),
+        ("n", [("A B", ("t", "f"), ())], "node name 'A B'"),
+        ("n", [("A", ("t", "f"), ()), ("B=1", ("t", "f"), ("A",))], "node name 'B=1'"),
+        ("n", [("__weight", ("t", "f"), ())], "node name '__weight'"),
+        (" n", [("A", ("t", "f"), ())], "network name ' n'"),
+    ],
+)
+def test_format_refuses_what_would_not_read_back(name, nodes, what):
+    with pytest.raises(FormatError, match=f"^{what} cannot be written in the network format$"):
+        format_network(named_net(name, nodes))
+
+
+@st.composite
+def tokens(draw):
+    """One or two letters, one in six of them with one of the format's
+    separators, a space, a tab, a newline or '?' put in."""
+    text = draw(st.text("ab", min_size=1, max_size=2))
+    if draw(st.integers(0, 5)) == 5:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(list("#,|=: ?\t\n"))) + text[at:]
+    return text
+
+
+@st.composite
+def named_nets(draw):
+    """A network whose name, node names and labels are `tokens`; each node
+    may take the one before it as parent."""
+    names = draw(st.lists(tokens(), min_size=1, max_size=3, unique=True))
+    nodes = [
+        (n, tuple(draw(st.lists(tokens(), min_size=2, max_size=3, unique=True))),
+         (names[i - 1],) if i and draw(st.booleans()) else ())
+        for i, n in enumerate(names)
+    ]
+    return named_net(draw(tokens()), nodes)
+
+
+@given(net=named_nets())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_written_networks_read_back(net):
+    # formatting refuses, or the text parses back to the same name and nodes
+    try:
+        text = format_network(net)
+    except FormatError:
+        return
+    again = parse_network(text)
+    assert (again.name, again.nodes) == (net.name, net.nodes)
 
 
 def test_unknown_fixture_name_refused():
